@@ -5,14 +5,15 @@
 use overlay_graphs::KaryHypercube;
 use rand::{Rng, RngExt};
 use simnet::{BlockSet, NodeId};
-use std::collections::HashMap;
 
 /// Node groups keyed by k-ary hypercube supernode.
 #[derive(Clone, Debug)]
 pub struct KaryGroups {
     cube: KaryHypercube,
     groups: Vec<Vec<NodeId>>,
-    assign: HashMap<NodeId, u64>,
+    /// Every node once, ascending: the order [`KaryGroups::resample`]
+    /// draws in.
+    nodes: Vec<NodeId>,
 }
 
 impl KaryGroups {
@@ -30,17 +31,14 @@ impl KaryGroups {
         while cube.len() as f64 > 2.0 * target && cube.dim() > 1 {
             cube = KaryHypercube::new(cube.k(), cube.dim() - 1);
         }
-        let mut out = Self {
-            cube,
-            groups: vec![Vec::new(); cube.len() as usize],
-            assign: HashMap::with_capacity(n),
-        };
+        let mut groups = vec![Vec::new(); cube.len() as usize];
         for &v in nodes {
-            let x = rng.random_range(0..cube.len());
-            out.groups[x as usize].push(v);
-            out.assign.insert(v, x);
+            groups[rng.random_range(0..cube.len()) as usize].push(v);
         }
-        out
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        Self { cube, groups, nodes }
     }
 
     /// The supernode cube.
@@ -55,12 +53,12 @@ impl KaryGroups {
 
     /// Total node count.
     pub fn len(&self) -> usize {
-        self.assign.len()
+        self.nodes.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
+        self.nodes.is_empty()
     }
 
     /// The *home supernode* of a server: a fixed hash of its id. Requests
@@ -82,21 +80,16 @@ impl KaryGroups {
     /// Resample all assignments uniformly (the epoch-boundary
     /// reconfiguration of Lemma 15 carried over to the k-ary cube).
     ///
-    /// Nodes draw their new supernode in sorted-id order: `assign` is a
-    /// `HashMap` whose iteration order varies per instance, and consuming
-    /// the RNG in that order would make two same-seed overlays diverge at
-    /// the first epoch boundary (the workload replay determinism test
+    /// Nodes draw their new supernode in ascending id order, whatever
+    /// order they were handed over in: two same-seed overlays must agree
+    /// at every epoch boundary (the workload replay determinism test
     /// compares exactly that).
     pub fn resample<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let mut nodes: Vec<NodeId> = self.assign.keys().copied().collect();
-        nodes.sort_unstable();
         for g in self.groups.iter_mut() {
             g.clear();
         }
-        for v in nodes {
-            let x = rng.random_range(0..self.cube.len());
-            self.groups[x as usize].push(v);
-            self.assign.insert(v, x);
+        for &v in &self.nodes {
+            self.groups[rng.random_range(0..self.cube.len()) as usize].push(v);
         }
     }
 

@@ -23,12 +23,11 @@ use kary_groups::KaryGroups;
 use overlay_stats::BucketHistogram;
 use rand::RngExt;
 use reconfig_core::config::{SamplingParams, Schedule};
-use routing::{route_batch, Packet};
+use routing::{Packet, RouteScratch};
 use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
-use std::collections::HashMap;
-use store::{replica_servers, ServerStore};
+use store::{fill_replicas, ServerStore, MAX_REDUNDANCY};
 use telemetry::{EventKind, Phase, Telemetry};
 
 /// Accounting size of one routed message (key + value + addressing), in
@@ -76,10 +75,24 @@ pub struct BatchMetrics {
     pub messages: u64,
 }
 
+/// Buffers [`RobustDht::serve_batch`] refills on every call; they carry
+/// nothing from one batch to the next.
+#[derive(Default)]
+struct BatchScratch {
+    route: RouteScratch,
+    /// The batch's ops, writes first.
+    ordered: Vec<DhtOp>,
+    /// One packet per (op, replica): op `i` owns packets
+    /// `i * redundancy..(i + 1) * redundancy`, and `replicas` (the server
+    /// each packet is for) is strided the same way.
+    packets: Vec<Packet>,
+    replicas: Vec<NodeId>,
+}
+
 /// The robust DHT.
 pub struct RobustDht {
-    /// Fixed servers and their local stores.
-    servers: HashMap<NodeId, ServerStore>,
+    /// The local stores of the fixed servers `0..n`, indexed by id.
+    servers: Vec<ServerStore>,
     /// The reconfigurable k-ary hypercube of groups.
     groups: KaryGroups,
     /// Replicas per key (logarithmic redundancy).
@@ -89,6 +102,7 @@ pub struct RobustDht {
     epoch_ok: bool,
     prev_blocked: BlockSet,
     rng: NodeRng,
+    scratch: BatchScratch,
     /// Epochs whose availability precondition failed.
     pub failed_epochs: u64,
     /// Cumulative message events across every served batch and single
@@ -115,7 +129,7 @@ impl RobustDht {
         let schedule = Schedule::algorithm2(sched_dim, &SamplingParams::default());
         let epoch_len = 2 * schedule.rounds() as u64 + 4;
         Self {
-            servers: nodes.into_iter().map(|v| (v, ServerStore::default())).collect(),
+            servers: vec![ServerStore::default(); n],
             groups,
             redundancy,
             epoch_len,
@@ -123,6 +137,7 @@ impl RobustDht {
             epoch_ok: true,
             prev_blocked: BlockSet::none(),
             rng,
+            scratch: BatchScratch::default(),
             failed_epochs: 0,
             messages_total: 0,
             tel: Telemetry::disabled(),
@@ -172,14 +187,19 @@ impl RobustDht {
     /// epoch-boundary group resampling, as in Section 5).
     pub fn step(&mut self, blocked: &BlockSet) {
         self.round += 1;
-        let ok =
-            self.groups.groups().iter().all(|g| {
-                g.iter().any(|v| !self.prev_blocked.contains(*v) && !blocked.contains(*v))
-            });
+        // A caller stepping through a batch's rounds passes one set over
+        // and over: then a member is available iff it is not in that set,
+        // and there is nothing to copy.
+        let same = self.prev_blocked == *blocked;
+        let ok = self.groups.groups().iter().all(|g| {
+            g.iter().any(|v| !blocked.contains(*v) && (same || !self.prev_blocked.contains(*v)))
+        });
         if !ok {
             self.epoch_ok = false;
         }
-        self.prev_blocked = blocked.clone();
+        if !same {
+            self.prev_blocked.clone_from(blocked);
+        }
         if self.round % self.epoch_len == 0 {
             let epoch_ok = self.epoch_ok;
             if epoch_ok {
@@ -206,65 +226,70 @@ impl RobustDht {
     /// overlay. A request completes when a majority of its replicas were
     /// reached.
     pub fn serve_batch(&mut self, ops: &[DhtOp], blocked: &BlockSet) -> BatchMetrics {
+        let Self { scratch, groups, servers, rng, .. } = self;
+        let BatchScratch { route, ordered, packets, replicas } = scratch;
+        let n_servers = servers.len();
+        let redundancy = self.redundancy;
+
         // Writes first so reads in the same batch observe them.
-        let mut ordered: Vec<&DhtOp> = ops.iter().collect();
-        ordered.sort_by_key(|op| matches!(op, DhtOp::Read { .. }));
+        ordered.clear();
+        ordered.extend(ops.iter().filter(|op| matches!(op, DhtOp::Write { .. })));
+        ordered.extend(ops.iter().filter(|op| matches!(op, DhtOp::Read { .. })));
 
         // One packet per (request, replica).
-        let mut packets = Vec::with_capacity(ordered.len() * self.redundancy);
-        let mut packet_meta: Vec<(usize, NodeId)> = Vec::new();
-        for (op_idx, op) in ordered.iter().enumerate() {
-            let key = match **op {
+        packets.clear();
+        replicas.clear();
+        replicas.resize(ordered.len() * redundancy, NodeId(0));
+        for (op, op_replicas) in ordered.iter().zip(replicas.chunks_exact_mut(redundancy)) {
+            let key = match *op {
                 DhtOp::Read { key } | DhtOp::Write { key, .. } => key,
             };
-            for srv in replica_servers(key, self.len() as u64, self.redundancy) {
-                let entry = self.rng.random_range(0..self.groups.cube().len());
-                packets.push(Packet { entry, target: self.groups.home_supernode(srv), key });
-                packet_meta.push((op_idx, srv));
+            fill_replicas(key, n_servers as u64, op_replicas);
+            for &srv in op_replicas.iter() {
+                let entry = rng.random_range(0..groups.cube().len());
+                packets.push(Packet { entry, target: groups.home_supernode(srv), key });
             }
         }
 
-        let capacity = (self.len().max(2) as f64).log2().ceil() as usize;
-        let groups = &self.groups;
-        let route = route_batch(groups.cube(), &packets, capacity, |sn| {
+        let capacity = (n_servers.max(2) as f64).log2().ceil() as usize;
+        let route = route.route_batch(groups.cube(), packets, capacity, |sn| {
             !groups.has_unblocked_member(sn, blocked)
         });
 
         // Final hop: the target group talks to the replica server. A
         // replica outside the fixed server set never counts as reached —
         // the op degrades toward QuorumFailed instead of panicking.
-        let mut reached_per_op: HashMap<usize, usize> = HashMap::new();
-        let mut arrivals_per_op: HashMap<usize, Vec<u64>> = HashMap::new();
-        let mut exchanges = 0u64;
-        for (i, &(op_idx, srv)) in packet_meta.iter().enumerate() {
-            if route.delivered[i] && !blocked.contains(srv) {
-                match *ordered[op_idx] {
-                    DhtOp::Write { key, value } => match self.servers.get_mut(&srv) {
-                        Some(store) => store.write(key, value),
-                        None => continue,
-                    },
-                    DhtOp::Read { .. } => {
-                        if !self.servers.contains_key(&srv) {
-                            continue;
-                        }
-                    }
-                }
-                *reached_per_op.entry(op_idx).or_insert(0) += 1;
-                arrivals_per_op.entry(op_idx).or_default().push(route.arrival[i]);
-                exchanges += 1;
-            }
-        }
-        let quorum = self.redundancy / 2 + 1;
+        let quorum = redundancy / 2 + 1;
         let mut latency = BucketHistogram::new();
         let mut completed = 0usize;
-        for op_idx in 0..ordered.len() {
-            if reached_per_op.get(&op_idx).copied().unwrap_or(0) < quorum {
+        let mut exchanges = 0u64;
+        let strides = replicas
+            .chunks_exact(redundancy)
+            .zip(route.delivered.chunks_exact(redundancy))
+            .zip(route.arrival.chunks_exact(redundancy));
+        for (op, ((op_replicas, delivered), arrival)) in ordered.iter().zip(strides) {
+            // Arrival rounds of the replicas this op reached.
+            let mut arrivals = [0u64; MAX_REDUNDANCY];
+            let mut reached = 0;
+            for ((&srv, &delivered), &arrival) in op_replicas.iter().zip(delivered).zip(arrival) {
+                if !delivered || blocked.contains(srv) {
+                    continue;
+                }
+                let Some(store) = servers.get_mut(srv.raw() as usize) else { continue };
+                if let DhtOp::Write { key, value } = *op {
+                    store.write(key, value);
+                }
+                arrivals[reached] = arrival;
+                reached += 1;
+            }
+            exchanges += reached as u64;
+            if reached < quorum {
                 continue;
             }
-            let Some(arrivals) = arrivals_per_op.get_mut(&op_idx) else { continue };
             completed += 1;
             // The op is done when its quorum-th replica arrives; scale to
             // the batch's simulate+synchronize cadence (2x + final hop).
+            let arrivals = &mut arrivals[..reached];
             arrivals.sort_unstable();
             latency.record(2 * arrivals[quorum - 1] + 2);
         }
@@ -299,34 +324,58 @@ impl RobustDht {
 
     /// Read a single key under `blocked`: majority over replicas.
     pub fn read(&mut self, key: u64, blocked: &BlockSet) -> Result<u64, DhtError> {
-        let replicas = replica_servers(key, self.len() as u64, self.redundancy);
-        let mut versions: Vec<(u64, u64)> = Vec::new();
+        let mut buf = [NodeId(0); MAX_REDUNDANCY];
+        let replicas = &mut buf[..self.redundancy];
+        fill_replicas(key, self.len() as u64, replicas);
+        // The newest `(version, value)` seen; of equal versions the later
+        // replica's wins.
+        let mut newest: Option<(u64, u64)> = None;
         let mut reachable = 0usize;
-        for &srv in &replicas {
+        for &srv in replicas.iter() {
             let target = self.groups.home_supernode(srv);
             let entry = self.rng.random_range(0..self.groups.cube().len());
-            let route = self.groups.cube().route(entry, target);
-            let ok = route.iter().all(|&sn| self.groups.has_unblocked_member(sn, blocked))
-                && !blocked.contains(srv);
-            if !ok {
+            let Some(hops) = self.open_route_len(entry, target, blocked) else { continue };
+            if blocked.contains(srv) {
                 continue;
             }
-            let Some(store) = self.servers.get(&srv) else { continue };
-            // One hop per route level plus the group <-> server exchange.
-            self.messages_total += route.len() as u64 + 1;
+            let Some(store) = self.servers.get(srv.raw() as usize) else { continue };
+            // One hop per route vertex plus the group <-> server exchange.
+            self.messages_total += hops + 1;
             reachable += 1;
             if let Some(vv) = store.read(key) {
-                versions.push(vv);
+                if newest.is_none_or(|(ver, _)| vv.0 >= ver) {
+                    newest = Some(vv);
+                }
             }
         }
         if reachable < self.redundancy / 2 + 1 {
             return Err(DhtError::QuorumFailed);
         }
-        versions
-            .into_iter()
-            .max_by_key(|&(ver, _)| ver)
-            .map(|(_, val)| val)
-            .ok_or(DhtError::QuorumFailed)
+        newest.map(|(_, val)| val).ok_or(DhtError::QuorumFailed)
+    }
+
+    /// Number of supernodes on the digit-correcting route from `entry` to
+    /// `target` (the vertices of `KaryHypercube::route`, walked without
+    /// building the path), or `None` if one of them has no available
+    /// member.
+    fn open_route_len(&self, entry: u64, target: u64, blocked: &BlockSet) -> Option<u64> {
+        let cube = self.groups.cube();
+        let mut cur = entry;
+        let mut len = 1;
+        if !self.groups.has_unblocked_member(cur, blocked) {
+            return None;
+        }
+        for i in 0..cube.dim() {
+            let want = cube.digit(target, i);
+            if cube.digit(cur, i) != want {
+                cur = cube.with_digit(cur, i, want);
+                len += 1;
+                if !self.groups.has_unblocked_member(cur, blocked) {
+                    return None;
+                }
+            }
+        }
+        Some(len)
     }
 
     /// Write a single key under `blocked`.
@@ -401,6 +450,48 @@ mod tests {
         }
         assert_ne!(dht.groups().groups().to_vec(), before, "groups resampled");
         assert_eq!(dht.read(99, &none).unwrap(), 1234, "data survives reconfiguration");
+    }
+
+    #[test]
+    fn availability_spans_consecutive_rounds_only_when_the_set_changes() {
+        // Split one group's members over two block sets: each alone leaves
+        // the group a member, but nobody is free in both of two
+        // consecutive rounds when the sets alternate.
+        let fresh = || RobustDht::new(256, 2.0, 9);
+        let group = fresh().groups().groups().iter().find(|g| g.len() >= 2).unwrap().clone();
+        let (a, b) = group.split_at(group.len() / 2);
+        let a: BlockSet = a.iter().copied().collect();
+        let b: BlockSet = b.iter().copied().collect();
+
+        let mut steady = fresh();
+        for _ in 0..steady.epoch_len() {
+            steady.step(&a);
+        }
+        assert_eq!(steady.failed_epochs, 0, "a repeated set is judged on its own");
+
+        let mut alternating = fresh();
+        for round in 0..alternating.epoch_len() {
+            alternating.step(if round % 2 == 0 { &a } else { &b });
+        }
+        assert_eq!(alternating.failed_epochs, 1, "the previous round's set still counts");
+    }
+
+    #[test]
+    fn route_walk_agrees_with_the_materialised_route() {
+        let dht = RobustDht::new(1024, 2.0, 10);
+        let cube = *dht.groups().cube();
+        let none = BlockSet::none();
+        for entry in cube.vertices().step_by(3) {
+            for target in cube.vertices().step_by(5) {
+                let path = cube.route(entry, target);
+                assert_eq!(dht.open_route_len(entry, target, &none), Some(path.len() as u64));
+                // Blocking the whole group of any vertex on the path closes it.
+                let mid = path[path.len() / 2];
+                let blocked: BlockSet =
+                    dht.groups().groups()[mid as usize].iter().copied().collect();
+                assert_eq!(dht.open_route_len(entry, target, &blocked), None);
+            }
+        }
     }
 
     #[test]

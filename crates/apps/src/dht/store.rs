@@ -35,23 +35,36 @@ impl ServerStore {
     }
 }
 
-/// The `redundancy` distinct replica servers of a key, chosen by iterated
-/// hashing (RoBuSt's "logarithmic redundancy").
-pub fn replica_servers(key: u64, n_servers: u64, redundancy: usize) -> Vec<NodeId> {
+/// Most replicas a key can have: `ceil(log2 n)` for any addressable `n`.
+/// Sizes the stack buffer single-op reads fill with [`fill_replicas`].
+pub const MAX_REDUNDANCY: usize = 64;
+
+/// Fill `out` with the `out.len()` distinct replica servers of a key,
+/// chosen by iterated hashing (RoBuSt's "logarithmic redundancy").
+pub fn fill_replicas(key: u64, n_servers: u64, out: &mut [NodeId]) {
+    let redundancy = out.len();
     assert!(n_servers as usize >= redundancy, "more replicas than servers");
-    let mut out = Vec::with_capacity(redundancy);
+    let mut filled = 0;
     let mut i = 0u64;
-    while out.len() < redundancy {
+    while filled < redundancy {
         let mut x = key ^ i.wrapping_mul(0xA24B_AED4_963E_E407);
         x = (x ^ (x >> 31)).wrapping_mul(0x9FB2_1C65_1E98_DF25);
         x = (x ^ (x >> 28)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
         let srv = NodeId((x ^ (x >> 32)) % n_servers);
-        if !out.contains(&srv) {
-            out.push(srv);
+        if !out[..filled].contains(&srv) {
+            out[filled] = srv;
+            filled += 1;
         }
         i += 1;
         assert!(i < 64 * redundancy as u64, "hash family exhausted");
     }
+}
+
+/// The `redundancy` distinct replica servers of a key, as
+/// [`fill_replicas`] orders them.
+pub fn replica_servers(key: u64, n_servers: u64, redundancy: usize) -> Vec<NodeId> {
+    let mut out = vec![NodeId(0); redundancy];
+    fill_replicas(key, n_servers, &mut out);
     out
 }
 

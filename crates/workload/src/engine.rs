@@ -218,6 +218,12 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
     let mut gen = simnet::rng::stream(spec.seed, 1, 0x574B_4C31);
     let mut rotations = 0u64;
     let mut hot: Vec<u64> = Vec::new();
+    // The cumulative table costs a `powf` per rank; it depends on the spec
+    // alone, so one serves every batch.
+    let zipf = match spec.kind {
+        WorkloadKind::ZipfKv { keyspace, skew, .. } => Some(Zipf::new(keyspace, skew)),
+        _ => None,
+    };
 
     for batch in 0..spec.batches {
         attacker.observe(snapshot(ctl.rounds, &dht));
@@ -237,7 +243,7 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
             }
         }
 
-        let ops = generate_kv_ops(spec, &hot, &mut gen, &mut trace);
+        let ops = generate_kv_ops(spec, zipf.as_ref(), &hot, &mut gen, &mut trace);
         let m = dht.serve_batch(&ops, &blocked);
         account.fold_batch(&m.latency, m.requests as u64, (m.requests - m.completed) as u64);
         account.add_bits(m.messages * MESSAGE_BITS);
@@ -284,17 +290,19 @@ fn rotate_hot_set(seed: u64, salt: u64, rotation: u64, top_k: usize, keyspace: u
     set.into_iter().collect()
 }
 
-/// One batch of get/put ops for the ZipfKv / HotKey mixes.
+/// One batch of get/put ops for the ZipfKv / HotKey mixes (`zipf` is the
+/// ZipfKv spec's sampler, `hot` the HotKey spec's current hot set).
 fn generate_kv_ops(
     spec: &WorkloadSpec,
+    zipf: Option<&Zipf>,
     hot: &[u64],
     gen: &mut NodeRng,
     trace: &mut WorkloadTrace,
 ) -> Vec<DhtOp> {
     let mut ops = Vec::with_capacity(spec.batch_size);
     match &spec.kind {
-        WorkloadKind::ZipfKv { keyspace, skew, read_fraction } => {
-            let zipf = Zipf::new(*keyspace, *skew);
+        WorkloadKind::ZipfKv { read_fraction, .. } => {
+            let zipf = zipf.expect("run_kv builds the sampler of a ZipfKv spec");
             for _ in 0..spec.batch_size {
                 let key = zipf.sample(gen);
                 if gen.random_bool(*read_fraction) {

@@ -115,6 +115,16 @@ w3 *flags="":
 workload-determinism:
     cargo test -q -p integration-tests --test workload_determinism
 
+# The DHT's dense routing kernel against its `#[cfg(test)]` reference
+# oracle: every RouteOutcome field equal on 400 random batches.
+routing-diff:
+    cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
+
+# The repo benchmark (own workspace, outside `cargo test --workspace`):
+# smoke sizes, manifest/code consistency, correctness gate.
+bench-check:
+    bash benchmark/run.sh --check
+
 # DHT routing fuzz under random block sets + churn-as-blocking;
 # `just workloadfuzz 200` for the nightly depth.
 workloadfuzz cases="20":

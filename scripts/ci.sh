@@ -87,6 +87,12 @@ cargo run -q --release -p reconfig-bench --bin exp_w1_dht_load -- --smoke
 echo "==> workload cross-backend bit-identity (legacy vs xl shards)"
 cargo test -q -p integration-tests --test workload_determinism
 
+echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
+cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
+
+echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
+bash benchmark/run.sh --check
+
 echo "==> workload routing fuzz (WORKLOAD_CASES=${WORKLOAD_CASES:-20})"
 WORKLOAD_CASES="${WORKLOAD_CASES:-20}" cargo test -q -p integration-tests --test workload_fuzz
 

@@ -19,7 +19,9 @@
 
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
+use overlay_adversary::Campaign;
 use overlay_graphs::HGraph;
+use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -30,6 +32,7 @@ use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;
 use simnet::{Ctx, Network, NodeId, ParMode, Protocol, PAR_THRESHOLD};
 use std::path::PathBuf;
+use telemetry::Telemetry;
 
 // ---------------------------------------------------------------------------
 // Golden-file plumbing
@@ -155,6 +158,78 @@ fn golden_churndos_overlay_digest_stream() {
         "core/churndos: ChurnDosOverlay n=400 seed=13, GroupTargeted r=0.3 2t-late \
          adv_seed=17, Random churn rate=1.3 intensity=0.5, state_digest per round \
          over 2 epochs",
+        &lines,
+    );
+}
+
+/// The W-series at the `--smoke` sizes of `exp_w{1,2,3}`, both arms each.
+///
+/// `workload_determinism.rs` compares backends with each other, so a change
+/// to the DHT's routing kernel that shifts legacy and xl *together* is
+/// invisible there. This golden pins the absolute values: the replay digest
+/// (ops, block sets, per-batch rounds/congestion/messages, sampled ids),
+/// the rounds stepped, the communication-work bits and the completions.
+/// DESIGN.md §14 "Routing contract" is the queue discipline they fix.
+#[test]
+fn golden_workload_digests() {
+    let spec =
+        |seed, batches, batch_size, kind| WorkloadSpec { n: 256, seed, batches, batch_size, kind };
+    let specs = [
+        (
+            "w1",
+            spec(
+                0x5731,
+                6,
+                64,
+                WorkloadKind::ZipfKv { keyspace: 4096, skew: 1.1, read_fraction: 0.7 },
+            ),
+        ),
+        (
+            "w2",
+            spec(
+                0x5732,
+                6,
+                64,
+                WorkloadKind::HotKey {
+                    keyspace: 4096,
+                    top_k: 16,
+                    rotate_every: 4,
+                    hot_fraction: 0.9,
+                },
+            ),
+        ),
+        (
+            "w3",
+            spec(
+                0x5733,
+                4,
+                16,
+                WorkloadKind::Chat {
+                    topics: 64,
+                    skew: 1.0,
+                    subscribers: 64,
+                    churn_rate: 1.3,
+                    fanout_cap: 4,
+                },
+            ),
+        ),
+    ];
+    let mut lines = Vec::new();
+    for (name, spec) in &specs {
+        for campaign in ["none", "churn+dos"] {
+            let mut attacker = Campaign::preset(campaign, 0.02, 2, spec.seed).unwrap();
+            let r = WorkloadEngine::run(spec, &mut attacker, &Telemetry::disabled());
+            lines.push(format!(
+                "{name} {campaign} {:016x} rounds={} bits={} completed={}/{}",
+                r.trace_digest, r.rounds, r.account.bits, r.account.completed, r.account.attempted
+            ));
+        }
+    }
+    check_golden(
+        "workload.digests",
+        "workload: WorkloadEngine::run at the exp_w{1,2,3} --smoke specs (n=256), campaigns \
+         none and churn+dos (bound 0.02, lateness 2, seed = spec seed): trace_digest, DHT \
+         rounds, communication-work bits, completed/attempted ops",
         &lines,
     );
 }
