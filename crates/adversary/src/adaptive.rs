@@ -1,42 +1,27 @@
-//! Adaptive red-team adversaries.
+//! Adaptive red-team adversaries, and the one harness every blocking
+//! attacker runs under.
 //!
-//! The oblivious adversaries of [`crate::dos`] fix a strategy up front and
-//! draw from their own randomness; the *adaptive* adversaries here react
-//! round by round to what the overlay actually looks like — still under
-//! the paper's information rule (topology only, at least `t` rounds late)
-//! and budget rule (at most an `r`-fraction of current nodes blocked per
-//! round). Strategies implement [`simnet::AdaptiveAdversary`]; the
-//! [`AdaptiveHarness`] mediates between them and the runner, enforcing
-//! lateness through a [`ViewBuffer`] and clamping over-budget answers so a
-//! strategy can never exceed the model's power.
+//! The oblivious strategies of [`crate::dos`] fix a plan up front and draw
+//! from their own randomness; the *adaptive* strategies here react round by
+//! round to what the overlay actually looks like — still under the paper's
+//! information rule (topology only, at least `t` rounds late) and budget
+//! rule (at most an `r`-fraction of current nodes blocked per round). Both
+//! kinds implement [`AdaptiveAdversary`]; the [`AdaptiveHarness`] mediates
+//! between a strategy and the runner: it ages snapshots through the
+//! [`TopologyHistory`] gate, computes the `floor(r * n)` budget, clamps
+//! over-budget answers so a strategy can never exceed the model's power,
+//! and optionally records the emissions and mirrors them into telemetry.
 //!
-//! The suite:
-//!
-//! * [`MinCutAttack`] — computes a sparsest vertex cut of the (stale) view
-//!   and silences the separator, disconnecting the cheapest region it can
-//!   find. On group-structured overlays the node graph is implied by the
-//!   groups (intra-group cliques, inter-group complete bipartite), which
-//!   makes the separator "every member of the victim group's neighbor
-//!   groups" — the strongest structural attack on Sections 5/6.
-//! * [`HighDegreeAttack`] — silences hubs: highest-degree nodes first,
-//!   with group leaders (each group's smallest id, the introducer in our
-//!   join construction) promoted ahead of ordinary members.
-//! * [`OscillatingPartition`] — alternates between blocking the lower and
-//!   upper half of the id space every `period` rounds, forcing the healing
-//!   layer to chase a moving target and re-admit each side repeatedly.
-//! * [`FollowTheHealer`] — re-blocks nodes right after they rejoin: the
-//!   view marks nodes that reappeared, the strategy keeps a recency queue
-//!   and spends its budget on the most recently healed first, starving the
-//!   heal path's progress.
+//! The suite — [`MinCutAttack`], [`HighDegreeAttack`],
+//! [`OscillatingPartition`], [`FollowTheHealer`] — is closed under
+//! [`AdaptiveStrategy`], which names each one for tables and repro files.
 //!
 //! [`Attacker`] abstracts "observe a snapshot, emit a block set" so
-//! runners drive oblivious [`DosAdversary`]s, adaptive harnesses and
-//! recorded [`crate::shrink::ReplayAdversary`] traces interchangeably.
+//! runners drive harnessed strategies, composite campaigns and recorded
+//! [`crate::shrink::ReplayAdversary`] traces interchangeably.
 
-use crate::dos::DosAdversary;
-use crate::lateness::TopologySnapshot;
-use overlay_graphs::{sparsest_vertex_cut, Adjacency};
-use simnet::observer::{AdaptiveAdversary, ObserverView, ViewBuffer};
+use crate::lateness::{LateView, TopologyHistory, TopologySnapshot};
+use overlay_graphs::sparsest_vertex_cut;
 use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeSet, VecDeque};
 use telemetry::{EventKind, Telemetry};
@@ -67,95 +52,72 @@ impl<A: Attacker + ?Sized> Attacker for Box<A> {
     }
 }
 
-impl Attacker for DosAdversary {
-    fn observe(&mut self, snap: TopologySnapshot) {
-        DosAdversary::observe(self, snap);
-    }
-    fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
-        DosAdversary::block(self, round, n_current)
-    }
-    fn label(&self) -> String {
-        format!("oblivious:{:?}", self.strategy())
-    }
+/// A blocking strategy under the model's rules.
+///
+/// `pick` is called once per round with the freshest view the lateness
+/// rule permits and the exact node budget for this round; implementations
+/// return the nodes to block. The harness — not the strategy — is
+/// responsible for clamping over-budget answers, so a buggy strategy can
+/// never exceed the model's power. A strategy that wants to remember what
+/// it did keeps that in `self`: its own actions are its own information,
+/// not the network's, and not subject to the lateness rule.
+pub trait AdaptiveAdversary {
+    /// Stable strategy name (used in experiment tables and repro files).
+    fn name(&self) -> &'static str;
+
+    /// Choose this round's block set, at most `budget` nodes.
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet;
 }
 
-/// Node-level adjacency of a view. Group-structured overlays publish no
-/// node edges (the topology is implied: each group is a clique, adjacent
-/// groups are completely connected), so the implied edges are
-/// materialized here for the graph algorithms.
-fn view_adjacency(view: &ObserverView) -> Adjacency {
-    if !view.edges.is_empty() || view.groups.is_empty() {
-        return Adjacency::from_edges(&view.nodes, &view.edges);
+/// The node budget of an `r`-bounded attacker facing `n` nodes.
+pub(crate) fn node_budget(bound: f64, n: usize) -> usize {
+    (bound * n as f64).floor() as usize
+}
+
+/// Clamp, never trust: cut `picks` down to `budget` nodes, deterministically
+/// (block sets iterate in ascending id order, so the smallest ids stay).
+pub(crate) fn clamp(picks: BlockSet, budget: usize) -> BlockSet {
+    if picks.len() > budget {
+        BlockSet::from_iter(picks.iter().take(budget))
+    } else {
+        picks
     }
-    let member: BTreeSet<NodeId> = view.nodes.iter().copied().collect();
-    let mut edges = Vec::new();
-    for grp in &view.groups {
-        for (i, &a) in grp.iter().enumerate() {
-            for &b in &grp[i + 1..] {
-                if member.contains(&a) && member.contains(&b) {
-                    edges.push((a, b));
-                }
-            }
-        }
-    }
-    for &(gi, gj) in &view.group_edges {
-        for &a in &view.groups[gi] {
-            for &b in &view.groups[gj] {
-                if member.contains(&a) && member.contains(&b) {
-                    edges.push((a, b));
-                }
-            }
-        }
-    }
-    Adjacency::from_edges(&view.nodes, &edges)
 }
 
 /// Fill `out` up to `budget` with the lowest-degree members not yet
 /// picked (cheap victims make the leftover budget count).
-fn fill_low_degree(out: &mut BTreeSet<NodeId>, view: &ObserverView, budget: usize) {
+fn fill_low_degree(out: &mut BTreeSet<NodeId>, view: &TopologySnapshot, budget: usize) {
     if out.len() >= budget {
         return;
     }
-    let deg = view.degrees();
-    let mut rest: Vec<NodeId> = view.nodes.iter().copied().filter(|v| !out.contains(v)).collect();
-    rest.sort_by_key(|v| (deg.get(v).copied().unwrap_or(0), v.raw()));
-    for v in rest {
-        if out.len() >= budget {
-            break;
-        }
-        out.insert(v);
-    }
+    let adj = view.adjacency();
+    let mut rest: Vec<usize> = (0..adj.len()).filter(|&i| !out.contains(&adj.node(i))).collect();
+    rest.sort_by_key(|&i| (adj.degree(i), adj.node(i).raw()));
+    out.extend(rest.into_iter().take(budget - out.len()).map(|i| adj.node(i)));
 }
 
 /// FNV-1a over everything the min-cut answer depends on. The topology
 /// only changes at reconfiguration boundaries, so hashing the view is
 /// how [`MinCutAttack`] avoids re-running the cut search every round.
-fn topology_fingerprint(view: &ObserverView, budget: usize) -> u64 {
-    fn eat(h: &mut u64, x: u64) {
-        *h ^= x;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut h, budget as u64);
-    eat(&mut h, view.nodes.len() as u64);
+fn topology_fingerprint(view: &TopologySnapshot, budget: usize) -> u64 {
+    let mut d = simnet::Digest::new();
+    d.write_usize(budget).write_usize(view.nodes.len());
     for v in &view.nodes {
-        eat(&mut h, v.raw());
+        d.write_u64(v.raw());
     }
     for &(a, b) in &view.edges {
-        eat(&mut h, a.raw());
-        eat(&mut h, b.raw());
+        d.write_u64(a.raw()).write_u64(b.raw());
     }
     for g in &view.groups {
-        eat(&mut h, u64::MAX);
+        d.write_u64(u64::MAX);
         for v in g {
-            eat(&mut h, v.raw());
+            d.write_u64(v.raw());
         }
     }
     for &(a, b) in &view.group_edges {
-        eat(&mut h, a as u64);
-        eat(&mut h, b as u64);
+        d.write_u32(a).write_u32(b);
     }
-    h
+    d.finish()
 }
 
 /// Lightest member-weighted group separator of the implied group graph:
@@ -165,16 +127,17 @@ fn topology_fingerprint(view: &ObserverView, budget: usize) -> u64 {
 /// lightest vertex boundary that fits the budget. Group counts are tiny
 /// (`2^d <= n / (c log n)`), so this is cheap where the node-level cut
 /// search on the implied clique graph is not.
-fn group_separator(view: &ObserverView, budget: usize) -> Option<Vec<NodeId>> {
+fn group_separator(view: &TopologySnapshot, budget: usize) -> Option<Vec<NodeId>> {
     let g = view.groups.len();
-    let member: BTreeSet<NodeId> = view.nodes.iter().copied().collect();
+    let members = view.members();
     let live: Vec<Vec<NodeId>> = view
         .groups
         .iter()
-        .map(|grp| grp.iter().copied().filter(|v| member.contains(v)).collect())
+        .map(|grp| grp.iter().copied().filter(|v| members.binary_search(v).is_ok()).collect())
         .collect();
     let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g];
     for &(a, b) in &view.group_edges {
+        let (a, b) = (a as usize, b as usize);
         if a < g && b < g && a != b {
             adj[a].insert(b);
             adj[b].insert(a);
@@ -230,24 +193,19 @@ impl AdaptiveAdversary for MinCutAttack {
         "adaptive:min-cut"
     }
 
-    fn pick(&mut self, view: &ObserverView, budget: usize) -> BlockSet {
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
         let fp = topology_fingerprint(view, budget);
         if let Some((cached, picks)) = &self.cache {
             if *cached == fp {
                 return picks.clone();
             }
         }
-        let mut out = BTreeSet::new();
-        if view.edges.is_empty() && !view.groups.is_empty() {
-            if let Some(sep) = group_separator(view, budget) {
-                out.extend(sep);
-            }
+        let separator = if view.edges.is_empty() && !view.groups.is_empty() {
+            group_separator(view, budget)
         } else {
-            let adj = view_adjacency(view);
-            if let Some(cut) = sparsest_vertex_cut(&adj, budget) {
-                out.extend(cut.separator);
-            }
-        }
+            sparsest_vertex_cut(&view.adjacency(), budget).map(|cut| cut.separator)
+        };
+        let mut out: BTreeSet<NodeId> = separator.into_iter().flatten().collect();
         fill_low_degree(&mut out, view, budget);
         let picks = BlockSet::from_iter(out);
         self.cache = Some((fp, picks.clone()));
@@ -264,20 +222,19 @@ impl AdaptiveAdversary for HighDegreeAttack {
         "adaptive:high-degree"
     }
 
-    fn pick(&mut self, view: &ObserverView, budget: usize) -> BlockSet {
-        let deg = view.degrees();
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
+        let adj = view.adjacency();
         // A group's smallest id acts as its introducer/leader in the join
         // construction; silencing leaders hits the most join paths.
         let leaders: BTreeSet<NodeId> =
             view.groups.iter().filter_map(|g| g.iter().min().copied()).collect();
-        let mut order: Vec<NodeId> = view.nodes.clone();
-        let n = view.nodes.len();
-        order.sort_by_key(|v| {
-            let score = deg.get(v).copied().unwrap_or(0) + if leaders.contains(v) { n } else { 0 };
-            (std::cmp::Reverse(score), v.raw())
+        let n = adj.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| {
+            let score = adj.degree(i) + if leaders.contains(&adj.node(i)) { n } else { 0 };
+            (std::cmp::Reverse(score), adj.node(i).raw())
         });
-        order.truncate(budget);
-        BlockSet::from_iter(order)
+        order.into_iter().take(budget).map(|i| adj.node(i)).collect()
     }
 }
 
@@ -299,20 +256,17 @@ impl AdaptiveAdversary for OscillatingPartition {
         "adaptive:oscillate"
     }
 
-    fn pick(&mut self, view: &ObserverView, budget: usize) -> BlockSet {
-        let period = self.period.max(1);
-        let lower = (view.round / period) % 2 == 0;
-        let half = view.nodes.len() / 2;
-        let side: &[NodeId] = if lower { &view.nodes[..half] } else { &view.nodes[half..] };
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
+        let members = view.members();
+        let half = members.len() / 2;
         // Budget goes to the chosen side's border with the other half:
         // nodes nearest the split point churn in and out of the block set
         // as the sides alternate.
-        let mut picks: Vec<NodeId> = side.to_vec();
-        if lower {
-            picks.reverse();
+        if (view.round / self.period.max(1)) % 2 == 0 {
+            members[..half].iter().rev().take(budget).copied().collect()
+        } else {
+            members[half..].iter().take(budget).copied().collect()
         }
-        picks.truncate(budget);
-        BlockSet::from_iter(picks)
     }
 }
 
@@ -335,19 +289,19 @@ impl AdaptiveAdversary for FollowTheHealer {
         "adaptive:follow-healer"
     }
 
-    fn pick(&mut self, view: &ObserverView, budget: usize) -> BlockSet {
-        for &v in view.rejoined.iter().rev() {
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
+        for &v in view.rejoined().iter().rev() {
             self.recent.retain(|&w| w != v);
             self.recent.push_front(v);
         }
         self.recent.truncate(self.cap);
-        let members: BTreeSet<NodeId> = view.nodes.iter().copied().collect();
+        let members = view.members();
         let mut out = BTreeSet::new();
         for &v in &self.recent {
             if out.len() >= budget {
                 break;
             }
-            if members.contains(&v) {
+            if members.binary_search(&v).is_ok() {
                 out.insert(v);
             }
         }
@@ -399,7 +353,7 @@ impl AdaptiveAdversary for AdaptiveStrategy {
         }
     }
 
-    fn pick(&mut self, view: &ObserverView, budget: usize) -> BlockSet {
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
         match self {
             Self::MinCut(s) => s.pick(view, budget),
             Self::HighDegree(s) => s.pick(view, budget),
@@ -409,20 +363,20 @@ impl AdaptiveAdversary for AdaptiveStrategy {
     }
 }
 
-/// Runs an [`AdaptiveAdversary`] under the model's rules: snapshots age
-/// through a [`ViewBuffer`] before the strategy may see them, rejoins are
-/// inferred by diffing consecutive membership lists, the strategy's own
-/// past block sets are appended to each view, and over-budget answers are
-/// clamped deterministically (smallest ids keep priority). Optionally
-/// records the emitted block-set trace for counterexample shrinking.
+/// Runs an [`AdaptiveAdversary`] under the model's rules — the one place
+/// that spells them out for every blocking attacker, oblivious
+/// ([`crate::dos::DosAdversary`] is this harness around a
+/// [`crate::dos::DosStrategy`]) or adaptive: snapshots age through the
+/// [`TopologyHistory`] gate before the strategy may see them, the budget
+/// is `floor(bound * n_current)`, the strategy is asked only when a view
+/// exists and the budget is non-zero, and over-budget answers are clamped
+/// deterministically (smallest ids keep priority). Optionally records the
+/// emitted block-set trace for counterexample shrinking.
 #[derive(Clone, Debug)]
 pub struct AdaptiveHarness<S> {
     strategy: S,
     bound: f64,
-    views: ViewBuffer,
-    prev_nodes: Option<Vec<NodeId>>,
-    /// Recent emissions shown back to the strategy (bounded).
-    history: VecDeque<(u64, BlockSet)>,
+    history: TopologyHistory,
     /// Full emission record `(round, blocked)` when recording.
     trace: Vec<(u64, BlockSet)>,
     record: bool,
@@ -431,9 +385,6 @@ pub struct AdaptiveHarness<S> {
     tel: Telemetry,
 }
 
-/// How many of its own past block sets the strategy gets to see.
-const HISTORY_WINDOW: usize = 32;
-
 impl<S: AdaptiveAdversary> AdaptiveHarness<S> {
     /// Harness a strategy with budget fraction `bound` and `t = lateness`.
     pub fn new(strategy: S, bound: f64, lateness: u64) -> Self {
@@ -441,9 +392,7 @@ impl<S: AdaptiveAdversary> AdaptiveHarness<S> {
         Self {
             strategy,
             bound,
-            views: ViewBuffer::new(lateness),
-            prev_nodes: None,
-            history: VecDeque::new(),
+            history: TopologyHistory::new(lateness),
             trace: Vec::new(),
             record: false,
             tel: Telemetry::disabled(),
@@ -473,7 +422,7 @@ impl<S: AdaptiveAdversary> AdaptiveHarness<S> {
 
     /// The enforced lateness `t`.
     pub fn lateness(&self) -> u64 {
-        self.views.lateness()
+        self.history.lateness()
     }
 
     /// The wrapped strategy's name.
@@ -490,41 +439,15 @@ impl<S: AdaptiveAdversary> AdaptiveHarness<S> {
 
 impl<S: AdaptiveAdversary> Attacker for AdaptiveHarness<S> {
     fn observe(&mut self, snap: TopologySnapshot) {
-        let mut view = ObserverView::new(snap.round, snap.nodes, snap.edges);
-        view.groups = snap.groups;
-        view.group_edges =
-            snap.group_edges.iter().map(|&(a, b)| (a as usize, b as usize)).collect();
-        if let Some(prev) = &self.prev_nodes {
-            view.rejoined =
-                view.nodes.iter().copied().filter(|v| prev.binary_search(v).is_err()).collect();
-        }
-        self.prev_nodes = Some(view.nodes.clone());
-        self.views.push(view);
+        self.history.push(snap);
     }
 
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
-        let budget = (self.bound * n_current as f64).floor() as usize;
-        let picks = match self.views.visible(round) {
-            Some(view) if budget > 0 => {
-                // The strategy always knows its own past actions — that
-                // information is its own, not the network's, so it is not
-                // subject to the lateness rule.
-                let mut view = view.clone();
-                view.blocked_history = self.history.iter().cloned().collect();
-                self.strategy.pick(&view, budget)
-            }
+        let budget = node_budget(self.bound, n_current);
+        let blocked = match self.history.view(round) {
+            Some(view) if budget > 0 => clamp(self.strategy.pick(&view, budget), budget),
             _ => BlockSet::none(),
         };
-        // Clamp, never trust: a buggy strategy must not exceed the model.
-        let blocked = if picks.len() > budget {
-            BlockSet::from_iter(picks.iter().take(budget))
-        } else {
-            picks
-        };
-        self.history.push_back((round, blocked.clone()));
-        while self.history.len() > HISTORY_WINDOW {
-            self.history.pop_front();
-        }
         if self.record {
             self.trace.push((round, blocked.clone()));
         }
@@ -629,12 +552,13 @@ mod tests {
     #[test]
     fn oscillation_switches_sides() {
         let mut h = AdaptiveHarness::new(OscillatingPartition { period: 2 }, 0.25, 0);
-        for r in 0..6 {
+        let mut at = |r: u64| {
             h.observe(line_snapshot(r, 20));
-        }
-        let early = h.block(1, 20); // phase 0: lower half
-        let late = h.block(4, 20); // phase 2 switched back? round 4/2 = 2 -> even -> lower
-        let mid = h.block(2, 20); // round 2/2 = 1 -> odd -> upper half
+            h.block(r, 20)
+        };
+        let early = at(1); // round 1/2 = 0 -> even -> lower half
+        let mid = at(2); // round 2/2 = 1 -> odd -> upper half
+        let late = at(4); // round 4/2 = 2 -> even -> lower half again
         assert!(early.iter().all(|v| v.raw() < 10), "even phase blocks the lower half");
         assert!(mid.iter().all(|v| v.raw() >= 10), "odd phase blocks the upper half");
         assert_eq!(early, late);
@@ -661,7 +585,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "test:greedy"
             }
-            fn pick(&mut self, view: &ObserverView, _budget: usize) -> BlockSet {
+            fn pick(&mut self, view: &LateView<'_>, _budget: usize) -> BlockSet {
                 BlockSet::from_iter(view.nodes.iter().copied()) // ignores the budget
             }
         }

@@ -23,8 +23,8 @@
 //!
 //! A [`ByzHarness`] mediates between a campaign and the runner exactly
 //! like [`crate::adaptive::AdaptiveHarness`] does for blocking strategies:
-//! views age through a [`TopologyHistory`] before the campaign may see
-//! them, and every emitted action is clamped to the declared
+//! views age through the same [`TopologyHistory`] gate before the campaign
+//! may see them, and every emitted action is clamped to the declared
 //! [`ByzBudget`] — total Byzantine identities, joins per round, and
 //! blocking fraction. A buggy or greedy campaign can never exceed the
 //! declared adversary power.
@@ -33,7 +33,7 @@
 //! drawn anywhere in this module, so a `(seed, campaign, budget)` triple
 //! replays identically.
 
-use crate::adaptive::Attacker;
+use crate::adaptive::{clamp, node_budget, Attacker};
 use crate::lateness::{TopologyHistory, TopologySnapshot};
 use simnet::{BlockSet, NodeId};
 use std::collections::BTreeSet;
@@ -391,8 +391,9 @@ impl ByzCampaign for ChaosCampaign {
             _ => self.eclipse.plan(view, round, n_current, byz),
         };
         if let Some(blocker) = &mut self.blocker {
-            // The inner attacker keeps its own lateness discipline; the
-            // harness already aged the view we hand it.
+            // The inner attacker keeps its own lateness discipline on top
+            // of the harness's: it is shown the aged view, and
+            // `Attacker::observe` takes its snapshot by value.
             blocker.observe(view.clone());
             acts.blocked = blocker.block(round, n_current);
         }
@@ -524,9 +525,9 @@ impl<C: ByzCampaign> ByzAttacker for ByzHarness<C> {
     }
 
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
-        let identity_cap = (self.budget.byz_fraction * n_current as f64).floor() as usize;
+        let identity_cap = node_budget(self.budget.byz_fraction, n_current);
         let mut acts = match self.history.view(round) {
-            Some(view) => self.campaign.plan(view, round, n_current, &self.spent),
+            Some(view) => self.campaign.plan(view.topo, round, n_current, &self.spent),
             None => ByzActions::default(),
         };
         // Joins-per-round cap, then the global identity budget. Each kept
@@ -541,11 +542,9 @@ impl<C: ByzCampaign> ByzAttacker for ByzHarness<C> {
         });
         // Forgeries may only be emitted by identities inside the budget.
         acts.forges.retain(|f| self.spent.contains(&f.by()));
-        // Blocking is clamped exactly like AdaptiveHarness clamps.
-        let block_cap = (self.budget.block_bound * n_current as f64).floor() as usize;
-        if acts.blocked.len() > block_cap {
-            acts.blocked = BlockSet::from_iter(acts.blocked.iter().take(block_cap));
-        }
+        // Blocking is clamped by the helper AdaptiveHarness clamps with.
+        let block_cap = node_budget(self.budget.block_bound, n_current);
+        acts.blocked = clamp(std::mem::take(&mut acts.blocked), block_cap);
         if self.tel.enabled() {
             let name = self.campaign.name();
             self.tel.counter("adv.byz.joins", &[("family", name)]).add(acts.joins.len() as u64);

@@ -2,21 +2,21 @@
 //!
 //! The adversary may block up to an `r`-fraction of the current nodes per
 //! round, deciding only from topology that is at least `t` rounds old
-//! (enforced by [`TopologyHistory`] — the strategy code never sees fresher
-//! state). The strategy suite approximates the universally quantified
+//! (enforced by [`crate::lateness::TopologyHistory`] — the strategy code never
+//! sees fresher state). The strategy suite approximates the universally quantified
 //! adversary of Theorem 6 with the strongest concrete attacks we know
 //! against the group construction, plus a current-topology (0-late)
 //! control that demonstrates the paper's impossibility remark: once the
 //! adversary knows the topology, isolating a node only requires blocking
 //! its polylogarithmically many neighbors.
 
-use crate::lateness::{TopologyHistory, TopologySnapshot};
+use crate::adaptive::{AdaptiveAdversary, AdaptiveHarness, Attacker};
+use crate::lateness::{LateView, TopologySnapshot};
 use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Blocking strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,224 +34,213 @@ pub enum DosStrategy {
     Bisection,
 }
 
-/// An `r`-bounded `t`-late DoS adversary.
+impl DosStrategy {
+    /// Every strategy, in a stable order.
+    pub const ALL: [Self; 4] =
+        [Self::Random, Self::IsolateNode, Self::GroupTargeted, Self::Bisection];
+}
+
+/// A [`DosStrategy`] with its seeded randomness: the oblivious picks as one
+/// more strategy under the [`AdaptiveHarness`]. The RNG is drawn only when
+/// the harness asks for a pick, i.e. when a view exists and the budget is
+/// non-zero.
 #[derive(Debug)]
-pub struct DosAdversary {
+struct ObliviousPicks {
     strategy: DosStrategy,
-    bound: f64,
-    history: TopologyHistory,
     rng: NodeRng,
 }
+
+impl AdaptiveAdversary for ObliviousPicks {
+    fn name(&self) -> &'static str {
+        match self.strategy {
+            DosStrategy::Random => "oblivious:Random",
+            DosStrategy::IsolateNode => "oblivious:IsolateNode",
+            DosStrategy::GroupTargeted => "oblivious:GroupTargeted",
+            DosStrategy::Bisection => "oblivious:Bisection",
+        }
+    }
+
+    fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
+        let picks = match self.strategy {
+            DosStrategy::Random => pick_random(view, budget, &mut self.rng),
+            DosStrategy::IsolateNode => pick_isolate(view, budget, &mut self.rng),
+            DosStrategy::GroupTargeted => pick_group_targeted(view, budget, &mut self.rng),
+            DosStrategy::Bisection => pick_bisection(view, budget, &mut self.rng),
+        };
+        BlockSet::from_iter(picks)
+    }
+}
+
+/// An `r`-bounded `t`-late DoS adversary: the [`AdaptiveHarness`] (lateness
+/// gate, `floor(r * n)` budget, clamp) around one [`DosStrategy`].
+#[derive(Debug)]
+pub struct DosAdversary(AdaptiveHarness<ObliviousPicks>);
 
 impl DosAdversary {
     /// Create an adversary blocking at most `bound`-fraction of the current
     /// nodes, seeing topology at least `lateness` rounds old.
     pub fn new(strategy: DosStrategy, bound: f64, lateness: u64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&bound), "bound must be in [0, 1), got {bound}");
-        Self {
-            strategy,
-            bound,
-            history: TopologyHistory::new(lateness),
-            rng: simnet::rng::stream(seed, u64::MAX, 0xD05),
-        }
+        let rng = simnet::rng::stream(seed, u64::MAX, 0xD05);
+        Self(AdaptiveHarness::new(ObliviousPicks { strategy, rng }, bound, lateness))
     }
 
     /// The blocking budget fraction `r`.
     pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> DosStrategy {
-        self.strategy
+        self.0.bound()
     }
 
     /// The enforced lateness `t`.
     pub fn lateness(&self) -> u64 {
-        self.history.lateness()
+        self.0.lateness()
     }
 
     /// Record the current topology (call every round, *before* asking for
     /// blocks; the history enforces the lateness).
     pub fn observe(&mut self, snap: TopologySnapshot) {
-        self.history.push(snap);
+        self.0.observe(snap);
     }
 
     /// The nodes to block this round. `n_current` is the current network
     /// size defining the budget `floor(bound * n_current)`.
     pub fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
-        let budget = (self.bound * n_current as f64).floor() as usize;
-        if budget == 0 {
-            return BlockSet::none();
-        }
-        let Some(view) = self.history.view(round) else {
-            return BlockSet::none();
-        };
-        let view = view.clone();
-        let picks = match self.strategy {
-            DosStrategy::Random => pick_random(&view, budget, &mut self.rng),
-            DosStrategy::IsolateNode => pick_isolate(&view, budget, &mut self.rng),
-            DosStrategy::GroupTargeted => pick_group_targeted(&view, budget, &mut self.rng),
-            DosStrategy::Bisection => pick_bisection(&view, budget, &mut self.rng),
-        };
-        debug_assert!(picks.len() <= budget);
-        BlockSet::from_iter(picks)
+        self.0.block(round, n_current)
     }
 }
 
-fn pick_random<R: Rng + ?Sized>(
-    view: &TopologySnapshot,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
+impl Attacker for DosAdversary {
+    fn observe(&mut self, snap: TopologySnapshot) {
+        self.0.observe(snap);
+    }
+    fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
+        self.0.block(round, n_current)
+    }
+    fn label(&self) -> String {
+        self.0.label()
+    }
+}
+
+fn pick_random(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
     let mut nodes = view.nodes.clone();
     nodes.shuffle(rng);
     nodes.truncate(budget);
     nodes
 }
 
-fn adjacency_map(view: &TopologySnapshot) -> HashMap<NodeId, Vec<NodeId>> {
-    let mut adj: HashMap<NodeId, Vec<NodeId>> =
-        view.nodes.iter().map(|&v| (v, Vec::new())).collect();
-    for &(a, b) in &view.edges {
-        adj.entry(a).or_default().push(b);
-        adj.entry(b).or_default().push(a);
+/// Top `out` up to `budget` with the shuffled members of `pool` that
+/// `taken` does not hold yet.
+fn fill_randomly(
+    out: &mut Vec<NodeId>,
+    taken: &HashSet<NodeId>,
+    pool: impl Iterator<Item = NodeId>,
+    budget: usize,
+    rng: &mut NodeRng,
+) {
+    let mut rest: Vec<NodeId> = pool.filter(|v| !taken.contains(v)).collect();
+    rest.shuffle(rng);
+    while out.len() < budget {
+        match rest.pop() {
+            Some(v) => out.push(v),
+            None => break,
+        }
     }
-    adj
 }
 
-fn pick_isolate<R: Rng + ?Sized>(
-    view: &TopologySnapshot,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let adj = adjacency_map(view);
-    if adj.is_empty() {
-        return Vec::new();
-    }
+fn pick_isolate(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
+    let adj = view.adjacency();
     // Victims in ascending degree order: cheapest isolations first.
-    let mut victims: Vec<NodeId> = view.nodes.clone();
-    victims.sort_by_key(|v| (adj.get(v).map_or(0, Vec::len), v.raw()));
+    let mut victims: Vec<usize> = (0..adj.len()).collect();
+    victims.sort_by_key(|&i| (adj.degree(i), adj.node(i).raw()));
     let mut blocked: HashSet<NodeId> = HashSet::new();
-    for v in victims {
-        let ns = adj.get(&v).map(Vec::as_slice).unwrap_or(&[]);
-        let new: Vec<NodeId> =
-            ns.iter().copied().filter(|w| *w != v && !blocked.contains(w)).collect();
+    for i in victims {
+        let new: Vec<NodeId> = adj
+            .neighbors(i)
+            .iter()
+            .map(|&j| adj.node(j as usize))
+            .filter(|w| *w != adj.node(i) && !blocked.contains(w))
+            .collect();
         if blocked.len() + new.len() > budget {
             break;
         }
         blocked.extend(new);
     }
     // Spend leftover budget randomly.
-    let mut rest: Vec<NodeId> =
-        view.nodes.iter().copied().filter(|v| !blocked.contains(v)).collect();
-    rest.shuffle(rng);
-    let mut out: Vec<NodeId> = blocked.into_iter().collect();
-    while out.len() < budget {
-        match rest.pop() {
-            Some(v) => out.push(v),
-            None => break,
-        }
-    }
+    let mut out: Vec<NodeId> = blocked.iter().copied().collect();
+    fill_randomly(&mut out, &blocked, view.nodes.iter().copied(), budget, rng);
     out
 }
 
-fn pick_group_targeted<R: Rng + ?Sized>(
-    view: &TopologySnapshot,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
+fn pick_group_targeted(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
     if view.groups.is_empty() {
         // No group structure observed — fall back to isolation.
         return pick_isolate(view, budget, rng);
     }
-    let g = view.groups.len();
-    let mut nbrs: Vec<Vec<u32>> = vec![Vec::new(); g];
+    let groups = &view.groups;
+    // Isolating a group costs the members of all its neighbor groups;
+    // choose the victims whose neighborhood is cheapest to block.
+    let mut cost = vec![0usize; groups.len()];
     for &(a, b) in &view.group_edges {
-        nbrs[a as usize].push(b);
-        nbrs[b as usize].push(a);
+        cost[a as usize] += groups[b as usize].len();
+        cost[b as usize] += groups[a as usize].len();
     }
-    // Choose the victim group whose neighborhood is cheapest to block.
-    let cost =
-        |gi: usize| -> usize { nbrs[gi].iter().map(|&j| view.groups[j as usize].len()).sum() };
-    let mut order: Vec<usize> = (0..g).collect();
-    order.sort_by_key(|&gi| (cost(gi), gi));
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by_key(|&gi| (cost[gi], gi));
+    let smallest = groups.iter().map(Vec::len).min().unwrap_or(0);
     let mut blocked: HashSet<NodeId> = HashSet::new();
     for gi in order {
-        let c = cost(gi);
-        if c == 0 || blocked.len() + c > budget {
+        if cost[gi] == 0 || blocked.len() + cost[gi] > budget {
             continue;
         }
-        for &j in &nbrs[gi] {
-            blocked.extend(view.groups[j as usize].iter().copied());
+        for &(a, b) in &view.group_edges {
+            if a as usize == gi {
+                blocked.extend(&groups[b as usize]);
+            }
+            if b as usize == gi {
+                blocked.extend(&groups[a as usize]);
+            }
         }
-        if blocked.len() + view.groups.iter().map(Vec::len).min().unwrap_or(0) > budget {
+        if blocked.len() + smallest > budget {
             break;
         }
     }
     // Leftover budget: block the largest half-groups to maximize the chance
     // some group loses all members.
-    let mut out: Vec<NodeId> = blocked.into_iter().collect();
-    let mut spare: Vec<NodeId> = view
-        .groups
-        .iter()
-        .flat_map(|grp| grp.iter().copied())
-        .filter(|v| !out.contains(v))
-        .collect();
-    spare.shuffle(rng);
-    while out.len() < budget {
-        match spare.pop() {
-            Some(v) => out.push(v),
-            None => break,
-        }
-    }
-    out.truncate(budget);
+    let mut out: Vec<NodeId> = blocked.iter().copied().collect();
+    fill_randomly(&mut out, &blocked, groups.iter().flatten().copied(), budget, rng);
     out
 }
 
-fn pick_bisection<R: Rng + ?Sized>(
-    view: &TopologySnapshot,
-    budget: usize,
-    rng: &mut R,
-) -> Vec<NodeId> {
-    let adj = adjacency_map(view);
-    let Some(&start) = view.nodes.first() else { return Vec::new() };
+fn pick_bisection(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
+    let adj = view.adjacency();
+    let Some(start) = view.nodes.first().and_then(|&v| adj.index_of(v)) else {
+        return Vec::new();
+    };
     // BFS until half the nodes are inside.
     let half = view.nodes.len() / 2;
-    let mut inside: HashSet<NodeId> = HashSet::new();
+    let mut inside = vec![false; adj.len()];
+    inside[start] = true;
+    let mut count = 1;
     let mut q = VecDeque::from([start]);
-    inside.insert(start);
-    while let Some(v) = q.pop_front() {
-        if inside.len() >= half {
-            break;
-        }
-        for &w in adj.get(&v).map(Vec::as_slice).unwrap_or(&[]) {
-            if inside.len() >= half {
+    while let Some(i) = q.pop_front() {
+        for &j in adj.neighbors(i) {
+            if count >= half {
                 break;
             }
-            if inside.insert(w) {
-                q.push_back(w);
+            if !std::mem::replace(&mut inside[j as usize], true) {
+                count += 1;
+                q.push_back(j as usize);
             }
         }
     }
-    // Block the inner boundary: inside-nodes with an edge out.
-    let mut boundary: Vec<NodeId> = inside
-        .iter()
-        .copied()
-        .filter(|v| adj.get(v).is_some_and(|ns| ns.iter().any(|w| !inside.contains(w))))
+    // Block the inner boundary: inside-nodes with an edge out, in ascending
+    // id order (the adjacency is indexed that way).
+    let mut boundary: Vec<NodeId> = (0..adj.len())
+        .filter(|&i| inside[i] && adj.neighbors(i).iter().any(|&j| !inside[j as usize]))
+        .map(|i| adj.node(i))
         .collect();
-    boundary.sort_by_key(|v| v.raw());
     boundary.truncate(budget);
     // Leftover: random fills.
-    let mut rest: Vec<NodeId> =
-        view.nodes.iter().copied().filter(|v| !boundary.contains(v)).collect();
-    rest.shuffle(rng);
-    while boundary.len() < budget {
-        match rest.pop() {
-            Some(v) => boundary.push(v),
-            None => break,
-        }
-    }
+    let taken: HashSet<NodeId> = boundary.iter().copied().collect();
+    fill_randomly(&mut boundary, &taken, view.nodes.iter().copied(), budget, rng);
     boundary
 }
 

@@ -61,13 +61,6 @@ impl Default for FuzzLimits {
     }
 }
 
-const DOS_STRATEGIES: [DosStrategy; 4] = [
-    DosStrategy::Random,
-    DosStrategy::IsolateNode,
-    DosStrategy::GroupTargeted,
-    DosStrategy::Bisection,
-];
-
 const CHURN_STRATEGIES: [ChurnStrategy; 4] = [
     ChurnStrategy::Random,
     ChurnStrategy::OldestFirst,
@@ -125,7 +118,7 @@ impl FaultPlan {
         // the values older seeds produced.
         Self {
             seed,
-            dos_strategy: DOS_STRATEGIES[rng.random_range(0..DOS_STRATEGIES.len())],
+            dos_strategy: DosStrategy::ALL[rng.random_range(0..DosStrategy::ALL.len())],
             // In (0, max_bound]; never exactly 0 so the adversary acts.
             dos_bound: max_bound * (1.0 - rng.random::<f64>() * 0.9),
             lateness_factor: rng

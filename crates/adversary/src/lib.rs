@@ -8,18 +8,20 @@
 //!   nodes to any single node per round.
 //! * [`dos`] — an `r`-bounded, `t`-late adversary that blocks up to an
 //!   `r`-fraction of the nodes each round using only topology information
-//!   that is at least `t` rounds old, served from a [`lateness`] history
-//!   buffer. Includes a 0-late control adversary that demonstrates the
-//!   impossibility result (any polylog-degree overlay can be disconnected
-//!   by a current-topology adversary).
+//!   that is at least `t` rounds old, served from the [`lateness`] gate
+//!   every attacker in this crate reads through. Includes a 0-late
+//!   control adversary that demonstrates the impossibility result (any
+//!   polylog-degree overlay can be disconnected by a current-topology
+//!   adversary).
 //! * [`fuzz`] — seed-driven generation of paper-legal fault schedules
 //!   (random strategy/bound/lateness/rate combinations within the limits
 //!   above) for the fuzz-testing harness.
 //! * [`faults`] — beyond-model composite fault schedules (probabilistic
 //!   message loss, crash-stop and crash-recovery with state loss) used by
 //!   the self-healing robustness harness in `reconfig-core`.
-//! * [`adaptive`] — red-team adversaries that react to the observed
-//!   topology (still `t`-late and `r`-bounded): min-cut targeting,
+//! * [`adaptive`] — the harness every blocking attacker runs under (gate,
+//!   `floor(r n)` budget, clamp, trace, telemetry) and the red-team
+//!   strategies that react to the observed topology: min-cut targeting,
 //!   hub/leader targeting, oscillating partitions, and follow-the-healer.
 //! * [`shrink`] — delta-debugging reduction of invariant-violating block
 //!   traces to minimal replayable repro files.
@@ -49,8 +51,8 @@ pub mod shrink;
 pub mod workload;
 
 pub use adaptive::{
-    AdaptiveHarness, AdaptiveStrategy, Attacker, FollowTheHealer, HighDegreeAttack, MinCutAttack,
-    OscillatingPartition,
+    AdaptiveAdversary, AdaptiveHarness, AdaptiveStrategy, Attacker, FollowTheHealer,
+    HighDegreeAttack, MinCutAttack, OscillatingPartition,
 };
 pub use byzantine::{
     ByzActions, ByzAttacker, ByzBudget, ByzCampaign, ByzFamily, ByzHarness, ChaosCampaign,
@@ -64,7 +66,7 @@ pub use dos::{DosAdversary, DosStrategy};
 pub use faults::{FaultConfigError, FaultSchedule};
 pub use fuzz::{FaultPlan, FuzzLimits};
 pub use knobs::{env_u64_knob, env_usize_knob, KnobError, KnobReason};
-pub use lateness::{TopologyHistory, TopologySnapshot};
+pub use lateness::{LateView, TopologyHistory, TopologySnapshot};
 pub use remote::{CampaignError, CampaignSpec, CampaignStep, DosSpec};
 pub use shrink::{shrink_trace, AdversaryTrace, ReplayAdversary, Repro, ShrinkReport};
 pub use workload::{Campaign, ChurnBlocker};

@@ -15,7 +15,7 @@
 //! (`none`, `a5`, `a6`, `a5+a6`, `churn+dos`) onto those constructors,
 //! with [`ChurnBlocker`] supplying the churn half of `churn+dos`.
 
-use crate::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
+use crate::adaptive::{clamp, node_budget, AdaptiveHarness, AdaptiveStrategy, Attacker};
 use crate::churn::{ChurnSchedule, ChurnStrategy};
 use crate::dos::{DosAdversary, DosStrategy};
 use crate::lateness::TopologySnapshot;
@@ -131,7 +131,7 @@ impl Campaign {
     }
 
     /// A6-style adaptive schedule: min-cut targeting behind the lateness
-    /// buffer, the strongest single family of the A7 defense matrix.
+    /// gate, the strongest single family of the A7 defense matrix.
     pub fn a6_style(bound: f64, lateness: u64) -> Self {
         let strategy = AdaptiveStrategy::by_name("adaptive:min-cut")
             .expect("adaptive:min-cut is a built-in strategy");
@@ -188,14 +188,10 @@ impl Attacker for Campaign {
                 union.insert(v);
             }
         }
-        if let Some(bound) = self.cap {
-            let budget = (bound * n_current as f64).floor() as usize;
-            if union.len() > budget {
-                let keep: Vec<NodeId> = union.iter().take(budget).collect();
-                union = keep.into_iter().collect();
-            }
+        match self.cap {
+            Some(bound) => clamp(union, node_budget(bound, n_current)),
+            None => union,
         }
-        union
     }
 
     fn label(&self) -> String {

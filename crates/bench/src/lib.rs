@@ -1,8 +1,8 @@
 //! # reconfig-bench — experiment harness
 //!
 //! Shared machinery for the experiment binaries (`src/bin/exp_*.rs`) that
-//! regenerate every checkable claim of the paper, and for the Criterion
-//! benches. See DESIGN.md section 3 for the experiment index.
+//! regenerate every checkable claim of the paper. See DESIGN.md section 3
+//! for the experiment index.
 
 pub mod report;
 pub mod runner;

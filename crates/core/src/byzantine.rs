@@ -283,16 +283,12 @@ impl ByzantineRunner {
     ) -> DosRunMetrics {
         let mut out = DosRunMetrics { n: self.overlay.grouped().len(), ..Default::default() };
         for _ in 0..rounds {
-            let round = self.overlay.round();
+            // `healing::attack_round`, spelled for a `ByzAttacker`: the
+            // move is a `ByzActions`, its blocking part judged the same way.
+            let (round, n) = (self.overlay.round(), self.overlay.grouped().len());
             adversary.observe(self.overlay.grouped().snapshot(round));
-            let n = self.overlay.grouped().len();
             let acts = adversary.act(round, n);
-            self.monitor.check(
-                Invariant::BlockingBudget,
-                round,
-                acts.blocked.within_bound(dos_bound, n),
-                || format!("{} blocked of {n} under bound {dos_bound}", acts.blocked.len()),
-            );
+            self.monitor.check_budget(round, &acts.blocked, dos_bound, n);
             out.absorb(self.step(&acts));
         }
         out.epochs = self.overlay.epochs();

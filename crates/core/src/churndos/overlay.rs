@@ -358,8 +358,7 @@ impl ChurnDosOverlay {
             let ev = churn.next(&self.members(), churn_rng);
             self.apply_churn(&ev);
             for _ in 0..self.epoch_len {
-                adversary.observe(self.snapshot(self.round));
-                let blocked = adversary.block(self.round, self.len());
+                let blocked = crate::healing::attack_round(&*self, adversary, None);
                 out.absorb(self.step(&blocked));
             }
         }

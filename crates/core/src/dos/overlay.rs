@@ -174,13 +174,12 @@ impl DosOverlay {
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
     /// for `rounds` rounds, recording per-round metrics. The adversary
-    /// observes the topology every round (its lateness buffer decides what
+    /// observes the topology every round (its lateness gate decides what
     /// it may act on).
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) -> DosRunMetrics {
         let mut out = DosRunMetrics { n: self.grouped.len(), ..Default::default() };
         for _ in 0..rounds {
-            adversary.observe(self.grouped.snapshot(self.round));
-            let blocked = adversary.block(self.round, self.grouped.len());
+            let blocked = crate::healing::attack_round(&*self, adversary, None);
             out.absorb(self.step(&blocked));
         }
         out.epochs = self.epochs_done;

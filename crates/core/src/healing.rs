@@ -322,6 +322,25 @@ pub trait HealableOverlay {
     fn structure_violation(&self) -> Option<String>;
 }
 
+/// The prologue of every attacked round: show the adversary the current
+/// topology, take its block set, and — when a monitor and a declared bound
+/// are given — judge the blocking budget against the population the
+/// adversary was shown (healing may shrink the membership inside the
+/// subsequent step without retroactively delegitimizing the block set).
+pub fn attack_round<O: HealableOverlay, A: Attacker>(
+    overlay: &O,
+    adversary: &mut A,
+    judge: Option<(&mut InvariantMonitor, f64)>,
+) -> BlockSet {
+    let (round, n) = (overlay.round(), overlay.len());
+    adversary.observe(overlay.snapshot(round));
+    let blocked = adversary.block(round, n);
+    if let Some((monitor, bound)) = judge {
+        monitor.check_budget(round, &blocked, bound, n);
+    }
+    blocked
+}
+
 /// Drives a round-stepped overlay through a composite fault schedule with
 /// (or, as a control, without) self-healing, checking the invariants every
 /// round.
@@ -639,24 +658,11 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
-    /// for `rounds` rounds. The blocking budget is judged here, against the
-    /// population the adversary was given — healing may shrink the
-    /// membership inside the subsequent step without retroactively
-    /// delegitimizing the block set.
+    /// for `rounds` rounds, judging the blocking budget per [`attack_round`].
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
         for _ in 0..rounds {
-            let round = self.overlay.round();
-            adversary.observe(self.overlay.snapshot(round));
-            let n = self.overlay.len();
-            let blocked = adversary.block(round, n);
-            if let Some(bound) = self.dos_bound {
-                self.monitor.check(
-                    Invariant::BlockingBudget,
-                    round,
-                    blocked.within_bound(bound, n),
-                    || format!("{} blocked of {n} (bound {bound:.3})", blocked.len()),
-                );
-            }
+            let judge = self.dos_bound.map(|bound| (&mut self.monitor, bound));
+            let blocked = attack_round(&self.overlay, adversary, judge);
             self.step(&blocked);
         }
     }

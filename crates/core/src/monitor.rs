@@ -9,6 +9,7 @@
 //! human-readable report, so a failing fuzz seed immediately tells a reader
 //! *what* broke, *when*, and *how*.
 
+use simnet::BlockSet;
 use std::collections::BTreeMap;
 use telemetry::{EventKind, Telemetry};
 
@@ -149,6 +150,14 @@ impl InvariantMonitor {
         if self.recorded.len() < MAX_RECORDED {
             self.recorded.push(v);
         }
+    }
+
+    /// Judge a round's block set against the declared `r`-bound, over the
+    /// population `n` the adversary was given.
+    pub fn check_budget(&mut self, round: u64, blocked: &BlockSet, bound: f64, n: usize) {
+        self.check(Invariant::BlockingBudget, round, blocked.within_bound(bound, n), || {
+            format!("{} blocked of {n} (bound {bound:.3})", blocked.len())
+        });
     }
 
     /// True while nothing has been recorded.

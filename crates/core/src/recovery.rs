@@ -41,9 +41,8 @@
 //! modes only move when `enabled`), and steps the wrapped runner with the
 //! adversary's block set untouched.
 
-use crate::healing::{Backoff, FaultyRunner, HealableOverlay, ReturnOutcome};
+use crate::healing::{attack_round, Backoff, FaultyRunner, HealableOverlay, ReturnOutcome};
 use crate::metrics::DosRoundMetrics;
-use crate::monitor::Invariant;
 use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::knobs::{env_u64_knob, KnobError, KnobReason};
 use simnet::rng::NodeRng;
@@ -581,18 +580,8 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
     /// judging the blocking budget exactly as [`FaultyRunner::run`] does.
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
         for _ in 0..rounds {
-            let round = self.runner.overlay.round();
-            adversary.observe(self.runner.overlay.snapshot(round));
-            let n = self.runner.overlay.len();
-            let blocked = adversary.block(round, n);
-            if let Some(bound) = self.runner.dos_bound() {
-                self.runner.monitor.check(
-                    Invariant::BlockingBudget,
-                    round,
-                    blocked.within_bound(bound, n),
-                    || format!("{} blocked of {n} (bound {bound:.3})", blocked.len()),
-                );
-            }
+            let judge = self.runner.dos_bound().map(|bound| (&mut self.runner.monitor, bound));
+            let blocked = attack_round(&self.runner.overlay, adversary, judge);
             self.step(&blocked);
         }
     }

@@ -73,7 +73,6 @@ pub mod fault;
 pub mod id;
 pub mod instrument;
 pub mod message;
-pub mod observer;
 pub mod protocol;
 pub mod rng;
 pub mod trace;
@@ -90,7 +89,6 @@ pub use fault::{
 };
 pub use id::NodeId;
 pub use message::{Envelope, Payload};
-pub use observer::{AdaptiveAdversary, ObserverView, ViewBuffer};
 pub use protocol::{node_state_digest, Ctx, Protocol};
 pub use rng::{stream, NodeRng};
 pub use trace::{Trace, TraceEvent};

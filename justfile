@@ -34,6 +34,7 @@ trace-report *flags="":
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/
+    git status --short tests/golden/   # all six files, attacker.digests included
 
 # Fault-schedule fuzzing; override cases with `just fuzz 500` (nightly depth).
 fuzz cases="100":

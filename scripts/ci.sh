@@ -34,7 +34,7 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden digests unchanged"
+echo "==> golden digests unchanged (five overlay/workload families + attacker.digests)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"

@@ -17,20 +17,26 @@
 //! counts must produce byte-identical digest streams, for populations on
 //! both sides of [`simnet::PAR_THRESHOLD`].
 
+use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
+use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily, ByzHarness};
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
+use overlay_adversary::faults::FaultSchedule;
+use overlay_adversary::lateness::TopologySnapshot;
 use overlay_adversary::Campaign;
 use overlay_graphs::HGraph;
 use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::{FaultyRunner, HealingParams};
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;
-use simnet::{Ctx, Network, NodeId, ParMode, Protocol, PAR_THRESHOLD};
+use simnet::{BlockSet, Ctx, Digest, Network, NodeId, ParMode, Protocol, PAR_THRESHOLD};
 use std::path::PathBuf;
 use telemetry::Telemetry;
 
@@ -230,6 +236,175 @@ fn golden_workload_digests() {
         "workload: WorkloadEngine::run at the exp_w{1,2,3} --smoke specs (n=256), campaigns \
          none and churn+dos (bound 0.02, lateness 2, seed = spec seed): trace_digest, DHT \
          rounds, communication-work bits, completed/attempted ops",
+        &lines,
+    );
+}
+
+/// Digests every emission of the attacker it wraps, so a golden line pins
+/// the whole `(round, BlockSet)` / `(round, ByzActions)` stream bit for bit.
+struct Tap<A> {
+    inner: A,
+    digest: Digest,
+    blocked: usize,
+}
+
+impl<A> Tap<A> {
+    fn new(inner: A) -> Self {
+        Self { inner, digest: Digest::new(), blocked: 0 }
+    }
+
+    /// One emission: the round, the block set, and (for Byzantine moves)
+    /// the `Debug` rendering of everything else.
+    fn eat(&mut self, round: u64, blocked: &BlockSet, rest: &str) {
+        self.blocked += blocked.len();
+        self.digest.write_u64(round).write_str(rest).write_usize(blocked.len());
+        for v in blocked.iter() {
+            self.digest.write_u64(v.raw());
+        }
+    }
+
+    fn line(&self, section: &str, label: &str, lateness: u64) -> String {
+        format!(
+            "{section} {label} t={lateness} {:016x} blocked={}",
+            self.digest.finish(),
+            self.blocked
+        )
+    }
+}
+
+impl<A: Attacker> Attacker for Tap<A> {
+    fn observe(&mut self, snap: TopologySnapshot) {
+        self.inner.observe(snap);
+    }
+    fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
+        let blocked = self.inner.block(round, n_current);
+        self.eat(round, &blocked, "");
+        blocked
+    }
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
+impl<A: ByzAttacker> ByzAttacker for Tap<A> {
+    fn observe(&mut self, snap: TopologySnapshot) {
+        self.inner.observe(snap);
+    }
+    fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
+        let acts = self.inner.act(round, n_current);
+        let rest = format!("{:?} {:?} {:?}", acts.joins, acts.corrupt, acts.forges);
+        self.eat(round, &acts.blocked, &rest);
+        acts
+    }
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
+const ATTACKER_N: usize = 512;
+const ATTACKER_BOUND: f64 = 0.3;
+
+/// `group_c = 1` (32 groups of ~16, as in `adaptive_adversary.rs`): a whole
+/// group neighbourhood fits the 0.3 budget, so the structural branches of
+/// the group-aware strategies run instead of their random fallbacks.
+fn attacker_params() -> DosParams {
+    DosParams { group_c: 1.0, ..DosParams::default() }
+}
+
+/// Every blocking strategy, oblivious then adaptive, at lateness `t`.
+fn blockers(t: u64) -> Vec<Box<dyn Attacker>> {
+    let mut out: Vec<Box<dyn Attacker>> = Vec::new();
+    for (i, s) in DosStrategy::ALL.into_iter().enumerate() {
+        out.push(Box::new(DosAdversary::new(s, ATTACKER_BOUND, t, 40 + i as u64)));
+    }
+    for s in AdaptiveStrategy::all() {
+        out.push(Box::new(AdaptiveHarness::new(s, ATTACKER_BOUND, t)));
+    }
+    out
+}
+
+/// A hand-rolled stream with explicit node edges (ring plus chords), ids
+/// listed out of order and one member absent per round (back the next):
+/// the adjacency, sorted-order and rejoin paths no overlay snapshot reaches.
+fn edge_snapshot(round: u64) -> TopologySnapshot {
+    const M: u64 = 96;
+    let absent = (round * 5) % M;
+    let nodes = (0..M).map(|i| (i * 37 + 11) % M).filter(|&v| v != absent).map(NodeId).collect();
+    let edges = (0..M)
+        .flat_map(|i| [(i, (i + 1) % M), (i, (i + 7) % M)])
+        .filter(|&(a, b)| a != absent && b != absent)
+        .map(|(a, b)| (NodeId(a), NodeId(b)))
+        .collect();
+    TopologySnapshot { round, nodes, edges, groups: Vec::new(), group_edges: Vec::new() }
+}
+
+/// The attacker side of the stack, emission by emission: every oblivious
+/// and adaptive blocking strategy at lateness 0, one and two epochs over a
+/// `DosOverlay`, the same strategies over a healed run whose membership
+/// shrinks and regrows, over an edge-bearing synthetic stream, and one
+/// `ByzHarness` stream per Byzantine family. The other goldens see an
+/// attacker only through what the overlay did with its blocks, and only
+/// `GroupTargeted@2t` and `Random+ChurnBlocker` at that; this one pins the
+/// lateness gate, the budget, the clamp and every pick bit for bit.
+#[test]
+fn golden_attacker_digests() {
+    let mut lines = Vec::new();
+    let epoch = DosOverlay::new(ATTACKER_N, attacker_params(), 31).epoch_len();
+    for t in [0, epoch, 2 * epoch] {
+        for adv in blockers(t) {
+            let mut tap = Tap::new(adv);
+            DosOverlay::new(ATTACKER_N, attacker_params(), 31).run(&mut tap, 4 * epoch);
+            lines.push(tap.line("overlay", &tap.label(), t));
+        }
+    }
+    for t in [0, epoch] {
+        for adv in blockers(t) {
+            let mut tap = Tap::new(adv);
+            let schedule = FaultSchedule::new(32, 0.1, 0.01, Some(epoch), 0.2);
+            let ov = DosOverlay::new(ATTACKER_N, attacker_params(), 33);
+            FaultyRunner::new(ov, schedule, HealingParams::default(), true)
+                .with_dos_bound(ATTACKER_BOUND)
+                .run(&mut tap, 4 * epoch);
+            lines.push(tap.line("healed", &tap.label(), t));
+        }
+    }
+    for t in [0, 3] {
+        for adv in blockers(t) {
+            let mut tap = Tap::new(adv);
+            for round in 0..24 {
+                let snap = edge_snapshot(round);
+                let n = snap.nodes.len();
+                tap.observe(snap);
+                tap.block(round, n);
+            }
+            lines.push(tap.line("edges", &tap.label(), t));
+        }
+    }
+    for family in ByzFamily::all() {
+        let family = match family {
+            // Chaos with a blocker inside, so the stream carries block sets.
+            ByzFamily::Chaos(c) => {
+                let strategy = AdaptiveStrategy::by_name("adaptive:high-degree").unwrap();
+                ByzFamily::Chaos(c.with_blocker(Box::new(AdaptiveHarness::new(strategy, 0.2, 0))))
+            }
+            other => other,
+        };
+        let budget = ByzBudget { byz_fraction: 0.1, joins_per_round: 3, block_bound: 0.1 };
+        let mut tap = Tap::new(ByzHarness::new(family, budget, epoch));
+        ByzantineRunner::new(ATTACKER_N, attacker_params(), 34, DefenseConfig::all()).run(
+            &mut tap,
+            4 * epoch,
+            0.1,
+        );
+        lines.push(tap.line("byz", &tap.label(), epoch));
+    }
+    check_golden(
+        "attacker.digests",
+        "adversary: FNV-1a over each attacker's emission stream. overlay = DosOverlay n=512 \
+         group_c=1 seed=31 over 4 epochs; healed = FaultyRunner<DosOverlay> seed=33 (loss 0.1, \
+         crash hazard 0.01, recovery after one epoch); edges = 24 rounds of a 96-node ring with \
+         chords, one member absent per round; bound 0.3, oblivious seeds 40..43; byz = \
+         ByzantineRunner seed=34, all defenses, identities 0.1, 3 joins/round, blocks 0.1",
         &lines,
     );
 }
