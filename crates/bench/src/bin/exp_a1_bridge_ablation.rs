@@ -12,6 +12,7 @@ use reconfig_core::reconfig::{run_epoch, BridgeMode, EpochInput};
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let mut table = Table::new(
         "A1: bridge ablation — pointer doubling vs naive walk",
         &["n", "doubling bridge", "naive bridge", "doubling total", "naive total"],

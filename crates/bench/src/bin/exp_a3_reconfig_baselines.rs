@@ -38,6 +38,7 @@ fn skip_epoch_rounds(n: u64, seed: u64) -> u64 {
 }
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let mut table = Table::new(
         "A3: Algorithm 3 vs skip-graph routing reconfiguration",
         &["n", "alg3 rounds", "skip-graph rounds", "ratio"],

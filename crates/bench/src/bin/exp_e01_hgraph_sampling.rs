@@ -19,6 +19,7 @@ use reconfig_core::sampling::{run_alg1_direct_observed, run_alg1_observed};
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let tel = experiment_telemetry();
     let params = SamplingParams::default();
     let mut table = Table::new(

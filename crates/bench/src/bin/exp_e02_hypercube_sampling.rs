@@ -14,6 +14,7 @@ use reconfig_core::config::{SamplingParams, Schedule};
 use reconfig_core::sampling::run_alg2_observed;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let tel = experiment_telemetry();
     let params = SamplingParams { c: 3.0, ..SamplingParams::default() };
     let mut table = Table::new(

@@ -16,6 +16,7 @@ use reconfig_core::sampling::{run_alg1, run_baseline};
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let params = SamplingParams::default();
     let mut table = Table::new(
         "E3: rapid sampling vs plain random walks",

@@ -31,6 +31,7 @@ fn cube_adj(dim: u32) -> Adjacency {
 }
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let mut table = Table::new(
         "E4: the Omega(log diameter) sampling lower bound (Lemma 4)",
         &["graph", "diameter", "log2(D)", "spread rounds", "alg2 rounds"],

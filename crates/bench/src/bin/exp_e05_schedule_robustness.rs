@@ -14,6 +14,7 @@ use reconfig_core::sampling::run_alg1_direct;
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let n = 512usize;
     let seeds = 5u64;
     let nodes: Vec<NodeId> = (0..n as u64).map(NodeId).collect();

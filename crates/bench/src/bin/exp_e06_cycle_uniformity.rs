@@ -32,6 +32,7 @@ fn reconfigure_once(n: u64, seed: u64) -> overlay_graphs::HamiltonCycle {
 }
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let mut table = Table::new(
         "E6: uniformity of reconfigured Hamilton cycles (Lemma 10)",
         &["check", "n", "trials", "categories", "chi2", "p-value"],

@@ -15,6 +15,7 @@ use reconfig_core::reconfig::{run_epoch, BridgeMode, EpochInput};
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let seeds = 3u64;
     let mut table = Table::new(
         "E7: Phase-1 congestion and empty segments (Lemmas 11, 12)",

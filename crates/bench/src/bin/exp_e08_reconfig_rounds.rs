@@ -15,6 +15,7 @@ use reconfig_core::reconfig::{run_epoch, BridgeMode, EpochInput};
 use simnet::NodeId;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let mut table = Table::new(
         "E8: reconfiguration rounds (Lemma 13 / Theorem 4)",
         &["n", "sampling", "bridge", "total rounds"],

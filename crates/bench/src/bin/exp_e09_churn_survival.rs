@@ -11,6 +11,7 @@ use reconfig_core::config::SamplingParams;
 use reconfig_core::reconfig::ExpanderOverlay;
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let epochs = 6u64;
     let mut table = Table::new(
         "E9: connectivity under adversarial churn (Theorem 5)",

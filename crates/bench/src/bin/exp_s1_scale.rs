@@ -1,34 +1,34 @@
-//! S1 — engine scaling: legacy vs sharded `simnet-xl` (parity and fast
-//! modes), n = 10⁵ → 10⁷, shards × cores × mode.
+//! S1 — engine scaling: the `simnet-xl` engine in parity and fast modes,
+//! n = 10⁵ → 10⁷, shards × cores × mode.
 //!
-//! Two protocol families bracket the engines' cost model:
+//! Two protocol families bracket the engine's cost model:
 //!
 //! * **hgraph** — a token-walk over a degree-8 H-graph in which every node
 //!   has a finite, staggered activity budget and goes permanently
 //!   quiescent when it runs out. The active population decays to zero
-//!   midway through the run, so the tail rounds cost O(active) on the
-//!   sharded backend and O(n) on the legacy one — the workload shape of
-//!   the Algorithm 1 samplers.
+//!   midway through the run, so the tail rounds cost O(active) — the
+//!   workload shape of the Algorithm 1 samplers.
 //! * **churndos** — an always-on gossip mesh under per-round DoS blocks
 //!   and periodic churn, the ChurnDos overlay's shape. No node is ever
 //!   quiescent, so this measures raw per-round throughput of the
-//!   structure-of-arrays state against the legacy boxed slots.
+//!   structure-of-arrays state.
 //!
-//! The sweep crosses both families with execution modes (legacy, `xl`
-//! parity at shards 1 and 4, `xl:fast` at shards 1 and 4) and reaches
-//! n = 10⁷ on the sharded backends. The rayon worker-pool size is set by
-//! `--cores <k>` (default: `RAYON_NUM_THREADS` or the host count) and
-//! every row records the **actual** pool size it ran under (`cores`)
-//! alongside the physical `host_cpus` — the two are deliberately separate
-//! fields so a row can never claim parallel hardware it didn't have.
+//! The sweep crosses both families with execution modes (`xl` parity at
+//! shards 1 and 4, `xl:fast` at shards 1 and 4; the baseline of every
+//! group is parity at one shard) and reaches n = 10⁷. The rayon
+//! worker-pool size is set by `--cores <k>` (default: `RAYON_NUM_THREADS`
+//! or the host count) and every row records the **actual** pool size it
+//! ran under (`cores`) alongside the physical `host_cpus` — the two are
+//! deliberately separate fields so a row can never claim parallel hardware
+//! it didn't have.
 //!
 //! Parity-mode runs execute the identical protocol from the identical
-//! seed as legacy, so their digest streams must match; fast-mode runs
-//! relax delivery order (see DESIGN.md §10) and are checked for
-//! *reproducibility* (two runs, identical streams) instead, with their
+//! seed, so their digest streams must match at every shard count;
+//! fast-mode runs relax delivery order (see DESIGN.md §10) and are checked
+//! for *reproducibility* (two runs, identical streams) instead, with their
 //! distributional equivalence covered by `tests/fast_mode_equivalence.rs`.
 //! `--smoke` (n = 5·10⁴, the CI `s1-smoke` job) runs that mode × shard
-//! matrix — parity at shards 1 and 4 against legacy, fast at shards 4
+//! matrix — parity at shards 1 and 4 against each other, fast at shards 4
 //! twice — before reporting timings. The full sweep writes
 //! `results/s1.json` plus `BENCH_S1.json` at the workspace root.
 //!
@@ -43,7 +43,7 @@ use reconfig_bench::{
     table::f, write_json_or_exit, write_telemetry, ExperimentResult, RunError, Table,
 };
 use reconfig_core::backend::{AnyNet, Backend};
-use simnet::{BlockSet, Ctx, NodeId, Protocol, RoundDigest, SimEngine};
+use simnet::{BlockSet, Ctx, NodeId, Protocol, RoundDigest};
 use std::time::Instant;
 
 const SEED: u64 = 0x51_5CA1E;
@@ -242,24 +242,8 @@ fn finish<P: Protocol>(net: AnyNet<P>, n: usize, rounds: u64, start: Instant) ->
         rounds_per_sec: rounds as f64 / elapsed_s.max(1e-9),
         bytes_per_node: net.stats().total_bits() as f64 / 8.0 / n as f64,
         digests: net.trace().digests().to_vec(),
-        backend: net.backend(),
+        backend: Backend { mode: net.exec_mode(), shards: net.shard_count() },
         cores: rayon::current_num_threads(),
-    }
-}
-
-/// Human label with the resolved shard count, e.g. `xl:fast:4`.
-fn backend_label(b: Backend) -> String {
-    match b {
-        Backend::Legacy => "legacy".into(),
-        Backend::Xl { shards } => format!("xl:{shards}"),
-        Backend::XlFast { shards } => format!("xl:fast:{shards}"),
-    }
-}
-
-fn shard_count(b: Backend) -> usize {
-    match b {
-        Backend::Legacy => 0,
-        Backend::Xl { shards } | Backend::XlFast { shards } => shards,
     }
 }
 
@@ -294,12 +278,7 @@ fn run_cell(cell: &Cell, digests: bool, tel: &telemetry::Telemetry) -> Vec<Row> 
         };
         eprintln!(
             "  {} n={} {} [cores={}]: {:.2}s ({:.1} rounds/s)",
-            cell.family,
-            cell.n,
-            backend_label(out.backend),
-            out.cores,
-            out.elapsed_s,
-            out.rounds_per_sec
+            cell.family, cell.n, out.backend, out.cores, out.elapsed_s, out.rounds_per_sec
         );
         rows.push(Row { family: cell.family, n: cell.n, rounds: cell.rounds, out });
     }
@@ -310,16 +289,16 @@ fn run_cell(cell: &Cell, digests: bool, tel: &telemetry::Telemetry) -> Vec<Row> 
 /// the table and the JSON row list.
 fn emit_group(rows: &[Row], t: &mut Table, json_rows: &mut Vec<serde_json::Value>) {
     let base = &rows[0];
-    let base_label = backend_label(base.out.backend);
+    let base_label = base.out.backend.to_string();
     for r in rows {
         let is_base = std::ptr::eq(r, base);
         let speedup = r.out.rounds_per_sec / base.out.rounds_per_sec;
         t.row(vec![
             r.family.into(),
             r.n.to_string(),
-            backend_label(r.out.backend),
-            r.out.backend.exec_mode().name().into(),
-            shard_count(r.out.backend).to_string(),
+            r.out.backend.to_string(),
+            r.out.backend.mode.name().into(),
+            r.out.backend.shards.to_string(),
             r.out.cores.to_string(),
             f(r.out.elapsed_s),
             format!("{:.1}", r.out.rounds_per_sec),
@@ -330,9 +309,9 @@ fn emit_group(rows: &[Row], t: &mut Table, json_rows: &mut Vec<serde_json::Value
             "family": r.family,
             "n": r.n,
             "rounds": r.rounds,
-            "backend": backend_label(r.out.backend),
-            "mode": r.out.backend.exec_mode().name(),
-            "shards": shard_count(r.out.backend),
+            "backend": r.out.backend.to_string(),
+            "mode": r.out.backend.mode.name(),
+            "shards": r.out.backend.shards,
             "cores": r.out.cores,
             "host_cpus": host_cpus(),
             "elapsed_s": r.out.elapsed_s,
@@ -372,8 +351,8 @@ fn results_table() -> Table {
 
 /// CI gate at n = 5·10⁴ with digests on:
 ///
-/// * parity matrix — `xl` at shards 1 and 4 must be byte-identical to the
-///   legacy stream;
+/// * parity matrix — `xl` at shards 1 and 4 must produce byte-identical
+///   streams;
 /// * fast matrix — `xl:fast` at shards 4, run twice, must be reproducible
 ///   (identical streams) and must actually produce digests.
 fn smoke(tel: &telemetry::Telemetry) {
@@ -386,36 +365,32 @@ fn smoke(tel: &telemetry::Telemetry) {
             n,
             rounds,
             backends: vec![
-                Backend::Legacy,
-                Backend::Xl { shards: 1 },
-                Backend::Xl { shards: 4 },
-                Backend::XlFast { shards: 4 },
-                Backend::XlFast { shards: 4 },
+                Backend::parity(1),
+                Backend::parity(4),
+                Backend::fast(4),
+                Backend::fast(4),
             ],
         };
         let rows = run_cell(&cell, true, tel);
-        let legacy = &rows[0];
-        assert!(!legacy.out.digests.is_empty(), "digests were not captured");
-        for parity in &rows[1..3] {
-            assert_eq!(
-                legacy.out.digests,
-                parity.out.digests,
-                "digest divergence: {family} n={n} legacy vs {}",
-                backend_label(parity.out.backend)
-            );
-        }
-        let (fast_a, fast_b) = (&rows[3], &rows[4]);
+        let (one, four) = (&rows[0], &rows[1]);
+        assert!(!one.out.digests.is_empty(), "digests were not captured");
+        assert_eq!(
+            one.out.digests, four.out.digests,
+            "digest divergence: {family} n={n} {} vs {}",
+            one.out.backend, four.out.backend
+        );
+        let (fast_a, fast_b) = (&rows[2], &rows[3]);
         assert!(!fast_a.out.digests.is_empty(), "fast digests were not captured");
         assert_eq!(
             fast_a.out.digests, fast_b.out.digests,
             "fast mode is not reproducible: {family} n={n}"
         );
         // Report one fast row, not the reproducibility duplicate.
-        emit_group(&rows[..4], &mut t, &mut json_rows);
+        emit_group(&rows[..3], &mut t, &mut json_rows);
     }
     t.print();
     println!(
-        "s1-smoke: parity holds at shards 1/4 and xl:fast:4 is reproducible \
+        "s1-smoke: parity is shard-invariant at shards 1/4 and xl:fast:4 is reproducible \
          for both families at n=5e4"
     );
 }
@@ -425,27 +400,18 @@ fn smoke(tel: &telemetry::Telemetry) {
 // ---------------------------------------------------------------------------
 
 fn full_sweep(tel: &telemetry::Telemetry) {
-    let modes = || {
-        vec![
-            Backend::Legacy,
-            Backend::Xl { shards: 1 },
-            Backend::Xl { shards: 4 },
-            Backend::XlFast { shards: 1 },
-            Backend::XlFast { shards: 4 },
-        ]
-    };
+    let modes = || vec![Backend::parity(1), Backend::parity(4), Backend::fast(1), Backend::fast(4)];
     let cells = [
         Cell { family: "hgraph", n: 100_000, rounds: 48, backends: modes() },
         Cell { family: "hgraph", n: 1_000_000, rounds: 48, backends: modes() },
         Cell { family: "churndos", n: 100_000, rounds: 24, backends: modes() },
         Cell { family: "churndos", n: 1_000_000, rounds: 24, backends: modes() },
-        // Reach row: n = 10⁷ is out of the legacy engine's time budget, so
-        // the baseline is the parity sharded engine.
+        // Reach row: at n = 10⁷ only the four-shard layouts are timed.
         Cell {
             family: "churndos",
             n: 10_000_000,
             rounds: 6,
-            backends: vec![Backend::Xl { shards: 4 }, Backend::XlFast { shards: 4 }],
+            backends: vec![Backend::parity(4), Backend::fast(4)],
         },
     ];
 
@@ -459,9 +425,8 @@ fn full_sweep(tel: &telemetry::Telemetry) {
 
     let result = ExperimentResult {
         id: "S1".into(),
-        title: "Engine scaling: legacy vs simnet-xl (parity and fast), shards x cores x mode"
-            .into(),
-        claim: "sharded backend reaches n=1e7; fast mode >= 2x legacy at n=1e6".into(),
+        title: "Engine scaling: simnet-xl parity and fast, shards x cores x mode".into(),
+        claim: "the engine reaches n=1e7; fast mode >= 2x parity at one shard at n=1e6".into(),
         rows: json_rows.clone(),
     };
     let path = write_json_or_exit(&result);

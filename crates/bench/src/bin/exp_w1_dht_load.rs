@@ -19,6 +19,7 @@ use reconfig_bench::{
 };
 
 fn main() {
+    reconfig_bench::backend_or_exit();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let knobs = env_knobs().unwrap_or_else(|e| RunError::new("workload knobs", e).exit());

@@ -1,5 +1,6 @@
 //! Machine-readable experiment output.
 
+use reconfig_core::backend::Backend;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::path::Path;
@@ -88,6 +89,14 @@ impl RunError {
         eprintln!("error: {self}");
         std::process::exit(1)
     }
+}
+
+/// The engine configuration `SIMNET_BACKEND` asks for. Binaries whose
+/// runners build an engine call this first, so a misspelt knob is the
+/// typed exit before any work instead of `backend::select`'s panic in the
+/// middle of a sweep.
+pub fn backend_or_exit() -> Backend {
+    Backend::from_env().unwrap_or_else(|e| RunError::new("read the engine knob", e).exit())
 }
 
 /// [`write_json`] with the binaries' standard failure handling: on an

@@ -1,23 +1,27 @@
-//! Simulation-backend selection for the overlay runners.
+//! Engine configuration for the overlay runners.
 //!
-//! All core runners that instantiate a simnet engine go through
-//! [`select`], so one knob switches the whole stack between the legacy
-//! boxed-slot engine and the sharded `simnet-xl` engine:
+//! All core runners that instantiate the simulation engine go through
+//! [`select`], so one knob sets the engine's two switches — execution mode
+//! and shard count — for the whole stack:
 //!
-//! * the `SIMNET_BACKEND` environment variable (`legacy`, `xl`,
-//!   `xl:<shards>`, `xl:fast`, `xl:fast:<shards>`) picks the process-wide
-//!   default;
+//! * the `SIMNET_BACKEND` environment variable (`xl`, `xl:<shards>`,
+//!   `xl:fast`, `xl:fast:<shards>`; unset or empty means parity with the
+//!   automatic shard count) picks the process-wide default;
 //! * [`with_backend`] overrides it for one scope on the current thread —
 //!   the mechanism tests and benchmarks use, since mutating the process
 //!   environment is racy under a multi-threaded test harness.
 //!
-//! The parity engines (`legacy`, `xl`) produce the identical digest stream
-//! (see the `simnet-xl` crate docs), so between them the knob is a pure
+//! Parity runs produce the identical digest stream at every shard count
+//! (see the `simnet-xl` crate docs), so there the knob is a pure
 //! performance choice. `xl:fast` relaxes delivery order: runs stay
 //! deterministic per `(seed, shards)` but are only statistically
 //! equivalent to the parity stream — see [`ExecMode`] and DESIGN.md §10.
+//! The oracles (`nodert::replay`, `dos::group_sim`) never consult the
+//! knob: they build a parity engine explicitly.
 
-pub use simnet_xl::{default_shards, AnyNet, Backend, ExecMode, XlNetwork, BACKEND_ENV};
+pub use simnet_xl::{
+    default_shards, AnyNet, Backend, BackendEnvError, ExecMode, XlNetwork, BACKEND_ENV,
+};
 use std::cell::Cell;
 
 thread_local! {
@@ -26,8 +30,17 @@ thread_local! {
 
 /// The backend new simulation runs on this thread should use: the
 /// innermost [`with_backend`] override if any, else [`Backend::from_env`].
+///
+/// # Panics
+///
+/// If `SIMNET_BACKEND` holds a value [`Backend::parse`] rejects, with the
+/// [`BackendEnvError`] text. Running an engine configuration other than
+/// the one asked for is never the answer; binaries that want a clean exit
+/// call [`Backend::from_env`] themselves first.
 pub fn select() -> Backend {
-    OVERRIDE.with(Cell::get).unwrap_or_else(Backend::from_env)
+    OVERRIDE
+        .with(Cell::get)
+        .unwrap_or_else(|| Backend::from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Run `f` with [`select`] returning `backend` on this thread; the
@@ -51,23 +64,23 @@ mod tests {
     fn override_nests_and_restores() {
         // Note: no assertion on the un-overridden value — the process
         // environment may legitimately set SIMNET_BACKEND.
-        with_backend(Backend::Xl { shards: 3 }, || {
-            assert_eq!(select(), Backend::Xl { shards: 3 });
-            with_backend(Backend::Legacy, || {
-                assert_eq!(select(), Backend::Legacy);
+        with_backend(Backend::parity(3), || {
+            assert_eq!(select(), Backend::parity(3));
+            with_backend(Backend::fast(1), || {
+                assert_eq!(select(), Backend::fast(1));
             });
-            assert_eq!(select(), Backend::Xl { shards: 3 });
+            assert_eq!(select(), Backend::parity(3));
         });
     }
 
     #[test]
     fn override_survives_panic() {
-        with_backend(Backend::Xl { shards: 2 }, || {
+        with_backend(Backend::parity(2), || {
             let caught = std::panic::catch_unwind(|| {
-                with_backend(Backend::Legacy, || panic!("boom"));
+                with_backend(Backend::fast(1), || panic!("boom"));
             });
             assert!(caught.is_err());
-            assert_eq!(select(), Backend::Xl { shards: 2 });
+            assert_eq!(select(), Backend::parity(2));
         });
     }
 }

@@ -23,7 +23,8 @@
 
 use rand::RngExt;
 use simnet::rng::NodeRng;
-use simnet::{Ctx, Network, NodeId, Payload, Protocol};
+use simnet::{Ctx, NodeId, Payload, Protocol};
+use simnet_xl::{ExecMode, XlNetwork};
 use std::collections::{HashMap, HashSet};
 
 /// A protocol executed by *supernodes* (to be simulated by their groups).
@@ -217,7 +218,7 @@ pub fn build_group_sim<P, FI>(
     members_per_group: usize,
     initial: FI,
     seed: u64,
-) -> (Network<GroupSimNode<P>>, Vec<Vec<NodeId>>)
+) -> (XlNetwork<GroupSimNode<P>>, Vec<Vec<NodeId>>)
 where
     P: SuperProtocol,
     FI: Fn(u64) -> P,
@@ -233,7 +234,9 @@ where
     let directory: std::sync::Arc<HashMap<u64, Vec<NodeId>>> = std::sync::Arc::new(
         groups.iter().enumerate().map(|(x, g)| (x as u64, g.clone())).collect(),
     );
-    let mut net = Network::new(seed);
+    // Parity explicitly, not `backend::select()`: `SIMNET_BACKEND=xl:fast`
+    // must not change what E16 and the Lemma 14 tests run.
+    let mut net = XlNetwork::with_shards_mode(seed, 0, ExecMode::Parity);
     for x in 0..n_super {
         for &v in &groups[x as usize] {
             net.add_node(
@@ -333,7 +336,7 @@ mod tests {
         dim: u32,
         members: usize,
         seed: u64,
-    ) -> (Network<GroupSimNode<TokenWalkSampler>>, Vec<Vec<NodeId>>) {
+    ) -> (XlNetwork<GroupSimNode<TokenWalkSampler>>, Vec<Vec<NodeId>>) {
         let h = Hypercube::new(dim);
         build_group_sim(
             h.len(),

@@ -84,7 +84,7 @@ impl SamplingMetrics {
     /// Derive the communication-work fields from an engine telemetry
     /// snapshot (the `net.max_node_bits` / `net.max_node_msgs` gauges and
     /// `net.total_msgs` counter recorded by
-    /// [`simnet::Network::set_telemetry`]); the protocol-level fields come
+    /// [`simnet_xl::XlNetwork::set_telemetry`]); the protocol-level fields come
     /// from the runner. This is the single source of work numbers for all
     /// sampling runners — they no longer hand-thread `CommStats` fields.
     pub fn from_snapshot(

@@ -6,7 +6,7 @@
 //! `s` becomes eligible at tick `s + 1`, passes exactly the Section 1.1
 //! rule [`simnet::fault::delivered`] against the recorded block sets, and
 //! only then reaches the protocol. The driver mirrors
-//! `simnet::engine::Network::step_blocked` for a single node; every rule
+//! `simnet_xl::XlNetwork::step_blocked` for a single node; every rule
 //! here has a counterpart there, and the pair is what makes live digests
 //! replayable (see [`crate::nodert::replay`]).
 
@@ -120,7 +120,7 @@ impl RoundDriver {
 
     /// Execute one round.
     ///
-    /// Mirrors `Network::step_blocked` for this node: matured held frames
+    /// Mirrors `XlNetwork::step_blocked` for this node: matured held frames
     /// are delivered first (their Section 1.1 check ran when the hold was
     /// imposed; maturity only re-checks the receiver's block state), then
     /// frames sent last round under the full rule, then `on_round` —

@@ -20,7 +20,7 @@
 //!   cluster run (block sets, kills, joins, observed delays, digests) with
 //!   a stable JSON encoding.
 //! * [`replay`] — [`replay::replay`], the oracle: rebuild the run inside
-//!   [`simnet::Network`] (observed delays become scheduled per-message
+//!   a parity-mode engine (observed delays become scheduled per-message
 //!   delay faults, kills become crash-stop faults) and check every
 //!   recorded node digest against the simulator's.
 

@@ -1,7 +1,7 @@
 //! The simulator-as-oracle replay check.
 //!
-//! A recorded cluster run ([`ClusterTrace`]) is rebuilt inside
-//! [`simnet::Network`]: every observed frame delay becomes a scheduled
+//! A recorded cluster run ([`ClusterTrace`]) is rebuilt inside the
+//! simulation engine: every observed frame delay becomes a scheduled
 //! per-message delay fault, every kill a crash-stop fault, every join an
 //! `add_node` before the join round, and every round is stepped with the
 //! recorded block set. After each simulated round the per-node state
@@ -9,7 +9,8 @@
 //! nodes reported. A mismatch pins divergence to the exact round and node
 //! where the live execution left the model.
 
-use simnet::{BlockSet, FaultModel, Network, NodeFault, NodeId};
+use simnet::{BlockSet, FaultModel, NodeFault, NodeId};
+use simnet_xl::{ExecMode, XlNetwork};
 
 use super::proto::WireProto;
 use super::trace::ClusterTrace;
@@ -94,7 +95,10 @@ pub fn replay(trace: &ClusterTrace) -> Result<ReplaySummary, ReplayError> {
         }
     }
 
-    let mut net: Network<WireProto> = Network::new(trace.seed);
+    // Parity, whatever `SIMNET_BACKEND` says: scheduled delays need the one
+    // global delivery order, and an oracle must not relax with a knob.
+    let mut net: XlNetwork<WireProto> =
+        XlNetwork::with_shards_mode(trace.seed, 0, ExecMode::Parity);
     for id in 0..trace.n0 {
         net.add_node(NodeId(id), WireProto::new(trace.n0));
     }

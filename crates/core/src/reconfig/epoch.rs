@@ -14,7 +14,7 @@ use crate::metrics::ReconfigMetrics;
 use crate::sampling::run_alg1_direct;
 use overlay_graphs::{HGraph, HamiltonCycle};
 use rand::seq::SliceRandom;
-use simnet::{Ctx, NodeId, Payload, Protocol, SimEngine};
+use simnet::{Ctx, NodeId, Payload, Protocol};
 use std::collections::{HashMap, HashSet};
 
 /// How Phase 3 bridges empty segments (A1 ablation).

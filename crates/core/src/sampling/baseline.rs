@@ -13,7 +13,7 @@ use crate::config::SamplingParams;
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::HGraph;
 use rand::RngExt;
-use simnet::{Ctx, NodeId, Payload, Protocol, SimEngine};
+use simnet::{Ctx, NodeId, Payload, Protocol};
 use telemetry::{EventKind, Phase, Telemetry};
 
 /// Messages of the baseline sampler.

@@ -27,7 +27,7 @@ use crate::config::{SamplingParams, Schedule};
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::HGraph;
 use rand::RngExt;
-use simnet::{Ctx, NodeId, Payload, Protocol, SimEngine};
+use simnet::{Ctx, NodeId, Payload, Protocol};
 use std::sync::Arc;
 use telemetry::{EventKind, Phase, Telemetry};
 
@@ -287,7 +287,7 @@ fn run_alg1_inner(
     // Every run records into a private collector; the work fields of
     // `SamplingMetrics` derive from its snapshot, and callers observing the
     // run absorb it wholesale. Attaching it never perturbs the engine's
-    // digest stream (observability guarantee of `Network::set_telemetry`).
+    // digest stream (observability guarantee of `XlNetwork::set_telemetry`).
     let collector =
         Telemetry::new(telemetry::Config { timing: tel.timing(), ..Default::default() });
     let _sampling = collector.phase(Phase::Sampling);

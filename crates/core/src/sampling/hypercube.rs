@@ -21,7 +21,7 @@ use crate::config::{SamplingParams, Schedule};
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::Hypercube;
 use rand::RngExt;
-use simnet::{Ctx, NodeId, Payload, Protocol, SimEngine};
+use simnet::{Ctx, NodeId, Payload, Protocol};
 use std::sync::Arc;
 use telemetry::{EventKind, Phase, Telemetry};
 

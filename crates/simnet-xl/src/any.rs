@@ -1,269 +1,116 @@
-//! Runtime backend selection: [`Backend`] names an engine (optionally with
-//! a shard count), parses from the `SIMNET_BACKEND` environment variable,
-//! and [`AnyNet`] holds whichever engine was picked behind one concrete
-//! type so runners need no generics over the engine.
+//! Runtime engine configuration: [`Backend`] names the two switches the
+//! engine has — execution mode and shard count — and parses them from the
+//! `SIMNET_BACKEND` environment variable; [`AnyNet`] is the engine type
+//! runners hold.
 
 use crate::{ExecMode, XlNetwork};
-use simnet::accounting::CommStats;
-use simnet::backend::SimEngine;
-use simnet::conduct::Conduct;
-use simnet::fault::{BlockSet, FaultModel};
-use simnet::trace::Trace;
-use simnet::{Network, NodeId, Protocol};
-use std::sync::Arc;
-use telemetry::Telemetry;
+use simnet::Protocol;
+use std::fmt;
 
-/// Environment variable consulted by [`Backend::from_env`]: `legacy` (or
-/// empty/unset), `xl`, `xl:<shards>`, `xl:fast`, or `xl:fast:<shards>`.
+/// Environment variable consulted by [`Backend::from_env`]; see
+/// [`Backend::parse`] for the accepted spellings.
 pub const BACKEND_ENV: &str = "SIMNET_BACKEND";
 
-/// Automatic shard count for [`XlNetwork`]: the machine's available
-/// parallelism, clamped to `[1, 16]`. More shards than cores buys nothing
-/// (the merge pass is serial), and past 16 the per-round merge overhead of
-/// mostly-empty runs outweighs compute wins.
+/// Automatic shard count for [`XlNetwork`]: the size of the rayon pool the
+/// caller runs in, clamped to `[1, 16]`. Shards only buy parallelism in
+/// the compute walk, so more shards than workers add merge and dispatch
+/// cost for nothing (measured: 2 shards on 1 worker lost to 1 shard by
+/// 12–19 % on `engine_gossip`), and past 16 the per-round merge overhead of
+/// mostly-empty runs outweighs compute wins. Parity digests are
+/// shard-invariant, so the choice is never visible in results.
 pub fn default_shards() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 16)
+    rayon::current_num_threads().clamp(1, 16)
 }
 
-/// Which simulation engine to run.
+/// How to run the engine: an execution mode and a shard count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// The original boxed-slot [`simnet::Network`].
-    #[default]
-    Legacy,
-    /// The sharded [`XlNetwork`]; `shards == 0` means automatic
-    /// ([`default_shards`]).
-    Xl {
-        /// Shard count, `0` for automatic.
-        shards: usize,
-    },
-    /// The sharded [`XlNetwork`] in [`ExecMode::Fast`]: relaxed global
-    /// delivery order, statistically equivalent to (but not bit-identical
-    /// with) the parity engines. `shards == 0` means automatic.
-    XlFast {
-        /// Shard count, `0` for automatic.
-        shards: usize,
-    },
+pub struct Backend {
+    /// Delivery-order contract (see [`ExecMode`]).
+    pub mode: ExecMode,
+    /// Shard count, `0` for automatic ([`default_shards`]).
+    pub shards: usize,
 }
 
 impl Backend {
-    /// Parse a backend spec: `""`/`"legacy"` → legacy, `"xl"` → sharded
-    /// with automatic shard count, `"xl:<k>"` → sharded with `k` shards,
-    /// `"xl:fast"`/`"xl:fast:<k>"` → sharded fast mode. Anything else is
-    /// `None`.
+    /// Parity mode with `shards` shards (`0` = automatic).
+    pub const fn parity(shards: usize) -> Self {
+        Self { mode: ExecMode::Parity, shards }
+    }
+
+    /// Fast mode with `shards` shards (`0` = automatic).
+    pub const fn fast(shards: usize) -> Self {
+        Self { mode: ExecMode::Fast, shards }
+    }
+
+    /// Parse a backend spec: `""`/`"xl"` → parity with the automatic shard
+    /// count, `"xl:<k>"` → parity with `k` shards, `"xl:fast"` /
+    /// `"xl:fast:<k>"` → fast mode. Anything else is `None`.
     pub fn parse(spec: &str) -> Option<Backend> {
+        let shards = |k: &str| k.parse::<usize>().ok();
         match spec.trim() {
-            "" | "legacy" => Some(Backend::Legacy),
-            "xl" => Some(Backend::Xl { shards: 0 }),
-            "xl:fast" => Some(Backend::XlFast { shards: 0 }),
+            "" | "xl" => Some(Backend::parity(0)),
+            "xl:fast" => Some(Backend::fast(0)),
             other => {
                 let rest = other.strip_prefix("xl:")?;
-                if let Some(k) = rest.strip_prefix("fast:") {
-                    let k = k.parse::<usize>().ok()?;
-                    Some(Backend::XlFast { shards: k })
-                } else {
-                    let k = rest.parse::<usize>().ok()?;
-                    Some(Backend::Xl { shards: k })
+                match rest.strip_prefix("fast:") {
+                    Some(k) => shards(k).map(Backend::fast),
+                    None => shards(rest).map(Backend::parity),
                 }
             }
         }
     }
 
     /// Read the backend from the `SIMNET_BACKEND` environment variable.
-    /// Unset or empty means [`Backend::Legacy`]; an unparseable value
-    /// falls back to legacy rather than aborting a long run.
-    pub fn from_env() -> Backend {
+    /// Unset or empty means parity with the automatic shard count; a value
+    /// [`Backend::parse`] does not accept is an error, never a fallback.
+    pub fn from_env() -> Result<Backend, BackendEnvError> {
         match std::env::var(BACKEND_ENV) {
-            Ok(spec) => Backend::parse(&spec).unwrap_or(Backend::Legacy),
-            Err(_) => Backend::Legacy,
+            Ok(spec) => Backend::parse(&spec).ok_or(BackendEnvError { value: spec }),
+            Err(std::env::VarError::NotPresent) => Ok(Backend::default()),
+            Err(std::env::VarError::NotUnicode(raw)) => {
+                Err(BackendEnvError { value: raw.to_string_lossy().into_owned() })
+            }
         }
     }
 
     /// Instantiate an empty network of this backend.
     pub fn build<P: Protocol>(self, master_seed: u64) -> AnyNet<P> {
-        match self {
-            Backend::Legacy => AnyNet::Legacy(Network::new(master_seed)),
-            Backend::Xl { shards } => AnyNet::Xl(XlNetwork::with_shards(master_seed, shards)),
-            Backend::XlFast { shards } => {
-                AnyNet::Xl(XlNetwork::with_shards_mode(master_seed, shards, ExecMode::Fast))
-            }
-        }
+        XlNetwork::with_shards_mode(master_seed, self.shards, self.mode)
     }
+}
 
-    /// Short human-readable name (`legacy` / `xl` / `xl-fast`), for
-    /// telemetry metadata and experiment records.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Legacy => "legacy",
-            Backend::Xl { .. } => "xl",
-            Backend::XlFast { .. } => "xl-fast",
-        }
-    }
-
-    /// The execution mode this backend runs in (legacy counts as parity:
-    /// it *defines* the parity digest stream).
-    pub fn exec_mode(self) -> ExecMode {
-        match self {
-            Backend::Legacy | Backend::Xl { .. } => ExecMode::Parity,
-            Backend::XlFast { .. } => ExecMode::Fast,
+/// The spelling [`Backend::parse`] reads back: `xl:<k>` / `xl:fast:<k>`.
+impl fmt::Display for Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.mode {
+            ExecMode::Parity => write!(f, "xl:{}", self.shards),
+            ExecMode::Fast => write!(f, "xl:fast:{}", self.shards),
         }
     }
 }
 
-/// Either engine as one concrete type. Implements [`SimEngine`] by
-/// delegation, so code written against the trait (or against this enum)
-/// runs identically on both.
-pub enum AnyNet<P: Protocol> {
-    /// The legacy boxed-slot engine.
-    Legacy(Network<P>),
-    /// The sharded engine.
-    Xl(XlNetwork<P>),
+/// `SIMNET_BACKEND` holds a value [`Backend::parse`] does not accept.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BackendEnvError {
+    /// The offending value.
+    pub value: String,
 }
 
-/// Delegate a method to whichever variant is live.
-macro_rules! delegate {
-    ($self:ident, $net:ident => $body:expr) => {
-        match $self {
-            AnyNet::Legacy($net) => $body,
-            AnyNet::Xl($net) => $body,
-        }
-    };
-}
-
-impl<P: Protocol> AnyNet<P> {
-    /// Build for the given backend; equivalent to [`Backend::build`].
-    pub fn new(backend: Backend, master_seed: u64) -> Self {
-        backend.build(master_seed)
-    }
-
-    /// Which backend this network is running on.
-    pub fn backend(&self) -> Backend {
-        match self {
-            AnyNet::Legacy(_) => Backend::Legacy,
-            AnyNet::Xl(n) => match n.exec_mode() {
-                ExecMode::Parity => Backend::Xl { shards: n.shard_count() },
-                ExecMode::Fast => Backend::XlFast { shards: n.shard_count() },
-            },
-        }
-    }
-
-    /// Iterate over `(id, state)` of current members (unspecified order).
-    pub fn nodes(&self) -> Box<dyn Iterator<Item = (NodeId, &P)> + '_> {
-        match self {
-            AnyNet::Legacy(n) => Box::new(n.nodes()),
-            AnyNet::Xl(n) => Box::new(n.nodes()),
-        }
-    }
-
-    /// Execute one unblocked round.
-    pub fn step(&mut self) {
-        delegate!(self, n => n.step())
-    }
-
-    /// Run `rounds` unblocked rounds.
-    pub fn run(&mut self, rounds: u64) {
-        delegate!(self, n => n.run(rounds))
-    }
-
-    /// Reset communication-work statistics.
-    pub fn reset_stats(&mut self) {
-        delegate!(self, n => n.reset_stats())
+impl fmt::Display for BackendEnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{BACKEND_ENV}=`{}` is not a backend: expected unset, empty, `xl`, `xl:<shards>`, \
+             `xl:fast` or `xl:fast:<shards>`",
+            self.value
+        )
     }
 }
 
-impl<P: Protocol> SimEngine<P> for AnyNet<P> {
-    fn master_seed(&self) -> u64 {
-        delegate!(self, n => n.master_seed())
-    }
+impl std::error::Error for BackendEnvError {}
 
-    fn round(&self) -> u64 {
-        delegate!(self, n => n.round())
-    }
-
-    fn len(&self) -> usize {
-        delegate!(self, n => n.len())
-    }
-
-    fn contains(&self, id: NodeId) -> bool {
-        delegate!(self, n => n.contains(id))
-    }
-
-    fn ids(&self) -> Vec<NodeId> {
-        delegate!(self, n => SimEngine::ids(n))
-    }
-
-    fn add_node(&mut self, id: NodeId, proto: P) {
-        delegate!(self, n => n.add_node(id, proto))
-    }
-
-    fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        delegate!(self, n => n.remove_node(id))
-    }
-
-    fn node(&self, id: NodeId) -> Option<&P> {
-        delegate!(self, n => n.node(id))
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        delegate!(self, n => n.node_mut(id))
-    }
-
-    fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        delegate!(self, n => n.inject(from, to, msg))
-    }
-
-    fn step_blocked(&mut self, blocked: &BlockSet) {
-        delegate!(self, n => n.step_blocked(blocked))
-    }
-
-    fn set_fault_model(&mut self, faults: FaultModel) {
-        delegate!(self, n => n.set_fault_model(faults))
-    }
-
-    fn fault_model(&self) -> &FaultModel {
-        delegate!(self, n => n.fault_model())
-    }
-
-    fn set_conduct(&mut self, conduct: Option<Arc<dyn Conduct<P::Msg>>>) {
-        delegate!(self, n => n.set_conduct(conduct))
-    }
-
-    fn conduct_counts(&self) -> (u64, u64) {
-        delegate!(self, n => n.conduct_counts())
-    }
-
-    fn set_telemetry(&mut self, tel: Telemetry) {
-        delegate!(self, n => n.set_telemetry(tel))
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        delegate!(self, n => n.telemetry())
-    }
-
-    fn enable_trace(&mut self, cap: usize) {
-        delegate!(self, n => n.enable_trace(cap))
-    }
-
-    fn enable_digests(&mut self) {
-        delegate!(self, n => n.enable_digests())
-    }
-
-    fn set_manifest(&mut self, config: String) {
-        delegate!(self, n => n.set_manifest(config))
-    }
-
-    fn trace(&self) -> &Trace {
-        delegate!(self, n => n.trace())
-    }
-
-    fn stats(&self) -> &CommStats {
-        delegate!(self, n => n.stats())
-    }
-
-    fn round_digest(&self) -> u64 {
-        delegate!(self, n => n.round_digest())
-    }
-}
+/// The engine type runners hold: whatever [`Backend::build`] returns.
+pub type AnyNet<P> = XlNetwork<P>;
 
 #[cfg(test)]
 mod tests {
@@ -271,29 +118,47 @@ mod tests {
 
     #[test]
     fn backend_parses_specs() {
-        assert_eq!(Backend::parse(""), Some(Backend::Legacy));
-        assert_eq!(Backend::parse("legacy"), Some(Backend::Legacy));
-        assert_eq!(Backend::parse("xl"), Some(Backend::Xl { shards: 0 }));
-        assert_eq!(Backend::parse("xl:4"), Some(Backend::Xl { shards: 4 }));
-        assert_eq!(Backend::parse(" xl:16 "), Some(Backend::Xl { shards: 16 }));
-        assert_eq!(Backend::parse("xl:fast"), Some(Backend::XlFast { shards: 0 }));
-        assert_eq!(Backend::parse("xl:fast:8"), Some(Backend::XlFast { shards: 8 }));
-        assert_eq!(Backend::parse(" xl:fast:2 "), Some(Backend::XlFast { shards: 2 }));
-        assert_eq!(Backend::parse("xl:"), None);
-        assert_eq!(Backend::parse("xl:four"), None);
-        assert_eq!(Backend::parse("xl:fast:"), None);
-        assert_eq!(Backend::parse("xl:fast:many"), None);
-        assert_eq!(Backend::parse("turbo"), None);
+        assert_eq!(Backend::parse(""), Some(Backend::parity(0)));
+        assert_eq!(Backend::parse("xl"), Some(Backend::parity(0)));
+        assert_eq!(Backend::parse("xl:4"), Some(Backend::parity(4)));
+        assert_eq!(Backend::parse(" xl:16 "), Some(Backend::parity(16)));
+        assert_eq!(Backend::parse("xl:fast"), Some(Backend::fast(0)));
+        assert_eq!(Backend::parse("xl:fast:8"), Some(Backend::fast(8)));
+        assert_eq!(Backend::parse(" xl:fast:2 "), Some(Backend::fast(2)));
+        for bad in ["xl:", "xl:four", "xl:fast:", "xl:fast:many", "turbo", "legacy", "xl:fats"] {
+            assert_eq!(Backend::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]
     fn backend_names_and_modes() {
-        assert_eq!(Backend::Legacy.name(), "legacy");
-        assert_eq!(Backend::Xl { shards: 3 }.name(), "xl");
-        assert_eq!(Backend::XlFast { shards: 3 }.name(), "xl-fast");
-        assert_eq!(Backend::Legacy.exec_mode(), ExecMode::Parity);
-        assert_eq!(Backend::Xl { shards: 0 }.exec_mode(), ExecMode::Parity);
-        assert_eq!(Backend::XlFast { shards: 0 }.exec_mode(), ExecMode::Fast);
+        assert_eq!(Backend::default(), Backend::parity(0));
+        assert_eq!(Backend::parity(3).to_string(), "xl:3");
+        assert_eq!(Backend::fast(3).to_string(), "xl:fast:3");
+        for be in [Backend::parity(0), Backend::parity(7), Backend::fast(0), Backend::fast(2)] {
+            assert_eq!(Backend::parse(&be.to_string()), Some(be));
+        }
+    }
+
+    #[test]
+    fn env_values_are_the_default_or_a_typed_rejection() {
+        // The only test in this crate that touches the variable, so the
+        // process environment is not raced.
+        std::env::remove_var(BACKEND_ENV);
+        assert_eq!(Backend::from_env(), Ok(Backend::default()));
+        std::env::set_var(BACKEND_ENV, "");
+        assert_eq!(Backend::from_env(), Ok(Backend::default()));
+        std::env::set_var(BACKEND_ENV, "xl:fast:3");
+        assert_eq!(Backend::from_env(), Ok(Backend::fast(3)));
+        for bad in ["turbo", "xl:", "xl:fast:many", "legacy"] {
+            std::env::set_var(BACKEND_ENV, bad);
+            let err = Backend::from_env().expect_err(bad);
+            assert_eq!(err.value, bad);
+            let shown = err.to_string();
+            assert!(shown.contains(BACKEND_ENV) && shown.contains(bad), "{shown}");
+            assert!(shown.contains("xl:fast:<shards>"), "grammar missing: {shown}");
+        }
+        std::env::remove_var(BACKEND_ENV);
     }
 
     #[test]
@@ -303,15 +168,20 @@ mod tests {
             type Msg = ();
             fn on_round(&mut self, _ctx: &mut simnet::protocol::Ctx<'_, ()>) {}
         }
-        let net: AnyNet<Nop> = Backend::XlFast { shards: 3 }.build(7);
-        assert_eq!(net.backend(), Backend::XlFast { shards: 3 });
-        let net: AnyNet<Nop> = Backend::Xl { shards: 2 }.build(7);
-        assert_eq!(net.backend(), Backend::Xl { shards: 2 });
+        let net: AnyNet<Nop> = Backend::fast(3).build(7);
+        assert_eq!((net.exec_mode(), net.shard_count()), (ExecMode::Fast, 3));
+        let net: AnyNet<Nop> = Backend::parity(2).build(7);
+        assert_eq!((net.exec_mode(), net.shard_count()), (ExecMode::Parity, 2));
+        let net: AnyNet<Nop> = Backend::default().build(7);
+        assert_eq!(net.shard_count(), default_shards());
     }
 
     #[test]
     fn default_shards_is_clamped() {
         let s = default_shards();
         assert!((1..=16).contains(&s), "got {s}");
+        // It follows the pool the caller runs in, not the host.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        assert_eq!(pool.install(default_shards), 3);
     }
 }

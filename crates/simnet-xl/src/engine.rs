@@ -1,13 +1,14 @@
-//! The sharded engine.
+//! The engine.
 //!
 //! See the crate docs for the architecture overview and DESIGN.md §10 for
-//! the digest-parity argument. The short version: sequence numbers mirror
-//! legacy slot indices bit-for-bit, every sent message carries the key
-//! `(seq << 32) | outbox_position` (injections sort after all sends), and
-//! delivery consumes the per-shard send arenas through one serial k-way
-//! merge in global key order — so inbox order, fault-RNG draw order and
-//! therefore the digest stream are identical to the legacy engine at every
-//! shard count.
+//! the ordering contract. The short version: a node's sequence number is
+//! the lowest-level name the engine has for it (the most recently freed
+//! one is reused first, else the next fresh one), every sent message
+//! carries the key `(seq << 32) | outbox_position` (injections sort after
+//! all sends), and parity delivery consumes the per-shard send arenas
+//! through one serial k-way merge in global key order — so inbox order,
+//! fault-RNG draw order and therefore the digest stream are identical at
+//! every shard count.
 
 use crate::ExecMode;
 use rayon::prelude::*;
@@ -16,7 +17,7 @@ use simnet::backend::SimEngine;
 use simnet::conduct::{Conduct, SendFate};
 use simnet::fault::{delivered, BlockSet, FaultModel, LinkFate};
 use simnet::instrument::NetObserver;
-use simnet::protocol::{Ctx, Protocol};
+use simnet::protocol::{node_state_digest, Ctx, Protocol};
 use simnet::rng::{stream, NodeRng};
 use simnet::trace::{Trace, TraceEvent};
 use simnet::{Digest, Envelope, NodeId, Payload, RoundDigest, RunManifest};
@@ -27,8 +28,13 @@ use telemetry::{EventKind, Phase, Telemetry};
 
 /// Sort key of a pending message: `(seq << 32) | outbox_position` for
 /// protocol sends, `INJECT_BIT | counter` for external injections (which
-/// the legacy engine appends after the round's sends).
+/// are delivered after the round's sends).
 type Key = u64;
+
+/// Below this many nodes a round runs its shards one after the other: the
+/// pool's dispatch cost only pays off for larger populations. Public so
+/// determinism tests can pick populations on both sides of the switch.
+pub const PAR_THRESHOLD: usize = 512;
 
 const INJECT_BIT: Key = 1 << 63;
 
@@ -36,7 +42,7 @@ const INJECT_BIT: Key = 1 << 63;
 const VACANT: u32 = u32::MAX;
 
 /// Stream salt of the per-shard per-round fault-fate RNG in fast mode,
-/// chosen disjoint from every legacy stream purpose.
+/// chosen disjoint from every parity stream purpose.
 const FAST_FATE_SALT: u64 = 0xFA57_FA7E;
 
 // --------------------------------------------------------------------------
@@ -241,7 +247,7 @@ impl<P: Protocol> Shard<P> {
     ///
     /// `cur_bits` is the fast-mode seq-indexed view of `blocked`; when
     /// present it replaces the per-node BTreeSet probe (parity mode passes
-    /// `None` and stays bit-identical to the legacy walk).
+    /// `None`).
     ///
     /// `conduct` judges every send before it enters the arena (parity and
     /// fast alike). Safe under shard parallelism: the hook's contract
@@ -280,10 +286,10 @@ impl<P: Protocol> Shard<P> {
                 None => blocked.contains(id),
             };
             if blocked_now || downs.contains(id) {
-                // Same as legacy: a blocked or down node neither runs nor
-                // sends; pending inbox content is discarded. It stays on
-                // the worklist (unless permanently passive) because it
-                // will act again once unblocked.
+                // A blocked or down node neither runs nor sends; pending
+                // inbox content is discarded. It stays on the worklist
+                // (unless permanently passive) because it will act again
+                // once unblocked.
                 self.inboxes[local].clear();
                 if !self.protos[local].quiescent() {
                     self.mark_dirty(seq, local);
@@ -342,7 +348,7 @@ impl<P: Protocol> Shard<P> {
     /// shards: all shared inputs are read-only and fate randomness comes
     /// from a private per-shard per-round stream.
     ///
-    /// The judging sequence is the legacy [`XlNetwork::deliver_one`] rules
+    /// The judging sequence is the [`XlNetwork::deliver_one`] rules
     /// specialized to fresh protocol sends: the sender computed this arena,
     /// so it was neither blocked nor down at send time and the sender-side
     /// membership tests (`prev_blocked.contains(from)`, `down(from,
@@ -429,8 +435,14 @@ impl<P: Protocol> Shard<P> {
 // The engine
 // --------------------------------------------------------------------------
 
-/// Sharded drop-in replacement for [`simnet::Network`] with an identical
-/// round model and digest stream. See the crate docs.
+/// A simulated overlay network of nodes running protocol `P`: the one
+/// implementation of the `simnet` round model.
+///
+/// The engine owns the nodes, delivers messages according to the
+/// synchronous model (a message sent in round `i` is processed in round
+/// `i + 1`), applies the DoS blocking rule of [`simnet::fault`], accounts
+/// communication work, and supports node churn between rounds. See the
+/// crate docs for the layout and the two execution modes.
 pub struct XlNetwork<P: Protocol> {
     master_seed: u64,
     round: u64,
@@ -445,11 +457,11 @@ pub struct XlNetwork<P: Protocol> {
     /// sets, rebuilt every round.
     prev_bits: SeqBits,
     cur_bits: SeqBits,
-    /// id → sequence number (the legacy slot index analogue).
+    /// id → sequence number.
     idmap: IdMap,
     /// seq → local index within shard `seq % n_shards`; [`VACANT`] if free.
     seq_local: Vec<u32>,
-    /// Free sequence numbers, reused LIFO exactly like legacy free slots.
+    /// Free sequence numbers, reused most-recently-freed first.
     free: Vec<u32>,
     /// External injections pending for next round, keyed after all sends.
     injected: Vec<(Key, Envelope<P::Msg>)>,
@@ -472,7 +484,8 @@ pub struct XlNetwork<P: Protocol> {
 
 impl<P: Protocol> XlNetwork<P> {
     /// Create an empty network with an automatic shard count (see
-    /// [`crate::default_shards`]).
+    /// [`crate::default_shards`]). All node randomness derives from
+    /// `master_seed`; identical seeds give identical runs.
     pub fn new(master_seed: u64) -> Self {
         Self::with_shards(master_seed, 0)
     }
@@ -487,7 +500,7 @@ impl<P: Protocol> XlNetwork<P> {
     /// Create an empty network with an explicit shard count and execution
     /// mode. Under [`ExecMode::Fast`] the run is deterministic for a fixed
     /// `(master_seed, shards)` pair but the digest stream differs from the
-    /// legacy/parity one — see the [`ExecMode`] docs.
+    /// parity one — see the [`ExecMode`] docs.
     pub fn with_shards_mode(master_seed: u64, shards: usize, mode: ExecMode) -> Self {
         let n_shards = if shards == 0 { crate::default_shards() } else { shards };
         Self {
@@ -528,9 +541,15 @@ impl<P: Protocol> XlNetwork<P> {
         self.mode
     }
 
-    /// Attach a telemetry recorder (same semantics as
-    /// [`simnet::Network::set_telemetry`]: pure observability, identical
-    /// `net.*` metrics).
+    /// Attach a telemetry recorder. The engine then emits per-round
+    /// delivery/fault/work metrics, brackets deliver/compute/send in
+    /// profiler phases, and records node lifecycle events.
+    ///
+    /// Telemetry is pure observability: it never draws simulation
+    /// randomness, never feeds [`Self::round_digest`], and is not
+    /// checkpointed — a run's digest stream is identical with or without a
+    /// recorder attached. The default is [`Telemetry::disabled`], whose
+    /// hot-path cost is a single branch per operation.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.obs = NetObserver::new(tel, &self.trace);
     }
@@ -540,7 +559,8 @@ impl<P: Protocol> XlNetwork<P> {
         self.obs.telemetry()
     }
 
-    /// Enable event tracing with the given buffer capacity.
+    /// Enable event tracing with the given buffer capacity. Counters,
+    /// digests and the manifest accumulated before this call are kept.
     pub fn enable_trace(&mut self, cap: usize) {
         self.trace.enable(cap);
     }
@@ -550,23 +570,26 @@ impl<P: Protocol> XlNetwork<P> {
         self.digests_enabled = true;
     }
 
-    /// Attach a reproduction manifest to the trace.
+    /// Attach a reproduction manifest to the trace. The network fills in
+    /// its master seed and crate version; `config` should describe
+    /// everything else that defines the run.
     pub fn set_manifest(&mut self, config: impl Into<String>) {
         self.trace.set_manifest(RunManifest::new(self.master_seed, config));
     }
 
-    /// Install a fault model on the delivery path.
+    /// Install a fault model on the delivery path, replacing the previous
+    /// one (the default is [`FaultModel::null`], which restores the exact
+    /// Section 1.1 semantics). Installing mid-run is allowed; scheduled
+    /// node faults are interpreted against the absolute round counter.
     ///
-    /// Scheduled per-message delays are rejected: their consumption order
-    /// is defined by the legacy engine's global delivery order, and fast
-    /// mode judges link fates concurrently per shard, where that order does
-    /// not exist. Cluster-trace replay (the consumer of scheduled delays)
-    /// runs on [`simnet::Network`].
+    /// Scheduled per-message delays are parity-only: occurrences under one
+    /// key are consumed in global delivery order, and fast mode judges
+    /// link fates concurrently per shard, where that order does not exist.
     pub fn set_fault_model(&mut self, faults: FaultModel) {
         assert!(
-            !faults.has_scheduled(),
-            "scheduled per-message delays require the global delivery order of the \
-             legacy simnet::Network engine; simnet-xl does not support them"
+            self.mode == ExecMode::Parity || !faults.has_scheduled(),
+            "scheduled per-message delays require the global delivery order of \
+             ExecMode::Parity; ExecMode::Fast does not support them"
         );
         self.faults = faults;
     }
@@ -576,16 +599,23 @@ impl<P: Protocol> XlNetwork<P> {
         &self.faults
     }
 
-    /// Install (or with `None`, remove) a send-path [`Conduct`] policy —
-    /// same semantics as [`simnet::Network::set_conduct`], in both parity
-    /// and fast modes. Not checkpointed; re-install after a resume.
+    /// Install (or with `None`, remove) a send-path [`Conduct`] policy, in
+    /// both parity and fast modes. Every subsequent protocol send is judged
+    /// by it at collection time; see [`simnet::conduct`] for the
+    /// determinism contract.
+    ///
+    /// Conduct is configuration, not state: it is **not checkpointed**. A
+    /// resumed run must re-install the same conduct to continue the
+    /// original behavior — doing so reproduces the uninterrupted digest
+    /// stream exactly, because conduct decisions hash the absolute round
+    /// counter, not elapsed time since installation.
     pub fn set_conduct(&mut self, conduct: Option<Arc<dyn Conduct<P::Msg>>>) {
         self.conduct = conduct;
     }
 
     /// Totals of messages `(dropped, forged)` by the installed conduct so
-    /// far. Identical across backends and shard counts for identically
-    /// driven runs (the hook's decisions are order-independent).
+    /// far. Identical across modes and shard counts for identically driven
+    /// runs (the hook's decisions are order-independent).
     pub fn conduct_counts(&self) -> (u64, u64) {
         (self.conduct_dropped, self.conduct_forged)
     }
@@ -665,9 +695,9 @@ impl<P: Protocol> XlNetwork<P> {
         &self.trace
     }
 
-    /// Add a node. Panics if `id` is already present. Sequence numbers are
-    /// assigned exactly like legacy slot indices: reuse the most recently
-    /// freed one, else append.
+    /// Add a node. Panics if `id` is already present (the paper assumes
+    /// every id enters the system at most once). It takes the most
+    /// recently freed sequence number, else the next fresh one.
     pub fn add_node(&mut self, id: NodeId, proto: P) {
         assert!(!self.idmap.contains_key(&id), "duplicate node id {id}");
         let rng = stream(self.master_seed, id.raw(), 0);
@@ -723,8 +753,9 @@ impl<P: Protocol> XlNetwork<P> {
         Some(proto)
     }
 
-    /// Inject a message from outside the simulation; delivered next round
-    /// after all protocol sends, like the legacy queue order.
+    /// Inject a message from outside the simulation; it is subject to the
+    /// normal delivery rule next round, after all protocol sends, with
+    /// `from` as the nominal sender.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         let key = INJECT_BIT | self.inject_seq;
         self.inject_seq += 1;
@@ -743,11 +774,19 @@ impl<P: Protocol> XlNetwork<P> {
         }
     }
 
-    /// Execute one round with the given set of nodes blocked. Semantics
-    /// are identical to [`simnet::Network::step_blocked`].
+    /// Execute one round with the given set of nodes blocked.
+    ///
+    /// Blocked nodes neither receive (their pending messages are dropped per
+    /// the model's delivery rule) nor execute `on_round` nor send. Nodes
+    /// down under the installed [`FaultModel`] behave like blocked nodes;
+    /// surviving messages are additionally judged for link faults.
     pub fn step_blocked(&mut self, blocked: &BlockSet) {
         let round = self.round;
 
+        // Crash-recovery transitions: a node due back this round restarts
+        // with lost state — protocol reset hook, cleared inbox, and a fresh
+        // RNG incarnation (the pre-crash stream position is part of the
+        // state the crash destroys).
         if !self.faults.is_null() {
             for id in self.faults.recovering(round) {
                 if let Some(&seq) = self.idmap.get(&id) {
@@ -789,7 +828,7 @@ impl<P: Protocol> XlNetwork<P> {
                 ExecMode::Parity => None,
             };
             let conduct = self.conduct.as_deref();
-            let parallel = self.n_shards > 1 && self.idmap.len() >= simnet::PAR_THRESHOLD;
+            let parallel = self.n_shards > 1 && self.idmap.len() >= PAR_THRESHOLD;
             if parallel {
                 self.shards.par_iter_mut().for_each(|sh| {
                     sh.run_round(round, blocked, &downs, seq_local, cur_bits, conduct)
@@ -826,7 +865,7 @@ impl<P: Protocol> XlNetwork<P> {
         }
     }
 
-    /// Deliver everything pending for this round in the legacy order:
+    /// Deliver everything pending for this round in parity order:
     /// matured delayed messages (push order), then all of last round's
     /// sends and injections in global key order via a k-way merge over the
     /// per-shard arenas.
@@ -887,7 +926,7 @@ impl<P: Protocol> XlNetwork<P> {
 
     /// Fast-mode delivery: relaxed global order, parallel per shard.
     ///
-    /// Matured delays and external injections keep the exact serial legacy
+    /// Matured delays and external injections keep the exact serial
     /// rules (they are rare and judged by id); the bulk protocol sends take
     /// a two-pass route: (1) parallel over *source* shards, judge each
     /// arena message and scatter survivors into the k × k bucket matrix,
@@ -915,7 +954,7 @@ impl<P: Protocol> XlNetwork<P> {
         }
         self.prev_bits.rebuild(&self.prev_blocked, &self.idmap, self.seq_local.len());
         self.cur_bits.rebuild(blocked, &self.idmap, self.seq_local.len());
-        let parallel = k > 1 && self.idmap.len() >= simnet::PAR_THRESHOLD;
+        let parallel = k > 1 && self.idmap.len() >= PAR_THRESHOLD;
 
         // Route pass, parallel over source shards.
         {
@@ -977,7 +1016,7 @@ impl<P: Protocol> XlNetwork<P> {
             }
         }
 
-        // Injections last — the legacy keying sorts them after all sends.
+        // Injections last — their keys sort after all sends.
         if !self.injected.is_empty() {
             let mut inj = std::mem::take(&mut self.injected);
             for (_, env) in inj.drain(..) {
@@ -988,9 +1027,11 @@ impl<P: Protocol> XlNetwork<P> {
         self.inject_seq = 0;
     }
 
-    /// One message through the delivery rules — byte-for-byte the legacy
-    /// `Network::deliver_one` decision sequence (DoS rule, node faults and
-    /// partitions, link fate for fresh messages, then receiver lookup).
+    /// Route one message through the delivery rules: the Section 1.1
+    /// blocking check, then node-fault and partition checks, then (for
+    /// `fresh` messages only) a link-fate draw, then receiver lookup.
+    /// Matured delayed messages are not `fresh`: they re-check just the
+    /// receiver-side conditions and are never delayed twice.
     fn deliver_one(
         &mut self,
         env: Envelope<P::Msg>,
@@ -1018,6 +1059,20 @@ impl<P: Protocol> XlNetwork<P> {
                 return;
             }
             if fresh {
+                // Scheduled per-message delays are judged before the
+                // probabilistic link fate and consume no randomness, so a
+                // schedule-only model (live-cluster replay) leaves every
+                // RNG stream untouched.
+                if let Some(extra) = self.faults.scheduled_extra(env.from, env.to, env.sent_round) {
+                    self.trace.record(TraceEvent::Delayed {
+                        round,
+                        from: env.from,
+                        to: env.to,
+                        until: round + extra,
+                    });
+                    self.delayed.push((round + extra, env));
+                    return;
+                }
                 match self.faults.link_fate() {
                     LinkFate::Deliver => {}
                     LinkFate::Drop => {
@@ -1089,10 +1144,16 @@ impl<P: Protocol> XlNetwork<P> {
         work
     }
 
-    /// Stable state fingerprint, byte-identical to
-    /// [`simnet::Network::round_digest`] for equal state: the canonical
-    /// orderings (nodes by id, in-flight by content key) make the value
-    /// independent of shard layout.
+    /// Stable fingerprint of the full network state: round counter,
+    /// membership, per-node RNG stream positions and protocol states
+    /// (via [`Protocol::digest`]), and every in-flight message (via
+    /// [`Payload::digest`]).
+    ///
+    /// Nodes are hashed in id order and in-flight messages in a canonical
+    /// sort order, so the value is independent of shard layout, `HashMap`
+    /// iteration order and the thread schedule that produced the state.
+    /// Two runs are replay-identical iff their digest streams match
+    /// round for round.
     pub fn round_digest(&self) -> u64 {
         let mut d = Digest::new();
         d.write_u64(self.round);
@@ -1141,6 +1202,20 @@ impl<P: Protocol> XlNetwork<P> {
         }
 
         d.finish()
+    }
+
+    /// The canonical per-node state fingerprint of one member, or `None`
+    /// if `id` is not present: [`simnet::protocol::node_state_digest`] over
+    /// the node's id, RNG stream position and protocol state.
+    ///
+    /// Unlike [`Self::round_digest`] this composes per node, so a live
+    /// deployment driving the same [`Protocol`] outside the simulator (the
+    /// `reconfig-node` daemon) can publish the identical fingerprint and be
+    /// compared node by node against a simulated replay.
+    pub fn node_digest(&self, id: NodeId) -> Option<u64> {
+        let (sh, local) = self.locate(*self.idmap.get(&id)?);
+        let shard = &self.shards[sh];
+        Some(node_state_digest(id, shard.rngs[local].get_word_pos(), &shard.protos[local]))
     }
 
     /// All messages pending delivery next round (arena contents plus
@@ -1245,9 +1320,9 @@ impl<P: Protocol> SimEngine<P> for XlNetwork<P> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointing: the legacy `simnet-network-checkpoint` format, so runs
-// round-trip across engines in both directions. The digest stamp transfers
-// because the two engines agree on `round_digest`.
+// Checkpointing: the `simnet-network-checkpoint` v1 format. The layout is a
+// slot vector indexed by sequence number, so a checkpoint restores at any
+// shard count; the digest stamp is the shard-invariant `round_digest`.
 // ---------------------------------------------------------------------------
 
 use serde_json::Value;
@@ -1257,8 +1332,8 @@ use simnet::checkpoint::{
 };
 
 /// The execution-mode stamp of a checkpoint. Checkpoints written before
-/// the stamp existed carry no field and are parity by definition (the
-/// legacy engine and parity mode are the only writers they can come from).
+/// the stamp existed carry no field and are parity by definition (no
+/// relaxed-order writer existed then).
 fn exec_mode_of(v: &Value) -> CkptResult<ExecMode> {
     match get_str(v, "exec_mode") {
         Err(_) => Ok(ExecMode::Parity),
@@ -1273,11 +1348,20 @@ where
     P: Protocol + Checkpoint,
     P::Msg: Checkpoint,
 {
-    /// Serialize the complete dynamic state in the legacy checkpoint
-    /// format: the seq → node table becomes the `slots` array (vacant seqs
-    /// as nulls), pending messages are written in queue (key) order, and
-    /// the digest stamp is the shared [`Self::round_digest`]. A checkpoint
-    /// written here restores into either engine, and vice versa.
+    /// Serialize the complete dynamic state of the network: round counter,
+    /// every node's protocol state and RNG position in the `slots` array
+    /// (indexed by sequence number, vacant ones as nulls — delivery order
+    /// depends on that layout), pending messages in queue (key) order,
+    /// delayed messages, the previous block set, and the fault model
+    /// including its RNG position. The engine's own round digest is
+    /// stamped into the value; the loaders verify it after restoring, so a
+    /// corrupt or hand-edited checkpoint is rejected instead of silently
+    /// diverging.
+    ///
+    /// Observability state (trace events, comm statistics) is *not*
+    /// checkpointed: it never feeds back into execution, so a resumed run
+    /// restarts those collectors empty while its digest stream continues
+    /// bit-for-bit.
     pub fn save_state(&self) -> Value {
         let slots: Vec<Value> = (0..self.seq_local.len())
             .map(|seq| {
@@ -1322,7 +1406,6 @@ where
             "delayed": Value::Array(delayed),
             "prev_blocked": self.prev_blocked.save(),
             "faults": self.faults.save(),
-            "par_mode": "auto",
             "exec_mode": self.mode.name(),
             "digests_enabled": self.digests_enabled,
             "digest_stamp": self.round_digest(),
@@ -1334,8 +1417,10 @@ where
         out
     }
 
-    /// Rebuild from [`Self::save_state`] output — or from a checkpoint the
-    /// *legacy* engine wrote. `shards` as in [`Self::with_shards`].
+    /// Rebuild from [`Self::save_state`] output. `shards` as in
+    /// [`Self::with_shards`]. The restored instance continues the original
+    /// run exactly: stepping it produces the same round-digest stream as
+    /// the uninterrupted original.
     ///
     /// This is the **strict parity loader**: a checkpoint stamped with a
     /// different execution mode is rejected with
@@ -1343,11 +1428,10 @@ where
     /// vice versa) would silently diverge from both oracles, so crossing
     /// modes must be asked for explicitly via [`Self::from_state_as`].
     ///
-    /// Mid-round legacy checkpoints with a non-empty slot outbox cannot be
-    /// represented here (the sharded engine has no persistent per-node
-    /// outbox) and are rejected with a clear error; every between-rounds
-    /// checkpoint — all the engine and [`simnet::Checkpointer`] ever write
-    /// — restores exactly.
+    /// A v1 file whose slots carry a non-empty `outbox` (a mid-round
+    /// snapshot; no engine ever wrote one) cannot be represented — there is
+    /// no persistent per-node outbox — and is rejected as corrupt; every
+    /// between-rounds checkpoint restores exactly.
     pub fn from_state_with_shards(v: &Value, shards: usize) -> CkptResult<Self> {
         let stamped = exec_mode_of(v)?;
         if stamped != ExecMode::Parity {
@@ -1361,8 +1445,8 @@ where
 
     /// Rebuild a checkpoint into an engine of the given mode, regardless
     /// of the mode the checkpoint was written under. The strict loaders
-    /// ([`Self::from_state_with_shards`], [`simnet::Network::from_state`])
-    /// refuse cross-mode resumes; this is the intentional conversion path
+    /// ([`Self::from_state_with_shards`], [`Self::from_state`]) refuse
+    /// cross-mode resumes; this is the intentional conversion path
     /// — state converts exactly (the digest stamp still has to verify),
     /// only the delivery order of *future* rounds changes.
     pub fn from_state_as(v: &Value, shards: usize, mode: ExecMode) -> CkptResult<Self> {
@@ -1373,9 +1457,13 @@ where
             }
             Err(e) => return Err(e),
         }
-        match get_str(v, "par_mode")? {
-            "auto" | "serial" | "parallel" => {} // legacy knob; no xl analogue
-            other => return Err(CkptError::Corrupt(format!("unknown par mode `{other}`"))),
+        // Files written up to 867e6f0 carry the stepping knob of the engine
+        // that wrote them; it never affected state, so it is only validated.
+        if let Some(m) = v.get("par_mode") {
+            if !matches!(m.as_str(), Some("auto" | "serial" | "parallel")) {
+                let name = m.as_str().unwrap_or("<not a string>");
+                return Err(CkptError::Corrupt(format!("unknown par mode `{name}`")));
+            }
         }
         exec_mode_of(v)?; // reject unknown stamps even when converting
         let mut net = Self::with_shards_mode(get_u64(v, "master_seed")?, shards, mode);
@@ -1397,8 +1485,7 @@ where
                     if !outbox.is_empty() {
                         return Err(CkptError::Corrupt(format!(
                             "node {id} has a non-empty outbox: mid-round checkpoints are not \
-                             restorable by the simnet-xl backend (resume it with the legacy \
-                             engine instead)"
+                             restorable"
                         )));
                     }
                     let seq = seq as u32;
@@ -1455,7 +1542,7 @@ where
                 }
             }
             _ => {
-                // Parity (and keyless fast) restore: the legacy queue order
+                // Parity (and keyless fast) restore: the saved queue order
                 // carries over as ascending keys in a single "injected"
                 // run; later injections continue after it (INJECT_BIT
                 // sorts them last, matching the append).
@@ -1486,619 +1573,12 @@ where
         write_value_atomic(path, &self.save_state())
     }
 
-    /// Resume from a checkpoint file written by either engine.
+    /// Resume from a checkpoint file written by [`Self::checkpoint_to`]
+    /// (or a [`simnet::Checkpointer`]).
     pub fn resume_from(path: &std::path::Path) -> CkptResult<Self> {
         Self::from_state(&simnet::checkpoint::read_value(path)?)
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::RngCore;
-    use simnet::checkpoint::save_slice;
-    use simnet::fault::{LinkFaults, NodeFault};
-    use simnet::Network;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Randomized gossip: every active round, mix the inbox into `heat`
-    /// and send two messages to RNG-chosen peers. Goes quiescent when its
-    /// round budget runs out; crash-recovery resets it to active.
-    #[derive(Clone)]
-    struct Gossip {
-        peers: Vec<NodeId>,
-        heat: u64,
-        rounds_left: u64,
-    }
-
-    impl Gossip {
-        fn new(peers: Vec<NodeId>, rounds_left: u64) -> Self {
-            Self { peers, heat: 0, rounds_left }
-        }
-    }
-
-    impl Protocol for Gossip {
-        type Msg = u64;
-
-        fn digest(&self, d: &mut Digest) {
-            d.write_u64(self.heat).write_u64(self.rounds_left);
-            d.write_usize(self.peers.len());
-        }
-
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
-            if self.rounds_left == 0 {
-                return; // honors the `quiescent` contract
-            }
-            self.rounds_left -= 1;
-            for env in ctx.take_inbox() {
-                self.heat = self.heat.wrapping_mul(31).wrapping_add(env.msg);
-            }
-            for _ in 0..2 {
-                let pick = (ctx.rng().next_u64() % self.peers.len() as u64) as usize;
-                let to = self.peers[pick];
-                let msg = self.heat ^ ctx.rng().next_u64();
-                ctx.send(to, msg);
-            }
-        }
-
-        fn on_crash_recover(&mut self) {
-            self.heat = 0;
-            self.rounds_left = 6;
-        }
-
-        fn quiescent(&self) -> bool {
-            self.rounds_left == 0
-        }
-    }
-
-    impl Checkpoint for Gossip {
-        fn save(&self) -> Value {
-            serde_json::json!({
-                "peers": save_slice(&self.peers),
-                "heat": self.heat,
-                "rounds_left": self.rounds_left,
-            })
-        }
-
-        fn load(v: &Value) -> CkptResult<Self> {
-            Ok(Self {
-                peers: simnet::checkpoint::get_vec(v, "peers")?,
-                heat: get_u64(v, "heat")?,
-                rounds_left: get_u64(v, "rounds_left")?,
-            })
-        }
-    }
-
-    fn node(i: u64, n: u64, budget: u64) -> Gossip {
-        Gossip::new((0..n).filter(|&j| j != i).map(NodeId).collect(), budget)
-    }
-
-    /// Drive any engine through a fixed stress schedule — DoS blocks,
-    /// churn with free-list reuse, injections — and return the digest
-    /// stream plus the final per-node state.
-    fn scenario<E: SimEngine<Gossip>>(net: &mut E) -> (Vec<RoundDigest>, Vec<(u64, u64)>) {
-        let n = 24u64;
-        for i in 0..n {
-            SimEngine::add_node(net, NodeId(i), node(i, n, 20));
-        }
-        net.enable_digests();
-        for r in 0..30u64 {
-            if r == 4 {
-                net.remove_node(NodeId(3));
-                net.remove_node(NodeId(11));
-                net.remove_node(NodeId(5));
-            }
-            if r == 6 {
-                // Reuses freed slots/seqs in LIFO order on both engines.
-                SimEngine::add_node(net, NodeId(100), node(100, n, 20));
-                SimEngine::add_node(net, NodeId(101), node(101, n, 20));
-            }
-            if r == 9 {
-                net.inject(NodeId(999), NodeId(0), 0xFEED);
-                net.inject(NodeId(999), NodeId(7), 0xBEEF);
-            }
-            if r == 15 {
-                // Wake a node through external mutation.
-                if let Some(g) = net.node_mut(NodeId(2)) {
-                    g.rounds_left += 3;
-                }
-            }
-            let blocked = BlockSet::from_iter((0..n).filter(|i| (i + r) % 7 == 0).map(NodeId));
-            net.step_blocked(&blocked);
-        }
-        let mut state: Vec<(u64, u64)> =
-            SimEngine::ids(net).iter().map(|&id| (id.raw(), net.node(id).unwrap().heat)).collect();
-        state.sort_unstable();
-        (net.trace().digests().to_vec(), state)
-    }
-
-    fn stress_faults() -> FaultModel {
-        FaultModel::new(0xFA17)
-            .with_link(LinkFaults {
-                drop_prob: 0.12,
-                dup_prob: 0.07,
-                delay_prob: 0.15,
-                max_delay: 3,
-            })
-            .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 5, down_for: 4 })
-            .with_node_fault(NodeId(9), NodeFault::CrashStop { at: 12 })
-            .with_node_fault(NodeId(17), NodeFault::CrashRecover { at: 2, down_for: 2 })
-    }
-
-    #[test]
-    fn digest_parity_with_legacy_no_faults() {
-        let mut legacy = Network::<Gossip>::new(0xD1CE);
-        let expected = scenario(&mut legacy);
-        assert!(!expected.0.is_empty());
-        for shards in [1, 2, 7, 16] {
-            let mut xl = XlNetwork::<Gossip>::with_shards(0xD1CE, shards);
-            let got = scenario(&mut xl);
-            assert_eq!(got, expected, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn digest_parity_with_legacy_under_faults() {
-        let mut legacy = Network::<Gossip>::new(0xFADE);
-        legacy.set_fault_model(stress_faults());
-        let expected = scenario(&mut legacy);
-        for shards in [1, 3, 8] {
-            let mut xl = XlNetwork::<Gossip>::with_shards(0xFADE, shards);
-            xl.set_fault_model(stress_faults());
-            let got = scenario(&mut xl);
-            assert_eq!(got, expected, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn trace_counters_and_stats_match_legacy() {
-        let mut legacy = Network::<Gossip>::new(7);
-        legacy.set_fault_model(stress_faults());
-        scenario(&mut legacy);
-        let mut xl = XlNetwork::<Gossip>::with_shards(7, 5);
-        xl.set_fault_model(stress_faults());
-        scenario(&mut xl);
-        let (lt, xt) = (legacy.trace(), xl.trace());
-        assert_eq!(lt.delivered, xt.delivered);
-        assert_eq!(lt.dropped_blocked, xt.dropped_blocked);
-        assert_eq!(lt.dropped_missing, xt.dropped_missing);
-        assert_eq!(lt.dropped_fault, xt.dropped_fault);
-        assert_eq!(lt.dropped_link, xt.dropped_link);
-        assert_eq!(lt.duplicated, xt.duplicated);
-        assert_eq!(lt.delayed, xt.delayed);
-        assert_eq!(legacy.stats().rounds(), xl.stats().rounds(), "per-round work accounting");
-    }
-
-    #[test]
-    fn quiescent_nodes_leave_the_worklist() {
-        static CALLS: AtomicU64 = AtomicU64::new(0);
-
-        struct Sleeper {
-            active: u64,
-        }
-        impl Protocol for Sleeper {
-            type Msg = ();
-            fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) {
-                CALLS.fetch_add(1, Ordering::Relaxed);
-                if self.active > 0 {
-                    self.active -= 1;
-                }
-            }
-            fn quiescent(&self) -> bool {
-                self.active == 0
-            }
-        }
-
-        let mut net = XlNetwork::<Sleeper>::with_shards(1, 2);
-        for i in 0..10 {
-            net.add_node(NodeId(i), Sleeper { active: 3 });
-        }
-        CALLS.store(0, Ordering::Relaxed);
-        net.run(10);
-        // Each node runs rounds 0..3 (the round that *reaches* active == 0
-        // still executes; the node is then dropped from the worklist).
-        assert_eq!(CALLS.load(Ordering::Relaxed), 30);
-        // Mail wakes the engine-side bookkeeping but not the protocol.
-        net.inject(NodeId(99), NodeId(0), ());
-        net.run(3);
-        assert_eq!(CALLS.load(Ordering::Relaxed), 30, "quiescent node must not run");
-    }
-
-    #[test]
-    fn checkpoint_round_trips_in_both_directions() {
-        // Run half the scenario on legacy, checkpoint, restore into xl at
-        // several shard counts, finish the run on both: identical digests.
-        let seed = 0xC0DE;
-        let mut legacy = Network::<Gossip>::new(seed);
-        legacy.set_fault_model(stress_faults());
-        let n = 16u64;
-        for i in 0..n {
-            legacy.add_node(NodeId(i), node(i, n, 30));
-        }
-        legacy.enable_digests();
-        legacy.run(9);
-        let snap = legacy.save_state();
-
-        legacy.run(8);
-        let tail: Vec<RoundDigest> = legacy.trace().digests()[9..].to_vec();
-        assert_eq!(tail.len(), 8);
-
-        for shards in [1, 4, 9] {
-            let mut xl = XlNetwork::<Gossip>::from_state_with_shards(&snap, shards).unwrap();
-            xl.enable_digests();
-            xl.run(8);
-            assert_eq!(xl.trace().digests(), &tail[..], "legacy -> xl, shards={shards}");
-
-            // And back: xl's own checkpoint restores into the legacy engine.
-            let xl_snap = {
-                let mut xl2 = XlNetwork::<Gossip>::from_state_with_shards(&snap, shards).unwrap();
-                xl2.run(4);
-                xl2.save_state()
-            };
-            let mut back = Network::<Gossip>::from_state(&xl_snap).unwrap();
-            back.enable_digests();
-            back.run(4);
-            assert_eq!(back.trace().digests(), &tail[4..], "xl -> legacy, shards={shards}");
-        }
-    }
-
-    #[test]
-    fn midround_checkpoint_with_outbox_is_rejected() {
-        let mut legacy = Network::<Gossip>::new(1);
-        legacy.add_node(NodeId(0), node(0, 2, 5));
-        legacy.add_node(NodeId(1), node(1, 2, 5));
-        legacy.run(2);
-        let mut snap = legacy.save_state();
-        // Doctor the checkpoint into a mid-round shape: one slot holds an
-        // unsent outbox message (the live engines never write this between
-        // rounds, but a hand-rolled driver could).
-        let env = Envelope { from: NodeId(0), to: NodeId(1), sent_round: 2, msg: 9u64 };
-        let Value::Object(top) = &mut snap else { panic!("object") };
-        let Some(Value::Array(slots)) = top.get_mut("slots") else { panic!("slots") };
-        let Value::Object(slot) = &mut slots[0] else { panic!("slot") };
-        slot.insert("outbox".into(), Value::Array(vec![env.save()]));
-
-        let msg = match XlNetwork::<Gossip>::from_state(&snap) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("mid-round checkpoint must be rejected"),
-        };
-        assert!(msg.contains("outbox") && msg.contains("legacy"), "got: {msg}");
-        // The legacy engine itself still accepts it.
-        assert!(Network::<Gossip>::from_state(&snap).is_ok());
-    }
-
-    #[test]
-    fn checkpoint_file_round_trip() {
-        let dir = std::env::temp_dir().join("simnet-xl-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("xl.json");
-        let mut net = XlNetwork::<Gossip>::with_shards(3, 4);
-        for i in 0..6 {
-            net.add_node(NodeId(i), node(i, 6, 10));
-        }
-        net.run(5);
-        net.checkpoint_to(&path).unwrap();
-        let twin = XlNetwork::<Gossip>::resume_from(&path).unwrap();
-        assert_eq!(twin.round(), net.round());
-        assert_eq!(twin.round_digest(), net.round_digest());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn telemetry_metrics_match_legacy() {
-        let drive = |net: &mut dyn SimEngine<Gossip>| {
-            net.set_telemetry(telemetry::Telemetry::new(telemetry::Config::default()));
-            for i in 0..12 {
-                SimEngine::add_node(net, NodeId(i), node(i, 12, 8));
-            }
-            for _ in 0..10 {
-                net.step_blocked(&BlockSet::none());
-            }
-            net.telemetry().snapshot()
-        };
-        let mut legacy = Network::<Gossip>::new(40);
-        let mut xl = XlNetwork::<Gossip>::with_shards(40, 3);
-        let a = drive(&mut legacy);
-        let b = drive(&mut xl);
-        for key in ["net.rounds", "net.delivered", "net.total_msgs", "net.total_bits"] {
-            assert_eq!(a.counter(key), b.counter(key), "{key}");
-            assert!(a.counter(key) > 0, "{key} must be recorded");
-        }
-        assert_eq!(a.gauge("net.max_node_bits"), b.gauge("net.max_node_bits"));
-        assert_eq!(a.gauge("net.nodes"), b.gauge("net.nodes"));
-    }
-
-    /// Order-insensitive protocol: the state folds received messages with
-    /// a commutative op and draws no randomness, so parity and fast mode
-    /// must agree *exactly*, not just statistically.
-    #[derive(Clone)]
-    struct RingSum {
-        next: NodeId,
-        acc: u64,
-        left: u64,
-    }
-
-    impl Protocol for RingSum {
-        type Msg = u64;
-
-        fn digest(&self, d: &mut Digest) {
-            d.write_u64(self.acc).write_u64(self.left);
-        }
-
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
-            if self.left == 0 {
-                return;
-            }
-            self.left -= 1;
-            for env in ctx.take_inbox() {
-                self.acc = self.acc.wrapping_add(env.msg);
-            }
-            let next = self.next;
-            let acc = self.acc;
-            ctx.send(next, acc | 1);
-            ctx.send(next, 3);
-        }
-
-        fn quiescent(&self) -> bool {
-            self.left == 0
-        }
-    }
-
-    fn ring_scenario(mut net: impl SimEngine<RingSum>) -> Vec<RoundDigest> {
-        let n = 20u64;
-        for i in 0..n {
-            net.add_node(NodeId(i), RingSum { next: NodeId((i + 1) % n), acc: i, left: 18 });
-        }
-        net.enable_digests();
-        for r in 0..24u64 {
-            if r == 7 {
-                net.remove_node(NodeId(13)); // in-flight mail to 13 goes missing
-            }
-            let blocked = BlockSet::from_iter((0..n).filter(|i| (i + r) % 5 == 0).map(NodeId));
-            net.step_blocked(&blocked);
-        }
-        net.trace().digests().to_vec()
-    }
-
-    #[test]
-    fn fast_mode_equals_parity_for_order_insensitive_protocols() {
-        // With commutative state folds and no protocol randomness, relaxed
-        // delivery order is invisible to the digest: every mode and shard
-        // count must produce the identical stream.
-        let parity = ring_scenario(XlNetwork::<RingSum>::with_shards(0xABCD, 3));
-        assert!(!parity.is_empty());
-        for shards in [1, 2, 7, 16] {
-            let fast = ring_scenario(XlNetwork::<RingSum>::with_shards_mode(
-                0xABCD,
-                shards,
-                ExecMode::Fast,
-            ));
-            assert_eq!(fast, parity, "fast shards={shards}");
-        }
-    }
-
-    #[test]
-    fn fast_mode_is_deterministic_per_seed_and_shards() {
-        let run = |shards| {
-            let mut net = XlNetwork::<Gossip>::with_shards_mode(0xF00D, shards, ExecMode::Fast);
-            net.set_fault_model(stress_faults());
-            scenario(&mut net)
-        };
-        assert_eq!(run(4), run(4), "same (seed, shards) must replay exactly");
-        // Different shard counts are *allowed* to differ in fast mode (the
-        // fate streams are per-shard), but both runs must finish coherently.
-        let (d1, s1) = run(1);
-        let (d7, s7) = run(7);
-        assert_eq!(d1.len(), d7.len());
-        assert_eq!(s1.len(), s7.len());
-    }
-
-    #[test]
-    fn fast_checkpoint_round_trips_within_fast_mode() {
-        let mk = || {
-            let mut net = XlNetwork::<Gossip>::with_shards_mode(0x7EA5, 4, ExecMode::Fast);
-            net.set_fault_model(stress_faults());
-            let n = 16u64;
-            for i in 0..n {
-                net.add_node(NodeId(i), node(i, n, 30));
-            }
-            net.enable_digests();
-            net.run(9);
-            net
-        };
-        let mut orig = mk();
-        let snap = orig.save_state();
-        assert_eq!(get_str(&snap, "exec_mode").unwrap(), "fast");
-
-        // Same shard count: the resumed run replays the original exactly.
-        let mut twin = XlNetwork::<Gossip>::from_state_as(&snap, 4, ExecMode::Fast).unwrap();
-        assert_eq!(twin.round_digest(), orig.round_digest());
-        twin.set_fault_model(stress_faults());
-        twin.enable_digests();
-        orig.run(8);
-        twin.run(8);
-        assert_eq!(orig.trace().digests()[9..], twin.trace().digests()[..]);
-    }
-
-    #[test]
-    fn cross_mode_resume_is_rejected_with_typed_error() {
-        let mut fast = XlNetwork::<Gossip>::with_shards_mode(0xBAD5EED, 2, ExecMode::Fast);
-        for i in 0..6 {
-            fast.add_node(NodeId(i), node(i, 6, 10));
-        }
-        fast.run(5);
-        let snap = fast.save_state();
-
-        // The strict parity loaders refuse a fast checkpoint...
-        for res in [
-            XlNetwork::<Gossip>::from_state(&snap).err(),
-            XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).err(),
-        ] {
-            match res {
-                Some(CkptError::ModeMismatch { checkpoint, engine }) => {
-                    assert_eq!((checkpoint, engine), ("fast", "parity"));
-                }
-                other => panic!("expected ModeMismatch, got {other:?}"),
-            }
-        }
-        // ...and so does the legacy engine.
-        match Network::<Gossip>::from_state(&snap).err() {
-            Some(CkptError::ModeMismatch { checkpoint, engine }) => {
-                assert_eq!((checkpoint, engine), ("fast", "parity"));
-            }
-            other => panic!("expected legacy ModeMismatch, got {other:?}"),
-        }
-        // The explicit conversion path works in both directions.
-        let conv = XlNetwork::<Gossip>::from_state_as(&snap, 3, ExecMode::Parity).unwrap();
-        assert_eq!(conv.exec_mode(), ExecMode::Parity);
-        assert_eq!(conv.round_digest(), fast.round_digest());
-        let back = XlNetwork::<Gossip>::from_state_as(&conv.save_state(), 2, ExecMode::Fast);
-        assert_eq!(back.unwrap().exec_mode(), ExecMode::Fast);
-
-        // A garbled stamp is corrupt, even for the conversion loader.
-        let mut garbled = snap.clone();
-        let Value::Object(top) = &mut garbled else { panic!("object") };
-        top.insert("exec_mode".into(), Value::String("turbo".into()));
-        for res in [
-            XlNetwork::<Gossip>::from_state(&garbled).err(),
-            XlNetwork::<Gossip>::from_state_as(&garbled, 2, ExecMode::Fast).err(),
-        ] {
-            match res {
-                Some(CkptError::Corrupt(msg)) => assert!(msg.contains("turbo"), "got: {msg}"),
-                other => panic!("expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn parity_checkpoints_resume_under_strict_loaders() {
-        // Mode-stamping must not break the existing parity flows: a parity
-        // checkpoint restores through every loader, stamped or legacy.
-        let mut net = XlNetwork::<Gossip>::with_shards(0xCAFE, 3);
-        for i in 0..6 {
-            net.add_node(NodeId(i), node(i, 6, 10));
-        }
-        net.run(4);
-        let snap = net.save_state();
-        assert_eq!(get_str(&snap, "exec_mode").unwrap(), "parity");
-        assert!(XlNetwork::<Gossip>::from_state(&snap).is_ok());
-        assert!(Network::<Gossip>::from_state(&snap).is_ok());
-        // Checkpoints that predate the stamp (no field) are parity.
-        let mut old = snap.clone();
-        let Value::Object(top) = &mut old else { panic!("object") };
-        top.remove("exec_mode");
-        assert!(XlNetwork::<Gossip>::from_state(&old).is_ok());
-    }
-
-    // -- conduct ------------------------------------------------------------
-
-    use simnet::conduct::{ByzantineConduct, PPM};
-
-    fn byz_conduct(seed: u64) -> Arc<ByzantineConduct<u64>> {
-        Arc::new(
-            ByzantineConduct::new(seed, [NodeId(2), NodeId(7), NodeId(14)])
-                .dropping(PPM / 3)
-                .forging(PPM / 4, |m| m ^ 0xDEAD_BEEF),
-        )
-    }
-
-    #[test]
-    fn conduct_digest_parity_with_legacy() {
-        // The full stress schedule (churn, DoS blocks, injections) with a
-        // dropping+forging conduct installed: the sharded engine must
-        // replay the legacy digest stream bit-for-bit at every shard
-        // count, and judge the identical number of sends.
-        let mut legacy = Network::<Gossip>::new(0xB12A);
-        legacy.set_conduct(Some(byz_conduct(9)));
-        let expected = scenario(&mut legacy);
-        let expected_counts = legacy.conduct_counts();
-        assert!(expected_counts.0 > 0, "schedule must exercise drops");
-        assert!(expected_counts.1 > 0, "schedule must exercise forgeries");
-        for shards in [1, 3, 8] {
-            let mut xl = XlNetwork::<Gossip>::with_shards(0xB12A, shards);
-            xl.set_conduct(Some(byz_conduct(9)));
-            let got = scenario(&mut xl);
-            assert_eq!(got, expected, "shards={shards}");
-            assert_eq!(xl.conduct_counts(), expected_counts, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn conduct_fast_mode_equals_parity_for_order_insensitive_protocols() {
-        // Conduct decisions are order-independent by contract, so on an
-        // order-insensitive protocol even fast mode agrees exactly with
-        // parity — at every shard count.
-        let run = |mode: ExecMode, shards: usize| {
-            let mut net = XlNetwork::<RingSum>::with_shards_mode(0x5EED, shards, mode);
-            net.set_conduct(Some(Arc::new(
-                ByzantineConduct::new(11, [NodeId(4), NodeId(9)])
-                    .dropping(PPM / 2)
-                    .forging(PPM / 4, |m: &u64| m.wrapping_add(17)),
-            )));
-            let n = 20u64;
-            for i in 0..n {
-                net.add_node(NodeId(i), RingSum { next: NodeId((i + 1) % n), acc: i, left: 18 });
-            }
-            net.enable_digests();
-            for r in 0..24u64 {
-                if r == 7 {
-                    net.remove_node(NodeId(13));
-                }
-                let blocked = BlockSet::from_iter((0..n).filter(|i| (i + r) % 5 == 0).map(NodeId));
-                net.step_blocked(&blocked);
-            }
-            (net.trace().digests().to_vec(), net.conduct_counts())
-        };
-        let parity = run(ExecMode::Parity, 3);
-        assert!(parity.1 .0 > 0 && parity.1 .1 > 0, "conduct must fire");
-        for shards in [1, 2, 7, 16] {
-            assert_eq!(run(ExecMode::Fast, shards), parity, "fast shards={shards}");
-            assert_eq!(run(ExecMode::Parity, shards), parity, "parity shards={shards}");
-        }
-    }
-
-    #[test]
-    fn conduct_resume_with_reinstall_continues_byzantine_run() {
-        // Conduct is not checkpointed; re-installing it on the restored
-        // engine continues the uninterrupted digest stream.
-        let mut reference = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
-        reference.set_conduct(Some(byz_conduct(13)));
-        let n = 16u64;
-        for i in 0..n {
-            reference.add_node(NodeId(i), node(i, n, 30));
-        }
-        reference.enable_digests();
-        reference.run(18);
-        let want = reference.trace().digests().to_vec();
-
-        let mut first = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
-        first.set_conduct(Some(byz_conduct(13)));
-        for i in 0..n {
-            first.add_node(NodeId(i), node(i, n, 30));
-        }
-        first.run(9);
-        let snap = first.save_state();
-        let mut resumed = XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).unwrap();
-        resumed.set_conduct(Some(byz_conduct(13)));
-        resumed.enable_digests();
-        resumed.run(9);
-        assert_eq!(resumed.trace().digests(), &want[9..]);
-    }
-
-    #[test]
-    fn single_shard_fast_path_matches_merge_path() {
-        // All traffic from one shard takes the single-run fast path; with
-        // many shards the same schedule exercises the k-way merge. Equal
-        // digests show the two delivery paths agree.
-        let run = |shards: usize| {
-            let mut net = XlNetwork::<Gossip>::with_shards(5, shards);
-            for i in 0..9 {
-                net.add_node(NodeId(i), node(i, 9, 12));
-            }
-            net.enable_digests();
-            net.run(15);
-            net.trace().digests().to_vec()
-        };
-        assert_eq!(run(1), run(6));
-    }
-}
+mod tests;

@@ -1,0 +1,1426 @@
+use super::*;
+use rand::RngCore;
+use simnet::checkpoint::save_slice;
+use simnet::conduct::{ByzantineConduct, PPM};
+use simnet::fault::{LinkFaults, NodeFault, Partition};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+// ---------------------------------------------------------------------------
+// Layout and mode: shard-count invariance, the worklist, fast mode, and the
+// checkpoint loaders. The round model itself is in the second half.
+// ---------------------------------------------------------------------------
+
+/// Randomized gossip: every active round, mix the inbox into `heat`
+/// and send two messages to RNG-chosen peers. Goes quiescent when its
+/// round budget runs out; crash-recovery resets it to active.
+#[derive(Clone)]
+struct Gossip {
+    peers: Vec<NodeId>,
+    heat: u64,
+    rounds_left: u64,
+}
+
+impl Gossip {
+    fn new(peers: Vec<NodeId>, rounds_left: u64) -> Self {
+        Self { peers, heat: 0, rounds_left }
+    }
+}
+
+impl Protocol for Gossip {
+    type Msg = u64;
+
+    fn digest(&self, d: &mut Digest) {
+        d.write_u64(self.heat).write_u64(self.rounds_left);
+        d.write_usize(self.peers.len());
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+        if self.rounds_left == 0 {
+            return; // honors the `quiescent` contract
+        }
+        self.rounds_left -= 1;
+        for env in ctx.take_inbox() {
+            self.heat = self.heat.wrapping_mul(31).wrapping_add(env.msg);
+        }
+        for _ in 0..2 {
+            let pick = (ctx.rng().next_u64() % self.peers.len() as u64) as usize;
+            let to = self.peers[pick];
+            let msg = self.heat ^ ctx.rng().next_u64();
+            ctx.send(to, msg);
+        }
+    }
+
+    fn on_crash_recover(&mut self) {
+        self.heat = 0;
+        self.rounds_left = 6;
+    }
+
+    fn quiescent(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+impl Checkpoint for Gossip {
+    fn save(&self) -> Value {
+        serde_json::json!({
+            "peers": save_slice(&self.peers),
+            "heat": self.heat,
+            "rounds_left": self.rounds_left,
+        })
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        Ok(Self {
+            peers: simnet::checkpoint::get_vec(v, "peers")?,
+            heat: get_u64(v, "heat")?,
+            rounds_left: get_u64(v, "rounds_left")?,
+        })
+    }
+}
+
+fn node(i: u64, n: u64, budget: u64) -> Gossip {
+    Gossip::new((0..n).filter(|&j| j != i).map(NodeId).collect(), budget)
+}
+
+/// Drive an engine through a fixed stress schedule — DoS blocks, churn
+/// with free-list reuse, injections — and return the digest stream plus
+/// the final per-node state.
+fn scenario<E: SimEngine<Gossip>>(net: &mut E) -> (Vec<RoundDigest>, Vec<(u64, u64)>) {
+    let n = 24u64;
+    for i in 0..n {
+        SimEngine::add_node(net, NodeId(i), node(i, n, 20));
+    }
+    net.enable_digests();
+    for r in 0..30u64 {
+        if r == 4 {
+            net.remove_node(NodeId(3));
+            net.remove_node(NodeId(11));
+            net.remove_node(NodeId(5));
+        }
+        if r == 6 {
+            // Reuses the freed seqs, most recently freed first.
+            SimEngine::add_node(net, NodeId(100), node(100, n, 20));
+            SimEngine::add_node(net, NodeId(101), node(101, n, 20));
+        }
+        if r == 9 {
+            net.inject(NodeId(999), NodeId(0), 0xFEED);
+            net.inject(NodeId(999), NodeId(7), 0xBEEF);
+        }
+        if r == 15 {
+            // Wake a node through external mutation.
+            if let Some(g) = net.node_mut(NodeId(2)) {
+                g.rounds_left += 3;
+            }
+        }
+        let blocked = BlockSet::from_iter((0..n).filter(|i| (i + r) % 7 == 0).map(NodeId));
+        net.step_blocked(&blocked);
+    }
+    let mut state: Vec<(u64, u64)> =
+        SimEngine::ids(net).iter().map(|&id| (id.raw(), net.node(id).unwrap().heat)).collect();
+    state.sort_unstable();
+    (net.trace().digests().to_vec(), state)
+}
+
+fn stress_faults() -> FaultModel {
+    FaultModel::new(0xFA17)
+        .with_link(LinkFaults { drop_prob: 0.12, dup_prob: 0.07, delay_prob: 0.15, max_delay: 3 })
+        .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 5, down_for: 4 })
+        .with_node_fault(NodeId(9), NodeFault::CrashStop { at: 12 })
+        .with_node_fault(NodeId(17), NodeFault::CrashRecover { at: 2, down_for: 2 })
+}
+
+/// One number for a whole [`scenario`] outcome.
+fn fingerprint(out: &(Vec<RoundDigest>, Vec<(u64, u64)>)) -> u64 {
+    let mut d = Digest::new();
+    for r in &out.0 {
+        d.write_u64(r.round).write_u64(r.value);
+    }
+    for &(id, heat) in &out.1 {
+        d.write_u64(id).write_u64(heat);
+    }
+    d.finish()
+}
+
+// The `*_legacy` tests compare against what the boxed-slot engine `simnet`
+// used to carry produced for the same schedule, recorded at 867e6f0 — the
+// last commit that had it — by printing these values from its side of the
+// then-live differential. `tests/golden/engine.digests` pins the same kind
+// of run round by round; these keep `cargo test -p simnet-xl` self-contained.
+
+#[test]
+fn digest_parity_with_legacy_no_faults() {
+    for shards in [1, 2, 7, 16] {
+        let mut xl = XlNetwork::<Gossip>::with_shards(0xD1CE, shards);
+        assert_eq!(fingerprint(&scenario(&mut xl)), 0xba20_a9ca_81b5_7f4d, "shards={shards}");
+    }
+}
+
+#[test]
+fn digest_parity_with_legacy_under_faults() {
+    for shards in [1, 3, 8] {
+        let mut xl = XlNetwork::<Gossip>::with_shards(0xFADE, shards);
+        xl.set_fault_model(stress_faults());
+        assert_eq!(fingerprint(&scenario(&mut xl)), 0xe123_c49e_5855_c8c2, "shards={shards}");
+    }
+}
+
+#[test]
+fn trace_counters_and_stats_match_legacy() {
+    let mut xl = XlNetwork::<Gossip>::with_shards(7, 5);
+    xl.set_fault_model(stress_faults());
+    scenario(&mut xl);
+    let t = xl.trace();
+    assert_eq!(
+        [
+            ("delivered", t.delivered),
+            ("dropped_blocked", t.dropped_blocked),
+            ("dropped_missing", t.dropped_missing),
+            ("dropped_fault", t.dropped_fault),
+            ("dropped_link", t.dropped_link),
+            ("duplicated", t.duplicated),
+            ("delayed", t.delayed),
+        ],
+        [
+            ("delivered", 458),
+            ("dropped_blocked", 255),
+            ("dropped_missing", 68),
+            ("dropped_fault", 32),
+            ("dropped_link", 73),
+            ("duplicated", 39),
+            ("delayed", 76),
+        ]
+    );
+    let mut work = Digest::new();
+    for w in xl.stats().rounds() {
+        work.write_u64(w.round).write_u64(w.max_node_bits).write_u64(w.total_bits);
+        work.write_u64(w.max_node_msgs).write_u64(w.total_msgs);
+    }
+    assert_eq!(work.finish(), 0xe7c3_3b27_152c_117f, "per-round work accounting");
+}
+
+#[test]
+fn quiescent_nodes_leave_the_worklist() {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+
+    struct Sleeper {
+        active: u64,
+    }
+    impl Protocol for Sleeper {
+        type Msg = ();
+        fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            if self.active > 0 {
+                self.active -= 1;
+            }
+        }
+        fn quiescent(&self) -> bool {
+            self.active == 0
+        }
+    }
+
+    let mut net = XlNetwork::<Sleeper>::with_shards(1, 2);
+    for i in 0..10 {
+        net.add_node(NodeId(i), Sleeper { active: 3 });
+    }
+    CALLS.store(0, Ordering::Relaxed);
+    net.run(10);
+    // Each node runs rounds 0..3 (the round that *reaches* active == 0
+    // still executes; the node is then dropped from the worklist).
+    assert_eq!(CALLS.load(Ordering::Relaxed), 30);
+    // Mail wakes the engine-side bookkeeping but not the protocol.
+    net.inject(NodeId(99), NodeId(0), ());
+    net.run(3);
+    assert_eq!(CALLS.load(Ordering::Relaxed), 30, "quiescent node must not run");
+}
+
+#[test]
+fn checkpoint_round_trips_in_both_directions() {
+    // Run half the scenario at one shard, checkpoint, restore at several
+    // shard counts, finish the run on both: identical digests. Then the
+    // other way: a checkpoint written at k shards restores at one.
+    let mut one = XlNetwork::<Gossip>::with_shards(0xC0DE, 1);
+    one.set_fault_model(stress_faults());
+    let n = 16u64;
+    for i in 0..n {
+        one.add_node(NodeId(i), node(i, n, 30));
+    }
+    one.enable_digests();
+    one.run(9);
+    let snap = one.save_state();
+
+    one.run(8);
+    let tail: Vec<RoundDigest> = one.trace().digests()[9..].to_vec();
+    assert_eq!(tail.len(), 8);
+
+    for shards in [4, 9] {
+        let mut many = XlNetwork::<Gossip>::from_state_with_shards(&snap, shards).unwrap();
+        many.run(4);
+        assert_eq!(many.trace().digests(), &tail[..4], "1 -> {shards} shards");
+        let mut back = XlNetwork::<Gossip>::from_state_with_shards(&many.save_state(), 1).unwrap();
+        back.run(4);
+        assert_eq!(back.trace().digests(), &tail[4..], "{shards} -> 1 shards");
+    }
+}
+
+#[test]
+fn midround_checkpoint_with_outbox_is_rejected() {
+    let mut net = XlNetwork::<Gossip>::with_shards(1, 1);
+    net.add_node(NodeId(0), node(0, 2, 5));
+    net.add_node(NodeId(1), node(1, 2, 5));
+    net.run(2);
+    let mut snap = net.save_state();
+    // Doctor the checkpoint into a mid-round shape: one slot holds an
+    // unsent outbox message (the engine never writes this, but the v1
+    // format can say it).
+    let env = Envelope { from: NodeId(0), to: NodeId(1), sent_round: 2, msg: 9u64 };
+    let Value::Object(top) = &mut snap else { panic!("object") };
+    let Some(Value::Array(slots)) = top.get_mut("slots") else { panic!("slots") };
+    let Value::Object(slot) = &mut slots[0] else { panic!("slot") };
+    slot.insert("outbox".into(), Value::Array(vec![env.save()]));
+
+    let msg = match XlNetwork::<Gossip>::from_state(&snap) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("mid-round checkpoint must be rejected"),
+    };
+    assert!(msg.contains("outbox") && msg.contains("mid-round"), "got: {msg}");
+}
+
+#[test]
+fn checkpoint_file_round_trip() {
+    let dir = std::env::temp_dir().join("simnet-xl-ckpt-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("xl.json");
+    let mut net = XlNetwork::<Gossip>::with_shards(3, 4);
+    for i in 0..6 {
+        net.add_node(NodeId(i), node(i, 6, 10));
+    }
+    net.run(5);
+    net.checkpoint_to(&path).unwrap();
+    let twin = XlNetwork::<Gossip>::resume_from(&path).unwrap();
+    assert_eq!(twin.round(), net.round());
+    assert_eq!(twin.round_digest(), net.round_digest());
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn telemetry_metrics_match_legacy() {
+    let mut xl = XlNetwork::<Gossip>::with_shards(40, 3);
+    xl.set_telemetry(telemetry::Telemetry::new(telemetry::Config::default()));
+    for i in 0..12 {
+        xl.add_node(NodeId(i), node(i, 12, 8));
+    }
+    xl.run(10);
+    let snap = xl.telemetry().snapshot();
+    for (key, legacy) in [
+        ("net.rounds", 10),
+        ("net.delivered", 192),
+        ("net.total_msgs", 384),
+        ("net.total_bits", 24576),
+    ] {
+        assert_eq!(snap.counter(key), legacy, "{key}");
+    }
+    assert_eq!(snap.gauge("net.max_node_bits"), 512);
+    assert_eq!(snap.gauge("net.nodes"), 12);
+}
+
+/// Order-insensitive protocol: the state folds received messages with
+/// a commutative op and draws no randomness, so parity and fast mode
+/// must agree *exactly*, not just statistically.
+#[derive(Clone)]
+struct RingSum {
+    next: NodeId,
+    acc: u64,
+    left: u64,
+}
+
+impl Protocol for RingSum {
+    type Msg = u64;
+
+    fn digest(&self, d: &mut Digest) {
+        d.write_u64(self.acc).write_u64(self.left);
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+        if self.left == 0 {
+            return;
+        }
+        self.left -= 1;
+        for env in ctx.take_inbox() {
+            self.acc = self.acc.wrapping_add(env.msg);
+        }
+        let next = self.next;
+        let acc = self.acc;
+        ctx.send(next, acc | 1);
+        ctx.send(next, 3);
+    }
+
+    fn quiescent(&self) -> bool {
+        self.left == 0
+    }
+}
+
+fn ring_scenario(mut net: XlNetwork<RingSum>) -> (Vec<RoundDigest>, (u64, u64)) {
+    let n = 20u64;
+    for i in 0..n {
+        net.add_node(NodeId(i), RingSum { next: NodeId((i + 1) % n), acc: i, left: 18 });
+    }
+    net.enable_digests();
+    for r in 0..24u64 {
+        if r == 7 {
+            net.remove_node(NodeId(13)); // in-flight mail to 13 goes missing
+        }
+        let blocked = BlockSet::from_iter((0..n).filter(|i| (i + r) % 5 == 0).map(NodeId));
+        net.step_blocked(&blocked);
+    }
+    (net.trace().digests().to_vec(), net.conduct_counts())
+}
+
+#[test]
+fn fast_mode_equals_parity_for_order_insensitive_protocols() {
+    // With commutative state folds and no protocol randomness, relaxed
+    // delivery order is invisible to the digest: every mode and shard
+    // count must produce the identical stream.
+    let parity = ring_scenario(XlNetwork::<RingSum>::with_shards(0xABCD, 3));
+    assert!(!parity.0.is_empty());
+    for shards in [1, 2, 7, 16] {
+        let fast =
+            ring_scenario(XlNetwork::<RingSum>::with_shards_mode(0xABCD, shards, ExecMode::Fast));
+        assert_eq!(fast, parity, "fast shards={shards}");
+    }
+}
+
+#[test]
+fn fast_mode_is_deterministic_per_seed_and_shards() {
+    let run = |shards| {
+        let mut net = XlNetwork::<Gossip>::with_shards_mode(0xF00D, shards, ExecMode::Fast);
+        net.set_fault_model(stress_faults());
+        scenario(&mut net)
+    };
+    assert_eq!(run(4), run(4), "same (seed, shards) must replay exactly");
+    // Different shard counts are *allowed* to differ in fast mode (the
+    // fate streams are per-shard), but both runs must finish coherently.
+    let (d1, s1) = run(1);
+    let (d7, s7) = run(7);
+    assert_eq!(d1.len(), d7.len());
+    assert_eq!(s1.len(), s7.len());
+}
+
+#[test]
+fn fast_checkpoint_round_trips_within_fast_mode() {
+    let mk = || {
+        let mut net = XlNetwork::<Gossip>::with_shards_mode(0x7EA5, 4, ExecMode::Fast);
+        net.set_fault_model(stress_faults());
+        let n = 16u64;
+        for i in 0..n {
+            net.add_node(NodeId(i), node(i, n, 30));
+        }
+        net.enable_digests();
+        net.run(9);
+        net
+    };
+    let mut orig = mk();
+    let snap = orig.save_state();
+    assert_eq!(get_str(&snap, "exec_mode").unwrap(), "fast");
+
+    // Same shard count: the resumed run replays the original exactly.
+    let mut twin = XlNetwork::<Gossip>::from_state_as(&snap, 4, ExecMode::Fast).unwrap();
+    assert_eq!(twin.round_digest(), orig.round_digest());
+    twin.set_fault_model(stress_faults());
+    twin.enable_digests();
+    orig.run(8);
+    twin.run(8);
+    assert_eq!(orig.trace().digests()[9..], twin.trace().digests()[..]);
+}
+
+#[test]
+fn cross_mode_resume_is_rejected_with_typed_error() {
+    let mut fast = XlNetwork::<Gossip>::with_shards_mode(0xBAD5EED, 2, ExecMode::Fast);
+    for i in 0..6 {
+        fast.add_node(NodeId(i), node(i, 6, 10));
+    }
+    fast.run(5);
+    let snap = fast.save_state();
+
+    // The strict parity loaders refuse a fast checkpoint...
+    for res in [
+        XlNetwork::<Gossip>::from_state(&snap).err(),
+        XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).err(),
+    ] {
+        match res {
+            Some(CkptError::ModeMismatch { checkpoint, engine }) => {
+                assert_eq!((checkpoint, engine), ("fast", "parity"));
+            }
+            other => panic!("expected ModeMismatch, got {other:?}"),
+        }
+    }
+    // The explicit conversion path works in both directions.
+    let conv = XlNetwork::<Gossip>::from_state_as(&snap, 3, ExecMode::Parity).unwrap();
+    assert_eq!(conv.exec_mode(), ExecMode::Parity);
+    assert_eq!(conv.round_digest(), fast.round_digest());
+    let back = XlNetwork::<Gossip>::from_state_as(&conv.save_state(), 2, ExecMode::Fast);
+    assert_eq!(back.unwrap().exec_mode(), ExecMode::Fast);
+
+    // A garbled stamp is corrupt, even for the conversion loader.
+    let mut garbled = snap.clone();
+    let Value::Object(top) = &mut garbled else { panic!("object") };
+    top.insert("exec_mode".into(), Value::String("turbo".into()));
+    for res in [
+        XlNetwork::<Gossip>::from_state(&garbled).err(),
+        XlNetwork::<Gossip>::from_state_as(&garbled, 2, ExecMode::Fast).err(),
+    ] {
+        match res {
+            Some(CkptError::Corrupt(msg)) => assert!(msg.contains("turbo"), "got: {msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn parity_checkpoints_resume_under_strict_loaders() {
+    // Mode-stamping must not break the existing parity flows: a parity
+    // checkpoint restores through every loader, stamped or not.
+    let mut net = XlNetwork::<Gossip>::with_shards(0xCAFE, 3);
+    for i in 0..6 {
+        net.add_node(NodeId(i), node(i, 6, 10));
+    }
+    net.run(4);
+    let snap = net.save_state();
+    assert_eq!(get_str(&snap, "exec_mode").unwrap(), "parity");
+    assert!(XlNetwork::<Gossip>::from_state(&snap).is_ok());
+    // Checkpoints that predate the stamp (no field) are parity.
+    let mut old = snap.clone();
+    let Value::Object(top) = &mut old else { panic!("object") };
+    top.remove("exec_mode");
+    assert!(XlNetwork::<Gossip>::from_state(&old).is_ok());
+}
+
+// -- conduct ------------------------------------------------------------
+
+fn byz_conduct(seed: u64) -> Arc<ByzantineConduct<u64>> {
+    Arc::new(
+        ByzantineConduct::new(seed, [NodeId(2), NodeId(7), NodeId(14)])
+            .dropping(PPM / 3)
+            .forging(PPM / 4, |m| m ^ 0xDEAD_BEEF),
+    )
+}
+
+#[test]
+fn conduct_digest_parity_with_legacy() {
+    // The full stress schedule (churn, DoS blocks, injections) with a
+    // dropping+forging conduct installed: the legacy-recorded stream and
+    // the legacy-recorded number of judged sends, at every shard count.
+    for shards in [1, 3, 8] {
+        let mut xl = XlNetwork::<Gossip>::with_shards(0xB12A, shards);
+        xl.set_conduct(Some(byz_conduct(9)));
+        assert_eq!(fingerprint(&scenario(&mut xl)), 0xbb4c_80b1_b825_e7b4, "shards={shards}");
+        assert_eq!(xl.conduct_counts(), (41, 27), "shards={shards}");
+    }
+}
+
+#[test]
+fn conduct_fast_mode_equals_parity_for_order_insensitive_protocols() {
+    // Conduct decisions are order-independent by contract, so on an
+    // order-insensitive protocol even fast mode agrees exactly with
+    // parity — at every shard count.
+    let run = |mode: ExecMode, shards: usize| {
+        let mut net = XlNetwork::<RingSum>::with_shards_mode(0x5EED, shards, mode);
+        net.set_conduct(Some(Arc::new(
+            ByzantineConduct::new(11, [NodeId(4), NodeId(9)])
+                .dropping(PPM / 2)
+                .forging(PPM / 4, |m: &u64| m.wrapping_add(17)),
+        )));
+        ring_scenario(net)
+    };
+    let parity = run(ExecMode::Parity, 3);
+    assert!(parity.1 .0 > 0 && parity.1 .1 > 0, "conduct must fire");
+    for shards in [1, 2, 7, 16] {
+        assert_eq!(run(ExecMode::Fast, shards), parity, "fast shards={shards}");
+        assert_eq!(run(ExecMode::Parity, shards), parity, "parity shards={shards}");
+    }
+}
+
+#[test]
+fn conduct_resume_with_reinstall_continues_byzantine_run() {
+    // Conduct is not checkpointed; re-installing it on the restored
+    // engine continues the uninterrupted digest stream.
+    let mut reference = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
+    reference.set_conduct(Some(byz_conduct(13)));
+    let n = 16u64;
+    for i in 0..n {
+        reference.add_node(NodeId(i), node(i, n, 30));
+    }
+    reference.enable_digests();
+    reference.run(18);
+    let want = reference.trace().digests().to_vec();
+
+    let mut first = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
+    first.set_conduct(Some(byz_conduct(13)));
+    for i in 0..n {
+        first.add_node(NodeId(i), node(i, n, 30));
+    }
+    first.run(9);
+    let snap = first.save_state();
+    let mut resumed = XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).unwrap();
+    resumed.set_conduct(Some(byz_conduct(13)));
+    resumed.enable_digests();
+    resumed.run(9);
+    assert_eq!(resumed.trace().digests(), &want[9..]);
+}
+
+#[test]
+fn single_shard_fast_path_matches_merge_path() {
+    // All traffic from one shard takes the single-run fast path; with
+    // many shards the same schedule exercises the k-way merge. Equal
+    // digests show the two delivery paths agree.
+    let run = |shards: usize| {
+        let mut net = XlNetwork::<Gossip>::with_shards(5, shards);
+        for i in 0..9 {
+            net.add_node(NodeId(i), node(i, 9, 12));
+        }
+        net.enable_digests();
+        net.run(15);
+        net.trace().digests().to_vec()
+    };
+    assert_eq!(run(1), run(6));
+}
+
+// ---------------------------------------------------------------------------
+// The round model: the blocking truth table, churn, crash and link faults,
+// scheduled delays, digests, checkpoints, conduct and telemetry, each at the
+// serial layout and at one that splits every small ring across shards.
+// ---------------------------------------------------------------------------
+
+const SHARDS: [usize; 2] = [1, 3];
+
+/// Counts everything it receives and forwards a token around a ring.
+struct Relay {
+    next: NodeId,
+    received: u64,
+    fire: bool,
+}
+
+impl Protocol for Relay {
+    type Msg = u64;
+
+    fn digest(&self, digest: &mut Digest) {
+        digest.write_u64(self.next.raw()).write_u64(self.received).write_bool(self.fire);
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+        let inbox = ctx.take_inbox();
+        let next = self.next;
+        for env in &inbox {
+            self.received += 1;
+            let fwd = env.msg + 1;
+            ctx.send(next, fwd);
+        }
+        if self.fire {
+            self.fire = false;
+            ctx.send(next, 0);
+        }
+    }
+}
+
+impl Checkpoint for Relay {
+    fn save(&self) -> Value {
+        serde_json::json!({
+            "next": self.next.raw(),
+            "received": self.received,
+            "fire": self.fire,
+        })
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        Ok(Self {
+            next: NodeId(get_u64(v, "next")?),
+            received: get_u64(v, "received")?,
+            fire: get_bool(v, "fire")?,
+        })
+    }
+}
+
+fn ring(n: u64, seed: u64, shards: usize) -> XlNetwork<Relay> {
+    let mut net = XlNetwork::with_shards(seed, shards);
+    for i in 0..n {
+        net.add_node(NodeId(i), Relay { next: NodeId((i + 1) % n), received: 0, fire: i == 0 });
+    }
+    net
+}
+
+/// A ring whose node 0 does not fire: only injected traffic moves.
+fn silent_ring(n: u64, seed: u64, shards: usize) -> XlNetwork<Relay> {
+    let mut net = ring(n, seed, shards);
+    net.node_mut(NodeId(0)).unwrap().fire = false;
+    net
+}
+
+fn received(net: &XlNetwork<Relay>, id: u64) -> u64 {
+    net.node(NodeId(id)).unwrap().received
+}
+
+fn digests_of(mut net: XlNetwork<Relay>, rounds: u64) -> Vec<RoundDigest> {
+    net.enable_digests();
+    net.run(rounds);
+    net.trace().digests().to_vec()
+}
+
+fn only(link: LinkFaults, seed: u64) -> FaultModel {
+    FaultModel::new(seed).with_link(link)
+}
+
+const NO_LINK_FAULTS: LinkFaults =
+    LinkFaults { drop_prob: 0.0, dup_prob: 0.0, delay_prob: 0.0, max_delay: 0 };
+
+#[test]
+fn token_travels_one_hop_per_round() {
+    for shards in SHARDS {
+        let mut net = ring(4, 1, shards);
+        // Round 0: node 0 sends. Round k: node k processes.
+        net.run(5);
+        // Token came back around to 0 at round 4.
+        for id in [1, 2, 3, 0] {
+            assert_eq!(received(&net, id), 1);
+        }
+    }
+}
+
+#[test]
+fn blocked_sender_message_never_leaves() {
+    for shards in SHARDS {
+        let mut net = ring(3, 2, shards);
+        // Round 0: block node 0 — its initial send must not happen
+        // (on_round skipped entirely).
+        net.step_blocked(&BlockSet::from_iter([NodeId(0)]));
+        assert!(net.node(NodeId(0)).unwrap().fire, "blocked node must not act");
+        // Fires in round 1, node 1 processes it in round 2.
+        net.run(2);
+        assert_eq!(received(&net, 1), 1);
+    }
+}
+
+#[test]
+fn receiver_blocked_at_receive_round_drops_message() {
+    for shards in SHARDS {
+        let mut net = ring(3, 3, shards);
+        net.step(); // round 0: node 0 sends to node 1
+        net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: dropped
+        net.run(5);
+        assert_eq!(received(&net, 1), 0);
+        assert_eq!(net.trace().dropped_blocked, 1);
+    }
+}
+
+#[test]
+fn receiver_blocked_at_send_round_drops_message() {
+    for shards in SHARDS {
+        let mut net = ring(3, 4, shards);
+        // Round 0: node 0 sends to node 1 while node 1 is blocked in the
+        // send round. Per the model the message requires w non-blocked in
+        // rounds i and i+1; blocked at i drops it.
+        net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
+        net.run(5);
+        assert_eq!(received(&net, 1), 0);
+    }
+}
+
+#[test]
+fn churn_add_remove() {
+    for shards in SHARDS {
+        let mut net = ring(3, 5, shards);
+        net.run(2);
+        assert_eq!(net.len(), 3);
+        let removed = net.remove_node(NodeId(2)).unwrap();
+        assert_eq!(removed.received, 0); // token was at node 2's inbox stage
+        assert!(!net.contains(NodeId(2)));
+        net.add_node(NodeId(7), Relay { next: NodeId(0), received: 0, fire: false });
+        assert_eq!(net.len(), 3);
+        assert!(net.contains(NodeId(7)));
+        // Messages to the removed node are dropped, not misdelivered.
+        net.run(4);
+        assert!(net.trace().dropped_missing <= 1);
+    }
+}
+
+#[test]
+#[should_panic(expected = "duplicate node id")]
+fn duplicate_id_panics() {
+    let mut net = ring(2, 6, 1);
+    net.add_node(NodeId(0), Relay { next: NodeId(1), received: 0, fire: false });
+}
+
+#[test]
+fn deterministic_across_runs() {
+    let run_once = |shards| {
+        let mut net = ring(16, 99, shards);
+        net.run(20);
+        let mut out: Vec<(u64, u64)> = net.nodes().map(|(id, p)| (id.raw(), p.received)).collect();
+        out.sort_unstable();
+        (out, net.stats().total_msgs())
+    };
+    assert_eq!(run_once(1), run_once(1));
+    assert_eq!(run_once(1), run_once(3));
+}
+
+#[test]
+fn accounting_records_work() {
+    for shards in SHARDS {
+        let mut net = ring(4, 7, shards);
+        net.run(3);
+        // Round 0 charges the initial send (64 bits) to node 0; round 1
+        // charges node 1 for receiving it and for forwarding it.
+        assert_eq!(net.stats().rounds()[0].max_node_bits, 64);
+        assert_eq!(net.stats().rounds()[1].max_node_bits, 128);
+        assert_eq!(net.stats().rounds()[1].total_msgs, 2);
+    }
+}
+
+#[test]
+fn inject_feeds_protocols() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 8, shards);
+        net.inject(NodeId(999), NodeId(1), 41);
+        net.step();
+        assert_eq!(received(&net, 1), 1);
+    }
+}
+
+/// The same ring run at one shard and at four, each inside a 1-thread and
+/// a 4-thread pool, plus the automatic shard count outside any pool.
+fn layouts_agree(n: u64, seed: u64, rounds: u64) {
+    let run = |threads: usize, shards: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| digests_of(ring(n, seed, shards), rounds))
+    };
+    let serial = run(1, 1);
+    for (threads, shards) in [(1, 4), (4, 1), (4, 4)] {
+        assert_eq!(run(threads, shards), serial, "threads={threads} shards={shards}");
+    }
+    assert_eq!(digests_of(ring(n, seed, 0), rounds), serial, "automatic shard count");
+}
+
+#[test]
+fn parallel_stepping_is_deterministic() {
+    // 600 nodes crosses PAR_THRESHOLD, so four shards step through the
+    // pool; the result must not depend on layout or thread schedule.
+    const { assert!(600 > PAR_THRESHOLD) };
+    layouts_agree(600, 1234, 12);
+}
+
+#[test]
+fn shard_count_override_matches_auto_results() {
+    // Below PAR_THRESHOLD every layout steps its shards one by one.
+    const { assert!(64 < PAR_THRESHOLD) };
+    layouts_agree(64, 31, 8);
+}
+
+#[test]
+fn messages_to_node_removed_mid_flight_are_dropped() {
+    for shards in SHARDS {
+        let mut net = ring(4, 55, shards);
+        net.step(); // node 0 fired at round 0; token reaches node 1 at round 1
+        net.step(); // node 1 forwards to node 2 (in flight)
+        net.remove_node(NodeId(2));
+        net.step(); // delivery attempt: receiver gone
+        assert_eq!(net.trace().dropped_missing, 1);
+        net.run(3);
+        // Ring is broken at the removed node: no one downstream hears again.
+        assert_eq!(received(&net, 3), 0);
+    }
+}
+
+#[test]
+fn run_advances_round_counter() {
+    let mut net = ring(2, 9, 1);
+    assert_eq!(net.round(), 0);
+    net.run(5);
+    assert_eq!(net.round(), 5);
+    assert_eq!(net.stats().len(), 5);
+}
+
+#[test]
+fn missing_receiver_is_dropped_missing_not_blocked() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 14, shards);
+        // One message to a node that never existed, one to a live node
+        // whose receiver gets blocked: the two drop reasons must be
+        // counted separately and delivered+drops must equal sends.
+        net.inject(NodeId(0), NodeId(42), 1); // receiver missing
+        net.inject(NodeId(0), NodeId(1), 2); // will be blocked at receive
+        net.inject(NodeId(0), NodeId(2), 3); // delivered
+        net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
+        let t = net.trace();
+        assert_eq!((t.dropped_missing, t.dropped_blocked, t.delivered), (1, 1, 1));
+    }
+}
+
+#[test]
+fn blocked_receiver_takes_precedence_over_missing() {
+    // A message to a *removed* node that is also named in the block set is
+    // classified by the delivery rule first (DroppedBlocked): the rule
+    // consults block sets before membership.
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 15, shards);
+        net.remove_node(NodeId(2));
+        net.inject(NodeId(0), NodeId(2), 9);
+        net.step_blocked(&BlockSet::from_iter([NodeId(2)]));
+        assert_eq!(net.trace().dropped_blocked, 1);
+        assert_eq!(net.trace().dropped_missing, 0);
+    }
+}
+
+#[test]
+fn enable_trace_preserves_accumulated_counters() {
+    // Regression: enable_trace used to rebuild the Trace from scratch,
+    // zeroing delivered/dropped counters accumulated while disabled.
+    let mut net = ring(3, 10, 1);
+    net.step(); // round 0: node 0 fires
+    net.step(); // round 1: delivery to node 1
+    let delivered_before = net.trace().delivered;
+    assert!(delivered_before > 0, "setup must deliver something");
+    net.remove_node(NodeId(2));
+    net.run(2); // token to the removed node -> dropped_missing
+    assert_eq!(net.trace().dropped_missing, 1);
+
+    net.enable_trace(64);
+    assert_eq!(net.trace().delivered, delivered_before);
+    assert_eq!(net.trace().dropped_missing, 1);
+    assert!(net.trace().events().is_empty(), "no events before enabling");
+}
+
+#[test]
+fn digest_stream_records_once_per_round() {
+    let digests = digests_of(ring(4, 11, 3), 6);
+    assert_eq!(digests.len(), 6);
+    for (i, d) in digests.iter().enumerate() {
+        assert_eq!(d.round, i as u64);
+    }
+}
+
+#[test]
+fn digest_streams_replay_identically() {
+    assert_eq!(digests_of(ring(8, 21, 1), 10), digests_of(ring(8, 21, 1), 10));
+    assert_eq!(digests_of(ring(8, 21, 1), 10), digests_of(ring(8, 21, 3), 10));
+}
+
+#[test]
+fn digest_differs_across_seeds_and_rounds() {
+    let a = digests_of(ring(8, 1, 1), 5);
+    let b = digests_of(ring(8, 2, 1), 5);
+    // Different master seeds shift every node's RNG stream position key
+    // material, but state only diverges once randomness is *used*; the
+    // Relay protocol is deterministic, so compare digest values directly:
+    // rounds must differ within a run.
+    let values: std::collections::HashSet<u64> = a.iter().map(|d| d.value).collect();
+    assert!(values.len() > 1, "digest must evolve across rounds");
+    assert_eq!(a.len(), b.len());
+}
+
+#[test]
+fn round_digest_sees_protocol_state() {
+    let mut net = ring(4, 12, 3);
+    let before = net.round_digest();
+    net.node_mut(NodeId(3)).unwrap().received = 777;
+    assert_ne!(net.round_digest(), before, "protocol state must be hashed");
+}
+
+#[test]
+fn round_digest_sees_membership_and_in_flight() {
+    let mut net = ring(4, 13, 3);
+    let before = net.round_digest();
+    net.inject(NodeId(99), NodeId(0), 5);
+    let with_flight = net.round_digest();
+    assert_ne!(with_flight, before, "in-flight messages must be hashed");
+    net.remove_node(NodeId(2));
+    assert_ne!(net.round_digest(), with_flight, "membership must be hashed");
+}
+
+#[test]
+fn engine_is_object_safe_behind_the_trait() {
+    struct Echo;
+    impl Protocol for Echo {
+        type Msg = u64;
+        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+            for env in ctx.take_inbox() {
+                ctx.send(env.from, env.msg + 1);
+            }
+        }
+    }
+    fn drive(engine: &mut dyn SimEngine<Echo>) -> u64 {
+        engine.add_node(NodeId(1), Echo);
+        engine.add_node(NodeId(2), Echo);
+        engine.inject(NodeId(2), NodeId(1), 10);
+        engine.run(3);
+        engine.round_digest()
+    }
+    let mut a = XlNetwork::new(7);
+    let mut b = XlNetwork::with_shards(7, 3);
+    assert_eq!(drive(&mut a), drive(&mut b));
+    assert_eq!(SimEngine::len(&a), 2);
+    assert!(SimEngine::contains(&a, NodeId(2)));
+    let mut ids = SimEngine::ids(&a);
+    ids.sort_unstable();
+    assert_eq!(ids, vec![NodeId(1), NodeId(2)]);
+}
+
+// -- fault model --------------------------------------------------------
+
+#[test]
+fn crashed_node_neither_acts_nor_receives() {
+    for shards in SHARDS {
+        let mut net = ring(3, 40, shards);
+        net.set_fault_model(
+            FaultModel::new(1).with_node_fault(NodeId(1), NodeFault::CrashStop { at: 0 }),
+        );
+        net.run(6);
+        // Node 0 fired at round 0; the token dies at the crashed node 1.
+        assert_eq!(received(&net, 1), 0);
+        assert_eq!(received(&net, 2), 0);
+        assert!(net.trace().dropped_fault >= 1);
+    }
+}
+
+#[test]
+fn crash_recovery_loses_state_and_resumes() {
+    /// Counts rounds; forgets the count on crash-recovery.
+    struct Counter(u64);
+    impl Protocol for Counter {
+        type Msg = ();
+        fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) {
+            self.0 += 1;
+        }
+        fn on_crash_recover(&mut self) {
+            self.0 = 0;
+        }
+    }
+    for shards in SHARDS {
+        let mut net: XlNetwork<Counter> = XlNetwork::with_shards(50, shards);
+        net.add_node(NodeId(0), Counter(0));
+        net.add_node(NodeId(1), Counter(0));
+        net.set_fault_model(
+            FaultModel::new(2)
+                .with_node_fault(NodeId(1), NodeFault::CrashRecover { at: 2, down_for: 3 }),
+        );
+        net.run(8);
+        assert_eq!(net.node(NodeId(0)).unwrap().0, 8, "healthy node unaffected");
+        // Node 1 ran rounds 0..2, was down 2..5, reset at 5, ran 5..8.
+        assert_eq!(net.node(NodeId(1)).unwrap().0, 3, "state lost at recovery");
+    }
+}
+
+#[test]
+fn delayed_message_arrives_late_but_arrives() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 41, shards);
+        net.set_fault_model(only(
+            LinkFaults { delay_prob: 1.0, max_delay: 3, ..NO_LINK_FAULTS },
+            3,
+        ));
+        net.inject(NodeId(0), NodeId(1), 7);
+        net.step();
+        assert_eq!(net.trace().delayed, 1);
+        assert_eq!(received(&net, 1), 0, "held back");
+        net.run(4);
+        assert_eq!(received(&net, 1), 1, "matured within max_delay");
+    }
+}
+
+#[test]
+fn duplication_delivers_exactly_one_extra_copy() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 42, shards);
+        net.set_fault_model(only(LinkFaults { dup_prob: 1.0, ..NO_LINK_FAULTS }, 4));
+        net.inject(NodeId(9), NodeId(1), 7);
+        net.step();
+        assert_eq!(received(&net, 1), 2);
+        assert_eq!(net.trace().delivered, 1);
+        assert_eq!(net.trace().duplicated, 1);
+    }
+}
+
+#[test]
+fn lossy_link_drops_messages() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 45, shards);
+        net.set_fault_model(only(LinkFaults { drop_prob: 1.0, ..NO_LINK_FAULTS }, 6));
+        net.inject(NodeId(0), NodeId(1), 7);
+        net.step();
+        assert_eq!(received(&net, 1), 0);
+        assert_eq!(net.trace().dropped_link, 1);
+    }
+}
+
+#[test]
+fn partition_window_cuts_cross_traffic_only() {
+    for shards in SHARDS {
+        let mut net = silent_ring(4, 43, shards);
+        let side = [NodeId(0), NodeId(1)].into_iter().collect();
+        net.set_fault_model(FaultModel::new(5).with_partition(Partition {
+            side,
+            from: 0,
+            until: 1,
+        }));
+        net.inject(NodeId(0), NodeId(1), 1); // same side: delivered
+        net.inject(NodeId(0), NodeId(2), 2); // across the cut: dropped
+        net.step();
+        assert_eq!(received(&net, 1), 1);
+        assert_eq!(received(&net, 2), 0);
+        assert_eq!(net.trace().dropped_fault, 1);
+        // Node 1 forwarded across the cut boundary; by round 1 the window
+        // is over and cross traffic flows again.
+        net.step();
+        assert_eq!(received(&net, 2), 1);
+    }
+}
+
+#[test]
+fn scheduled_delay_shifts_exactly_the_named_message() {
+    for shards in SHARDS {
+        let mut net = silent_ring(4, 47, shards);
+        // Two injected messages sent in round 0; only (9 -> 1, round 0) is
+        // scheduled two rounds late, the other delivers on time.
+        net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 2));
+        net.inject(NodeId(9), NodeId(1), 7);
+        net.inject(NodeId(9), NodeId(2), 8);
+        net.step();
+        assert_eq!(received(&net, 2), 1, "unscheduled message on time");
+        assert_eq!(received(&net, 1), 0, "scheduled message held");
+        assert_eq!(net.trace().delayed, 1);
+        net.step();
+        assert_eq!(received(&net, 1), 0, "still held one more round");
+        net.step();
+        assert_eq!(received(&net, 1), 1, "matured at sent+1+extra");
+    }
+}
+
+#[test]
+fn scheduled_delay_same_key_occurrences_consume_in_send_order() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 48, shards);
+        // Keep relayed tokens from wrapping back to node 1: node 0 forwards
+        // to itself, so only the injected messages ever reach node 1.
+        net.node_mut(NodeId(0)).unwrap().next = NodeId(0);
+        // Three messages with the same (from, to, sent_round): the first
+        // occurrence takes the first scheduled extra (1), the second the
+        // second (3), the third delivers normally.
+        net.set_fault_model(
+            FaultModel::null()
+                .with_scheduled_delay(NodeId(9), NodeId(1), 0, 1)
+                .with_scheduled_delay(NodeId(9), NodeId(1), 0, 3),
+        );
+        for msg in [100, 200, 300] {
+            net.inject(NodeId(9), NodeId(1), msg);
+        }
+        net.step(); // round 0: one on time, two held
+        assert_eq!(received(&net, 1), 1);
+        net.step(); // round 1: extra=1 matures
+        assert_eq!(received(&net, 1), 2);
+        net.run(2); // round 3: extra=3 matures
+        assert_eq!(received(&net, 1), 3);
+    }
+}
+
+#[test]
+fn scheduled_delay_drops_if_receiver_blocked_at_maturity() {
+    for shards in SHARDS {
+        let mut net = silent_ring(3, 49, shards);
+        net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 1));
+        net.inject(NodeId(9), NodeId(1), 7);
+        net.step(); // round 0: held, matures at round 1
+        net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: blocked at maturity
+        net.run(3);
+        assert_eq!(received(&net, 1), 0, "dropped at maturity re-check");
+        assert_eq!(net.trace().dropped_blocked, 1);
+    }
+}
+
+#[test]
+#[should_panic(expected = "ExecMode::Fast does not support them")]
+fn scheduled_delays_are_refused_in_fast_mode() {
+    let mut net = XlNetwork::<Relay>::with_shards_mode(1, 2, ExecMode::Fast);
+    net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(0), NodeId(1), 0, 1));
+}
+
+#[test]
+fn scheduled_delay_runs_replay_and_resume_identically() {
+    let build = |shards| {
+        let mut net = ring(6, 50, shards);
+        net.set_fault_model(
+            FaultModel::null()
+                .with_scheduled_delay(NodeId(0), NodeId(1), 0, 2)
+                .with_scheduled_delay(NodeId(2), NodeId(3), 4, 3),
+        );
+        net.enable_digests();
+        net
+    };
+    let want = digests_of(build(1), 12);
+    // Replay identity, at either layout.
+    assert_eq!(digests_of(build(1), 12), want);
+    assert_eq!(digests_of(build(3), 12), want);
+    // Checkpoint with the first delay still held (sent round 0, matures
+    // round 3): both the delayed queue and the schedule map, cursor
+    // included, must survive the round-trip.
+    let mut first = build(3);
+    first.run(2);
+    let mut resumed = XlNetwork::<Relay>::from_state_with_shards(&first.save_state(), 1).unwrap();
+    resumed.run(10);
+    assert_eq!(resumed.trace().digests(), &want[2..]);
+}
+
+#[test]
+fn node_digest_tracks_state_and_membership() {
+    let mut net = ring(4, 51, 3);
+    let before = net.node_digest(NodeId(2)).unwrap();
+    assert_eq!(net.node_digest(NodeId(2)).unwrap(), before, "pure accessor");
+    net.node_mut(NodeId(2)).unwrap().received = 41;
+    assert_ne!(net.node_digest(NodeId(2)).unwrap(), before, "protocol state hashed");
+    assert_eq!(net.node_digest(NodeId(99)), None, "absent member");
+    // Exactly the shared helper applied to the same parts — the value a
+    // live `RoundDriver` publishes.
+    let proto = net.node(NodeId(0)).unwrap();
+    let expect = node_state_digest(NodeId(0), stream(51, 0, 0).get_word_pos(), proto);
+    assert_eq!(net.node_digest(NodeId(0)), Some(expect));
+}
+
+#[test]
+fn explicit_null_model_is_a_noop_for_digests() {
+    let mut with_null = ring(8, 44, 3);
+    with_null.set_fault_model(FaultModel::null());
+    assert_eq!(digests_of(ring(8, 44, 3), 10), digests_of(with_null, 10));
+}
+
+#[test]
+fn faulty_runs_replay_identically() {
+    let run_once = |shards| {
+        let mut net = ring(8, 46, shards);
+        net.set_fault_model(
+            only(LinkFaults { drop_prob: 0.2, dup_prob: 0.1, delay_prob: 0.2, max_delay: 3 }, 9)
+                .with_node_fault(NodeId(3), NodeFault::CrashRecover { at: 2, down_for: 2 }),
+        );
+        digests_of(net, 12)
+    };
+    assert_eq!(run_once(1), run_once(1));
+    assert_eq!(run_once(1), run_once(3));
+}
+
+// -- checkpointing ------------------------------------------------------
+
+#[test]
+fn checkpoint_resume_continues_digest_stream() {
+    // Uninterrupted reference run.
+    let want = digests_of(ring(8, 4242, 1), 20);
+    // Same run, checkpointed at round 9 and resumed from the snapshot.
+    let mut first = ring(8, 4242, 3);
+    first.enable_digests();
+    first.run(9);
+    let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
+    resumed.run(11);
+    assert_eq!(resumed.trace().digests(), &want[9..], "resumed stream must match the tail");
+}
+
+#[test]
+fn checkpoint_resume_with_faults_and_holes() {
+    // Exercise the hard state: link-fault RNG mid-stream, delayed messages
+    // in flight, a removed slot (hole + free list), and a crash-recovery
+    // window spanning the checkpoint.
+    let build = |shards| {
+        let mut net = ring(6, 99, shards);
+        net.set_fault_model(
+            only(LinkFaults { drop_prob: 0.15, dup_prob: 0.1, delay_prob: 0.25, max_delay: 4 }, 17)
+                .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 6, down_for: 5 }),
+        );
+        net.enable_digests();
+        net.remove_node(NodeId(5));
+        net
+    };
+    let want = digests_of(build(1), 24);
+
+    let mut first = build(1);
+    first.run(8); // node 4 is mid-crash, delays likely pending
+    let mut resumed = XlNetwork::<Relay>::from_state_with_shards(&first.save_state(), 3).unwrap();
+    resumed.run(16);
+    assert_eq!(resumed.trace().digests(), &want[8..]);
+}
+
+#[test]
+fn checkpoint_rejects_tampering() {
+    let mut net = ring(4, 7, 1);
+    net.run(3);
+    let mut state = net.save_state();
+    if let Value::Object(m) = &mut state {
+        m.insert("round".into(), Value::from(99u64));
+    }
+    match XlNetwork::<Relay>::from_state(&state) {
+        Err(CkptError::DigestMismatch { .. }) => {}
+        Err(other) => panic!("wrong error for tampered checkpoint: {other}"),
+        Ok(_) => panic!("tampered checkpoint must fail the digest stamp"),
+    }
+}
+
+// -- conduct ------------------------------------------------------------
+
+#[test]
+fn conduct_drop_silences_a_byzantine_sender() {
+    for shards in SHARDS {
+        let mut net = ring(4, 70, shards);
+        net.set_conduct(Some(Arc::new(ByzantineConduct::new(1, [NodeId(1)]).dropping(PPM))));
+        net.run(8);
+        // Token: 0 fires (honest), 1 receives, then 1's forward is eaten.
+        assert_eq!(received(&net, 1), 1);
+        assert_eq!(received(&net, 2), 0);
+        assert_eq!(net.conduct_counts(), (1, 0));
+    }
+}
+
+#[test]
+fn conduct_forge_rewrites_payloads_in_place() {
+    for shards in SHARDS {
+        let mut net = ring(3, 71, shards);
+        net.set_conduct(Some(Arc::new(
+            ByzantineConduct::new(2, [NodeId(0)]).forging(PPM, |m| m + 1000),
+        )));
+        // Round 0: node 0 fires a forged token; round 1: node 1 forwards it
+        // +1; round 2: node 2 receives it.
+        net.run(3);
+        assert_eq!(received(&net, 2), 1);
+        assert_eq!(net.conduct_counts().1, 1);
+        net.set_conduct(None);
+        net.run(1);
+        assert_eq!(received(&net, 0), 1);
+    }
+}
+
+#[test]
+fn suppressed_sends_are_not_charged() {
+    let run = |drop_all: bool, shards| {
+        let mut net = ring(4, 72, shards);
+        if drop_all {
+            let everyone: Vec<NodeId> = (0..4).map(NodeId).collect();
+            net.set_conduct(Some(Arc::new(ByzantineConduct::new(3, everyone).dropping(PPM))));
+        }
+        net.run(6);
+        (net.stats().total_bits(), net.stats().total_msgs())
+    };
+    for shards in SHARDS {
+        let (honest_bits, honest_msgs) = run(false, shards);
+        assert!(honest_bits > 0 && honest_msgs > 0);
+        assert_eq!(run(true, shards), (0, 0), "fully suppressed traffic must cost nothing");
+    }
+}
+
+#[test]
+fn conduct_free_run_digests_match_no_conduct() {
+    // An installed conduct whose Byzantine set is empty must be
+    // behaviorally invisible, digests included.
+    let mut installed = ring(8, 73, 3);
+    installed.set_conduct(Some(Arc::new(ByzantineConduct::new(4, []).dropping(PPM))));
+    assert_eq!(digests_of(ring(8, 73, 3), 10), digests_of(installed, 10));
+}
+
+fn relay_conduct(seed: u64, byz: [u64; 2]) -> Arc<ByzantineConduct<u64>> {
+    Arc::new(
+        ByzantineConduct::new(seed, byz.map(NodeId))
+            .dropping(PPM / 3)
+            .forging(PPM / 3, |m| m ^ 0xBEEF),
+    )
+}
+
+#[test]
+fn conduct_runs_replay_identically() {
+    let run_once = |shards| {
+        let mut net = ring(8, 74, shards);
+        net.set_conduct(Some(relay_conduct(5, [2, 5])));
+        net.enable_digests();
+        net.run(16);
+        (net.trace().digests().to_vec(), net.conduct_counts())
+    };
+    assert_eq!(run_once(1), run_once(1));
+    assert_eq!(run_once(1), run_once(3));
+}
+
+#[test]
+fn checkpoint_resume_with_reinstalled_conduct_continues_stream() {
+    let build = |shards| {
+        let mut net = ring(6, 75, shards);
+        net.set_conduct(Some(relay_conduct(6, [1, 3])));
+        net.enable_digests();
+        net
+    };
+    let want = digests_of(build(1), 14);
+
+    let mut first = build(3);
+    first.run(7);
+    let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
+    // Conduct is config, not state: the caller re-installs it.
+    resumed.set_conduct(Some(relay_conduct(6, [1, 3])));
+    resumed.run(7);
+    assert_eq!(resumed.trace().digests(), &want[7..]);
+}
+
+// -- telemetry ----------------------------------------------------------
+
+#[test]
+fn telemetry_attachment_never_perturbs_digests() {
+    let mut attached = ring(8, 61, 3);
+    attached.set_telemetry(Telemetry::collector());
+    assert_eq!(digests_of(ring(8, 61, 3), 10), digests_of(attached, 10));
+}
+
+#[test]
+fn telemetry_mirrors_trace_counters_and_work() {
+    for shards in SHARDS {
+        let tel = Telemetry::collector();
+        let mut net = ring(6, 62, shards);
+        net.set_telemetry(tel.clone());
+        net.remove_node(NodeId(3)); // break the ring -> dropped_missing later
+        net.run(8);
+        let s = tel.snapshot();
+        assert_eq!(s.counter("net.rounds"), 8);
+        assert_eq!(s.counter("net.delivered"), net.trace().delivered);
+        assert_eq!(s.counter("net.dropped_missing"), net.trace().dropped_missing);
+        assert_eq!(s.counter("net.total_bits"), net.stats().total_bits());
+        assert_eq!(s.counter("net.total_msgs"), net.stats().total_msgs());
+        assert_eq!(s.gauge("net.max_node_bits"), net.stats().max_node_bits());
+        assert_eq!(s.gauge("net.nodes"), net.len() as u64);
+        assert_eq!(s.histogram("net.round_bits").unwrap().count, 8);
+
+        // Node lifecycle flows into the event ring.
+        let (events, _) = tel.events();
+        assert!(events.iter().any(|e| e.kind == EventKind::NodeRemoved && e.node == Some(3)));
+
+        // Phase profile: every round entered deliver/compute/send once, and
+        // send+deliver work sums to the accounted totals.
+        let prof = tel.profile();
+        for phase in [Phase::Deliver, Phase::Compute, Phase::Send] {
+            assert_eq!(prof.stat(phase).enters, 8, "{phase:?}");
+        }
+        let (send, deliver) = (prof.stat(Phase::Send), prof.stat(Phase::Deliver));
+        assert_eq!(send.bits + deliver.bits, net.stats().total_bits());
+        assert_eq!(send.msgs + deliver.msgs, net.stats().total_msgs());
+    }
+}
+
+#[test]
+fn telemetry_attached_mid_run_only_sees_the_rest() {
+    let mut net = ring(4, 63, 1);
+    net.run(5);
+    let tel = Telemetry::collector();
+    net.set_telemetry(tel.clone());
+    net.run(3);
+    let s = tel.snapshot();
+    assert_eq!(s.counter("net.rounds"), 3);
+    assert!(
+        s.counter("net.delivered") <= net.trace().delivered,
+        "pre-attachment deliveries must not be re-counted"
+    );
+}
+
+#[test]
+fn manifest_is_recorded_with_seed_and_version() {
+    let mut net = ring(2, 77, 1);
+    net.set_manifest("ring n=2 rounds=3");
+    net.run(3);
+    let m = net.trace().manifest().expect("manifest attached");
+    assert_eq!(m.master_seed, 77);
+    assert_eq!(m.config, "ring n=2 rounds=3");
+    assert_eq!(m.crate_version, env!("CARGO_PKG_VERSION"));
+}

@@ -1,14 +1,13 @@
-//! # simnet-xl — sharded large-N backend for the simnet round model
+//! # simnet-xl — the simulation engine of the simnet round model
 //!
-//! The legacy [`simnet::Network`] steps every node through a per-slot heap
-//! mailbox each round, which is comfortable at n = 10⁴ and hopeless at the
-//! "millions of users" scale the paper's asymptotic claims (Theorems 5–7)
-//! are about. This crate provides [`XlNetwork`]: a drop-in engine for the
-//! same [`simnet::Protocol`] trait that
+//! `simnet` defines the model of the paper's Section 1.1 — protocols,
+//! envelopes, the blocking rule, fault models, digests, checkpoints; this
+//! crate executes it. [`XlNetwork`] is the one engine: it
 //!
 //! * stores node state in **structure-of-arrays** form, sharded round-robin
 //!   by a stable `u32` sequence number, so a round walks dense parallel
-//!   arrays instead of pointer-chasing boxed slots;
+//!   arrays instead of pointer-chasing boxed slots — comfortable at the
+//!   n = 10⁷ the paper's asymptotic claims (Theorems 5–7) are about;
 //! * routes messages through **per-shard send arenas** that are filled in
 //!   parallel (one flat `Vec` per shard, tagged with a delivery sort key)
 //!   and consumed by a single k-way merge pass — the one cross-shard
@@ -18,29 +17,64 @@
 //!   mail, a crash-recovery or external mutation re-activates it, so
 //!   quiescent rounds cost O(active) instead of O(n).
 //!
-//! ## Digest parity
+//! ## Quick example
 //!
-//! The engine is bit-compatible with the legacy one: driven identically
-//! (same seed, same churn, same block sets, same fault model), it produces
-//! the **same [`simnet::RoundDigest`] stream at every shard count**, so the
-//! repository's golden digest files and checkpoints act as a differential
-//! oracle between the two implementations. Parity hinges on three ordering
-//! guarantees, spelled out in DESIGN.md §10:
+//! ```
+//! use simnet::{Ctx, NodeId, Payload, Protocol};
+//! use simnet_xl::XlNetwork;
 //!
-//! 1. sequence numbers are assigned exactly like legacy slot indices
-//!    (free-list reuse included), and messages carry the sort key
-//!    `(seq << 32) | outbox_position`, so the merge pass replays the legacy
+//! #[derive(Clone)]
+//! struct Ping(u32);
+//! impl Payload for Ping {
+//!     fn size_bits(&self) -> u64 { 32 }
+//! }
+//!
+//! /// Every node forwards a counter to its successor in a ring.
+//! struct Ring { next: NodeId, seen: u32 }
+//! impl Protocol for Ring {
+//!     type Msg = Ping;
+//!     fn on_round(&mut self, ctx: &mut Ctx<'_, Ping>) {
+//!         for env in ctx.take_inbox() {
+//!             self.seen = self.seen.max(env.msg.0);
+//!         }
+//!         let next = self.next;
+//!         ctx.send(next, Ping(self.seen + 1));
+//!     }
+//! }
+//!
+//! let n = 8u64;
+//! let mut net = XlNetwork::new(42);
+//! for i in 0..n {
+//!     net.add_node(NodeId(i), Ring { next: NodeId((i + 1) % n), seen: 0 });
+//! }
+//! for _ in 0..10 {
+//!     net.step();
+//! }
+//! assert!(net.node(NodeId(0)).unwrap().seen > 0);
+//! ```
+//!
+//! ## Parity mode: one digest stream at every shard count
+//!
+//! Driven identically (same seed, same churn, same block sets, same fault
+//! model), the engine produces the **same [`simnet::RoundDigest`] stream at
+//! every shard count and pool size**, so the repository's golden digest
+//! files — `tests/golden/engine.digests` pins the raw round model — act as
+//! an oracle for any layout. That rests on three ordering guarantees,
+//! spelled out in DESIGN.md §10:
+//!
+//! 1. a joining node takes the most recently freed sequence number, else
+//!    the next fresh one, and messages carry the sort key
+//!    `(seq << 32) | outbox_position`, so the merge pass defines one
 //!    delivery order — which per-receiver inbox order, and therefore
 //!    protocol RNG consumption, depends on;
 //! 2. delivery runs serially in global key order, so the shared link-fault
-//!    RNG draws in the legacy sequence;
-//! 3. per-node RNG streams are keyed identically (`stream(master_seed, id,
-//!    purpose)`), so node randomness never depends on engine or shard.
+//!    RNG draws in that order;
+//! 3. per-node RNG streams are keyed `stream(master_seed, id, purpose)`, so
+//!    node randomness never depends on layout.
 //!
-//! [`XlNetwork`] also writes and reads the legacy
-//! `simnet-network-checkpoint` format, so runs checkpoint/resume across
-//! engines, and attaches the same `net.*` telemetry metrics and phase
-//! profile so `trace-report` renders either backend.
+//! The engine writes and reads the `simnet-network-checkpoint` v1 format
+//! (a checkpoint restores at any shard count), and emits the `net.*`
+//! telemetry metrics and phase profile `trace-report` renders.
 //!
 //! ## Relaxed-order fast mode
 //!
@@ -52,14 +86,13 @@
 //! equivalence harness and `tests/fast_mode_equivalence.rs` are the
 //! oracle for that mode. See the [`ExecMode`] docs and DESIGN.md §10.
 //!
-//! Use [`Backend`] / the `SIMNET_BACKEND` environment knob to pick an
-//! engine at runtime, and [`AnyNet`] to hold either behind the
-//! [`simnet::SimEngine`] trait.
+//! [`Backend`] carries the two switches (mode, shard count) and reads them
+//! from the `SIMNET_BACKEND` environment knob.
 
 mod any;
 mod engine;
 mod mode;
 
-pub use any::{default_shards, AnyNet, Backend, BACKEND_ENV};
-pub use engine::XlNetwork;
+pub use any::{default_shards, AnyNet, Backend, BackendEnvError, BACKEND_ENV};
+pub use engine::{XlNetwork, PAR_THRESHOLD};
 pub use mode::ExecMode;

@@ -1,12 +1,11 @@
-//! Execution modes of the sharded engine.
+//! Execution modes of the engine.
 //!
 //! [`crate::XlNetwork`] can run its cross-shard message exchange in two
-//! ways. [`ExecMode::Parity`] (the default) replays the legacy engine
-//! bit-for-bit: one serial k-way merge consumes the per-shard send arenas
-//! in global key order, so inbox order, fault-RNG draw order and therefore
-//! the digest stream are identical to [`simnet::Network`] at every shard
-//! count — the property the repository's golden files and differential
-//! tests pin.
+//! ways. Under [`ExecMode::Parity`] (the default) one serial k-way merge
+//! consumes the per-shard send arenas in global key order, so inbox order,
+//! fault-RNG draw order and therefore the digest stream are identical at
+//! every shard count — the property the repository's golden files and
+//! differential tests pin.
 //!
 //! [`ExecMode::Fast`] relaxes the *global* delivery order, which the
 //! paper's guarantees never depended on (they are distributional — w.h.p.
@@ -24,8 +23,9 @@ use std::fmt;
 /// How [`crate::XlNetwork`] orders cross-shard message delivery.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Bit-exact legacy emulation: serial k-way merge in global key order.
-    /// Digest streams match [`simnet::Network`] at every shard count.
+    /// One global delivery order: serial k-way merge in key order. Digest
+    /// streams are identical at every shard count and match the golden
+    /// files.
     #[default]
     Parity,
     /// Relaxed global order: parallel per-shard routing and delivery with

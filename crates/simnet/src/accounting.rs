@@ -96,57 +96,9 @@ impl CommStats {
     }
 }
 
-/// Scratch accumulator used inside the engine while a round executes.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WorkAccumulator {
-    /// bits\[slot\] for the current round.
-    pub bits: Vec<u64>,
-    /// msgs\[slot\] for the current round.
-    pub msgs: Vec<u64>,
-}
-
-impl WorkAccumulator {
-    pub(crate) fn reset(&mut self, n_slots: usize) {
-        self.bits.clear();
-        self.bits.resize(n_slots, 0);
-        self.msgs.clear();
-        self.msgs.resize(n_slots, 0);
-    }
-
-    pub(crate) fn charge(&mut self, slot: usize, bits: u64) {
-        self.bits[slot] += bits;
-        self.msgs[slot] += 1;
-    }
-
-    pub(crate) fn finish(&self, round: u64) -> RoundWork {
-        RoundWork {
-            round,
-            max_node_bits: self.bits.iter().copied().max().unwrap_or(0),
-            total_bits: self.bits.iter().sum::<u64>(),
-            max_node_msgs: self.msgs.iter().copied().max().unwrap_or(0),
-            total_msgs: self.msgs.iter().sum::<u64>(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulator_charges_both_endpoints() {
-        let mut acc = WorkAccumulator::default();
-        acc.reset(3);
-        // One 100-bit message charged to sender (slot 0) and receiver (slot 2).
-        acc.charge(0, 100);
-        acc.charge(2, 100);
-        let w = acc.finish(7);
-        assert_eq!(w.round, 7);
-        assert_eq!(w.max_node_bits, 100);
-        assert_eq!(w.total_bits, 200);
-        assert_eq!(w.total_msgs, 2);
-        assert_eq!(w.max_node_msgs, 1);
-    }
 
     #[test]
     fn stats_track_maximum_across_rounds() {

@@ -1,32 +1,27 @@
-//! The engine-agnostic backend interface.
+//! The engine interface.
 //!
-//! [`SimEngine`] captures everything the runners in `reconfig-core` (and
-//! the experiment binaries) need from a simulation engine: membership
-//! churn, round stepping with DoS block sets, fault-model installation,
-//! observability attachment and the replay-verification digest. The legacy
-//! [`Network`](crate::Network) implements it by delegation; the sharded
-//! `simnet-xl` backend implements the same surface, and the two are
-//! interchangeable behind `simnet_xl::AnyNet` — with identical round
-//! semantics and identical digest streams.
+//! [`SimEngine`] is what this crate — the model — asks of whatever executes
+//! it: membership churn, round stepping with DoS block sets, fault-model
+//! installation, observability attachment and the replay-verification
+//! digest. `simnet_xl::XlNetwork` is the implementation; its docs carry
+//! the semantics of every method.
 //!
-//! The trait deliberately exposes ids as a collected `Vec` rather than an
-//! iterator: backends store nodes in different layouts (slot vector vs.
-//! sharded structure-of-arrays) and the call sites that enumerate members
-//! are all control-plane code where the allocation is irrelevant.
+//! The trait exposes ids as a collected `Vec` rather than an iterator so it
+//! stays object-safe; the call sites that enumerate members are all
+//! control-plane code where the allocation is irrelevant.
 
 use crate::accounting::CommStats;
 use crate::conduct::Conduct;
 use crate::fault::{BlockSet, FaultModel};
 use crate::protocol::Protocol;
 use crate::trace::Trace;
-use crate::{Network, NodeId};
+use crate::NodeId;
 use std::sync::Arc;
 use telemetry::Telemetry;
 
 /// A synchronous-round simulation engine executing protocol `P`.
 ///
-/// All methods have the semantics documented on [`Network`]; two engines
-/// driven identically must produce identical
+/// Two engines driven identically must produce identical
 /// [`round_digest`](SimEngine::round_digest) streams.
 pub trait SimEngine<P: Protocol> {
     /// The master seed this engine was created with.
@@ -85,15 +80,16 @@ pub trait SimEngine<P: Protocol> {
     /// The installed fault model.
     fn fault_model(&self) -> &FaultModel;
 
-    /// Install (or with `None`, remove) a send-path [`Conduct`] policy
-    /// (see [`Network::set_conduct`]). Conduct is configuration, not
-    /// state: resumed runs must re-install it.
+    /// Install (or with `None`, remove) a send-path [`Conduct`] policy.
+    /// Conduct is configuration, not state: resumed runs must re-install
+    /// it.
     fn set_conduct(&mut self, conduct: Option<Arc<dyn Conduct<P::Msg>>>);
 
     /// Totals of messages `(dropped, forged)` by the installed conduct.
     fn conduct_counts(&self) -> (u64, u64);
 
-    /// Attach a telemetry recorder (see [`Network::set_telemetry`]).
+    /// Attach a telemetry recorder: pure observability, never part of
+    /// the digest.
     fn set_telemetry(&mut self, tel: Telemetry);
 
     /// The attached telemetry recorder.
@@ -114,138 +110,7 @@ pub trait SimEngine<P: Protocol> {
     /// Communication-work statistics recorded so far.
     fn stats(&self) -> &CommStats;
 
-    /// Stable fingerprint of the full engine state (see
-    /// [`Network::round_digest`]).
+    /// Stable fingerprint of the full engine state, independent of
+    /// layout and thread schedule.
     fn round_digest(&self) -> u64;
-}
-
-impl<P: Protocol> SimEngine<P> for Network<P> {
-    fn master_seed(&self) -> u64 {
-        Network::master_seed(self)
-    }
-
-    fn round(&self) -> u64 {
-        Network::round(self)
-    }
-
-    fn len(&self) -> usize {
-        Network::len(self)
-    }
-
-    fn contains(&self, id: NodeId) -> bool {
-        Network::contains(self, id)
-    }
-
-    fn ids(&self) -> Vec<NodeId> {
-        Network::ids(self).collect()
-    }
-
-    fn add_node(&mut self, id: NodeId, proto: P) {
-        Network::add_node(self, id, proto);
-    }
-
-    fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        Network::remove_node(self, id)
-    }
-
-    fn node(&self, id: NodeId) -> Option<&P> {
-        Network::node(self, id)
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        Network::node_mut(self, id)
-    }
-
-    fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        Network::inject(self, from, to, msg);
-    }
-
-    fn step_blocked(&mut self, blocked: &BlockSet) {
-        Network::step_blocked(self, blocked);
-    }
-
-    fn set_fault_model(&mut self, faults: FaultModel) {
-        Network::set_fault_model(self, faults);
-    }
-
-    fn fault_model(&self) -> &FaultModel {
-        Network::fault_model(self)
-    }
-
-    fn set_conduct(&mut self, conduct: Option<Arc<dyn Conduct<P::Msg>>>) {
-        Network::set_conduct(self, conduct);
-    }
-
-    fn conduct_counts(&self) -> (u64, u64) {
-        Network::conduct_counts(self)
-    }
-
-    fn set_telemetry(&mut self, tel: Telemetry) {
-        Network::set_telemetry(self, tel);
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        Network::telemetry(self)
-    }
-
-    fn enable_trace(&mut self, cap: usize) {
-        Network::enable_trace(self, cap);
-    }
-
-    fn enable_digests(&mut self) {
-        Network::enable_digests(self);
-    }
-
-    fn set_manifest(&mut self, config: String) {
-        Network::set_manifest(self, config);
-    }
-
-    fn trace(&self) -> &Trace {
-        Network::trace(self)
-    }
-
-    fn stats(&self) -> &CommStats {
-        Network::stats(self)
-    }
-
-    fn round_digest(&self) -> u64 {
-        Network::round_digest(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::protocol::Ctx;
-
-    struct Echo;
-    impl Protocol for Echo {
-        type Msg = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
-            let msgs: Vec<_> = ctx.take_inbox();
-            for env in msgs {
-                ctx.send(env.from, env.msg + 1);
-            }
-        }
-    }
-
-    fn drive(engine: &mut dyn SimEngine<Echo>) -> u64 {
-        engine.add_node(NodeId(1), Echo);
-        engine.add_node(NodeId(2), Echo);
-        engine.inject(NodeId(2), NodeId(1), 10);
-        engine.run(3);
-        engine.round_digest()
-    }
-
-    #[test]
-    fn legacy_network_is_object_safe_behind_the_trait() {
-        let mut a = Network::new(7);
-        let mut b = Network::new(7);
-        assert_eq!(drive(&mut a), drive(&mut b));
-        assert_eq!(SimEngine::len(&a), 2);
-        assert!(SimEngine::contains(&a, NodeId(2)));
-        let mut ids = SimEngine::ids(&a);
-        ids.sort_unstable();
-        assert_eq!(ids, vec![NodeId(1), NodeId(2)]);
-    }
 }

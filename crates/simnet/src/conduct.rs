@@ -4,33 +4,31 @@
 //! Byzantine member misbehaves from the *inside* — it silently drops
 //! messages it promised to forward, or replaces their content with forged
 //! payloads. `Conduct` is the engine-level interception point for that
-//! behavior: installed on a network (legacy [`crate::Network`] or the
-//! sharded `simnet-xl` backend, parity and fast modes alike), it judges
-//! every protocol send at collection time, before the message enters the
-//! in-flight queue.
+//! behavior: installed on a network (parity and fast modes alike), it
+//! judges every protocol send at collection time, before the message
+//! enters the in-flight queue.
 //!
 //! ## Determinism contract
 //!
-//! The hook is judged concurrently across shards in the sharded backend,
-//! so an implementation must be `Send + Sync`, must not carry per-call
-//! mutable state, and must make its decision a pure function of the
-//! arguments. Randomized conduct derives its coin flips from
-//! [`conduct_roll`] — an FNV-1a hash of `(seed, from, to, round,
-//! outbox position)` — which makes every decision independent of
-//! evaluation order, backend, shard count and thread schedule. A run with
-//! a given conduct installed therefore replays digest-identically across
-//! `legacy`, `xl` parity and `xl:fast` at any shard count.
+//! The hook is judged concurrently across shards, so an implementation
+//! must be `Send + Sync`, must not carry per-call mutable state, and must
+//! make its decision a pure function of the arguments. Randomized conduct
+//! derives its coin flips from [`conduct_roll`] — an FNV-1a hash of `(seed,
+//! from, to, round, outbox position)` — which makes every decision
+//! independent of evaluation order, execution mode, shard count and thread
+//! schedule. A run with a given conduct installed therefore replays
+//! digest-identically at any shard count.
 //!
 //! Conduct is *configuration*, not simulation state: like a fault model's
 //! parameters it shapes future rounds, but unlike the fault model it holds
 //! no RNG position, so it is **not checkpointed**. A caller resuming a run
 //! from a checkpoint must re-install the same conduct to continue the
-//! original behavior (the engines document and test this).
+//! original behavior (the engine documents and tests this).
 //!
 //! Suppressed messages are never charged to the sender's communication
 //! work and do not count toward `sent_bits`/`sent_msgs`; forged
 //! replacements are charged at the forged payload's size. External
-//! injections ([`crate::Network::inject`]) bypass the hook — they model
+//! injections ([`crate::SimEngine::inject`]) bypass the hook — they model
 //! out-of-band stimulus, not member traffic.
 
 use crate::digest::Digest;

@@ -4,9 +4,9 @@
 //! every input type, so digest values are stable across platforms, Rust
 //! versions and `HashMap` iteration orders — unlike `std::hash`, whose
 //! output is explicitly unspecified. The engine uses it to fingerprint
-//! whole network states once per round ([`crate::Network::round_digest`]);
+//! whole network states once per round ([`crate::SimEngine::round_digest`]);
 //! golden tests pin those fingerprints, and differential tests compare
-//! them across serial and parallel stepping.
+//! them across shard counts and pool sizes.
 //!
 //! [`RunManifest`] records everything needed to reproduce a digest stream:
 //! the master seed, a human-readable config string, and the simnet crate

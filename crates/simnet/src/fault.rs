@@ -331,9 +331,9 @@ impl FaultModel {
     }
 
     /// True if any scheduled per-message delays are installed (consumed or
-    /// not). Relaxed-order backends (`simnet-xl` fast mode) judge link
-    /// fates per shard and cannot honor a cross-shard consumption order, so
-    /// they reject such models loudly instead of replaying them wrong.
+    /// not). Fast mode judges link fates per shard and cannot honor a
+    /// cross-shard consumption order, so the engine rejects such models
+    /// there loudly instead of replaying them wrong.
     pub fn has_scheduled(&self) -> bool {
         !self.scheduled.is_empty()
     }

@@ -24,51 +24,19 @@
 //!   an id is what permits sending to it (this is an *overlay* model — any
 //!   node may message any other node whose id it holds).
 //!
-//! The engine is deterministic: all randomness flows from per-node
-//! [`rand_chacha`] streams derived from a master seed (see [`rng`]), and
-//! rounds step nodes in parallel with rayon without affecting the outcome.
-//!
-//! ## Quick example
-//!
-//! ```
-//! use simnet::{Network, NodeId, Protocol, Ctx, Payload};
-//!
-//! #[derive(Clone)]
-//! struct Ping(u32);
-//! impl Payload for Ping {
-//!     fn size_bits(&self) -> u64 { 32 }
-//! }
-//!
-//! /// Every node forwards a counter to its successor in a ring.
-//! struct Ring { next: NodeId, seen: u32 }
-//! impl Protocol for Ring {
-//!     type Msg = Ping;
-//!     fn on_round(&mut self, ctx: &mut Ctx<'_, Ping>) {
-//!         for env in ctx.take_inbox() {
-//!             self.seen = self.seen.max(env.msg.0);
-//!         }
-//!         let next = self.next;
-//!         ctx.send(next, Ping(self.seen + 1));
-//!     }
-//! }
-//!
-//! let n = 8u64;
-//! let mut net = Network::new(42);
-//! for i in 0..n {
-//!     net.add_node(NodeId(i), Ring { next: NodeId((i + 1) % n), seen: 0 });
-//! }
-//! for _ in 0..10 {
-//!     net.step();
-//! }
-//! assert!(net.node(NodeId(0)).unwrap().seen > 0);
-//! ```
+//! This crate is the *model*: [`Protocol`] and [`Ctx`], [`Envelope`] and
+//! [`Payload`], [`BlockSet`] and [`FaultModel`], [`Conduct`], [`Digest`],
+//! [`Trace`], [`CommStats`], the checkpoint container, the per-node RNG
+//! streams of [`rng`] and the [`SimEngine`] trait. The engine that executes
+//! it — deterministically, from per-node [`rand_chacha`] streams derived
+//! from a master seed — is `simnet_xl::XlNetwork`; its crate docs open
+//! with a runnable example.
 
 pub mod accounting;
 pub mod backend;
 pub mod checkpoint;
 pub mod conduct;
 pub mod digest;
-pub mod engine;
 pub mod fault;
 pub mod id;
 pub mod instrument;
@@ -82,7 +50,6 @@ pub use backend::SimEngine;
 pub use checkpoint::{Checkpoint, Checkpointer, CkptError, CkptResult};
 pub use conduct::{ByzantineConduct, Conduct, SendFate};
 pub use digest::{Digest, RoundDigest, RunManifest};
-pub use engine::{Network, ParMode, PAR_THRESHOLD};
 pub use fault::{
     BlockSet, Burst, BurstSchedule, BurstTarget, FaultModel, LinkFate, LinkFaults, NodeFault,
     Partition, TimedPartition,

@@ -21,7 +21,7 @@ pub trait Protocol: Send {
     fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
     /// Feed this node's protocol state into a replay-verification digest
-    /// (see [`crate::Network::round_digest`]).
+    /// (see [`crate::SimEngine::round_digest`]).
     ///
     /// The default contributes nothing, which is always *sound* — the
     /// engine separately digests membership, RNG positions and in-flight
@@ -49,23 +49,23 @@ pub trait Protocol: Send {
     /// state change the engine can see ([`Protocol::on_crash_recover`] or
     /// direct mutation via `node_mut`).
     ///
-    /// Backends with an active-set worklist (see `simnet-xl`) use this to
-    /// skip the `on_round` call entirely — they still clear the inbox, as
+    /// The engine's active-set worklist (see `simnet-xl`) uses this to
+    /// skip the `on_round` call entirely — it still clears the inbox, as
     /// the round model requires — so quiescent rounds cost O(active)
     /// instead of O(n). Because a quiescent `on_round` touches nothing, a
     /// skipped call is indistinguishable from an executed one and the
-    /// round-digest stream is unchanged. The legacy engine ignores the
-    /// flag. The default is `false`: always step.
+    /// round-digest stream is unchanged. The default is `false`: always
+    /// step.
     fn quiescent(&self) -> bool {
         false
     }
 }
 
-/// The canonical per-node state fingerprint shared by every backend: the
+/// The canonical per-node state fingerprint: the
 /// node's id, its RNG stream position, and its protocol state, hashed in
 /// that order into one [`Digest`].
 ///
-/// The simulator exposes it per member as `Network::node_digest`; a live
+/// The simulator exposes it per member as `XlNetwork::node_digest`; a live
 /// driver (the `reconfig-node` daemon) computes the same value from its own
 /// copy of the state. Two executions of the same protocol agree on a node's
 /// fingerprint after a round iff the node's visible state — including how
@@ -93,11 +93,11 @@ pub struct Ctx<'a, M> {
 impl<'a, M: Payload> Ctx<'a, M> {
     /// Assemble a context from its parts.
     ///
-    /// This is the backend-implementor entry point: an alternative engine
-    /// (e.g. `simnet-xl`) borrows a node's inbox, a send buffer and the
-    /// node's private RNG stream and hands the protocol exactly the same
-    /// view the legacy engine would. `outbox` receives the envelopes queued
-    /// by [`Ctx::send`]; the backend routes them after `on_round` returns.
+    /// This is the engine's entry point (and a live driver's, see
+    /// `reconfig_core::nodert`): it borrows a node's inbox, a send buffer
+    /// and the node's private RNG stream. `outbox` receives the envelopes
+    /// queued by [`Ctx::send`]; the caller routes them after `on_round`
+    /// returns.
     pub fn from_parts(
         me: NodeId,
         round: u64,

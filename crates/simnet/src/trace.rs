@@ -81,10 +81,9 @@ impl Trace {
         self.cap = cap;
     }
 
-    /// Count (and, when enabled, buffer) one simulator event. Engines —
-    /// the legacy `Network` and alternative backends alike — call this on
-    /// every delivery outcome so the always-on counters stay comparable
-    /// across backends.
+    /// Count (and, when enabled, buffer) one simulator event. The engine
+    /// calls this on every delivery outcome, in either execution mode, so
+    /// the always-on counters stay comparable.
     pub fn record(&mut self, ev: TraceEvent) {
         match &ev {
             TraceEvent::Delivered { .. } => self.delivered += 1,
@@ -121,7 +120,7 @@ impl Trace {
     }
 
     /// Per-round state digests (empty unless digest recording was enabled
-    /// on the network; see [`crate::Network::enable_digests`]).
+    /// on the network; see [`crate::SimEngine::enable_digests`]).
     pub fn digests(&self) -> &[RoundDigest] {
         &self.digests
     }

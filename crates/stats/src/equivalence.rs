@@ -2,7 +2,7 @@
 //!
 //! The simnet-xl fast mode (`SIMNET_BACKEND=xl:fast`) relaxes the global
 //! message-delivery order, so its runs are *not* bit-identical to the
-//! parity/legacy digest stream — the claim to validate is weaker and
+//! parity digest stream — the claim to validate is weaker and
 //! distributional: for every observable the paper's theorems speak about
 //! (walk-outcome distributions, node degrees, group sizes, per-round event
 //! counts), fast runs are drawn from the same distribution as parity runs.

@@ -21,7 +21,7 @@ build:
 test:
     cargo test --workspace -q
 
-# Determinism harness only: goldens + serial/parallel differential.
+# Determinism harness only: goldens + shard-count/pool-size differential.
 determinism:
     cargo test -q -p integration-tests --test determinism
     cargo test -q -p integration-tests --test telemetry_determinism
@@ -30,11 +30,13 @@ determinism:
 trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
-# Refresh golden digest files after an intentional behavior change.
+# Refresh golden digest files after an intentional behavior change: seven
+# outputs, engine.digests included. The eighth file, network_v1.ckpt.json, is
+# an input this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/
-    git status --short tests/golden/   # all six files, attacker.digests included
+    git status --short tests/golden/
 
 # Fault-schedule fuzzing; override cases with `just fuzz 500` (nightly depth).
 fuzz cases="100":
@@ -68,7 +70,7 @@ a8 *flags="":
 recoveryfuzz cases="6":
     RECOVERY_CASES={{cases}} cargo test -q -p integration-tests --test recovery_determinism
 
-# Engine-scaling benchmark (legacy vs simnet-xl, parity and fast modes);
+# Engine-scaling benchmark (simnet-xl, parity and fast modes);
 # `just s1 --smoke --cores 4` for the CI mode x shard gate at n=5e4, bare
 # `just s1 --cores 4` for the full shards x cores x mode sweep to n=1e7
 # (rewrites results/s1.json and BENCH_S1.json).
@@ -112,7 +114,7 @@ w2 *flags="":
 w3 *flags="":
     cargo run --release -p reconfig-bench --bin exp_w3_chat -- {{flags}}
 
-# Cross-backend workload bit-identity (legacy vs xl shards).
+# Workload bit-identity across shard counts (xl:1 vs xl:2/4).
 workload-determinism:
     cargo test -q -p integration-tests --test workload_determinism
 

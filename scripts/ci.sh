@@ -34,7 +34,7 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden digests unchanged (five overlay/workload families + attacker.digests)"
+echo "==> golden files unchanged (five overlay/workload families, attacker.digests, engine.digests, network_v1.ckpt.json)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -61,7 +61,7 @@ cargo run -q --release -p reconfig-bench --bin exp_a8_recovery -- --smoke
 echo "==> recovery determinism + catastrophe fuzzing (RECOVERY_CASES=${RECOVERY_CASES:-6})"
 RECOVERY_CASES="${RECOVERY_CASES:-6}" cargo test -q -p integration-tests --test recovery_determinism
 
-echo "==> s1-smoke: mode x shard matrix at n=5e4 (parity 1/4 vs legacy, fast 4 reproducible)"
+echo "==> s1-smoke: mode x shard matrix at n=5e4 (parity 1 vs 4 byte-identical, fast 4 reproducible)"
 cargo run -q --release -p reconfig-bench --bin exp_s1_scale -- --smoke --cores 4
 
 echo "==> fast-mode statistical equivalence (EQUIV_SAMPLES=${EQUIV_SAMPLES:-3})"
@@ -84,7 +84,7 @@ cargo run -q --release -p reconfig-bench --bin exp_n1_cluster -- --smoke
 echo "==> W1 smoke: DHT under Zipf load, control + churn+dos arms"
 cargo run -q --release -p reconfig-bench --bin exp_w1_dht_load -- --smoke
 
-echo "==> workload cross-backend bit-identity (legacy vs xl shards)"
+echo "==> workload bit-identity across shard counts (xl:1 vs xl:2/4)"
 cargo test -q -p integration-tests --test workload_determinism
 
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"

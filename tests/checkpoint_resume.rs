@@ -10,7 +10,8 @@ use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::Alg1Node;
 use simnet::checkpoint::{read_value, write_value_atomic};
-use simnet::{BlockSet, Checkpoint, CkptError, Network, NodeId};
+use simnet::{BlockSet, Checkpoint, CkptError, NodeId};
+use simnet_xl::XlNetwork;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -28,15 +29,15 @@ fn pattern_block(members: &[NodeId], round: u64) -> BlockSet {
 }
 
 // ---------------------------------------------------------------------------
-// Family 1: the message-level engine (Network<Alg1Node>)
+// Family 1: the message-level engine (XlNetwork<Alg1Node>)
 // ---------------------------------------------------------------------------
 
-fn alg1_network(seed: u64) -> (Network<Alg1Node>, u64) {
+fn alg1_network(seed: u64) -> (XlNetwork<Alg1Node>, u64) {
     let nodes: Vec<NodeId> = (0..64).map(NodeId).collect();
     let mut rng = simnet::rng::stream(seed, 77, 0x41);
     let graph = overlay_graphs::HGraph::random(&nodes, 8, &mut rng);
     let schedule = Arc::new(Schedule::algorithm1(64, 8, &SamplingParams::default()));
-    let mut net: Network<Alg1Node> = Network::new(seed);
+    let mut net: XlNetwork<Alg1Node> = XlNetwork::new(seed);
     net.enable_digests();
     for &v in graph.nodes() {
         net.add_node(v, Alg1Node::new(Arc::clone(&schedule), graph.neighbors(v)));
@@ -63,7 +64,7 @@ fn network_resume_is_digest_identical() {
     let path = tmp("alg1.ckpt.json");
     net.checkpoint_to(&path).expect("checkpoint");
     drop(net); // the "crash"
-    let mut net = Network::<Alg1Node>::resume_from(&path).expect("resume");
+    let mut net = XlNetwork::<Alg1Node>::resume_from(&path).expect("resume");
     for _ in cut..rounds {
         net.step();
         got.push(net.round_digest());

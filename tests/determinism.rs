@@ -1,9 +1,9 @@
 //! Deterministic-replay verification: golden digest streams and
-//! serial/parallel differential tests.
+//! shard-count / pool-size differential tests.
 //!
 //! Golden tests pin the per-round digest stream of one fixed run per
-//! protocol family. If an intentional change shifts the digests, refresh
-//! the files with
+//! protocol family, and of the raw engine. If an intentional change shifts
+//! the digests, refresh the files with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
@@ -12,10 +12,10 @@
 //! and review the diff under `tests/golden/`. An *unintentional* digest
 //! change means the simulation is no longer replay-identical — a bug.
 //!
-//! Differential tests prove the engine's parallelism claim: stepping nodes
-//! serially, through the rayon pool, and under pools of different thread
-//! counts must produce byte-identical digest streams, for populations on
-//! both sides of [`simnet::PAR_THRESHOLD`].
+//! Differential tests prove the engine's parallelism claim: one shard
+//! stepped serially, four shards stepped through the rayon pool, and pools
+//! of different thread counts must produce byte-identical digest streams,
+//! for populations on both sides of [`simnet_xl::PAR_THRESHOLD`].
 
 use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
 use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily, ByzHarness};
@@ -36,8 +36,15 @@ use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{FaultyRunner, HealingParams};
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;
-use simnet::{BlockSet, Ctx, Digest, Network, NodeId, ParMode, Protocol, PAR_THRESHOLD};
+use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
+use simnet::conduct::PPM;
+use simnet::{
+    BlockSet, ByzantineConduct, Checkpoint, CkptError, CkptResult, Ctx, Digest, FaultModel,
+    LinkFaults, NodeFault, NodeId, Partition, Protocol,
+};
+use simnet_xl::{XlNetwork, PAR_THRESHOLD};
 use std::path::PathBuf;
+use std::sync::Arc;
 use telemetry::Telemetry;
 
 // ---------------------------------------------------------------------------
@@ -170,8 +177,8 @@ fn golden_churndos_overlay_digest_stream() {
 
 /// The W-series at the `--smoke` sizes of `exp_w{1,2,3}`, both arms each.
 ///
-/// `workload_determinism.rs` compares backends with each other, so a change
-/// to the DHT's routing kernel that shifts legacy and xl *together* is
+/// `workload_determinism.rs` compares shard counts with each other, so a
+/// change to the DHT's routing kernel that shifts them *together* is
 /// invisible there. This golden pins the absolute values: the replay digest
 /// (ops, block sets, per-batch rounds/congestion/messages, sampled ids),
 /// the rounds stepped, the communication-work bits and the completions.
@@ -410,89 +417,324 @@ fn golden_attacker_digests() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial vs parallel differential tests
+// Raw-engine goldens
 // ---------------------------------------------------------------------------
 
-/// A protocol that exercises everything the round digest covers: per-node
-/// RNG draws, protocol state evolution, and message traffic with
-/// payload-dependent content.
-struct Gossip {
+/// One protocol with everything the engine treats specially: RNG-addressed
+/// sends (some to departed ids), an activity budget that ends in
+/// quiescence, and state loss on crash-recovery.
+struct Chatter {
     n: u64,
     acc: u64,
+    budget: u64,
 }
 
-impl Protocol for Gossip {
+impl Protocol for Chatter {
     type Msg = u64;
 
-    fn digest(&self, digest: &mut simnet::Digest) {
-        digest.write_u64(self.n).write_u64(self.acc);
+    fn digest(&self, d: &mut Digest) {
+        d.write_u64(self.acc).write_u64(self.budget);
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+        if self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
         for env in ctx.take_inbox() {
             self.acc = self.acc.wrapping_mul(0x100_0000_01b3) ^ env.msg;
         }
-        let n = self.n;
-        let target = NodeId(ctx.rng().random_range(0..n));
-        let value: u64 = ctx.rng().random();
-        ctx.send(target, value);
+        for _ in 0..2 {
+            let to = NodeId(ctx.rng().random_range(0..self.n));
+            let msg = self.acc ^ ctx.rng().random::<u64>();
+            ctx.send(to, msg);
+        }
+    }
+
+    fn on_crash_recover(&mut self) {
+        self.acc = 0;
+        self.budget = 6;
+    }
+
+    fn quiescent(&self) -> bool {
+        self.budget == 0
     }
 }
 
-fn gossip_digests(n: u64, seed: u64, rounds: u64, mode: ParMode) -> Vec<simnet::RoundDigest> {
-    let mut net: Network<Gossip> = Network::new(seed);
-    net.set_par_mode(mode);
-    net.enable_digests();
-    net.set_manifest(format!("gossip n={n} rounds={rounds} mode={mode:?}"));
+impl Checkpoint for Chatter {
+    fn save(&self) -> serde_json::Value {
+        serde_json::json!({ "n": self.n, "acc": self.acc, "budget": self.budget })
+    }
+
+    fn load(v: &serde_json::Value) -> CkptResult<Self> {
+        Ok(Self { n: get_u64(v, "n")?, acc: get_u64(v, "acc")?, budget: get_u64(v, "budget")? })
+    }
+}
+
+fn chatter(n: u64, acc: u64) -> Chatter {
+    Chatter { n, acc, budget: 20 }
+}
+
+/// Populate `net` with ids `0..n`, run `rounds` rounds — `before_round`
+/// does the between-round churn and names the round's block set — and
+/// record the digest stream, closed by every counter the engine keeps.
+fn engine_case(
+    mut net: XlNetwork<Chatter>,
+    tag: &str,
+    n: u64,
+    rounds: u64,
+    mut before_round: impl FnMut(&mut XlNetwork<Chatter>, u64) -> BlockSet,
+    lines: &mut Vec<String>,
+) {
     for i in 0..n {
-        net.add_node(NodeId(i), Gossip { n, acc: i });
+        net.add_node(NodeId(i), chatter(n, i));
+    }
+    for r in 0..rounds {
+        let blocked = before_round(&mut net, r);
+        net.step_blocked(&blocked);
+        lines.push(format!("{tag} {r} {:016x}", net.round_digest()));
+    }
+    let (t, s, (conduct_dropped, conduct_forged)) =
+        (net.trace(), net.stats(), net.conduct_counts());
+    lines.push(format!(
+        "{tag} end delivered={} dropped_blocked={} dropped_missing={} dropped_fault={} \
+         dropped_link={} duplicated={} delayed={} bits={} msgs={} max_node_bits={} \
+         max_node_msgs={} conduct_dropped={conduct_dropped} conduct_forged={conduct_forged}",
+        t.delivered,
+        t.dropped_blocked,
+        t.dropped_missing,
+        t.dropped_fault,
+        t.dropped_link,
+        t.duplicated,
+        t.delayed,
+        s.total_bits(),
+        s.total_msgs(),
+        s.max_node_bits(),
+        s.max_node_msgs(),
+    ));
+}
+
+/// The churn of the gossip cases: removals, joins that take the freed
+/// slots most-recently-freed first, injections, an external wake-up of a
+/// quiescent node, and a block set that moves every round.
+fn churn_script(net: &mut XlNetwork<Chatter>, r: u64) -> BlockSet {
+    const N: u64 = 24;
+    match r {
+        4 => {
+            for id in [3, 11, 5] {
+                net.remove_node(NodeId(id));
+            }
+        }
+        6 => {
+            for id in [100, 101] {
+                net.add_node(NodeId(id), chatter(N, id));
+            }
+        }
+        9 => {
+            net.inject(NodeId(999), NodeId(0), 0xFEED);
+            net.inject(NodeId(999), NodeId(7), 0xBEEF);
+        }
+        23 => net.node_mut(NodeId(2)).expect("member").budget += 3,
+        _ => {}
+    }
+    (0..N).filter(|i| (i + r) % 7 == 0).map(NodeId).collect()
+}
+
+/// Link drop/dup/delay, crash-stop, two crash-recoveries and a partition
+/// window, all inside the 30 rounds of the gossip case.
+fn stress_faults(seed: u64) -> FaultModel {
+    FaultModel::new(seed)
+        .with_link(LinkFaults { drop_prob: 0.12, dup_prob: 0.07, delay_prob: 0.15, max_delay: 3 })
+        .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 5, down_for: 4 })
+        .with_node_fault(NodeId(9), NodeFault::CrashStop { at: 12 })
+        .with_node_fault(NodeId(17), NodeFault::CrashRecover { at: 2, down_for: 2 })
+        .with_partition(Partition { side: (0..8).map(NodeId).collect(), from: 10, until: 14 })
+}
+
+/// Every raw-engine scenario at one shard count.
+fn engine_lines(shards: usize) -> Vec<String> {
+    let engine = |seed| XlNetwork::<Chatter>::with_shards(seed, shards);
+    let mut lines = Vec::new();
+
+    engine_case(engine(0xD1CE), "gossip", 24, 30, churn_script, &mut lines);
+
+    let mut net = engine(0xFADE);
+    net.set_fault_model(stress_faults(0xFA17));
+    engine_case(net, "faults", 24, 30, churn_script, &mut lines);
+
+    // Scheduled delays. `shift`: of two injections only the named one is
+    // held (two rounds), and every protocol send of round 1 is held one
+    // round. `order`: three messages under one key take the two scheduled
+    // extras in send order, the third is on time. `blocked`: the receiver
+    // is blocked in the round the held message matures.
+    let inject = |msgs: &'static [(u64, u64)], block: Option<(u64, u64)>| {
+        move |net: &mut XlNetwork<Chatter>, r: u64| {
+            if r == 0 {
+                for &(to, msg) in msgs {
+                    net.inject(NodeId(9), NodeId(to), msg);
+                }
+            }
+            block.filter(|&(at, _)| at == r).map(|(_, id)| NodeId(id)).into_iter().collect()
+        }
+    };
+    let mut shift = FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 2);
+    for (from, to) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
+        shift = shift.with_scheduled_delay(NodeId(from), NodeId(to), 1, 1);
+    }
+    let order = FaultModel::null()
+        .with_scheduled_delay(NodeId(9), NodeId(1), 0, 1)
+        .with_scheduled_delay(NodeId(9), NodeId(1), 0, 3);
+    let held = FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 1);
+    for (tag, faults, msgs, block) in [
+        ("sched-shift", shift, &[(1, 7), (2, 8)][..], None),
+        ("sched-order", order, &[(1, 100), (1, 200), (1, 300)][..], None),
+        ("sched-blocked", held, &[(1, 7)][..], Some((1, 1))),
+    ] {
+        let mut net = engine(0x5C4ED);
+        net.set_fault_model(faults);
+        engine_case(net, tag, 4, 6, inject(msgs, block), &mut lines);
+    }
+
+    let mut net = engine(0xB12A);
+    net.set_conduct(Some(Arc::new(
+        ByzantineConduct::new(9, [2, 7, 14].map(NodeId))
+            .dropping(PPM / 3)
+            .forging(PPM / 4, |m| m ^ 0xDEAD_BEEF),
+    )));
+    engine_case(net, "conduct", 24, 30, churn_script, &mut lines);
+    lines
+}
+
+/// The eight rounds after `network_v1.ckpt.json`, resumed at one shard count.
+fn resume_lines(shards: usize) -> Vec<String> {
+    let snap = read_value(&golden_path("network_v1.ckpt.json")).expect("committed fixture");
+    let mut net = XlNetwork::<Chatter>::from_state_with_shards(&snap, shards).expect("v1 reader");
+    (0..8)
+        .map(|_| {
+            let round = net.round();
+            net.step();
+            format!("resume {round} {:016x}", net.round_digest())
+        })
+        .collect()
+}
+
+/// The round model itself, in absolute values recorded from the engine
+/// this one replaced (the boxed-slot `Network` of `simnet`, deleted in PR 17;
+/// CHANGES.md says how the two files were generated at its parent commit). Reproduced at
+/// every shard count `xl_parity.rs` sweeps; the resume at shards 1 and 4.
+#[test]
+fn golden_engine_digests() {
+    let mut reference = engine_lines(1);
+    for shards in [2, 7, 16] {
+        assert_eq!(engine_lines(shards), reference, "shards={shards} diverged from shards=1");
+    }
+    let resumed = resume_lines(1);
+    assert_eq!(resume_lines(4), resumed, "resume at shards=4 diverged from shards=1");
+    reference.extend(resumed);
+    check_golden(
+        "engine.digests",
+        "engine (recorded from crates/simnet/src/engine.rs at 867e6f0, the commit before it \
+         was deleted): round_digest per round of raw-engine runs, each closed by its trace \
+         counters, CommStats totals and conduct counts. gossip = 24 Chatter nodes seed=0xD1CE, \
+         30 rounds of churn (slot reuse), injections, a wake-up and moving block sets; faults = \
+         the same at seed=0xFADE under link drop/dup/delay, crash-stop, crash-recover and a \
+         partition window (fault seed 0xFA17); sched-* = scheduled per-message delays, 4 nodes \
+         seed=0x5C4ED; conduct = gossip at seed=0xB12A with ByzantineConduct(9, {2,7,14}) \
+         dropping 1/3 forging 1/4; resume = the 8 rounds after network_v1.ckpt.json",
+        &reference,
+    );
+}
+
+/// `network_v1.ckpt.json` is an input, not an output: a file the deleted
+/// engine's `checkpoint_to` wrote mid-run, with link-fault RNG mid-stream,
+/// held messages, a vacated slot and the `par_mode` field only that engine
+/// knew. `UPDATE_GOLDEN` never rewrites it. The continuation it must
+/// resume into is pinned by `golden_engine_digests`; this checks the file
+/// still has the shape that makes it worth keeping, and that a damaged
+/// copy is refused with a typed error instead of resuming somewhere else.
+#[test]
+fn golden_network_v1_checkpoint_is_hard_state_and_tamper_evident() {
+    let snap = read_value(&golden_path("network_v1.ckpt.json")).expect("committed fixture");
+    assert_eq!(get_str(&snap, "par_mode").ok(), Some("auto"));
+    assert!(!get_array(&snap, "delayed").expect("delayed").is_empty(), "held messages");
+    assert!(get_array(&snap, "slots").expect("slots").contains(&serde_json::Value::Null), "a hole");
+    assert!(!get_array(&snap, "free").expect("free").is_empty());
+
+    let tamper = |key: &str, value: serde_json::Value| {
+        let mut bad = snap.clone();
+        let serde_json::Value::Object(top) = &mut bad else { panic!("checkpoint is an object") };
+        top.insert(key.into(), value);
+        XlNetwork::<Chatter>::from_state_with_shards(&bad, 1).err()
+    };
+    assert!(matches!(tamper("round", 99u64.into()), Some(CkptError::DigestMismatch { .. })));
+    assert!(matches!(tamper("par_mode", "turbo".into()), Some(CkptError::Corrupt(_))));
+    assert!(matches!(tamper("exec_mode", "fast".into()), Some(CkptError::ModeMismatch { .. })));
+    assert!(matches!(tamper("slots", 7u64.into()), Some(CkptError::Corrupt(_))));
+}
+
+// ---------------------------------------------------------------------------
+// Shard-count and pool-size differential tests
+// ---------------------------------------------------------------------------
+
+/// A [`Chatter`] population (active throughout: every run here is shorter
+/// than the budget) exercises everything the round digest covers: per-node
+/// RNG draws, protocol state evolution, payload-dependent traffic.
+fn gossip_digests(n: u64, seed: u64, rounds: u64, shards: usize) -> Vec<simnet::RoundDigest> {
+    let mut net = XlNetwork::with_shards(seed, shards);
+    net.enable_digests();
+    net.set_manifest(format!("gossip n={n} rounds={rounds} shards={shards}"));
+    for i in 0..n {
+        net.add_node(NodeId(i), chatter(n, i));
     }
     net.run(rounds);
     net.trace().digests().to_vec()
+}
+
+/// The same run at one shard and at four, each under a 1-thread and a
+/// 4-thread pool: sharding, chunking and scheduling differ, digests must
+/// not. Returns the common stream.
+fn shard_and_pool_differential(n: u64, seed: u64, rounds: u64) -> Vec<simnet::RoundDigest> {
+    let run_with = |threads: usize, shards: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| gossip_digests(n, seed, rounds, shards))
+    };
+    let serial = run_with(1, 1);
+    for (threads, shards) in [(1, 4), (4, 1), (4, 4)] {
+        assert_eq!(run_with(threads, shards), serial, "threads={threads} shards={shards}");
+    }
+    serial
 }
 
 #[test]
 fn serial_and_parallel_digests_match_below_threshold() {
     let n = 64;
     assert!((n as usize) < PAR_THRESHOLD);
-    let serial = gossip_digests(n, 5150, 12, ParMode::Serial);
-    assert_eq!(gossip_digests(n, 5150, 12, ParMode::Parallel), serial);
-    assert_eq!(gossip_digests(n, 5150, 12, ParMode::Auto), serial);
+    shard_and_pool_differential(n, 5150, 12);
 }
 
 #[test]
 fn serial_and_parallel_digests_match_above_threshold() {
     let n = 600;
     assert!((n as usize) > PAR_THRESHOLD);
-    let serial = gossip_digests(n, 5151, 6, ParMode::Serial);
-    assert_eq!(gossip_digests(n, 5151, 6, ParMode::Parallel), serial);
-    assert_eq!(gossip_digests(n, 5151, 6, ParMode::Auto), serial);
+    shard_and_pool_differential(n, 5151, 6);
 }
 
 #[test]
 fn one_thread_and_many_threads_agree() {
-    // The same parallel-mode run under a 1-thread pool and an N-thread
-    // pool: chunking and scheduling differ, digests must not.
-    let run_with = |threads: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap()
-            .install(|| gossip_digests(600, 5152, 6, ParMode::Parallel))
-    };
-    let one = run_with(1);
-    let four = run_with(4);
-    assert_eq!(one, four);
-    // And both match an un-pooled serial run.
-    assert_eq!(one, gossip_digests(600, 5152, 6, ParMode::Serial));
+    // Both pool sizes match a run outside any installed pool, at the
+    // automatic shard count.
+    assert_eq!(shard_and_pool_differential(600, 5152, 6), gossip_digests(600, 5152, 6, 0));
 }
 
 #[test]
 fn digest_streams_differ_across_seeds() {
     // Sanity: the digest is not degenerate — different seeds must produce
     // different streams once randomness is consumed.
-    let a = gossip_digests(64, 1, 8, ParMode::Serial);
-    let b = gossip_digests(64, 2, 8, ParMode::Serial);
+    let a = gossip_digests(64, 1, 8, 1);
+    let b = gossip_digests(64, 2, 8, 1);
     assert_ne!(a, b);
 }
 
@@ -522,7 +764,7 @@ fn sampling_digest_stream_is_replay_identical_and_mode_independent() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    // n=600 > PAR_THRESHOLD: run_alg1 steps in parallel under ParMode::Auto.
+    // n=600 > PAR_THRESHOLD: run_alg1 steps its shards through the pool.
     let (_, _, a) = run_alg1_digested(&graph, &params, 9);
     let (_, _, b) = run_alg1_digested(&graph, &params, 9);
     assert_eq!(a, b);

@@ -107,8 +107,8 @@ fn alg1_outcomes_are_statistically_equivalent_under_fast() {
     let mut parity_runs = Vec::new();
     let mut fast_runs = Vec::new();
     for seed in replicate_seeds() {
-        parity_runs.push(alg1_outcome_hist(Backend::Xl { shards: 4 }, &graph, seed));
-        fast_runs.push(alg1_outcome_hist(Backend::XlFast { shards: 4 }, &graph, seed));
+        parity_runs.push(alg1_outcome_hist(Backend::parity(4), &graph, seed));
+        fast_runs.push(alg1_outcome_hist(Backend::fast(4), &graph, seed));
     }
     let parity = overlay_stats::pool_counts(&parity_runs);
     let fast = overlay_stats::pool_counts(&fast_runs);
@@ -154,10 +154,10 @@ fn expander_hists(backend: Backend, seed: u64) -> (Vec<u64>, Vec<u64>) {
 fn expander_reconfig_is_statistically_equivalent_under_fast() {
     let (mut pd, mut pr, mut fd, mut fr) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for seed in replicate_seeds() {
-        let (d, r) = expander_hists(Backend::Xl { shards: 4 }, seed);
+        let (d, r) = expander_hists(Backend::parity(4), seed);
         pd.push(d);
         pr.push(r);
-        let (d, r) = expander_hists(Backend::XlFast { shards: 4 }, seed);
+        let (d, r) = expander_hists(Backend::fast(4), seed);
         fd.push(d);
         fr.push(r);
     }
@@ -184,7 +184,7 @@ fn dos_and_churndos_goldens_are_byte_identical_under_fast() {
     // The supernode overlays (and hence their group-size distributions)
     // never instantiate a simnet engine, so `xl:fast` must reproduce the
     // committed digest streams exactly — equivalence with TV distance 0.
-    let dos = with_backend(Backend::XlFast { shards: 7 }, || {
+    let dos = with_backend(Backend::fast(7), || {
         let mut ov = DosOverlay::new(256, DosParams::default(), 9);
         let lateness = 2 * ov.epoch_len();
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, 11);
@@ -199,7 +199,7 @@ fn dos_and_churndos_goldens_are_byte_identical_under_fast() {
     });
     assert_eq!(dos, golden_lines("dos_overlay.digests"));
 
-    let churndos = with_backend(Backend::XlFast { shards: 7 }, || {
+    let churndos = with_backend(Backend::fast(7), || {
         let mut ov = ChurnDosOverlay::new(400, ChurnDosParams::default(), 13);
         let lateness = 2 * ov.epoch_len();
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, 17);
@@ -258,10 +258,10 @@ fn healed_observables(backend: Backend, seed: u64) -> (Vec<u64>, Vec<u64>, bool)
 fn healed_fault_runs_are_statistically_equivalent_under_fast() {
     let (mut pp, mut pd, mut fp, mut fd) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for seed in replicate_seeds() {
-        let (profile, degrees, parity_ok) = healed_observables(Backend::Xl { shards: 4 }, seed);
+        let (profile, degrees, parity_ok) = healed_observables(Backend::parity(4), seed);
         pp.push(profile);
         pd.push(degrees);
-        let (profile, degrees, fast_ok) = healed_observables(Backend::XlFast { shards: 4 }, seed);
+        let (profile, degrees, fast_ok) = healed_observables(Backend::fast(4), seed);
         fp.push(profile);
         fd.push(degrees);
         // Invariant preservation: fast may only violate what parity also
@@ -492,9 +492,9 @@ proptest! {
     #[test]
     fn fuzzed_fast_runs_preserve_parity_invariants(seed in 0u64..10_000) {
         let plan = FaultPlan::generate(seed, &FuzzLimits::default());
-        let parity = plan_violations(Backend::Xl { shards: 4 }, &plan);
+        let parity = plan_violations(Backend::parity(4), &plan);
         for shards in SHARD_COUNTS {
-            let fast = plan_violations(Backend::XlFast { shards }, &plan);
+            let fast = plan_violations(Backend::fast(shards), &plan);
             for ((inv, p), (_, f)) in parity.iter().zip(&fast) {
                 // Fast mode must not introduce violations of invariants the
                 // parity run satisfies; where parity already violates, fast
@@ -553,11 +553,9 @@ fn recovery_transitions_are_identical_across_exec_modes() {
     // even `xl:fast` — which is allowed to reorder engine work — must
     // reproduce the digest stream and the mode-transition stream
     // byte-identically. The mode knob cannot leak into recovery.
-    let (digests, transitions) = recovery_trace(Backend::Legacy);
+    let (digests, transitions) = recovery_trace(Backend::parity(1));
     assert!(!transitions.is_empty(), "fixture must exercise the mode machine");
-    for backend in
-        [Backend::Xl { shards: 1 }, Backend::Xl { shards: 4 }, Backend::XlFast { shards: 4 }]
-    {
+    for backend in [Backend::parity(4), Backend::fast(1), Backend::fast(4)] {
         let (d, t) = recovery_trace(backend);
         assert_eq!(digests, d, "{backend:?}: digest stream diverged");
         assert_eq!(transitions, t, "{backend:?}: transition stream diverged");
@@ -578,9 +576,8 @@ fn fast_runs_are_reproducible_per_seed_and_shards() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA11CE);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    let run = |shards| {
-        with_backend(Backend::XlFast { shards }, || run_alg1_digested(&graph, &params, 42))
-    };
+    let run =
+        |shards| with_backend(Backend::fast(shards), || run_alg1_digested(&graph, &params, 42));
     let (s1, _, d1): (_, _, Vec<RoundDigest>) = run(4);
     let (s2, _, d2) = run(4);
     assert_eq!(s1, s2);

@@ -24,7 +24,8 @@ use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams, SizeBand};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::reconfig::ExpanderOverlay;
-use simnet::{BlockSet, Ctx, Network, NodeId, Protocol, TraceEvent};
+use simnet::{BlockSet, Ctx, NodeId, Protocol, TraceEvent};
+use simnet_xl::XlNetwork;
 use std::collections::HashMap;
 
 /// Schedules per overlay family; `FUZZ_CASES` overrides the default 100
@@ -222,7 +223,7 @@ fn fuzzed_block_schedules_match_the_delivery_rule_oracle() {
             })
             .collect();
 
-        let mut net: Network<Flood> = Network::new(seed ^ 0xF100D);
+        let mut net: XlNetwork<Flood> = XlNetwork::new(seed ^ 0xF100D);
         net.enable_trace(1 << 16);
         for i in 0..n {
             net.add_node(NodeId(i), Flood { n, active_rounds, heard: 0 });

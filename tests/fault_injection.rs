@@ -27,7 +27,8 @@ use reconfig_core::healing::{ExpanderFaultRun, FaultyRunner, HealingParams};
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;
-use simnet::{BlockSet, Ctx, FaultModel, LinkFaults, Network, NodeFault, NodeId, Protocol};
+use simnet::{BlockSet, Ctx, FaultModel, LinkFaults, NodeFault, NodeId, Protocol};
+use simnet_xl::XlNetwork;
 
 /// Schedules per overlay family; `FUZZ_CASES` overrides the default 100
 /// (validated against [1, 100_000] — garbage or out-of-range values abort with a
@@ -57,7 +58,7 @@ impl Protocol for Shooter {
 /// Message-fate counters after driving `Shooter` for 8 rounds under one
 /// cell of the truth table.
 fn fates(block_receiver: bool, crash_receiver: bool, drop_links: bool) -> (u64, u64, u64, u64) {
-    let mut net: Network<Shooter> = Network::new(1);
+    let mut net: XlNetwork<Shooter> = XlNetwork::new(1);
     net.add_node(NodeId(0), Shooter);
     net.add_node(NodeId(1), Shooter);
     let mut faults = FaultModel::new(2);
@@ -140,7 +141,7 @@ impl Protocol for Gossip {
 }
 
 fn gossip_digests(explicit_null: bool) -> Vec<simnet::RoundDigest> {
-    let mut net: Network<Gossip> = Network::new(4242);
+    let mut net: XlNetwork<Gossip> = XlNetwork::new(4242);
     if explicit_null {
         net.set_fault_model(FaultModel::null());
     }

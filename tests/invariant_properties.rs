@@ -9,7 +9,8 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reconfig_core::churndos::{LabeledGroups, SizeBand};
 use reconfig_core::config::{SamplingParams, Schedule};
-use simnet::{BlockSet, Ctx, Network, NodeId, Protocol};
+use simnet::{BlockSet, Ctx, NodeId, Protocol};
+use simnet_xl::XlNetwork;
 
 /// One deterministic message per round to a pseudo-random target; used by
 /// the trace-accounting properties below.
@@ -45,8 +46,8 @@ fn run_ping(
     block_every: u64,
     trace_cap: Option<usize>,
     remove_at: Option<u64>,
-) -> (Network<Ping>, u64) {
-    let mut net: Network<Ping> = Network::new(seed);
+) -> (XlNetwork<Ping>, u64) {
+    let mut net: XlNetwork<Ping> = XlNetwork::new(seed);
     if let Some(cap) = trace_cap {
         net.enable_trace(cap);
     }

@@ -8,10 +8,10 @@
 //!
 //! * **replay** — the same catastrophe run twice is bit-identical in
 //!   digest stream, mode-transition stream, and counters;
-//! * **backend parity** — legacy vs `xl` at shard counts 1/2/7/16
-//!   (supernode overlays never instantiate a simnet engine, so the
-//!   backend knob must be invisible to the recovery layer — this pins
-//!   that it stays so);
+//! * **backend parity** — `xl` at shard counts 1/2/7/16 against the trace
+//!   recorded before the boxed-slot engine was deleted (supernode overlays
+//!   never instantiate a simnet engine, so the backend knob must be
+//!   invisible to the recovery layer — this pins that it stays so);
 //! * **digest neutrality** — the committed `dos_overlay` golden family,
 //!   re-driven through a `RecoveryRunner` with a null schedule, must
 //!   reproduce the golden digest stream byte-for-byte: recovery plumbing
@@ -119,8 +119,8 @@ fn run_trace(backend: Backend, n: usize, seed: u64, enabled: bool, epochs: u64) 
 #[test]
 fn catastrophe_runs_replay_bit_identically() {
     for enabled in [true, false] {
-        let a = run_trace(Backend::Legacy, 128, 0x4EC1, enabled, 7);
-        let b = run_trace(Backend::Legacy, 128, 0x4EC1, enabled, 7);
+        let a = run_trace(Backend::parity(1), 128, 0x4EC1, enabled, 7);
+        let b = run_trace(Backend::parity(1), 128, 0x4EC1, enabled, 7);
         assert_eq!(a, b, "enabled={enabled}: replay diverged");
         assert_eq!(a.bursts_fired, 1);
         assert_eq!(a.partitions_healed, 1);
@@ -129,11 +129,14 @@ fn catastrophe_runs_replay_bit_identically() {
 
 #[test]
 fn legacy_and_xl_agree_at_every_shard_count() {
-    let reference = run_trace(Backend::Legacy, 128, 0x4EC2, true, 7);
-    assert!(reference.admitted > 0, "fixture must exercise the storm path");
+    // FNV-1a over the `Debug` rendering of the whole trace under the
+    // `legacy` backend at 867e6f0, the last commit that had one.
+    const LEGACY: u64 = 0x7265_813d_379f_1b50;
     for shards in SHARD_COUNTS {
-        let xl = run_trace(Backend::Xl { shards }, 128, 0x4EC2, true, 7);
-        assert_eq!(reference, xl, "xl:{shards} diverged from legacy");
+        let xl = run_trace(Backend::parity(shards), 128, 0x4EC2, true, 7);
+        assert!(xl.admitted > 0, "fixture must exercise the storm path");
+        let rendered = simnet::Digest::new().write_str(&format!("{xl:?}")).finish();
+        assert_eq!(rendered, LEGACY, "xl:{shards} diverged from legacy");
     }
 }
 
@@ -237,7 +240,7 @@ fn arms_share_the_catastrophe_but_only_the_control_orphans() {
 #[test]
 fn fuzzed_catastrophes_replay_and_agree_across_backends() {
     // RECOVERY_CASES random catastrophe configurations (burst fraction,
-    // target, storm window, optional partition), each run under legacy
+    // target, storm window, optional partition), each run under xl:1
     // twice and xl:2 once: all three traces identical, and the enabled
     // arm never orphans. Nightly CI turns the count up.
     let cases = env_usize_knob("RECOVERY_CASES", 6, 1, 10_000)
@@ -290,9 +293,9 @@ fn fuzzed_catastrophes_replay_and_agree_across_backends() {
                 )
             })
         };
-        let a = run(Backend::Legacy);
-        let b = run(Backend::Legacy);
-        let c = run(Backend::Xl { shards: 2 });
+        let a = run(Backend::parity(1));
+        let b = run(Backend::parity(1));
+        let c = run(Backend::parity(2));
         assert_eq!(a, b, "case {case} (seed {seed:#x}): replay diverged");
         assert_eq!(a, c, "case {case} (seed {seed:#x}): xl:2 diverged");
         assert_eq!(a.2 .2, 0, "case {case} (seed {seed:#x}): enabled arm orphaned");
