@@ -60,12 +60,12 @@ impl Protocol for WireProto {
     type Msg = u64;
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
-        let mut inbox = ctx.take_inbox();
         // Canonical order: live delivery (TCP interleaving) and simulated
         // delivery (matured-delays-first) may hand us the same multiset of
-        // envelopes in different orders; the fold must not care.
-        inbox.sort_by_key(|env| (env.from.raw(), env.sent_round, env.msg));
-        for env in &inbox {
+        // envelopes in different orders; the fold must not care. Sorted
+        // where the mail lies, so no copy of the inbox is made.
+        ctx.inbox_mut().sort_by_key(|env| (env.from.raw(), env.sent_round, env.msg));
+        for env in ctx.take_inbox() {
             self.acc = self.acc.wrapping_mul(FNV_PRIME) ^ env.msg;
         }
         for _ in 0..FANOUT {

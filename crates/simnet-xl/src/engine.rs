@@ -15,7 +15,7 @@ use rayon::prelude::*;
 use simnet::accounting::{CommStats, RoundWork};
 use simnet::backend::SimEngine;
 use simnet::conduct::{Conduct, SendFate};
-use simnet::fault::{delivered, BlockSet, FaultModel, LinkFate};
+use simnet::fault::{BlockSet, FaultModel, LinkFate};
 use simnet::instrument::NetObserver;
 use simnet::protocol::{node_state_digest, Ctx, Protocol};
 use simnet::rng::{stream, NodeRng};
@@ -30,6 +30,10 @@ use telemetry::{EventKind, Phase, Telemetry};
 /// protocol sends, `INJECT_BIT | counter` for external injections (which
 /// are delivered after the round's sends).
 type Key = u64;
+
+/// A key-sorted run of pending messages: one shard's send arena, or the
+/// injection lane.
+type Run<M> = Vec<(Key, Envelope<M>)>;
 
 /// Below this many nodes a round runs its shards one after the other: the
 /// pool's dispatch cost only pays off for larger populations. Public so
@@ -88,14 +92,22 @@ impl Hasher for SplitMixHasher {
 type IdMap = HashMap<NodeId, u32, BuildHasherDefault<SplitMixHasher>>;
 
 // --------------------------------------------------------------------------
-// Fast-mode helpers: dense bitsets over sequence numbers (replacing the
-// per-message BTreeSet membership tests of the parity path) and per-shard
-// trace-counter deltas that fold into the shared `Trace` serially.
+// Delivery helpers: dense bitsets over sequence numbers (what both modes
+// probe per message and per stepped node instead of the id-keyed BTreeSet)
+// and, for fast mode, per-shard trace-counter deltas that fold into the
+// shared `Trace` serially.
 // --------------------------------------------------------------------------
 
-/// Dense bit set over sequence numbers, rebuilt each fast-mode round from
-/// an id-keyed [`BlockSet`] so per-message membership tests are one shift
-/// and mask instead of a BTreeSet probe.
+/// Dense bit set over sequence numbers, rebuilt once per round from an
+/// id-keyed [`BlockSet`] so membership tests are one shift and mask instead
+/// of a BTreeSet probe.
+///
+/// The rebuild goes through the *current* id → seq table, so a bit is set
+/// exactly for the blocked ids that are members now: a departed id sets
+/// none, and a joiner that took a departed node's seq does not inherit its
+/// block. For a present id the bit therefore equals `set.contains(id)`;
+/// only an id with no seq needs the set itself (see
+/// [`XlNetwork::deliver_one`]).
 #[derive(Default)]
 struct SeqBits {
     words: Vec<u64>,
@@ -158,6 +170,27 @@ type RouteJob<'a, P> = (usize, &'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>
 /// (post-transpose) inbound buckets.
 type AbsorbJob<'a, P> = (&'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>::Msg>]);
 
+/// Where a message reaching [`XlNetwork::deliver_one`] was queued, which
+/// decides the probes the Section 1.1 rule needs for it.
+///
+/// The rule drops a message whose *sender* was blocked in the send round.
+/// For [`Lane::Arena`] that probe is skipped in both modes: an arena holds
+/// what the compute walk of round `r − 1` collected, the walk runs no node
+/// whose bit is set in that round's block view, so a node that sent in
+/// `r − 1` is not in `prev_blocked`. Nothing of the kind holds for
+/// [`Lane::Injected`], whose nominal sender never ran.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// A shard's send arena: protocol sends of the previous round.
+    Arena,
+    /// [`XlNetwork::inject`]ed from outside — and, after a parity restore,
+    /// the checkpoint's in-flight mail, which is queued the same way.
+    Injected,
+    /// Held back by a delay fault and now due: only the receiver's
+    /// current block state is re-checked.
+    Matured,
+}
+
 // --------------------------------------------------------------------------
 // Shard: structure-of-arrays node state plus the shard's send arena.
 // --------------------------------------------------------------------------
@@ -180,7 +213,7 @@ struct Shard<P: Protocol> {
     scratch: Vec<Envelope<P::Msg>>,
     /// Send arena: this shard's outgoing messages of the current round,
     /// key-sorted by construction (nodes step in seq order).
-    sent: Vec<(Key, Envelope<P::Msg>)>,
+    sent: Run<P::Msg>,
     /// Fast mode: messages this shard's route pass held back on a
     /// link-delay fault, drained into the engine's delay queue serially.
     fast_delayed: Vec<(u64, Envelope<P::Msg>)>,
@@ -245,9 +278,7 @@ impl<P: Protocol> Shard<P> {
     /// (which keeps the send arena key-sorted). Safe to run concurrently
     /// with other shards: touches only this shard's state.
     ///
-    /// `cur_bits` is the fast-mode seq-indexed view of `blocked`; when
-    /// present it replaces the per-node BTreeSet probe (parity mode passes
-    /// `None`).
+    /// `cur_bits` is the seq-indexed view of this round's block set.
     ///
     /// `conduct` judges every send before it enters the arena (parity and
     /// fast alike). Safe under shard parallelism: the hook's contract
@@ -256,10 +287,9 @@ impl<P: Protocol> Shard<P> {
     fn run_round(
         &mut self,
         round: u64,
-        blocked: &BlockSet,
         downs: &BlockSet,
         seq_local: &[u32],
-        cur_bits: Option<&SeqBits>,
+        cur_bits: &SeqBits,
         conduct: Option<&dyn Conduct<P::Msg>>,
     ) {
         self.sent_bits = 0;
@@ -281,11 +311,7 @@ impl<P: Protocol> Shard<P> {
             }
             self.flags[local] = false;
             let id = self.ids[local];
-            let blocked_now = match cur_bits {
-                Some(bits) => bits.get(seq),
-                None => blocked.contains(id),
-            };
-            if blocked_now || downs.contains(id) {
+            if cur_bits.get(seq) || downs.contains(id) {
                 // A blocked or down node neither runs nor sends; pending
                 // inbox content is discarded. It stays on the worklist
                 // (unless permanently passive) because it will act again
@@ -348,14 +374,14 @@ impl<P: Protocol> Shard<P> {
     /// shards: all shared inputs are read-only and fate randomness comes
     /// from a private per-shard per-round stream.
     ///
-    /// The judging sequence is the [`XlNetwork::deliver_one`] rules
-    /// specialized to fresh protocol sends: the sender computed this arena,
-    /// so it was neither blocked nor down at send time and the sender-side
-    /// membership tests (`prev_blocked.contains(from)`, `down(from,
-    /// sent_round)`) are vacuously false and skipped. One observable
-    /// classification shift: the receiver lookup now comes first, so a
-    /// message to a departed *and* blocked receiver counts as
-    /// `dropped_missing`, not `dropped_blocked` (see DESIGN.md §10).
+    /// The judging sequence is the [`XlNetwork::deliver_one`] rules for
+    /// [`Lane::Arena`] (which is where the argument for skipping the sender
+    /// probe lives), with two differences. The sender's `down(from,
+    /// sent_round)` test goes too (parity keeps it: a fault model installed
+    /// between send and delivery may say the sender was down). And a
+    /// receiver with no seq is classified *first*, not last, so a message
+    /// to a departed *and* blocked receiver counts as `dropped_missing`
+    /// here and `dropped_blocked` in parity (see DESIGN.md §10).
     #[allow(clippy::too_many_arguments)]
     fn route_fast(
         &mut self,
@@ -453,8 +479,8 @@ pub struct XlNetwork<P: Protocol> {
     /// cell `(src, dst)` holds messages from `src` bound for `dst`. The
     /// bucket vectors (and their capacity) persist across rounds.
     fast_buckets: Vec<Bucket<P::Msg>>,
-    /// Fast mode: seq-indexed views of last round's and this round's block
-    /// sets, rebuilt every round.
+    /// Seq-indexed views of last round's and this round's block sets,
+    /// rebuilt at the top of every round's delivery (both modes).
     prev_bits: SeqBits,
     cur_bits: SeqBits,
     /// id → sequence number.
@@ -464,11 +490,17 @@ pub struct XlNetwork<P: Protocol> {
     /// Free sequence numbers, reused most-recently-freed first.
     free: Vec<u32>,
     /// External injections pending for next round, keyed after all sends.
-    injected: Vec<(Key, Envelope<P::Msg>)>,
+    injected: Run<P::Msg>,
     inject_seq: u64,
     /// Messages held back by a link-delay fault, with maturity round.
     delayed: Vec<(u64, Envelope<P::Msg>)>,
     scratch_delayed: Vec<(u64, Envelope<P::Msg>)>,
+    /// Parity merge scratch, one slot per shard plus one for injections:
+    /// the arenas are swapped in here for the duration of a delivery pass
+    /// and swapped back drained, so no per-round vector is built.
+    runs: Vec<Run<P::Msg>>,
+    /// Last round's block set by id: source of `prev_bits`, and what the
+    /// delivery rule falls back to where there is no seq to probe.
     prev_blocked: BlockSet,
     faults: FaultModel,
     /// Send-path interception policy (see [`simnet::conduct`]), judged
@@ -480,6 +512,10 @@ pub struct XlNetwork<P: Protocol> {
     trace: Trace,
     obs: NetObserver,
     digests_enabled: bool,
+    /// Judge deliveries by the id-keyed reference rule instead of the
+    /// bitset one: the oracle side of the delivery-rule differential.
+    #[cfg(test)]
+    id_keyed_reference: bool,
 }
 
 impl<P: Protocol> XlNetwork<P> {
@@ -519,6 +555,7 @@ impl<P: Protocol> XlNetwork<P> {
             inject_seq: 0,
             delayed: Vec::new(),
             scratch_delayed: Vec::new(),
+            runs: (0..=n_shards).map(|_| Vec::new()).collect(),
             prev_blocked: BlockSet::none(),
             faults: FaultModel::null(),
             conduct: None,
@@ -528,6 +565,8 @@ impl<P: Protocol> XlNetwork<P> {
             trace: Trace::counters_only(),
             obs: NetObserver::disabled(),
             digests_enabled: false,
+            #[cfg(test)]
+            id_keyed_reference: false,
         }
     }
 
@@ -806,9 +845,13 @@ impl<P: Protocol> XlNetwork<P> {
 
         // Step 1: deliver — matured delays first, then last round's sends:
         // merged serially in global key order (parity) or routed in
-        // parallel per shard (fast).
+        // parallel per shard (fast). Membership is fixed until the round
+        // ends, so the seq-indexed block views built here serve delivery
+        // and the compute walk alike.
         {
             let _deliver = self.obs.telemetry().phase(Phase::Deliver);
+            self.prev_bits.rebuild(&self.prev_blocked, &self.idmap, self.seq_local.len());
+            self.cur_bits.rebuild(blocked, &self.idmap, self.seq_local.len());
             match self.mode {
                 ExecMode::Parity => self.deliver_all(round, blocked, &downs),
                 ExecMode::Fast => self.deliver_all_fast(round, blocked, &downs),
@@ -820,22 +863,16 @@ impl<P: Protocol> XlNetwork<P> {
         // until next round's merge.
         {
             let _compute = self.obs.telemetry().phase(Phase::Compute);
-            let seq_local = &self.seq_local;
-            // Fast delivery already built a seq-indexed view of `blocked`;
-            // reuse it so the compute walk skips the BTreeSet probes too.
-            let cur_bits = match self.mode {
-                ExecMode::Fast => Some(&self.cur_bits),
-                ExecMode::Parity => None,
-            };
+            let (seq_local, cur_bits) = (&self.seq_local, &self.cur_bits);
             let conduct = self.conduct.as_deref();
             let parallel = self.n_shards > 1 && self.idmap.len() >= PAR_THRESHOLD;
             if parallel {
-                self.shards.par_iter_mut().for_each(|sh| {
-                    sh.run_round(round, blocked, &downs, seq_local, cur_bits, conduct)
-                });
+                self.shards
+                    .par_iter_mut()
+                    .for_each(|sh| sh.run_round(round, &downs, seq_local, cur_bits, conduct));
             } else {
                 for sh in &mut self.shards {
-                    sh.run_round(round, blocked, &downs, seq_local, cur_bits, conduct);
+                    sh.run_round(round, &downs, seq_local, cur_bits, conduct);
                 }
             }
         }
@@ -856,7 +893,7 @@ impl<P: Protocol> XlNetwork<P> {
         if self.obs.enabled() {
             self.obs.on_round(&self.trace, work, self.idmap.len(), sent_bits, sent_msgs);
         }
-        self.prev_blocked = blocked.clone();
+        self.prev_blocked.clone_from(blocked);
         self.round += 1;
 
         if self.digests_enabled {
@@ -865,63 +902,85 @@ impl<P: Protocol> XlNetwork<P> {
         }
     }
 
+    /// Deliver the held-back messages that are due, in the order they were
+    /// held; the rest go back on the queue. First step of delivery in both
+    /// modes.
+    fn deliver_matured(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
+        if self.delayed.is_empty() {
+            return;
+        }
+        let mut held =
+            std::mem::replace(&mut self.delayed, std::mem::take(&mut self.scratch_delayed));
+        for (due, env) in held.drain(..) {
+            if due <= round {
+                self.deliver_one(env, round, Lane::Matured, blocked, downs);
+            } else {
+                self.delayed.push((due, env));
+            }
+        }
+        self.scratch_delayed = held;
+    }
+
     /// Deliver everything pending for this round in parity order:
     /// matured delayed messages (push order), then all of last round's
     /// sends and injections in global key order via a k-way merge over the
     /// per-shard arenas.
     fn deliver_all(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        if !self.delayed.is_empty() {
-            let mut held =
-                std::mem::replace(&mut self.delayed, std::mem::take(&mut self.scratch_delayed));
-            for (due, env) in held.drain(..) {
-                if due <= round {
-                    self.deliver_one(env, round, blocked, downs, false);
-                } else {
-                    self.delayed.push((due, env));
-                }
-            }
-            self.scratch_delayed = held;
-        }
+        self.deliver_matured(round, blocked, downs);
 
-        // Take the runs out of `self` so delivery below can borrow the
-        // engine mutably. Every run is key-sorted by construction.
-        let mut runs: Vec<Vec<(Key, Envelope<P::Msg>)>> = Vec::with_capacity(self.n_shards + 1);
-        for sh in &mut self.shards {
-            runs.push(std::mem::take(&mut sh.sent));
-        }
-        runs.push(std::mem::take(&mut self.injected));
+        // Swap the runs out of `self` so delivery below can borrow the
+        // engine mutably. Every run is key-sorted by construction; the last
+        // one is the injection lane.
+        let mut runs = std::mem::take(&mut self.runs);
+        self.swap_runs(&mut runs);
         self.inject_seq = 0;
+        let k = self.n_shards;
+        let lane_of = |i: usize| if i == k { Lane::Injected } else { Lane::Arena };
 
         let live = runs.iter().filter(|r| !r.is_empty()).count();
         if live == 1 {
             // Fast path: all of this round's traffic came from one shard
             // (or only injections) — the run is already in delivery order.
-            let run = runs.iter_mut().find(|r| !r.is_empty()).expect("one live run");
-            for (_, env) in run.drain(..) {
-                self.deliver_one(env, round, blocked, downs, true);
+            let i = runs.iter().position(|r| !r.is_empty()).expect("one live run");
+            let lane = lane_of(i);
+            for (_, env) in runs[i].drain(..) {
+                self.deliver_one(env, round, lane, blocked, downs);
             }
         } else if live > 1 {
-            let mut drains: Vec<_> = runs.iter_mut().map(|r| r.drain(..).peekable()).collect();
+            // Turn every run around so its next message is its last
+            // element: `pop` hands it over by value and the merge needs no
+            // per-run iterator state.
+            for run in &mut runs {
+                run.reverse();
+            }
             loop {
                 let mut best: Option<(Key, usize)> = None;
-                for (i, d) in drains.iter_mut().enumerate() {
-                    if let Some(&(key, _)) = d.peek() {
+                for (i, run) in runs.iter().enumerate() {
+                    if let Some(&(key, _)) = run.last() {
                         if best.is_none_or(|(bk, _)| key < bk) {
                             best = Some((key, i));
                         }
                     }
                 }
                 let Some((_, i)) = best else { break };
-                let (_, env) = drains[i].next().expect("peeked");
-                self.deliver_one(env, round, blocked, downs, true);
+                let (_, env) = runs[i].pop().expect("peeked");
+                self.deliver_one(env, round, lane_of(i), blocked, downs);
             }
         }
 
         // Hand the (drained) arenas back so their capacity is reused.
-        self.injected = runs.pop().expect("inject run");
-        for (sh, run) in self.shards.iter_mut().zip(runs) {
-            sh.sent = run;
+        self.swap_runs(&mut runs);
+        self.runs = runs;
+    }
+
+    /// Exchange every shard's send arena, and the injection lane, with the
+    /// matching slot of `runs` (the merge scratch, taken out of `self`).
+    fn swap_runs(&mut self, runs: &mut [Run<P::Msg>]) {
+        let (inject_run, arena_runs) = runs.split_last_mut().expect("k + 1 runs");
+        for (sh, run) in self.shards.iter_mut().zip(arena_runs) {
+            std::mem::swap(&mut sh.sent, run);
         }
+        std::mem::swap(&mut self.injected, inject_run);
     }
 
     /// Fast-mode delivery: relaxed global order, parallel per shard.
@@ -935,25 +994,12 @@ impl<P: Protocol> XlNetwork<P> {
     /// send order). Everything is deterministic for a fixed
     /// `(master_seed, n_shards)`.
     fn deliver_all_fast(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        if !self.delayed.is_empty() {
-            let mut held =
-                std::mem::replace(&mut self.delayed, std::mem::take(&mut self.scratch_delayed));
-            for (due, env) in held.drain(..) {
-                if due <= round {
-                    self.deliver_one(env, round, blocked, downs, false);
-                } else {
-                    self.delayed.push((due, env));
-                }
-            }
-            self.scratch_delayed = held;
-        }
+        self.deliver_matured(round, blocked, downs);
 
         let k = self.n_shards;
         if self.fast_buckets.len() != k * k {
             self.fast_buckets = (0..k * k).map(|_| Vec::new()).collect();
         }
-        self.prev_bits.rebuild(&self.prev_blocked, &self.idmap, self.seq_local.len());
-        self.cur_bits.rebuild(blocked, &self.idmap, self.seq_local.len());
         let parallel = k > 1 && self.idmap.len() >= PAR_THRESHOLD;
 
         // Route pass, parallel over source shards.
@@ -1020,7 +1066,7 @@ impl<P: Protocol> XlNetwork<P> {
         if !self.injected.is_empty() {
             let mut inj = std::mem::take(&mut self.injected);
             for (_, env) in inj.drain(..) {
-                self.deliver_one(env, round, blocked, downs, true);
+                self.deliver_one(env, round, Lane::Injected, blocked, downs);
             }
             self.injected = inj;
         }
@@ -1029,23 +1075,37 @@ impl<P: Protocol> XlNetwork<P> {
 
     /// Route one message through the delivery rules: the Section 1.1
     /// blocking check, then node-fault and partition checks, then (for
-    /// `fresh` messages only) a link-fate draw, then receiver lookup.
-    /// Matured delayed messages are not `fresh`: they re-check just the
-    /// receiver-side conditions and are never delayed twice.
+    /// fresh messages only) a scheduled delay and a link-fate draw, then a
+    /// missing receiver. [`Lane::Matured`] messages are not fresh: they
+    /// re-check just the receiver-side conditions and are never delayed
+    /// twice.
+    ///
+    /// The blocking check probes [`SeqBits`], so the receiver's seq is
+    /// looked up *first* — but a receiver without one is still classified
+    /// *last*, after every check above has had its say and the fault RNG
+    /// has been drawn from exactly as if the receiver were there. For such
+    /// a receiver (departed, or never a member) the blocking check falls
+    /// back to the id-keyed sets, so a message to a departed *and* blocked
+    /// node counts as `dropped_blocked`, not `dropped_missing`.
     fn deliver_one(
         &mut self,
         env: Envelope<P::Msg>,
         round: u64,
+        lane: Lane,
         blocked: &BlockSet,
         downs: &BlockSet,
-        fresh: bool,
     ) {
-        let dos_ok = if fresh {
-            delivered(env.from, env.to, &self.prev_blocked, blocked)
-        } else {
-            !blocked.contains(env.to)
+        #[cfg(test)]
+        if self.id_keyed_reference {
+            return self.deliver_one_id_keyed(env, round, blocked, downs, lane != Lane::Matured);
+        }
+        let fresh = lane != Lane::Matured;
+        let to_seq = self.idmap.get(&env.to).copied();
+        let receiver_blocked = match to_seq {
+            Some(seq) => (fresh && self.prev_bits.get(seq)) || self.cur_bits.get(seq),
+            None => (fresh && self.prev_blocked.contains(env.to)) || blocked.contains(env.to),
         };
-        if !dos_ok {
+        if receiver_blocked || (lane == Lane::Injected && self.prev_blocked.contains(env.from)) {
             self.trace.record(TraceEvent::DroppedBlocked { round, from: env.from, to: env.to });
             return;
         }
@@ -1097,29 +1157,21 @@ impl<P: Protocol> XlNetwork<P> {
                 }
             }
         }
-        match self.idmap.get(&env.to) {
-            Some(&seq) => {
-                let (sh, local) = (seq as usize % self.n_shards, self.seq_local[seq as usize]);
-                let shard = &mut self.shards[sh];
-                let local = local as usize;
-                shard.charge(local, env.msg.size_bits());
-                self.trace.record(TraceEvent::Delivered { round, from: env.from, to: env.to });
-                let extra_copy = duplicate.then(|| env.clone());
-                shard.inboxes[local].push(env);
-                shard.mark_dirty(seq, local);
-                if let Some(copy) = extra_copy {
-                    shard.charge(local, copy.msg.size_bits());
-                    self.trace.record(TraceEvent::Duplicated {
-                        round,
-                        from: copy.from,
-                        to: copy.to,
-                    });
-                    shard.inboxes[local].push(copy);
-                }
-            }
-            None => {
-                self.trace.record(TraceEvent::DroppedMissing { round, from: env.from, to: env.to });
-            }
+        let Some(seq) = to_seq else {
+            self.trace.record(TraceEvent::DroppedMissing { round, from: env.from, to: env.to });
+            return;
+        };
+        let (sh, local) = self.locate(seq);
+        let shard = &mut self.shards[sh];
+        shard.charge(local, env.msg.size_bits());
+        self.trace.record(TraceEvent::Delivered { round, from: env.from, to: env.to });
+        let extra_copy = duplicate.then(|| env.clone());
+        shard.inboxes[local].push(env);
+        shard.mark_dirty(seq, local);
+        if let Some(copy) = extra_copy {
+            shard.charge(local, copy.msg.size_bits());
+            self.trace.record(TraceEvent::Duplicated { round, from: copy.from, to: copy.to });
+            shard.inboxes[local].push(copy);
         }
     }
 
@@ -1582,3 +1634,6 @@ where
 
 #[cfg(test)]
 mod tests;
+
+#[cfg(test)]
+mod delivery_diff;

@@ -12,6 +12,12 @@
 //!   parallel (one flat `Vec` per shard, tagged with a delivery sort key)
 //!   and consumed by a single k-way merge pass — the one cross-shard
 //!   exchange barrier per round;
+//! * keeps the round path **flat**: each node's inbox is a buffer the
+//!   engine owns for the node's whole life and [`simnet::Ctx::take_inbox`]
+//!   drains where it lies, so a warm round allocates nothing for mail; and
+//!   the DoS rule probes two **seq-indexed bitsets**, rebuilt once per
+//!   round from the id-keyed [`simnet::BlockSet`]s, instead of descending a
+//!   B-tree per message and per stepped node;
 //! * skips idle nodes via an **active-set worklist**: a node that reports
 //!   [`simnet::Protocol::quiescent`] drops out of the per-round loop until
 //!   mail, a crash-recovery or external mutation re-activates it, so
@@ -68,7 +74,9 @@
 //!    delivery order — which per-receiver inbox order, and therefore
 //!    protocol RNG consumption, depends on;
 //! 2. delivery runs serially in global key order, so the shared link-fault
-//!    RNG draws in that order;
+//!    RNG draws in that order — and a receiver that has left is looked up
+//!    early (the bitsets are indexed by its seq) but classified last, so
+//!    the draws are the ones an id-keyed engine would make;
 //! 3. per-node RNG streams are keyed `stream(master_seed, id, purpose)`, so
 //!    node randomness never depends on layout.
 //!

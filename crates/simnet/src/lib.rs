@@ -56,6 +56,6 @@ pub use fault::{
 };
 pub use id::NodeId;
 pub use message::{Envelope, Payload};
-pub use protocol::{node_state_digest, Ctx, Protocol};
+pub use protocol::{node_state_digest, Ctx, Inbox, Protocol};
 pub use rng::{stream, NodeRng};
 pub use trace::{Trace, TraceEvent};

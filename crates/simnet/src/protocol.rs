@@ -85,7 +85,9 @@ pub fn node_state_digest<P: Protocol>(id: NodeId, rng_word_pos: u128, proto: &P)
 pub struct Ctx<'a, M> {
     pub(crate) me: NodeId,
     pub(crate) round: u64,
-    pub(crate) inbox: &'a mut Vec<Envelope<M>>,
+    /// `None` once [`Ctx::take_inbox`] has moved the borrow into an
+    /// [`Inbox`].
+    pub(crate) inbox: Option<&'a mut Vec<Envelope<M>>>,
     pub(crate) outbox: &'a mut Vec<Envelope<M>>,
     pub(crate) rng: &'a mut NodeRng,
 }
@@ -97,7 +99,10 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// `reconfig_core::nodert`): it borrows a node's inbox, a send buffer
     /// and the node's private RNG stream. `outbox` receives the envelopes
     /// queued by [`Ctx::send`]; the caller routes them after `on_round`
-    /// returns.
+    /// returns. `inbox` is lent, not given away: whatever the protocol does
+    /// with its mail, the buffer comes back with its capacity, so a caller
+    /// that keeps it across rounds stops allocating once it is warm (and
+    /// must clear it itself if the protocol never took it).
     pub fn from_parts(
         me: NodeId,
         round: u64,
@@ -105,7 +110,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
         outbox: &'a mut Vec<Envelope<M>>,
         rng: &'a mut NodeRng,
     ) -> Self {
-        Self { me, round, inbox, outbox, rng }
+        Self { me, round, inbox: Some(inbox), outbox, rng }
     }
 
     /// This node's identifier.
@@ -121,15 +126,35 @@ impl<'a, M: Payload> Ctx<'a, M> {
     }
 
     /// Messages delivered to this node this round (sent in the previous
-    /// round). Taking the inbox leaves it empty; a second call within the
-    /// same round returns nothing.
-    pub fn take_inbox(&mut self) -> Vec<Envelope<M>> {
-        std::mem::take(self.inbox)
+    /// round), in delivery order. Taking the inbox leaves it empty: a
+    /// second call within the same round yields nothing, and so does
+    /// [`Ctx::inbox`] afterwards.
+    ///
+    /// The returned [`Inbox`] drains the engine's buffer in place rather
+    /// than carrying it off, and it does not borrow the context — `for env
+    /// in ctx.take_inbox() { ctx.send(..) }` is fine. Mail still unread
+    /// when it is dropped is discarded.
+    #[inline]
+    pub fn take_inbox(&mut self) -> Inbox<'a, M> {
+        Inbox { mail: self.inbox.take().map(|buf| buf.drain(..)) }
     }
 
     /// Peek at the inbox without consuming it.
     pub fn inbox(&self) -> &[Envelope<M>] {
-        self.inbox
+        match &self.inbox {
+            Some(buf) => buf,
+            None => &[],
+        }
+    }
+
+    /// The not-yet-taken inbox as a mutable slice, for a protocol that
+    /// wants its mail in an order of its own before reading it (sort here,
+    /// then [`Ctx::take_inbox`]). Empty after a take.
+    pub fn inbox_mut(&mut self) -> &mut [Envelope<M>] {
+        match &mut self.inbox {
+            Some(buf) => buf,
+            None => &mut [],
+        }
     }
 
     /// Queue a message to `to`, delivered next round.
@@ -147,24 +172,89 @@ impl<'a, M: Payload> Ctx<'a, M> {
     }
 }
 
+/// This round's mail, handed out by [`Ctx::take_inbox`].
+///
+/// Iterating by value yields each [`Envelope`] once, in delivery order;
+/// iterating `&inbox` (or [`Inbox::as_slice`]) looks at what has not been
+/// yielded yet without consuming it. Dropping the inbox discards the rest.
+/// Either way the engine's buffer ends the round empty with its capacity
+/// intact — the mailbox is drained where it lies, never moved out.
+pub struct Inbox<'a, M> {
+    /// `None` when the inbox had already been taken this round.
+    mail: Option<std::vec::Drain<'a, Envelope<M>>>,
+}
+
+impl<M> Inbox<'_, M> {
+    /// The envelopes not yet yielded, in delivery order.
+    pub fn as_slice(&self) -> &[Envelope<M>] {
+        match &self.mail {
+            Some(mail) => mail.as_slice(),
+            None => &[],
+        }
+    }
+
+    /// True when every envelope has been yielded (or there were none).
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+}
+
+impl<M> Iterator for Inbox<'_, M> {
+    type Item = Envelope<M>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Envelope<M>> {
+        self.mail.as_mut()?.next()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.as_slice().len();
+        (left, Some(left))
+    }
+}
+
+impl<M> ExactSizeIterator for Inbox<'_, M> {}
+
+impl<'i, M> IntoIterator for &'i Inbox<'_, M> {
+    type Item = &'i Envelope<M>;
+    type IntoIter = std::slice::Iter<'i, Envelope<M>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::stream;
 
-    #[test]
-    fn ctx_send_records_metadata() {
-        let mut inbox = Vec::new();
+    fn mail(n: u64) -> Vec<Envelope<NodeId>> {
+        (0..n)
+            .map(|i| Envelope {
+                from: NodeId(10 + i),
+                to: NodeId(1),
+                sent_round: 4,
+                msg: NodeId(i),
+            })
+            .collect()
+    }
+
+    /// Run `f` against a context over `inbox` and hand back the outbox.
+    fn with_ctx(
+        inbox: &mut Vec<Envelope<NodeId>>,
+        f: impl FnOnce(&mut Ctx<'_, NodeId>),
+    ) -> Vec<Envelope<NodeId>> {
         let mut outbox = Vec::new();
         let mut rng = stream(0, 1, 0);
-        let mut ctx = Ctx::<NodeId> {
-            me: NodeId(1),
-            round: 5,
-            inbox: &mut inbox,
-            outbox: &mut outbox,
-            rng: &mut rng,
-        };
-        ctx.send(NodeId(2), NodeId(9));
+        f(&mut Ctx::from_parts(NodeId(1), 5, inbox, &mut outbox, &mut rng));
+        outbox
+    }
+
+    #[test]
+    fn ctx_send_records_metadata() {
+        let outbox = with_ctx(&mut Vec::new(), |ctx| ctx.send(NodeId(2), NodeId(9)));
         assert_eq!(outbox.len(), 1);
         assert_eq!(outbox[0].from, NodeId(1));
         assert_eq!(outbox[0].to, NodeId(2));
@@ -174,20 +264,68 @@ mod tests {
 
     #[test]
     fn take_inbox_drains() {
-        let mut inbox =
-            vec![Envelope { from: NodeId(2), to: NodeId(1), sent_round: 4, msg: NodeId(3) }];
-        let mut outbox = Vec::new();
-        let mut rng = stream(0, 1, 0);
-        let mut ctx = Ctx::<NodeId> {
-            me: NodeId(1),
-            round: 5,
-            inbox: &mut inbox,
-            outbox: &mut outbox,
-            rng: &mut rng,
-        };
-        assert_eq!(ctx.inbox().len(), 1);
-        let got = ctx.take_inbox();
-        assert_eq!(got.len(), 1);
-        assert!(ctx.take_inbox().is_empty());
+        let mut inbox = mail(1);
+        with_ctx(&mut inbox, |ctx| {
+            assert_eq!(ctx.inbox().len(), 1);
+            let got = ctx.take_inbox();
+            assert_eq!(got.len(), 1);
+            assert!(ctx.take_inbox().is_empty());
+            assert!(ctx.inbox().is_empty() && ctx.inbox_mut().is_empty());
+        });
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn take_inbox_yields_delivery_order_and_does_not_borrow_the_context() {
+        let mut inbox = mail(5);
+        let cap = inbox.capacity();
+        let outbox = with_ctx(&mut inbox, |ctx| {
+            let mut taken = ctx.take_inbox();
+            assert_eq!(taken.len(), 5);
+            // By reference first (nothing consumed), sending while the
+            // inbox is alive; then by value.
+            for env in &taken {
+                ctx.send(env.from, env.msg);
+            }
+            assert_eq!(taken.next().map(|env| env.msg), Some(NodeId(0)));
+            assert_eq!(taken.as_slice().len(), 4);
+            assert_eq!(taken.size_hint(), (4, Some(4)));
+            let rest: Vec<u64> = taken.map(|env| env.msg.raw()).collect();
+            assert_eq!(rest, [1, 2, 3, 4]);
+        });
+        let echoed: Vec<u64> = outbox.iter().map(|env| env.msg.raw()).collect();
+        assert_eq!(echoed, [0, 1, 2, 3, 4]);
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.capacity(), cap, "the buffer is drained in place, not carried off");
+    }
+
+    #[test]
+    fn half_read_inbox_discards_the_rest() {
+        let mut inbox = mail(4);
+        let cap = inbox.capacity();
+        with_ctx(&mut inbox, |ctx| {
+            let mut taken = ctx.take_inbox();
+            taken.next();
+            taken.next();
+        });
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.capacity(), cap);
+    }
+
+    #[test]
+    fn inbox_mut_reorders_what_take_inbox_then_yields() {
+        let mut inbox = mail(3);
+        with_ctx(&mut inbox, |ctx| {
+            ctx.inbox_mut().reverse();
+            let order: Vec<u64> = ctx.take_inbox().map(|env| env.msg.raw()).collect();
+            assert_eq!(order, [2, 1, 0]);
+        });
+    }
+
+    #[test]
+    fn untaken_inbox_is_left_for_the_caller_to_clear() {
+        let mut inbox = mail(2);
+        with_ctx(&mut inbox, |ctx| assert_eq!(ctx.inbox().len(), 2));
+        assert_eq!(inbox.len(), 2);
     }
 }

@@ -123,10 +123,22 @@ workload-determinism:
 routing-diff:
     cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
+# The engine's delivery rule: the seq-indexed bitset path against the
+# id-keyed `#[cfg(test)]` reference, 400 random schedules at shards 1/2/7.
+delivery-diff:
+    cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+
 # The repo benchmark (own workspace, outside `cargo test --workspace`):
 # smoke sizes, manifest/code consistency, correctness gate.
 bench-check:
     bash benchmark/run.sh --check
+
+# Parent-vs-change pairs of one benchmark workload, alternating order:
+# `just bench-pair ../parent-checkout engine_gossip` (10 pairs; then
+# optionally pairs, seed, seconds). Prints medians, quartiles, wins and
+# whether the digests agree.
+bench-pair parent workload *args="":
+    bash scripts/bench_pair.sh {{parent}} {{workload}} {{args}}
 
 # DHT routing fuzz under random block sets + churn-as-blocking;
 # `just workloadfuzz 200` for the nightly depth.

@@ -90,6 +90,9 @@ cargo test -q -p integration-tests --test workload_determinism
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
 cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
+echo "==> engine delivery rule: bitset path vs its id-keyed reference (400 random schedules, shards 1/2/7)"
+cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+
 echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
 bash benchmark/run.sh --check
 
