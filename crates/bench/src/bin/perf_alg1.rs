@@ -1,0 +1,216 @@
+//! Perf trajectory of the Algorithm 1 layer: the two keystream readers and
+//! the phases of one `run_alg1_direct` call.
+//!
+//! ```text
+//! cargo run --release -p reconfig-bench --bin perf_alg1 -- [--smoke] [--cores N]
+//! ```
+//!
+//! Prints nanoseconds per `next_u64` and per `random_range(0..4860)` (the
+//! mask-and-reject draw the sampler's first pops make) for the one-block
+//! `ChaCha8Rng` and the eight-block `ChaCha8Wide`, then the per-phase split
+//! of `run_alg1_direct` at the `expander_churn` shape (n = 1 024, d = 8,
+//! default schedule) from the sampler's own spans. The full run rewrites
+//! `BENCH_ALG1.json` at the workspace root with host facts; `--smoke` runs
+//! small sizes, checks the two readers agree on every timed draw and
+//! writes nothing. The wide reader's gain exists only while rustc
+//! vectorises its refill (DESIGN.md, "Hermetic dependency shims"): a
+//! toolchain bump that stops doing so shows here as `wide` no longer
+//! beating `narrow`, and `--smoke` says so on stderr.
+//!
+//! `--cores` defaults to 1, the pool size the repo benchmark runs under.
+//! Allocation counts are not reported: a counting allocator is an `unsafe
+//! impl`, and `benchmark/` already reports `allocs_per_call` for this call.
+
+use overlay_graphs::HGraph;
+use rand::{RngCore, RngExt};
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::{ChaCha8Rng, ChaCha8Wide};
+use reconfig_bench::{RunError, Table};
+use reconfig_core::config::SamplingParams;
+use reconfig_core::sampling::run_alg1_direct_observed;
+use simnet::NodeId;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// The phases of one call, as (row label, span name).
+const PHASES: [(&str, &str); 5] = [
+    ("phase 1 + first request pops", "alg1.phase1_requests"),
+    ("request pops (iterations >= 2)", "alg1.requests"),
+    ("bucket scatter", "alg1.scatter"),
+    ("answer pops", "alg1.answers"),
+    ("regroup", "alg1.regroup"),
+];
+
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
+}
+
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Best-of-`repeats` nanoseconds per draw, and the xor of every draw of the
+/// last repeat (so the two readers can be compared and nothing is elided).
+fn time_draws<R: RngCore>(
+    mut fresh: impl FnMut() -> R,
+    draws: u64,
+    repeats: usize,
+    mut draw: impl FnMut(&mut R) -> u64,
+) -> (f64, u64) {
+    let mut best = f64::INFINITY;
+    let mut check = 0;
+    for _ in 0..repeats {
+        let mut rng = fresh();
+        check = 0;
+        let start = Instant::now();
+        for _ in 0..draws {
+            check ^= draw(&mut rng);
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / draws as f64);
+        black_box(check);
+    }
+    (best, check)
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+fn run(smoke: bool) {
+    let (draws, repeats, n, calls) =
+        if smoke { (200_000, 3, 128u64, 2) } else { (20_000_000, 5, 1024, 7) };
+
+    // ---- Keystream readers. ----
+    let mut readers = Table::new(
+        "perf_alg1: keystream readers (best of repeats)",
+        &["draw", "narrow ns", "wide ns", "narrow/wide"],
+    );
+    let mut reader_rows = Vec::new();
+    // Each draw kind is timed through its own monomorphised closure; a
+    // `fn` pointer would put an indirect call into a 4 ns loop body.
+    let narrow = || ChaCha8Rng::seed_from_u64(11);
+    let wide = || ChaCha8Wide::seed_from_u64(11);
+    let timings = [
+        (
+            "next_u64",
+            time_draws(narrow, draws, repeats, |r| r.next_u64()),
+            time_draws(wide, draws, repeats, |r| r.next_u64()),
+        ),
+        (
+            "random_range(0..4860)",
+            time_draws(narrow, draws, repeats, |r| r.random_range(0..4860u64)),
+            time_draws(wide, draws, repeats, |r| r.random_range(0..4860u64)),
+        ),
+    ];
+    for (name, (narrow, a), (wide, b)) in timings {
+        if a != b {
+            RunError::new(format!("compare the readers on {name}"), "the keystreams differ").exit();
+        }
+        if wide >= narrow {
+            eprintln!(
+                "perf_alg1: the wide reader ({wide:.2} ns) does not beat the narrow one \
+                 ({narrow:.2} ns) on {name} — is its refill still vectorised?"
+            );
+        }
+        readers.row(vec![
+            name.into(),
+            format!("{narrow:.2}"),
+            format!("{wide:.2}"),
+            format!("{:.2}x", narrow / wide),
+        ]);
+        reader_rows.push(serde_json::json!({
+            "draw": name, "draws": draws, "narrow_ns": narrow, "wide_ns": wide,
+        }));
+    }
+    readers.print();
+
+    // ---- One sampler call, by phase. ----
+    let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
+    let graph = HGraph::random(&nodes, 8, &mut ChaCha8Rng::seed_from_u64(7));
+    let params = SamplingParams::default();
+    let mut call_ms = Vec::new();
+    let mut phase_ms: Vec<Vec<f64>> = vec![Vec::new(); PHASES.len()];
+    let mut failures = 0;
+    for call in 0..=calls {
+        let tel =
+            telemetry::Telemetry::new(telemetry::Config { timing: true, ..Default::default() });
+        let start = Instant::now();
+        let out = run_alg1_direct_observed(&graph, &params, 11, &tel);
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        failures = out.metrics.failures;
+        if call == 0 {
+            continue; // warm-up: first-touch page faults of the arenas
+        }
+        call_ms.push(ms);
+        let snap = tel.snapshot();
+        for (slot, (_, span)) in phase_ms.iter_mut().zip(PHASES) {
+            let ns = snap.histogram(&format!("span.ns{{span={span}}}")).map_or(0, |h| h.sum);
+            slot.push(ns as f64 / 1e6);
+        }
+    }
+    let call = median(&mut call_ms);
+    let mut phases = Table::new(
+        format!("perf_alg1: run_alg1_direct n={n} d=8 seed=11, median of {calls} calls"),
+        &["phase", "ms", "share"],
+    );
+    let mut phase_rows = Vec::new();
+    for (slot, (label, span)) in phase_ms.iter_mut().zip(PHASES) {
+        let ms = median(slot);
+        phases.row(vec![label.into(), format!("{ms:.2}"), format!("{:.0}%", 100.0 * ms / call)]);
+        phase_rows.push(serde_json::json!({ "phase": label, "span": span, "ms": ms }));
+    }
+    phases.row(vec!["whole call".into(), format!("{call:.2}"), "100%".into()]);
+    phases.print();
+
+    if smoke {
+        println!("perf_alg1 smoke: readers agree on {draws} draws x 2 kinds; failures={failures}");
+        return;
+    }
+    let sampler = serde_json::json!({
+        "n": n, "d": 8, "seed": 11, "calls": calls, "failures": failures,
+        "call_ms": call, "phases": phase_rows,
+    });
+    let bench = serde_json::json!({
+        "bench": "ALG1",
+        "title": "Algorithm 1 layer: keystream readers and the phases of run_alg1_direct",
+        "cores": rayon::current_num_threads(),
+        "host_cpus": host_cpus(),
+        "cpu": cpu_model(),
+        "target_arch": std::env::consts::ARCH,
+        "compiled_with_avx2": cfg!(target_feature = "avx2"),
+        "readers": reader_rows,
+        "sampler": sampler,
+    });
+    let path = "BENCH_ALG1.json";
+    let pretty = serde_json::to_string_pretty(&bench)
+        .unwrap_or_else(|e| RunError::new(format!("serialize {path}"), e).exit());
+    std::fs::write(path, pretty + "\n")
+        .unwrap_or_else(|e| RunError::new(format!("write {path}"), e).exit());
+    println!("bench: {path}");
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let cores =
+        args.iter().position(|a| a == "--cores").and_then(|i| args.get(i + 1)).map_or(1, |v| {
+            v.parse::<usize>().ok().filter(|&c| c > 0).unwrap_or_else(|| {
+                RunError::new("parse --cores", format!("takes a positive integer, got `{v}`"))
+                    .exit()
+            })
+        });
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(cores)
+        .build()
+        .unwrap_or_else(|e| RunError::new("build the rayon thread pool", e).exit());
+    pool.install(|| run(smoke));
+}

@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one run of a sampling primitive.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SamplingMetrics {
     /// Network size.
     pub n: usize,

@@ -306,8 +306,8 @@ pub fn run_epoch(input: EpochInput<'_>) -> EpochOutput {
             break;
         }
         let run = run_alg1_direct(graph, &input.params, input.seed.wrapping_add(salt));
-        for (i, s) in run.samples.into_iter().enumerate() {
-            sample_pool[i].extend(s.into_iter().map(|j| old_members[j as usize]));
+        for (pool, row) in sample_pool.iter_mut().zip(&run.samples) {
+            pool.extend(row.iter().map(|&j| old_members[j as usize]));
         }
         salt = salt.wrapping_add(0x9E37_79B9);
         assert!(salt < 0x9E37_79B9 * 64, "sampling cannot satisfy target demand");

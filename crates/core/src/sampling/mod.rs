@@ -10,9 +10,9 @@
 //! * [`hypercube`] — Algorithm 2 for hypercubes (exactly uniform samples).
 //! * [`baseline`] — the plain random-walk sampler (`Theta(log n)` rounds)
 //!   that Section 3 improves upon; the E3 comparison baseline.
-//! * [`direct`] — a vectorized, rayon-parallel execution of Algorithm 1
-//!   for large-`n` sweeps (same algorithm, same schedule, array storage
-//!   instead of envelopes; used by the benches).
+//! * [`direct`] — the array execution of Algorithm 1 that every
+//!   reconfiguration epoch and the large-`n` sweeps run (same algorithm,
+//!   same schedule, flat arenas instead of envelopes).
 //! * [`lower_bound`] — the knowledge-spread bound of Lemma 4: no sampler
 //!   can beat `Omega(log diameter)` rounds.
 
@@ -23,7 +23,7 @@ pub mod hypercube;
 pub mod lower_bound;
 
 pub use baseline::{run_baseline, run_baseline_observed, BaselineNode, WalkMsg};
-pub use direct::{run_alg1_direct, run_alg1_direct_observed, DirectRun};
+pub use direct::{run_alg1_direct, run_alg1_direct_observed, DirectRun, SampleTable};
 pub use hgraph::{
     run_alg1, run_alg1_digested, run_alg1_digested_observed, run_alg1_observed, Alg1Node, SampleMsg,
 };

@@ -237,11 +237,15 @@ impl Checkpoint for NodeRng {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
+        // A value that does not fit its field is corruption, not something
+        // to truncate into a different, valid-looking stream.
+        let word = |w: &Value, name: &str| -> CkptResult<u32> {
+            let x = w.as_u64().ok_or_else(|| missing(name))?;
+            u32::try_from(x)
+                .map_err(|_| CkptError::Corrupt(format!("rng `{name}` word {x} exceeds 32 bits")))
+        };
         let words = |name: &str| -> CkptResult<Vec<u32>> {
-            get_array(v, name)?
-                .iter()
-                .map(|w| w.as_u64().map(|x| x as u32).ok_or_else(|| missing(name)))
-                .collect()
+            get_array(v, name)?.iter().map(|w| word(w, name)).collect()
         };
         let key_v = words("key")?;
         let nonce_v = words("nonce")?;
@@ -254,15 +258,21 @@ impl Checkpoint for NodeRng {
         nonce.copy_from_slice(&nonce_v);
         let spare = match field(v, "spare")? {
             Value::Null => None,
-            w => Some(w.as_u64().ok_or_else(|| missing("spare"))? as u32),
+            w => Some(word(w, "spare")?),
         };
-        Ok(NodeRng::from_state(ChaChaState {
-            key,
-            counter: get_u64(v, "counter")?,
-            nonce,
-            pos: get_usize(v, "pos")?,
-            spare,
-        }))
+        // `counter` counts the blocks generated so far and a generator makes
+        // its first on construction, so a saved counter is at least 1
+        // (`from_state` would wrap 0 to block 2^64 - 1); `pos` indexes the
+        // 16-word block, 16 meaning exhausted.
+        let counter = get_u64(v, "counter")?;
+        if counter == 0 {
+            return Err(CkptError::Corrupt("rng `counter` is 0, below the first block".into()));
+        }
+        let pos = get_usize(v, "pos")?;
+        if pos > 16 {
+            return Err(CkptError::Corrupt(format!("rng `pos` {pos} is past the 16-word block")));
+        }
+        Ok(NodeRng::from_state(ChaChaState { key, counter, nonce, pos, spare }))
     }
 }
 
@@ -442,6 +452,50 @@ mod tests {
         let v = serde_json::json!({ "counter": 1u64 });
         let err = NodeRng::load(&v).unwrap_err();
         assert!(err.to_string().contains("key"), "got: {err}");
+    }
+
+    /// A saved generator with one field replaced.
+    fn rng_with(name: &str, value: Value) -> Value {
+        let Value::Object(mut saved) = crate::rng::stream(1, 2, 3).save() else {
+            unreachable!("a generator saves as an object")
+        };
+        saved.insert(name.to_string(), value);
+        Value::Object(saved)
+    }
+
+    #[test]
+    fn rng_pos_past_the_block_is_corrupt() {
+        assert!(NodeRng::load(&rng_with("pos", Value::from(16u64))).is_ok(), "16 = exhausted");
+        let err = NodeRng::load(&rng_with("pos", Value::from(17u64))).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt(_)) && err.to_string().contains("`pos`"), "{err}");
+    }
+
+    #[test]
+    fn rng_counter_zero_is_corrupt() {
+        let err = NodeRng::load(&rng_with("counter", Value::from(0u64))).unwrap_err();
+        assert!(
+            matches!(err, CkptError::Corrupt(_)) && err.to_string().contains("`counter`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rng_words_above_32_bits_are_corrupt() {
+        let wide = 1u64 << 32;
+        let mut key = vec![0u64; 8];
+        key[3] = wide;
+        for (name, value) in [
+            ("key", Value::from(key)),
+            ("nonce", Value::from(vec![0u64, wide])),
+            ("spare", Value::from(wide)),
+        ] {
+            let err = NodeRng::load(&rng_with(name, value)).unwrap_err();
+            assert!(
+                matches!(err, CkptError::Corrupt(_)) && err.to_string().contains(name),
+                "{name}: {err}"
+            );
+        }
+        assert!(NodeRng::load(&rng_with("spare", Value::from(u32::MAX as u64))).is_ok());
     }
 
     /// Scratch directory unique to a test, emptied on entry.

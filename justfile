@@ -30,9 +30,9 @@ determinism:
 trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
-# Refresh golden digest files after an intentional behavior change: seven
-# outputs, engine.digests included. The eighth file, network_v1.ckpt.json, is
-# an input this never rewrites.
+# Refresh golden digest files after an intentional behavior change: eight
+# outputs, engine.digests and sampling_direct.digests included. The ninth
+# file, network_v1.ckpt.json, is an input this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/
@@ -127,6 +127,20 @@ routing-diff:
 # id-keyed `#[cfg(test)]` reference, 400 random schedules at shards 1/2/7.
 delivery-diff:
     cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+
+# The flat direct sampler against its nested-`Vec` `#[cfg(test)]` reference
+# (240 seeded cases, the benchmark shape, pools of 1/2/3 workers), the two
+# keystream readers word for word, and the golden the parent commit wrote.
+sampler-diff:
+    cargo test -q -p reconfig-core --lib sampling::direct
+    cargo test -q -p rand_chacha -p simnet --lib
+    cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
+
+# Algorithm 1 layer perf: ns per draw of both keystream readers and the
+# per-phase split of one `run_alg1_direct` call. Bare = full sizes, rewrites
+# BENCH_ALG1.json; `just perf-alg1 --smoke` = CI sizes, writes nothing.
+perf-alg1 *flags="":
+    cargo run --release -p reconfig-bench --bin perf_alg1 -- {{flags}}
 
 # The repo benchmark (own workspace, outside `cargo test --workspace`):
 # smoke sizes, manifest/code consistency, correctness gate.

@@ -34,7 +34,7 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden files unchanged (five overlay/workload families, attacker.digests, engine.digests, network_v1.ckpt.json)"
+echo "==> golden files unchanged (five overlay/workload families, sampling_direct.digests, attacker.digests, engine.digests, network_v1.ckpt.json)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -92,6 +92,14 @@ cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
 echo "==> engine delivery rule: bitset path vs its id-keyed reference (400 random schedules, shards 1/2/7)"
 cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+
+echo "==> direct sampler: flat arenas vs the nested-Vec reference (240 seeded cases, pools of 1/2/3), keystream readers, parent-written golden"
+cargo test -q -p reconfig-core --lib sampling::direct
+cargo test -q -p rand_chacha -p simnet --lib
+cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
+
+echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
+cargo run --release -q -p reconfig-bench --bin perf_alg1 -- --smoke
 
 echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
 bash benchmark/run.sh --check

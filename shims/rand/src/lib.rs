@@ -144,7 +144,9 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     if span.is_power_of_two() {
         return rng.next_u64() & (span - 1);
     }
-    let mask = span.next_power_of_two() - 1;
+    // All ones up to the top bit of `span` (`next_power_of_two() - 1`, but
+    // defined above 2^63, where that overflows).
+    let mask = u64::MAX >> span.leading_zeros();
     loop {
         let x = rng.next_u64() & mask;
         if x < span {
@@ -289,6 +291,20 @@ mod tests {
             let f: f64 = rng.random_range(2.0..3.0);
             assert!((2.0..3.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn spans_above_two_to_the_63_are_sampled_not_overflowed() {
+        let mut rng = Counter(11);
+        let span = (1u64 << 63) + 1;
+        let mut top_half = 0;
+        for _ in 0..200 {
+            let x: u64 = rng.random_range(0..span);
+            assert!(x < span);
+            top_half += u32::from(x >= 1 << 62);
+        }
+        assert!((60..140).contains(&top_half), "{top_half}/200 draws in the upper half");
+        let _: u64 = rng.random_range(0..=u64::MAX - 1);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! The keystream follows the ChaCha construction (Bernstein 2008): a
 //! 512-bit state of 4 constant words, 8 key words, a 64-bit block counter
 //! and 64-bit nonce, mixed by 8 rounds (4 column/diagonal double-rounds).
-//! Output words are emitted in state order, little-endian, exactly one
-//! 16-word block at a time.
+//! Output words are emitted in state order, little-endian. Two readers
+//! share that keystream: [`ChaCha8Rng`] generates exactly one 16-word block
+//! at a time and is what is stored and checkpointed; [`ChaCha8Wide`]
+//! generates eight blocks per refill for draw-heavy streams that live on
+//! the stack.
 //!
 //! The *values* of this stream are not guaranteed to match crates.io
 //! `rand_chacha` (which this shim replaces in an offline build); every
@@ -23,8 +26,22 @@ pub mod rand_core {
 
 use rand::{RngCore, SeedableRng};
 
+mod wide;
+pub use wide::ChaCha8Wide;
+
 const ROUNDS: usize = 8;
 const BLOCK_WORDS: usize = 16;
+/// "expand 32-byte k" — the standard ChaCha constants.
+const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+/// The eight little-endian key words of a 32-byte seed.
+fn key_words(seed: &[u8; 32]) -> [u32; 8] {
+    let mut key = [0u32; 8];
+    for (i, chunk) in seed.chunks_exact(4).enumerate() {
+        key[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+    }
+    key
+}
 
 /// A ChaCha8-based deterministic RNG.
 #[derive(Clone, Debug)]
@@ -56,15 +73,12 @@ fn quarter_round(state: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d
 }
 
 impl ChaCha8Rng {
-    /// "expand 32-byte k" — the standard ChaCha constants.
-    const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-
     fn refill(&mut self) {
         let mut state: [u32; BLOCK_WORDS] = [
-            Self::SIGMA[0],
-            Self::SIGMA[1],
-            Self::SIGMA[2],
-            Self::SIGMA[3],
+            SIGMA[0],
+            SIGMA[1],
+            SIGMA[2],
+            SIGMA[3],
             self.key[0],
             self.key[1],
             self.key[2],
@@ -169,12 +183,8 @@ impl SeedableRng for ChaCha8Rng {
     type Seed = [u8; 32];
 
     fn from_seed(seed: Self::Seed) -> Self {
-        let mut key = [0u32; 8];
-        for (i, chunk) in seed.chunks_exact(4).enumerate() {
-            key[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
         let mut rng = Self {
-            key,
+            key: key_words(&seed),
             counter: 0,
             nonce: [0, 0],
             buf: [0; BLOCK_WORDS],
@@ -315,5 +325,89 @@ mod tests {
         let mut c = ChaCha8Rng::from_seed(s1);
         let mut d = ChaCha8Rng::seed_from_u64(0);
         let _ = (c.next_u64(), d.next_u64());
+    }
+
+    /// First 32 words of `seed_from_u64(0)`, recorded from the one-block
+    /// reader at the commit before the wide reader existed, so the two
+    /// readers cannot drift together.
+    const KAT_SEED0: [u32; 32] = [
+        0xe2d58524, 0xf908d135, 0x02849c01, 0xf319dbfa, 0x62175145, 0x9ce9b05b, 0x264fa7bc,
+        0x4c628c26, 0x6304470e, 0x81a8112e, 0x2054a5eb, 0x263f4e8c, 0xa12954a1, 0x4e023e6a,
+        0xc30246fb, 0x1781f1b6, 0x71073e73, 0x152c0d24, 0xcffd1b6f, 0xff681ca1, 0x1724de3d,
+        0x2c4f02e5, 0x5b71e704, 0x73ea1df4, 0x9c25e0f5, 0x2b6d722a, 0x152e3973, 0xb28a2656,
+        0xafe1d083, 0x563b8513, 0xe1866c84, 0x53b71e61,
+    ];
+
+    #[test]
+    fn known_answer_vector_holds_for_both_readers() {
+        let mut narrow = ChaCha8Rng::seed_from_u64(0);
+        let mut wide = ChaCha8Wide::seed_from_u64(0);
+        for (i, &w) in KAT_SEED0.iter().enumerate() {
+            assert_eq!(narrow.next_u32(), w, "narrow word {i}");
+            assert_eq!(wide.next_u32(), w, "wide word {i}");
+        }
+    }
+
+    #[test]
+    fn narrow_generator_stays_one_block() {
+        // `XlNetwork` stores one per node; growing it moves engine RSS.
+        assert_eq!(std::mem::size_of::<ChaCha8Rng>(), 128);
+    }
+
+    #[test]
+    fn wide_reader_matches_narrow_word_for_word() {
+        // Stream lengths that end 1, 7, 8, 9, 63, 64 and 65 blocks in (a
+        // wide refill is 8 blocks), and spans that never reject (1, powers
+        // of two), sometimes reject (3, 4860) and reject about half the
+        // time (2^63 + 1).
+        const SPANS: [u64; 7] = [1, 2, 3, 1 << 20, 4860, 1 << 63, (1 << 63) + 1];
+        let lengths = [1usize, 7, 8, 9, 63, 64, 65].map(|blocks| blocks * BLOCK_WORDS - 5);
+        for seed in 0..64u64 {
+            let mut narrow = ChaCha8Rng::seed_from_u64(seed);
+            let mut wide = ChaCha8Wide::seed_from_u64(seed);
+            let words = lengths[seed as usize % lengths.len()];
+            let start = narrow.get_word_pos();
+            let mut step = seed;
+            while narrow.get_word_pos() - start < words as u128 {
+                step += 1;
+                match step % 3 {
+                    0 => assert_eq!(narrow.next_u32(), wide.next_u32(), "seed {seed}"),
+                    1 => assert_eq!(narrow.next_u64(), wide.next_u64(), "seed {seed}"),
+                    _ => {
+                        let span = SPANS[(step / 3) as usize % SPANS.len()];
+                        assert_eq!(
+                            narrow.random_range(0..span),
+                            wide.random_range(0..span),
+                            "seed {seed} span {span}"
+                        );
+                    }
+                }
+            }
+            let mut tail_n = [0u8; 13];
+            let mut tail_w = [0u8; 13];
+            narrow.fill_bytes(&mut tail_n);
+            wide.fill_bytes(&mut tail_w);
+            assert_eq!(tail_n, tail_w, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn wide_reader_carries_the_counter_into_the_high_word() {
+        // Blocks 2^32 - 3 .. 2^32 + 5 straddle the low counter word inside
+        // one wide refill.
+        let seed = [7u8; 32];
+        let at = (1u64 << 32) - 3;
+        let mut narrow = ChaCha8Rng::from_state(ChaChaState {
+            key: key_words(&seed),
+            counter: at + 1,
+            nonce: [0, 0],
+            pos: 0,
+            spare: None,
+        });
+        let mut wide = ChaCha8Wide::from_seed(seed);
+        wide.skip_to_block(at);
+        for i in 0..3 * 64 {
+            assert_eq!(narrow.next_u64(), wide.next_u64(), "draw {i}");
+        }
     }
 }

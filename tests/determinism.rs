@@ -35,7 +35,7 @@ use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{FaultyRunner, HealingParams};
 use reconfig_core::reconfig::ExpanderOverlay;
-use reconfig_core::sampling::run_alg1_digested;
+use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
 use simnet::conduct::PPM;
 use simnet::{
@@ -124,6 +124,60 @@ fn golden_reconfig_expander_digest_stream() {
         "reconfig_expander.digests",
         "core/reconfig: ExpanderOverlay n=24 d=8 seed=7, Random churn rate=2.0 \
          intensity=0.5, state_digest per epoch",
+        &lines,
+    );
+}
+
+/// The direct sampler is what every reconfiguration epoch runs, yet
+/// `reconfig_expander.digests` sees only the few samples `pool.pop()`
+/// consumes at n = 24. This pins the whole sample table and the metrics:
+/// d = 6 makes Phase 1 itself reject (6 is not a power of two), and the
+/// undersized schedules pin the self-fallback on an empty multiset.
+#[test]
+fn golden_sampling_direct_digests() {
+    let undersized = SamplingParams { epsilon: 0.01, c: 0.15, ..SamplingParams::default() };
+    let cases: [(u64, usize, SamplingParams, u64); 5] = [
+        (24, 8, SamplingParams::default(), 42),
+        (200, 6, SamplingParams::default(), 43),
+        (1024, 8, SamplingParams::default(), 44),
+        (128, 8, undersized, 13),
+        (200, 6, undersized, 45),
+    ];
+    let mut lines = Vec::new();
+    for (n, d, params, seed) in cases {
+        let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD1EC7 + n);
+        let graph = HGraph::random(&nodes, d, &mut rng);
+        let run = run_alg1_direct(&graph, &params, seed);
+        let mut dg = Digest::new();
+        dg.write_usize(run.samples.len());
+        for row in &run.samples {
+            dg.write_usize(row.len());
+            for &id in row {
+                dg.write_u32(id);
+            }
+        }
+        let m = &run.metrics;
+        assert_eq!(m.failures > 0, params.c < 1.0, "n={n} d={d}: only undersized cases underflow");
+        lines.push(format!(
+            "n={n} d={d} eps={} c={} seed={seed} samples={:016x} rounds={} iterations={} \
+             per_node={} failures={} max_node_bits={} max_node_msgs={} total_msgs={}",
+            params.epsilon,
+            params.c,
+            dg.finish(),
+            m.rounds,
+            m.iterations,
+            m.samples_per_node,
+            m.failures,
+            m.max_node_bits,
+            m.max_node_msgs,
+            m.total_msgs,
+        ));
+    }
+    check_golden(
+        "sampling_direct.digests",
+        "core/sampling: run_alg1_direct, graph_seed=0xD1EC7+n, digest of the full sample table \
+         (row count, then each row's length and ids) plus SamplingMetrics",
         &lines,
     );
 }
