@@ -76,12 +76,9 @@ pub(crate) fn node_budget(bound: f64, n: usize) -> usize {
 
 /// Clamp, never trust: cut `picks` down to `budget` nodes, deterministically
 /// (block sets iterate in ascending id order, so the smallest ids stay).
-pub(crate) fn clamp(picks: BlockSet, budget: usize) -> BlockSet {
-    if picks.len() > budget {
-        BlockSet::from_iter(picks.iter().take(budget))
-    } else {
-        picks
-    }
+pub(crate) fn clamp(mut picks: BlockSet, budget: usize) -> BlockSet {
+    picks.truncate(budget);
+    picks
 }
 
 /// Fill `out` up to `budget` with the lowest-degree members not yet

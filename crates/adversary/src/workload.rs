@@ -184,9 +184,7 @@ impl Attacker for Campaign {
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
         let mut union: BlockSet = BlockSet::none();
         for m in &mut self.members {
-            for v in m.block(round, n_current).iter() {
-                union.insert(v);
-            }
+            union.union_with(&m.block(round, n_current));
         }
         match self.cap {
             Some(bound) => clamp(union, node_budget(bound, n_current)),

@@ -40,7 +40,7 @@ use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reconfig_bench::{
-    table::f, write_json_or_exit, write_telemetry, ExperimentResult, RunError, Table,
+    host_cpus, table::f, write_json_or_exit, write_telemetry, ExperimentResult, RunError, Table,
 };
 use reconfig_core::backend::{AnyNet, Backend};
 use simnet::{BlockSet, Ctx, NodeId, Protocol, RoundDigest};
@@ -321,10 +321,6 @@ fn emit_group(rows: &[Row], t: &mut Table, json_rows: &mut Vec<serde_json::Value
             "speedup_vs_baseline": speedup,
         }));
     }
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
 }
 
 fn results_table() -> Table {

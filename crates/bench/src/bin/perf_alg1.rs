@@ -25,7 +25,7 @@ use overlay_graphs::HGraph;
 use rand::{RngCore, RngExt};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::{ChaCha8Rng, ChaCha8Wide};
-use reconfig_bench::{RunError, Table};
+use reconfig_bench::{cpu_model, host_cpus, median, RunError, Table};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::sampling::run_alg1_direct_observed;
 use simnet::NodeId;
@@ -40,22 +40,6 @@ const PHASES: [(&str, &str); 5] = [
     ("answer pops", "alg1.answers"),
     ("regroup", "alg1.regroup"),
 ];
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
-}
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// Best-of-`repeats` nanoseconds per draw, and the xor of every draw of the
 /// last repeat (so the two readers can be compared and nothing is elided).
@@ -78,11 +62,6 @@ fn time_draws<R: RngCore>(
         black_box(check);
     }
     (best, check)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn run(smoke: bool) {

@@ -11,7 +11,10 @@ pub mod telemetry_out;
 pub mod wseries;
 
 pub use report::{LoadedRun, ReportError};
-pub use runner::{backend_or_exit, write_json, write_json_or_exit, ExperimentResult, RunError};
+pub use runner::{
+    backend_or_exit, cpu_model, host_cpus, median, write_json, write_json_or_exit,
+    ExperimentResult, RunError,
+};
 pub use table::Table;
 pub use telemetry_out::{experiment_telemetry, write_telemetry, write_telemetry_or_exit};
 pub use wseries::{w_series_table, workload_rows};

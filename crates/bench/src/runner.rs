@@ -108,6 +108,31 @@ pub fn write_json_or_exit(result: &ExperimentResult) -> std::path::PathBuf {
     })
 }
 
+/// Logical CPUs the host offers this process — a host fact the perf
+/// records (`BENCH_*.json`) carry beside their timings.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
+}
+
+/// The CPU's model name from `/proc/cpuinfo`, or `unknown`.
+pub fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Upper median of `xs` (sorts in place; panics on an empty slice).
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -224,7 +224,7 @@ impl ChurnDosOverlay {
             min_group_size: min_size,
             max_group_size: max_size,
         };
-        self.prev_blocked = blocked.clone();
+        self.prev_blocked.clone_from(blocked);
         if self.tel.enabled() {
             self.tel.counter("overlay.rounds", &[]).inc();
             if !metrics.connected {
@@ -313,11 +313,9 @@ impl ChurnDosOverlay {
         for &l in &self.pending_leaves {
             d.write_u64(l.raw());
         }
-        let mut prev: Vec<u64> = self.prev_blocked.iter().map(|v| v.raw()).collect();
-        prev.sort_unstable();
-        d.write_usize(prev.len());
-        for v in prev {
-            d.write_u64(v);
+        d.write_usize(self.prev_blocked.len());
+        for v in self.prev_blocked.iter() {
+            d.write_u64(v.raw());
         }
         d.finish()
     }

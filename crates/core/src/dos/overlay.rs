@@ -130,7 +130,7 @@ impl DosOverlay {
             min_group_size: min_size,
             max_group_size: max_size,
         };
-        self.prev_blocked = blocked.clone();
+        self.prev_blocked.clone_from(blocked);
         if self.tel.enabled() {
             self.record_round(&metrics);
         }
@@ -254,11 +254,9 @@ impl DosOverlay {
                 d.write_u64(v.raw());
             }
         }
-        let mut prev: Vec<u64> = self.prev_blocked.iter().map(|v| v.raw()).collect();
-        prev.sort_unstable();
-        d.write_usize(prev.len());
-        for v in prev {
-            d.write_u64(v);
+        d.write_usize(self.prev_blocked.len());
+        for v in self.prev_blocked.iter() {
+            d.write_u64(v.raw());
         }
         d.finish()
     }
@@ -334,9 +332,7 @@ impl simnet::Checkpoint for DosOverlay {
 
 impl crate::healing::HealableOverlay for DosOverlay {
     fn members_sorted(&self) -> Vec<NodeId> {
-        let mut m = self.grouped().nodes();
-        m.sort_unstable();
-        m
+        self.grouped().members_sorted()
     }
     fn len(&self) -> usize {
         self.grouped().len()

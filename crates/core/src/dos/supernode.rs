@@ -4,18 +4,27 @@ use overlay_adversary::lateness::TopologySnapshot;
 use overlay_graphs::Hypercube;
 use rand::{Rng, RngExt};
 use simnet::{BlockSet, NodeId};
-use std::collections::HashMap;
 
 /// A population of nodes partitioned into groups, one per supernode of a
 /// binary hypercube. The physical topology is: intra-group cliques plus
 /// complete bipartite graphs between groups of neighboring supernodes.
+///
+/// Two views of one partition are kept in step. `groups` holds the members
+/// of each supernode in *arrival* order (the order `random` drew them in,
+/// then rejoins appended): that order feeds the next resampling's RNG and
+/// so the digests. `assign` is the inverse map as a flat list sorted by
+/// node id, which makes `supernode_of` a binary search, the sorted member
+/// list a copy, and every "how many members of each group are outside
+/// these block sets" question one merge walk against the sorted
+/// [`BlockSet`]s. `insert` and `remove` shift its tail, which evictions
+/// and rejoins — a handful per round — can afford.
 #[derive(Clone, Debug)]
 pub struct GroupedNetwork {
     cube: Hypercube,
     /// Members of `R(x)` for each supernode label `x` (index = label).
     groups: Vec<Vec<NodeId>>,
-    /// Inverse map: the supernode of each node.
-    assign: HashMap<NodeId, u64>,
+    /// Inverse map: `(node, its supernode)`, strictly ascending by node.
+    assign: Vec<(NodeId, u64)>,
 }
 
 impl GroupedNetwork {
@@ -32,30 +41,20 @@ impl GroupedNetwork {
     }
 
     /// Assign every node to a uniformly random supernode of a hypercube of
-    /// dimension `dim`.
+    /// dimension `dim`, drawing in the order `nodes` lists them (distinct
+    /// ids; the order is part of the replayed behaviour).
     pub fn random<R: Rng + ?Sized>(nodes: &[NodeId], dim: u32, rng: &mut R) -> Self {
         let cube = Hypercube::new(dim);
         let n_super = cube.len();
         let mut groups = vec![Vec::new(); n_super as usize];
-        let mut assign = HashMap::with_capacity(nodes.len());
+        let mut assign = Vec::with_capacity(nodes.len());
         for &v in nodes {
             let x = rng.random_range(0..n_super);
             groups[x as usize].push(v);
-            assign.insert(v, x);
+            assign.push((v, x));
         }
-        Self { cube, groups, assign }
-    }
-
-    /// Rebuild from an explicit assignment (used by reconfiguration).
-    pub fn from_assignment(cube: Hypercube, assign: HashMap<NodeId, u64>) -> Self {
-        let mut groups = vec![Vec::new(); cube.len() as usize];
-        // Fill groups in node-id order: iterating the map directly would
-        // make member order depend on the process-random hash state.
-        let mut pairs: Vec<(NodeId, u64)> = assign.iter().map(|(&v, &x)| (v, x)).collect();
-        pairs.sort_unstable();
-        for (v, x) in pairs {
-            groups[x as usize].push(v);
-        }
+        assign.sort_unstable();
+        assert!(assign.windows(2).all(|w| w[0].0 < w[1].0), "a node listed twice");
         Self { cube, groups, assign }
     }
 
@@ -79,6 +78,11 @@ impl GroupedNetwork {
         self.groups.iter().flatten().copied().collect()
     }
 
+    /// All physical nodes in ascending id order.
+    pub fn members_sorted(&self) -> Vec<NodeId> {
+        self.assign.iter().map(|&(v, _)| v).collect()
+    }
+
     /// The group `R(x)`.
     pub fn group(&self, x: u64) -> &[NodeId] {
         &self.groups[x as usize]
@@ -89,30 +93,38 @@ impl GroupedNetwork {
         &self.groups
     }
 
+    /// Where `v` is, or would be inserted, in the inverse map.
+    fn slot(&self, v: NodeId) -> Result<usize, usize> {
+        self.assign.binary_search_by_key(&v, |&(u, _)| u)
+    }
+
     /// The supernode a node belongs to.
     pub fn supernode_of(&self, v: NodeId) -> Option<u64> {
-        self.assign.get(&v).copied()
+        self.slot(v).ok().map(|at| self.assign[at].1)
     }
 
     /// Remove a node from its group (self-healing eviction). Returns false
     /// if the node was not a member.
     pub fn remove(&mut self, v: NodeId) -> bool {
-        match self.assign.remove(&v) {
-            Some(x) => {
+        match self.slot(v) {
+            Ok(at) => {
+                let (_, x) = self.assign.remove(at);
                 self.groups[x as usize].retain(|&u| u != v);
                 true
             }
-            None => false,
+            Err(_) => false,
         }
     }
 
     /// Insert a node into the group of supernode `x` (rejoin after
     /// crash-recovery). The node must not already be a member.
     pub fn insert(&mut self, v: NodeId, x: u64) {
-        assert!(!self.assign.contains_key(&v), "{v:?} is already a member");
         assert!(x < self.cube.len(), "supernode {x} out of range");
+        match self.slot(v) {
+            Ok(_) => panic!("{v:?} is already a member"),
+            Err(at) => self.assign.insert(at, (v, x)),
+        }
         self.groups[x as usize].push(v);
-        self.assign.insert(v, x);
     }
 
     /// Smallest and largest group size (Lemma 16 quantities).
@@ -122,18 +134,33 @@ impl GroupedNetwork {
         (min, max)
     }
 
+    /// Per-group count of members in neither ascending id run: one walk
+    /// over the id-sorted inverse map with a cursor into each run.
+    fn count_outside(&self, a: &[NodeId], b: &[NodeId]) -> Vec<usize> {
+        let mut counts = vec![0; self.groups.len()];
+        let (mut i, mut j) = (0, 0);
+        for &(v, x) in &self.assign {
+            while i < a.len() && a[i] < v {
+                i += 1;
+            }
+            while j < b.len() && b[j] < v {
+                j += 1;
+            }
+            let listed = a.get(i) == Some(&v) || b.get(j) == Some(&v);
+            counts[x as usize] += usize::from(!listed);
+        }
+        counts
+    }
+
     /// Per-group count of members *not* in `blocked`.
     pub fn unblocked_per_group(&self, blocked: &BlockSet) -> Vec<usize> {
-        self.groups.iter().map(|g| g.iter().filter(|v| !blocked.contains(**v)).count()).collect()
+        self.count_outside(blocked.as_slice(), &[])
     }
 
     /// Per-group count of members available this round: non-blocked in
     /// both the previous and the current round (the paper's availability).
     pub fn available_per_group(&self, prev: &BlockSet, cur: &BlockSet) -> Vec<usize> {
-        self.groups
-            .iter()
-            .map(|g| g.iter().filter(|v| !prev.contains(**v) && !cur.contains(**v)).count())
-            .collect()
+        self.count_outside(prev.as_slice(), cur.as_slice())
     }
 
     /// Is the subgraph induced by non-blocked nodes connected?
@@ -143,8 +170,7 @@ impl GroupedNetwork {
     /// the question reduces to connectivity of the hypercube restricted to
     /// supernodes with at least one non-blocked member.
     pub fn connected_under(&self, blocked: &BlockSet) -> bool {
-        let alive: Vec<bool> =
-            self.groups.iter().map(|g| g.iter().any(|v| !blocked.contains(*v))).collect();
+        let alive: Vec<bool> = self.unblocked_per_group(blocked).iter().map(|&c| c > 0).collect();
         let total_alive = alive.iter().filter(|&&a| a).count();
         if total_alive <= 1 {
             return true; // zero or one occupied supernode is trivially connected
@@ -195,8 +221,8 @@ impl GroupedNetwork {
 impl simnet::Checkpoint for GroupedNetwork {
     fn save(&self) -> serde_json::Value {
         // Groups are stored verbatim, preserving within-group member order:
-        // `insert` appends, so live state is not necessarily id-sorted and
-        // `from_assignment` (which sorts) would not round-trip it.
+        // `insert` appends, so live state is not necessarily id-sorted, and
+        // the order feeds the next resampling's draws.
         let groups: Vec<serde_json::Value> =
             self.groups.iter().map(|g| simnet::checkpoint::save_slice(g)).collect();
         serde_json::json!({ "dim": u64::from(self.cube.dim()), "groups": groups })
@@ -216,13 +242,19 @@ impl simnet::Checkpoint for GroupedNetwork {
         for g in raw {
             groups.push(load_vec(g)?);
         }
-        let mut assign = HashMap::new();
-        for (x, g) in groups.iter().enumerate() {
-            for &v in g {
-                if assign.insert(v, x as u64).is_some() {
-                    return Err(simnet::CkptError::Corrupt(format!("{v} in two groups")));
-                }
-            }
+        let mut assign: Vec<(NodeId, u64)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(x, g)| g.iter().map(move |&v| (v, x as u64)))
+            .collect();
+        assign.sort_unstable();
+        if let Some(w) = assign.windows(2).find(|w| w[0].0 == w[1].0) {
+            let (v, x, y) = (w[0].0, w[0].1, w[1].1);
+            return Err(simnet::CkptError::Corrupt(if x == y {
+                format!("{v} twice in group {x}")
+            } else {
+                format!("{v} in groups {x} and {y}")
+            }));
         }
         Ok(Self { cube, groups, assign })
     }
@@ -321,3 +353,6 @@ mod tests {
         assert_eq!(snap.nodes.len(), 128);
     }
 }
+
+#[cfg(test)]
+mod grouped_diff;

@@ -44,6 +44,7 @@ use crate::reconfig::overlay::ExpanderOverlay;
 use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::lateness::TopologySnapshot;
+use simnet::fault::{merge_ascending, minus_ascending};
 use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{EventKind, Phase, Telemetry};
@@ -259,11 +260,16 @@ impl HealthTracker {
     /// members that produced no heartbeat this epoch. Members in an active
     /// retry exchange are being healed, not suspected — their counters do
     /// not advance. Returns the members whose silence outlived the timeout
-    /// (the caller evicts them).
-    fn observe_epoch(&mut self, members: &[NodeId], silent: &BTreeSet<NodeId>) -> Vec<NodeId> {
+    /// (the caller evicts them). Both lists ascend, so one cursor into
+    /// `silent` answers every membership question.
+    fn observe_epoch(&mut self, members: &[NodeId], silent: &[NodeId]) -> Vec<NodeId> {
         let mut evict = Vec::new();
+        let mut at = 0;
         for &v in members {
-            if silent.contains(&v) && !self.retries.contains_key(&v) {
+            while at < silent.len() && silent[at] < v {
+                at += 1;
+            }
+            if silent.get(at) == Some(&v) && !self.retries.contains_key(&v) {
                 let c = self.staleness.entry(v).or_insert(0);
                 *c += 1;
                 if *c >= self.timeout_epochs.saturating_mul(self.timeout_factor.max(1)) {
@@ -356,8 +362,11 @@ pub struct FaultyRunner<O: HealableOverlay> {
     dos_bound: Option<f64>,
     /// Crashed nodes -> recovery round (`u64::MAX` = crash-stop).
     down: BTreeMap<NodeId, u64>,
-    /// Crashed nodes whose membership was evicted while they were down.
+    /// Crashed nodes whose membership was evicted while they were down;
+    /// always a subset of `down`'s keys.
     evicted_while_down: BTreeSet<NodeId>,
+    /// The round's effective block set, rebuilt in place every step.
+    eff: BlockSet,
     /// Pure observability: mirrors the healing protocol's decisions as
     /// events and `heal.*` counters; never consulted by the protocol.
     tel: Telemetry,
@@ -383,6 +392,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             dos_bound: None,
             down: BTreeMap::new(),
             evicted_while_down: BTreeSet::new(),
+            eff: BlockSet::none(),
             tel: Telemetry::disabled(),
         }
     }
@@ -531,6 +541,19 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// reconfiguration-broadcast losses if an epoch boundary resampled,
     /// and feed the invariant monitor.
     pub fn step(&mut self, dos_blocked: &BlockSet) -> DosRoundMetrics {
+        self.step_timed(dos_blocked, |_| {})
+    }
+
+    /// [`Self::step`], calling `lap` with a section's name as each section
+    /// of the round ends — in order: `membership`, `crash draws`,
+    /// `retries + staleness`, `effective set`, `overlay step`,
+    /// `broadcast draws`, `monitor`. The `perf_dos_round` binary reads a
+    /// clock in `lap`; `step` passes a no-op that compiles away.
+    pub fn step_timed(
+        &mut self,
+        dos_blocked: &BlockSet,
+        mut lap: impl FnMut(&'static str),
+    ) -> DosRoundMetrics {
         let round = self.overlay.round(); // round about to execute
         let epochs_before = self.overlay.epochs();
         let failed_before = self.overlay.failed_epochs();
@@ -559,7 +582,8 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         // Fresh crashes among live members.
         let members = self.overlay.members_sorted();
         let up: Vec<NodeId> =
-            members.iter().copied().filter(|v| !self.down.contains_key(v)).collect();
+            minus_ascending(members.iter().copied(), self.down.keys().copied()).collect();
+        lap("membership");
         for v in self.schedule.draw_crashes(&up, members.len()) {
             let back = self.schedule.recover_after().map_or(u64::MAX, |k| round + k);
             self.down.insert(v, back);
@@ -568,6 +592,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             self.tracker.forget(v);
             self.heal_event(round, EventKind::Crash, "crash", v, back);
         }
+        lap("crash draws");
 
         if self.healing {
             // Due re-requests: each attempt is one message exchange,
@@ -594,9 +619,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             // silent; retrying members are exempt (the healing exchange is
             // their heartbeat).
             if round > 0 && round % self.overlay.epoch_len() == 0 {
-                let mut silent: BTreeSet<NodeId> = self.down.keys().copied().collect();
-                silent.extend(dos_blocked.iter());
-                silent.extend(self.tracker.desynced());
+                let silent: Vec<NodeId> = self.silenced(dos_blocked).collect();
                 let members_now = self.overlay.members_sorted();
                 for v in self.tracker.observe_epoch(&members_now, &silent) {
                     self.overlay.evict(v);
@@ -609,18 +632,15 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             }
         }
         drop(healing_phase);
+        lap("retries + staleness");
 
         // Effective silence: adversary blocking plus crashed plus
         // desynchronized members.
-        let mut eff = dos_blocked.clone();
-        for &v in self.down.keys() {
-            eff.insert(v);
-        }
-        for v in self.tracker.desynced() {
-            eff.insert(v);
-        }
-
+        let mut eff = std::mem::take(&mut self.eff);
+        eff.assign(self.silenced(dos_blocked));
+        lap("effective set");
         let m = self.overlay.step_overlay(&eff);
+        lap("overlay step");
 
         // If the boundary just resampled (epochs advanced, no new failed
         // epoch), every live member must learn its fresh assignment; each
@@ -628,15 +648,19 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         // structure, so there is nothing new to miss — and nothing that
         // would resynchronize anyone either.
         if self.overlay.epochs() > epochs_before && self.overlay.failed_epochs() == failed_before {
-            for v in self.overlay.members_sorted() {
-                if !self.down.contains_key(&v) && self.schedule.lose_message() {
+            let members = self.overlay.members_sorted();
+            let live: Vec<NodeId> = minus_ascending(members, self.down.keys().copied()).collect();
+            for v in live {
+                if self.schedule.lose_message() {
                     self.tracker.mark_desynced(v, m.round, self.healing);
                     self.heal_event(m.round, EventKind::Desync, "desync", v, 1);
                 }
             }
         }
 
-        let _monitor_phase = self.tel.phase(Phase::Monitor);
+        lap("broadcast draws");
+
+        let monitor_phase = self.tel.phase(Phase::Monitor);
         self.monitor.begin_round();
         self.monitor.check(Invariant::Connectivity, m.round, m.connected, || {
             format!("effective block set of {} silences a cut", eff.len())
@@ -648,13 +672,28 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         self.monitor.check(Invariant::GroupSizeBand, m.round, structure.is_none(), || {
             structure.clone().unwrap_or_default()
         });
-        let stale = self.tracker.desynced_len()
-            + self.down.keys().filter(|v| !self.evicted_while_down.contains(v)).count();
+        // Crashed nodes that are still members: `evicted_while_down` only
+        // ever holds keys of `down`.
+        debug_assert!(self.evicted_while_down.iter().all(|v| self.down.contains_key(v)));
+        let stale = self.tracker.desynced_len() + self.down.len() - self.evicted_while_down.len();
         let n_now = self.overlay.len().max(1);
         self.monitor.check(Invariant::StaleBound, m.round, stale * 2 <= n_now, || {
             format!("{stale} of {n_now} members crashed or desynchronized")
         });
+        self.eff = eff;
+        drop(monitor_phase);
+        lap("monitor");
         m
+    }
+
+    /// Everyone silent this round, ascending: adversary blocking plus
+    /// crashed plus desynchronized members, the three sorted runs merged in
+    /// one pass.
+    fn silenced<'a>(&'a self, dos_blocked: &'a BlockSet) -> impl Iterator<Item = NodeId> + 'a {
+        merge_ascending(
+            merge_ascending(dos_blocked.iter(), self.down.keys().copied()),
+            self.tracker.desynced(),
+        )
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —

@@ -29,12 +29,26 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The set of nodes blocked in a given round.
 ///
-/// Backed by a `BTreeSet` so iteration order is deterministic: block sets
-/// feed RNG draws and digests downstream, where arbitrary order would break
-/// replay identity.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// An ascending, duplicate-free `Vec` of ids. Sorted storage *is* the
+/// deterministic iteration order that block sets owe the RNG draws and
+/// digests downstream; membership is a binary search over contiguous ids,
+/// unions and differences are merge walks, and `clone_from` reuses the
+/// allocation. Every constructor and mutator restores the order, so no
+/// input — an attacker's unsorted picks, a hand-edited checkpoint — can
+/// make [`contains`](Self::contains) answer wrongly.
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockSet {
-    blocked: BTreeSet<NodeId>,
+    blocked: Vec<NodeId>,
+}
+
+impl Clone for BlockSet {
+    fn clone(&self) -> Self {
+        Self { blocked: self.blocked.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.blocked.clone_from(&source.blocked);
+    }
 }
 
 impl BlockSet {
@@ -47,13 +61,40 @@ impl BlockSet {
     /// by design — both behave identically.)
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        Self { blocked: iter.into_iter().collect() }
+        let mut set = Self::none();
+        set.assign(iter);
+        set
+    }
+
+    /// Replace the contents with exactly the given nodes, keeping the
+    /// allocation. Input that already ascends strictly (a merge walk, a
+    /// filtered sorted list) costs one comparison per id; anything else is
+    /// sorted and deduplicated.
+    pub fn assign<I: IntoIterator<Item = NodeId>>(&mut self, iter: I) {
+        self.blocked.clear();
+        self.blocked.extend(iter);
+        if !self.blocked.windows(2).all(|w| w[0] < w[1]) {
+            self.blocked.sort_unstable();
+            self.blocked.dedup();
+        }
     }
 
     /// Is `node` blocked?
+    ///
+    /// Only the emptiness test is inlined — the fault-free arms probe an
+    /// empty set once per routed hop. The binary search stays out of line
+    /// on purpose: the engine's delivery loop answers from per-round
+    /// bitsets and falls back to this only for a receiver that is no longer
+    /// a member, and a search inlined into that loop slows the common path
+    /// it never takes.
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.blocked.contains(&node)
+        !self.blocked.is_empty() && self.search(node)
+    }
+
+    #[inline(never)]
+    fn search(&self, node: NodeId) -> bool {
+        self.blocked.binary_search(&node).is_ok()
     }
 
     /// Number of blocked nodes.
@@ -66,14 +107,45 @@ impl BlockSet {
         self.blocked.is_empty()
     }
 
-    /// Add a node to the set.
+    /// Add a node to the set: an append when `node` is the new maximum,
+    /// a shifting insert otherwise. Building a set of `k` ids by `insert`
+    /// in arbitrary order is `O(k^2)`; collect, or merge with
+    /// [`union_with`](Self::union_with), instead.
     pub fn insert(&mut self, node: NodeId) {
-        self.blocked.insert(node);
+        if self.blocked.last().is_none_or(|&max| max < node) {
+            self.blocked.push(node);
+        } else if let Err(at) = self.blocked.binary_search(&node) {
+            self.blocked.insert(at, node);
+        }
+    }
+
+    /// Add every node of `other`, by one merge of the two ascending runs.
+    pub fn union_with(&mut self, other: &BlockSet) {
+        if other.is_empty() {
+            return;
+        }
+        if self.blocked.last().is_none_or(|&max| max < other.blocked[0]) {
+            self.blocked.extend_from_slice(&other.blocked);
+            return;
+        }
+        let mine = std::mem::take(&mut self.blocked);
+        self.blocked.reserve(mine.len() + other.len());
+        self.blocked.extend(merge_ascending(mine, other.iter()));
+    }
+
+    /// Keep only the `len` smallest ids (the adversary's budget clamp).
+    pub fn truncate(&mut self, len: usize) {
+        self.blocked.truncate(len);
     }
 
     /// Iterate over blocked nodes in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.blocked.iter().copied()
+    }
+
+    /// The blocked nodes, ascending and without duplicates.
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.blocked
     }
 
     /// The fraction of `n` nodes this set blocks.
@@ -100,6 +172,43 @@ impl FromIterator<NodeId> for BlockSet {
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
         BlockSet::from_iter(iter)
     }
+}
+
+/// The union of two strictly ascending id runs, strictly ascending: the
+/// one-pass set algebra of the DoS round (`adversary ∪ down ∪ desynced` is
+/// two of these nested). Ids present in both runs come out once.
+pub fn merge_ascending(
+    a: impl IntoIterator<Item = NodeId>,
+    b: impl IntoIterator<Item = NodeId>,
+) -> impl Iterator<Item = NodeId> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(&x), Some(&y)) => {
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+            Some(x.min(y))
+        }
+        (Some(_), None) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// The ids of the strictly ascending run `a` that the strictly ascending
+/// run `b` does not list, in order: the live members (`members − down`) by
+/// one two-cursor walk instead of a map probe per member.
+pub fn minus_ascending(
+    a: impl IntoIterator<Item = NodeId>,
+    b: impl IntoIterator<Item = NodeId>,
+) -> impl Iterator<Item = NodeId> {
+    let mut b = b.into_iter().peekable();
+    a.into_iter().filter(move |&x| {
+        while b.next_if(|&y| y < x).is_some() {}
+        b.peek() != Some(&x)
+    })
 }
 
 /// Decide whether a message sent in round `i` is delivered in round `i + 1`.
@@ -694,13 +803,14 @@ impl Checkpoint for BlockSet {
         Value::Array(self.blocked.iter().map(|v| Value::from(v.raw())).collect())
     }
 
+    /// Accepts the ids in any order and with repeats, as the `BTreeSet`
+    /// this type once wrapped did: a hand-written `Repro` or an old
+    /// checkpoint loads to the same set and saves back in ascending order.
     fn load(v: &Value) -> CkptResult<Self> {
         let ids = v.as_array().ok_or_else(|| missing("block set"))?;
-        let blocked = ids
-            .iter()
+        ids.iter()
             .map(|x| x.as_u64().map(NodeId).ok_or_else(|| missing("block set id")))
-            .collect::<CkptResult<BTreeSet<NodeId>>>()?;
-        Ok(Self { blocked })
+            .collect::<CkptResult<BlockSet>>()
     }
 }
 
@@ -1395,3 +1505,6 @@ mod tests {
         });
     }
 }
+
+#[cfg(test)]
+mod blockset_diff;

@@ -142,6 +142,23 @@ sampler-diff:
 perf-alg1 *flags="":
     cargo run --release -p reconfig-bench --bin perf_alg1 -- {{flags}}
 
+# Block sets and the grouped network: the sorted-`Vec` set against its
+# `BTreeSet` `#[cfg(test)]` reference (480 seeded cases), the merge walks
+# against the `HashMap` + per-member-probe reference (420 seeded histories),
+# and the healed-round golden and checkpoint the parent commit wrote.
+blockset-diff:
+    cargo test -q -p simnet --lib fault::blockset_diff
+    cargo test -q -p reconfig-core --lib dos::supernode::grouped_diff
+    cargo test -q -p integration-tests --test determinism golden_healing_round_digests
+    cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
+
+# Healed DoS round perf: microseconds per round in each section of
+# `FaultyRunner<DosOverlay>::step` and its attack prologue at n = 8 192.
+# Bare = full size, rewrites BENCH_DOS_ROUND.json; `just perf-dos-round
+# --smoke` = CI size, writes nothing.
+perf-dos-round *flags="":
+    cargo run --release -p reconfig-bench --bin perf_dos_round -- {{flags}}
+
 # The repo benchmark (own workspace, outside `cargo test --workspace`):
 # smoke sizes, manifest/code consistency, correctness gate.
 bench-check:

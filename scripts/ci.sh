@@ -101,6 +101,15 @@ cargo test -q -p integration-tests --test determinism golden_sampling_direct_dig
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_alg1 -- --smoke
 
+echo "==> block sets and grouped network: sorted runs vs the BTreeSet / HashMap references (480 + 420 seeded cases), parent-written goldens"
+cargo test -q -p simnet --lib fault::blockset_diff
+cargo test -q -p reconfig-core --lib dos::supernode::grouped_diff
+cargo test -q -p integration-tests --test determinism golden_healing_round_digests
+cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
+
+echo "==> healed DoS round perf smoke (timed and untimed rounds agree; section split prints)"
+cargo run --release -q -p reconfig-bench --bin perf_dos_round -- --smoke
+
 echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
 bash benchmark/run.sh --check
 

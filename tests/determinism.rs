@@ -33,7 +33,10 @@ use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{FaultyRunner, HealingParams};
+use reconfig_core::healing::{
+    attack_round, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
+};
+use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
@@ -227,6 +230,196 @@ fn golden_churndos_overlay_digest_stream() {
          over 2 epochs",
         &lines,
     );
+}
+
+// ---------------------------------------------------------------------------
+// The healed DoS round
+// ---------------------------------------------------------------------------
+
+/// Population of the healed-round golden and of the checkpoint fixture.
+const HEALED_N: usize = 1024;
+/// Epochs each healed-round arm runs.
+const HEALED_EPOCHS: u64 = 6;
+/// Round after which `dos_overlay_v1.ckpt.json` was saved: mid-epoch, after
+/// the first evicted members have rejoined out of id order.
+const HEALED_CKPT_ROUND: u64 = 59;
+
+/// Heartbeat timeout of two epochs, so that a member crashed for two
+/// epochs is evicted while down and has to come back through the join
+/// path; the default of three never evicts a crash-recover victim.
+fn healed_params() -> HealingParams {
+    HealingParams { heartbeat_epochs: 2, ..HealingParams::default() }
+}
+
+/// The benchmark's `dos_healing` mix around `overlay`: loss 0.2, crash
+/// hazard 0.002 per round, recovery after two epochs, at most 10 % down,
+/// a 2t-late `GroupTargeted` attacker at r = 0.3 with its budget judged.
+fn healed_runner<O: HealableOverlay>(
+    overlay: O,
+    seed: u64,
+    healing: bool,
+) -> (FaultyRunner<O>, DosAdversary) {
+    let t = overlay.epoch_len();
+    let faults = FaultSchedule::new(seed ^ 0x5EED, 0.2, 0.002, Some(2 * t), 0.1);
+    let runner = FaultyRunner::new(overlay, faults, healed_params(), healing).with_dos_bound(0.3);
+    (runner, DosAdversary::new(DosStrategy::GroupTargeted, 0.3, 2 * t, seed + 1))
+}
+
+/// One attacked, healed round, exactly as `FaultyRunner::run` does it.
+fn healed_round<O: HealableOverlay>(
+    runner: &mut FaultyRunner<O>,
+    adv: &mut DosAdversary,
+) -> reconfig_core::metrics::DosRoundMetrics {
+    let blocked = attack_round(&runner.overlay, adv, Some((&mut runner.monitor, 0.3)));
+    runner.step(&blocked)
+}
+
+/// Every observable of `HEALED_EPOCHS` epochs of one arm: per round the
+/// overlay's `state_digest`, each `DosRoundMetrics` field and the runner's
+/// membership / down / desynced counts; then the `HealingStats` and the
+/// monitor's totals.
+fn healed_lines<O: HealableOverlay>(
+    tag: &str,
+    overlay: O,
+    seed: u64,
+    healing: bool,
+    digest: impl Fn(&O) -> u64,
+) -> (Vec<String>, HealingStats) {
+    let (mut runner, mut adv) = healed_runner(overlay, seed, healing);
+    let mut lines = Vec::new();
+    for _ in 0..HEALED_EPOCHS * runner.overlay.epoch_len() {
+        let m = healed_round(&mut runner, &mut adv);
+        lines.push(format!(
+            "{tag} {} {:016x} blocked={} connected={} min_avail={} sizes={}..{} members={} \
+             down={} desynced={}",
+            m.round,
+            digest(&runner.overlay),
+            m.blocked,
+            m.connected,
+            m.min_group_available,
+            m.min_group_size,
+            m.max_group_size,
+            runner.overlay.len(),
+            runner.down_len(),
+            runner.desynced_len(),
+        ));
+    }
+    let s = runner.stats();
+    let mon = &runner.monitor;
+    let counts: Vec<String> = [
+        Invariant::Connectivity,
+        Invariant::Availability,
+        Invariant::GroupSizeBand,
+        Invariant::BlockingBudget,
+        Invariant::StaleBound,
+    ]
+    .iter()
+    .map(|&inv| format!("{}={}", inv.name(), mon.count(inv)))
+    .collect();
+    lines.push(format!(
+        "{tag} stats desync={} retries={} resyncs={} exhausted={} evictions={} rejoins={} \
+         crashes={} epochs={} failed_epochs={} monitor total={} rounds={} {}",
+        s.desync_events,
+        s.retries,
+        s.resyncs,
+        s.exhausted,
+        s.evictions,
+        s.rejoins,
+        s.crashes,
+        runner.overlay.epochs(),
+        runner.overlay.failed_epochs(),
+        mon.total(),
+        mon.rounds(),
+        counts.join(" "),
+    ));
+    (lines, s)
+}
+
+/// The healed DoS round, end to end: `attacker.digests` pins the block
+/// streams and `fault_injection.rs` asserts outcomes, but nothing else pins
+/// what `FaultyRunner::step` computes from them — the crash and loss draws,
+/// the retry ladder, staleness evictions, rejoins, the effective block set
+/// the overlay is stepped under, and the monitor's verdicts. Written at the
+/// commit before `BlockSet` became a sorted `Vec`.
+#[test]
+fn golden_healing_round_digests() {
+    let mut lines = Vec::new();
+    for healing in [true, false] {
+        let arm = if healing { "healed" } else { "control" };
+        let (dos, dos_stats) = healed_lines(
+            &format!("dos/{arm}"),
+            DosOverlay::new(HEALED_N, DosParams::default(), 21),
+            21,
+            healing,
+            DosOverlay::state_digest,
+        );
+        let (churndos, churndos_stats) = healed_lines(
+            &format!("churndos/{arm}"),
+            ChurnDosOverlay::new(HEALED_N, ChurnDosParams::default(), 22),
+            22,
+            healing,
+            ChurnDosOverlay::state_digest,
+        );
+        for s in [dos_stats, churndos_stats] {
+            assert!(s.crashes > 0 && s.desync_events > 0, "{arm}: the fault mix must bite");
+            assert_eq!(s.retries > 0, healing, "{arm}: retries happen exactly when healing");
+            assert_eq!(s.evictions > 0, healing, "{arm}: evictions happen exactly when healing");
+            assert_eq!(s.rejoins > 0, healing, "{arm}: rejoins happen exactly when healing");
+        }
+        lines.extend(dos);
+        lines.extend(churndos);
+    }
+    check_golden(
+        "healing_round.digests",
+        "core/healing: FaultyRunner over DosOverlay (seed 21) and ChurnDosOverlay (seed 22), \
+         n=1024, 6 epochs, loss=0.2 hazard=0.002 recover=2t cap=0.1 heartbeat=2 epochs, \
+         GroupTargeted r=0.3 2t-late adv_seed=seed+1 with the budget judged, healing on \
+         (healed) and off (control); per round: state_digest, DosRoundMetrics, members, down, \
+         desynced; then HealingStats and monitor totals",
+        &lines,
+    );
+}
+
+/// `dos_overlay_v1.ckpt.json` is an input, like `network_v1.ckpt.json`:
+/// the `DosOverlay` of the `dos/healed` arm above, saved (pretty-printed,
+/// trailing newline) after round `HEALED_CKPT_ROUND` by the commit whose
+/// `BlockSet` was a `BTreeSet` and whose `GroupedNetwork` kept a `HashMap`.
+/// It must load, stamp the digest `healing_round.digests` has for that
+/// round, and re-`save()` to the same bytes; `UPDATE_GOLDEN` never rewrites
+/// it.
+#[test]
+fn golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte() {
+    let path = golden_path("dos_overlay_v1.ckpt.json");
+    let text = std::fs::read_to_string(&path).expect("committed fixture");
+    let snap = read_value(&path).expect("committed fixture parses");
+    let ov = DosOverlay::load(&snap).expect("a parent-written checkpoint loads");
+    assert_eq!(ov.round(), HEALED_CKPT_ROUND);
+    assert_ne!(ov.round() % ov.epoch_len(), 0, "saved mid-epoch");
+    assert!(!get_array(&snap, "prev_blocked").expect("prev_blocked").is_empty());
+    let unsorted = |g: &Vec<NodeId>| g.windows(2).any(|w| w[0] > w[1]);
+    assert!(ov.grouped().groups().iter().any(unsorted), "a rejoin appended out of id order");
+    assert_eq!(serde_json::to_string_pretty(&ov.save()).unwrap() + "\n", text);
+
+    let golden = std::fs::read_to_string(golden_path("healing_round.digests")).unwrap();
+    let stamped = format!("dos/healed {HEALED_CKPT_ROUND} {:016x} ", ov.state_digest());
+    assert!(golden.lines().any(|l| l.starts_with(&stamped)), "not the golden run's round");
+
+    // Replaying the arm to the same round reproduces the file.
+    let (mut runner, mut adv) =
+        healed_runner(DosOverlay::new(HEALED_N, DosParams::default(), 21), 21, true);
+    for _ in 0..HEALED_CKPT_ROUND {
+        healed_round(&mut runner, &mut adv);
+    }
+    assert_eq!(serde_json::to_string_pretty(&runner.overlay.save()).unwrap() + "\n", text);
+
+    let tamper = |key: &str, value: serde_json::Value| {
+        let mut bad = snap.clone();
+        let serde_json::Value::Object(top) = &mut bad else { panic!("checkpoint is an object") };
+        top.insert(key.into(), value);
+        DosOverlay::load(&bad).err()
+    };
+    assert!(matches!(tamper("round", 99u64.into()), Some(CkptError::DigestMismatch { .. })));
+    assert!(matches!(tamper("prev_blocked", 7u64.into()), Some(CkptError::Corrupt(_))));
 }
 
 /// The W-series at the `--smoke` sizes of `exp_w{1,2,3}`, both arms each.
