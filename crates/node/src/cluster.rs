@@ -12,7 +12,7 @@
 //! experiment).
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -84,6 +84,10 @@ pub struct ClusterReport {
     pub trace: ClusterTrace,
     /// What the replay oracle verified.
     pub replay: ReplaySummary,
+    /// Wall-clock latency of each round as the coordinator saw it: from
+    /// writing the round's first tick to reading its last report. Kept out
+    /// of the trace, whose bytes and digests are timing-free.
+    pub round_latencies: Vec<Duration>,
 }
 
 /// Why a cluster run failed.
@@ -140,7 +144,8 @@ impl From<WireError> for ClusterError {
 ///
 /// Dropping a process handle kills the child — the harness cannot leak
 /// orphans even when a run errors mid-campaign. Thread daemons exit on
-/// their own when their control socket drops (EOF reads as shutdown).
+/// their own when their control socket drops (EOF ends the run with
+/// `NodeError::Wire(Truncated)`).
 enum Handle {
     Process(Child),
     Thread(Option<std::thread::JoinHandle<Result<u64, NodeError>>>),
@@ -156,7 +161,7 @@ impl Drop for Handle {
 }
 
 struct NodeConn {
-    control: TcpStream,
+    control: BufReader<TcpStream>,
     port: u16,
     handle: Handle,
 }
@@ -181,7 +186,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
     let peers: Vec<(u64, u16)> = nodes.iter().map(|(&id, conn)| (id, conn.port)).collect();
     for conn in nodes.values_mut() {
         Frame::Welcome { round: 0, n0: config.n0, seed: config.seed, peers: peers.clone() }
-            .write_to(&mut conn.control)?;
+            .write_to(conn.control.get_mut())?;
     }
     let ids: Vec<u64> = nodes.keys().copied().collect();
     for id in ids {
@@ -189,6 +194,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
     }
 
     let mut rounds: Vec<RoundRecord> = Vec::with_capacity(steps.len());
+    let mut round_latencies = Vec::with_capacity(steps.len());
     // Members that executed the previous round — the mark barrier set.
     let mut prev_members: Vec<u64> = Vec::new();
 
@@ -196,6 +202,16 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
         let round_start = Instant::now();
         apply_churn(config, step, coord_addr, &listener, &mut nodes, &peers)?;
 
+        // Every initial member without a lag gets the same tick, encoded
+        // once; lagged members and joiners get their own.
+        let tick = |hold_extra, marks| Frame::Tick {
+            round: step.round,
+            hold_extra,
+            blocked: step.blocked.clone(),
+            marks,
+        };
+        let member_tick = tick(0, prev_members.clone()).encode();
+        let ticked = Instant::now();
         for (&id, conn) in nodes.iter_mut() {
             let hold_extra = step
                 .lags
@@ -203,10 +219,14 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
                 .find(|&&(node, _)| node == id)
                 .map(|&(_, extra)| extra)
                 .unwrap_or(0);
-            // Joiners never receive frames, so they skip the mark barrier.
-            let marks = if id < config.n0 { prev_members.clone() } else { Vec::new() };
-            Frame::Tick { round: step.round, hold_extra, blocked: step.blocked.clone(), marks }
-                .write_to(&mut conn.control)?;
+            let control = conn.control.get_mut();
+            if id < config.n0 && hold_extra == 0 {
+                control.write_all(&member_tick).map_err(WireError::from)?;
+            } else {
+                // Joiners never receive frames, so they skip the mark barrier.
+                let marks = if id < config.n0 { prev_members.clone() } else { Vec::new() };
+                tick(hold_extra, marks).write_to(control)?;
+            }
         }
 
         let mut record = RoundRecord {
@@ -230,6 +250,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
                 DelayObs { from: NodeId(from), to: NodeId(to), sent_round, extra }
             }));
         }
+        round_latencies.push(ticked.elapsed());
         record.digests.sort_unstable();
         record.delays.sort_unstable_by_key(|d| (d.from.raw(), d.to.raw(), d.sent_round));
         rounds.push(record);
@@ -244,7 +265,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
 
     // Clean shutdown: every surviving node exits on its own.
     for conn in nodes.values_mut() {
-        let _ = Frame::Shutdown.write_to(&mut conn.control);
+        let _ = Frame::Shutdown.write_to(conn.control.get_mut());
     }
     for (_, mut conn) in std::mem::take(&mut nodes) {
         match &mut conn.handle {
@@ -264,7 +285,7 @@ pub fn run_cluster(config: &ClusterConfig) -> Result<ClusterReport, ClusterError
         persist(dir, config, &trace)?;
     }
     let summary = replay(&trace).map_err(ClusterError::Replay)?;
-    Ok(ClusterReport { trace, replay: summary })
+    Ok(ClusterReport { trace, replay: summary, round_latencies })
 }
 
 /// Start one node (process or thread) without waiting for its handshake.
@@ -308,9 +329,10 @@ fn accept_pending(
     nodes: &mut BTreeMap<u64, NodeConn>,
 ) -> Result<(), ClusterError> {
     while !pending.is_empty() {
-        let (mut control, _) = listener.accept()?;
-        control.set_nodelay(true).ok();
-        control.set_read_timeout(Some(COORD_TIMEOUT))?;
+        let (stream, _) = listener.accept()?;
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(COORD_TIMEOUT))?;
+        let mut control = BufReader::new(stream);
         let hello = Frame::read_from(&mut control, max_frame)?;
         let Frame::Hello { node, port } = hello else {
             return Err(ClusterError::Protocol("expected hello"));
@@ -338,7 +360,7 @@ fn apply_churn(
             // already on the wire (its report barriered last round), so
             // survivors still deliver them — matching the simulator, where
             // a `CrashStop { at }` node's round `at - 1` messages deliver.
-            let _ = Frame::Shutdown.write_to(&mut conn.control);
+            let _ = Frame::Shutdown.write_to(conn.control.get_mut());
             match &mut conn.handle {
                 Handle::Process(child) => {
                     let _ = child.wait();
@@ -369,7 +391,7 @@ fn apply_churn(
                 seed: config.seed,
                 peers: live.clone(),
             }
-            .write_to(&mut conn.control)?;
+            .write_to(conn.control.get_mut())?;
         }
         for &joiner in &step.joins {
             expect_ready(nodes, joiner, config.knobs.max_frame)?;

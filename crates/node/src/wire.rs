@@ -37,6 +37,8 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 pub enum Frame {
     /// Node → coordinator: first frame on the control connection; `port`
     /// is where the node accepts peer connections (always on 127.0.0.1).
+    /// Also the dialling node's first frame on every peer connection,
+    /// naming the sender to the receiver's accept thread.
     Hello {
         /// Sender's node id.
         node: u64,
@@ -185,9 +187,10 @@ fn checksum(payload: &[u8]) -> u64 {
     Digest::new().write_bytes(payload).finish()
 }
 
-struct PayloadWriter(Vec<u8>);
+/// Appends payload fields to the frame under construction.
+struct PayloadWriter<'a>(&'a mut Vec<u8>);
 
-impl PayloadWriter {
+impl PayloadWriter<'_> {
     fn u64(&mut self, x: u64) -> &mut Self {
         self.0.extend_from_slice(&x.to_le_bytes());
         self
@@ -266,8 +269,21 @@ impl Frame {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
-        let mut w = PayloadWriter(Vec::new());
+    /// Payload bytes of the encoding, computed without encoding.
+    fn payload_len(&self) -> usize {
+        match self {
+            Frame::Hello { .. } => 10,
+            Frame::Welcome { peers, .. } => 28 + 10 * peers.len(),
+            Frame::Ready { .. } => 8,
+            Frame::Msg { .. } => 32,
+            Frame::RoundMark { .. } => 16,
+            Frame::Tick { blocked, marks, .. } => 24 + 8 * (blocked.len() + marks.len()),
+            Frame::Report { delays, .. } => 44 + 32 * delays.len(),
+            Frame::Shutdown => 0,
+        }
+    }
+
+    fn write_payload(&self, mut w: PayloadWriter<'_>) {
         match self {
             Frame::Hello { node, port } => {
                 w.u64(*node).u16(*port);
@@ -306,7 +322,6 @@ impl Frame {
             }
             Frame::Shutdown => {}
         }
-        w.0
     }
 
     fn from_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, WireError> {
@@ -388,21 +403,32 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Encode into a byte vector.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
+    /// Append the encoded frame to `out`, allocating only if `out` must
+    /// grow: the length and checksum fields are patched in after the
+    /// payload is written in place. Frames appended one after another are
+    /// exactly what consecutive [`Frame::read_from`] calls read back.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(self.type_byte());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 12]);
+        let body = out.len();
+        self.write_payload(PayloadWriter(out));
+        let len = (out.len() - body) as u32;
+        let sum = checksum(&out[body..]);
+        out[start + 6..start + 10].copy_from_slice(&len.to_le_bytes());
+        out[start + 10..body].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Encode into a byte vector of exactly the encoding's length.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + 8 + self.payload_len());
+        self.encode_into(&mut out);
         out
     }
 
-    /// Write the encoded frame to `w` (one `write_all`, so concurrent
-    /// writers on a shared stream never interleave partial frames).
+    /// Write the encoded frame to `w` with one `write_all`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), WireError> {
         w.write_all(&self.encode())?;
         Ok(())
@@ -481,6 +507,13 @@ mod tests {
             let bytes = frame.encode();
             let back = Frame::decode(&bytes, DEFAULT_MAX_FRAME).unwrap();
             assert_eq!(back, frame);
+        }
+    }
+
+    #[test]
+    fn payload_len_is_the_encoded_payload_length() {
+        for frame in samples() {
+            assert_eq!(frame.encode().len(), HEADER_LEN + 8 + frame.payload_len(), "{frame:?}");
         }
     }
 

@@ -2,6 +2,11 @@
 //! round-trip exactly, every strict prefix of an encoding is rejected,
 //! and corruption anywhere in a frame never panics the decoder — payload
 //! or checksum corruption is *always* pinned as `ChecksumMismatch`.
+//! `encode_into` appends exactly `encode()`, and frames coalesced into one
+//! buffer (one daemon write per peer per round) read back one by one
+//! through a reader whose buffer every frame straddles.
+
+use std::io::BufReader;
 
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
@@ -81,6 +86,40 @@ proptest! {
             let err = Frame::decode(&bytes[..cut], DEFAULT_MAX_FRAME);
             prop_assert!(err.is_err(), "prefix of {} bytes decoded: {:?}", cut, err);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_encode(
+        kind in 0u8..8, seed in 0u64..u64::MAX, prefix_len in 1usize..40
+    ) {
+        let frame = arbitrary_frame(kind, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF00D);
+        let prefix: Vec<u8> = (0..prefix_len).map(|_| rng.random::<u64>() as u8).collect();
+        let mut out = prefix.clone();
+        frame.encode_into(&mut out);
+        let mut want = prefix;
+        want.extend_from_slice(&frame.encode());
+        prop_assert_eq!(out, want, "kind {} seed {}", kind, seed);
+    }
+
+    #[test]
+    fn coalesced_frames_read_back_through_a_small_buffer(
+        seed in 0u64..u64::MAX, count in 1usize..12
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let frames: Vec<Frame> =
+            (0..count).map(|_| arbitrary_frame(rng.random::<u64>() as u8, rng.random())).collect();
+        let mut wire = Vec::new();
+        for frame in &frames {
+            frame.encode_into(&mut wire);
+        }
+        // Seven bytes of buffer: every frame (18-byte header at least)
+        // straddles a refill, most of them several.
+        let mut reader = BufReader::with_capacity(7, &wire[..]);
+        for frame in &frames {
+            prop_assert_eq!(Frame::read_from(&mut reader, DEFAULT_MAX_FRAME).as_ref(), Ok(frame));
+        }
+        prop_assert_eq!(Frame::read_from(&mut reader, DEFAULT_MAX_FRAME), Err(WireError::Truncated));
     }
 
     #[test]

@@ -30,9 +30,10 @@ determinism:
 trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
-# Refresh golden digest files after an intentional behavior change: eight
-# outputs, engine.digests and sampling_direct.digests included. The ninth
-# file, network_v1.ckpt.json, is an input this never rewrites.
+# Refresh golden digest files after an intentional behavior change: ten
+# outputs, engine, sampling_direct, healing_round and cluster_trace digests
+# included. The two checkpoints, network_v1.ckpt.json and
+# dos_overlay_v1.ckpt.json, are inputs this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/
@@ -158,6 +159,19 @@ blockset-diff:
 # --smoke` = CI size, writes nothing.
 perf-dos-round *flags="":
     cargo run --release -p reconfig-bench --bin perf_dos_round -- {{flags}}
+
+# Live-cluster perf: rounds/s, p50/p99/max round latency (coordinator side),
+# threads per daemon and replay time at n0 = 4 and 8, thread mode, no
+# pacing floor. Bare = 1 200 rounds, rewrites BENCH_CLUSTER.json;
+# `just perf-cluster --smoke` = 60 rounds, writes nothing.
+perf-cluster *flags="":
+    cargo run --release -p reconfig-bench --bin perf_cluster -- {{flags}}
+
+# The live cluster's failure paths (a real daemon against raw-socket fakes)
+# and the trace golden the parent commit of the one-thread daemon wrote.
+cluster-faults:
+    cargo test -q -p reconfig-node --test peer_faults
+    cargo test -q -p integration-tests --test determinism golden_cluster_trace_digests
 
 # The repo benchmark (own workspace, outside `cargo test --workspace`):
 # smoke sizes, manifest/code consistency, correctness gate.

@@ -34,7 +34,7 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden files unchanged (five overlay/workload families, sampling_direct.digests, attacker.digests, engine.digests, network_v1.ckpt.json)"
+echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round and cluster_trace digests, two checkpoint inputs)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -109,6 +109,11 @@ cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_chec
 
 echo "==> healed DoS round perf smoke (timed and untimed rounds agree; section split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_dos_round -- --smoke
+
+echo "==> live cluster: parent-written trace golden, peer-plane failures as typed errors, perf smoke (n0 = 4 and 8)"
+cargo test -q -p integration-tests --test determinism golden_cluster_trace_digests
+cargo test -q -p reconfig-node --test peer_faults
+cargo run --release -q -p reconfig-bench --bin perf_cluster -- --smoke
 
 echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
 bash benchmark/run.sh --check

@@ -2,8 +2,8 @@
 //! shard-count / pool-size differential tests.
 //!
 //! Golden tests pin the per-round digest stream of one fixed run per
-//! protocol family, and of the raw engine. If an intentional change shifts
-//! the digests, refresh the files with
+//! protocol family, of the raw engine and of the live cluster. If an
+//! intentional change shifts the digests, refresh the files with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
@@ -23,6 +23,7 @@ use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::remote::CampaignSpec;
 use overlay_adversary::Campaign;
 use overlay_graphs::HGraph;
 use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
@@ -39,6 +40,7 @@ use reconfig_core::healing::{
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
+use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
 use simnet::conduct::PPM;
 use simnet::{
@@ -659,6 +661,61 @@ fn golden_attacker_digests() {
          crash hazard 0.01, recovery after one epoch); edges = 24 rounds of a 96-node ring with \
          chords, one member absent per round; bound 0.3, oblivious seeds 40..43; byz = \
          ByzantineRunner seed=34, all defenses, identities 0.1, 3 joins/round, blocks 0.1",
+        &lines,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The live cluster
+// ---------------------------------------------------------------------------
+
+/// Thread-mode `run_cluster` over real loopback TCP, three campaigns: the
+/// benchmark's four-node smoke campaign at seeds 11 and 23, the N1 churn
+/// cell (eight nodes, one kill and one join) and a six-node demo. Pins per
+/// round every `(node, digest)` pair and every delay observation, then the
+/// oracle's `ReplaySummary`. `node_cluster.rs` only compares two runs of
+/// the same code with each other; this file was written by the daemon
+/// whose peers had one reader thread per connection, before the barrier
+/// read its sockets itself.
+#[test]
+fn golden_cluster_trace_digests() {
+    let runs = [
+        ("smoke4/11", 4, 11, CampaignSpec::smoke(4, 60, 11)),
+        ("smoke4/23", 4, 23, CampaignSpec::smoke(4, 60, 23)),
+        ("smoke8/202", 8, 202, CampaignSpec::smoke(8, 48, 202)),
+        ("demo6/7", 6, 7, CampaignSpec::demo(24, 7)),
+    ];
+    let mut lines = Vec::new();
+    for (tag, n0, seed, spec) in runs {
+        let report = run_cluster(&ClusterConfig::threads(n0, seed, spec))
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+        for r in &report.trace.rounds {
+            let digests: Vec<String> =
+                r.digests.iter().map(|(node, digest)| format!("{node}:{digest:016x}")).collect();
+            let delays: Vec<String> = r
+                .delays
+                .iter()
+                .map(|d| format!("{}>{}@{}+{}", d.from.raw(), d.to.raw(), d.sent_round, d.extra))
+                .collect();
+            lines.push(format!(
+                "{tag} {} {} delays=[{}]",
+                r.round,
+                digests.join(" "),
+                delays.join(" ")
+            ));
+        }
+        let s = report.replay;
+        lines.push(format!(
+            "{tag} replay rounds={} digests_checked={} delays_applied={} kills={} joins={}",
+            s.rounds, s.digests_checked, s.delays_applied, s.kills, s.joins
+        ));
+    }
+    check_golden(
+        "cluster_trace.digests",
+        "node: thread-mode run_cluster (ClusterConfig::threads), campaigns smoke(4, 60, s) at \
+         n0=4 seed=s for s in {11, 23}, smoke(8, 48, 202) at n0=8 seed=202, demo(24, 7) at n0=6 \
+         seed=7; per round: node:digest pairs and from>to@sent_round+extra delay observations; \
+         then the ReplaySummary",
         &lines,
     );
 }
