@@ -1,5 +1,5 @@
 //! S1 — engine scaling: the `simnet-xl` engine in parity and fast modes,
-//! n = 10⁵ → 10⁷, shards × cores × mode.
+//! n = 10⁵ → 10⁶, shards × cores × mode.
 //!
 //! Two protocol families bracket the engine's cost model:
 //!
@@ -13,24 +13,24 @@
 //!   quiescent, so this measures raw per-round throughput of the
 //!   structure-of-arrays state.
 //!
-//! The sweep crosses both families with execution modes (`xl` parity at
-//! shards 1 and 4, `xl:fast` at shards 1 and 4; the baseline of every
-//! group is parity at one shard) and reaches n = 10⁷. The rayon
-//! worker-pool size is set by `--cores <k>` (default: `RAYON_NUM_THREADS`
-//! or the host count) and every row records the **actual** pool size it
-//! ran under (`cores`) alongside the physical `host_cpus` — the two are
-//! deliberately separate fields so a row can never claim parallel hardware
-//! it didn't have.
+//! The sweep crosses both families with the backends (`xl`, parity on its
+//! one shard, which is the baseline of every group; `xl:fast` at shards 1
+//! and 4). The rayon worker-pool size is set by `--cores <k>[,<k>...]`
+//! (default: `RAYON_NUM_THREADS` or the host count; a list runs the whole
+//! sweep once per pool size) and every row records the **actual** pool
+//! size it ran under (`cores`) alongside the physical `host_cpus` — the two
+//! are deliberately separate fields so a row can never claim parallel
+//! hardware it didn't have.
 //!
-//! Parity-mode runs execute the identical protocol from the identical
-//! seed, so their digest streams must match at every shard count;
-//! fast-mode runs relax delivery order (see DESIGN.md §10) and are checked
-//! for *reproducibility* (two runs, identical streams) instead, with their
-//! distributional equivalence covered by `tests/fast_mode_equivalence.rs`.
-//! `--smoke` (n = 5·10⁴, the CI `s1-smoke` job) runs that mode × shard
-//! matrix — parity at shards 1 and 4 against each other, fast at shards 4
-//! twice — before reporting timings. The full sweep writes
-//! `results/s1.json` plus `BENCH_S1.json` at the workspace root.
+//! With no fault model, fast mode at one shard delivers in parity's order,
+//! so `xl` and `xl:fast:1` must produce the identical digest stream; at
+//! four shards fast mode relaxes delivery order (see DESIGN.md §10) and is
+//! checked for *reproducibility* (two runs, identical streams) instead,
+//! with its distributional equivalence covered by
+//! `tests/fast_mode_equivalence.rs`. `--smoke` (n = 5·10⁴, the CI
+//! `s1-smoke` job) runs exactly those checks before reporting timings. The
+//! full sweep writes `results/s1.json` plus `BENCH_S1.json` at the
+//! workspace root.
 //!
 //! Timings exclude setup (graph construction, node insertion): the
 //! claim under test is steady-state rounds/sec, not build cost.
@@ -42,7 +42,7 @@ use rand_chacha::ChaCha8Rng;
 use reconfig_bench::{
     host_cpus, table::f, write_json_or_exit, write_telemetry, ExperimentResult, RunError, Table,
 };
-use reconfig_core::backend::{AnyNet, Backend};
+use reconfig_core::backend::{AnyNet, Backend, ExecMode};
 use simnet::{BlockSet, Ctx, NodeId, Protocol, RoundDigest};
 use std::time::Instant;
 
@@ -228,21 +228,29 @@ struct RunOut {
     rounds_per_sec: f64,
     bytes_per_node: f64,
     digests: Vec<RoundDigest>,
-    /// Backend as reported by the network after construction (shards
-    /// resolved to their actual value).
+    /// Backend as reported by the network after construction (fast mode's
+    /// automatic shard count resolved to its actual value).
     backend: Backend,
+    mode: ExecMode,
+    shards: usize,
     /// Actual rayon worker count this run executed under.
     cores: usize,
 }
 
 fn finish<P: Protocol>(net: AnyNet<P>, n: usize, rounds: u64, start: Instant) -> RunOut {
     let elapsed_s = start.elapsed().as_secs_f64();
+    let (mode, shards) = (net.exec_mode(), net.shard_count());
     RunOut {
         elapsed_s,
         rounds_per_sec: rounds as f64 / elapsed_s.max(1e-9),
         bytes_per_node: net.stats().total_bits() as f64 / 8.0 / n as f64,
         digests: net.trace().digests().to_vec(),
-        backend: Backend { mode: net.exec_mode(), shards: net.shard_count() },
+        backend: match mode {
+            ExecMode::Parity => Backend::Parity,
+            ExecMode::Fast => Backend::fast(shards),
+        },
+        mode,
+        shards,
         cores: rayon::current_num_threads(),
     }
 }
@@ -297,8 +305,8 @@ fn emit_group(rows: &[Row], t: &mut Table, json_rows: &mut Vec<serde_json::Value
             r.family.into(),
             r.n.to_string(),
             r.out.backend.to_string(),
-            r.out.backend.mode.name().into(),
-            r.out.backend.shards.to_string(),
+            r.out.mode.name().into(),
+            r.out.shards.to_string(),
             r.out.cores.to_string(),
             f(r.out.elapsed_s),
             format!("{:.1}", r.out.rounds_per_sec),
@@ -310,8 +318,8 @@ fn emit_group(rows: &[Row], t: &mut Table, json_rows: &mut Vec<serde_json::Value
             "n": r.n,
             "rounds": r.rounds,
             "backend": r.out.backend.to_string(),
-            "mode": r.out.backend.mode.name(),
-            "shards": r.out.backend.shards,
+            "mode": r.out.mode.name(),
+            "shards": r.out.shards,
             "cores": r.out.cores,
             "host_cpus": host_cpus(),
             "elapsed_s": r.out.elapsed_s,
@@ -342,15 +350,14 @@ fn results_table() -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Smoke: mode × shard matrix for CI
+// Smoke: the fast-mode oracle and reproducibility for CI
 // ---------------------------------------------------------------------------
 
 /// CI gate at n = 5·10⁴ with digests on:
 ///
-/// * parity matrix — `xl` at shards 1 and 4 must produce byte-identical
-///   streams;
-/// * fast matrix — `xl:fast` at shards 4, run twice, must be reproducible
-///   (identical streams) and must actually produce digests.
+/// * oracle — `xl:fast:1` must produce parity's stream byte for byte;
+/// * reproducibility — `xl:fast:4`, run twice, must produce identical
+///   streams (and must actually produce digests).
 fn smoke(tel: &telemetry::Telemetry) {
     let cells = [("hgraph", 50_000usize, 24u64), ("churndos", 50_000, 12)];
     let mut t = results_table();
@@ -360,20 +367,15 @@ fn smoke(tel: &telemetry::Telemetry) {
             family,
             n,
             rounds,
-            backends: vec![
-                Backend::parity(1),
-                Backend::parity(4),
-                Backend::fast(4),
-                Backend::fast(4),
-            ],
+            backends: vec![Backend::Parity, Backend::fast(1), Backend::fast(4), Backend::fast(4)],
         };
         let rows = run_cell(&cell, true, tel);
-        let (one, four) = (&rows[0], &rows[1]);
-        assert!(!one.out.digests.is_empty(), "digests were not captured");
+        let (parity, fast_one) = (&rows[0], &rows[1]);
+        assert!(!parity.out.digests.is_empty(), "digests were not captured");
         assert_eq!(
-            one.out.digests, four.out.digests,
+            parity.out.digests, fast_one.out.digests,
             "digest divergence: {family} n={n} {} vs {}",
-            one.out.backend, four.out.backend
+            parity.out.backend, fast_one.out.backend
         );
         let (fast_a, fast_b) = (&rows[2], &rows[3]);
         assert!(!fast_a.out.digests.is_empty(), "fast digests were not captured");
@@ -386,8 +388,8 @@ fn smoke(tel: &telemetry::Telemetry) {
     }
     t.print();
     println!(
-        "s1-smoke: parity is shard-invariant at shards 1/4 and xl:fast:4 is reproducible \
-         for both families at n=5e4"
+        "s1-smoke: xl:fast:1 reproduces parity and xl:fast:4 is reproducible for both \
+         families at n=5e4"
     );
 }
 
@@ -395,34 +397,34 @@ fn smoke(tel: &telemetry::Telemetry) {
 // Full sweep
 // ---------------------------------------------------------------------------
 
-fn full_sweep(tel: &telemetry::Telemetry) {
-    let modes = || vec![Backend::parity(1), Backend::parity(4), Backend::fast(1), Backend::fast(4)];
+fn full_sweep(pools: &[rayon::ThreadPool], tel: &telemetry::Telemetry) {
+    let modes = || vec![Backend::Parity, Backend::fast(1), Backend::fast(4)];
     let cells = [
         Cell { family: "hgraph", n: 100_000, rounds: 48, backends: modes() },
         Cell { family: "hgraph", n: 1_000_000, rounds: 48, backends: modes() },
         Cell { family: "churndos", n: 100_000, rounds: 24, backends: modes() },
         Cell { family: "churndos", n: 1_000_000, rounds: 24, backends: modes() },
-        // Reach row: at n = 10⁷ only the four-shard layouts are timed.
-        Cell {
-            family: "churndos",
-            n: 10_000_000,
-            rounds: 6,
-            backends: vec![Backend::parity(4), Backend::fast(4)],
-        },
     ];
 
     let mut t = results_table();
     let mut json_rows = Vec::new();
-    for cell in &cells {
-        let rows = run_cell(cell, false, tel);
-        emit_group(&rows, &mut t, &mut json_rows);
+    for pool in pools {
+        pool.install(|| {
+            announce_pool();
+            for cell in &cells {
+                let rows = run_cell(cell, false, tel);
+                emit_group(&rows, &mut t, &mut json_rows);
+            }
+        });
     }
     t.print();
 
     let result = ExperimentResult {
         id: "S1".into(),
         title: "Engine scaling: simnet-xl parity and fast, shards x cores x mode".into(),
-        claim: "the engine reaches n=1e7; fast mode >= 2x parity at one shard at n=1e6".into(),
+        claim: "at n=1e6: xl:fast:1 reproduces parity's digests and runs >= 1.3x parity on one \
+                core; xl:fast:4 runs >= 1.4x faster on two cores than on one"
+            .into(),
         rows: json_rows.clone(),
     };
     let path = write_json_or_exit(&result);
@@ -431,7 +433,7 @@ fn full_sweep(tel: &telemetry::Telemetry) {
     let bench = serde_json::json!({
         "bench": "S1",
         "title": result.title,
-        "cores": rayon::current_num_threads(),
+        "cores": pools.iter().map(rayon::ThreadPool::current_num_threads).collect::<Vec<_>>(),
         "host_cpus": host_cpus(),
         "rows": json_rows,
     });
@@ -449,32 +451,49 @@ fn full_sweep(tel: &telemetry::Telemetry) {
     }
 }
 
+fn announce_pool() {
+    eprintln!("s1: rayon pool size {} (host cpus {})", rayon::current_num_threads(), host_cpus());
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke_mode = args.iter().any(|a| a == "--smoke");
-    let cores = args.iter().position(|a| a == "--cores").and_then(|i| args.get(i + 1)).map(|v| {
-        v.parse::<usize>().unwrap_or_else(|_| {
-            RunError::new("parse --cores", format!("takes a positive integer, got `{v}`")).exit()
+    // 0 = automatic (RAYON_NUM_THREADS or the host count); every run —
+    // including the `cores` field each row records — happens inside one of
+    // these pools.
+    let cores: Vec<usize> =
+        match args.iter().position(|a| a == "--cores").and_then(|i| args.get(i + 1)) {
+            None => vec![0],
+            Some(v) => v
+                .split(',')
+                .map(|k| k.parse::<usize>().ok().filter(|&k| k > 0))
+                .collect::<Option<_>>()
+                .unwrap_or_else(|| {
+                    RunError::new(
+                        "parse --cores",
+                        format!("takes positive integers separated by commas, got `{v}`"),
+                    )
+                    .exit()
+                }),
+        };
+    let pools: Vec<rayon::ThreadPool> = cores
+        .iter()
+        .map(|&k| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(k)
+                .build()
+                .unwrap_or_else(|e| RunError::new("build the rayon thread pool", e).exit())
         })
-    });
-
-    // 0 = automatic (RAYON_NUM_THREADS or the host count); everything —
-    // including the `cores` field each row records — runs inside this pool.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cores.unwrap_or(0))
-        .build()
-        .unwrap_or_else(|e| RunError::new("build the rayon thread pool", e).exit());
+        .collect();
     let tel = reconfig_bench::experiment_telemetry();
-    pool.install(|| {
-        eprintln!(
-            "s1: rayon pool size {} (host cpus {})",
-            rayon::current_num_threads(),
-            host_cpus()
-        );
-        if smoke_mode {
-            smoke(&tel);
-        } else {
-            full_sweep(&tel);
+    if smoke_mode {
+        for pool in &pools {
+            pool.install(|| {
+                announce_pool();
+                smoke(&tel);
+            });
         }
-    });
+    } else {
+        full_sweep(&pools, &tel);
+    }
 }

@@ -1,23 +1,23 @@
 //! Engine configuration for the overlay runners.
 //!
 //! All core runners that instantiate the simulation engine go through
-//! [`select`], so one knob sets the engine's two switches — execution mode
-//! and shard count — for the whole stack:
+//! [`select`], so one knob picks the engine for the whole stack — parity on
+//! one shard, or fast mode with a shard count:
 //!
-//! * the `SIMNET_BACKEND` environment variable (`xl`, `xl:<shards>`,
-//!   `xl:fast`, `xl:fast:<shards>`; unset or empty means parity with the
-//!   automatic shard count) picks the process-wide default;
+//! * the `SIMNET_BACKEND` environment variable (`xl`, `xl:1`, `xl:fast`,
+//!   `xl:fast:<shards>`; unset or empty means parity) picks the
+//!   process-wide default;
 //! * [`with_backend`] overrides it for one scope on the current thread —
 //!   the mechanism tests and benchmarks use, since mutating the process
 //!   environment is racy under a multi-threaded test harness.
 //!
-//! Parity runs produce the identical digest stream at every shard count
-//! (see the `simnet-xl` crate docs), so there the knob is a pure
-//! performance choice. `xl:fast` relaxes delivery order: runs stay
-//! deterministic per `(seed, shards)` but are only statistically
-//! equivalent to the parity stream — see [`ExecMode`] and DESIGN.md §10.
-//! The oracles (`nodert::replay`, `dos::group_sim`) never consult the
-//! knob: they build a parity engine explicitly.
+//! Parity runs produce the golden digest streams (see the `simnet-xl`
+//! crate docs). `xl:fast:<k>` splits the engine over `k` shards and relaxes
+//! delivery order: runs stay deterministic per `(seed, shards)` but are
+//! only statistically equivalent to the parity stream (bit-equal at one
+//! shard with no fault model) — see [`ExecMode`] and DESIGN.md §10. The
+//! oracles (`nodert::replay`, `dos::group_sim`) never consult the knob:
+//! they build a parity engine explicitly.
 
 pub use simnet_xl::{
     default_shards, AnyNet, Backend, BackendEnvError, ExecMode, XlNetwork, BACKEND_ENV,
@@ -64,23 +64,23 @@ mod tests {
     fn override_nests_and_restores() {
         // Note: no assertion on the un-overridden value — the process
         // environment may legitimately set SIMNET_BACKEND.
-        with_backend(Backend::parity(3), || {
-            assert_eq!(select(), Backend::parity(3));
-            with_backend(Backend::fast(1), || {
-                assert_eq!(select(), Backend::fast(1));
+        with_backend(Backend::fast(3), || {
+            assert_eq!(select(), Backend::fast(3));
+            with_backend(Backend::Parity, || {
+                assert_eq!(select(), Backend::Parity);
             });
-            assert_eq!(select(), Backend::parity(3));
+            assert_eq!(select(), Backend::fast(3));
         });
     }
 
     #[test]
     fn override_survives_panic() {
-        with_backend(Backend::parity(2), || {
+        with_backend(Backend::fast(2), || {
             let caught = std::panic::catch_unwind(|| {
                 with_backend(Backend::fast(1), || panic!("boom"));
             });
             assert!(caught.is_err());
-            assert_eq!(select(), Backend::parity(2));
+            assert_eq!(select(), Backend::fast(2));
         });
     }
 }

@@ -24,7 +24,7 @@
 use rand::RngExt;
 use simnet::rng::NodeRng;
 use simnet::{Ctx, NodeId, Payload, Protocol};
-use simnet_xl::{ExecMode, XlNetwork};
+use simnet_xl::XlNetwork;
 use std::collections::{HashMap, HashSet};
 
 /// A protocol executed by *supernodes* (to be simulated by their groups).
@@ -236,7 +236,7 @@ where
     );
     // Parity explicitly, not `backend::select()`: `SIMNET_BACKEND=xl:fast`
     // must not change what E16 and the Lemma 14 tests run.
-    let mut net = XlNetwork::with_shards_mode(seed, 0, ExecMode::Parity);
+    let mut net = XlNetwork::new(seed);
     for x in 0..n_super {
         for &v in &groups[x as usize] {
             net.add_node(

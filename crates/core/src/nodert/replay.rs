@@ -10,7 +10,7 @@
 //! where the live execution left the model.
 
 use simnet::{BlockSet, FaultModel, NodeFault, NodeId};
-use simnet_xl::{ExecMode, XlNetwork};
+use simnet_xl::XlNetwork;
 
 use super::proto::WireProto;
 use super::trace::ClusterTrace;
@@ -97,8 +97,7 @@ pub fn replay(trace: &ClusterTrace) -> Result<ReplaySummary, ReplayError> {
 
     // Parity, whatever `SIMNET_BACKEND` says: scheduled delays need the one
     // global delivery order, and an oracle must not relax with a knob.
-    let mut net: XlNetwork<WireProto> =
-        XlNetwork::with_shards_mode(trace.seed, 0, ExecMode::Parity);
+    let mut net: XlNetwork<WireProto> = XlNetwork::new(trace.seed);
     for id in 0..trace.n0 {
         net.add_node(NodeId(id), WireProto::new(trace.n0));
     }

@@ -5,12 +5,11 @@
 //! the lowest-level name the engine has for it (the most recently freed
 //! one is reused first, else the next fresh one), every sent message
 //! carries the key `(seq << 32) | outbox_position` (injections sort after
-//! all sends), and parity delivery consumes the per-shard send arenas
-//! through one serial k-way merge in global key order — so inbox order,
-//! fault-RNG draw order and therefore the digest stream are identical at
-//! every shard count.
+//! all sends), and parity runs on one shard, whose send arena is already
+//! in key order — so delivery walks it, then the injection lane, serially,
+//! and inbox order and fault-RNG draw order follow the key.
 
-use crate::ExecMode;
+use crate::{Backend, ExecMode};
 use rayon::prelude::*;
 use simnet::accounting::{CommStats, RoundWork};
 use simnet::backend::SimEngine;
@@ -35,9 +34,9 @@ type Key = u64;
 /// injection lane.
 type Run<M> = Vec<(Key, Envelope<M>)>;
 
-/// Below this many nodes a round runs its shards one after the other: the
-/// pool's dispatch cost only pays off for larger populations. Public so
-/// determinism tests can pick populations on both sides of the switch.
+/// Below this many nodes a fast round runs its shards one after the other:
+/// the pool's dispatch cost only pays off for larger populations. Public so
+/// tests can pick populations on both sides of the switch.
 pub const PAR_THRESHOLD: usize = 512;
 
 const INJECT_BIT: Key = 1 << 63;
@@ -472,6 +471,7 @@ impl<P: Protocol> Shard<P> {
 pub struct XlNetwork<P: Protocol> {
     master_seed: u64,
     round: u64,
+    /// 1 in parity mode; fast mode's shard count otherwise.
     n_shards: usize,
     mode: ExecMode,
     shards: Vec<Shard<P>>,
@@ -495,10 +495,6 @@ pub struct XlNetwork<P: Protocol> {
     /// Messages held back by a link-delay fault, with maturity round.
     delayed: Vec<(u64, Envelope<P::Msg>)>,
     scratch_delayed: Vec<(u64, Envelope<P::Msg>)>,
-    /// Parity merge scratch, one slot per shard plus one for injections:
-    /// the arenas are swapped in here for the duration of a delivery pass
-    /// and swapped back drained, so no per-round vector is built.
-    runs: Vec<Run<P::Msg>>,
     /// Last round's block set by id: source of `prev_bits`, and what the
     /// delivery rule falls back to where there is no seq to probe.
     prev_blocked: BlockSet,
@@ -519,26 +515,24 @@ pub struct XlNetwork<P: Protocol> {
 }
 
 impl<P: Protocol> XlNetwork<P> {
-    /// Create an empty network with an automatic shard count (see
-    /// [`crate::default_shards`]). All node randomness derives from
-    /// `master_seed`; identical seeds give identical runs.
+    /// Create an empty parity network: one shard, one global delivery
+    /// order, the digest stream the golden files pin. All node randomness
+    /// derives from `master_seed`; identical seeds give identical runs.
     pub fn new(master_seed: u64) -> Self {
-        Self::with_shards(master_seed, 0)
+        Self::with_layout(master_seed, ExecMode::Parity, 1)
     }
 
-    /// Create an empty network with an explicit shard count (`0` means
-    /// automatic). The shard count is a pure performance knob: the digest
-    /// stream is identical at every value.
-    pub fn with_shards(master_seed: u64, shards: usize) -> Self {
-        Self::with_shards_mode(master_seed, shards, ExecMode::Parity)
+    /// Create an empty [`ExecMode::Fast`] network over `shards` shards (`0`
+    /// means automatic, see [`crate::default_shards`]). The run is
+    /// deterministic for a fixed `(master_seed, shards)` pair; at one shard
+    /// with no fault model it reproduces the parity digest stream, at more
+    /// it differs — see the [`ExecMode`] docs.
+    pub fn fast(master_seed: u64, shards: usize) -> Self {
+        let shards = if shards == 0 { crate::default_shards() } else { shards };
+        Self::with_layout(master_seed, ExecMode::Fast, shards)
     }
 
-    /// Create an empty network with an explicit shard count and execution
-    /// mode. Under [`ExecMode::Fast`] the run is deterministic for a fixed
-    /// `(master_seed, shards)` pair but the digest stream differs from the
-    /// parity one — see the [`ExecMode`] docs.
-    pub fn with_shards_mode(master_seed: u64, shards: usize, mode: ExecMode) -> Self {
-        let n_shards = if shards == 0 { crate::default_shards() } else { shards };
+    fn with_layout(master_seed: u64, mode: ExecMode, n_shards: usize) -> Self {
         Self {
             master_seed,
             round: 0,
@@ -555,7 +549,6 @@ impl<P: Protocol> XlNetwork<P> {
             inject_seq: 0,
             delayed: Vec::new(),
             scratch_delayed: Vec::new(),
-            runs: (0..=n_shards).map(|_| Vec::new()).collect(),
             prev_blocked: BlockSet::none(),
             faults: FaultModel::null(),
             conduct: None,
@@ -570,7 +563,7 @@ impl<P: Protocol> XlNetwork<P> {
         }
     }
 
-    /// Number of shards node state is split across.
+    /// Number of shards node state is split across: 1 in parity mode.
     pub fn shard_count(&self) -> usize {
         self.n_shards
     }
@@ -844,10 +837,10 @@ impl<P: Protocol> XlNetwork<P> {
             if self.faults.is_null() { BlockSet::none() } else { self.faults.down_set(round) };
 
         // Step 1: deliver — matured delays first, then last round's sends:
-        // merged serially in global key order (parity) or routed in
-        // parallel per shard (fast). Membership is fixed until the round
-        // ends, so the seq-indexed block views built here serve delivery
-        // and the compute walk alike.
+        // walked serially in key order (parity) or routed in parallel per
+        // shard (fast). Membership is fixed until the round ends, so the
+        // seq-indexed block views built here serve delivery and the
+        // compute walk alike.
         {
             let _deliver = self.obs.telemetry().phase(Phase::Deliver);
             self.prev_bits.rebuild(&self.prev_blocked, &self.idmap, self.seq_local.len());
@@ -858,9 +851,9 @@ impl<P: Protocol> XlNetwork<P> {
             }
         }
 
-        // Steps 2+3: compute and send, parallel over shards. Each shard
-        // fills its own arena, so no cross-shard synchronization happens
-        // until next round's merge.
+        // Steps 2+3: compute and send, parallel over fast mode's shards.
+        // Each shard fills its own arena, so no cross-shard synchronization
+        // happens until next round's delivery.
         {
             let _compute = self.obs.telemetry().phase(Phase::Compute);
             let (seq_local, cur_bits) = (&self.seq_local, &self.cur_bits);
@@ -921,66 +914,33 @@ impl<P: Protocol> XlNetwork<P> {
         self.scratch_delayed = held;
     }
 
-    /// Deliver everything pending for this round in parity order:
-    /// matured delayed messages (push order), then all of last round's
-    /// sends and injections in global key order via a k-way merge over the
-    /// per-shard arenas.
+    /// Deliver everything pending for this round in parity order: matured
+    /// delayed messages (push order), then the one shard's send arena,
+    /// then the injection lane. Each is key-sorted by construction and
+    /// every arena key sorts below every injection key (a restored
+    /// checkpoint's mail leads the injection lane while the arena is
+    /// empty), so this is global key order.
     fn deliver_all(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
         self.deliver_matured(round, blocked, downs);
-
-        // Swap the runs out of `self` so delivery below can borrow the
-        // engine mutably. Every run is key-sorted by construction; the last
-        // one is the injection lane.
-        let mut runs = std::mem::take(&mut self.runs);
-        self.swap_runs(&mut runs);
-        self.inject_seq = 0;
-        let k = self.n_shards;
-        let lane_of = |i: usize| if i == k { Lane::Injected } else { Lane::Arena };
-
-        let live = runs.iter().filter(|r| !r.is_empty()).count();
-        if live == 1 {
-            // Fast path: all of this round's traffic came from one shard
-            // (or only injections) — the run is already in delivery order.
-            let i = runs.iter().position(|r| !r.is_empty()).expect("one live run");
-            let lane = lane_of(i);
-            for (_, env) in runs[i].drain(..) {
-                self.deliver_one(env, round, lane, blocked, downs);
-            }
-        } else if live > 1 {
-            // Turn every run around so its next message is its last
-            // element: `pop` hands it over by value and the merge needs no
-            // per-run iterator state.
-            for run in &mut runs {
-                run.reverse();
-            }
-            loop {
-                let mut best: Option<(Key, usize)> = None;
-                for (i, run) in runs.iter().enumerate() {
-                    if let Some(&(key, _)) = run.last() {
-                        if best.is_none_or(|(bk, _)| key < bk) {
-                            best = Some((key, i));
-                        }
-                    }
-                }
-                let Some((_, i)) = best else { break };
-                let (_, env) = runs[i].pop().expect("peeked");
-                self.deliver_one(env, round, lane_of(i), blocked, downs);
-            }
+        // Taken out of `self` so delivery can borrow the engine mutably,
+        // and handed back drained so its capacity is reused.
+        let mut sent = std::mem::take(&mut self.shards[0].sent);
+        for (_, env) in sent.drain(..) {
+            self.deliver_one(env, round, Lane::Arena, blocked, downs);
         }
-
-        // Hand the (drained) arenas back so their capacity is reused.
-        self.swap_runs(&mut runs);
-        self.runs = runs;
+        self.shards[0].sent = sent;
+        self.deliver_injected(round, blocked, downs);
     }
 
-    /// Exchange every shard's send arena, and the injection lane, with the
-    /// matching slot of `runs` (the merge scratch, taken out of `self`).
-    fn swap_runs(&mut self, runs: &mut [Run<P::Msg>]) {
-        let (inject_run, arena_runs) = runs.split_last_mut().expect("k + 1 runs");
-        for (sh, run) in self.shards.iter_mut().zip(arena_runs) {
-            std::mem::swap(&mut sh.sent, run);
+    /// Deliver the injection lane in key order; last step of delivery in
+    /// both modes.
+    fn deliver_injected(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
+        let mut injected = std::mem::take(&mut self.injected);
+        for (_, env) in injected.drain(..) {
+            self.deliver_one(env, round, Lane::Injected, blocked, downs);
         }
-        std::mem::swap(&mut self.injected, inject_run);
+        self.injected = injected;
+        self.inject_seq = 0;
     }
 
     /// Fast-mode delivery: relaxed global order, parallel per shard.
@@ -1063,14 +1023,7 @@ impl<P: Protocol> XlNetwork<P> {
         }
 
         // Injections last — their keys sort after all sends.
-        if !self.injected.is_empty() {
-            let mut inj = std::mem::take(&mut self.injected);
-            for (_, env) in inj.drain(..) {
-                self.deliver_one(env, round, Lane::Injected, blocked, downs);
-            }
-            self.injected = inj;
-        }
-        self.inject_seq = 0;
+        self.deliver_injected(round, blocked, downs);
     }
 
     /// Route one message through the delivery rules: the Section 1.1
@@ -1374,7 +1327,7 @@ impl<P: Protocol> SimEngine<P> for XlNetwork<P> {
 // ---------------------------------------------------------------------------
 // Checkpointing: the `simnet-network-checkpoint` v1 format. The layout is a
 // slot vector indexed by sequence number, so a checkpoint restores at any
-// shard count; the digest stamp is the shard-invariant `round_digest`.
+// shard count; the digest stamp is the layout-invariant `round_digest`.
 // ---------------------------------------------------------------------------
 
 use serde_json::Value;
@@ -1393,6 +1346,15 @@ fn exec_mode_of(v: &Value) -> CkptResult<ExecMode> {
             ExecMode::parse(s).ok_or_else(|| CkptError::Corrupt(format!("unknown exec mode `{s}`")))
         }
     }
+}
+
+/// The strict loaders' check: the checkpoint was written in `mode`.
+fn expect_mode(v: &Value, mode: ExecMode) -> CkptResult<()> {
+    let stamped = exec_mode_of(v)?;
+    if stamped != mode {
+        return Err(CkptError::ModeMismatch { checkpoint: stamped.name(), engine: mode.name() });
+    }
+    Ok(())
 }
 
 impl<P> XlNetwork<P>
@@ -1439,7 +1401,7 @@ where
         // per-shard send arenas from them so the interrupted round routes
         // (and draws per-shard fate randomness) exactly like the
         // uninterrupted run would have. Parity restores don't need them —
-        // the serial merge order is the key order by construction.
+        // parity delivers in key order, which is the saved order.
         let in_flight_keys: Option<Vec<u64>> =
             (self.mode == ExecMode::Fast).then(|| pending.iter().map(|(key, _)| *key).collect());
         let delayed: Vec<Value> = self
@@ -1469,10 +1431,9 @@ where
         out
     }
 
-    /// Rebuild from [`Self::save_state`] output. `shards` as in
-    /// [`Self::with_shards`]. The restored instance continues the original
-    /// run exactly: stepping it produces the same round-digest stream as
-    /// the uninterrupted original.
+    /// Rebuild a parity network from [`Self::save_state`] output. The
+    /// restored instance continues the original run exactly: stepping it
+    /// produces the same round-digest stream as the uninterrupted original.
     ///
     /// This is the **strict parity loader**: a checkpoint stamped with a
     /// different execution mode is rejected with
@@ -1484,24 +1445,33 @@ where
     /// snapshot; no engine ever wrote one) cannot be represented — there is
     /// no persistent per-node outbox — and is rejected as corrupt; every
     /// between-rounds checkpoint restores exactly.
-    pub fn from_state_with_shards(v: &Value, shards: usize) -> CkptResult<Self> {
-        let stamped = exec_mode_of(v)?;
-        if stamped != ExecMode::Parity {
-            return Err(CkptError::ModeMismatch {
-                checkpoint: stamped.name(),
-                engine: ExecMode::Parity.name(),
-            });
-        }
-        Self::from_state_as(v, shards, ExecMode::Parity)
+    pub fn from_state(v: &Value) -> CkptResult<Self> {
+        expect_mode(v, ExecMode::Parity)?;
+        Self::restore(v, Backend::Parity)
     }
 
-    /// Rebuild a checkpoint into an engine of the given mode, regardless
+    /// The strict fast-mode loader: rebuild a checkpoint a fast network
+    /// wrote into a fast network over `shards` shards (`0` = automatic).
+    /// Resumed at the shard count that wrote it, the run replays the
+    /// original exactly; a parity checkpoint is a
+    /// [`CkptError::ModeMismatch`].
+    pub fn from_state_fast(v: &Value, shards: usize) -> CkptResult<Self> {
+        expect_mode(v, ExecMode::Fast)?;
+        Self::restore(v, Backend::fast(shards))
+    }
+
+    /// Rebuild a checkpoint into an engine of the given backend, regardless
     /// of the mode the checkpoint was written under. The strict loaders
-    /// ([`Self::from_state_with_shards`], [`Self::from_state`]) refuse
-    /// cross-mode resumes; this is the intentional conversion path
-    /// — state converts exactly (the digest stamp still has to verify),
-    /// only the delivery order of *future* rounds changes.
-    pub fn from_state_as(v: &Value, shards: usize, mode: ExecMode) -> CkptResult<Self> {
+    /// ([`Self::from_state`], [`Self::from_state_fast`]) refuse cross-mode
+    /// resumes; this is the intentional conversion path — state converts
+    /// exactly (the digest stamp still has to verify), only the delivery
+    /// order of *future* rounds changes.
+    pub fn from_state_as(v: &Value, backend: Backend) -> CkptResult<Self> {
+        exec_mode_of(v)?; // reject unknown stamps even when converting
+        Self::restore(v, backend)
+    }
+
+    fn restore(v: &Value, backend: Backend) -> CkptResult<Self> {
         match get_str(v, "format") {
             Ok("simnet-network-checkpoint") => {}
             Ok(other) => {
@@ -1517,8 +1487,7 @@ where
                 return Err(CkptError::Corrupt(format!("unknown par mode `{name}`")));
             }
         }
-        exec_mode_of(v)?; // reject unknown stamps even when converting
-        let mut net = Self::with_shards_mode(get_u64(v, "master_seed")?, shards, mode);
+        let mut net = backend.build(get_u64(v, "master_seed")?);
         net.round = get_u64(v, "round")?;
         net.digests_enabled = get_bool(v, "digests_enabled")?;
         net.prev_blocked = BlockSet::load(field(v, "prev_blocked")?)?;
@@ -1567,7 +1536,7 @@ where
 
         let in_flight: Vec<Envelope<P::Msg>> = simnet::checkpoint::get_vec(v, "in_flight")?;
         match v.get("in_flight_keys") {
-            Some(keys) if mode == ExecMode::Fast => {
+            Some(keys) if net.mode == ExecMode::Fast => {
                 // Fast resume: scatter pending messages back into the
                 // per-shard send arenas by their original sort key, so the
                 // next round's route pass (and its per-shard fate streams)
@@ -1613,11 +1582,6 @@ where
             return Err(CkptError::DigestMismatch { stamped, restored });
         }
         Ok(net)
-    }
-
-    /// [`Self::from_state_with_shards`] with the automatic shard count.
-    pub fn from_state(v: &Value) -> CkptResult<Self> {
-        Self::from_state_with_shards(v, 0)
     }
 
     /// Write a crash-consistent checkpoint file.

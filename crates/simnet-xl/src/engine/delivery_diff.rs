@@ -331,8 +331,8 @@ struct Coverage {
     resumed_with_mail: u64,
 }
 
-fn drive(case: &Case, shards: usize, reference: bool, cov: &mut Coverage) -> Vec<RoundRecord> {
-    let mut net = XlNetwork::<Probe>::with_shards(case.seed, shards);
+fn drive(case: &Case, reference: bool, cov: &mut Coverage) -> Vec<RoundRecord> {
+    let mut net = XlNetwork::<Probe>::new(case.seed);
     net.id_keyed_reference = reference;
     net.set_fault_model(case.faults.clone());
     net.enable_trace(usize::MAX);
@@ -344,7 +344,7 @@ fn drive(case: &Case, shards: usize, reference: bool, cov: &mut Coverage) -> Vec
     for (r, plan) in case.rounds.iter().enumerate() {
         if case.resume_before == Some(r) {
             cov.resumed_with_mail += u64::from(net.pending().next().is_some());
-            net = XlNetwork::from_state_with_shards(&net.save_state(), shards).expect("resume");
+            net = XlNetwork::from_state(&net.save_state()).expect("resume");
             net.id_keyed_reference = reference;
             net.enable_trace(usize::MAX);
         }
@@ -400,16 +400,12 @@ fn bitset_delivery_matches_the_id_keyed_reference_on_random_schedules() {
     let mut unused = Coverage::default();
     for case_no in 0..400 {
         let case = random_case(case_no);
-        // The reference at one layout (which one rotates), the bitset path
-        // at all three: parity output does not depend on the shard count.
-        let want = drive(&case, [1, 2, 7][case_no as usize % 3], true, &mut cov);
-        for shards in [1, 2, 7] {
-            let got = drive(&case, shards, false, &mut unused);
-            for (r, (got, want)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(got, want, "case {case_no}, shards {shards}, round {r}");
-            }
-            assert_eq!(got.len(), want.len());
+        let want = drive(&case, true, &mut cov);
+        let got = drive(&case, false, &mut unused);
+        for (r, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got, want, "case {case_no}, round {r}");
         }
+        assert_eq!(got.len(), want.len());
     }
     // The schedules must reach the paths the rule is about.
     let [delivered, blocked, missing, fault, link, duplicated, delayed] = cov.counters;

@@ -7,8 +7,9 @@ use simnet::fault::{LinkFaults, NodeFault, Partition};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
-// Layout and mode: shard-count invariance, the worklist, fast mode, and the
-// checkpoint loaders. The round model itself is in the second half.
+// Pins and modes: legacy-recorded values, the worklist, fast mode against
+// parity, and the checkpoint loaders. The round model itself is in the
+// second half.
 // ---------------------------------------------------------------------------
 
 /// Randomized gossip: every active round, mix the inbox into `heat`
@@ -150,24 +151,20 @@ fn fingerprint(out: &(Vec<RoundDigest>, Vec<(u64, u64)>)) -> u64 {
 
 #[test]
 fn digest_parity_with_legacy_no_faults() {
-    for shards in [1, 2, 7, 16] {
-        let mut xl = XlNetwork::<Gossip>::with_shards(0xD1CE, shards);
-        assert_eq!(fingerprint(&scenario(&mut xl)), 0xba20_a9ca_81b5_7f4d, "shards={shards}");
-    }
+    let mut xl = XlNetwork::<Gossip>::new(0xD1CE);
+    assert_eq!(fingerprint(&scenario(&mut xl)), 0xba20_a9ca_81b5_7f4d);
 }
 
 #[test]
 fn digest_parity_with_legacy_under_faults() {
-    for shards in [1, 3, 8] {
-        let mut xl = XlNetwork::<Gossip>::with_shards(0xFADE, shards);
-        xl.set_fault_model(stress_faults());
-        assert_eq!(fingerprint(&scenario(&mut xl)), 0xe123_c49e_5855_c8c2, "shards={shards}");
-    }
+    let mut xl = XlNetwork::<Gossip>::new(0xFADE);
+    xl.set_fault_model(stress_faults());
+    assert_eq!(fingerprint(&scenario(&mut xl)), 0xe123_c49e_5855_c8c2);
 }
 
 #[test]
 fn trace_counters_and_stats_match_legacy() {
-    let mut xl = XlNetwork::<Gossip>::with_shards(7, 5);
+    let mut xl = XlNetwork::<Gossip>::new(7);
     xl.set_fault_model(stress_faults());
     scenario(&mut xl);
     let t = xl.trace();
@@ -219,7 +216,7 @@ fn quiescent_nodes_leave_the_worklist() {
         }
     }
 
-    let mut net = XlNetwork::<Sleeper>::with_shards(1, 2);
+    let mut net = XlNetwork::<Sleeper>::new(1);
     for i in 0..10 {
         net.add_node(NodeId(i), Sleeper { active: 3 });
     }
@@ -236,36 +233,33 @@ fn quiescent_nodes_leave_the_worklist() {
 
 #[test]
 fn checkpoint_round_trips_in_both_directions() {
-    // Run half the scenario at one shard, checkpoint, restore at several
-    // shard counts, finish the run on both: identical digests. Then the
-    // other way: a checkpoint written at k shards restores at one.
-    let mut one = XlNetwork::<Gossip>::with_shards(0xC0DE, 1);
-    one.set_fault_model(stress_faults());
+    // Run half the scenario under parity, checkpoint, convert to fast mode
+    // at one shard, run on, convert back: with no fault model fast mode at
+    // one shard is parity, so the stream is the uninterrupted one.
+    let mut parity = XlNetwork::<Gossip>::new(0xC0DE);
     let n = 16u64;
     for i in 0..n {
-        one.add_node(NodeId(i), node(i, n, 30));
+        parity.add_node(NodeId(i), node(i, n, 30));
     }
-    one.enable_digests();
-    one.run(9);
-    let snap = one.save_state();
+    parity.enable_digests();
+    parity.run(9);
+    let snap = parity.save_state();
 
-    one.run(8);
-    let tail: Vec<RoundDigest> = one.trace().digests()[9..].to_vec();
+    parity.run(8);
+    let tail: Vec<RoundDigest> = parity.trace().digests()[9..].to_vec();
     assert_eq!(tail.len(), 8);
 
-    for shards in [4, 9] {
-        let mut many = XlNetwork::<Gossip>::from_state_with_shards(&snap, shards).unwrap();
-        many.run(4);
-        assert_eq!(many.trace().digests(), &tail[..4], "1 -> {shards} shards");
-        let mut back = XlNetwork::<Gossip>::from_state_with_shards(&many.save_state(), 1).unwrap();
-        back.run(4);
-        assert_eq!(back.trace().digests(), &tail[4..], "{shards} -> 1 shards");
-    }
+    let mut fast = XlNetwork::<Gossip>::from_state_as(&snap, Backend::fast(1)).unwrap();
+    fast.run(4);
+    assert_eq!(fast.trace().digests(), &tail[..4], "parity -> fast:1");
+    let mut back = XlNetwork::<Gossip>::from_state_as(&fast.save_state(), Backend::Parity).unwrap();
+    back.run(4);
+    assert_eq!(back.trace().digests(), &tail[4..], "fast:1 -> parity");
 }
 
 #[test]
 fn midround_checkpoint_with_outbox_is_rejected() {
-    let mut net = XlNetwork::<Gossip>::with_shards(1, 1);
+    let mut net = XlNetwork::<Gossip>::new(1);
     net.add_node(NodeId(0), node(0, 2, 5));
     net.add_node(NodeId(1), node(1, 2, 5));
     net.run(2);
@@ -291,7 +285,7 @@ fn checkpoint_file_round_trip() {
     let dir = std::env::temp_dir().join("simnet-xl-ckpt-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("xl.json");
-    let mut net = XlNetwork::<Gossip>::with_shards(3, 4);
+    let mut net = XlNetwork::<Gossip>::new(3);
     for i in 0..6 {
         net.add_node(NodeId(i), node(i, 6, 10));
     }
@@ -305,7 +299,7 @@ fn checkpoint_file_round_trip() {
 
 #[test]
 fn telemetry_metrics_match_legacy() {
-    let mut xl = XlNetwork::<Gossip>::with_shards(40, 3);
+    let mut xl = XlNetwork::<Gossip>::new(40);
     xl.set_telemetry(telemetry::Telemetry::new(telemetry::Config::default()));
     for i in 0..12 {
         xl.add_node(NodeId(i), node(i, 12, 8));
@@ -381,19 +375,98 @@ fn fast_mode_equals_parity_for_order_insensitive_protocols() {
     // With commutative state folds and no protocol randomness, relaxed
     // delivery order is invisible to the digest: every mode and shard
     // count must produce the identical stream.
-    let parity = ring_scenario(XlNetwork::<RingSum>::with_shards(0xABCD, 3));
+    let parity = ring_scenario(XlNetwork::<RingSum>::new(0xABCD));
     assert!(!parity.0.is_empty());
     for shards in [1, 2, 7, 16] {
-        let fast =
-            ring_scenario(XlNetwork::<RingSum>::with_shards_mode(0xABCD, shards, ExecMode::Fast));
+        let fast = ring_scenario(XlNetwork::<RingSum>::fast(0xABCD, shards));
         assert_eq!(fast, parity, "fast shards={shards}");
+    }
+}
+
+/// Always-on, order-sensitive gossip over an id span that reaches past the
+/// members: folds its mail in arrival order and writes to two RNG-drawn
+/// ids of the span every round.
+struct Mixer {
+    span: u64,
+    acc: u64,
+}
+
+impl Protocol for Mixer {
+    type Msg = u64;
+
+    fn digest(&self, d: &mut Digest) {
+        d.write_u64(self.acc);
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) {
+        for env in ctx.take_inbox() {
+            self.acc = self.acc.wrapping_mul(0x100_0000_01b3) ^ env.msg;
+        }
+        for _ in 0..2 {
+            let to = NodeId(ctx.rng().next_u64() % self.span);
+            let msg = self.acc ^ ctx.rng().next_u64();
+            ctx.send(to, msg);
+        }
+    }
+}
+
+/// `n` mixers over the span `0..2n` for 40 rounds: churn every six rounds
+/// (leavers' seqs go to fresh ids), two injections every third round from
+/// and to any id of the span, and 5 % block sets drawn over the span, so
+/// non-members are blocked too. Returns the digest stream and `(delivered,
+/// dropped)` with `dropped` summed over every drop reason.
+fn mixer_run(mut net: XlNetwork<Mixer>, n: u64, seed: u64) -> (Vec<RoundDigest>, (u64, u64)) {
+    let span = 2 * n;
+    for i in 0..n {
+        net.add_node(NodeId(i), Mixer { span, acc: i });
+    }
+    net.enable_digests();
+    let mut rng = stream(seed, 0xFA57, 1);
+    let mut fresh = n;
+    for r in 0..40u64 {
+        if r % 6 == 5 {
+            for _ in 0..1 + rng.next_u64() % 4 {
+                if net.remove_node(NodeId(rng.next_u64() % fresh)).is_some() {
+                    net.add_node(NodeId(fresh), Mixer { span, acc: r });
+                    fresh += 1;
+                }
+            }
+        }
+        if r % 3 == 1 {
+            for _ in 0..2 {
+                net.inject(NodeId(rng.next_u64() % span), NodeId(rng.next_u64() % span), r);
+            }
+        }
+        let blocked = (0..span).filter(|_| rng.next_u64() % 20 == 0).map(NodeId).collect();
+        net.step_blocked(&blocked);
+    }
+    let t = net.trace();
+    let dropped = t.dropped_blocked + t.dropped_missing + t.dropped_fault + t.dropped_link;
+    (t.digests().to_vec(), (t.delivered, dropped))
+}
+
+#[test]
+fn fast_mode_at_one_shard_reproduces_parity() {
+    // The exact oracle of fast mode: at one shard with no fault model it
+    // delivers in parity's key order, so the digest stream, the delivered
+    // count and the drop total are parity's. Only a message to a receiver
+    // that is both departed and blocked is classified differently
+    // (`dropped_missing` here, `dropped_blocked` in parity; DESIGN.md §10).
+    for n in [64, 700, 5_000] {
+        for seed in 0..5 {
+            let (want, want_counts) = mixer_run(XlNetwork::new(seed), n, seed);
+            let (got, got_counts) = mixer_run(XlNetwork::fast(seed, 1), n, seed);
+            assert_eq!(got, want, "n={n} seed={seed}");
+            assert_eq!(got_counts, want_counts, "n={n} seed={seed}: (delivered, dropped)");
+            assert!(want_counts.0 > 0 && want_counts.1 > 0, "n={n} seed={seed}: {want_counts:?}");
+        }
     }
 }
 
 #[test]
 fn fast_mode_is_deterministic_per_seed_and_shards() {
     let run = |shards| {
-        let mut net = XlNetwork::<Gossip>::with_shards_mode(0xF00D, shards, ExecMode::Fast);
+        let mut net = XlNetwork::<Gossip>::fast(0xF00D, shards);
         net.set_fault_model(stress_faults());
         scenario(&mut net)
     };
@@ -409,7 +482,7 @@ fn fast_mode_is_deterministic_per_seed_and_shards() {
 #[test]
 fn fast_checkpoint_round_trips_within_fast_mode() {
     let mk = || {
-        let mut net = XlNetwork::<Gossip>::with_shards_mode(0x7EA5, 4, ExecMode::Fast);
+        let mut net = XlNetwork::<Gossip>::fast(0x7EA5, 4);
         net.set_fault_model(stress_faults());
         let n = 16u64;
         for i in 0..n {
@@ -424,7 +497,7 @@ fn fast_checkpoint_round_trips_within_fast_mode() {
     assert_eq!(get_str(&snap, "exec_mode").unwrap(), "fast");
 
     // Same shard count: the resumed run replays the original exactly.
-    let mut twin = XlNetwork::<Gossip>::from_state_as(&snap, 4, ExecMode::Fast).unwrap();
+    let mut twin = XlNetwork::<Gossip>::from_state_fast(&snap, 4).unwrap();
     assert_eq!(twin.round_digest(), orig.round_digest());
     twin.set_fault_model(stress_faults());
     twin.enable_digests();
@@ -435,31 +508,33 @@ fn fast_checkpoint_round_trips_within_fast_mode() {
 
 #[test]
 fn cross_mode_resume_is_rejected_with_typed_error() {
-    let mut fast = XlNetwork::<Gossip>::with_shards_mode(0xBAD5EED, 2, ExecMode::Fast);
+    let mut fast = XlNetwork::<Gossip>::fast(0xBAD5EED, 2);
     for i in 0..6 {
         fast.add_node(NodeId(i), node(i, 6, 10));
     }
     fast.run(5);
     let snap = fast.save_state();
 
-    // The strict parity loaders refuse a fast checkpoint...
-    for res in [
-        XlNetwork::<Gossip>::from_state(&snap).err(),
-        XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).err(),
+    // Each strict loader refuses the other mode's checkpoint...
+    let parity_snap =
+        XlNetwork::<Gossip>::from_state_as(&snap, Backend::Parity).unwrap().save_state();
+    for (res, want) in [
+        (XlNetwork::<Gossip>::from_state(&snap).err(), ("fast", "parity")),
+        (XlNetwork::<Gossip>::from_state_fast(&parity_snap, 2).err(), ("parity", "fast")),
     ] {
         match res {
             Some(CkptError::ModeMismatch { checkpoint, engine }) => {
-                assert_eq!((checkpoint, engine), ("fast", "parity"));
+                assert_eq!((checkpoint, engine), want);
             }
             other => panic!("expected ModeMismatch, got {other:?}"),
         }
     }
-    // The explicit conversion path works in both directions.
-    let conv = XlNetwork::<Gossip>::from_state_as(&snap, 3, ExecMode::Parity).unwrap();
-    assert_eq!(conv.exec_mode(), ExecMode::Parity);
+    // ...and the explicit conversion path works in both directions.
+    let conv = XlNetwork::<Gossip>::from_state_as(&snap, Backend::Parity).unwrap();
+    assert_eq!((conv.exec_mode(), conv.shard_count()), (ExecMode::Parity, 1));
     assert_eq!(conv.round_digest(), fast.round_digest());
-    let back = XlNetwork::<Gossip>::from_state_as(&conv.save_state(), 2, ExecMode::Fast);
-    assert_eq!(back.unwrap().exec_mode(), ExecMode::Fast);
+    let back = XlNetwork::<Gossip>::from_state_as(&conv.save_state(), Backend::fast(2)).unwrap();
+    assert_eq!((back.exec_mode(), back.shard_count()), (ExecMode::Fast, 2));
 
     // A garbled stamp is corrupt, even for the conversion loader.
     let mut garbled = snap.clone();
@@ -467,7 +542,8 @@ fn cross_mode_resume_is_rejected_with_typed_error() {
     top.insert("exec_mode".into(), Value::String("turbo".into()));
     for res in [
         XlNetwork::<Gossip>::from_state(&garbled).err(),
-        XlNetwork::<Gossip>::from_state_as(&garbled, 2, ExecMode::Fast).err(),
+        XlNetwork::<Gossip>::from_state_fast(&garbled, 2).err(),
+        XlNetwork::<Gossip>::from_state_as(&garbled, Backend::fast(2)).err(),
     ] {
         match res {
             Some(CkptError::Corrupt(msg)) => assert!(msg.contains("turbo"), "got: {msg}"),
@@ -480,7 +556,7 @@ fn cross_mode_resume_is_rejected_with_typed_error() {
 fn parity_checkpoints_resume_under_strict_loaders() {
     // Mode-stamping must not break the existing parity flows: a parity
     // checkpoint restores through every loader, stamped or not.
-    let mut net = XlNetwork::<Gossip>::with_shards(0xCAFE, 3);
+    let mut net = XlNetwork::<Gossip>::new(0xCAFE);
     for i in 0..6 {
         net.add_node(NodeId(i), node(i, 6, 10));
     }
@@ -509,13 +585,11 @@ fn byz_conduct(seed: u64) -> Arc<ByzantineConduct<u64>> {
 fn conduct_digest_parity_with_legacy() {
     // The full stress schedule (churn, DoS blocks, injections) with a
     // dropping+forging conduct installed: the legacy-recorded stream and
-    // the legacy-recorded number of judged sends, at every shard count.
-    for shards in [1, 3, 8] {
-        let mut xl = XlNetwork::<Gossip>::with_shards(0xB12A, shards);
-        xl.set_conduct(Some(byz_conduct(9)));
-        assert_eq!(fingerprint(&scenario(&mut xl)), 0xbb4c_80b1_b825_e7b4, "shards={shards}");
-        assert_eq!(xl.conduct_counts(), (41, 27), "shards={shards}");
-    }
+    // the legacy-recorded number of judged sends.
+    let mut xl = XlNetwork::<Gossip>::new(0xB12A);
+    xl.set_conduct(Some(byz_conduct(9)));
+    assert_eq!(fingerprint(&scenario(&mut xl)), 0xbb4c_80b1_b825_e7b4);
+    assert_eq!(xl.conduct_counts(), (41, 27));
 }
 
 #[test]
@@ -523,8 +597,8 @@ fn conduct_fast_mode_equals_parity_for_order_insensitive_protocols() {
     // Conduct decisions are order-independent by contract, so on an
     // order-insensitive protocol even fast mode agrees exactly with
     // parity — at every shard count.
-    let run = |mode: ExecMode, shards: usize| {
-        let mut net = XlNetwork::<RingSum>::with_shards_mode(0x5EED, shards, mode);
+    let run = |backend: Backend| {
+        let mut net = backend.build::<RingSum>(0x5EED);
         net.set_conduct(Some(Arc::new(
             ByzantineConduct::new(11, [NodeId(4), NodeId(9)])
                 .dropping(PPM / 2)
@@ -532,11 +606,10 @@ fn conduct_fast_mode_equals_parity_for_order_insensitive_protocols() {
         )));
         ring_scenario(net)
     };
-    let parity = run(ExecMode::Parity, 3);
+    let parity = run(Backend::Parity);
     assert!(parity.1 .0 > 0 && parity.1 .1 > 0, "conduct must fire");
     for shards in [1, 2, 7, 16] {
-        assert_eq!(run(ExecMode::Fast, shards), parity, "fast shards={shards}");
-        assert_eq!(run(ExecMode::Parity, shards), parity, "parity shards={shards}");
+        assert_eq!(run(Backend::fast(shards)), parity, "fast shards={shards}");
     }
 }
 
@@ -544,7 +617,7 @@ fn conduct_fast_mode_equals_parity_for_order_insensitive_protocols() {
 fn conduct_resume_with_reinstall_continues_byzantine_run() {
     // Conduct is not checkpointed; re-installing it on the restored
     // engine continues the uninterrupted digest stream.
-    let mut reference = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
+    let mut reference = XlNetwork::<Gossip>::new(0xAB1E);
     reference.set_conduct(Some(byz_conduct(13)));
     let n = 16u64;
     for i in 0..n {
@@ -554,35 +627,18 @@ fn conduct_resume_with_reinstall_continues_byzantine_run() {
     reference.run(18);
     let want = reference.trace().digests().to_vec();
 
-    let mut first = XlNetwork::<Gossip>::with_shards(0xAB1E, 4);
+    let mut first = XlNetwork::<Gossip>::new(0xAB1E);
     first.set_conduct(Some(byz_conduct(13)));
     for i in 0..n {
         first.add_node(NodeId(i), node(i, n, 30));
     }
     first.run(9);
     let snap = first.save_state();
-    let mut resumed = XlNetwork::<Gossip>::from_state_with_shards(&snap, 2).unwrap();
+    let mut resumed = XlNetwork::<Gossip>::from_state(&snap).unwrap();
     resumed.set_conduct(Some(byz_conduct(13)));
     resumed.enable_digests();
     resumed.run(9);
     assert_eq!(resumed.trace().digests(), &want[9..]);
-}
-
-#[test]
-fn single_shard_fast_path_matches_merge_path() {
-    // All traffic from one shard takes the single-run fast path; with
-    // many shards the same schedule exercises the k-way merge. Equal
-    // digests show the two delivery paths agree.
-    let run = |shards: usize| {
-        let mut net = XlNetwork::<Gossip>::with_shards(5, shards);
-        for i in 0..9 {
-            net.add_node(NodeId(i), node(i, 9, 12));
-        }
-        net.enable_digests();
-        net.run(15);
-        net.trace().digests().to_vec()
-    };
-    assert_eq!(run(1), run(6));
 }
 
 /// Always-on gossip with a fixed fan-in of two: reads its mail by value,
@@ -620,41 +676,36 @@ fn inbox_buffers_are_drained_in_place_and_stop_growing() {
             .flat_map(|sh| sh.inboxes.iter().map(|inbox| (inbox.len(), inbox.capacity())))
             .collect()
     };
-    for shards in SHARDS {
-        let mut net = XlNetwork::<Chatter>::with_shards(21, shards);
-        for i in 0..n {
-            let peers = [NodeId((i + 1) % n), NodeId((i + 5) % n)];
-            net.add_node(NodeId(i), Chatter { peers, heard: Vec::new(), asleep: false });
-        }
-        net.run(2);
-        // Warm: every node has had its two messages once, and the buffer
-        // they arrived in is still the engine's.
-        let warm = inboxes(&net);
-        assert!(warm.iter().all(|&(len, cap)| len == 0 && cap >= 2), "{warm:?}");
-        // By-value order is delivery order: global (sender seq, position).
-        let mut senders = [(7 + n - 1) % n, (7 + n - 5) % n];
-        senders.sort_unstable();
-        assert_eq!(net.node(NodeId(7)).unwrap().heard, senders);
+    let mut net = XlNetwork::<Chatter>::new(21);
+    for i in 0..n {
+        let peers = [NodeId((i + 1) % n), NodeId((i + 5) % n)];
+        net.add_node(NodeId(i), Chatter { peers, heard: Vec::new(), asleep: false });
+    }
+    net.run(2);
+    // Warm: every node has had its two messages once, and the buffer
+    // they arrived in is still the engine's.
+    let warm = inboxes(&net);
+    assert!(warm.iter().all(|&(len, cap)| len == 0 && cap >= 2), "{warm:?}");
+    // By-value order is delivery order: global (sender seq, position).
+    let mut senders = [(7 + n - 1) % n, (7 + n - 5) % n];
+    senders.sort_unstable();
+    assert_eq!(net.node(NodeId(7)).unwrap().heard, senders);
 
-        for r in 2..32u64 {
-            // A blocked node and a quiescent one on the way: neither reads
-            // its mail, both end the round with an empty buffer all the same.
-            let blocked =
-                if r % 4 == 0 { BlockSet::from_iter([NodeId(r % n)]) } else { BlockSet::none() };
-            net.node_mut(NodeId(9)).unwrap().asleep = r % 3 == 0;
-            net.step_blocked(&blocked);
-            assert_eq!(inboxes(&net), warm, "round {r}: no buffer given away, none regrown");
-        }
+    for r in 2..32u64 {
+        // A blocked node and a quiescent one on the way: neither reads
+        // its mail, both end the round with an empty buffer all the same.
+        let blocked =
+            if r % 4 == 0 { BlockSet::from_iter([NodeId(r % n)]) } else { BlockSet::none() };
+        net.node_mut(NodeId(9)).unwrap().asleep = r % 3 == 0;
+        net.step_blocked(&blocked);
+        assert_eq!(inboxes(&net), warm, "round {r}: no buffer given away, none regrown");
     }
 }
 
 // ---------------------------------------------------------------------------
 // The round model: the blocking truth table, churn, crash and link faults,
-// scheduled delays, digests, checkpoints, conduct and telemetry, each at the
-// serial layout and at one that splits every small ring across shards.
+// scheduled delays, digests, checkpoints, conduct and telemetry.
 // ---------------------------------------------------------------------------
-
-const SHARDS: [usize; 2] = [1, 3];
 
 /// Counts everything it receives and forwards a token around a ring.
 struct Relay {
@@ -703,8 +754,8 @@ impl Checkpoint for Relay {
     }
 }
 
-fn ring(n: u64, seed: u64, shards: usize) -> XlNetwork<Relay> {
-    let mut net = XlNetwork::with_shards(seed, shards);
+fn ring(n: u64, seed: u64) -> XlNetwork<Relay> {
+    let mut net = XlNetwork::new(seed);
     for i in 0..n {
         net.add_node(NodeId(i), Relay { next: NodeId((i + 1) % n), received: 0, fire: i == 0 });
     }
@@ -712,8 +763,8 @@ fn ring(n: u64, seed: u64, shards: usize) -> XlNetwork<Relay> {
 }
 
 /// A ring whose node 0 does not fire: only injected traffic moves.
-fn silent_ring(n: u64, seed: u64, shards: usize) -> XlNetwork<Relay> {
-    let mut net = ring(n, seed, shards);
+fn silent_ring(n: u64, seed: u64) -> XlNetwork<Relay> {
+    let mut net = ring(n, seed);
     net.node_mut(NodeId(0)).unwrap().fire = false;
     net
 }
@@ -737,164 +788,118 @@ const NO_LINK_FAULTS: LinkFaults =
 
 #[test]
 fn token_travels_one_hop_per_round() {
-    for shards in SHARDS {
-        let mut net = ring(4, 1, shards);
-        // Round 0: node 0 sends. Round k: node k processes.
-        net.run(5);
-        // Token came back around to 0 at round 4.
-        for id in [1, 2, 3, 0] {
-            assert_eq!(received(&net, id), 1);
-        }
+    let mut net = ring(4, 1);
+    // Round 0: node 0 sends. Round k: node k processes.
+    net.run(5);
+    // Token came back around to 0 at round 4.
+    for id in [1, 2, 3, 0] {
+        assert_eq!(received(&net, id), 1);
     }
 }
 
 #[test]
 fn blocked_sender_message_never_leaves() {
-    for shards in SHARDS {
-        let mut net = ring(3, 2, shards);
-        // Round 0: block node 0 — its initial send must not happen
-        // (on_round skipped entirely).
-        net.step_blocked(&BlockSet::from_iter([NodeId(0)]));
-        assert!(net.node(NodeId(0)).unwrap().fire, "blocked node must not act");
-        // Fires in round 1, node 1 processes it in round 2.
-        net.run(2);
-        assert_eq!(received(&net, 1), 1);
-    }
+    let mut net = ring(3, 2);
+    // Round 0: block node 0 — its initial send must not happen
+    // (on_round skipped entirely).
+    net.step_blocked(&BlockSet::from_iter([NodeId(0)]));
+    assert!(net.node(NodeId(0)).unwrap().fire, "blocked node must not act");
+    // Fires in round 1, node 1 processes it in round 2.
+    net.run(2);
+    assert_eq!(received(&net, 1), 1);
 }
 
 #[test]
 fn receiver_blocked_at_receive_round_drops_message() {
-    for shards in SHARDS {
-        let mut net = ring(3, 3, shards);
-        net.step(); // round 0: node 0 sends to node 1
-        net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: dropped
-        net.run(5);
-        assert_eq!(received(&net, 1), 0);
-        assert_eq!(net.trace().dropped_blocked, 1);
-    }
+    let mut net = ring(3, 3);
+    net.step(); // round 0: node 0 sends to node 1
+    net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: dropped
+    net.run(5);
+    assert_eq!(received(&net, 1), 0);
+    assert_eq!(net.trace().dropped_blocked, 1);
 }
 
 #[test]
 fn receiver_blocked_at_send_round_drops_message() {
-    for shards in SHARDS {
-        let mut net = ring(3, 4, shards);
-        // Round 0: node 0 sends to node 1 while node 1 is blocked in the
-        // send round. Per the model the message requires w non-blocked in
-        // rounds i and i+1; blocked at i drops it.
-        net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
-        net.run(5);
-        assert_eq!(received(&net, 1), 0);
-    }
+    let mut net = ring(3, 4);
+    // Round 0: node 0 sends to node 1 while node 1 is blocked in the
+    // send round. Per the model the message requires w non-blocked in
+    // rounds i and i+1; blocked at i drops it.
+    net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
+    net.run(5);
+    assert_eq!(received(&net, 1), 0);
 }
 
 #[test]
 fn churn_add_remove() {
-    for shards in SHARDS {
-        let mut net = ring(3, 5, shards);
-        net.run(2);
-        assert_eq!(net.len(), 3);
-        let removed = net.remove_node(NodeId(2)).unwrap();
-        assert_eq!(removed.received, 0); // token was at node 2's inbox stage
-        assert!(!net.contains(NodeId(2)));
-        net.add_node(NodeId(7), Relay { next: NodeId(0), received: 0, fire: false });
-        assert_eq!(net.len(), 3);
-        assert!(net.contains(NodeId(7)));
-        // Messages to the removed node are dropped, not misdelivered.
-        net.run(4);
-        assert!(net.trace().dropped_missing <= 1);
-    }
+    let mut net = ring(3, 5);
+    net.run(2);
+    assert_eq!(net.len(), 3);
+    let removed = net.remove_node(NodeId(2)).unwrap();
+    assert_eq!(removed.received, 0); // token was at node 2's inbox stage
+    assert!(!net.contains(NodeId(2)));
+    net.add_node(NodeId(7), Relay { next: NodeId(0), received: 0, fire: false });
+    assert_eq!(net.len(), 3);
+    assert!(net.contains(NodeId(7)));
+    // Messages to the removed node are dropped, not misdelivered.
+    net.run(4);
+    assert!(net.trace().dropped_missing <= 1);
 }
 
 #[test]
 #[should_panic(expected = "duplicate node id")]
 fn duplicate_id_panics() {
-    let mut net = ring(2, 6, 1);
+    let mut net = ring(2, 6);
     net.add_node(NodeId(0), Relay { next: NodeId(1), received: 0, fire: false });
 }
 
 #[test]
 fn deterministic_across_runs() {
-    let run_once = |shards| {
-        let mut net = ring(16, 99, shards);
+    let run_once = || {
+        let mut net = ring(16, 99);
         net.run(20);
         let mut out: Vec<(u64, u64)> = net.nodes().map(|(id, p)| (id.raw(), p.received)).collect();
         out.sort_unstable();
         (out, net.stats().total_msgs())
     };
-    assert_eq!(run_once(1), run_once(1));
-    assert_eq!(run_once(1), run_once(3));
+    assert_eq!(run_once(), run_once());
 }
 
 #[test]
 fn accounting_records_work() {
-    for shards in SHARDS {
-        let mut net = ring(4, 7, shards);
-        net.run(3);
-        // Round 0 charges the initial send (64 bits) to node 0; round 1
-        // charges node 1 for receiving it and for forwarding it.
-        assert_eq!(net.stats().rounds()[0].max_node_bits, 64);
-        assert_eq!(net.stats().rounds()[1].max_node_bits, 128);
-        assert_eq!(net.stats().rounds()[1].total_msgs, 2);
-    }
+    let mut net = ring(4, 7);
+    net.run(3);
+    // Round 0 charges the initial send (64 bits) to node 0; round 1
+    // charges node 1 for receiving it and for forwarding it.
+    assert_eq!(net.stats().rounds()[0].max_node_bits, 64);
+    assert_eq!(net.stats().rounds()[1].max_node_bits, 128);
+    assert_eq!(net.stats().rounds()[1].total_msgs, 2);
 }
 
 #[test]
 fn inject_feeds_protocols() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 8, shards);
-        net.inject(NodeId(999), NodeId(1), 41);
-        net.step();
-        assert_eq!(received(&net, 1), 1);
-    }
-}
-
-/// The same ring run at one shard and at four, each inside a 1-thread and
-/// a 4-thread pool, plus the automatic shard count outside any pool.
-fn layouts_agree(n: u64, seed: u64, rounds: u64) {
-    let run = |threads: usize, shards: usize| {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        pool.install(|| digests_of(ring(n, seed, shards), rounds))
-    };
-    let serial = run(1, 1);
-    for (threads, shards) in [(1, 4), (4, 1), (4, 4)] {
-        assert_eq!(run(threads, shards), serial, "threads={threads} shards={shards}");
-    }
-    assert_eq!(digests_of(ring(n, seed, 0), rounds), serial, "automatic shard count");
-}
-
-#[test]
-fn parallel_stepping_is_deterministic() {
-    // 600 nodes crosses PAR_THRESHOLD, so four shards step through the
-    // pool; the result must not depend on layout or thread schedule.
-    const { assert!(600 > PAR_THRESHOLD) };
-    layouts_agree(600, 1234, 12);
-}
-
-#[test]
-fn shard_count_override_matches_auto_results() {
-    // Below PAR_THRESHOLD every layout steps its shards one by one.
-    const { assert!(64 < PAR_THRESHOLD) };
-    layouts_agree(64, 31, 8);
+    let mut net = silent_ring(3, 8);
+    net.inject(NodeId(999), NodeId(1), 41);
+    net.step();
+    assert_eq!(received(&net, 1), 1);
 }
 
 #[test]
 fn messages_to_node_removed_mid_flight_are_dropped() {
-    for shards in SHARDS {
-        let mut net = ring(4, 55, shards);
-        net.step(); // node 0 fired at round 0; token reaches node 1 at round 1
-        net.step(); // node 1 forwards to node 2 (in flight)
-        net.remove_node(NodeId(2));
-        net.step(); // delivery attempt: receiver gone
-        assert_eq!(net.trace().dropped_missing, 1);
-        net.run(3);
-        // Ring is broken at the removed node: no one downstream hears again.
-        assert_eq!(received(&net, 3), 0);
-    }
+    let mut net = ring(4, 55);
+    net.step(); // node 0 fired at round 0; token reaches node 1 at round 1
+    net.step(); // node 1 forwards to node 2 (in flight)
+    net.remove_node(NodeId(2));
+    net.step(); // delivery attempt: receiver gone
+    assert_eq!(net.trace().dropped_missing, 1);
+    net.run(3);
+    // Ring is broken at the removed node: no one downstream hears again.
+    assert_eq!(received(&net, 3), 0);
 }
 
 #[test]
 fn run_advances_round_counter() {
-    let mut net = ring(2, 9, 1);
+    let mut net = ring(2, 9);
     assert_eq!(net.round(), 0);
     net.run(5);
     assert_eq!(net.round(), 5);
@@ -903,18 +908,16 @@ fn run_advances_round_counter() {
 
 #[test]
 fn missing_receiver_is_dropped_missing_not_blocked() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 14, shards);
-        // One message to a node that never existed, one to a live node
-        // whose receiver gets blocked: the two drop reasons must be
-        // counted separately and delivered+drops must equal sends.
-        net.inject(NodeId(0), NodeId(42), 1); // receiver missing
-        net.inject(NodeId(0), NodeId(1), 2); // will be blocked at receive
-        net.inject(NodeId(0), NodeId(2), 3); // delivered
-        net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
-        let t = net.trace();
-        assert_eq!((t.dropped_missing, t.dropped_blocked, t.delivered), (1, 1, 1));
-    }
+    let mut net = silent_ring(3, 14);
+    // One message to a node that never existed, one to a live node
+    // whose receiver gets blocked: the two drop reasons must be
+    // counted separately and delivered+drops must equal sends.
+    net.inject(NodeId(0), NodeId(42), 1); // receiver missing
+    net.inject(NodeId(0), NodeId(1), 2); // will be blocked at receive
+    net.inject(NodeId(0), NodeId(2), 3); // delivered
+    net.step_blocked(&BlockSet::from_iter([NodeId(1)]));
+    let t = net.trace();
+    assert_eq!((t.dropped_missing, t.dropped_blocked, t.delivered), (1, 1, 1));
 }
 
 #[test]
@@ -922,14 +925,12 @@ fn blocked_receiver_takes_precedence_over_missing() {
     // A message to a *removed* node that is also named in the block set is
     // classified by the delivery rule first (DroppedBlocked): the rule
     // consults block sets before membership.
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 15, shards);
-        net.remove_node(NodeId(2));
-        net.inject(NodeId(0), NodeId(2), 9);
-        net.step_blocked(&BlockSet::from_iter([NodeId(2)]));
-        assert_eq!(net.trace().dropped_blocked, 1);
-        assert_eq!(net.trace().dropped_missing, 0);
-    }
+    let mut net = silent_ring(3, 15);
+    net.remove_node(NodeId(2));
+    net.inject(NodeId(0), NodeId(2), 9);
+    net.step_blocked(&BlockSet::from_iter([NodeId(2)]));
+    assert_eq!(net.trace().dropped_blocked, 1);
+    assert_eq!(net.trace().dropped_missing, 0);
 }
 
 #[test]
@@ -937,34 +938,30 @@ fn protocol_send_to_departed_and_blocked_receiver_is_dropped_blocked() {
     // The same precedence for an arena send, which probes bits, not ids:
     // the receiver has no seq any more, so the rule falls back to the
     // id-keyed sets before the missing receiver is looked at.
-    for shards in SHARDS {
-        let mut net = ring(4, 16, shards);
-        net.run(2); // node 1 forwarded the token to node 2: in flight
-        net.remove_node(NodeId(2));
-        net.step_blocked(&BlockSet::from_iter([NodeId(2)]));
-        assert_eq!((net.trace().dropped_blocked, net.trace().dropped_missing), (1, 0));
-    }
+    let mut net = ring(4, 16);
+    net.run(2); // node 1 forwarded the token to node 2: in flight
+    net.remove_node(NodeId(2));
+    net.step_blocked(&BlockSet::from_iter([NodeId(2)]));
+    assert_eq!((net.trace().dropped_blocked, net.trace().dropped_missing), (1, 0));
 }
 
 #[test]
 fn joiner_on_a_freed_seq_does_not_inherit_the_departed_nodes_block() {
-    for shards in SHARDS {
-        let mut net = ring(3, 17, shards);
-        let two = BlockSet::from_iter([NodeId(2)]);
-        net.step_blocked(&two); // round 0: node 0 fires
-        net.step_blocked(&two); // round 1: node 1 forwards to node 2, blocked in the send round
-        let seq = net.idmap[&NodeId(2)];
-        net.remove_node(NodeId(2));
-        net.add_node(NodeId(7), Relay { next: NodeId(0), received: 0, fire: false });
-        assert_eq!(net.idmap[&NodeId(7)], seq, "the joiner takes the freed seq");
-        net.inject(NodeId(0), NodeId(7), 5);
-        net.step();
-        // Node 2 sits in `prev_blocked` but sets no bit (it has no seq):
-        // the joiner's mail arrives, the departed id's is still blocked.
-        assert_eq!(received(&net, 7), 1);
-        let t = net.trace();
-        assert_eq!((t.delivered, t.dropped_blocked, t.dropped_missing), (2, 1, 0));
-    }
+    let mut net = ring(3, 17);
+    let two = BlockSet::from_iter([NodeId(2)]);
+    net.step_blocked(&two); // round 0: node 0 fires
+    net.step_blocked(&two); // round 1: node 1 forwards to node 2, blocked in the send round
+    let seq = net.idmap[&NodeId(2)];
+    net.remove_node(NodeId(2));
+    net.add_node(NodeId(7), Relay { next: NodeId(0), received: 0, fire: false });
+    assert_eq!(net.idmap[&NodeId(7)], seq, "the joiner takes the freed seq");
+    net.inject(NodeId(0), NodeId(7), 5);
+    net.step();
+    // Node 2 sits in `prev_blocked` but sets no bit (it has no seq):
+    // the joiner's mail arrives, the departed id's is still blocked.
+    assert_eq!(received(&net, 7), 1);
+    let t = net.trace();
+    assert_eq!((t.delivered, t.dropped_blocked, t.dropped_missing), (2, 1, 0));
 }
 
 #[test]
@@ -972,15 +969,13 @@ fn injection_from_a_blocked_nominal_sender_is_dropped() {
     // Arena sends skip the sender probe (a node that sent was not
     // blocked); an injection's nominal sender never ran, so it is probed —
     // by id, member or not.
-    for shards in SHARDS {
-        for sender in [0, 999] {
-            let mut net = silent_ring(3, 18, shards);
-            net.step_blocked(&BlockSet::from_iter([NodeId(sender)]));
-            net.inject(NodeId(sender), NodeId(1), 3);
-            net.step();
-            assert_eq!(received(&net, 1), 0, "sender {sender}");
-            assert_eq!(net.trace().dropped_blocked, 1, "sender {sender}");
-        }
+    for sender in [0, 999] {
+        let mut net = silent_ring(3, 18);
+        net.step_blocked(&BlockSet::from_iter([NodeId(sender)]));
+        net.inject(NodeId(sender), NodeId(1), 3);
+        net.step();
+        assert_eq!(received(&net, 1), 0, "sender {sender}");
+        assert_eq!(net.trace().dropped_blocked, 1, "sender {sender}");
     }
 }
 
@@ -989,7 +984,7 @@ fn parity_checkpoint_with_mail_in_flight_resumes_to_the_same_round() {
     // Restored in-flight mail is queued on the injection lane, where the
     // sender probe still runs; the next round must come out the same.
     let blocks = |r: u64| BlockSet::from_iter((0..16).filter(|i| (i + r) % 5 == 0).map(NodeId));
-    let mut net = XlNetwork::<Gossip>::with_shards(0xF117, 2);
+    let mut net = XlNetwork::<Gossip>::new(0xF117);
     net.set_fault_model(stress_faults());
     for i in 0..16 {
         net.add_node(NodeId(i), node(i, 16, 30));
@@ -1003,19 +998,17 @@ fn parity_checkpoint_with_mail_in_flight_resumes_to_the_same_round() {
     net.step_blocked(&blocks(6));
     let want: Vec<u64> = counters(net.trace()).iter().zip(before).map(|(a, b)| a - b).collect();
     assert!(want[0] > 0 && want[1] > 0, "the round delivers and blocks: {want:?}");
-    for shards in [1, 2, 7] {
-        let mut resumed = XlNetwork::<Gossip>::from_state_with_shards(&snap, shards).unwrap();
-        resumed.step_blocked(&blocks(6));
-        assert_eq!(resumed.round_digest(), net.round_digest(), "shards={shards}");
-        assert_eq!(counters(resumed.trace()).to_vec(), want, "shards={shards}");
-    }
+    let mut resumed = XlNetwork::<Gossip>::from_state(&snap).unwrap();
+    resumed.step_blocked(&blocks(6));
+    assert_eq!(resumed.round_digest(), net.round_digest());
+    assert_eq!(counters(resumed.trace()).to_vec(), want);
 }
 
 #[test]
 fn enable_trace_preserves_accumulated_counters() {
     // Regression: enable_trace used to rebuild the Trace from scratch,
     // zeroing delivered/dropped counters accumulated while disabled.
-    let mut net = ring(3, 10, 1);
+    let mut net = ring(3, 10);
     net.step(); // round 0: node 0 fires
     net.step(); // round 1: delivery to node 1
     let delivered_before = net.trace().delivered;
@@ -1032,7 +1025,7 @@ fn enable_trace_preserves_accumulated_counters() {
 
 #[test]
 fn digest_stream_records_once_per_round() {
-    let digests = digests_of(ring(4, 11, 3), 6);
+    let digests = digests_of(ring(4, 11), 6);
     assert_eq!(digests.len(), 6);
     for (i, d) in digests.iter().enumerate() {
         assert_eq!(d.round, i as u64);
@@ -1041,14 +1034,13 @@ fn digest_stream_records_once_per_round() {
 
 #[test]
 fn digest_streams_replay_identically() {
-    assert_eq!(digests_of(ring(8, 21, 1), 10), digests_of(ring(8, 21, 1), 10));
-    assert_eq!(digests_of(ring(8, 21, 1), 10), digests_of(ring(8, 21, 3), 10));
+    assert_eq!(digests_of(ring(8, 21), 10), digests_of(ring(8, 21), 10));
 }
 
 #[test]
 fn digest_differs_across_seeds_and_rounds() {
-    let a = digests_of(ring(8, 1, 1), 5);
-    let b = digests_of(ring(8, 2, 1), 5);
+    let a = digests_of(ring(8, 1), 5);
+    let b = digests_of(ring(8, 2), 5);
     // Different master seeds shift every node's RNG stream position key
     // material, but state only diverges once randomness is *used*; the
     // Relay protocol is deterministic, so compare digest values directly:
@@ -1060,7 +1052,7 @@ fn digest_differs_across_seeds_and_rounds() {
 
 #[test]
 fn round_digest_sees_protocol_state() {
-    let mut net = ring(4, 12, 3);
+    let mut net = ring(4, 12);
     let before = net.round_digest();
     net.node_mut(NodeId(3)).unwrap().received = 777;
     assert_ne!(net.round_digest(), before, "protocol state must be hashed");
@@ -1068,7 +1060,7 @@ fn round_digest_sees_protocol_state() {
 
 #[test]
 fn round_digest_sees_membership_and_in_flight() {
-    let mut net = ring(4, 13, 3);
+    let mut net = ring(4, 13);
     let before = net.round_digest();
     net.inject(NodeId(99), NodeId(0), 5);
     let with_flight = net.round_digest();
@@ -1096,7 +1088,7 @@ fn engine_is_object_safe_behind_the_trait() {
         engine.round_digest()
     }
     let mut a = XlNetwork::new(7);
-    let mut b = XlNetwork::with_shards(7, 3);
+    let mut b = XlNetwork::fast(7, 3);
     assert_eq!(drive(&mut a), drive(&mut b));
     assert_eq!(SimEngine::len(&a), 2);
     assert!(SimEngine::contains(&a, NodeId(2)));
@@ -1109,17 +1101,15 @@ fn engine_is_object_safe_behind_the_trait() {
 
 #[test]
 fn crashed_node_neither_acts_nor_receives() {
-    for shards in SHARDS {
-        let mut net = ring(3, 40, shards);
-        net.set_fault_model(
-            FaultModel::new(1).with_node_fault(NodeId(1), NodeFault::CrashStop { at: 0 }),
-        );
-        net.run(6);
-        // Node 0 fired at round 0; the token dies at the crashed node 1.
-        assert_eq!(received(&net, 1), 0);
-        assert_eq!(received(&net, 2), 0);
-        assert!(net.trace().dropped_fault >= 1);
-    }
+    let mut net = ring(3, 40);
+    net.set_fault_model(
+        FaultModel::new(1).with_node_fault(NodeId(1), NodeFault::CrashStop { at: 0 }),
+    );
+    net.run(6);
+    // Node 0 fired at round 0; the token dies at the crashed node 1.
+    assert_eq!(received(&net, 1), 0);
+    assert_eq!(received(&net, 2), 0);
+    assert!(net.trace().dropped_fault >= 1);
 }
 
 #[test]
@@ -1135,158 +1125,138 @@ fn crash_recovery_loses_state_and_resumes() {
             self.0 = 0;
         }
     }
-    for shards in SHARDS {
-        let mut net: XlNetwork<Counter> = XlNetwork::with_shards(50, shards);
-        net.add_node(NodeId(0), Counter(0));
-        net.add_node(NodeId(1), Counter(0));
-        net.set_fault_model(
-            FaultModel::new(2)
-                .with_node_fault(NodeId(1), NodeFault::CrashRecover { at: 2, down_for: 3 }),
-        );
-        net.run(8);
-        assert_eq!(net.node(NodeId(0)).unwrap().0, 8, "healthy node unaffected");
-        // Node 1 ran rounds 0..2, was down 2..5, reset at 5, ran 5..8.
-        assert_eq!(net.node(NodeId(1)).unwrap().0, 3, "state lost at recovery");
-    }
+    let mut net: XlNetwork<Counter> = XlNetwork::new(50);
+    net.add_node(NodeId(0), Counter(0));
+    net.add_node(NodeId(1), Counter(0));
+    net.set_fault_model(
+        FaultModel::new(2)
+            .with_node_fault(NodeId(1), NodeFault::CrashRecover { at: 2, down_for: 3 }),
+    );
+    net.run(8);
+    assert_eq!(net.node(NodeId(0)).unwrap().0, 8, "healthy node unaffected");
+    // Node 1 ran rounds 0..2, was down 2..5, reset at 5, ran 5..8.
+    assert_eq!(net.node(NodeId(1)).unwrap().0, 3, "state lost at recovery");
 }
 
 #[test]
 fn delayed_message_arrives_late_but_arrives() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 41, shards);
-        net.set_fault_model(only(
-            LinkFaults { delay_prob: 1.0, max_delay: 3, ..NO_LINK_FAULTS },
-            3,
-        ));
-        net.inject(NodeId(0), NodeId(1), 7);
-        net.step();
-        assert_eq!(net.trace().delayed, 1);
-        assert_eq!(received(&net, 1), 0, "held back");
-        net.run(4);
-        assert_eq!(received(&net, 1), 1, "matured within max_delay");
-    }
+    let mut net = silent_ring(3, 41);
+    net.set_fault_model(only(LinkFaults { delay_prob: 1.0, max_delay: 3, ..NO_LINK_FAULTS }, 3));
+    net.inject(NodeId(0), NodeId(1), 7);
+    net.step();
+    assert_eq!(net.trace().delayed, 1);
+    assert_eq!(received(&net, 1), 0, "held back");
+    net.run(4);
+    assert_eq!(received(&net, 1), 1, "matured within max_delay");
 }
 
 #[test]
 fn duplication_delivers_exactly_one_extra_copy() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 42, shards);
-        net.set_fault_model(only(LinkFaults { dup_prob: 1.0, ..NO_LINK_FAULTS }, 4));
-        net.inject(NodeId(9), NodeId(1), 7);
-        net.step();
-        assert_eq!(received(&net, 1), 2);
-        assert_eq!(net.trace().delivered, 1);
-        assert_eq!(net.trace().duplicated, 1);
-    }
+    let mut net = silent_ring(3, 42);
+    net.set_fault_model(only(LinkFaults { dup_prob: 1.0, ..NO_LINK_FAULTS }, 4));
+    net.inject(NodeId(9), NodeId(1), 7);
+    net.step();
+    assert_eq!(received(&net, 1), 2);
+    assert_eq!(net.trace().delivered, 1);
+    assert_eq!(net.trace().duplicated, 1);
 }
 
 #[test]
 fn lossy_link_drops_messages() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 45, shards);
-        net.set_fault_model(only(LinkFaults { drop_prob: 1.0, ..NO_LINK_FAULTS }, 6));
-        net.inject(NodeId(0), NodeId(1), 7);
-        net.step();
-        assert_eq!(received(&net, 1), 0);
-        assert_eq!(net.trace().dropped_link, 1);
-    }
+    let mut net = silent_ring(3, 45);
+    net.set_fault_model(only(LinkFaults { drop_prob: 1.0, ..NO_LINK_FAULTS }, 6));
+    net.inject(NodeId(0), NodeId(1), 7);
+    net.step();
+    assert_eq!(received(&net, 1), 0);
+    assert_eq!(net.trace().dropped_link, 1);
 }
 
 #[test]
 fn partition_window_cuts_cross_traffic_only() {
-    for shards in SHARDS {
-        let mut net = silent_ring(4, 43, shards);
-        let side = [NodeId(0), NodeId(1)].into_iter().collect();
-        net.set_fault_model(FaultModel::new(5).with_partition(Partition {
-            side,
-            from: 0,
-            until: 1,
-        }));
-        net.inject(NodeId(0), NodeId(1), 1); // same side: delivered
-        net.inject(NodeId(0), NodeId(2), 2); // across the cut: dropped
-        net.step();
-        assert_eq!(received(&net, 1), 1);
-        assert_eq!(received(&net, 2), 0);
-        assert_eq!(net.trace().dropped_fault, 1);
-        // Node 1 forwarded across the cut boundary; by round 1 the window
-        // is over and cross traffic flows again.
-        net.step();
-        assert_eq!(received(&net, 2), 1);
-    }
+    let mut net = silent_ring(4, 43);
+    let side = [NodeId(0), NodeId(1)].into_iter().collect();
+    net.set_fault_model(FaultModel::new(5).with_partition(Partition { side, from: 0, until: 1 }));
+    net.inject(NodeId(0), NodeId(1), 1); // same side: delivered
+    net.inject(NodeId(0), NodeId(2), 2); // across the cut: dropped
+    net.step();
+    assert_eq!(received(&net, 1), 1);
+    assert_eq!(received(&net, 2), 0);
+    assert_eq!(net.trace().dropped_fault, 1);
+    // Node 1 forwarded across the cut boundary; by round 1 the window
+    // is over and cross traffic flows again.
+    net.step();
+    assert_eq!(received(&net, 2), 1);
 }
 
 #[test]
 fn scheduled_delay_shifts_exactly_the_named_message() {
-    for shards in SHARDS {
-        let mut net = silent_ring(4, 47, shards);
-        // Two injected messages sent in round 0; only (9 -> 1, round 0) is
-        // scheduled two rounds late, the other delivers on time.
-        net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 2));
-        net.inject(NodeId(9), NodeId(1), 7);
-        net.inject(NodeId(9), NodeId(2), 8);
-        net.step();
-        assert_eq!(received(&net, 2), 1, "unscheduled message on time");
-        assert_eq!(received(&net, 1), 0, "scheduled message held");
-        assert_eq!(net.trace().delayed, 1);
-        net.step();
-        assert_eq!(received(&net, 1), 0, "still held one more round");
-        net.step();
-        assert_eq!(received(&net, 1), 1, "matured at sent+1+extra");
-    }
+    let mut net = silent_ring(4, 47);
+    // Two injected messages sent in round 0; only (9 -> 1, round 0) is
+    // scheduled two rounds late, the other delivers on time.
+    net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 2));
+    net.inject(NodeId(9), NodeId(1), 7);
+    net.inject(NodeId(9), NodeId(2), 8);
+    net.step();
+    assert_eq!(received(&net, 2), 1, "unscheduled message on time");
+    assert_eq!(received(&net, 1), 0, "scheduled message held");
+    assert_eq!(net.trace().delayed, 1);
+    net.step();
+    assert_eq!(received(&net, 1), 0, "still held one more round");
+    net.step();
+    assert_eq!(received(&net, 1), 1, "matured at sent+1+extra");
 }
 
 #[test]
 fn scheduled_delay_same_key_occurrences_consume_in_send_order() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 48, shards);
-        // Keep relayed tokens from wrapping back to node 1: node 0 forwards
-        // to itself, so only the injected messages ever reach node 1.
-        net.node_mut(NodeId(0)).unwrap().next = NodeId(0);
-        // Three messages with the same (from, to, sent_round): the first
-        // occurrence takes the first scheduled extra (1), the second the
-        // second (3), the third delivers normally.
-        net.set_fault_model(
-            FaultModel::null()
-                .with_scheduled_delay(NodeId(9), NodeId(1), 0, 1)
-                .with_scheduled_delay(NodeId(9), NodeId(1), 0, 3),
-        );
-        for msg in [100, 200, 300] {
-            net.inject(NodeId(9), NodeId(1), msg);
-        }
-        net.step(); // round 0: one on time, two held
-        assert_eq!(received(&net, 1), 1);
-        net.step(); // round 1: extra=1 matures
-        assert_eq!(received(&net, 1), 2);
-        net.run(2); // round 3: extra=3 matures
-        assert_eq!(received(&net, 1), 3);
+    let mut net = silent_ring(3, 48);
+    // Keep relayed tokens from wrapping back to node 1: node 0 forwards
+    // to itself, so only the injected messages ever reach node 1.
+    net.node_mut(NodeId(0)).unwrap().next = NodeId(0);
+    // Three messages with the same (from, to, sent_round): the first
+    // occurrence takes the first scheduled extra (1), the second the
+    // second (3), the third delivers normally.
+    net.set_fault_model(
+        FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 1).with_scheduled_delay(
+            NodeId(9),
+            NodeId(1),
+            0,
+            3,
+        ),
+    );
+    for msg in [100, 200, 300] {
+        net.inject(NodeId(9), NodeId(1), msg);
     }
+    net.step(); // round 0: one on time, two held
+    assert_eq!(received(&net, 1), 1);
+    net.step(); // round 1: extra=1 matures
+    assert_eq!(received(&net, 1), 2);
+    net.run(2); // round 3: extra=3 matures
+    assert_eq!(received(&net, 1), 3);
 }
 
 #[test]
 fn scheduled_delay_drops_if_receiver_blocked_at_maturity() {
-    for shards in SHARDS {
-        let mut net = silent_ring(3, 49, shards);
-        net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 1));
-        net.inject(NodeId(9), NodeId(1), 7);
-        net.step(); // round 0: held, matures at round 1
-        net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: blocked at maturity
-        net.run(3);
-        assert_eq!(received(&net, 1), 0, "dropped at maturity re-check");
-        assert_eq!(net.trace().dropped_blocked, 1);
-    }
+    let mut net = silent_ring(3, 49);
+    net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(9), NodeId(1), 0, 1));
+    net.inject(NodeId(9), NodeId(1), 7);
+    net.step(); // round 0: held, matures at round 1
+    net.step_blocked(&BlockSet::from_iter([NodeId(1)])); // round 1: blocked at maturity
+    net.run(3);
+    assert_eq!(received(&net, 1), 0, "dropped at maturity re-check");
+    assert_eq!(net.trace().dropped_blocked, 1);
 }
 
 #[test]
 #[should_panic(expected = "ExecMode::Fast does not support them")]
 fn scheduled_delays_are_refused_in_fast_mode() {
-    let mut net = XlNetwork::<Relay>::with_shards_mode(1, 2, ExecMode::Fast);
+    let mut net = XlNetwork::<Relay>::fast(1, 2);
     net.set_fault_model(FaultModel::null().with_scheduled_delay(NodeId(0), NodeId(1), 0, 1));
 }
 
 #[test]
 fn scheduled_delay_runs_replay_and_resume_identically() {
-    let build = |shards| {
-        let mut net = ring(6, 50, shards);
+    let build = || {
+        let mut net = ring(6, 50);
         net.set_fault_model(
             FaultModel::null()
                 .with_scheduled_delay(NodeId(0), NodeId(1), 0, 2)
@@ -1295,23 +1265,22 @@ fn scheduled_delay_runs_replay_and_resume_identically() {
         net.enable_digests();
         net
     };
-    let want = digests_of(build(1), 12);
-    // Replay identity, at either layout.
-    assert_eq!(digests_of(build(1), 12), want);
-    assert_eq!(digests_of(build(3), 12), want);
+    let want = digests_of(build(), 12);
+    // Replay identity.
+    assert_eq!(digests_of(build(), 12), want);
     // Checkpoint with the first delay still held (sent round 0, matures
     // round 3): both the delayed queue and the schedule map, cursor
     // included, must survive the round-trip.
-    let mut first = build(3);
+    let mut first = build();
     first.run(2);
-    let mut resumed = XlNetwork::<Relay>::from_state_with_shards(&first.save_state(), 1).unwrap();
+    let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
     resumed.run(10);
     assert_eq!(resumed.trace().digests(), &want[2..]);
 }
 
 #[test]
 fn node_digest_tracks_state_and_membership() {
-    let mut net = ring(4, 51, 3);
+    let mut net = ring(4, 51);
     let before = net.node_digest(NodeId(2)).unwrap();
     assert_eq!(net.node_digest(NodeId(2)).unwrap(), before, "pure accessor");
     net.node_mut(NodeId(2)).unwrap().received = 41;
@@ -1326,23 +1295,22 @@ fn node_digest_tracks_state_and_membership() {
 
 #[test]
 fn explicit_null_model_is_a_noop_for_digests() {
-    let mut with_null = ring(8, 44, 3);
+    let mut with_null = ring(8, 44);
     with_null.set_fault_model(FaultModel::null());
-    assert_eq!(digests_of(ring(8, 44, 3), 10), digests_of(with_null, 10));
+    assert_eq!(digests_of(ring(8, 44), 10), digests_of(with_null, 10));
 }
 
 #[test]
 fn faulty_runs_replay_identically() {
-    let run_once = |shards| {
-        let mut net = ring(8, 46, shards);
+    let run_once = || {
+        let mut net = ring(8, 46);
         net.set_fault_model(
             only(LinkFaults { drop_prob: 0.2, dup_prob: 0.1, delay_prob: 0.2, max_delay: 3 }, 9)
                 .with_node_fault(NodeId(3), NodeFault::CrashRecover { at: 2, down_for: 2 }),
         );
         digests_of(net, 12)
     };
-    assert_eq!(run_once(1), run_once(1));
-    assert_eq!(run_once(1), run_once(3));
+    assert_eq!(run_once(), run_once());
 }
 
 // -- checkpointing ------------------------------------------------------
@@ -1350,9 +1318,9 @@ fn faulty_runs_replay_identically() {
 #[test]
 fn checkpoint_resume_continues_digest_stream() {
     // Uninterrupted reference run.
-    let want = digests_of(ring(8, 4242, 1), 20);
+    let want = digests_of(ring(8, 4242), 20);
     // Same run, checkpointed at round 9 and resumed from the snapshot.
-    let mut first = ring(8, 4242, 3);
+    let mut first = ring(8, 4242);
     first.enable_digests();
     first.run(9);
     let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
@@ -1365,8 +1333,8 @@ fn checkpoint_resume_with_faults_and_holes() {
     // Exercise the hard state: link-fault RNG mid-stream, delayed messages
     // in flight, a removed slot (hole + free list), and a crash-recovery
     // window spanning the checkpoint.
-    let build = |shards| {
-        let mut net = ring(6, 99, shards);
+    let build = || {
+        let mut net = ring(6, 99);
         net.set_fault_model(
             only(LinkFaults { drop_prob: 0.15, dup_prob: 0.1, delay_prob: 0.25, max_delay: 4 }, 17)
                 .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 6, down_for: 5 }),
@@ -1375,18 +1343,18 @@ fn checkpoint_resume_with_faults_and_holes() {
         net.remove_node(NodeId(5));
         net
     };
-    let want = digests_of(build(1), 24);
+    let want = digests_of(build(), 24);
 
-    let mut first = build(1);
+    let mut first = build();
     first.run(8); // node 4 is mid-crash, delays likely pending
-    let mut resumed = XlNetwork::<Relay>::from_state_with_shards(&first.save_state(), 3).unwrap();
+    let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
     resumed.run(16);
     assert_eq!(resumed.trace().digests(), &want[8..]);
 }
 
 #[test]
 fn checkpoint_rejects_tampering() {
-    let mut net = ring(4, 7, 1);
+    let mut net = ring(4, 7);
     net.run(3);
     let mut state = net.save_state();
     if let Value::Object(m) = &mut state {
@@ -1403,39 +1371,35 @@ fn checkpoint_rejects_tampering() {
 
 #[test]
 fn conduct_drop_silences_a_byzantine_sender() {
-    for shards in SHARDS {
-        let mut net = ring(4, 70, shards);
-        net.set_conduct(Some(Arc::new(ByzantineConduct::new(1, [NodeId(1)]).dropping(PPM))));
-        net.run(8);
-        // Token: 0 fires (honest), 1 receives, then 1's forward is eaten.
-        assert_eq!(received(&net, 1), 1);
-        assert_eq!(received(&net, 2), 0);
-        assert_eq!(net.conduct_counts(), (1, 0));
-    }
+    let mut net = ring(4, 70);
+    net.set_conduct(Some(Arc::new(ByzantineConduct::new(1, [NodeId(1)]).dropping(PPM))));
+    net.run(8);
+    // Token: 0 fires (honest), 1 receives, then 1's forward is eaten.
+    assert_eq!(received(&net, 1), 1);
+    assert_eq!(received(&net, 2), 0);
+    assert_eq!(net.conduct_counts(), (1, 0));
 }
 
 #[test]
 fn conduct_forge_rewrites_payloads_in_place() {
-    for shards in SHARDS {
-        let mut net = ring(3, 71, shards);
-        net.set_conduct(Some(Arc::new(
-            ByzantineConduct::new(2, [NodeId(0)]).forging(PPM, |m| m + 1000),
-        )));
-        // Round 0: node 0 fires a forged token; round 1: node 1 forwards it
-        // +1; round 2: node 2 receives it.
-        net.run(3);
-        assert_eq!(received(&net, 2), 1);
-        assert_eq!(net.conduct_counts().1, 1);
-        net.set_conduct(None);
-        net.run(1);
-        assert_eq!(received(&net, 0), 1);
-    }
+    let mut net = ring(3, 71);
+    net.set_conduct(Some(Arc::new(
+        ByzantineConduct::new(2, [NodeId(0)]).forging(PPM, |m| m + 1000),
+    )));
+    // Round 0: node 0 fires a forged token; round 1: node 1 forwards it
+    // +1; round 2: node 2 receives it.
+    net.run(3);
+    assert_eq!(received(&net, 2), 1);
+    assert_eq!(net.conduct_counts().1, 1);
+    net.set_conduct(None);
+    net.run(1);
+    assert_eq!(received(&net, 0), 1);
 }
 
 #[test]
 fn suppressed_sends_are_not_charged() {
-    let run = |drop_all: bool, shards| {
-        let mut net = ring(4, 72, shards);
+    let run = |drop_all: bool| {
+        let mut net = ring(4, 72);
         if drop_all {
             let everyone: Vec<NodeId> = (0..4).map(NodeId).collect();
             net.set_conduct(Some(Arc::new(ByzantineConduct::new(3, everyone).dropping(PPM))));
@@ -1443,20 +1407,18 @@ fn suppressed_sends_are_not_charged() {
         net.run(6);
         (net.stats().total_bits(), net.stats().total_msgs())
     };
-    for shards in SHARDS {
-        let (honest_bits, honest_msgs) = run(false, shards);
-        assert!(honest_bits > 0 && honest_msgs > 0);
-        assert_eq!(run(true, shards), (0, 0), "fully suppressed traffic must cost nothing");
-    }
+    let (honest_bits, honest_msgs) = run(false);
+    assert!(honest_bits > 0 && honest_msgs > 0);
+    assert_eq!(run(true), (0, 0), "fully suppressed traffic must cost nothing");
 }
 
 #[test]
 fn conduct_free_run_digests_match_no_conduct() {
     // An installed conduct whose Byzantine set is empty must be
     // behaviorally invisible, digests included.
-    let mut installed = ring(8, 73, 3);
+    let mut installed = ring(8, 73);
     installed.set_conduct(Some(Arc::new(ByzantineConduct::new(4, []).dropping(PPM))));
-    assert_eq!(digests_of(ring(8, 73, 3), 10), digests_of(installed, 10));
+    assert_eq!(digests_of(ring(8, 73), 10), digests_of(installed, 10));
 }
 
 fn relay_conduct(seed: u64, byz: [u64; 2]) -> Arc<ByzantineConduct<u64>> {
@@ -1469,28 +1431,27 @@ fn relay_conduct(seed: u64, byz: [u64; 2]) -> Arc<ByzantineConduct<u64>> {
 
 #[test]
 fn conduct_runs_replay_identically() {
-    let run_once = |shards| {
-        let mut net = ring(8, 74, shards);
+    let run_once = || {
+        let mut net = ring(8, 74);
         net.set_conduct(Some(relay_conduct(5, [2, 5])));
         net.enable_digests();
         net.run(16);
         (net.trace().digests().to_vec(), net.conduct_counts())
     };
-    assert_eq!(run_once(1), run_once(1));
-    assert_eq!(run_once(1), run_once(3));
+    assert_eq!(run_once(), run_once());
 }
 
 #[test]
 fn checkpoint_resume_with_reinstalled_conduct_continues_stream() {
-    let build = |shards| {
-        let mut net = ring(6, 75, shards);
+    let build = || {
+        let mut net = ring(6, 75);
         net.set_conduct(Some(relay_conduct(6, [1, 3])));
         net.enable_digests();
         net
     };
-    let want = digests_of(build(1), 14);
+    let want = digests_of(build(), 14);
 
-    let mut first = build(3);
+    let mut first = build();
     first.run(7);
     let mut resumed = XlNetwork::<Relay>::from_state(&first.save_state()).unwrap();
     // Conduct is config, not state: the caller re-installs it.
@@ -1503,48 +1464,46 @@ fn checkpoint_resume_with_reinstalled_conduct_continues_stream() {
 
 #[test]
 fn telemetry_attachment_never_perturbs_digests() {
-    let mut attached = ring(8, 61, 3);
+    let mut attached = ring(8, 61);
     attached.set_telemetry(Telemetry::collector());
-    assert_eq!(digests_of(ring(8, 61, 3), 10), digests_of(attached, 10));
+    assert_eq!(digests_of(ring(8, 61), 10), digests_of(attached, 10));
 }
 
 #[test]
 fn telemetry_mirrors_trace_counters_and_work() {
-    for shards in SHARDS {
-        let tel = Telemetry::collector();
-        let mut net = ring(6, 62, shards);
-        net.set_telemetry(tel.clone());
-        net.remove_node(NodeId(3)); // break the ring -> dropped_missing later
-        net.run(8);
-        let s = tel.snapshot();
-        assert_eq!(s.counter("net.rounds"), 8);
-        assert_eq!(s.counter("net.delivered"), net.trace().delivered);
-        assert_eq!(s.counter("net.dropped_missing"), net.trace().dropped_missing);
-        assert_eq!(s.counter("net.total_bits"), net.stats().total_bits());
-        assert_eq!(s.counter("net.total_msgs"), net.stats().total_msgs());
-        assert_eq!(s.gauge("net.max_node_bits"), net.stats().max_node_bits());
-        assert_eq!(s.gauge("net.nodes"), net.len() as u64);
-        assert_eq!(s.histogram("net.round_bits").unwrap().count, 8);
+    let tel = Telemetry::collector();
+    let mut net = ring(6, 62);
+    net.set_telemetry(tel.clone());
+    net.remove_node(NodeId(3)); // break the ring -> dropped_missing later
+    net.run(8);
+    let s = tel.snapshot();
+    assert_eq!(s.counter("net.rounds"), 8);
+    assert_eq!(s.counter("net.delivered"), net.trace().delivered);
+    assert_eq!(s.counter("net.dropped_missing"), net.trace().dropped_missing);
+    assert_eq!(s.counter("net.total_bits"), net.stats().total_bits());
+    assert_eq!(s.counter("net.total_msgs"), net.stats().total_msgs());
+    assert_eq!(s.gauge("net.max_node_bits"), net.stats().max_node_bits());
+    assert_eq!(s.gauge("net.nodes"), net.len() as u64);
+    assert_eq!(s.histogram("net.round_bits").unwrap().count, 8);
 
-        // Node lifecycle flows into the event ring.
-        let (events, _) = tel.events();
-        assert!(events.iter().any(|e| e.kind == EventKind::NodeRemoved && e.node == Some(3)));
+    // Node lifecycle flows into the event ring.
+    let (events, _) = tel.events();
+    assert!(events.iter().any(|e| e.kind == EventKind::NodeRemoved && e.node == Some(3)));
 
-        // Phase profile: every round entered deliver/compute/send once, and
-        // send+deliver work sums to the accounted totals.
-        let prof = tel.profile();
-        for phase in [Phase::Deliver, Phase::Compute, Phase::Send] {
-            assert_eq!(prof.stat(phase).enters, 8, "{phase:?}");
-        }
-        let (send, deliver) = (prof.stat(Phase::Send), prof.stat(Phase::Deliver));
-        assert_eq!(send.bits + deliver.bits, net.stats().total_bits());
-        assert_eq!(send.msgs + deliver.msgs, net.stats().total_msgs());
+    // Phase profile: every round entered deliver/compute/send once, and
+    // send+deliver work sums to the accounted totals.
+    let prof = tel.profile();
+    for phase in [Phase::Deliver, Phase::Compute, Phase::Send] {
+        assert_eq!(prof.stat(phase).enters, 8, "{phase:?}");
     }
+    let (send, deliver) = (prof.stat(Phase::Send), prof.stat(Phase::Deliver));
+    assert_eq!(send.bits + deliver.bits, net.stats().total_bits());
+    assert_eq!(send.msgs + deliver.msgs, net.stats().total_msgs());
 }
 
 #[test]
 fn telemetry_attached_mid_run_only_sees_the_rest() {
-    let mut net = ring(4, 63, 1);
+    let mut net = ring(4, 63);
     net.run(5);
     let tel = Telemetry::collector();
     net.set_telemetry(tel.clone());
@@ -1559,7 +1518,7 @@ fn telemetry_attached_mid_run_only_sees_the_rest() {
 
 #[test]
 fn manifest_is_recorded_with_seed_and_version() {
-    let mut net = ring(2, 77, 1);
+    let mut net = ring(2, 77);
     net.set_manifest("ring n=2 rounds=3");
     net.run(3);
     let m = net.trace().manifest().expect("manifest attached");

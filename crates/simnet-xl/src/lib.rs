@@ -4,14 +4,14 @@
 //! envelopes, the blocking rule, fault models, digests, checkpoints; this
 //! crate executes it. [`XlNetwork`] is the one engine: it
 //!
-//! * stores node state in **structure-of-arrays** form, sharded round-robin
-//!   by a stable `u32` sequence number, so a round walks dense parallel
-//!   arrays instead of pointer-chasing boxed slots — comfortable at the
-//!   n = 10⁷ the paper's asymptotic claims (Theorems 5–7) are about;
-//! * routes messages through **per-shard send arenas** that are filled in
-//!   parallel (one flat `Vec` per shard, tagged with a delivery sort key)
-//!   and consumed by a single k-way merge pass — the one cross-shard
-//!   exchange barrier per round;
+//! * stores node state in **structure-of-arrays** form, indexed by a
+//!   stable `u32` sequence number, so a round walks dense parallel arrays
+//!   instead of pointer-chasing boxed slots — comfortable at the n = 10⁷
+//!   the paper's asymptotic claims (Theorems 5–7) are about;
+//! * routes messages through **send arenas**: one flat `Vec`, tagged with
+//!   a delivery sort key and filled in key order, that the next round's
+//!   delivery walks once (in fast mode, one per shard, filled in
+//!   parallel);
 //! * keeps the round path **flat**: each node's inbox is a buffer the
 //!   engine owns for the node's whole life and [`simnet::Ctx::take_inbox`]
 //!   drains where it lies, so a warm round allocates nothing for mail; and
@@ -59,22 +59,22 @@
 //! assert!(net.node(NodeId(0)).unwrap().seen > 0);
 //! ```
 //!
-//! ## Parity mode: one digest stream at every shard count
+//! ## Parity mode: one shard, one digest stream
 //!
-//! Driven identically (same seed, same churn, same block sets, same fault
-//! model), the engine produces the **same [`simnet::RoundDigest`] stream at
-//! every shard count and pool size**, so the repository's golden digest
-//! files — `tests/golden/engine.digests` pins the raw round model — act as
-//! an oracle for any layout. That rests on three ordering guarantees,
-//! spelled out in DESIGN.md §10:
+//! [`XlNetwork::new`] builds the parity engine. Driven identically (same
+//! seed, same churn, same block sets, same fault model), it produces the
+//! same [`simnet::RoundDigest`] stream in every process, so the
+//! repository's golden digest files — `tests/golden/engine.digests` pins
+//! the raw round model — are its oracle. That rests on three ordering
+//! guarantees, spelled out in DESIGN.md §10:
 //!
 //! 1. a joining node takes the most recently freed sequence number, else
 //!    the next fresh one, and messages carry the sort key
-//!    `(seq << 32) | outbox_position`, so the merge pass defines one
+//!    `(seq << 32) | outbox_position`, so the send arena defines one
 //!    delivery order — which per-receiver inbox order, and therefore
 //!    protocol RNG consumption, depends on;
-//! 2. delivery runs serially in global key order, so the shared link-fault
-//!    RNG draws in that order — and a receiver that has left is looked up
+//! 2. delivery runs serially in key order, so the shared link-fault RNG
+//!    draws in that order — and a receiver that has left is looked up
 //!    early (the bitsets are indexed by its seq) but classified last, so
 //!    the draws are the ones an id-keyed engine would make;
 //! 3. per-node RNG streams are keyed `stream(master_seed, id, purpose)`, so
@@ -84,18 +84,19 @@
 //! (a checkpoint restores at any shard count), and emits the `net.*`
 //! telemetry metrics and phase profile `trace-report` renders.
 //!
-//! ## Relaxed-order fast mode
+//! ## Relaxed-order fast mode: where the shards are
 //!
-//! Digest parity is the default, not the only option: [`ExecMode::Fast`]
-//! (`SIMNET_BACKEND=xl:fast:<shards>`) drops the serial global merge and
-//! routes messages in parallel per shard with per-shard fault-RNG streams.
-//! Runs stay deterministic for a fixed `(seed, shard count)` but are only
-//! *statistically* equivalent to parity runs — the `overlay-stats`
-//! equivalence harness and `tests/fast_mode_equivalence.rs` are the
-//! oracle for that mode. See the [`ExecMode`] docs and DESIGN.md §10.
+//! [`XlNetwork::fast`] (`SIMNET_BACKEND=xl:fast:<shards>`) splits node
+//! state round-robin over shards, steps them in parallel, and routes
+//! messages in parallel per shard with per-shard fault-RNG streams. Runs
+//! are deterministic for a fixed `(seed, shard count)`. At one shard with
+//! no fault model they reproduce the parity stream exactly; at more shards
+//! they are *statistically* equivalent to parity runs, which the
+//! `overlay-stats` equivalence harness and `tests/fast_mode_equivalence.rs`
+//! check. See the [`ExecMode`] docs and DESIGN.md §10.
 //!
-//! [`Backend`] carries the two switches (mode, shard count) and reads them
-//! from the `SIMNET_BACKEND` environment knob.
+//! [`Backend`] names the choice (parity, or fast with a shard count) and
+//! reads it from the `SIMNET_BACKEND` environment knob.
 
 mod any;
 mod engine;

@@ -1,36 +1,38 @@
 //! Execution modes of the engine.
 //!
-//! [`crate::XlNetwork`] can run its cross-shard message exchange in two
-//! ways. Under [`ExecMode::Parity`] (the default) one serial k-way merge
-//! consumes the per-shard send arenas in global key order, so inbox order,
-//! fault-RNG draw order and therefore the digest stream are identical at
-//! every shard count — the property the repository's golden files and
-//! differential tests pin.
+//! [`crate::XlNetwork`] can run a round in two ways. Under
+//! [`ExecMode::Parity`] (the default) node state lives in one shard and
+//! delivery walks its send arena serially in key order, so inbox order and
+//! fault-RNG draw order follow one global order — the property the
+//! repository's golden files pin.
 //!
-//! [`ExecMode::Fast`] relaxes the *global* delivery order, which the
-//! paper's guarantees never depended on (they are distributional — w.h.p.
-//! statements over the protocol's own randomness, not statements about one
-//! canonical interleaving). Messages are judged and routed in parallel per
-//! source shard with per-shard fault-RNG streams, then delivered in
-//! parallel per destination shard in (source shard, send order) — see
-//! DESIGN.md §10 for exactly what is and is not guaranteed. Fast runs are
-//! still fully deterministic for a fixed `(seed, shard count)`; they are
-//! validated against parity runs by the statistical-equivalence harness in
-//! `overlay-stats::equivalence` rather than by byte equality.
+//! [`ExecMode::Fast`] splits node state over shards, the only setting in
+//! which two cores pay (DESIGN.md §10), and relaxes the *global* delivery
+//! order, which the paper's guarantees never depended on (they are
+//! distributional — w.h.p. statements over the protocol's own randomness,
+//! not statements about one canonical interleaving). Messages are judged
+//! and routed in parallel per source shard with per-shard fault-RNG
+//! streams, then delivered in parallel per destination shard in (source
+//! shard, send order) — see DESIGN.md §10 for exactly what is and is not
+//! guaranteed. Fast runs are fully deterministic for a fixed `(seed,
+//! shard count)`. At one shard with no fault model they reproduce the
+//! parity digest stream exactly; at more shards they are validated against
+//! parity by the statistical-equivalence harness in
+//! `overlay-stats::equivalence`.
 
 use std::fmt;
 
-/// How [`crate::XlNetwork`] orders cross-shard message delivery.
+/// How [`crate::XlNetwork`] orders message delivery.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// One global delivery order: serial k-way merge in key order. Digest
-    /// streams are identical at every shard count and match the golden
-    /// files.
+    /// One shard, one global delivery order: serial walk in key order.
+    /// Digest streams match the golden files.
     #[default]
     Parity,
-    /// Relaxed global order: parallel per-shard routing and delivery with
-    /// per-shard fault-RNG streams. Deterministic per `(seed, shards)`,
-    /// statistically equivalent to parity, **not** bit-equal to it.
+    /// Sharded, relaxed global order: parallel per-shard routing and
+    /// delivery with per-shard fault-RNG streams. Deterministic per
+    /// `(seed, shards)`, statistically equivalent to parity, bit-equal to
+    /// it only at one shard with no fault model.
     Fast,
 }
 

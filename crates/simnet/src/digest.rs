@@ -6,7 +6,7 @@
 //! output is explicitly unspecified. The engine uses it to fingerprint
 //! whole network states once per round ([`crate::SimEngine::round_digest`]);
 //! golden tests pin those fingerprints, and differential tests compare
-//! them across shard counts and pool sizes.
+//! them across execution modes and pool sizes.
 //!
 //! [`RunManifest`] records everything needed to reproduce a digest stream:
 //! the master seed, a human-readable config string, and the simnet crate

@@ -125,9 +125,9 @@ impl ControlPlane {
             }
             self.epochs += 1;
             let epoch_seed = self.seed ^ self.epochs.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            // Dispatched via `backend::select()` inside: parity must sample
-            // identically at every shard count here or the trace digest
-            // (and the hot-set rotations downstream) diverge.
+            // Dispatched via `backend::select()` inside: every backend that
+            // delivers in parity's order must sample identically here or the
+            // trace digest (and the hot-set rotations downstream) diverge.
             let (samples, _metrics) =
                 run_alg2_observed(self.sched_dim, &SamplingParams::default(), epoch_seed, tel);
             let mut d = Digest::new();

@@ -4,8 +4,9 @@
 //! Every op generated, every block set applied, every batch outcome,
 //! every control-plane epoch sample folds into one [`simnet::Digest`].
 //! Two runs with the same `(spec, campaign)` must produce the same final
-//! digest on every parity backend (`xl:<shards>`, any shard count) — the
-//! cross-backend determinism test compares exactly this value, so the
+//! digest on every backend that delivers in parity's order (`xl`, and
+//! `xl:fast:1` with no fault model) — the cross-backend determinism test
+//! compares exactly this value, so the
 //! trace deliberately covers *outcomes* (completions, latency buckets,
 //! delivered payloads), not just inputs.
 

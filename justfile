@@ -21,7 +21,7 @@ build:
 test:
     cargo test --workspace -q
 
-# Determinism harness only: goldens + shard-count/pool-size differential.
+# Determinism harness only: goldens + fast mode's pool-size differential.
 determinism:
     cargo test -q -p integration-tests --test determinism
     cargo test -q -p integration-tests --test telemetry_determinism
@@ -72,9 +72,10 @@ recoveryfuzz cases="6":
     RECOVERY_CASES={{cases}} cargo test -q -p integration-tests --test recovery_determinism
 
 # Engine-scaling benchmark (simnet-xl, parity and fast modes);
-# `just s1 --smoke --cores 4` for the CI mode x shard gate at n=5e4, bare
-# `just s1 --cores 4` for the full shards x cores x mode sweep to n=1e7
-# (rewrites results/s1.json and BENCH_S1.json).
+# `just s1 --smoke --cores 4` for the CI gate at n=5e4 (xl:fast:1 equals
+# parity byte for byte, xl:fast:4 reproducible), `just s1 --cores 1,2` for
+# the full backend x cores sweep to n=1e6 (rewrites results/s1.json and
+# BENCH_S1.json).
 s1 *flags="":
     cargo run --release -p reconfig-bench --bin exp_s1_scale -- {{flags}}
 
@@ -115,7 +116,7 @@ w2 *flags="":
 w3 *flags="":
     cargo run --release -p reconfig-bench --bin exp_w3_chat -- {{flags}}
 
-# Workload bit-identity across shard counts (xl:1 vs xl:2/4).
+# Workload bit-identity across backends (xl vs xl:fast:1).
 workload-determinism:
     cargo test -q -p integration-tests --test workload_determinism
 
@@ -125,7 +126,7 @@ routing-diff:
     cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
 # The engine's delivery rule: the seq-indexed bitset path against the
-# id-keyed `#[cfg(test)]` reference, 400 random schedules at shards 1/2/7.
+# id-keyed `#[cfg(test)]` reference, 400 random schedules.
 delivery-diff:
     cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
 

@@ -61,7 +61,7 @@ cargo run -q --release -p reconfig-bench --bin exp_a8_recovery -- --smoke
 echo "==> recovery determinism + catastrophe fuzzing (RECOVERY_CASES=${RECOVERY_CASES:-6})"
 RECOVERY_CASES="${RECOVERY_CASES:-6}" cargo test -q -p integration-tests --test recovery_determinism
 
-echo "==> s1-smoke: mode x shard matrix at n=5e4 (parity 1 vs 4 byte-identical, fast 4 reproducible)"
+echo "==> s1-smoke at n=5e4 (xl:fast:1 byte-identical to parity, xl:fast:4 reproducible)"
 cargo run -q --release -p reconfig-bench --bin exp_s1_scale -- --smoke --cores 4
 
 echo "==> fast-mode statistical equivalence (EQUIV_SAMPLES=${EQUIV_SAMPLES:-3})"
@@ -84,13 +84,13 @@ cargo run -q --release -p reconfig-bench --bin exp_n1_cluster -- --smoke
 echo "==> W1 smoke: DHT under Zipf load, control + churn+dos arms"
 cargo run -q --release -p reconfig-bench --bin exp_w1_dht_load -- --smoke
 
-echo "==> workload bit-identity across shard counts (xl:1 vs xl:2/4)"
+echo "==> workload bit-identity across backends (xl vs xl:fast:1)"
 cargo test -q -p integration-tests --test workload_determinism
 
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
 cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
-echo "==> engine delivery rule: bitset path vs its id-keyed reference (400 random schedules, shards 1/2/7)"
+echo "==> engine delivery rule: bitset path vs its id-keyed reference (400 random schedules)"
 cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
 
 echo "==> direct sampler: flat arenas vs the nested-Vec reference (240 seeded cases, pools of 1/2/3), keystream readers, parent-written golden"

@@ -1,5 +1,5 @@
-//! Deterministic-replay verification: golden digest streams and
-//! shard-count / pool-size differential tests.
+//! Deterministic-replay verification: golden digest streams and the
+//! pool-size differential of fast mode.
 //!
 //! Golden tests pin the per-round digest stream of one fixed run per
 //! protocol family, of the raw engine and of the live cluster. If an
@@ -12,10 +12,10 @@
 //! and review the diff under `tests/golden/`. An *unintentional* digest
 //! change means the simulation is no longer replay-identical — a bug.
 //!
-//! Differential tests prove the engine's parallelism claim: one shard
-//! stepped serially, four shards stepped through the rayon pool, and pools
-//! of different thread counts must produce byte-identical digest streams,
-//! for populations on both sides of [`simnet_xl::PAR_THRESHOLD`].
+//! Parity runs on one shard, serially; the only parallel engine is fast
+//! mode, and its claim is that the thread schedule is invisible: four
+//! shards under pools of one and four threads must produce byte-identical
+//! digest streams, for a population above [`simnet_xl::PAR_THRESHOLD`].
 
 use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
 use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily, ByzHarness};
@@ -30,6 +30,7 @@ use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use reconfig_core::backend::{with_backend, Backend};
 use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
@@ -855,9 +856,9 @@ fn stress_faults(seed: u64) -> FaultModel {
         .with_partition(Partition { side: (0..8).map(NodeId).collect(), from: 10, until: 14 })
 }
 
-/// Every raw-engine scenario at one shard count.
-fn engine_lines(shards: usize) -> Vec<String> {
-    let engine = |seed| XlNetwork::<Chatter>::with_shards(seed, shards);
+/// Every raw-engine scenario.
+fn engine_lines() -> Vec<String> {
+    let engine = XlNetwork::<Chatter>::new;
     let mut lines = Vec::new();
 
     engine_case(engine(0xD1CE), "gossip", 24, 30, churn_script, &mut lines);
@@ -909,10 +910,10 @@ fn engine_lines(shards: usize) -> Vec<String> {
     lines
 }
 
-/// The eight rounds after `network_v1.ckpt.json`, resumed at one shard count.
-fn resume_lines(shards: usize) -> Vec<String> {
+/// The eight rounds after `network_v1.ckpt.json`.
+fn resume_lines() -> Vec<String> {
     let snap = read_value(&golden_path("network_v1.ckpt.json")).expect("committed fixture");
-    let mut net = XlNetwork::<Chatter>::from_state_with_shards(&snap, shards).expect("v1 reader");
+    let mut net = XlNetwork::<Chatter>::from_state(&snap).expect("v1 reader");
     (0..8)
         .map(|_| {
             let round = net.round();
@@ -924,17 +925,11 @@ fn resume_lines(shards: usize) -> Vec<String> {
 
 /// The round model itself, in absolute values recorded from the engine
 /// this one replaced (the boxed-slot `Network` of `simnet`, deleted in PR 17;
-/// CHANGES.md says how the two files were generated at its parent commit). Reproduced at
-/// every shard count `xl_parity.rs` sweeps; the resume at shards 1 and 4.
+/// CHANGES.md says how the two files were generated at its parent commit).
 #[test]
 fn golden_engine_digests() {
-    let mut reference = engine_lines(1);
-    for shards in [2, 7, 16] {
-        assert_eq!(engine_lines(shards), reference, "shards={shards} diverged from shards=1");
-    }
-    let resumed = resume_lines(1);
-    assert_eq!(resume_lines(4), resumed, "resume at shards=4 diverged from shards=1");
-    reference.extend(resumed);
+    let mut reference = engine_lines();
+    reference.extend(resume_lines());
     check_golden(
         "engine.digests",
         "engine (recorded from crates/simnet/src/engine.rs at 867e6f0, the commit before it \
@@ -968,7 +963,7 @@ fn golden_network_v1_checkpoint_is_hard_state_and_tamper_evident() {
         let mut bad = snap.clone();
         let serde_json::Value::Object(top) = &mut bad else { panic!("checkpoint is an object") };
         top.insert(key.into(), value);
-        XlNetwork::<Chatter>::from_state_with_shards(&bad, 1).err()
+        XlNetwork::<Chatter>::from_state(&bad).err()
     };
     assert!(matches!(tamper("round", 99u64.into()), Some(CkptError::DigestMismatch { .. })));
     assert!(matches!(tamper("par_mode", "turbo".into()), Some(CkptError::Corrupt(_))));
@@ -977,16 +972,14 @@ fn golden_network_v1_checkpoint_is_hard_state_and_tamper_evident() {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-count and pool-size differential tests
+// The pool-size differential of fast mode
 // ---------------------------------------------------------------------------
 
 /// A [`Chatter`] population (active throughout: every run here is shorter
 /// than the budget) exercises everything the round digest covers: per-node
 /// RNG draws, protocol state evolution, payload-dependent traffic.
-fn gossip_digests(n: u64, seed: u64, rounds: u64, shards: usize) -> Vec<simnet::RoundDigest> {
-    let mut net = XlNetwork::with_shards(seed, shards);
+fn gossip_digests(mut net: XlNetwork<Chatter>, n: u64, rounds: u64) -> Vec<simnet::RoundDigest> {
     net.enable_digests();
-    net.set_manifest(format!("gossip n={n} rounds={rounds} shards={shards}"));
     for i in 0..n {
         net.add_node(NodeId(i), chatter(n, i));
     }
@@ -994,51 +987,31 @@ fn gossip_digests(n: u64, seed: u64, rounds: u64, shards: usize) -> Vec<simnet::
     net.trace().digests().to_vec()
 }
 
-/// The same run at one shard and at four, each under a 1-thread and a
-/// 4-thread pool: sharding, chunking and scheduling differ, digests must
-/// not. Returns the common stream.
-fn shard_and_pool_differential(n: u64, seed: u64, rounds: u64) -> Vec<simnet::RoundDigest> {
-    let run_with = |threads: usize, shards: usize| {
+#[test]
+fn one_thread_and_many_threads_agree() {
+    // `xl:fast:4` above PAR_THRESHOLD steps and routes its shards through
+    // the pool: a pool of one thread runs them one after the other, a pool
+    // of four concurrently, and the digests must not see the difference.
+    let n = 600;
+    assert!((n as usize) > PAR_THRESHOLD);
+    let run_with = |threads: usize| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap()
-            .install(|| gossip_digests(n, seed, rounds, shards))
+            .install(|| gossip_digests(XlNetwork::fast(5152, 4), n, 6))
     };
-    let serial = run_with(1, 1);
-    for (threads, shards) in [(1, 4), (4, 1), (4, 4)] {
-        assert_eq!(run_with(threads, shards), serial, "threads={threads} shards={shards}");
-    }
-    serial
-}
-
-#[test]
-fn serial_and_parallel_digests_match_below_threshold() {
-    let n = 64;
-    assert!((n as usize) < PAR_THRESHOLD);
-    shard_and_pool_differential(n, 5150, 12);
-}
-
-#[test]
-fn serial_and_parallel_digests_match_above_threshold() {
-    let n = 600;
-    assert!((n as usize) > PAR_THRESHOLD);
-    shard_and_pool_differential(n, 5151, 6);
-}
-
-#[test]
-fn one_thread_and_many_threads_agree() {
-    // Both pool sizes match a run outside any installed pool, at the
-    // automatic shard count.
-    assert_eq!(shard_and_pool_differential(600, 5152, 6), gossip_digests(600, 5152, 6, 0));
+    let one = run_with(1);
+    assert!(!one.is_empty());
+    assert_eq!(run_with(4), one);
 }
 
 #[test]
 fn digest_streams_differ_across_seeds() {
     // Sanity: the digest is not degenerate — different seeds must produce
     // different streams once randomness is consumed.
-    let a = gossip_digests(64, 1, 8, 1);
-    let b = gossip_digests(64, 2, 8, 1);
+    let a = gossip_digests(XlNetwork::new(1), 64, 8);
+    let b = gossip_digests(XlNetwork::new(2), 64, 8);
     assert_ne!(a, b);
 }
 
@@ -1068,9 +1041,11 @@ fn sampling_digest_stream_is_replay_identical_and_mode_independent() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    // n=600 > PAR_THRESHOLD: run_alg1 steps its shards through the pool.
     let (_, _, a) = run_alg1_digested(&graph, &params, 9);
     let (_, _, b) = run_alg1_digested(&graph, &params, 9);
     assert_eq!(a, b);
     assert!(!a.is_empty());
+    // No fault model: fast mode at one shard delivers in parity's order.
+    let (_, _, fast) = with_backend(Backend::fast(1), || run_alg1_digested(&graph, &params, 9));
+    assert_eq!(fast, a);
 }

@@ -4,21 +4,20 @@
 //! Everything the recovery layer does — burst victim draws, storm return
 //! rounds, partition sides, retry jitter — comes from reserved seeded
 //! streams, so a run is a pure function of `(seed, schedule, params,
-//! enabled)`. This suite pins that down four ways:
+//! enabled)`. This suite pins that down three ways:
 //!
 //! * **replay** — the same catastrophe run twice is bit-identical in
-//!   digest stream, mode-transition stream, and counters;
-//! * **backend parity** — `xl` at shard counts 1/2/7/16 against the trace
-//!   recorded before the boxed-slot engine was deleted (supernode overlays
-//!   never instantiate a simnet engine, so the backend knob must be
-//!   invisible to the recovery layer — this pins that it stays so);
+//!   digest stream, mode-transition stream, and counters, and equal to the
+//!   trace recorded before the boxed-slot engine was deleted;
 //! * **digest neutrality** — the committed `dos_overlay` golden family,
 //!   re-driven through a `RecoveryRunner` with a null schedule, must
 //!   reproduce the golden digest stream byte-for-byte: recovery plumbing
 //!   compiled in but inactive changes nothing;
 //! * **fuzz** — `RECOVERY_CASES` (env knob, default 6) random
 //!   burst/partition configurations, each checked for replay identity,
-//!   shard parity, and the no-orphans guarantee of the enabled arm.
+//!   backend independence (supernode overlays never instantiate a simnet
+//!   engine, so the backend knob must be invisible to the recovery layer),
+//!   and the no-orphans guarantee of the enabled arm.
 
 use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
@@ -34,9 +33,6 @@ use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
 use simnet::{Burst, BurstSchedule, BurstTarget, TimedPartition};
 use std::path::PathBuf;
-
-/// Shard counts the parity tests sweep (mirrors `xl_parity.rs`).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
 fn small_params() -> DosParams {
     DosParams { group_c: 1.0, ..DosParams::default() }
@@ -119,25 +115,19 @@ fn run_trace(backend: Backend, n: usize, seed: u64, enabled: bool, epochs: u64) 
 #[test]
 fn catastrophe_runs_replay_bit_identically() {
     for enabled in [true, false] {
-        let a = run_trace(Backend::parity(1), 128, 0x4EC1, enabled, 7);
-        let b = run_trace(Backend::parity(1), 128, 0x4EC1, enabled, 7);
+        let a = run_trace(Backend::Parity, 128, 0x4EC1, enabled, 7);
+        let b = run_trace(Backend::Parity, 128, 0x4EC1, enabled, 7);
         assert_eq!(a, b, "enabled={enabled}: replay diverged");
         assert_eq!(a.bursts_fired, 1);
         assert_eq!(a.partitions_healed, 1);
     }
-}
-
-#[test]
-fn legacy_and_xl_agree_at_every_shard_count() {
-    // FNV-1a over the `Debug` rendering of the whole trace under the
-    // `legacy` backend at 867e6f0, the last commit that had one.
+    // Across versions too: FNV-1a over the `Debug` rendering of the whole
+    // trace under the `legacy` backend at 867e6f0, the last commit that
+    // had one.
     const LEGACY: u64 = 0x7265_813d_379f_1b50;
-    for shards in SHARD_COUNTS {
-        let xl = run_trace(Backend::parity(shards), 128, 0x4EC2, true, 7);
-        assert!(xl.admitted > 0, "fixture must exercise the storm path");
-        let rendered = simnet::Digest::new().write_str(&format!("{xl:?}")).finish();
-        assert_eq!(rendered, LEGACY, "xl:{shards} diverged from legacy");
-    }
+    let xl = run_trace(Backend::Parity, 128, 0x4EC2, true, 7);
+    assert!(xl.admitted > 0, "fixture must exercise the storm path");
+    assert_eq!(simnet::Digest::new().write_str(&format!("{xl:?}")).finish(), LEGACY);
 }
 
 #[test]
@@ -240,9 +230,9 @@ fn arms_share_the_catastrophe_but_only_the_control_orphans() {
 #[test]
 fn fuzzed_catastrophes_replay_and_agree_across_backends() {
     // RECOVERY_CASES random catastrophe configurations (burst fraction,
-    // target, storm window, optional partition), each run under xl:1
-    // twice and xl:2 once: all three traces identical, and the enabled
-    // arm never orphans. Nightly CI turns the count up.
+    // target, storm window, optional partition), each run under xl
+    // twice and xl:fast:2 once: all three traces identical, and the
+    // enabled arm never orphans. Nightly CI turns the count up.
     let cases = env_usize_knob("RECOVERY_CASES", 6, 1, 10_000)
         .unwrap_or_else(|e| panic!("RECOVERY_CASES: {e}"));
     let mut plan_rng = ChaCha8Rng::seed_from_u64(0x4EC_FA55);
@@ -293,11 +283,11 @@ fn fuzzed_catastrophes_replay_and_agree_across_backends() {
                 )
             })
         };
-        let a = run(Backend::parity(1));
-        let b = run(Backend::parity(1));
-        let c = run(Backend::parity(2));
+        let a = run(Backend::Parity);
+        let b = run(Backend::Parity);
+        let c = run(Backend::fast(2));
         assert_eq!(a, b, "case {case} (seed {seed:#x}): replay diverged");
-        assert_eq!(a, c, "case {case} (seed {seed:#x}): xl:2 diverged");
+        assert_eq!(a, c, "case {case} (seed {seed:#x}): xl:fast:2 diverged");
         assert_eq!(a.2 .2, 0, "case {case} (seed {seed:#x}): enabled arm orphaned");
     }
 }
