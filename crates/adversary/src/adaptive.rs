@@ -20,10 +20,11 @@
 //! runners drive harnessed strategies, composite campaigns and recorded
 //! [`crate::shrink::ReplayAdversary`] traces interchangeably.
 
-use crate::lateness::{LateView, TopologyHistory, TopologySnapshot};
+use crate::lateness::{LateView, SharedSnapshot, TopologyHistory, TopologySnapshot};
 use overlay_graphs::sparsest_vertex_cut;
 use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 use telemetry::{EventKind, Telemetry};
 
 /// Round-stepped adversary interface: the runner shows the adversary the
@@ -33,7 +34,7 @@ pub trait Attacker {
     /// Record the current topology; called every round before [`block`].
     ///
     /// [`block`]: Attacker::block
-    fn observe(&mut self, snap: TopologySnapshot);
+    fn observe(&mut self, snap: SharedSnapshot);
     /// The nodes to block this round; `n_current` defines the budget.
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet;
     /// Human-readable label for experiment tables and repro files.
@@ -41,7 +42,7 @@ pub trait Attacker {
 }
 
 impl<A: Attacker + ?Sized> Attacker for Box<A> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         (**self).observe(snap);
     }
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
@@ -177,12 +178,23 @@ fn group_separator(view: &TopologySnapshot, budget: usize) -> Option<Vec<NodeId>
 /// predicate measures, and a supernode stays alive while any member is
 /// unblocked — so only whole-group silencing cuts anything); explicit-edge
 /// views get the node-level [`sparsest_vertex_cut`]. Either way the answer
-/// is cached against a topology fingerprint, so the search reruns only
-/// when the view actually changes (once per reconfiguration, not once per
-/// round).
+/// is cached, so the search reruns only when the view actually changes
+/// (once per reconfiguration, not once per round): a view that is the
+/// cached shared snapshot itself at the same budget is answered without
+/// looking at it, any other view is matched by a topology fingerprint.
 #[derive(Clone, Debug, Default)]
 pub struct MinCutAttack {
-    cache: Option<(u64, BlockSet)>,
+    cache: Option<MinCutAnswer>,
+}
+
+/// The last answer and what it was computed from. Holding the `Arc` keeps
+/// its allocation alive, so an equal pointer is the same snapshot.
+#[derive(Clone, Debug)]
+struct MinCutAnswer {
+    topo: Arc<TopologySnapshot>,
+    budget: usize,
+    fingerprint: u64,
+    picks: BlockSet,
 }
 
 impl AdaptiveAdversary for MinCutAttack {
@@ -191,21 +203,26 @@ impl AdaptiveAdversary for MinCutAttack {
     }
 
     fn pick(&mut self, view: &LateView<'_>, budget: usize) -> BlockSet {
-        let fp = topology_fingerprint(view, budget);
-        if let Some((cached, picks)) = &self.cache {
-            if *cached == fp {
-                return picks.clone();
-            }
+        let same = |c: &&MinCutAnswer| c.budget == budget && Arc::ptr_eq(&c.topo, &view.topo);
+        if let Some(c) = self.cache.as_ref().filter(same) {
+            return c.picks.clone();
         }
-        let separator = if view.edges.is_empty() && !view.groups.is_empty() {
-            group_separator(view, budget)
-        } else {
-            sparsest_vertex_cut(&view.adjacency(), budget).map(|cut| cut.separator)
+        let fingerprint = topology_fingerprint(view, budget);
+        let picks = match self.cache.take().filter(|c| c.fingerprint == fingerprint) {
+            Some(c) => c.picks,
+            None => {
+                let separator = if view.edges.is_empty() && !view.groups.is_empty() {
+                    group_separator(view, budget)
+                } else {
+                    sparsest_vertex_cut(&view.adjacency(), budget).map(|cut| cut.separator)
+                };
+                let mut out: BTreeSet<NodeId> = separator.into_iter().flatten().collect();
+                fill_low_degree(&mut out, view, budget);
+                BlockSet::from_iter(out)
+            }
         };
-        let mut out: BTreeSet<NodeId> = separator.into_iter().flatten().collect();
-        fill_low_degree(&mut out, view, budget);
-        let picks = BlockSet::from_iter(out);
-        self.cache = Some((fp, picks.clone()));
+        let topo = Arc::clone(&view.topo);
+        self.cache = Some(MinCutAnswer { topo, budget, fingerprint, picks: picks.clone() });
         picks
     }
 }
@@ -435,7 +452,7 @@ impl<S: AdaptiveAdversary> AdaptiveHarness<S> {
 }
 
 impl<S: AdaptiveAdversary> Attacker for AdaptiveHarness<S> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.history.push(snap);
     }
 
@@ -504,11 +521,36 @@ mod tests {
     #[test]
     fn min_cut_finds_the_barbell_bridge() {
         let mut h = AdaptiveHarness::new(MinCutAttack::default(), 0.2, 0);
-        h.observe(barbell_snapshot(0, 8));
+        h.observe(barbell_snapshot(0, 8).into());
         let b = h.block(0, 16);
         // Budget 3; the bridge endpoints are the only 1-node separators.
         assert!(b.contains(NodeId(7)) || b.contains(NodeId(8)), "bridge must be cut: {b:?}");
         assert!(b.within_bound(0.2, 16));
+    }
+
+    #[test]
+    fn min_cut_answers_a_shared_snapshot_from_its_cache() {
+        // One `Arc` observed round after round answers exactly like a fresh
+        // copy per round, and the cache keeps that `Arc` (so the pointer it
+        // compares cannot be recycled).
+        let shared = Arc::new(barbell_snapshot(0, 8));
+        let mut by_arc = AdaptiveHarness::new(MinCutAttack::default(), 0.2, 1);
+        let mut by_copy = AdaptiveHarness::new(MinCutAttack::default(), 0.2, 1);
+        for r in 0..8 {
+            by_arc.observe(SharedSnapshot::new(r, Arc::clone(&shared)));
+            by_copy.observe(barbell_snapshot(r, 8).into());
+            // The budget moves with `n`: equal answers across a budget change
+            // too (the fingerprint covers the budget).
+            let n = 16 + (r as usize / 4) * 10;
+            assert_eq!(by_arc.block(r, n), by_copy.block(r, n), "round {r}");
+        }
+        let cached = by_arc.strategy.cache.as_ref().expect("answered");
+        assert!(Arc::ptr_eq(&cached.topo, &shared));
+        assert_eq!(cached.budget, (0.2 * 26.0) as usize);
+        // Copies with the same content are matched by fingerprint, and the
+        // cache moves to the copy it last answered.
+        let seen = by_copy.history.view(7).expect("a view").seen.topo.clone();
+        assert!(Arc::ptr_eq(&by_copy.strategy.cache.as_ref().expect("answered").topo, &seen));
     }
 
     #[test]
@@ -525,7 +567,7 @@ mod tests {
             group_edges: vec![(0, 1), (1, 2)],
         };
         let mut h = AdaptiveHarness::new(MinCutAttack::default(), 0.4, 0);
-        h.observe(snap);
+        h.observe(snap.into());
         let b = h.block(0, 9);
         assert!(groups[1].iter().all(|&v| b.contains(v)), "middle group is the separator: {b:?}");
     }
@@ -541,7 +583,7 @@ mod tests {
             group_edges: Vec::new(),
         };
         let mut h = AdaptiveHarness::new(HighDegreeAttack, 0.11, 0);
-        h.observe(snap);
+        h.observe(snap.into());
         let b = h.block(0, 10);
         assert!(b.contains(NodeId(0)), "the hub must be the first pick");
     }
@@ -550,7 +592,7 @@ mod tests {
     fn oscillation_switches_sides() {
         let mut h = AdaptiveHarness::new(OscillatingPartition { period: 2 }, 0.25, 0);
         let mut at = |r: u64| {
-            h.observe(line_snapshot(r, 20));
+            h.observe(line_snapshot(r, 20).into());
             h.block(r, 20)
         };
         let early = at(1); // round 1/2 = 0 -> even -> lower half
@@ -568,9 +610,9 @@ mod tests {
         // Node 5 vanishes, then reappears.
         let full: Vec<NodeId> = (0..30).map(NodeId).collect();
         let without: Vec<NodeId> = full.iter().copied().filter(|v| v.raw() != 5).collect();
-        h.observe(TopologySnapshot::nodes_only(0, full.clone()));
-        h.observe(TopologySnapshot::nodes_only(1, without));
-        h.observe(TopologySnapshot::nodes_only(2, full));
+        h.observe(TopologySnapshot::nodes_only(0, full.clone()).into());
+        h.observe(TopologySnapshot::nodes_only(1, without).into());
+        h.observe(TopologySnapshot::nodes_only(2, full).into());
         let b = h.block(2, 30);
         assert!(b.contains(NodeId(5)), "the healed node is re-blocked first: {b:?}");
     }
@@ -587,7 +629,7 @@ mod tests {
             }
         }
         let mut h = AdaptiveHarness::new(Greedy, 0.3, 4);
-        h.observe(line_snapshot(0, 10));
+        h.observe(line_snapshot(0, 10).into());
         assert!(h.block(2, 10).is_empty(), "no view is 4 rounds old yet");
         let b = h.block(4, 10);
         assert_eq!(b.len(), 3, "over-budget answers are clamped");
@@ -597,7 +639,7 @@ mod tests {
     fn recording_captures_the_trace() {
         let mut h = AdaptiveHarness::new(HighDegreeAttack, 0.2, 0).recording();
         for r in 0..5 {
-            h.observe(line_snapshot(r, 10));
+            h.observe(line_snapshot(r, 10).into());
             h.block(r, 10);
         }
         assert_eq!(h.trace().len(), 5);
@@ -610,7 +652,7 @@ mod tests {
         let mut h = AdaptiveHarness::new(HighDegreeAttack, 0.2, 0).with_telemetry(tel.clone());
         let mut total = 0;
         for r in 0..5 {
-            h.observe(line_snapshot(r, 10));
+            h.observe(line_snapshot(r, 10).into());
             total += h.block(r, 10).len() as u64;
         }
         let snap = tel.snapshot();

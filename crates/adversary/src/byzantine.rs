@@ -34,7 +34,7 @@
 //! replays identically.
 
 use crate::adaptive::{clamp, node_budget, Attacker};
-use crate::lateness::{TopologyHistory, TopologySnapshot};
+use crate::lateness::{SharedSnapshot, TopologyHistory, TopologySnapshot};
 use simnet::{BlockSet, NodeId};
 use std::collections::BTreeSet;
 use telemetry::{EventKind, Telemetry};
@@ -142,7 +142,7 @@ pub trait ByzCampaign {
     /// campaign can aim the remaining budget at fresh targets.
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         round: u64,
         n_current: usize,
         byz: &BTreeSet<NodeId>,
@@ -156,7 +156,7 @@ pub trait ByzAttacker {
     /// Record the current topology; called every round before [`act`].
     ///
     /// [`act`]: ByzAttacker::act
-    fn observe(&mut self, snap: TopologySnapshot);
+    fn observe(&mut self, snap: SharedSnapshot);
     /// The round's actions; `n_current` defines the budgets.
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions;
     /// Human-readable label for experiment tables.
@@ -164,7 +164,7 @@ pub trait ByzAttacker {
 }
 
 impl<A: ByzAttacker + ?Sized> ByzAttacker for Box<A> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         (**self).observe(snap)
     }
 
@@ -214,7 +214,7 @@ impl ByzCampaign for SybilCampaign {
 
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         _round: u64,
         _n_current: usize,
         _byz: &BTreeSet<NodeId>,
@@ -254,7 +254,7 @@ impl ByzCampaign for ForgeCampaign {
 
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         round: u64,
         _n_current: usize,
         byz: &BTreeSet<NodeId>,
@@ -326,7 +326,7 @@ impl ByzCampaign for EclipseCampaign {
 
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         _round: u64,
         _n_current: usize,
         byz: &BTreeSet<NodeId>,
@@ -379,7 +379,7 @@ impl ByzCampaign for ChaosCampaign {
 
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         round: u64,
         n_current: usize,
         byz: &BTreeSet<NodeId>,
@@ -392,8 +392,7 @@ impl ByzCampaign for ChaosCampaign {
         };
         if let Some(blocker) = &mut self.blocker {
             // The inner attacker keeps its own lateness discipline on top
-            // of the harness's: it is shown the aged view, and
-            // `Attacker::observe` takes its snapshot by value.
+            // of the harness's: it is shown the aged view (a pointer copy).
             blocker.observe(view.clone());
             acts.blocked = blocker.block(round, n_current);
         }
@@ -443,7 +442,7 @@ impl ByzCampaign for ByzFamily {
 
     fn plan(
         &mut self,
-        view: &TopologySnapshot,
+        view: &SharedSnapshot,
         round: u64,
         n_current: usize,
         byz: &BTreeSet<NodeId>,
@@ -520,14 +519,14 @@ impl<C: ByzCampaign> ByzHarness<C> {
 }
 
 impl<C: ByzCampaign> ByzAttacker for ByzHarness<C> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.history.push(snap);
     }
 
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
         let identity_cap = node_budget(self.budget.byz_fraction, n_current);
         let mut acts = match self.history.view(round) {
-            Some(view) => self.campaign.plan(view.topo, round, n_current, &self.spent),
+            Some(view) => self.campaign.plan(view.seen, round, n_current, &self.spent),
             None => ByzActions::default(),
         };
         // Joins-per-round cap, then the global identity budget. Each kept
@@ -566,8 +565,8 @@ impl<C: ByzCampaign> ByzAttacker for ByzHarness<C> {
 mod tests {
     use super::*;
 
-    fn grouped_snapshot(round: u64, groups: &[&[u64]]) -> TopologySnapshot {
-        TopologySnapshot {
+    fn grouped_snapshot(round: u64, groups: &[&[u64]]) -> SharedSnapshot {
+        SharedSnapshot::from(TopologySnapshot {
             round,
             nodes: groups.iter().flat_map(|g| g.iter().copied().map(NodeId)).collect(),
             edges: Vec::new(),
@@ -575,7 +574,7 @@ mod tests {
             group_edges: (0..groups.len().saturating_sub(1))
                 .map(|i| (i as u32, i as u32 + 1))
                 .collect(),
-        }
+        })
     }
 
     #[test]
@@ -646,7 +645,7 @@ mod tests {
             }
             fn plan(
                 &mut self,
-                _view: &TopologySnapshot,
+                _view: &SharedSnapshot,
                 _round: u64,
                 _n: usize,
                 _byz: &BTreeSet<NodeId>,

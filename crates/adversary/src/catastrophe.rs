@@ -22,7 +22,7 @@
 //! step path.
 
 use crate::adaptive::Attacker;
-use crate::lateness::TopologySnapshot;
+use crate::lateness::SharedSnapshot;
 use crate::shrink::{shrink_trace, AdversaryTrace, ShrinkReport};
 use serde_json::Value;
 use simnet::checkpoint::{
@@ -114,7 +114,7 @@ impl<A: Attacker> CatastropheCampaign<A> {
 }
 
 impl<A: Attacker> Attacker for CatastropheCampaign<A> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.inner.observe(snap);
     }
 
@@ -266,6 +266,7 @@ impl CatastropheRepro {
 mod tests {
     use super::*;
     use crate::dos::{DosAdversary, DosStrategy};
+    use crate::lateness::TopologySnapshot;
     use simnet::{BurstTarget, NodeId};
 
     fn bs(ids: &[u64]) -> BlockSet {
@@ -291,6 +292,7 @@ mod tests {
                 groups: vec![],
                 group_edges: vec![],
             };
+            let snap = SharedSnapshot::from(snap);
             bare.observe(snap.clone());
             campaign.observe(snap);
             assert_eq!(bare.block(round, 64), campaign.block(round, 64));

@@ -11,12 +11,14 @@
 //! its polylogarithmically many neighbors.
 
 use crate::adaptive::{AdaptiveAdversary, AdaptiveHarness, Attacker};
-use crate::lateness::{LateView, TopologySnapshot};
+use crate::lateness::{LateView, SharedSnapshot, TopologySnapshot};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use simnet::fault::merge_ascending;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Blocking strategies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +50,21 @@ impl DosStrategy {
 struct ObliviousPicks {
     strategy: DosStrategy,
     rng: NodeRng,
+    /// The group index of the last view picked from, kept with its shared
+    /// snapshot: a structure is indexed once, not once per round.
+    index: Option<(Arc<TopologySnapshot>, GroupIndex)>,
+}
+
+/// The group index of `topo`, rebuilt only when `topo` is not the snapshot
+/// `cache` indexed last.
+fn group_index<'a>(
+    cache: &'a mut Option<(Arc<TopologySnapshot>, GroupIndex)>,
+    topo: &Arc<TopologySnapshot>,
+) -> &'a GroupIndex {
+    if !cache.as_ref().is_some_and(|(seen, _)| Arc::ptr_eq(seen, topo)) {
+        *cache = Some((Arc::clone(topo), GroupIndex::new(&topo.groups)));
+    }
+    &cache.as_ref().expect("indexed just above").1
 }
 
 impl AdaptiveAdversary for ObliviousPicks {
@@ -64,7 +81,10 @@ impl AdaptiveAdversary for ObliviousPicks {
         let picks = match self.strategy {
             DosStrategy::Random => pick_random(view, budget, &mut self.rng),
             DosStrategy::IsolateNode => pick_isolate(view, budget, &mut self.rng),
-            DosStrategy::GroupTargeted => pick_group_targeted(view, budget, &mut self.rng),
+            DosStrategy::GroupTargeted => {
+                let index = group_index(&mut self.index, &view.topo);
+                pick_group_targeted(view, index, budget, &mut self.rng)
+            }
             DosStrategy::Bisection => pick_bisection(view, budget, &mut self.rng),
         };
         BlockSet::from_iter(picks)
@@ -81,7 +101,7 @@ impl DosAdversary {
     /// nodes, seeing topology at least `lateness` rounds old.
     pub fn new(strategy: DosStrategy, bound: f64, lateness: u64, seed: u64) -> Self {
         let rng = simnet::rng::stream(seed, u64::MAX, 0xD05);
-        Self(AdaptiveHarness::new(ObliviousPicks { strategy, rng }, bound, lateness))
+        Self(AdaptiveHarness::new(ObliviousPicks { strategy, rng, index: None }, bound, lateness))
     }
 
     /// The blocking budget fraction `r`.
@@ -95,9 +115,10 @@ impl DosAdversary {
     }
 
     /// Record the current topology (call every round, *before* asking for
-    /// blocks; the history enforces the lateness).
-    pub fn observe(&mut self, snap: TopologySnapshot) {
-        self.0.observe(snap);
+    /// blocks; the history enforces the lateness): an overlay's shared
+    /// snapshot, or a snapshot of its own.
+    pub fn observe(&mut self, snap: impl Into<SharedSnapshot>) {
+        self.0.observe(snap.into());
     }
 
     /// The nodes to block this round. `n_current` is the current network
@@ -108,7 +129,7 @@ impl DosAdversary {
 }
 
 impl Attacker for DosAdversary {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.0.observe(snap);
     }
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
@@ -126,16 +147,9 @@ fn pick_random(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec
     nodes
 }
 
-/// Top `out` up to `budget` with the shuffled members of `pool` that
-/// `taken` does not hold yet.
-fn fill_randomly(
-    out: &mut Vec<NodeId>,
-    taken: &HashSet<NodeId>,
-    pool: impl Iterator<Item = NodeId>,
-    budget: usize,
-    rng: &mut NodeRng,
-) {
-    let mut rest: Vec<NodeId> = pool.filter(|v| !taken.contains(v)).collect();
+/// Top `out` up to `budget` with the shuffled `rest` (the members not
+/// picked yet, in the view's order).
+fn fill_randomly(out: &mut Vec<NodeId>, mut rest: Vec<NodeId>, budget: usize, rng: &mut NodeRng) {
     rest.shuffle(rng);
     while out.len() < budget {
         match rest.pop() {
@@ -165,48 +179,124 @@ fn pick_isolate(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Ve
     }
     // Spend leftover budget randomly.
     let mut out: Vec<NodeId> = blocked.iter().copied().collect();
-    fill_randomly(&mut out, &blocked, view.nodes.iter().copied(), budget, rng);
+    let rest = view.nodes.iter().copied().filter(|v| !blocked.contains(v)).collect();
+    fill_randomly(&mut out, rest, budget, rng);
     out
 }
 
-fn pick_group_targeted(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
+/// The groups of a view as ranks among its distinct members: what the
+/// group-targeted picker marks instead of hashing ids. Built once per
+/// shared snapshot; groups may share ids and list one id twice.
+#[derive(Debug)]
+struct GroupIndex {
+    /// The distinct ids of all groups, ascending.
+    ids: Vec<NodeId>,
+    /// The position in `ids` of every entry of `groups.iter().flatten()`.
+    rank: Vec<u32>,
+    /// Group `g`'s entries are `rank[start[g]..start[g + 1]]`.
+    start: Vec<usize>,
+}
+
+impl GroupIndex {
+    fn new(groups: &[Vec<NodeId>]) -> Self {
+        let mut ids = groups.concat();
+        ids.sort_unstable();
+        ids.dedup();
+        let rank_of = |v: &NodeId| ids.binary_search(v).expect("every member is listed") as u32;
+        let rank = groups.iter().flatten().map(rank_of).collect();
+        let mut start = vec![0];
+        for g in groups {
+            start.push(start[start.len() - 1] + g.len());
+        }
+        Self { ids, rank, start }
+    }
+}
+
+/// `index` must be the [`GroupIndex`] of `view.groups`.
+fn pick_group_targeted(
+    view: &TopologySnapshot,
+    index: &GroupIndex,
+    budget: usize,
+    rng: &mut NodeRng,
+) -> Vec<NodeId> {
     if view.groups.is_empty() {
         // No group structure observed — fall back to isolation.
         return pick_isolate(view, budget, rng);
     }
     let groups = &view.groups;
+    let g = groups.len();
+    // Edges naming a group the view does not list are ignored.
+    let edges: Vec<(usize, usize)> = view
+        .group_edges
+        .iter()
+        .map(|&(a, b)| (a as usize, b as usize))
+        .filter(|&(a, b)| a < g && b < g)
+        .collect();
     // Isolating a group costs the members of all its neighbor groups;
     // choose the victims whose neighborhood is cheapest to block.
-    let mut cost = vec![0usize; groups.len()];
-    for &(a, b) in &view.group_edges {
-        cost[a as usize] += groups[b as usize].len();
-        cost[b as usize] += groups[a as usize].len();
+    let mut cost = vec![0usize; g];
+    for &(a, b) in &edges {
+        cost[a] += groups[b].len();
+        cost[b] += groups[a].len();
     }
-    let mut order: Vec<usize> = (0..groups.len()).collect();
+    let mut order: Vec<usize> = (0..g).collect();
     order.sort_by_key(|&gi| (cost[gi], gi));
     let smallest = groups.iter().map(Vec::len).min().unwrap_or(0);
-    let mut blocked: HashSet<NodeId> = HashSet::new();
+    // The block set is a union of whole groups: each group is added once,
+    // and its entries mark their distinct ids, so `blocked` counts the set
+    // exactly even where groups share ids.
+    let mut added = vec![false; g];
+    let mut taken = vec![false; index.ids.len()];
+    let mut blocked = 0;
+    let mut block = |x: usize, blocked: &mut usize| {
+        if !std::mem::replace(&mut added[x], true) {
+            for &r in &index.rank[index.start[x]..index.start[x + 1]] {
+                *blocked += usize::from(!std::mem::replace(&mut taken[r as usize], true));
+            }
+        }
+    };
     for gi in order {
-        if cost[gi] == 0 || blocked.len() + cost[gi] > budget {
+        if cost[gi] == 0 || blocked + cost[gi] > budget {
             continue;
         }
-        for &(a, b) in &view.group_edges {
-            if a as usize == gi {
-                blocked.extend(&groups[b as usize]);
+        for &(a, b) in &edges {
+            if a == gi {
+                block(b, &mut blocked);
             }
-            if b as usize == gi {
-                blocked.extend(&groups[a as usize]);
+            if b == gi {
+                block(a, &mut blocked);
             }
         }
-        if blocked.len() + smallest > budget {
+        if blocked + smallest > budget {
             break;
         }
     }
-    // Leftover budget: block the largest half-groups to maximize the chance
-    // some group loses all members.
-    let mut out: Vec<NodeId> = blocked.iter().copied().collect();
-    fill_randomly(&mut out, &blocked, groups.iter().flatten().copied(), budget, rng);
-    out
+    // Leftover budget: filled at random from the entries not blocked yet.
+    // Both lists are compacted without a branch per entry: every entry is
+    // written, and the cursor only moves past the ones that stay.
+    let mut out = vec![NodeId(0); blocked + 1];
+    let mut at = 0;
+    for (&v, &t) in index.ids.iter().zip(&taken) {
+        out[at] = v;
+        at += usize::from(t);
+    }
+    out.truncate(at);
+    let mut rest = vec![NodeId(0); index.rank.len() + 1];
+    let mut at = 0;
+    for (&v, &r) in groups.iter().flatten().zip(&index.rank) {
+        rest[at] = v;
+        at += usize::from(!taken[r as usize]);
+    }
+    rest.truncate(at);
+    fill_randomly(&mut out, rest, budget, rng);
+    // Ascending for the block set: the blocked ids already are, and the
+    // random tail merges in.
+    let mut tail = out.split_off(blocked);
+    tail.sort_unstable();
+    tail.dedup();
+    let mut picks = Vec::with_capacity(out.len() + tail.len());
+    picks.extend(merge_ascending(out, tail));
+    picks
 }
 
 fn pick_bisection(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> Vec<NodeId> {
@@ -240,9 +330,13 @@ fn pick_bisection(view: &TopologySnapshot, budget: usize, rng: &mut NodeRng) -> 
     boundary.truncate(budget);
     // Leftover: random fills.
     let taken: HashSet<NodeId> = boundary.iter().copied().collect();
-    fill_randomly(&mut boundary, &taken, view.nodes.iter().copied(), budget, rng);
+    let rest = view.nodes.iter().copied().filter(|v| !taken.contains(v)).collect();
+    fill_randomly(&mut boundary, rest, budget, rng);
     boundary
 }
+
+#[cfg(test)]
+mod picker_diff;
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 //! The DoS adversary of the paper may base its blocking decisions **only on
 //! the topology of the overlay network**, and a `t`-late adversary only on
 //! topology that is at least `t` rounds old. Every harness in this crate
-//! pushes one [`TopologySnapshot`] per round into a [`TopologyHistory`] and
+//! pushes one [`SharedSnapshot`] per round into a [`TopologyHistory`] and
 //! reads the topology back only through [`TopologyHistory::view`] — the one
 //! place that decides what a `t`-late attacker may see — so a strategy
 //! physically cannot read fresher state.
@@ -13,6 +13,7 @@ use serde::{Deserialize, Serialize};
 use simnet::NodeId;
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What the adversary may see: node set, overlay edges, and (if the overlay
 /// is group-structured like Sections 5/6) the group composition and
@@ -64,15 +65,54 @@ impl TopologySnapshot {
     }
 }
 
-/// What [`TopologyHistory::view`] hands out: the newest snapshot old enough
-/// to be seen, and the snapshot pushed just before it. Dereferences to the
-/// visible [`TopologySnapshot`].
+/// One observation: the round it was made in and the topology seen, shared.
+///
+/// An overlay builds its [`TopologySnapshot`] once per structural change
+/// and hands out clones of one `Arc` until the next change, so observing an
+/// unchanged structure — and keeping a `t + 2`-deep history of it — copies
+/// pointers, not topologies. `round` is the observation's round; the
+/// snapshot's own `round` is the round it was built in, which for a shared
+/// snapshot may be older. Dereferences to the snapshot.
+#[derive(Clone, Debug)]
+pub struct SharedSnapshot {
+    /// Round the observation was made in.
+    pub round: u64,
+    /// The topology seen.
+    pub topo: Arc<TopologySnapshot>,
+}
+
+impl SharedSnapshot {
+    /// An observation of `topo` made in `round`.
+    pub fn new(round: u64, topo: Arc<TopologySnapshot>) -> Self {
+        Self { round, topo }
+    }
+}
+
+impl From<TopologySnapshot> for SharedSnapshot {
+    /// A snapshot of its own, observed in the round it was taken in.
+    fn from(snap: TopologySnapshot) -> Self {
+        Self { round: snap.round, topo: Arc::new(snap) }
+    }
+}
+
+impl std::ops::Deref for SharedSnapshot {
+    type Target = TopologySnapshot;
+
+    fn deref(&self) -> &TopologySnapshot {
+        &self.topo
+    }
+}
+
+/// What [`TopologyHistory::view`] hands out: the newest observation old
+/// enough to be seen, and the observation pushed just before it.
+/// Dereferences to the visible [`SharedSnapshot`], so `view.round` is the
+/// round the visible observation was made in.
 #[derive(Clone, Copy, Debug)]
 pub struct LateView<'a> {
-    /// The visible snapshot.
-    pub topo: &'a TopologySnapshot,
-    /// Its predecessor in push order (`None` for the first snapshot ever).
-    pub prev: Option<&'a TopologySnapshot>,
+    /// The visible observation.
+    pub seen: &'a SharedSnapshot,
+    /// Its predecessor in push order (`None` for the first push ever).
+    pub prev: Option<&'a SharedSnapshot>,
 }
 
 impl LateView<'_> {
@@ -81,26 +121,31 @@ impl LateView<'_> {
     /// "follow the healer" strategy hunts.
     pub fn rejoined(&self) -> Vec<NodeId> {
         let Some(prev) = self.prev else { return Vec::new() };
+        if Arc::ptr_eq(&prev.topo, &self.seen.topo) {
+            return Vec::new();
+        }
         let before = prev.members();
-        let mut out = self.topo.members().into_owned();
+        let mut out = self.seen.members().into_owned();
         out.retain(|v| before.binary_search(v).is_err());
         out
     }
 }
 
 impl std::ops::Deref for LateView<'_> {
-    type Target = TopologySnapshot;
+    type Target = SharedSnapshot;
 
-    fn deref(&self) -> &TopologySnapshot {
-        self.topo
+    fn deref(&self) -> &SharedSnapshot {
+        self.seen
     }
 }
 
-/// The lateness gate: a queue of snapshots serving exactly-`t`-late views.
+/// The lateness gate: a queue of observations serving exactly-`t`-late
+/// views, one entry per push (an unchanged structure pushed every round is
+/// one entry per round, all sharing its `Arc`).
 #[derive(Clone, Debug, Default)]
 pub struct TopologyHistory {
     lateness: u64,
-    buf: VecDeque<TopologySnapshot>,
+    buf: VecDeque<SharedSnapshot>,
 }
 
 impl TopologyHistory {
@@ -115,7 +160,7 @@ impl TopologyHistory {
         self.lateness
     }
 
-    /// Record the current topology. Snapshots must be pushed in
+    /// Record the current topology. Observations must be pushed in
     /// nondecreasing round order.
     ///
     /// Prunes as it goes: a snapshot whose successor is already `t` rounds
@@ -124,7 +169,7 @@ impl TopologyHistory {
     /// most `t + 2` snapshots, whether or not anybody calls [`view`].
     ///
     /// [`view`]: TopologyHistory::view
-    pub fn push(&mut self, snap: TopologySnapshot) {
+    pub fn push(&mut self, snap: SharedSnapshot) {
         if let Some(last) = self.buf.back() {
             assert!(snap.round >= last.round, "snapshots must be pushed in round order");
         }
@@ -142,7 +187,7 @@ impl TopologyHistory {
     pub fn view(&self, current_round: u64) -> Option<LateView<'_>> {
         let cutoff = current_round.checked_sub(self.lateness)?;
         let i = self.buf.partition_point(|s| s.round <= cutoff).checked_sub(1)?;
-        Some(LateView { topo: &self.buf[i], prev: i.checked_sub(1).map(|j| &self.buf[j]) })
+        Some(LateView { seen: &self.buf[i], prev: i.checked_sub(1).map(|j| &self.buf[j]) })
     }
 
     /// Number of retained snapshots.
@@ -160,8 +205,8 @@ impl TopologyHistory {
 mod tests {
     use super::*;
 
-    fn snap(round: u64) -> TopologySnapshot {
-        TopologySnapshot::nodes_only(round, vec![NodeId(round)])
+    fn snap(round: u64) -> SharedSnapshot {
+        TopologySnapshot::nodes_only(round, vec![NodeId(round)]).into()
     }
 
     fn ring(round: u64, n: u64) -> TopologySnapshot {
@@ -190,7 +235,7 @@ mod tests {
     fn buffer_enforces_lateness() {
         let mut h = TopologyHistory::new(4);
         for r in 0..10 {
-            h.push(ring(r, 3));
+            h.push(ring(r, 3).into());
         }
         // At round 10, the freshest permissible snapshot is round 6, and
         // its predecessor is still there to diff against.
@@ -211,7 +256,7 @@ mod tests {
     fn zero_lateness_sees_current_round() {
         let mut h = TopologyHistory::new(0);
         for r in 0..8 {
-            h.push(ring(r, 3));
+            h.push(ring(r, 3).into());
             assert_eq!(h.view(r).unwrap().round, r);
         }
         assert!(h.len() <= 2);
@@ -244,7 +289,7 @@ mod tests {
         for lateness in [0, 1, 7] {
             let mut h = TopologyHistory::new(lateness);
             for r in 0..10_000 {
-                h.push(ring(r, 2));
+                h.push(ring(r, 2).into());
                 assert!(h.len() as u64 <= lateness + 2, "kept {} at t={lateness}", h.len());
             }
             assert_eq!(h.view(10_000).unwrap().round, 10_000 - lateness.max(1));
@@ -255,13 +300,51 @@ mod tests {
     fn rejoined_is_the_diff_against_the_predecessor() {
         let ids = |v: &[u64]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
         let mut h = TopologyHistory::new(1);
-        h.push(TopologySnapshot::nodes_only(0, ids(&[4, 2, 9])));
-        h.push(TopologySnapshot::nodes_only(1, ids(&[9, 4])));
+        h.push(TopologySnapshot::nodes_only(0, ids(&[4, 2, 9])).into());
+        h.push(TopologySnapshot::nodes_only(1, ids(&[9, 4])).into());
         assert!(h.view(1).unwrap().rejoined().is_empty(), "the first snapshot has no predecessor");
-        h.push(TopologySnapshot::nodes_only(2, ids(&[7, 9, 2, 4])));
+        h.push(TopologySnapshot::nodes_only(2, ids(&[7, 9, 2, 4])).into());
         assert!(h.view(2).unwrap().rejoined().is_empty(), "round 1 only lost a member");
-        h.push(TopologySnapshot::nodes_only(3, ids(&[4])));
+        h.push(TopologySnapshot::nodes_only(3, ids(&[4])).into());
         assert_eq!(h.view(3).unwrap().rejoined(), ids(&[2, 7]));
+    }
+
+    #[test]
+    fn one_arc_pushed_every_round_serves_what_fresh_copies_serve() {
+        // A shared overlay pushes one `Arc` per structure, round after
+        // round; a fresh copy per round is the reference.
+        let ids = |v: &[u64]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let structures = [ids(&[3, 1, 2]), ids(&[2, 3, 1, 7]), ids(&[7, 5]), ids(&[5, 7])];
+        for lateness in [0, 1, 3, 6] {
+            let mut fresh = TopologyHistory::new(lateness);
+            let mut shared = TopologyHistory::new(lateness);
+            let mut current = Arc::new(TopologySnapshot::default());
+            for r in 0..40u64 {
+                // The structure changes every fifth round, sometimes twice
+                // in a row in content only (`[7, 5]` then `[5, 7]`).
+                let nodes = &structures[(r / 5 % 4) as usize];
+                if r % 5 == 0 {
+                    current = Arc::new(TopologySnapshot::nodes_only(r, nodes.clone()));
+                }
+                fresh.push(TopologySnapshot::nodes_only(r, nodes.clone()).into());
+                shared.push(SharedSnapshot::new(r, Arc::clone(&current)));
+                assert_eq!(fresh.len(), shared.len(), "one entry per push");
+                for asked in r.saturating_sub(3)..=r + 3 {
+                    let seen = |v: LateView<'_>| {
+                        (v.round, v.prev.map(|p| p.round), v.rejoined(), v.members().into_owned())
+                    };
+                    assert_eq!(
+                        fresh.view(asked).map(seen),
+                        shared.view(asked).map(seen),
+                        "t = {lateness}, pushed {r}, asked {asked}"
+                    );
+                }
+            }
+            // Up to `t + 2` entries, but only the structures they span.
+            let changes = shared.buf.iter().zip(shared.buf.iter().skip(1));
+            let distinct = 1 + changes.filter(|(a, b)| !Arc::ptr_eq(&a.topo, &b.topo)).count();
+            assert!(distinct <= 2, "t = {lateness}: {distinct} topologies kept");
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 use serde_json::{json, Value};
 
 use crate::dos::{DosAdversary, DosStrategy};
-use crate::lateness::TopologySnapshot;
+use crate::lateness::{SharedSnapshot, TopologySnapshot};
 use simnet::NodeId;
+use std::sync::Arc;
 
 /// The DoS half of a campaign: which attacker, how much budget, how stale
 /// its view is.
@@ -198,6 +199,8 @@ impl CampaignSpec {
             .as_ref()
             .map(|d| DosAdversary::new(d.strategy, d.bound, d.lateness, self.seed));
         let mut alive: Vec<u64> = (0..n0).collect();
+        // The membership as the attacker sees it, shared until it changes.
+        let mut topo: Option<Arc<TopologySnapshot>> = None;
         let mut steps = Vec::with_capacity(self.rounds as usize);
         for round in 0..self.rounds {
             let kills: Vec<u64> =
@@ -206,12 +209,16 @@ impl CampaignSpec {
                 self.joins.iter().filter(|&&(r, _)| r == round).map(|&(_, n)| n).collect();
             alive.retain(|node| !kills.contains(node));
             alive.extend(&joins);
+            if !kills.is_empty() || !joins.is_empty() {
+                topo = None;
+            }
             let blocked = match attacker.as_mut() {
                 Some(adv) => {
-                    adv.observe(TopologySnapshot::nodes_only(
-                        round,
-                        alive.iter().map(|&n| NodeId(n)).collect(),
-                    ));
+                    let nodes = || alive.iter().map(|&n| NodeId(n)).collect();
+                    let topo = topo.get_or_insert_with(|| {
+                        Arc::new(TopologySnapshot::nodes_only(round, nodes()))
+                    });
+                    adv.observe(SharedSnapshot::new(round, Arc::clone(topo)));
                     let set = adv.block(round, alive.len());
                     let mut picks: Vec<u64> =
                         alive.iter().copied().filter(|&node| set.contains(NodeId(node))).collect();

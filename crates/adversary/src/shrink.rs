@@ -21,7 +21,7 @@
 //! parameters as a replayable JSON file.
 
 use crate::adaptive::Attacker;
-use crate::lateness::TopologySnapshot;
+use crate::lateness::SharedSnapshot;
 use serde_json::Value;
 use simnet::checkpoint::{
     f64_bits, get_f64_bits, get_str, get_u64, get_usize, missing, read_value, write_value_atomic,
@@ -119,7 +119,7 @@ impl ReplayAdversary {
 }
 
 impl Attacker for ReplayAdversary {
-    fn observe(&mut self, _snap: TopologySnapshot) {}
+    fn observe(&mut self, _snap: SharedSnapshot) {}
 
     fn block(&mut self, round: u64, _n_current: usize) -> BlockSet {
         self.trace.rounds.get(round as usize).cloned().unwrap_or_else(BlockSet::none)
@@ -372,7 +372,7 @@ mod tests {
     fn replay_adversary_echoes_the_trace() {
         let t = AdversaryTrace::new(vec![set(&[3]), set(&[4, 5])]);
         let mut replay = ReplayAdversary::new(t);
-        replay.observe(TopologySnapshot::nodes_only(0, vec![NodeId(0)]));
+        replay.observe(crate::lateness::TopologySnapshot::nodes_only(0, vec![NodeId(0)]).into());
         assert_eq!(replay.block(0, 10), set(&[3]));
         assert_eq!(replay.block(1, 10), set(&[4, 5]));
         assert!(replay.block(2, 10).is_empty(), "past the trace end nothing is blocked");

@@ -18,7 +18,7 @@
 use crate::adaptive::{clamp, node_budget, AdaptiveHarness, AdaptiveStrategy, Attacker};
 use crate::churn::{ChurnSchedule, ChurnStrategy};
 use crate::dos::{DosAdversary, DosStrategy};
-use crate::lateness::TopologySnapshot;
+use crate::lateness::SharedSnapshot;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
 use std::collections::BTreeSet;
@@ -53,11 +53,11 @@ impl ChurnBlocker {
 }
 
 impl Attacker for ChurnBlocker {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         // The logical population seeds itself from the first snapshot and
         // evolves under the schedule from then on.
         if self.members.is_empty() {
-            self.members = snap.nodes;
+            self.members.clone_from(&snap.nodes);
         }
     }
 
@@ -172,10 +172,17 @@ impl Campaign {
     pub fn preset_names() -> &'static [&'static str] {
         &["none", "a5", "a6", "a5+a6", "churn+dos"]
     }
+
+    /// Show every member the current topology: an overlay's shared
+    /// snapshot, or a snapshot of its own ([`Attacker::observe`] with the
+    /// conversion spelled out).
+    pub fn observe(&mut self, snap: impl Into<SharedSnapshot>) {
+        Attacker::observe(self, snap.into());
+    }
 }
 
 impl Attacker for Campaign {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         for m in &mut self.members {
             m.observe(snap.clone());
         }
@@ -208,8 +215,8 @@ impl Attacker for Campaign {
 mod tests {
     use super::*;
 
-    fn snap(round: u64, n: u64) -> TopologySnapshot {
-        TopologySnapshot::nodes_only(round, (0..n).map(NodeId).collect())
+    fn snap(round: u64, n: u64) -> SharedSnapshot {
+        crate::lateness::TopologySnapshot::nodes_only(round, (0..n).map(NodeId).collect()).into()
     }
 
     fn drive(c: &mut Campaign, rounds: u64, n: u64) -> Vec<BlockSet> {

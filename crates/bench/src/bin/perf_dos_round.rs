@@ -9,8 +9,9 @@
 //! epochs, loss 0.2, crash hazard 0.002 per round, recovery after two
 //! epochs, at most 10 % down, healing on, a 2t-late `GroupTargeted`
 //! attacker at r = 0.3 with its budget judged) and reads a clock at every
-//! section boundary of every round: the attack prologue (snapshot, observe,
-//! block, budget check) around [`attack_round`], the seven sections of
+//! section boundary of every round: the three steps of the attack prologue
+//! that [`attack_round`](reconfig_core::healing::attack_round) runs (the overlay's snapshot, the attacker's
+//! observe and pick, the budget judge), then the seven sections of
 //! [`FaultyRunner::step_timed`] from its `lap` callback. Prints microseconds
 //! per round (a repetition's total over its rounds, so the per-epoch work —
 //! staleness, the reconfiguration and its broadcast draws — is spread over
@@ -27,7 +28,7 @@ use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::faults::FaultSchedule;
 use reconfig_bench::{cpu_model, host_cpus, median, RunError, Table};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{attack_round, FaultyRunner, HealingParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use std::time::Instant;
 
 /// The attacker's budget, declared to the monitor as well.
@@ -35,8 +36,10 @@ const DOS_BOUND: f64 = 0.3;
 
 /// Sections of one round in execution order: the prologue this binary
 /// times itself, then the names `step_timed` reports.
-const SECTIONS: [&str; 8] = [
-    "attack prologue",
+const SECTIONS: [&str; 10] = [
+    "snapshot",
+    "observe + pick",
+    "budget judge",
     "membership",
     "crash draws",
     "retries + staleness",
@@ -74,22 +77,28 @@ fn fingerprint(runner: &FaultyRunner<DosOverlay>) -> [u64; 7] {
 }
 
 /// One repetition: seconds spent in each section, and the fingerprint.
-fn timed_rep(n: usize, epochs: u64, seed: u64) -> ([f64; 8], [u64; 7], u64) {
+fn timed_rep(n: usize, epochs: u64, seed: u64) -> ([f64; 10], [u64; 7], u64) {
     let (mut runner, mut adversary, rounds) = build(n, epochs, seed);
-    let mut spent = [0.0f64; 8];
+    let mut spent = [0.0f64; 10];
     for _ in 0..rounds {
         let mut last = Instant::now();
-        let blocked =
-            attack_round(&runner.overlay, &mut adversary, Some((&mut runner.monitor, DOS_BOUND)));
         let mut slot = 0;
         let mut lap = |name: &'static str| {
             let now = Instant::now();
             spent[slot] += (now - last).as_secs_f64();
             last = now;
-            assert_eq!(SECTIONS[slot], name, "step_timed reports its sections in order");
+            assert_eq!(SECTIONS[slot], name, "sections are reported in order");
             slot += 1;
         };
-        lap(SECTIONS[0]);
+        // `attack_round`, one lap per step.
+        let (round, n) = (runner.overlay.round(), runner.overlay.len());
+        let snap = runner.overlay.snapshot(round);
+        lap("snapshot");
+        adversary.observe(snap);
+        let blocked = adversary.block(round, n);
+        lap("observe + pick");
+        runner.monitor.check_budget(round, &blocked, DOS_BOUND, n);
+        lap("budget judge");
         runner.step_timed(&blocked, &mut lap);
         assert_eq!(slot, SECTIONS.len(), "every section of the round was reported");
     }

@@ -4,11 +4,12 @@ use crate::churndos::splitmerge::{target_dim, LabeledGroups, SizeBand};
 use crate::config::{SamplingParams, Schedule};
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use overlay_adversary::churn::ChurnEvent;
-use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::prefix::Label;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 use telemetry::{EventKind, Telemetry};
 
 /// Parameters of the Section 6 overlay.
@@ -43,6 +44,10 @@ pub struct ChurnDosOverlay {
     pending_joins: Vec<(NodeId, NodeId)>,
     pending_leaves: Vec<NodeId>,
     rng: NodeRng,
+    /// The adversary's snapshot of `groups`, built on the first
+    /// [`snapshot`](Self::snapshot) after a change (an eviction or a
+    /// reconfiguration) and shared until the next; never checkpointed.
+    shared: OnceLock<Arc<TopologySnapshot>>,
     /// Pure observability: never consulted by the protocol, excluded from
     /// `state_digest` and from checkpoints.
     tel: Telemetry,
@@ -76,6 +81,7 @@ impl ChurnDosOverlay {
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
             rng,
+            shared: OnceLock::new(),
             tel: Telemetry::disabled(),
         }
     }
@@ -143,7 +149,9 @@ impl ChurnDosOverlay {
     /// members simply stop treating it as one of them. Any pending leave
     /// for the node becomes a no-op at the boundary.
     pub fn evict(&mut self, v: NodeId) {
-        self.groups.remove(v);
+        if self.groups.remove(v) {
+            self.shared.take();
+        }
         self.tel.emit(self.round, EventKind::Eviction, Some(v.raw()), 0, String::new);
     }
 
@@ -276,6 +284,7 @@ impl ChurnDosOverlay {
         self.groups
             .rebalance(self.band, &mut self.rng)
             .expect("population within Equation 1's reachable regime");
+        self.shared.take();
     }
 
     /// Stable fingerprint of the full overlay state: round/epoch counters,
@@ -320,8 +329,16 @@ impl ChurnDosOverlay {
         d.finish()
     }
 
-    /// Topology snapshot for the adversary (groups + supernode adjacency).
-    pub fn snapshot(&self, round: u64) -> TopologySnapshot {
+    /// Topology snapshot for the adversary (groups + supernode adjacency),
+    /// observed in `round`. Built — the `O(G^2)` label-pair scan included —
+    /// on the first call after a change, with that call's round as its
+    /// own, and shared until the next change.
+    pub fn snapshot(&self, round: u64) -> SharedSnapshot {
+        let topo = self.shared.get_or_init(|| Arc::new(self.build_snapshot(round)));
+        SharedSnapshot::new(round, Arc::clone(topo))
+    }
+
+    fn build_snapshot(&self, round: u64) -> TopologySnapshot {
         let labels: Vec<&Label> = self.groups.iter().map(|(l, _)| l).collect();
         let groups: Vec<Vec<NodeId>> = self.groups.iter().map(|(_, g)| g.clone()).collect();
         let mut group_edges = Vec::new();
@@ -414,6 +431,7 @@ impl simnet::Checkpoint for ChurnDosOverlay {
             pending_joins,
             pending_leaves: get_vec(v, "pending_leaves")?,
             rng: NodeRng::load(field(v, "rng")?)?,
+            shared: OnceLock::new(),
             tel: Telemetry::disabled(),
         };
         let stamped = get_u64(v, "digest_stamp")?;
@@ -446,7 +464,7 @@ impl crate::healing::HealableOverlay for ChurnDosOverlay {
     fn failed_epochs(&self) -> u64 {
         self.failed_epochs
     }
-    fn snapshot(&self, round: u64) -> TopologySnapshot {
+    fn snapshot(&self, round: u64) -> SharedSnapshot {
         self.snapshot(round)
     }
     fn step_overlay(&mut self, blocked: &BlockSet) -> DosRoundMetrics {

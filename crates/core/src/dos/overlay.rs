@@ -1,12 +1,11 @@
 //! The epoch loop of the DoS-resistant overlay.
 
-use crate::config::{log2_ceil, SamplingParams, Schedule};
+use crate::config::{SamplingParams, Schedule};
 use crate::dos::supernode::GroupedNetwork;
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use overlay_adversary::adaptive::Attacker;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
-use std::collections::HashMap;
 use telemetry::{EventKind, Telemetry};
 
 /// Parameters of the Section 5 overlay.
@@ -107,7 +106,7 @@ impl DosOverlay {
     /// boundaries (when the epoch's availability precondition held).
     pub fn step(&mut self, blocked: &BlockSet) -> DosRoundMetrics {
         self.round += 1;
-        let avail = self.grouped.available_per_group(&self.prev_blocked, blocked);
+        let (avail, unblocked) = self.grouped.counts_under(&self.prev_blocked, blocked);
         // Empty groups (possible only after self-healing evictions; never
         // in a paper-model run) cannot starve — the min is over occupied
         // groups.
@@ -125,7 +124,7 @@ impl DosOverlay {
         let metrics = DosRoundMetrics {
             round: self.round,
             blocked: blocked.len(),
-            connected: self.grouped.connected_under(blocked),
+            connected: self.grouped.connected_given(&unblocked),
             min_group_available: min_avail,
             min_group_size: min_size,
             max_group_size: max_size,
@@ -229,11 +228,6 @@ impl DosOverlay {
         Some(x)
     }
 
-    /// The group sizes as a map (diagnostics for Lemma 16 experiments).
-    pub fn group_sizes(&self) -> HashMap<u64, usize> {
-        self.grouped.groups().iter().enumerate().map(|(x, g)| (x as u64, g.len())).collect()
-    }
-
     /// Stable fingerprint of the full overlay state: round/epoch counters
     /// and the group assignment (group index, size, sorted members).
     /// Golden tests pin the sequence of these across rounds.
@@ -276,13 +270,6 @@ impl DosOverlay {
 pub fn blocking_budget(n: usize, epsilon: f64) -> usize {
     assert!(epsilon > 0.0 && epsilon <= 0.5);
     ((0.5 - epsilon) * n as f64).floor() as usize
-}
-
-/// Convenience: the paper's lateness requirement `2t` for an overlay of
-/// `n` nodes (`t` = epoch length).
-pub fn required_lateness(n: usize, params: &DosParams) -> u64 {
-    let _ = log2_ceil(n); // n sanity (panics on 0)
-    2 * DosOverlay::epoch_len_for(n, params)
 }
 
 impl simnet::Checkpoint for DosOverlay {
@@ -349,7 +336,7 @@ impl crate::healing::HealableOverlay for DosOverlay {
     fn failed_epochs(&self) -> u64 {
         self.failed_epochs
     }
-    fn snapshot(&self, round: u64) -> overlay_adversary::lateness::TopologySnapshot {
+    fn snapshot(&self, round: u64) -> overlay_adversary::lateness::SharedSnapshot {
         self.grouped().snapshot(round)
     }
     fn step_overlay(&mut self, blocked: &BlockSet) -> DosRoundMetrics {

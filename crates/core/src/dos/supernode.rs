@@ -1,9 +1,10 @@
 //! Supernodes and groups of representatives.
 
-use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::Hypercube;
 use rand::{Rng, RngExt};
 use simnet::{BlockSet, NodeId};
+use std::sync::{Arc, OnceLock};
 
 /// A population of nodes partitioned into groups, one per supernode of a
 /// binary hypercube. The physical topology is: intra-group cliques plus
@@ -18,6 +19,10 @@ use simnet::{BlockSet, NodeId};
 /// these block sets" question one merge walk against the sorted
 /// [`BlockSet`]s. `insert` and `remove` shift its tail, which evictions
 /// and rejoins — a handful per round — can afford.
+///
+/// The adversary's [`TopologySnapshot`] of the partition is built on the
+/// first [`snapshot`](Self::snapshot) after a change and shared until the
+/// next `insert` or `remove`.
 #[derive(Clone, Debug)]
 pub struct GroupedNetwork {
     cube: Hypercube,
@@ -25,6 +30,8 @@ pub struct GroupedNetwork {
     groups: Vec<Vec<NodeId>>,
     /// Inverse map: `(node, its supernode)`, strictly ascending by node.
     assign: Vec<(NodeId, u64)>,
+    /// The snapshot of this partition, once somebody asked for it.
+    shared: OnceLock<Arc<TopologySnapshot>>,
 }
 
 impl GroupedNetwork {
@@ -55,7 +62,7 @@ impl GroupedNetwork {
         }
         assign.sort_unstable();
         assert!(assign.windows(2).all(|w| w[0].0 < w[1].0), "a node listed twice");
-        Self { cube, groups, assign }
+        Self { cube, groups, assign, shared: OnceLock::new() }
     }
 
     /// The hypercube of supernodes.
@@ -110,6 +117,7 @@ impl GroupedNetwork {
             Ok(at) => {
                 let (_, x) = self.assign.remove(at);
                 self.groups[x as usize].retain(|&u| u != v);
+                self.shared.take();
                 true
             }
             Err(_) => false,
@@ -125,6 +133,7 @@ impl GroupedNetwork {
             Err(at) => self.assign.insert(at, (v, x)),
         }
         self.groups[x as usize].push(v);
+        self.shared.take();
     }
 
     /// Smallest and largest group size (Lemma 16 quantities).
@@ -134,10 +143,13 @@ impl GroupedNetwork {
         (min, max)
     }
 
-    /// Per-group count of members in neither ascending id run: one walk
-    /// over the id-sorted inverse map with a cursor into each run.
-    fn count_outside(&self, a: &[NodeId], b: &[NodeId]) -> Vec<usize> {
-        let mut counts = vec![0; self.groups.len()];
+    /// A round's two per-group counts in one walk over the id-sorted
+    /// inverse map, with a cursor into each block set: members available
+    /// (in neither `prev` nor `cur`), and members unblocked (not in `cur`).
+    pub(crate) fn counts_under(&self, prev: &BlockSet, cur: &BlockSet) -> (Vec<usize>, Vec<usize>) {
+        let (a, b) = (prev.as_slice(), cur.as_slice());
+        let mut available = vec![0; self.groups.len()];
+        let mut unblocked = vec![0; self.groups.len()];
         let (mut i, mut j) = (0, 0);
         for &(v, x) in &self.assign {
             while i < a.len() && a[i] < v {
@@ -146,21 +158,22 @@ impl GroupedNetwork {
             while j < b.len() && b[j] < v {
                 j += 1;
             }
-            let listed = a.get(i) == Some(&v) || b.get(j) == Some(&v);
-            counts[x as usize] += usize::from(!listed);
+            let free = b.get(j) != Some(&v);
+            unblocked[x as usize] += usize::from(free);
+            available[x as usize] += usize::from(free && a.get(i) != Some(&v));
         }
-        counts
+        (available, unblocked)
     }
 
     /// Per-group count of members *not* in `blocked`.
     pub fn unblocked_per_group(&self, blocked: &BlockSet) -> Vec<usize> {
-        self.count_outside(blocked.as_slice(), &[])
+        self.counts_under(&BlockSet::none(), blocked).1
     }
 
     /// Per-group count of members available this round: non-blocked in
     /// both the previous and the current round (the paper's availability).
     pub fn available_per_group(&self, prev: &BlockSet, cur: &BlockSet) -> Vec<usize> {
-        self.count_outside(prev.as_slice(), cur.as_slice())
+        self.counts_under(prev, cur).0
     }
 
     /// Is the subgraph induced by non-blocked nodes connected?
@@ -170,7 +183,13 @@ impl GroupedNetwork {
     /// the question reduces to connectivity of the hypercube restricted to
     /// supernodes with at least one non-blocked member.
     pub fn connected_under(&self, blocked: &BlockSet) -> bool {
-        let alive: Vec<bool> = self.unblocked_per_group(blocked).iter().map(|&c| c > 0).collect();
+        self.connected_given(&self.unblocked_per_group(blocked))
+    }
+
+    /// [`connected_under`](Self::connected_under) from the per-group
+    /// unblocked counts.
+    pub(crate) fn connected_given(&self, unblocked: &[usize]) -> bool {
+        let alive: Vec<bool> = unblocked.iter().map(|&c| c > 0).collect();
         let total_alive = alive.iter().filter(|&&a| a).count();
         if total_alive <= 1 {
             return true; // zero or one occupied supernode is trivially connected
@@ -193,10 +212,17 @@ impl GroupedNetwork {
         reached == total_alive
     }
 
-    /// Topology snapshot for the adversary: groups and group adjacency
-    /// (the paper's adversary sees topology, and group membership *is*
-    /// topology here — cliques and bipartite blocks).
-    pub fn snapshot(&self, round: u64) -> TopologySnapshot {
+    /// Topology snapshot for the adversary, observed in `round`: groups and
+    /// group adjacency (the paper's adversary sees topology, and group
+    /// membership *is* topology here — cliques and bipartite blocks). The
+    /// snapshot is built on the first call after a change, with that
+    /// call's round as its own, and shared until the next change.
+    pub fn snapshot(&self, round: u64) -> SharedSnapshot {
+        let topo = self.shared.get_or_init(|| Arc::new(self.build_snapshot(round)));
+        SharedSnapshot::new(round, Arc::clone(topo))
+    }
+
+    fn build_snapshot(&self, round: u64) -> TopologySnapshot {
         let group_edges: Vec<(u32, u32)> = self
             .cube
             .vertices()
@@ -256,7 +282,7 @@ impl simnet::Checkpoint for GroupedNetwork {
                 format!("{v} in groups {x} and {y}")
             }));
         }
-        Ok(Self { cube, groups, assign })
+        Ok(Self { cube, groups, assign, shared: OnceLock::new() })
     }
 }
 

@@ -43,7 +43,7 @@ use crate::monitor::{Invariant, InvariantMonitor};
 use crate::reconfig::overlay::ExpanderOverlay;
 use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::faults::FaultSchedule;
-use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::lateness::SharedSnapshot;
 use simnet::fault::{merge_ascending, minus_ascending};
 use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -153,14 +153,60 @@ enum RetryOutcome {
     Exhausted,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct RetryState {
     attempts: u32,
     next_due: u64,
 }
 
-/// Per-member failure-detection state: staleness counters and retry
-/// schedules.
+/// Insert an entry made by `make` for every id of the ascending `ids` that
+/// the id-sorted `run` lacks, in one merge; returns how many were added.
+fn insert_missing<T>(
+    run: &mut Vec<T>,
+    id: impl Fn(&T) -> NodeId,
+    ids: &[NodeId],
+    make: impl Fn(NodeId) -> T,
+) -> usize {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+    if ids.is_empty() {
+        return 0;
+    }
+    let old = std::mem::take(run);
+    let before = old.len();
+    run.reserve(before + ids.len());
+    let mut old = old.into_iter().peekable();
+    for &v in ids {
+        while let Some(e) = old.next_if(|e| id(e) < v) {
+            run.push(e);
+        }
+        if old.peek().is_none_or(|e| id(e) != v) {
+            run.push(make(v));
+        }
+    }
+    run.extend(old);
+    run.len() - before
+}
+
+/// Drop the entries of the id-sorted `run` whose ids the ascending `ids`
+/// list, in one walk.
+fn remove_listed<T>(run: &mut Vec<T>, id: impl Fn(&T) -> NodeId, ids: &[NodeId]) {
+    if ids.is_empty() {
+        return;
+    }
+    let mut at = 0;
+    run.retain(|e| {
+        let v = id(e);
+        while at < ids.len() && ids[at] < v {
+            at += 1;
+        }
+        ids.get(at) != Some(&v)
+    });
+}
+
+/// Per-member failure-detection state: staleness counters and the desync
+/// set with its retry schedules. Each is a run sorted by id, so a round's
+/// bookkeeping is a few merge walks over it rather than a map operation per
+/// member.
 #[derive(Clone, Debug)]
 pub struct HealthTracker {
     timeout_epochs: u64,
@@ -172,12 +218,12 @@ pub struct HealthTracker {
     max_retries: u32,
     backoff_base: u64,
     /// Consecutive epochs of silence per member (bumped at boundaries).
-    staleness: BTreeMap<NodeId, u64>,
-    /// Members currently re-requesting the assignment.
-    retries: BTreeMap<NodeId, RetryState>,
+    staleness: Vec<(NodeId, u64)>,
     /// Members that missed a reconfiguration broadcast and have not yet
-    /// recovered the current structure.
-    desynced: BTreeSet<NodeId>,
+    /// recovered the current structure, each with its re-request schedule
+    /// (with healing on, every desynced member is re-requesting; with it
+    /// off nobody is, and the schedules are never read).
+    desynced: Vec<(NodeId, RetryState)>,
     /// Aggregate counters.
     pub stats: HealingStats,
 }
@@ -190,29 +236,24 @@ impl HealthTracker {
             timeout_factor: 1,
             max_retries: params.max_retries.max(1),
             backoff_base: params.backoff_base.max(1),
-            staleness: BTreeMap::new(),
-            retries: BTreeMap::new(),
-            desynced: BTreeSet::new(),
+            staleness: Vec::new(),
+            desynced: Vec::new(),
             stats: HealingStats::default(),
         }
     }
 
-    /// Record that `v` missed a reconfiguration broadcast. With healing,
-    /// this schedules its first re-request; without, the desync is sticky.
-    fn mark_desynced(&mut self, v: NodeId, round: u64, healing: bool) {
-        if self.desynced.insert(v) {
-            self.stats.desync_events += 1;
-        }
-        if healing {
-            self.retries
-                .entry(v)
-                .or_insert(RetryState { attempts: 0, next_due: round + self.backoff_base });
-        }
+    /// Record that the ascending `ids` missed a reconfiguration broadcast,
+    /// scheduling each one's first re-request (with healing off nobody
+    /// sends it, and the desync is sticky).
+    fn mark_desynced(&mut self, ids: &[NodeId], round: u64) {
+        let first = RetryState { attempts: 0, next_due: round + self.backoff_base };
+        self.stats.desync_events +=
+            insert_missing(&mut self.desynced, |e| e.0, ids, |v| (v, first)) as u64;
     }
 
     /// Members currently desynchronized (sorted).
     pub fn desynced(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.desynced.iter().copied()
+        self.desynced.iter().map(|e| e.0)
     }
 
     /// Number of desynchronized members.
@@ -220,76 +261,97 @@ impl HealthTracker {
         self.desynced.len()
     }
 
-    /// Members whose next re-request is due at `round` (sorted).
-    fn due_retries(&self, round: u64) -> Vec<NodeId> {
-        self.retries.iter().filter(|(_, s)| s.next_due <= round).map(|(&v, _)| v).collect()
-    }
-
-    /// Account one re-request attempt for `v`.
-    fn note_retry(&mut self, v: NodeId, round: u64, success: bool) -> RetryOutcome {
-        self.stats.retries += 1;
-        let state = self.retries.get_mut(&v).expect("retry state exists");
-        state.attempts += 1;
-        if success {
-            self.retries.remove(&v);
-            self.desynced.remove(&v);
-            self.stats.resyncs += 1;
-            RetryOutcome::Resynced
-        } else if state.attempts >= self.max_retries {
-            self.stats.exhausted += 1;
-            RetryOutcome::Exhausted
-        } else {
-            state.next_due = round + Backoff::uncapped(self.backoff_base).delay(state.attempts);
-            RetryOutcome::Backoff
+    /// Send every re-request due at `round`, in id order; `delivered` draws
+    /// whether an attempt got through. Returns each attempt's member, its
+    /// delivery and its outcome. Resynchronized and exhausted members leave
+    /// the desync run, and exhausted ones are forgotten (the caller evicts
+    /// them).
+    fn retry_due(
+        &mut self,
+        round: u64,
+        mut delivered: impl FnMut() -> bool,
+    ) -> Vec<(NodeId, bool, RetryOutcome)> {
+        let mut attempts = Vec::new();
+        for (v, state) in &mut self.desynced {
+            if state.next_due > round {
+                continue;
+            }
+            let success = delivered();
+            self.stats.retries += 1;
+            state.attempts += 1;
+            let outcome = if success {
+                self.stats.resyncs += 1;
+                RetryOutcome::Resynced
+            } else if state.attempts >= self.max_retries {
+                self.stats.exhausted += 1;
+                RetryOutcome::Exhausted
+            } else {
+                state.next_due = round + Backoff::uncapped(self.backoff_base).delay(state.attempts);
+                RetryOutcome::Backoff
+            };
+            attempts.push((*v, success, outcome));
         }
+        let ids = |keep: fn(&RetryOutcome) -> bool| -> Vec<NodeId> {
+            attempts.iter().filter(|a| keep(&a.2)).map(|a| a.0).collect()
+        };
+        remove_listed(&mut self.desynced, |e| e.0, &ids(|o| !matches!(o, RetryOutcome::Backoff)));
+        remove_listed(&mut self.staleness, |e| e.0, &ids(|o| matches!(o, RetryOutcome::Exhausted)));
+        attempts
     }
 
     /// Resynchronize `v` out of band (e.g. the recovery layer's
     /// reconciliation delivered the assignment reliably). Returns whether
     /// `v` was actually desynchronized.
     fn resync(&mut self, v: NodeId) -> bool {
-        let was = self.desynced.remove(&v);
-        if was {
-            self.retries.remove(&v);
-            self.stats.resyncs += 1;
-        }
-        was
+        let Ok(at) = self.desynced.binary_search_by_key(&v, |e| e.0) else { return false };
+        self.desynced.remove(at);
+        self.stats.resyncs += 1;
+        true
     }
 
     /// Bump epoch-granularity staleness counters: `silent` holds the
     /// members that produced no heartbeat this epoch. Members in an active
     /// retry exchange are being healed, not suspected — their counters do
     /// not advance. Returns the members whose silence outlived the timeout
-    /// (the caller evicts them). Both lists ascend, so one cursor into
-    /// `silent` answers every membership question.
+    /// (the caller evicts them). Every list ascends, so the counters are
+    /// rebuilt in one walk with a cursor into each; counters of ids that
+    /// are no longer members are carried over untouched.
     fn observe_epoch(&mut self, members: &[NodeId], silent: &[NodeId]) -> Vec<NodeId> {
+        let limit = self.timeout_epochs.saturating_mul(self.timeout_factor.max(1));
         let mut evict = Vec::new();
-        let mut at = 0;
+        let mut kept = Vec::with_capacity(self.staleness.len());
+        let mut old = std::mem::take(&mut self.staleness).into_iter().peekable();
+        let (mut s, mut r) = (0, 0);
         for &v in members {
-            while at < silent.len() && silent[at] < v {
-                at += 1;
+            while let Some(e) = old.next_if(|e| e.0 < v) {
+                kept.push(e);
             }
-            if silent.get(at) == Some(&v) && !self.retries.contains_key(&v) {
-                let c = self.staleness.entry(v).or_insert(0);
-                *c += 1;
-                if *c >= self.timeout_epochs.saturating_mul(self.timeout_factor.max(1)) {
+            let count = old.next_if(|e| e.0 == v).map_or(0, |e| e.1);
+            while s < silent.len() && silent[s] < v {
+                s += 1;
+            }
+            while r < self.desynced.len() && self.desynced[r].0 < v {
+                r += 1;
+            }
+            let retrying = self.desynced.get(r).is_some_and(|e| e.0 == v);
+            if silent.get(s) == Some(&v) && !retrying {
+                if count + 1 >= limit {
                     evict.push(v);
+                } else {
+                    kept.push((v, count + 1));
                 }
-            } else {
-                self.staleness.remove(&v);
             }
         }
-        for v in &evict {
-            self.forget(*v);
-        }
+        kept.extend(old);
+        self.staleness = kept;
+        self.forget(&evict);
         evict
     }
 
-    /// Drop all state about `v` (evicted or crashed).
-    fn forget(&mut self, v: NodeId) {
-        self.staleness.remove(&v);
-        self.retries.remove(&v);
-        self.desynced.remove(&v);
+    /// Drop all state about the ascending `ids` (evicted or crashed).
+    fn forget(&mut self, ids: &[NodeId]) {
+        remove_listed(&mut self.staleness, |e| e.0, ids);
+        remove_listed(&mut self.desynced, |e| e.0, ids);
     }
 }
 
@@ -315,8 +377,10 @@ pub trait HealableOverlay {
     fn epochs(&self) -> u64;
     /// Epochs that failed the availability precondition.
     fn failed_epochs(&self) -> u64;
-    /// Topology snapshot for the (late) adversary.
-    fn snapshot(&self, round: u64) -> TopologySnapshot;
+    /// Topology snapshot for the (late) adversary, observed in `round`: the
+    /// overlay's shared snapshot of its current structure, built on the
+    /// first call after a structural change.
+    fn snapshot(&self, round: u64) -> SharedSnapshot;
     /// Execute one overlay round under the given block set.
     fn step_overlay(&mut self, blocked: &BlockSet) -> DosRoundMetrics;
     /// Remove a member (graceful degradation).
@@ -347,6 +411,17 @@ pub fn attack_round<O: HealableOverlay, A: Attacker>(
     blocked
 }
 
+/// A crashed node of a [`FaultyRunner`].
+#[derive(Clone, Copy, Debug)]
+struct Down {
+    node: NodeId,
+    /// Recovery round (`u64::MAX` = crash-stop).
+    back: u64,
+    /// Its membership was evicted while it was down, so a return goes
+    /// through the join path.
+    evicted: bool,
+}
+
 /// Drives a round-stepped overlay through a composite fault schedule with
 /// (or, as a control, without) self-healing, checking the invariants every
 /// round.
@@ -360,11 +435,8 @@ pub struct FaultyRunner<O: HealableOverlay> {
     healing: bool,
     /// Declared adversary budget, checked as the blocking-budget invariant.
     dos_bound: Option<f64>,
-    /// Crashed nodes -> recovery round (`u64::MAX` = crash-stop).
-    down: BTreeMap<NodeId, u64>,
-    /// Crashed nodes whose membership was evicted while they were down;
-    /// always a subset of `down`'s keys.
-    evicted_while_down: BTreeSet<NodeId>,
+    /// Crashed nodes, by id.
+    down: Vec<Down>,
     /// The round's effective block set, rebuilt in place every step.
     eff: BlockSet,
     /// Pure observability: mirrors the healing protocol's decisions as
@@ -390,8 +462,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             monitor,
             healing,
             dos_bound: None,
-            down: BTreeMap::new(),
-            evicted_while_down: BTreeSet::new(),
+            down: Vec::new(),
             eff: BlockSet::none(),
             tel: Telemetry::disabled(),
         }
@@ -435,6 +506,11 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         self.tracker.desynced_len()
     }
 
+    /// Where `v` is, or would be inserted, in `down`.
+    fn down_at(&self, v: NodeId) -> Result<usize, usize> {
+        self.down.binary_search_by_key(&v, |d| d.node)
+    }
+
     // -- recovery-layer hooks ------------------------------------------------
     //
     // The catastrophic-recovery layer (`crate::recovery`) owns *when* burst
@@ -448,13 +524,11 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// schedule-driven recovery never fires for it. No-op when `v` is
     /// already down.
     pub fn force_crash(&mut self, v: NodeId) {
-        if self.down.contains_key(&v) {
-            return;
-        }
+        let Err(at) = self.down_at(v) else { return };
         let round = self.overlay.round();
-        self.down.insert(v, u64::MAX);
+        self.down.insert(at, Down { node: v, back: u64::MAX, evicted: false });
         self.tracker.stats.crashes += 1;
-        self.tracker.forget(v);
+        self.tracker.forget(&[v]);
         self.heal_event(round, EventKind::Crash, "crash", v, u64::MAX);
     }
 
@@ -464,17 +538,15 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// flag — decides that the join happens; use [`Self::abandon`] for the
     /// no-recovery arm's rejected joiners.
     pub fn return_node(&mut self, v: NodeId) -> ReturnOutcome {
-        if self.down.remove(&v).is_none() {
-            return ReturnOutcome::Ignored;
-        }
+        let Ok(at) = self.down_at(v) else { return ReturnOutcome::Ignored };
         let round = self.overlay.round();
-        if self.evicted_while_down.remove(&v) {
+        if self.down.remove(at).evicted {
             self.overlay.rejoin(v);
             self.tracker.stats.rejoins += 1;
             self.heal_event(round, EventKind::Rejoin, "rejoin", v, 0);
             ReturnOutcome::Rejoined
         } else {
-            self.tracker.mark_desynced(v, round, self.healing);
+            self.tracker.mark_desynced(&[v], round);
             self.heal_event(round, EventKind::Desync, "desync", v, 0);
             ReturnOutcome::Desynced
         }
@@ -483,16 +555,17 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// Forget a crashed node entirely: it neither returns nor rejoins
     /// (a permanently orphaned storm victim in the no-recovery control).
     pub fn abandon(&mut self, v: NodeId) {
-        self.down.remove(&v);
-        self.evicted_while_down.remove(&v);
-        self.tracker.forget(v);
+        if let Ok(at) = self.down_at(v) {
+            self.down.remove(at);
+        }
+        self.tracker.forget(&[v]);
     }
 
     /// Mark a live member desynchronized right now (partition-heal: the
     /// minority side missed reconfigurations during the window).
     pub fn mark_desynced_now(&mut self, v: NodeId) {
         let round = self.overlay.round();
-        self.tracker.mark_desynced(v, round, self.healing);
+        self.tracker.mark_desynced(&[v], round);
         self.heal_event(round, EventKind::Desync, "desync", v, 2);
     }
 
@@ -515,13 +588,13 @@ impl<O: HealableOverlay> FaultyRunner<O> {
 
     /// Is `v` currently crashed?
     pub fn is_down(&self, v: NodeId) -> bool {
-        self.down.contains_key(&v)
+        self.down_at(v).is_ok()
     }
 
     /// Was the crashed `v`'s membership evicted while it was down (so a
     /// return needs the join path)?
     pub fn was_evicted_while_down(&self, v: NodeId) -> bool {
-        self.evicted_while_down.contains(&v)
+        self.down_at(v).is_ok_and(|at| self.down[at].evicted)
     }
 
     /// The declared adversary blocking budget, if any.
@@ -560,11 +633,12 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         let healing_phase = self.tel.phase(Phase::Healing);
 
         // Crash-recoveries due this round.
-        let due: Vec<NodeId> =
-            self.down.iter().filter(|&(_, &r)| r <= round).map(|(&v, _)| v).collect();
-        for v in due {
-            self.down.remove(&v);
-            if self.evicted_while_down.remove(&v) {
+        let (due, down): (Vec<Down>, _) =
+            std::mem::take(&mut self.down).into_iter().partition(|d| d.back <= round);
+        self.down = down;
+        let mut lost_state = Vec::new();
+        for Down { node: v, evicted, .. } in due {
+            if evicted {
                 // Its membership is gone; only healing re-admits it.
                 if self.healing {
                     self.overlay.rejoin(v);
@@ -574,22 +648,25 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             } else {
                 // Still a member, but its state is lost: it no longer
                 // knows the current group structure.
-                self.tracker.mark_desynced(v, round, self.healing);
+                lost_state.push(v);
                 self.heal_event(round, EventKind::Desync, "desync", v, 0);
             }
         }
+        self.tracker.mark_desynced(&lost_state, round);
 
         // Fresh crashes among live members.
         let members = self.overlay.members_sorted();
         let up: Vec<NodeId> =
-            minus_ascending(members.iter().copied(), self.down.keys().copied()).collect();
+            minus_ascending(members.iter().copied(), self.down.iter().map(|d| d.node)).collect();
         lap("membership");
-        for v in self.schedule.draw_crashes(&up, members.len()) {
-            let back = self.schedule.recover_after().map_or(u64::MAX, |k| round + k);
-            self.down.insert(v, back);
-            self.tracker.stats.crashes += 1;
-            // Whatever retry conversation it had is lost with its state.
-            self.tracker.forget(v);
+        let crashed = self.schedule.draw_crashes(&up, members.len());
+        let back = self.schedule.recover_after().map_or(u64::MAX, |k| round + k);
+        let crash = |node| Down { node, back, evicted: false };
+        insert_missing(&mut self.down, |d| d.node, &crashed, crash);
+        self.tracker.stats.crashes += crashed.len() as u64;
+        // Whatever retry conversation they had is lost with their state.
+        self.tracker.forget(&crashed);
+        for &v in &crashed {
             self.heal_event(round, EventKind::Crash, "crash", v, back);
         }
         lap("crash draws");
@@ -597,16 +674,16 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         if self.healing {
             // Due re-requests: each attempt is one message exchange,
             // itself subject to loss.
-            for v in self.tracker.due_retries(round) {
-                let success = !self.schedule.lose_message();
+            let schedule = &mut self.schedule;
+            for (v, success, outcome) in self.tracker.retry_due(round, || !schedule.lose_message())
+            {
                 self.heal_event(round, EventKind::RetryAttempt, "retry", v, u64::from(success));
-                match self.tracker.note_retry(v, round, success) {
+                match outcome {
                     RetryOutcome::Resynced => {
                         self.heal_event(round, EventKind::Resync, "resync", v, 0);
                     }
                     RetryOutcome::Backoff => {}
                     RetryOutcome::Exhausted => {
-                        self.tracker.forget(v);
                         self.overlay.evict(v);
                         self.tracker.stats.evictions += 1;
                         self.heal_event(round, EventKind::RetryExhausted, "exhausted", v, 0);
@@ -624,8 +701,8 @@ impl<O: HealableOverlay> FaultyRunner<O> {
                 for v in self.tracker.observe_epoch(&members_now, &silent) {
                     self.overlay.evict(v);
                     self.tracker.stats.evictions += 1;
-                    if self.down.contains_key(&v) {
-                        self.evicted_while_down.insert(v);
+                    if let Ok(at) = self.down_at(v) {
+                        self.down[at].evicted = true;
                     }
                     self.heal_event(round, EventKind::Eviction, "eviction", v, 1);
                 }
@@ -649,12 +726,13 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         // would resynchronize anyone either.
         if self.overlay.epochs() > epochs_before && self.overlay.failed_epochs() == failed_before {
             let members = self.overlay.members_sorted();
-            let live: Vec<NodeId> = minus_ascending(members, self.down.keys().copied()).collect();
-            for v in live {
-                if self.schedule.lose_message() {
-                    self.tracker.mark_desynced(v, m.round, self.healing);
-                    self.heal_event(m.round, EventKind::Desync, "desync", v, 1);
-                }
+            let schedule = &mut self.schedule;
+            let lost: Vec<NodeId> = minus_ascending(members, self.down.iter().map(|d| d.node))
+                .filter(|_| schedule.lose_message())
+                .collect();
+            self.tracker.mark_desynced(&lost, m.round);
+            for v in lost {
+                self.heal_event(m.round, EventKind::Desync, "desync", v, 1);
             }
         }
 
@@ -672,10 +750,9 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         self.monitor.check(Invariant::GroupSizeBand, m.round, structure.is_none(), || {
             structure.clone().unwrap_or_default()
         });
-        // Crashed nodes that are still members: `evicted_while_down` only
-        // ever holds keys of `down`.
-        debug_assert!(self.evicted_while_down.iter().all(|v| self.down.contains_key(v)));
-        let stale = self.tracker.desynced_len() + self.down.len() - self.evicted_while_down.len();
+        // Crashed nodes that are still members.
+        let evicted = self.down.iter().filter(|d| d.evicted).count();
+        let stale = self.tracker.desynced_len() + self.down.len() - evicted;
         let n_now = self.overlay.len().max(1);
         self.monitor.check(Invariant::StaleBound, m.round, stale * 2 <= n_now, || {
             format!("{stale} of {n_now} members crashed or desynchronized")
@@ -691,7 +768,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// one pass.
     fn silenced<'a>(&'a self, dos_blocked: &'a BlockSet) -> impl Iterator<Item = NodeId> + 'a {
         merge_ascending(
-            merge_ascending(dos_blocked.iter(), self.down.keys().copied()),
+            merge_ascending(dos_blocked.iter(), self.down.iter().map(|d| d.node)),
             self.tracker.desynced(),
         )
     }
@@ -916,6 +993,8 @@ mod tests {
     use crate::config::SamplingParams;
     use crate::dos::overlay::{DosOverlay, DosParams};
     use overlay_adversary::dos::{DosAdversary, DosStrategy};
+    use overlay_adversary::lateness::TopologySnapshot;
+    use std::sync::Arc;
 
     fn sched(seed: u64, loss: f64, hazard: f64, recover: Option<u64>) -> FaultSchedule {
         FaultSchedule::new(seed, loss, hazard, recover, 0.1)
@@ -1005,24 +1084,28 @@ mod tests {
         let params = HealingParams { heartbeat_epochs: 3, max_retries: 3, backoff_base: 1 };
         let mut t = HealthTracker::new(params);
         let v = NodeId(7);
-        t.mark_desynced(v, 0, true);
-        // Attempts 1 and 2 fail: still backing off.
+        t.mark_desynced(&[v], 0);
+        // Attempts 1 and 2 fail: still backing off (rounds far apart, so
+        // every attempt is due).
         for k in 1..3u64 {
-            match t.note_retry(v, k, false) {
-                RetryOutcome::Backoff => {}
-                _ => panic!("attempt {k} of 3 must back off"),
-            }
+            let out = t.retry_due(100 * k, || false);
+            assert!(
+                matches!(out[..], [(w, false, RetryOutcome::Backoff)] if w == v),
+                "attempt {k} of 3 must back off"
+            );
         }
-        // Attempt 3 == max_retries: exhausted even though it also failed.
-        assert!(matches!(t.note_retry(v, 3, false), RetryOutcome::Exhausted));
+        // Attempt 3 == max_retries: exhausted even though it also failed,
+        // and the member is forgotten.
+        assert!(matches!(t.retry_due(300, || false)[..], [(_, false, RetryOutcome::Exhausted)]));
         assert_eq!(t.stats.exhausted, 1);
         assert_eq!(t.stats.retries, 3);
+        assert_eq!(t.desynced_len(), 0);
         // A success on the final attempt resyncs instead of exhausting.
         let mut t2 = HealthTracker::new(params);
-        t2.mark_desynced(v, 0, true);
-        let _ = t2.note_retry(v, 1, false);
-        let _ = t2.note_retry(v, 2, false);
-        assert!(matches!(t2.note_retry(v, 3, true), RetryOutcome::Resynced));
+        t2.mark_desynced(&[v], 0);
+        let _ = t2.retry_due(100, || false);
+        let _ = t2.retry_due(200, || false);
+        assert!(matches!(t2.retry_due(300, || true)[..], [(_, true, RetryOutcome::Resynced)]));
         assert_eq!(t2.stats.exhausted, 0);
         assert_eq!(t2.desynced_len(), 0);
     }
@@ -1032,17 +1115,13 @@ mod tests {
         let params = HealingParams { heartbeat_epochs: 3, max_retries: 5, backoff_base: 2 };
         let mut t = HealthTracker::new(params);
         let v = NodeId(1);
-        t.mark_desynced(v, 10, true);
-        // First retry due at 10 + base.
-        assert_eq!(t.due_retries(11), vec![] as Vec<NodeId>);
-        assert_eq!(t.due_retries(12), vec![v]);
-        // Failed attempt k reschedules base << k rounds out.
-        let _ = t.note_retry(v, 12, false);
-        assert_eq!(t.due_retries(15), vec![] as Vec<NodeId>);
-        assert_eq!(t.due_retries(16), vec![v]); // 12 + (2 << 1)
-        let _ = t.note_retry(v, 16, false);
-        assert_eq!(t.due_retries(23), vec![] as Vec<NodeId>);
-        assert_eq!(t.due_retries(24), vec![v]); // 16 + (2 << 2)
+        t.mark_desynced(&[v], 10);
+        // The rounds at which an attempt is made, every attempt failing.
+        let attempted: Vec<u64> =
+            (10..30).filter(|&round| !t.retry_due(round, || false).is_empty()).collect();
+        // First retry due at 10 + base; failed attempt k reschedules
+        // base << k rounds out: 12 + (2 << 1), then 16 + (2 << 2).
+        assert_eq!(attempted, [12, 16, 24]);
     }
 
     #[test]
@@ -1160,6 +1239,92 @@ mod tests {
         assert_eq!(Backoff::uncapped(0).delay(0), 1, "base floored to 1");
     }
 
+    /// Asks `ov` for its snapshot and checks it against `last`: a new `Arc`
+    /// exactly when `changed`, observed in the current round, and equal
+    /// field for field to the snapshot a checkpoint copy of `ov` (which has
+    /// nothing cached) builds in the round the shared one was built in.
+    fn next_snapshot<O: HealableOverlay + simnet::Checkpoint>(
+        ov: &O,
+        last: &mut SharedSnapshot,
+        changed: bool,
+        what: &str,
+    ) {
+        let snap = ov.snapshot(ov.round());
+        assert_eq!(!Arc::ptr_eq(&snap.topo, &last.topo), changed, "{what}: a new snapshot?");
+        assert_eq!(snap.round, ov.round(), "{what}: observation round");
+        let fresh = O::load(&ov.save()).expect("checkpoint round trip").snapshot(snap.topo.round);
+        let fields = |t: &TopologySnapshot| {
+            (t.round, t.nodes.clone(), t.edges.clone(), t.groups.clone(), t.group_edges.clone())
+        };
+        assert_eq!(fields(&snap.topo), fields(&fresh.topo), "{what}: stale snapshot");
+        *last = snap;
+    }
+
+    /// Every kind of structural change rebuilds the shared snapshot; quiet
+    /// rounds, no-op evictions and failed epochs keep the same `Arc`.
+    fn shared_snapshot_follows_structure<O: HealableOverlay + simnet::Checkpoint>(
+        mut ov: O,
+        rejoin_changes: bool,
+    ) {
+        let none = BlockSet::none();
+        let victim = ov.members_sorted()[3];
+        let mut last = ov.snapshot(ov.round());
+        next_snapshot(&ov, &mut last, false, "asked twice");
+        ov.step_overlay(&none);
+        next_snapshot(&ov, &mut last, false, "a quiet round");
+        ov.evict(victim);
+        next_snapshot(&ov, &mut last, true, "eviction");
+        ov.evict(victim);
+        next_snapshot(&ov, &mut last, false, "evicting a non-member");
+        ov.rejoin(victim);
+        next_snapshot(&ov, &mut last, rejoin_changes, "rejoin");
+        while ov.round() % ov.epoch_len() != ov.epoch_len() - 1 {
+            ov.step_overlay(&none);
+            next_snapshot(&ov, &mut last, false, "mid-epoch round");
+        }
+        ov.step_overlay(&none);
+        assert_eq!(ov.failed_epochs(), 0);
+        next_snapshot(&ov, &mut last, true, "resample");
+        // Everyone blocked: the epoch fails and keeps its structure.
+        let all = BlockSet::from_iter(ov.members_sorted());
+        for _ in 0..ov.epoch_len() {
+            ov.step_overlay(&all);
+            next_snapshot(&ov, &mut last, false, "starved round");
+        }
+        assert_eq!(ov.failed_epochs(), 1);
+        // A loaded checkpoint starts with nothing cached and shares from
+        // then on.
+        let loaded = O::load(&ov.save()).expect("checkpoint round trip");
+        let mut from_load = loaded.snapshot(loaded.round());
+        assert!(!Arc::ptr_eq(&from_load.topo, &last.topo), "nothing cached in a checkpoint");
+        assert_eq!((&from_load.nodes, &from_load.groups), (&last.nodes, &last.groups));
+        next_snapshot(&loaded, &mut from_load, false, "after load");
+    }
+
+    #[test]
+    fn dos_snapshot_is_rebuilt_after_each_structural_change_only() {
+        let mut ov = DosOverlay::new(256, DosParams::default(), 12);
+        let mut last = ov.snapshot(ov.round());
+        assert_eq!(
+            ov.admit(NodeId(1 << 40), None),
+            Some(ov.grouped().supernode_of(NodeId(1 << 40)).unwrap())
+        );
+        next_snapshot(&ov, &mut last, true, "admit");
+        assert_eq!(ov.admit(NodeId(1 << 40), Some(0)), None);
+        next_snapshot(&ov, &mut last, false, "admitting a member");
+        shared_snapshot_follows_structure(ov, true);
+    }
+
+    #[test]
+    fn churndos_snapshot_is_rebuilt_after_each_structural_change_only() {
+        // A rejoin waits for the next reconfiguration: the groups, and so
+        // the snapshot, stay as they are until the resample.
+        shared_snapshot_follows_structure(
+            ChurnDosOverlay::new(600, ChurnDosParams::default(), 12),
+            false,
+        );
+    }
+
     #[test]
     fn force_crash_and_return_round_trip() {
         let ov = DosOverlay::new(256, DosParams::default(), 6);
@@ -1259,3 +1424,6 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+mod tracker_diff;

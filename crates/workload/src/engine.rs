@@ -33,7 +33,7 @@
 
 use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
-use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_apps::dht::{DhtOp, RobustDht, MESSAGE_BITS};
 use overlay_apps::pubsub::PubSub;
 use overlay_stats::{GoodputAccount, LatencySummary};
@@ -45,6 +45,7 @@ use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, Digest, NodeId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use telemetry::{EventKind, Telemetry};
 
 use crate::spec::{WorkloadKind, WorkloadSpec};
@@ -92,6 +93,10 @@ struct ControlPlane {
     rounds: u64,
     epochs: u64,
     salt: u64,
+    /// The campaign's view of the DHT and the epoch it was built in: the
+    /// groups only resample at an epoch boundary, so one snapshot serves
+    /// every batch of an epoch.
+    topology: Option<(u64, Arc<TopologySnapshot>)>,
 }
 
 impl ControlPlane {
@@ -104,7 +109,18 @@ impl ControlPlane {
             rounds: 0,
             epochs: 0,
             salt: 0,
+            topology: None,
         }
+    }
+
+    /// The DHT's current topology for the campaign, built on the first
+    /// batch of each epoch and shared by the rest.
+    fn snapshot(&mut self, dht: &RobustDht) -> SharedSnapshot {
+        if self.topology.as_ref().is_none_or(|(built, _)| *built != self.epochs) {
+            self.topology = Some((self.epochs, Arc::new(snapshot(self.rounds, dht))));
+        }
+        let (_, topo) = self.topology.as_ref().expect("built above");
+        SharedSnapshot::new(self.rounds, Arc::clone(topo))
     }
 
     /// Step `k` DHT rounds under `blocked`, running the backend-dispatched
@@ -170,7 +186,7 @@ impl WorkloadEngine {
     }
 }
 
-/// Snapshot the DHT's current topology for the campaign.
+/// Snapshot the DHT's current topology.
 fn snapshot(round: u64, dht: &RobustDht) -> TopologySnapshot {
     TopologySnapshot {
         round,
@@ -226,7 +242,7 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
     };
 
     for batch in 0..spec.batches {
-        attacker.observe(snapshot(ctl.rounds, &dht));
+        attacker.observe(ctl.snapshot(&dht));
         let blocked = attacker.block(ctl.rounds, spec.n);
         trace.blocked(ctl.rounds, &blocked);
 
@@ -362,7 +378,7 @@ fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -
     let read_cost = 2 * depth + 2;
 
     for _ in 0..spec.batches {
-        attacker.observe(snapshot(ctl.rounds, ps.dht()));
+        attacker.observe(ctl.snapshot(ps.dht()));
         let blocked = attacker.block(ctl.rounds, spec.n);
         trace.blocked(ctl.rounds, &blocked);
 

@@ -147,15 +147,24 @@ perf-alg1 *flags="":
 # Block sets and the grouped network: the sorted-`Vec` set against its
 # `BTreeSet` `#[cfg(test)]` reference (480 seeded cases), the merge walks
 # against the `HashMap` + per-member-probe reference (420 seeded histories),
-# and the healed-round golden and checkpoint the parent commit wrote.
+# the group-targeted picker against its `HashSet` reference (480 seeded
+# snapshots), the healing state's sorted runs against the `BTreeMap`
+# tracker and `down` map (72 seeded histories), the shared snapshots'
+# invalidation, and the healed-round golden and checkpoint the parent
+# commit wrote.
 blockset-diff:
     cargo test -q -p simnet --lib fault::blockset_diff
     cargo test -q -p reconfig-core --lib dos::supernode::grouped_diff
+    cargo test -q -p overlay-adversary --lib dos::picker_diff
+    cargo test -q -p reconfig-core --lib healing::tracker_diff
+    cargo test -q -p reconfig-core --lib snapshot_is_rebuilt_after_each_structural_change
+    cargo test -q -p overlay-adversary --lib lateness::tests::one_arc_pushed_every_round
     cargo test -q -p integration-tests --test determinism golden_healing_round_digests
     cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
 
 # Healed DoS round perf: microseconds per round in each section of
-# `FaultyRunner<DosOverlay>::step` and its attack prologue at n = 8 192.
+# `FaultyRunner<DosOverlay>::step` and the three steps of its attack
+# prologue (snapshot, observe + pick, budget judge) at n = 8 192.
 # Bare = full size, rewrites BENCH_DOS_ROUND.json; `just perf-dos-round
 # --smoke` = CI size, writes nothing.
 perf-dos-round *flags="":

@@ -101,9 +101,13 @@ cargo test -q -p integration-tests --test determinism golden_sampling_direct_dig
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_alg1 -- --smoke
 
-echo "==> block sets and grouped network: sorted runs vs the BTreeSet / HashMap references (480 + 420 seeded cases), parent-written goldens"
+echo "==> block sets, grouped network, picker, healing state: sorted runs vs the BTreeSet / HashMap / HashSet / BTreeMap references (480 + 420 + 480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens"
 cargo test -q -p simnet --lib fault::blockset_diff
 cargo test -q -p reconfig-core --lib dos::supernode::grouped_diff
+cargo test -q -p overlay-adversary --lib dos::picker_diff
+cargo test -q -p reconfig-core --lib healing::tracker_diff
+cargo test -q -p reconfig-core --lib snapshot_is_rebuilt_after_each_structural_change
+cargo test -q -p overlay-adversary --lib lateness::tests::one_arc_pushed_every_round
 cargo test -q -p integration-tests --test determinism golden_healing_round_digests
 cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
 

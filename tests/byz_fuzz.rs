@@ -82,7 +82,7 @@ impl<C: ByzCampaign> ByzCampaign for CorruptOnly<C> {
 
     fn plan(
         &mut self,
-        view: &overlay_adversary::lateness::TopologySnapshot,
+        view: &overlay_adversary::lateness::SharedSnapshot,
         round: u64,
         n_current: usize,
         byz: &std::collections::BTreeSet<simnet::NodeId>,

@@ -22,7 +22,7 @@ use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::faults::FaultSchedule;
-use overlay_adversary::lateness::TopologySnapshot;
+use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_adversary::remote::CampaignSpec;
 use overlay_adversary::Campaign;
 use overlay_graphs::HGraph;
@@ -530,7 +530,7 @@ impl<A> Tap<A> {
 }
 
 impl<A: Attacker> Attacker for Tap<A> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.inner.observe(snap);
     }
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
@@ -544,7 +544,7 @@ impl<A: Attacker> Attacker for Tap<A> {
 }
 
 impl<A: ByzAttacker> ByzAttacker for Tap<A> {
-    fn observe(&mut self, snap: TopologySnapshot) {
+    fn observe(&mut self, snap: SharedSnapshot) {
         self.inner.observe(snap);
     }
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
@@ -631,7 +631,7 @@ fn golden_attacker_digests() {
             for round in 0..24 {
                 let snap = edge_snapshot(round);
                 let n = snap.nodes.len();
-                tap.observe(snap);
+                tap.observe(snap.into());
                 tap.block(round, n);
             }
             lines.push(tap.line("edges", &tap.label(), t));

@@ -36,10 +36,13 @@ fn fuzzed_block_sets_and_churn_cannot_break_dht_routing() {
         let seed = rng.random::<u64>();
         let mut dht = RobustDht::new(n, 2.0, seed);
         let mut churn = ChurnBlocker::new(1.0 + rng.random::<f64>() * 0.5, seed ^ 0xC0);
-        churn.observe(overlay_adversary::lateness::TopologySnapshot::nodes_only(
-            0,
-            (0..n as u64).map(NodeId).collect(),
-        ));
+        churn.observe(
+            overlay_adversary::lateness::TopologySnapshot::nodes_only(
+                0,
+                (0..n as u64).map(NodeId).collect(),
+            )
+            .into(),
+        );
 
         let keyspace = 1 + rng.random_range(0..512);
         let mut written: Vec<(u64, u64)> = Vec::new();
