@@ -19,6 +19,7 @@
 
 use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
 use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily, ByzHarness};
+use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::faults::FaultSchedule;
@@ -36,17 +37,18 @@ use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{
-    attack_round, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
+    attack_round, ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
 };
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
+use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
 use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
 use simnet::conduct::PPM;
 use simnet::{
-    BlockSet, ByzantineConduct, Checkpoint, CkptError, CkptResult, Ctx, Digest, FaultModel,
-    LinkFaults, NodeFault, NodeId, Partition, Protocol,
+    BlockSet, Burst, BurstTarget, ByzantineConduct, Checkpoint, CkptError, CkptResult, Ctx, Digest,
+    FaultModel, LinkFaults, NodeFault, NodeId, Partition, Protocol, TimedPartition,
 };
 use simnet_xl::{XlNetwork, PAR_THRESHOLD};
 use std::path::PathBuf;
@@ -662,6 +664,181 @@ fn golden_attacker_digests() {
          crash hazard 0.01, recovery after one epoch); edges = 24 rounds of a 96-node ring with \
          chords, one member absent per round; bound 0.3, oblivious seeds 40..43; byz = \
          ByzantineRunner seed=34, all defenses, identities 0.1, 3 joins/round, blocks 0.1",
+        &lines,
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The other runners' node-id state
+// ---------------------------------------------------------------------------
+
+/// The monitor's verdict counts, one `name=count` per invariant.
+fn verdicts(mon: &reconfig_core::monitor::InvariantMonitor, invariants: &[Invariant]) -> String {
+    let counts: Vec<String> =
+        invariants.iter().map(|&inv| format!("{}={}", inv.name(), mon.count(inv))).collect();
+    format!("total={} {}", mon.total(), counts.join(" "))
+}
+
+fn healing_stats_line(s: &HealingStats) -> String {
+    format!(
+        "desync={} retries={} resyncs={} exhausted={} evictions={} rejoins={} crashes={}",
+        s.desync_events, s.retries, s.resyncs, s.exhausted, s.evictions, s.rejoins, s.crashes
+    )
+}
+
+/// `ExpanderFaultRun`, healing on and off: per epoch the overlay's
+/// `state_digest` (sorted members and their adjacency), the members and
+/// desynced counts, the `HealingStats` and the monitor's verdicts.
+fn expander_runner_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for healing in [true, false] {
+        let arm = if healing { "healed" } else { "control" };
+        let overlay = ExpanderOverlay::new(96, 8, SamplingParams::default(), 41);
+        let schedule = FaultSchedule::new(42, 0.3, 0.01, Some(40), 0.2);
+        let mut run = ExpanderFaultRun::new(overlay, schedule, HealingParams::default(), healing);
+        for _ in 0..12 {
+            run.run_epoch();
+            lines.push(format!(
+                "expander/{arm} {} {:016x} members={} desynced={} {} {}",
+                run.overlay.epoch(),
+                run.overlay.state_digest(),
+                run.overlay.members().len(),
+                run.desynced_len(),
+                healing_stats_line(&run.stats),
+                verdicts(
+                    &run.monitor,
+                    &[Invariant::Connectivity, Invariant::DegreeBound, Invariant::StaleBound]
+                ),
+            ));
+        }
+        let s = run.stats;
+        assert!(s.crashes > 0 && s.desync_events > 0, "{arm}: the fault mix must bite");
+        assert_eq!(s.rejoins > 0, healing, "{arm}: a crash outlives the heartbeat and rejoins");
+    }
+    lines
+}
+
+/// `RecoveryRunner` under a live catastrophe (one burst, one partition),
+/// recovery enabled and control: per round the overlay's `state_digest`,
+/// the mode and the pending arrivals; then the recovery counters.
+fn recovery_runner_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for enabled in [true, false] {
+        let arm = if enabled { "enabled" } else { "control" };
+        let seed = 0x4EC2;
+        let overlay = DosOverlay::new(256, attacker_params(), seed);
+        let t = overlay.epoch_len();
+        let faults = FaultSchedule::new(seed, 0.05, 0.001, Some(t), 0.1);
+        let runner = FaultyRunner::new(overlay, faults, healed_params(), true);
+        let spec = CatastropheSpec::new(seed)
+            .with_burst(Burst {
+                at: t + 1,
+                frac: 0.3,
+                target: BurstTarget::Groups,
+                storm_window: 2 * t,
+            })
+            .with_partition(TimedPartition { at: 4 * t, heal_at: 6 * t, side_frac: 0.1 });
+        let mut r =
+            RecoveryRunner::new(runner, spec.schedule(), RecoveryParams::default(), enabled, seed);
+        let mut adv = CatastropheCampaign::new(
+            DosAdversary::new(DosStrategy::Random, 0.1, 2 * t, seed ^ 1),
+            spec,
+        );
+        for _ in 0..9 * t {
+            let round = r.runner.overlay.round();
+            adv.observe(r.runner.overlay.snapshot(round));
+            let blocked = adv.block(round, r.runner.overlay.len());
+            let m = r.step(&blocked);
+            lines.push(format!(
+                "recovery/{arm} {} {:016x} mode={} pending={} members={} down={} desynced={}",
+                m.round,
+                r.runner.overlay.state_digest(),
+                r.mode().name(),
+                r.pending_arrivals(),
+                r.runner.overlay.len(),
+                r.runner.down_len(),
+                r.runner.desynced_len(),
+            ));
+        }
+        let s = r.stats();
+        assert!(s.bursts_fired == 1 && s.partitions_healed == 1, "{arm}: both events fire");
+        assert_eq!(s.reconciled > 0, enabled, "{arm}: the minority side missed a resample");
+        lines.push(format!(
+            "recovery/{arm} stats admitted={} rejected={} orphaned={} reconciled={} shed={} {}",
+            s.admitted,
+            s.rejected,
+            s.orphaned,
+            s.reconciled,
+            s.shed_rounds,
+            healing_stats_line(&r.runner.stats()),
+        ));
+    }
+    lines
+}
+
+/// `ByzantineRunner` with every defense, one run per Byzantine family (and
+/// forgeries against no defense, so that forged desyncs land), the
+/// loop of `ByzantineRunner::run` spelled out: per round the overlay's
+/// `state_digest`, the `ByzStats` and the Byzantine and quarantined counts.
+fn byzantine_runner_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    let epoch = DosOverlay::new(ATTACKER_N, attacker_params(), 35).epoch_len();
+    let arms = ByzFamily::all().into_iter().map(|f| (f, DefenseConfig::all()));
+    // Without the quorum, forgeries land: the forged-desync silencing runs.
+    let arms = arms.chain([(ByzFamily::by_name("byz:forge").unwrap(), DefenseConfig::none())]);
+    for (family, defense) in arms {
+        let budget = ByzBudget { byz_fraction: 0.1, joins_per_round: 3, block_bound: 0.1 };
+        let mut adv = ByzHarness::new(family, budget, epoch);
+        let label = format!("{}/{}", adv.label(), defense.label());
+        let mut runner = ByzantineRunner::new(ATTACKER_N, attacker_params(), 35, defense);
+        for _ in 0..4 * epoch {
+            let (round, n) = (runner.overlay().round(), runner.overlay().grouped().len());
+            adv.observe(runner.overlay().grouped().snapshot(round));
+            let acts = adv.act(round, n);
+            runner.monitor.check_budget(round, &acts.blocked, 0.1, n);
+            runner.step(&acts);
+            let s = runner.stats;
+            lines.push(format!(
+                "byz/{label} {round} {:016x} byz={} quarantined={} joins={}/{} corrupt={} \
+                 evict={} desync={} blocked={} quarantines={} reinstated={} probes={}/{}",
+                runner.overlay().state_digest(),
+                runner.byzantine().len(),
+                runner.quarantined().len(),
+                s.joins_accepted,
+                s.joins_rejected,
+                s.corruptions,
+                s.forged_evictions,
+                s.forged_desyncs,
+                s.forgeries_blocked,
+                s.quarantined,
+                s.reinstated,
+                s.eclipse_probes,
+                s.eclipsed_probes,
+            ));
+        }
+    }
+    lines
+}
+
+/// The node-id state of the three runners no other golden reaches:
+/// `healing_round.digests` covers `FaultyRunner` alone,
+/// `recovery_determinism.rs` checks only a null catastrophe against
+/// `dos_overlay.digests`, and `attacker.digests` pins what the Byzantine
+/// harness emits, not what `ByzantineRunner` makes of it.
+#[test]
+fn golden_runner_digests() {
+    let mut lines = expander_runner_lines();
+    lines.extend(recovery_runner_lines());
+    lines.extend(byzantine_runner_lines());
+    check_golden(
+        "runners.digests",
+        "core runners: expander = ExpanderFaultRun n=96 d=8 seed=41, loss 0.3 hazard 0.01 \
+         recover=40 rounds cap 0.2 (schedule seed 42), 12 epochs, healing on/off; recovery = \
+         RecoveryRunner<DosOverlay n=256 group_c=1 seed=0x4EC2> over a healed FaultyRunner \
+         (loss 0.05 hazard 0.001 recover=t heartbeat=2), one Groups burst 0.3 at t+1 (storm 2t) \
+         and a 0.25 partition over [4t, 6t), Random r=0.1 2t-late, 9 epochs, enabled/control; \
+         byz = ByzantineRunner n=512 group_c=1 seed=35, all defenses for every family and none \
+         for forge, identities 0.1, 3 joins/round, blocks 0.1, 4 epochs",
         &lines,
     );
 }
