@@ -10,7 +10,7 @@
 
 use overlay_graphs::Adjacency;
 use serde::{Deserialize, Serialize};
-use simnet::NodeId;
+use simnet::{idrun, NodeId};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,13 +43,7 @@ impl TopologySnapshot {
     /// `nodes` group by group; strategies whose answer depends on id order
     /// read this instead (it borrows when `nodes` is already canonical).
     pub fn members(&self) -> Cow<'_, [NodeId]> {
-        if self.nodes.windows(2).all(|w| w[0] < w[1]) {
-            return Cow::Borrowed(&self.nodes);
-        }
-        let mut sorted = self.nodes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Cow::Owned(sorted)
+        idrun::ascending(&self.nodes)
     }
 
     /// Node-level adjacency under `edges`, indexed in [`members`] order.
@@ -124,10 +118,8 @@ impl LateView<'_> {
         if Arc::ptr_eq(&prev.topo, &self.seen.topo) {
             return Vec::new();
         }
-        let before = prev.members();
-        let mut out = self.seen.members().into_owned();
-        out.retain(|v| before.binary_search(v).is_err());
-        out
+        let (now, before) = (self.seen.members(), prev.members());
+        idrun::difference(now.iter().copied(), before.iter().copied()).collect()
     }
 }
 

@@ -4,7 +4,7 @@
 
 use overlay_graphs::KaryHypercube;
 use rand::{Rng, RngExt};
-use simnet::{BlockSet, NodeId};
+use simnet::{idrun, BlockSet, NodeId};
 
 /// Node groups keyed by k-ary hypercube supernode.
 #[derive(Clone, Debug)]
@@ -35,9 +35,7 @@ impl KaryGroups {
         for &v in nodes {
             groups[rng.random_range(0..cube.len()) as usize].push(v);
         }
-        let mut nodes = nodes.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
+        let nodes = idrun::ascending(nodes).into_owned();
         Self { cube, groups, nodes }
     }
 

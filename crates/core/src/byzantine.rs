@@ -41,7 +41,8 @@ use crate::healing::smallest_live_introducer;
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use crate::monitor::{Invariant, InvariantMonitor};
 use overlay_adversary::byzantine::{ByzActions, ByzAttacker, Forgery};
-use simnet::NodeId;
+use simnet::idrun::union;
+use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{EventKind, Telemetry};
 
@@ -248,17 +249,10 @@ impl ByzantineRunner {
 
         // Byzantine members occupy slots but never cooperate: they join
         // the block set, as do members silenced by a forged desync.
-        let mut eff = acts.blocked.clone();
-        for &b in &self.byz {
-            if self.overlay.grouped().supernode_of(b).is_some() {
-                eff.insert(b);
-            }
-        }
-        for (&v, &(until, _)) in &self.desynced {
-            if round < until && self.overlay.grouped().supernode_of(v).is_some() {
-                eff.insert(v);
-            }
-        }
+        let byz = self.byz.iter().copied().filter(|&b| self.is_member(b));
+        let forged = self.desynced.iter().filter(|(_, &(until, _))| round < until);
+        let forged = forged.map(|(&v, _)| v).filter(|&v| self.is_member(v));
+        let eff = BlockSet::from_iter(union(union(acts.blocked.iter(), byz), forged));
 
         let epochs_before = self.overlay.epochs();
         let m = self.overlay.step(&eff);

@@ -389,7 +389,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         // Fresh crashes among live members.
         let members = self.overlay.members_sorted();
         let up: Vec<NodeId> =
-            minus_ascending(members.iter().copied(), self.down.keys().copied()).collect();
+            difference(members.iter().copied(), self.down.keys().copied()).collect();
         lap("membership");
         for v in self.schedule.draw_crashes(&up, members.len()) {
             let back = self.schedule.recover_after().map_or(u64::MAX, |k| round + k);
@@ -456,7 +456,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         // would resynchronize anyone either.
         if self.overlay.epochs() > epochs_before && self.overlay.failed_epochs() == failed_before {
             let members = self.overlay.members_sorted();
-            let live: Vec<NodeId> = minus_ascending(members, self.down.keys().copied()).collect();
+            let live: Vec<NodeId> = difference(members, self.down.keys().copied()).collect();
             for v in live {
                 if self.schedule.lose_message() {
                     self.tracker.mark_desynced(v, m.round, self.healing);
@@ -497,10 +497,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// crashed plus desynchronized members, the three sorted runs merged in
     /// one pass.
     fn silenced<'a>(&'a self, dos_blocked: &'a BlockSet) -> impl Iterator<Item = NodeId> + 'a {
-        merge_ascending(
-            merge_ascending(dos_blocked.iter(), self.down.keys().copied()),
-            self.tracker.desynced(),
-        )
+        union(union(dos_blocked.iter(), self.down.keys().copied()), self.tracker.desynced())
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
@@ -537,16 +534,17 @@ fn assert_same<O: HealableOverlay>(
     let down: Vec<(NodeId, u64, bool)> =
         old.down.iter().map(|(&v, &b)| (v, b, old.evicted_while_down.contains(&v))).collect();
     let runs: Vec<(NodeId, u64, bool)> =
-        new.down.iter().map(|d| (d.node, d.back, d.evicted)).collect();
+        new.down.entries().map(|(v, d)| (v, d.back, d.evicted)).collect();
     assert_eq!(runs, down, "{ctx}: down");
     let (t, r) = (&new.tracker, &old.tracker);
     assert_eq!(t.desynced().collect::<Vec<_>>(), r.desynced().collect::<Vec<_>>(), "{ctx}");
-    assert_eq!(t.staleness, r.staleness.iter().map(|(&v, &c)| (v, c)).collect::<Vec<_>>(), "{ctx}");
+    let staleness: Vec<_> = t.staleness.entries().map(|(v, &c)| (v, c)).collect();
+    assert_eq!(staleness, r.staleness.iter().map(|(&v, &c)| (v, c)).collect::<Vec<_>>(), "{ctx}");
     // With healing on every desynced member re-requests; with it off the
     // schedules the runs carry are never read, and the reference has none.
     let retries: Vec<_> = r.retries.iter().map(|(v, s)| (*v, s.attempts, s.next_due)).collect();
     if new.healing_enabled() {
-        let runs: Vec<_> = t.desynced.iter().map(|(v, s)| (*v, s.attempts, s.next_due)).collect();
+        let runs: Vec<_> = t.desynced.entries().map(|(v, s)| (v, s.attempts, s.next_due)).collect();
         assert_eq!(runs, retries, "{ctx}: retries");
     } else {
         assert!(retries.is_empty(), "{ctx}: no retries without healing");

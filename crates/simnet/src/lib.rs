@@ -25,9 +25,10 @@
 //!   node may message any other node whose id it holds).
 //!
 //! This crate is the *model*: [`Protocol`] and [`Ctx`], [`Envelope`] and
-//! [`Payload`], [`BlockSet`] and [`FaultModel`], [`Conduct`], [`Digest`],
-//! [`Trace`], [`CommStats`], the checkpoint container, the per-node RNG
-//! streams of [`rng`] and the [`SimEngine`] trait. The engine that executes
+//! [`Payload`], the sorted id runs [`IdRun`] and [`IdSet`] (a [`BlockSet`]
+//! is one), [`FaultModel`], [`Conduct`], [`Digest`], [`Trace`],
+//! [`CommStats`], the checkpoint container, the per-node RNG streams of
+//! [`rng`] and the [`SimEngine`] trait. The engine that executes
 //! it — deterministically, from per-node [`rand_chacha`] streams derived
 //! from a master seed — is `simnet_xl::XlNetwork`; its crate docs open
 //! with a runnable example.
@@ -39,6 +40,7 @@ pub mod conduct;
 pub mod digest;
 pub mod fault;
 pub mod id;
+pub mod idrun;
 pub mod instrument;
 pub mod message;
 pub mod protocol;
@@ -55,6 +57,7 @@ pub use fault::{
     Partition, TimedPartition,
 };
 pub use id::NodeId;
+pub use idrun::{IdRun, IdSet};
 pub use message::{Envelope, Payload};
 pub use protocol::{node_state_digest, Ctx, Inbox, Protocol};
 pub use rng::{stream, NodeRng};

@@ -101,15 +101,16 @@ cargo test -q -p integration-tests --test determinism golden_sampling_direct_dig
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_alg1 -- --smoke
 
-echo "==> block sets, grouped network, picker, healing state: sorted runs vs the BTreeSet / HashMap / HashSet / BTreeMap references (480 + 420 + 480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens"
-cargo test -q -p simnet --lib fault::blockset_diff
-cargo test -q -p reconfig-core --lib dos::supernode::grouped_diff
+echo "==> sorted id runs vs BTreeMap (480 seeded cases), per-group counts vs per-member probes, picker and healing state vs their HashSet / BTreeMap references (480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens"
+cargo test -q -p simnet --lib idrun::props
+cargo test -q -p reconfig-core --lib dos::supernode::tests
 cargo test -q -p overlay-adversary --lib dos::picker_diff
 cargo test -q -p reconfig-core --lib healing::tracker_diff
 cargo test -q -p reconfig-core --lib snapshot_is_rebuilt_after_each_structural_change
 cargo test -q -p overlay-adversary --lib lateness::tests::one_arc_pushed_every_round
 cargo test -q -p integration-tests --test determinism golden_healing_round_digests
 cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
+cargo test -q -p integration-tests --test determinism golden_runner_digests
 
 echo "==> healed DoS round perf smoke (timed and untimed rounds agree; section split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_dos_round -- --smoke
