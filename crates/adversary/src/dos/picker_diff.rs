@@ -6,6 +6,7 @@
 
 use super::*;
 use rand::{RngCore, RngExt};
+use std::collections::HashSet;
 
 /// Top `out` up to `budget` with the shuffled members of `pool` that
 /// `taken` does not hold yet.
