@@ -93,6 +93,7 @@ mod tests {
     use super::*;
     use overlay_adversary::dos::{DosAdversary, DosStrategy};
     use overlay_stats::tv_distance_uniform;
+    use reconfig_core::healing::HealableOverlay;
 
     #[test]
     fn exchange_succeeds_without_attack() {

@@ -22,7 +22,8 @@ pub mod store;
 use kary_groups::KaryGroups;
 use overlay_stats::BucketHistogram;
 use rand::RngExt;
-use reconfig_core::config::{SamplingParams, Schedule};
+use reconfig_core::config::SamplingParams;
+use reconfig_core::dos::EpochClock;
 use routing::{Packet, RouteScratch};
 use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
@@ -97,14 +98,9 @@ pub struct RobustDht {
     groups: KaryGroups,
     /// Replicas per key (logarithmic redundancy).
     redundancy: usize,
-    epoch_len: u64,
-    round: u64,
-    epoch_ok: bool,
-    prev_blocked: BlockSet,
+    clock: EpochClock,
     rng: NodeRng,
     scratch: BatchScratch,
-    /// Epochs whose availability precondition failed.
-    pub failed_epochs: u64,
     /// Cumulative message events across every served batch and single
     /// read (multiply by [`MESSAGE_BITS`] for communication-work bits) —
     /// the workload engine's goodput denominator.
@@ -123,22 +119,17 @@ impl RobustDht {
         let mut rng = simnet::rng::stream(seed, 4, 0xD47);
         let groups = KaryGroups::random(&nodes, group_c, &mut rng);
         let redundancy = ((n.max(4) as f64).log2().ceil() as usize).max(3);
-        // Epoch length mirrors the Section 5 derivation on the supernode
-        // population (power-of-two-rounded binary dimension).
-        let sched_dim = (groups.cube().dim().max(2) as usize).next_power_of_two() as u32;
-        let schedule = Schedule::algorithm2(sched_dim, &SamplingParams::default());
-        let epoch_len = 2 * schedule.rounds() as u64 + 4;
+        // The Section 5 epoch on the supernode population's binary
+        // dimension, at least two.
+        let dim = groups.cube().dim().max(2);
+        let clock = EpochClock::new(EpochClock::epoch_len_for(dim, &SamplingParams::default()));
         Self {
             servers: vec![ServerStore::default(); n],
             groups,
             redundancy,
-            epoch_len,
-            round: 0,
-            epoch_ok: true,
-            prev_blocked: BlockSet::none(),
+            clock,
             rng,
             scratch: BatchScratch::default(),
-            failed_epochs: 0,
             messages_total: 0,
             tel: Telemetry::disabled(),
         }
@@ -168,7 +159,13 @@ impl RobustDht {
 
     /// Rounds per reconfiguration epoch.
     pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
+        self.clock.epoch_len()
+    }
+
+    /// The reconfiguration epoch: rounds stepped, epochs completed and
+    /// failed, and what the last round did at a boundary.
+    pub fn clock(&self) -> &EpochClock {
+        &self.clock
     }
 
     /// The group overlay.
@@ -186,34 +183,26 @@ impl RobustDht {
     /// Advance one overlay round under `blocked` (availability tracking +
     /// epoch-boundary group resampling, as in Section 5).
     pub fn step(&mut self, blocked: &BlockSet) {
-        self.round += 1;
         // A caller stepping through a batch's rounds passes one set over
         // and over: then a member is available iff it is not in that set,
-        // and there is nothing to copy.
-        let same = self.prev_blocked == *blocked;
-        let ok = self.groups.groups().iter().all(|g| {
-            g.iter().any(|v| !blocked.contains(*v) && (same || !self.prev_blocked.contains(*v)))
+        // and the clock has nothing to copy.
+        let prev = self.clock.prev_blocked();
+        let same = prev == blocked;
+        let available = self
+            .groups
+            .groups()
+            .iter()
+            .all(|g| g.iter().any(|v| !blocked.contains(*v) && (same || !prev.contains(*v))));
+        let Some(ok) = self.clock.close(!available, blocked) else { return };
+        if ok {
+            self.groups.resample(&mut self.rng);
+        } else {
+            self.tel.counter("dht.failed_epochs", &[]).inc();
+        }
+        let epoch = self.clock.epochs();
+        self.tel.emit(self.clock.round(), EventKind::EpochFinished, None, u64::from(ok), || {
+            format!("dht epoch {epoch} {}", if ok { "ok" } else { "failed" })
         });
-        if !ok {
-            self.epoch_ok = false;
-        }
-        if !same {
-            self.prev_blocked.clone_from(blocked);
-        }
-        if self.round % self.epoch_len == 0 {
-            let epoch_ok = self.epoch_ok;
-            if epoch_ok {
-                self.groups.resample(&mut self.rng);
-            } else {
-                self.failed_epochs += 1;
-                self.tel.counter("dht.failed_epochs", &[]).inc();
-            }
-            let epoch = self.round / self.epoch_len;
-            self.tel.emit(self.round, EventKind::EpochFinished, None, epoch, || {
-                format!("dht epoch {epoch} {}", if epoch_ok { "ok" } else { "failed" })
-            });
-            self.epoch_ok = true;
-        }
     }
 
     /// Serve a batch of requests while `blocked` holds.
@@ -463,17 +452,30 @@ mod tests {
         let a: BlockSet = a.iter().copied().collect();
         let b: BlockSet = b.iter().copied().collect();
 
+        // `EpochFinished` carries the success flag, like every overlay's.
+        let failed_events = |tel: &telemetry::Telemetry| {
+            let (events, _) = tel.events();
+            events.iter().filter(|e| e.kind == EventKind::EpochFinished && e.value == 0).count()
+                as u64
+        };
+
         let mut steady = fresh();
+        let tel = telemetry::Telemetry::collector();
+        steady.set_telemetry(tel.clone());
         for _ in 0..steady.epoch_len() {
             steady.step(&a);
         }
-        assert_eq!(steady.failed_epochs, 0, "a repeated set is judged on its own");
+        assert_eq!(steady.clock().failed_epochs(), 0, "a repeated set is judged on its own");
+        assert_eq!(failed_events(&tel), steady.clock().failed_epochs());
 
         let mut alternating = fresh();
+        let tel = telemetry::Telemetry::collector();
+        alternating.set_telemetry(tel.clone());
         for round in 0..alternating.epoch_len() {
             alternating.step(if round % 2 == 0 { &a } else { &b });
         }
-        assert_eq!(alternating.failed_epochs, 1, "the previous round's set still counts");
+        assert_eq!(alternating.clock().failed_epochs(), 1, "the previous round's set still counts");
+        assert_eq!(failed_events(&tel), alternating.clock().failed_epochs());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use reconfig_bench::{
     experiment_telemetry, write_json_or_exit, write_telemetry_or_exit, ExperimentResult, Table,
 };
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{FaultyRunner, HealingParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 use telemetry::Telemetry;
 

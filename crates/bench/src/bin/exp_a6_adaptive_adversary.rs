@@ -23,6 +23,7 @@ use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_bench::{write_json_or_exit, ExperimentResult, RunError, Table};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 
 /// Same reasoning as the adaptive-adversary integration tests: `c = 1`
 /// gives dimension 5 (32 groups of ~16), so a corner's neighbor groups

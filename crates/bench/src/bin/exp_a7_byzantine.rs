@@ -29,6 +29,7 @@ use overlay_adversary::AdaptiveStrategy;
 use reconfig_bench::{write_json_or_exit, ExperimentResult, RunError, Table};
 use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
 use reconfig_core::dos::DosParams;
+use reconfig_core::healing::HealableOverlay;
 use reconfig_core::monitor::Invariant;
 
 /// Same small-group regime as A6 (`c = 1`): attacks bite inside the swept

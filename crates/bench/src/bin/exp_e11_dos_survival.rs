@@ -10,6 +10,7 @@
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_bench::{table::f, write_json_or_exit, ExperimentResult, Table};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 
 fn main() {
     let n = 4096usize;

@@ -11,6 +11,7 @@ use overlay_apps::anon::Anonymizer;
 use overlay_stats::tv_distance_uniform;
 use reconfig_bench::{table::f, write_json_or_exit, ExperimentResult, Table};
 use reconfig_core::dos::DosParams;
+use reconfig_core::healing::HealableOverlay;
 
 fn main() {
     let n = 1024usize;

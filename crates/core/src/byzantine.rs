@@ -37,7 +37,7 @@
 //! or digest stream.
 
 use crate::dos::{DosOverlay, DosParams};
-use crate::healing::smallest_live_introducer;
+use crate::healing::{smallest_live_introducer, HealableOverlay};
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use crate::monitor::{Invariant, InvariantMonitor};
 use overlay_adversary::byzantine::{ByzActions, ByzAttacker, Forgery};
@@ -254,12 +254,9 @@ impl ByzantineRunner {
         let forged = forged.map(|(&v, _)| v).filter(|&v| self.is_member(v));
         let eff = BlockSet::from_iter(union(union(acts.blocked.iter(), byz), forged));
 
-        let epochs_before = self.overlay.epochs();
         let m = self.overlay.step(&eff);
-        let epoch_finished = self.overlay.epochs() > epochs_before;
-
         self.check_round_invariants(&m, round);
-        if epoch_finished {
+        if self.overlay.clock().closed_epoch().is_some() {
             self.end_of_epoch_audit(round);
             self.probe_eclipse(round);
         }

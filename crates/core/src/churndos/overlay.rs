@@ -1,7 +1,9 @@
 //! The epoch loop of the combined churn+DoS overlay.
 
 use crate::churndos::splitmerge::{target_dim, LabeledGroups, SizeBand};
-use crate::config::{SamplingParams, Schedule};
+use crate::config::SamplingParams;
+use crate::dos::epoch::EpochClock;
+use crate::healing::HealableOverlay;
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use overlay_adversary::churn::ChurnEvent;
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
@@ -34,13 +36,7 @@ impl Default for ChurnDosParams {
 pub struct ChurnDosOverlay {
     groups: LabeledGroups,
     band: SizeBand,
-    epoch_len: u64,
-    round: u64,
-    epochs_done: u64,
-    /// Epochs that failed the Lemma 14 availability precondition.
-    pub failed_epochs: u64,
-    epoch_ok: bool,
-    prev_blocked: BlockSet,
+    clock: EpochClock,
     pending_joins: Vec<(NodeId, NodeId)>,
     pending_leaves: Vec<NodeId>,
     rng: NodeRng,
@@ -62,22 +58,14 @@ impl ChurnDosOverlay {
         let mut groups = LabeledGroups::random(&nodes, dim.max(1), &mut rng);
         let band = SizeBand { c: params.band_c };
         groups.rebalance(band, &mut rng).expect("initial population fits Equation 1");
-        // Epoch length from the Algorithm 2 schedule on the supernode
-        // dimension (power-of-two rounding), doubled for simulate +
-        // synchronize, plus the reorganization and a constant number of
-        // rounds for the organized split/merge phase (Lemma 18).
-        let sched_dim = (dim.max(2) as usize).next_power_of_two() as u32;
-        let schedule = Schedule::algorithm2(sched_dim, &params.sampling);
-        let epoch_len = 2 * schedule.rounds() as u64 + 4 + 4;
+        // The Section 5 epoch on at least two supernode dimensions, plus a
+        // constant number of rounds for the organized split/merge phase
+        // (Lemma 18).
+        let epoch_len = EpochClock::epoch_len_for(u32::from(dim.max(2)), &params.sampling) + 4;
         Self {
             groups,
             band,
-            epoch_len,
-            round: 0,
-            epochs_done: 0,
-            failed_epochs: 0,
-            epoch_ok: true,
-            prev_blocked: BlockSet::none(),
+            clock: EpochClock::new(epoch_len),
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
             rng,
@@ -91,11 +79,6 @@ impl ChurnDosOverlay {
     /// leaves every `state_digest` unchanged.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// Rounds per epoch (`Theta(log log n)`).
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
     }
 
     /// Current members.
@@ -116,16 +99,6 @@ impl ChurnDosOverlay {
     /// The current group structure.
     pub fn groups(&self) -> &LabeledGroups {
         &self.groups
-    }
-
-    /// Completed epochs.
-    pub fn epochs(&self) -> u64 {
-        self.epochs_done
-    }
-
-    /// Current round number.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// Record churn; it takes effect at the next epoch boundary. A join is
@@ -152,7 +125,7 @@ impl ChurnDosOverlay {
         if self.groups.remove(v) {
             self.shared.take();
         }
-        self.tel.emit(self.round, EventKind::Eviction, Some(v.raw()), 0, String::new);
+        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
     }
 
     /// Re-admit a node after crash-recovery via the ordinary join path:
@@ -169,7 +142,13 @@ impl ChurnDosOverlay {
         let introducer =
             crate::healing::smallest_live_introducer(&members, &self.pending_leaves, v)
                 .expect("overlay has members");
-        self.tel.emit(self.round, EventKind::Rejoin, Some(v.raw()), introducer.raw(), String::new);
+        self.tel.emit(
+            self.round(),
+            EventKind::Rejoin,
+            Some(v.raw()),
+            introducer.raw(),
+            String::new,
+        );
         self.pending_joins.push((v, introducer));
     }
 
@@ -206,65 +185,34 @@ impl ChurnDosOverlay {
 
     /// Execute one round under the given block set.
     pub fn step(&mut self, blocked: &BlockSet) -> DosRoundMetrics {
-        self.round += 1;
         // Empty groups (possible only after self-healing evictions) are
         // skipped: a group with no members cannot starve.
+        let prev = self.clock.prev_blocked();
         let min_avail = self
             .groups
             .iter()
             .filter(|(_, g)| !g.is_empty())
             .map(|(_, g)| {
-                g.iter()
-                    .filter(|v| !self.prev_blocked.contains(**v) && !blocked.contains(**v))
-                    .count()
+                g.iter().filter(|v| !prev.contains(**v) && !blocked.contains(**v)).count()
             })
             .min()
             .unwrap_or(0);
-        if min_avail == 0 {
-            self.epoch_ok = false;
-        }
         let (min_size, max_size) = self.groups.size_range();
         let metrics = DosRoundMetrics {
-            round: self.round,
+            round: self.clock.round() + 1,
             blocked: blocked.len(),
             connected: self.connected_under(blocked),
             min_group_available: min_avail,
             min_group_size: min_size,
             max_group_size: max_size,
         };
-        self.prev_blocked.clone_from(blocked);
-        if self.tel.enabled() {
-            self.tel.counter("overlay.rounds", &[]).inc();
-            if !metrics.connected {
-                self.tel.counter("overlay.disconnected_rounds", &[]).inc();
-            }
-            if min_avail == 0 {
-                self.tel.counter("overlay.starved_rounds", &[]).inc();
-            }
-            self.tel.histogram("overlay.blocked", &[]).record(metrics.blocked as u64);
-            self.tel.gauge("overlay.max_group_size", &[]).record_max(max_size as u64);
+        // A failed epoch keeps the stale groups: leavers cannot depart
+        // while the reconfiguration is stalled, and joins wait too
+        // (monotonic membership).
+        if self.clock.close(min_avail == 0, blocked) == Some(true) {
+            self.reconfigure();
         }
-
-        if self.round % self.epoch_len == 0 {
-            self.epochs_done += 1;
-            let ok = self.epoch_ok;
-            if ok {
-                self.reconfigure();
-            } else {
-                self.failed_epochs += 1;
-                // Leavers cannot depart while the reconfiguration is
-                // stalled; joins also wait (monotonic membership).
-            }
-            self.epoch_ok = true;
-            self.tel.counter("overlay.epochs", &[]).inc();
-            if !ok {
-                self.tel.counter("overlay.failed_epochs", &[]).inc();
-            }
-            let epoch = self.epochs_done;
-            self.tel.emit(self.round, EventKind::EpochFinished, None, u64::from(ok), || {
-                format!("epoch {epoch} {}", if ok { "reconfigured" } else { "stalled" })
-            });
-        }
+        self.clock.record(&self.tel, &metrics);
         metrics
     }
 
@@ -292,41 +240,33 @@ impl ChurnDosOverlay {
     /// within each group), pending churn, and the previous block set.
     /// Golden tests pin the sequence of these across rounds.
     pub fn state_digest(&self) -> u64 {
-        let mut d = simnet::Digest::new();
-        d.write_u64(self.round)
-            .write_u64(self.epochs_done)
-            .write_u64(self.failed_epochs)
-            .write_bool(self.epoch_ok);
-        let mut entries: Vec<(u8, u64, Vec<NodeId>)> = self
-            .groups
-            .iter()
-            .map(|(l, g)| {
-                let mut members = g.clone();
-                members.sort_unstable();
-                (l.dim(), l.prefix_bits(l.dim()), members)
-            })
-            .collect();
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
-        d.write_usize(entries.len());
-        for (dim, bits, members) in entries {
-            d.write_u8(dim).write_u64(bits).write_usize(members.len());
-            for v in members {
-                d.write_u64(v.raw());
+        self.clock.digest(|d| {
+            let mut entries: Vec<(u8, u64, Vec<NodeId>)> = self
+                .groups
+                .iter()
+                .map(|(l, g)| {
+                    let mut members = g.clone();
+                    members.sort_unstable();
+                    (l.dim(), l.prefix_bits(l.dim()), members)
+                })
+                .collect();
+            entries.sort_unstable_by_key(|e| (e.0, e.1));
+            d.write_usize(entries.len());
+            for (dim, bits, members) in entries {
+                d.write_u8(dim).write_u64(bits).write_usize(members.len());
+                for v in members {
+                    d.write_u64(v.raw());
+                }
             }
-        }
-        d.write_usize(self.pending_joins.len());
-        for &(new, delegate) in &self.pending_joins {
-            d.write_u64(new.raw()).write_u64(delegate.raw());
-        }
-        d.write_usize(self.pending_leaves.len());
-        for &l in &self.pending_leaves {
-            d.write_u64(l.raw());
-        }
-        d.write_usize(self.prev_blocked.len());
-        for v in self.prev_blocked.iter() {
-            d.write_u64(v.raw());
-        }
-        d.finish()
+            d.write_usize(self.pending_joins.len());
+            for &(new, delegate) in &self.pending_joins {
+                d.write_u64(new.raw()).write_u64(delegate.raw());
+            }
+            d.write_usize(self.pending_leaves.len());
+            for &l in &self.pending_leaves {
+                d.write_u64(l.raw());
+            }
+        })
     }
 
     /// Topology snapshot for the adversary (groups + supernode adjacency),
@@ -372,12 +312,12 @@ impl ChurnDosOverlay {
         for _ in 0..epochs {
             let ev = churn.next(&self.members(), churn_rng);
             self.apply_churn(&ev);
-            for _ in 0..self.epoch_len {
+            for _ in 0..self.epoch_len() {
                 let blocked = crate::healing::attack_round(&*self, adversary, None);
                 out.absorb(self.step(&blocked));
             }
         }
-        out.epochs = self.epochs_done;
+        out.epochs = self.clock.epochs();
         out
     }
 }
@@ -389,24 +329,20 @@ impl simnet::Checkpoint for ChurnDosOverlay {
             .iter()
             .map(|&(new, delegate)| serde_json::json!({ "new": new.raw(), "via": delegate.raw() }))
             .collect();
-        serde_json::json!({
-            "format": "churndos-overlay-checkpoint",
-            "groups": self.groups.save(),
-            "band": self.band.save(),
-            "epoch_len": self.epoch_len,
-            "round": self.round,
-            "epochs_done": self.epochs_done,
-            "failed_epochs": self.failed_epochs,
-            "epoch_ok": self.epoch_ok,
-            "prev_blocked": self.prev_blocked.save(),
-            "pending_joins": joins,
-            "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
-            "rng": self.rng.save(),
-            "digest_stamp": self.state_digest(),
-        })
+        self.clock.save(
+            serde_json::json!({
+                "format": "churndos-overlay-checkpoint",
+                "groups": self.groups.save(),
+                "band": self.band.save(),
+                "pending_joins": joins,
+                "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
+                "rng": self.rng.save(),
+            }),
+            self.state_digest(),
+        )
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_array, get_bool, get_str, get_u64, get_vec};
+        use simnet::checkpoint::{field, get_array, get_str, get_u64, get_vec};
         match get_str(v, "format")? {
             "churndos-overlay-checkpoint" => {}
             other => {
@@ -422,28 +358,19 @@ impl simnet::Checkpoint for ChurnDosOverlay {
         let ov = Self {
             groups: LabeledGroups::load(field(v, "groups")?)?,
             band: SizeBand::load(field(v, "band")?)?,
-            epoch_len: get_u64(v, "epoch_len")?,
-            round: get_u64(v, "round")?,
-            epochs_done: get_u64(v, "epochs_done")?,
-            failed_epochs: get_u64(v, "failed_epochs")?,
-            epoch_ok: get_bool(v, "epoch_ok")?,
-            prev_blocked: BlockSet::load(field(v, "prev_blocked")?)?,
+            clock: EpochClock::load(v)?,
             pending_joins,
             pending_leaves: get_vec(v, "pending_leaves")?,
             rng: NodeRng::load(field(v, "rng")?)?,
             shared: OnceLock::new(),
             tel: Telemetry::disabled(),
         };
-        let stamped = get_u64(v, "digest_stamp")?;
-        let restored = ov.state_digest();
-        if restored != stamped {
-            return Err(simnet::CkptError::DigestMismatch { stamped, restored });
-        }
+        ov.clock.verify(v, ov.state_digest())?;
         Ok(ov)
     }
 }
 
-impl crate::healing::HealableOverlay for ChurnDosOverlay {
+impl HealableOverlay for ChurnDosOverlay {
     fn members_sorted(&self) -> Vec<NodeId> {
         let mut m = self.members();
         m.sort_unstable();
@@ -452,17 +379,8 @@ impl crate::healing::HealableOverlay for ChurnDosOverlay {
     fn len(&self) -> usize {
         self.len()
     }
-    fn round(&self) -> u64 {
-        self.round()
-    }
-    fn epoch_len(&self) -> u64 {
-        self.epoch_len()
-    }
-    fn epochs(&self) -> u64 {
-        self.epochs()
-    }
-    fn failed_epochs(&self) -> u64 {
-        self.failed_epochs
+    fn clock(&self) -> &EpochClock {
+        &self.clock
     }
     fn snapshot(&self, round: u64) -> SharedSnapshot {
         self.snapshot(round)
@@ -530,7 +448,7 @@ mod tests {
         let run = ov.run_under_attack(&mut adv, &mut churn, 4, &mut rng);
         assert_eq!(run.connected_rounds, run.rounds, "Theorem 7 regime must stay connected");
         assert_eq!(run.starved_rounds, 0);
-        assert_eq!(ov.failed_epochs, 0);
+        assert_eq!(ov.failed_epochs(), 0);
         assert!(ov.groups().lemma18_holds());
     }
 

@@ -31,10 +31,12 @@
 //! the epoch length (each primitive round costs two overlay rounds:
 //! simulation + synchronization).
 
+pub mod epoch;
 pub mod group_sim;
 pub mod overlay;
 pub mod supernode;
 
+pub use epoch::EpochClock;
 pub use group_sim::{build_group_sim, GroupSimNode, SuperProtocol, TokenWalkSampler};
 pub use overlay::{DosOverlay, DosParams};
 pub use supernode::GroupedNetwork;

@@ -1,7 +1,9 @@
 //! The epoch loop of the DoS-resistant overlay.
 
-use crate::config::{SamplingParams, Schedule};
+use crate::config::SamplingParams;
+use crate::dos::epoch::EpochClock;
 use crate::dos::supernode::GroupedNetwork;
+use crate::healing::HealableOverlay;
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use overlay_adversary::adaptive::Attacker;
 use simnet::rng::NodeRng;
@@ -29,15 +31,7 @@ impl Default for DosParams {
 /// as long as every group keeps an available member (Lemmas 14/15).
 pub struct DosOverlay {
     grouped: GroupedNetwork,
-    /// Rounds per reconfiguration epoch.
-    epoch_len: u64,
-    round: u64,
-    epochs_done: u64,
-    /// Epochs that failed because some group starved mid-epoch.
-    pub failed_epochs: u64,
-    /// Whether the current epoch still satisfies the Lemma 14 precondition.
-    epoch_ok: bool,
-    prev_blocked: BlockSet,
+    clock: EpochClock,
     rng: NodeRng,
     /// Attached recorder (disabled by default). Pure observability: it
     /// never draws from `rng` and is excluded from [`Self::state_digest`]
@@ -53,25 +47,8 @@ impl DosOverlay {
         let dim = GroupedNetwork::dimension_for(n, params.group_c);
         let mut rng = simnet::rng::stream(seed, 1, 0xD0);
         let grouped = GroupedNetwork::random(&nodes, dim, &mut rng);
-        // Epoch length: the group-simulated Algorithm 2 run (two overlay
-        // rounds per primitive round: simulate + synchronize) plus the
-        // four-step reorganization of Lemma 15. The primitive runs on the
-        // hypercube of supernodes, whose dimension we round up to a power
-        // of two as the paper's d = 2^k assumption.
-        let sched_dim = (dim as usize).next_power_of_two() as u32;
-        let schedule = Schedule::algorithm2(sched_dim, &params.sampling);
-        let epoch_len = 2 * schedule.rounds() as u64 + 4;
-        Self {
-            grouped,
-            epoch_len,
-            round: 0,
-            epochs_done: 0,
-            failed_epochs: 0,
-            epoch_ok: true,
-            prev_blocked: BlockSet::none(),
-            rng,
-            tel: Telemetry::disabled(),
-        }
+        let clock = EpochClock::new(Self::epoch_len_for(n, &params));
+        Self { grouped, clock, rng, tel: Telemetry::disabled() }
     }
 
     /// Attach a telemetry recorder: the overlay then emits per-round
@@ -79,22 +56,6 @@ impl DosOverlay {
     /// events. Replay identity is untouched (see the `tel` field docs).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// The epoch length `t` in rounds — `Theta(log log n)`. An adversary
-    /// must be at least `2t`-late for Theorem 6's argument.
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
-    }
-
-    /// Current round.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Completed (successful or failed) epochs.
-    pub fn epochs(&self) -> u64 {
-        self.epochs_done
     }
 
     /// The current group structure.
@@ -105,8 +66,7 @@ impl DosOverlay {
     /// Execute one round under the given block set. Reconfigures at epoch
     /// boundaries (when the epoch's availability precondition held).
     pub fn step(&mut self, blocked: &BlockSet) -> DosRoundMetrics {
-        self.round += 1;
-        let (avail, unblocked) = self.grouped.counts_under(&self.prev_blocked, blocked);
+        let (avail, unblocked) = self.grouped.counts_under(self.clock.prev_blocked(), blocked);
         // Empty groups (possible only after self-healing evictions; never
         // in a paper-model run) cannot starve — the min is over occupied
         // groups.
@@ -117,58 +77,23 @@ impl DosOverlay {
             .map(|(&a, _)| a)
             .min()
             .unwrap_or(0);
-        if min_avail == 0 {
-            self.epoch_ok = false;
-        }
         let (min_size, max_size) = self.grouped.group_size_range();
         let metrics = DosRoundMetrics {
-            round: self.round,
+            round: self.clock.round() + 1,
             blocked: blocked.len(),
             connected: self.grouped.connected_given(&unblocked),
             min_group_available: min_avail,
             min_group_size: min_size,
             max_group_size: max_size,
         };
-        self.prev_blocked.clone_from(blocked);
-        if self.tel.enabled() {
-            self.record_round(&metrics);
+        if self.clock.close(min_avail == 0, blocked) == Some(true) {
+            // Lemma 15: fresh uniformly random assignment.
+            let nodes = self.grouped.nodes();
+            let dim = self.grouped.cube().dim();
+            self.grouped = GroupedNetwork::random(&nodes, dim, &mut self.rng);
         }
-
-        if self.round % self.epoch_len == 0 {
-            self.epochs_done += 1;
-            let ok = self.epoch_ok;
-            if ok {
-                // Lemma 15: fresh uniformly random assignment.
-                let nodes = self.grouped.nodes();
-                let dim = self.grouped.cube().dim();
-                self.grouped = GroupedNetwork::random(&nodes, dim, &mut self.rng);
-            } else {
-                self.failed_epochs += 1;
-            }
-            self.epoch_ok = true;
-            self.tel.counter("overlay.epochs", &[]).inc();
-            if !ok {
-                self.tel.counter("overlay.failed_epochs", &[]).inc();
-            }
-            let epoch = self.epochs_done;
-            self.tel.emit(self.round, EventKind::EpochFinished, None, u64::from(ok), || {
-                format!("epoch {epoch} {}", if ok { "reconfigured" } else { "failed" })
-            });
-        }
+        self.clock.record(&self.tel, &metrics);
         metrics
-    }
-
-    /// Record one round's observation into the attached recorder.
-    fn record_round(&self, m: &DosRoundMetrics) {
-        self.tel.counter("overlay.rounds", &[]).inc();
-        if !m.connected {
-            self.tel.counter("overlay.disconnected_rounds", &[]).inc();
-        }
-        if m.min_group_available == 0 {
-            self.tel.counter("overlay.starved_rounds", &[]).inc();
-        }
-        self.tel.histogram("overlay.blocked", &[]).record(m.blocked as u64);
-        self.tel.gauge("overlay.max_group_size", &[]).record_max(m.max_group_size as u64);
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
@@ -181,7 +106,7 @@ impl DosOverlay {
             let blocked = crate::healing::attack_round(&*self, adversary, None);
             out.absorb(self.step(&blocked));
         }
-        out.epochs = self.epochs_done;
+        out.epochs = self.clock.epochs();
         out
     }
 
@@ -190,7 +115,7 @@ impl DosOverlay {
     /// Unknown nodes are ignored.
     pub fn evict(&mut self, v: NodeId) {
         self.grouped.remove(v);
-        self.tel.emit(self.round, EventKind::Eviction, Some(v.raw()), 0, String::new);
+        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
     }
 
     /// Re-admit a node after crash-recovery via the join path: it is
@@ -205,7 +130,7 @@ impl DosOverlay {
         }
         let x = self.rng.random_range(0..self.grouped.cube().len());
         self.grouped.insert(v, x);
-        self.tel.emit(self.round, EventKind::Rejoin, Some(v.raw()), x, String::new);
+        self.tel.emit(self.round(), EventKind::Rejoin, Some(v.raw()), x, String::new);
     }
 
     /// Admit a joiner through the join path. With `claimed` set the claim
@@ -224,7 +149,7 @@ impl DosOverlay {
             None => self.rng.random_range(0..self.grouped.cube().len()),
         };
         self.grouped.insert(v, x);
-        self.tel.emit(self.round, EventKind::Rejoin, Some(v.raw()), x, String::new);
+        self.tel.emit(self.round(), EventKind::Rejoin, Some(v.raw()), x, String::new);
         Some(x)
     }
 
@@ -232,37 +157,29 @@ impl DosOverlay {
     /// and the group assignment (group index, size, sorted members).
     /// Golden tests pin the sequence of these across rounds.
     pub fn state_digest(&self) -> u64 {
-        let mut d = simnet::Digest::new();
-        d.write_u64(self.round)
-            .write_u64(self.epochs_done)
-            .write_u64(self.failed_epochs)
-            .write_bool(self.epoch_ok)
-            .write_u32(self.grouped.cube().dim());
-        let groups = self.grouped.groups();
-        d.write_usize(groups.len());
-        for (x, g) in groups.iter().enumerate() {
-            let mut members = g.clone();
-            members.sort_unstable();
-            d.write_usize(x).write_usize(members.len());
-            for v in members {
-                d.write_u64(v.raw());
+        self.clock.digest(|d| {
+            d.write_u32(self.grouped.cube().dim());
+            let groups = self.grouped.groups();
+            d.write_usize(groups.len());
+            for (x, g) in groups.iter().enumerate() {
+                let mut members = g.clone();
+                members.sort_unstable();
+                d.write_usize(x).write_usize(members.len());
+                for v in members {
+                    d.write_u64(v.raw());
+                }
             }
-        }
-        d.write_usize(self.prev_blocked.len());
-        for v in self.prev_blocked.iter() {
-            d.write_u64(v.raw());
-        }
-        d.finish()
+        })
     }
 
     /// Theoretical epoch length for a network of `n` nodes — exposed so
     /// experiments can verify the `Theta(log log n)` shape without
     /// building the overlay.
     pub fn epoch_len_for(n: usize, params: &DosParams) -> u64 {
-        let dim = GroupedNetwork::dimension_for(n, params.group_c);
-        let sched_dim = (dim as usize).next_power_of_two() as u32;
-        let schedule = Schedule::algorithm2(sched_dim, &params.sampling);
-        2 * schedule.rounds() as u64 + 4
+        EpochClock::epoch_len_for(
+            GroupedNetwork::dimension_for(n, params.group_c),
+            &params.sampling,
+        )
     }
 }
 
@@ -274,21 +191,17 @@ pub fn blocking_budget(n: usize, epsilon: f64) -> usize {
 
 impl simnet::Checkpoint for DosOverlay {
     fn save(&self) -> serde_json::Value {
-        serde_json::json!({
-            "format": "dos-overlay-checkpoint",
-            "grouped": self.grouped.save(),
-            "epoch_len": self.epoch_len,
-            "round": self.round,
-            "epochs_done": self.epochs_done,
-            "failed_epochs": self.failed_epochs,
-            "epoch_ok": self.epoch_ok,
-            "prev_blocked": self.prev_blocked.save(),
-            "rng": self.rng.save(),
-            "digest_stamp": self.state_digest(),
-        })
+        self.clock.save(
+            serde_json::json!({
+                "format": "dos-overlay-checkpoint",
+                "grouped": self.grouped.save(),
+                "rng": self.rng.save(),
+            }),
+            self.state_digest(),
+        )
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_bool, get_str, get_u64};
+        use simnet::checkpoint::{field, get_str};
         match get_str(v, "format")? {
             "dos-overlay-checkpoint" => {}
             other => {
@@ -299,42 +212,24 @@ impl simnet::Checkpoint for DosOverlay {
         }
         let ov = Self {
             grouped: GroupedNetwork::load(field(v, "grouped")?)?,
-            epoch_len: get_u64(v, "epoch_len")?,
-            round: get_u64(v, "round")?,
-            epochs_done: get_u64(v, "epochs_done")?,
-            failed_epochs: get_u64(v, "failed_epochs")?,
-            epoch_ok: get_bool(v, "epoch_ok")?,
-            prev_blocked: BlockSet::load(field(v, "prev_blocked")?)?,
+            clock: EpochClock::load(v)?,
             rng: NodeRng::load(field(v, "rng")?)?,
             tel: Telemetry::disabled(),
         };
-        let stamped = get_u64(v, "digest_stamp")?;
-        let restored = ov.state_digest();
-        if restored != stamped {
-            return Err(simnet::CkptError::DigestMismatch { stamped, restored });
-        }
+        ov.clock.verify(v, ov.state_digest())?;
         Ok(ov)
     }
 }
 
-impl crate::healing::HealableOverlay for DosOverlay {
+impl HealableOverlay for DosOverlay {
     fn members_sorted(&self) -> Vec<NodeId> {
         self.grouped().members_sorted()
     }
     fn len(&self) -> usize {
         self.grouped().len()
     }
-    fn round(&self) -> u64 {
-        self.round()
-    }
-    fn epoch_len(&self) -> u64 {
-        self.epoch_len()
-    }
-    fn epochs(&self) -> u64 {
-        self.epochs()
-    }
-    fn failed_epochs(&self) -> u64 {
-        self.failed_epochs
+    fn clock(&self) -> &EpochClock {
+        &self.clock
     }
     fn snapshot(&self, round: u64) -> overlay_adversary::lateness::SharedSnapshot {
         self.grouped().snapshot(round)
@@ -385,7 +280,7 @@ mod tests {
         assert_eq!(run.connected_rounds, run.rounds, "connectivity must hold every round");
         assert_eq!(run.starved_rounds, 0, "every group must keep an available member");
         assert!(run.epochs >= 3);
-        assert_eq!(ov.failed_epochs, 0);
+        assert_eq!(ov.failed_epochs(), 0);
     }
 
     #[test]
@@ -445,7 +340,7 @@ mod tests {
         let after = ov.grouped().groups().to_vec();
         assert_ne!(before, after, "epoch boundary must resample groups");
         assert_eq!(ov.epochs(), 1);
-        assert_eq!(ov.failed_epochs, 0);
+        assert_eq!(ov.failed_epochs(), 0);
     }
 
     #[test]
@@ -458,13 +353,12 @@ mod tests {
         for _ in 0..ov.epoch_len() {
             ov.step(&victims);
         }
-        assert_eq!(ov.failed_epochs, 1);
+        assert_eq!(ov.failed_epochs(), 1);
         assert_eq!(ov.grouped().groups().to_vec(), before, "stale groups must persist");
     }
 
     #[test]
     fn telemetry_attachment_never_perturbs_state_digests() {
-        use crate::healing::HealableOverlay as _;
         let p = DosParams::default();
         let mut plain = DosOverlay::new(256, p, 9);
         let mut observed = DosOverlay::new(256, p, 9);
@@ -496,7 +390,7 @@ mod tests {
         assert_eq!(snap.counter("overlay.rounds"), run.rounds);
         assert_eq!(snap.counter("overlay.starved_rounds"), run.starved_rounds);
         assert_eq!(snap.counter("overlay.epochs"), run.epochs);
-        assert_eq!(snap.counter("overlay.failed_epochs"), ov.failed_epochs);
+        assert_eq!(snap.counter("overlay.failed_epochs"), ov.failed_epochs());
         assert_eq!(
             snap.counter("overlay.rounds") - snap.counter("overlay.disconnected_rounds"),
             run.connected_rounds

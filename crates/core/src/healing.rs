@@ -38,6 +38,7 @@
 //! so that a member legally blocked for a long stretch is not evicted
 //! wrongly.
 
+use crate::dos::epoch::EpochClock;
 use crate::metrics::DosRoundMetrics;
 use crate::monitor::{Invariant, InvariantMonitor};
 use crate::reconfig::overlay::ExpanderOverlay;
@@ -303,8 +304,11 @@ impl HealthTracker {
 /// The round-stepped overlay interface the healing runner drives: both
 /// group families ([`crate::dos::overlay::DosOverlay`] and
 /// [`crate::churndos::overlay::ChurnDosOverlay`]) expose exactly this
-/// shape, with the impls living next to each overlay. The epoch-level
-/// expander family has its own runner ([`ExpanderFaultRun`]).
+/// shape, with the impls living next to each overlay. The round and epoch
+/// accessors read the family's [`EpochClock`], whose
+/// [`closed_epoch`](EpochClock::closed_epoch) tells a runner whether the
+/// round it just stepped resampled the groups. The epoch-level expander
+/// family has its own runner ([`ExpanderFaultRun`]).
 pub trait HealableOverlay {
     /// Current members in ascending id order.
     fn members_sorted(&self) -> Vec<NodeId>;
@@ -314,14 +318,24 @@ pub trait HealableOverlay {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// The overlay's epoch clock.
+    fn clock(&self) -> &EpochClock;
     /// Rounds executed so far.
-    fn round(&self) -> u64;
+    fn round(&self) -> u64 {
+        self.clock().round()
+    }
     /// Rounds per epoch.
-    fn epoch_len(&self) -> u64;
+    fn epoch_len(&self) -> u64 {
+        self.clock().epoch_len()
+    }
     /// Completed epochs (successful or failed).
-    fn epochs(&self) -> u64;
+    fn epochs(&self) -> u64 {
+        self.clock().epochs()
+    }
     /// Epochs that failed the availability precondition.
-    fn failed_epochs(&self) -> u64;
+    fn failed_epochs(&self) -> u64 {
+        self.clock().failed_epochs()
+    }
     /// Topology snapshot for the (late) adversary, observed in `round`: the
     /// overlay's shared snapshot of its current structure, built on the
     /// first call after a structural change.
@@ -568,8 +582,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         mut lap: impl FnMut(&'static str),
     ) -> DosRoundMetrics {
         let round = self.overlay.round(); // round about to execute
-        let epochs_before = self.overlay.epochs();
-        let failed_before = self.overlay.failed_epochs();
         let healing_phase = self.tel.phase(Phase::Healing);
 
         // Crash-recoveries due this round.
@@ -661,12 +673,11 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         let m = self.overlay.step_overlay(&eff);
         lap("overlay step");
 
-        // If the boundary just resampled (epochs advanced, no new failed
-        // epoch), every live member must learn its fresh assignment; each
-        // broadcast is subject to loss. A failed epoch keeps the stale
-        // structure, so there is nothing new to miss — and nothing that
-        // would resynchronize anyone either.
-        if self.overlay.epochs() > epochs_before && self.overlay.failed_epochs() == failed_before {
+        // If the boundary just resampled, every live member must learn its
+        // fresh assignment; each broadcast is subject to loss. A failed
+        // epoch keeps the stale structure, so there is nothing new to miss
+        // — and nothing that would resynchronize anyone either.
+        if self.overlay.clock().closed_epoch() == Some(true) {
             let members = self.overlay.members_sorted();
             let schedule = &mut self.schedule;
             let lost: Vec<NodeId> =

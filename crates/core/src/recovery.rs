@@ -529,12 +529,8 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
             eff.union_with(&p.side);
         }
 
-        let epochs_before = self.runner.overlay.epochs();
-        let failed_before = self.runner.overlay.failed_epochs();
         let m = self.runner.step(&eff);
-        if self.runner.overlay.epochs() > epochs_before
-            && self.runner.overlay.failed_epochs() == failed_before
-        {
+        if self.runner.overlay.clock().closed_epoch() == Some(true) {
             for p in &mut self.partitions {
                 p.resamples += 1;
             }

@@ -40,6 +40,7 @@ use overlay_stats::{GoodputAccount, LatencySummary};
 use rand::RngExt;
 use reconfig_core::backend;
 use reconfig_core::config::SamplingParams;
+use reconfig_core::dos::EpochClock;
 use reconfig_core::sampling::run_alg2_observed;
 use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
@@ -84,14 +85,11 @@ impl WorkloadReport {
 }
 
 /// Per-epoch control plane: steps the DHT round by round and, at each
-/// epoch boundary, executes the sampling algorithm on the selected
-/// backend, distilling the sampled ids into a salt.
+/// epoch boundary of its clock, executes the sampling algorithm on the
+/// selected backend, distilling the sampled ids into a salt.
 struct ControlPlane {
     seed: u64,
     sched_dim: u32,
-    epoch_len: u64,
-    rounds: u64,
-    epochs: u64,
     salt: u64,
     /// The campaign's view of the DHT and the epoch it was built in: the
     /// groups only resample at an epoch boundary, so one snapshot serves
@@ -101,26 +99,19 @@ struct ControlPlane {
 
 impl ControlPlane {
     fn new(spec: &WorkloadSpec, dht: &RobustDht) -> Self {
-        let sched_dim = (dht.groups().cube().dim().max(2) as usize).next_power_of_two() as u32;
-        Self {
-            seed: spec.seed,
-            sched_dim,
-            epoch_len: dht.epoch_len(),
-            rounds: 0,
-            epochs: 0,
-            salt: 0,
-            topology: None,
-        }
+        let sched_dim = EpochClock::schedule_dim(dht.groups().cube().dim().max(2));
+        Self { seed: spec.seed, sched_dim, salt: 0, topology: None }
     }
 
     /// The DHT's current topology for the campaign, built on the first
     /// batch of each epoch and shared by the rest.
     fn snapshot(&mut self, dht: &RobustDht) -> SharedSnapshot {
-        if self.topology.as_ref().is_none_or(|(built, _)| *built != self.epochs) {
-            self.topology = Some((self.epochs, Arc::new(snapshot(self.rounds, dht))));
+        let (round, epoch) = (dht.clock().round(), dht.clock().epochs());
+        if self.topology.as_ref().is_none_or(|(built, _)| *built != epoch) {
+            self.topology = Some((epoch, Arc::new(snapshot(round, dht))));
         }
         let (_, topo) = self.topology.as_ref().expect("built above");
-        SharedSnapshot::new(self.rounds, Arc::clone(topo))
+        SharedSnapshot::new(round, Arc::clone(topo))
     }
 
     /// Step `k` DHT rounds under `blocked`, running the backend-dispatched
@@ -135,19 +126,18 @@ impl ControlPlane {
     ) {
         for _ in 0..k {
             dht.step(blocked);
-            self.rounds += 1;
-            if self.rounds % self.epoch_len != 0 {
+            if dht.clock().closed_epoch().is_none() {
                 continue;
             }
-            self.epochs += 1;
-            let epoch_seed = self.seed ^ self.epochs.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let epoch = dht.clock().epochs();
+            let epoch_seed = self.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             // Dispatched via `backend::select()` inside: every backend that
             // delivers in parity's order must sample identically here or the
             // trace digest (and the hot-set rotations downstream) diverge.
             let (samples, _metrics) =
                 run_alg2_observed(self.sched_dim, &SamplingParams::default(), epoch_seed, tel);
             let mut d = Digest::new();
-            d.write_u64(self.epochs);
+            d.write_u64(epoch);
             for (v, s) in &samples {
                 d.write_u64(v.raw());
                 for x in s {
@@ -155,7 +145,7 @@ impl ControlPlane {
                 }
             }
             self.salt = d.finish();
-            trace.epoch(self.epochs, self.salt);
+            trace.epoch(epoch, self.salt);
         }
     }
 }
@@ -243,8 +233,9 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
 
     for batch in 0..spec.batches {
         attacker.observe(ctl.snapshot(&dht));
-        let blocked = attacker.block(ctl.rounds, spec.n);
-        trace.blocked(ctl.rounds, &blocked);
+        let round = dht.clock().round();
+        let blocked = attacker.block(round, spec.n);
+        trace.blocked(round, &blocked);
 
         // Hot-set rotation: seeded by the control plane's sampling salt,
         // so the op stream depends on what the backend sampled.
@@ -252,7 +243,7 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
             if batch % rotate_every == 0 {
                 hot = rotate_hot_set(spec.seed, ctl.salt, rotations, top_k, keyspace);
                 trace.rotation(rotations, &hot);
-                tel.emit(ctl.rounds, EventKind::HotRotation, None, rotations, || {
+                tel.emit(round, EventKind::HotRotation, None, rotations, || {
                     format!("salt {:#018x}", ctl.salt)
                 });
                 rotations += 1;
@@ -267,7 +258,7 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
         trace.batch(&m);
         observe_batch(
             tel,
-            ctl.rounds,
+            round,
             spec.kind.name(),
             m.requests as u64,
             m.completed as u64,
@@ -277,15 +268,16 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
 
         ctl.advance(&mut dht, &blocked, m.rounds, &mut trace, tel);
     }
-    tel.gauge("workload.rounds", &[]).record_max(ctl.rounds);
+    let clock = dht.clock();
+    tel.gauge("workload.rounds", &[]).record_max(clock.round());
 
     WorkloadReport {
         kind: spec.kind.name().to_string(),
         attacker: attacker.label(),
         batches: spec.batches,
-        rounds: ctl.rounds,
-        epochs: ctl.epochs,
-        failed_epochs: dht.failed_epochs,
+        rounds: clock.round(),
+        epochs: clock.epochs(),
+        failed_epochs: clock.failed_epochs(),
         rotations,
         account,
         trace_digest: trace.finish(),
@@ -379,8 +371,9 @@ fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -
 
     for _ in 0..spec.batches {
         attacker.observe(ctl.snapshot(ps.dht()));
-        let blocked = attacker.block(ctl.rounds, spec.n);
-        trace.blocked(ctl.rounds, &blocked);
+        let round = ps.dht().clock().round();
+        let blocked = attacker.block(round, spec.n);
+        trace.blocked(round, &blocked);
 
         // Per-topic subscriber churn: the existing churn adversary
         // prescribes the joins/leaves of the subscriber population.
@@ -476,20 +469,21 @@ fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -
         account.add_rounds(batch_rounds);
         trace.batches += 1;
         trace.value(messages);
-        observe_batch(tel, ctl.rounds, "chat", batch_attempted, batch_completed, messages);
+        observe_batch(tel, round, "chat", batch_attempted, batch_completed, messages);
 
         ctl.advance(ps.dht_mut(), &blocked, batch_rounds.max(1), &mut trace, tel);
     }
     observe_latency(tel, account.latency().buckets());
-    tel.gauge("workload.rounds", &[]).record_max(ctl.rounds);
+    let clock = ps.dht().clock();
+    tel.gauge("workload.rounds", &[]).record_max(clock.round());
 
     WorkloadReport {
         kind: "chat".to_string(),
         attacker: attacker.label(),
         batches: spec.batches,
-        rounds: ctl.rounds,
-        epochs: ctl.epochs,
-        failed_epochs: ps.dht().failed_epochs,
+        rounds: clock.round(),
+        epochs: clock.epochs(),
+        failed_epochs: clock.failed_epochs(),
         rotations: 0,
         account,
         trace_digest: trace.finish(),

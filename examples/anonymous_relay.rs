@@ -13,6 +13,7 @@ use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_apps::anon::Anonymizer;
 use overlay_stats::tv_distance_uniform;
 use reconfig_core::dos::DosParams;
+use reconfig_core::healing::HealableOverlay;
 
 fn main() {
     let n = 1024usize;

@@ -10,6 +10,7 @@
 
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 
 fn run(n: usize, lateness_factor: u64, seed: u64) -> (u64, u64, u64) {
     let mut overlay = DosOverlay::new(n, DosParams::default(), seed);

@@ -13,6 +13,7 @@ use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, MinCutAttac
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::shrink::{shrink_trace, AdversaryTrace, ReplayAdversary, Repro};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {

@@ -5,6 +5,7 @@ use overlay_apps::anon::Anonymizer;
 use overlay_apps::dht::{DhtOp, RobustDht};
 use overlay_apps::pubsub::PubSub;
 use reconfig_core::dos::DosParams;
+use reconfig_core::healing::HealableOverlay;
 use simnet::{BlockSet, NodeId};
 
 #[test]

@@ -24,6 +24,7 @@ use overlay_adversary::byzantine::{ByzBudget, ByzCampaign, ByzFamily, ByzHarness
 use rand::RngExt;
 use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
 use reconfig_core::dos::DosParams;
+use reconfig_core::healing::HealableOverlay;
 use reconfig_core::monitor::Invariant;
 
 /// Fuzzed campaigns per run; `BYZ_CASES` overrides the default 40

@@ -7,6 +7,7 @@
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::{SamplingParams, Schedule};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::Alg1Node;
 use simnet::checkpoint::{read_value, write_value_atomic};

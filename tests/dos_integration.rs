@@ -5,6 +5,7 @@ use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 
 #[test]
 fn theorem6_all_strategies_fail_when_sufficiently_late() {

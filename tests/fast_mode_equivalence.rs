@@ -42,7 +42,7 @@ use reconfig_core::backend::{with_backend, Backend};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{ExpanderFaultRun, HealingParams};
+use reconfig_core::healing::{ExpanderFaultRun, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;

@@ -23,6 +23,7 @@ use rand::RngExt;
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams, SizeBand};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 use reconfig_core::reconfig::ExpanderOverlay;
 use simnet::{BlockSet, Ctx, NodeId, Protocol, TraceEvent};
 use simnet_xl::XlNetwork;
@@ -121,7 +122,7 @@ fn fuzzed_dos_schedules_cannot_break_the_dos_overlay() {
                 plan.describe()
             );
         }
-        assert_eq!(ov.failed_epochs, 0, "an epoch failed [{}]", plan.describe());
+        assert_eq!(ov.failed_epochs(), 0, "an epoch failed [{}]", plan.describe());
     }
 }
 
@@ -166,7 +167,7 @@ fn fuzzed_combined_schedules_cannot_break_the_churndos_overlay() {
                 );
             }
         }
-        assert_eq!(ov.failed_epochs, 0, "an epoch failed [{}]", plan.describe());
+        assert_eq!(ov.failed_epochs(), 0, "an epoch failed [{}]", plan.describe());
     }
 }
 

@@ -23,7 +23,7 @@ use rand::RngExt;
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{ExpanderFaultRun, FaultyRunner, HealingParams};
+use reconfig_core::healing::{ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::sampling::run_alg1_digested;

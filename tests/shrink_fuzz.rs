@@ -25,6 +25,7 @@ use overlay_adversary::adaptive::{AdaptiveHarness, MinCutAttack};
 use overlay_adversary::shrink::{shrink_trace, AdversaryTrace, ReplayAdversary};
 use rand::RngExt;
 use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::HealableOverlay;
 use simnet::{BlockSet, NodeId};
 
 /// Cases per regime; `FUZZ_CASES` overrides the default 100 (validated
