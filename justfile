@@ -30,10 +30,11 @@ determinism:
 trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
-# Refresh golden digest files after an intentional behavior change: ten
-# outputs, engine, sampling_direct, healing_round and cluster_trace digests
-# included. The two checkpoints, network_v1.ckpt.json and
-# dos_overlay_v1.ckpt.json, are inputs this never rewrites.
+# Refresh golden digest files after an intentional behavior change: all
+# eleven, engine, sampling_direct, healing_round, runners and cluster_trace
+# included. The three checkpoints, network_v1.ckpt.json,
+# dos_overlay_v1.ckpt.json and churndos_overlay_v1.ckpt.json, are inputs
+# this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/
@@ -143,6 +144,16 @@ sampler-diff:
 # BENCH_ALG1.json; `just perf-alg1 --smoke` = CI sizes, writes nothing.
 perf-alg1 *flags="":
     cargo run --release -p reconfig-bench --bin perf_alg1 -- {{flags}}
+
+# The epoch clock (`core::dos::EpochClock`): the DoS and churn+DoS overlay
+# digest streams, the workload golden, and both overlay checkpoints the
+# parent commits wrote (loaded, re-saved byte for byte, tampered).
+epoch-clock:
+    cargo test -q -p integration-tests --test determinism golden_dos_overlay_digest_stream
+    cargo test -q -p integration-tests --test determinism golden_churndos_overlay_digest_stream
+    cargo test -q -p integration-tests --test determinism golden_workload_digests
+    cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
+    cargo test -q -p integration-tests --test determinism golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte
 
 # The round's sorted id runs: `simnet::IdRun` against `BTreeMap` /
 # `BTreeSet` (480 seeded cases, values included) and the block set's

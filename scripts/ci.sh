@@ -34,7 +34,7 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round and cluster_trace digests, two checkpoint inputs)"
+echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round, runners and cluster_trace digests, three checkpoint inputs)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -111,6 +111,13 @@ cargo test -q -p overlay-adversary --lib lateness::tests::one_arc_pushed_every_r
 cargo test -q -p integration-tests --test determinism golden_healing_round_digests
 cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
 cargo test -q -p integration-tests --test determinism golden_runner_digests
+
+echo "==> epoch clock: the DoS, churn+DoS and workload digest streams, both parent-written overlay checkpoints"
+cargo test -q -p integration-tests --test determinism golden_dos_overlay_digest_stream
+cargo test -q -p integration-tests --test determinism golden_churndos_overlay_digest_stream
+cargo test -q -p integration-tests --test determinism golden_workload_digests
+cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
+cargo test -q -p integration-tests --test determinism golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte
 
 echo "==> healed DoS round perf smoke (timed and untimed rounds agree; section split prints)"
 cargo run --release -q -p reconfig-bench --bin perf_dos_round -- --smoke
