@@ -51,7 +51,7 @@ impl fmt::Display for ReportError {
             ReportError::MissingDir(dir) => write!(
                 f,
                 "results directory {} does not exist — run an experiment binary first \
-                 (e.g. `cargo run --release -p reconfig-bench --bin exp_e01_hgraph_sampling`), \
+                 (e.g. `cargo run --release -p reconfig-bench --bin exp -- E1`), \
                  or point OUT_DIR_RESULTS at an existing capture directory",
                 dir.display()
             ),

@@ -1,12 +1,10 @@
 //! Machine-readable experiment output.
 
-use reconfig_core::backend::Backend;
-use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::path::Path;
 
-/// The JSON record an experiment binary writes next to its printed table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The JSON record an experiment writes next to its printed table.
+#[derive(Clone, Debug)]
 pub struct ExperimentResult {
     /// Experiment id (e.g. "E1").
     pub id: String,
@@ -50,62 +48,6 @@ pub fn write_json(result: &ExperimentResult) -> std::io::Result<std::path::PathB
     let path = dir.join(format!("{}.json", result.id.to_lowercase()));
     std::fs::write(&path, serde_json::to_string_pretty(&result.to_value())?)?;
     Ok(path)
-}
-
-/// A fatal failure in an experiment binary, carrying what was being done
-/// and why it failed — the binaries' analogue of
-/// [`crate::report::ReportError`], so a full sweep whose artifact cannot
-/// be persisted exits with an actionable message instead of a panic
-/// backtrace.
-#[derive(Debug)]
-pub struct RunError {
-    /// What the binary was doing (e.g. `write results/a7.json`).
-    pub what: String,
-    /// The underlying error text.
-    pub reason: String,
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot {}: {} — check OUT_DIR_RESULTS, free space and permissions",
-            self.what, self.reason
-        )
-    }
-}
-
-impl std::error::Error for RunError {}
-
-impl RunError {
-    /// Build an error for a failed action.
-    pub fn new(what: impl Into<String>, reason: impl std::fmt::Display) -> Self {
-        Self { what: what.into(), reason: reason.to_string() }
-    }
-
-    /// Print the error to stderr and exit with status 1 — the shared
-    /// abort path of the experiment binaries.
-    pub fn exit(self) -> ! {
-        eprintln!("error: {self}");
-        std::process::exit(1)
-    }
-}
-
-/// The engine configuration `SIMNET_BACKEND` asks for. Binaries whose
-/// runners build an engine call this first, so a misspelt knob is the
-/// typed exit before any work instead of `backend::select`'s panic in the
-/// middle of a sweep.
-pub fn backend_or_exit() -> Backend {
-    Backend::from_env().unwrap_or_else(|e| RunError::new("read the engine knob", e).exit())
-}
-
-/// [`write_json`] with the binaries' standard failure handling: on an
-/// I/O error, print an actionable message and exit(1) instead of
-/// panicking.
-pub fn write_json_or_exit(result: &ExperimentResult) -> std::path::PathBuf {
-    write_json(result).unwrap_or_else(|e| {
-        RunError::new(format!("write results/{}.json", result.id.to_lowercase()), e).exit()
-    })
 }
 
 /// Logical CPUs the host offers this process — a host fact the perf

@@ -1,24 +1,18 @@
 //! Experiment-harness telemetry plumbing.
 //!
-//! Every experiment binary that is telemetry-wired creates one recorder
-//! via [`experiment_telemetry`] (configured from the `TELEMETRY*` env
-//! knobs — see the `telemetry` crate docs), threads it through the
-//! instrumented runners, and finishes with [`write_telemetry`], which
-//! captures the recorder into `results/<id>_telemetry.json` (JSONL, one
-//! record per line) next to the experiment's `results/<id>.json`. The
-//! `trace-report` binary renders these files back into tables.
+//! The driver hands every experiment one recorder, configured from the
+//! `TELEMETRY*` env knobs (see the `telemetry` crate docs):
+//! `TELEMETRY=off` disables it (every recording call is a no-op and no
+//! file is written), `TELEMETRY_TIMING=1` adds wall-clock span/phase
+//! timings, which are machine-dependent. A telemetry-wired experiment
+//! threads it through its instrumented runners, and the driver finishes
+//! with [`write_telemetry`], which captures the recorder into
+//! `results/<id>_telemetry.json` (JSONL, one record per line) next to the
+//! experiment's `results/<id>.json`. The `trace-report` binary renders
+//! these files back into tables.
 
 use std::path::{Path, PathBuf};
 use telemetry::Telemetry;
-
-/// The recorder an experiment binary threads through its runners.
-/// Honors `TELEMETRY=off` (disabled: every recording call is a no-op and
-/// no telemetry file is written) and `TELEMETRY_TIMING=1` (adds
-/// wall-clock span/phase timings — timing values are machine-dependent,
-/// so leave it off when byte-stable output matters).
-pub fn experiment_telemetry() -> Telemetry {
-    Telemetry::from_env()
-}
 
 /// Capture `tel` into `results/<id>_telemetry.json` (or under
 /// `OUT_DIR_RESULTS` if set), stamping the experiment id plus `meta` into
@@ -39,18 +33,6 @@ pub fn write_telemetry(
     let path = Path::new(&dir).join(format!("{}_telemetry.json", id.to_lowercase()));
     run.write(&path)?;
     Ok(Some(path))
-}
-
-/// [`write_telemetry`], but an I/O failure prints a [`RunError`] and
-/// exits instead of panicking — the experiment's science is already done
-/// by the time telemetry is flushed, so die cleanly and say why.
-pub fn write_telemetry_or_exit(
-    id: &str,
-    tel: &Telemetry,
-    meta: &[(&str, &str)],
-) -> Option<PathBuf> {
-    write_telemetry(id, tel, meta)
-        .unwrap_or_else(|e| crate::RunError::new("write telemetry", e.to_string()).exit())
 }
 
 #[cfg(test)]

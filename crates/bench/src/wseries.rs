@@ -2,19 +2,18 @@
 //! communication-work bit, reconstructed purely from telemetry captures.
 //!
 //! The workload engine mirrors every batch into the `workload.*`
-//! namespace under an `overlay=workload` base label; the W1–W3 binaries
-//! add an `arm=<name>` label per experiment arm. Canonical snapshot keys
+//! namespace under an `overlay=workload` base label; the W1–W3
+//! experiments add an `arm=<name>` label per experiment arm. Canonical snapshot keys
 //! therefore look like `workload.ops{arm=control,overlay=workload}`, and
 //! this module discovers one table row per `(capture, label-set)` pair —
 //! it never assumes which arms ran.
 
+use crate::driver::{Row, Run, RunError};
 use crate::report::LoadedRun;
-use crate::runner::RunError;
 use crate::table::{f, Table};
 use overlay_adversary::Campaign;
 use overlay_stats::summary_from_buckets;
 use overlay_workload::{WorkloadEngine, WorkloadReport, WorkloadSpec};
-use telemetry::Telemetry;
 
 /// Bits per DHT message (`overlay_apps::dht::MESSAGE_BITS`).
 const BITS_PER_MESSAGE: u64 = 192;
@@ -24,80 +23,54 @@ pub const W_BOUND: f64 = 0.02;
 /// Adversary lateness for the W-series faulted arms.
 pub const W_LATENESS: u64 = 2;
 
-/// Table headers shared by the W1–W3 binaries' per-arm tables.
-pub const ARM_HEADERS: &[&str] = &[
-    "arm",
-    "ops",
-    "done",
-    "rounds",
-    "ops/rnd",
-    "p50",
-    "p99",
-    "p999",
-    "max",
-    "goodput/bit",
-    "epochs",
-    "digest",
-];
-
-/// Run one experiment arm: `campaign` is a [`Campaign::preset`] name, and
-/// the arm's telemetry is labeled `arm=<arm>` so one capture can hold
-/// every arm distinguishably.
-pub fn run_arm(spec: &WorkloadSpec, arm: &str, campaign: &str, tel: &Telemetry) -> WorkloadReport {
-    let mut attacker =
-        Campaign::preset(campaign, W_BOUND, W_LATENESS, spec.seed).unwrap_or_else(|| {
-            RunError::new(
-                format!("campaign {campaign}"),
-                format!("unknown preset (known: {})", Campaign::preset_names().join(", ")),
-            )
-            .exit()
-        });
-    WorkloadEngine::run(spec, &mut attacker, &tel.with_labels(&[("arm", arm)]))
+/// Run the control arm and the churn+DoS arm of `spec`, one row each,
+/// under the table `title`. Each arm's telemetry is labeled `arm=<arm>`
+/// so one capture holds both distinguishably.
+pub fn run_series(run: &mut Run, title: &str, spec: &WorkloadSpec) -> Result<(), RunError> {
+    spec.validate().map_err(|e| RunError::new("validate the workload spec", format!("{e:?}")))?;
+    run.table(title);
+    for (arm, campaign) in [("control", "none"), ("churn+dos", "churn+dos")] {
+        let mut attacker = Campaign::preset(campaign, W_BOUND, W_LATENESS, spec.seed)
+            .ok_or_else(|| RunError::new(format!("campaign {campaign}"), "unknown preset"))?;
+        let r = WorkloadEngine::run(spec, &mut attacker, &run.tel.with_labels(&[("arm", arm)]));
+        run.row(arm_row(arm, &r));
+    }
+    Ok(())
 }
 
-/// The standard table row for one arm's report (matches [`ARM_HEADERS`]).
-pub fn arm_row(arm: &str, r: &WorkloadReport) -> Vec<String> {
+/// The table row and JSON record of one arm's report.
+fn arm_row(arm: &str, r: &WorkloadReport) -> Row {
     let lat = r.latency();
-    vec![
-        arm.to_string(),
-        r.account.attempted.to_string(),
-        f(r.account.completion_rate()),
-        r.rounds.to_string(),
-        f(r.account.ops_per_round()),
-        lat.p50.to_string(),
-        lat.p99.to_string(),
-        lat.p999.to_string(),
-        lat.max.to_string(),
-        format!("{:.3e}", r.account.goodput_per_bit()),
-        r.epochs.to_string(),
-        format!("{:#018x}", r.trace_digest),
-    ]
-}
-
-/// The standard JSON record for one arm's report.
-pub fn arm_json(arm: &str, r: &WorkloadReport) -> serde_json::Value {
-    let lat = r.latency();
-    let lat_json = serde_json::json!({
+    let latency = serde_json::json!({
         "p50": lat.p50, "p99": lat.p99, "p999": lat.p999, "max": lat.max,
     });
-    serde_json::json!({
-        "arm": arm,
-        "campaign": r.attacker.clone(),
-        "kind": r.kind.clone(),
-        "ops": r.account.attempted,
-        "completed": r.account.completed,
-        "suppressed": r.account.suppressed,
-        "completion_rate": r.account.completion_rate(),
-        "rounds": r.rounds,
-        "epochs": r.epochs,
-        "failed_epochs": r.failed_epochs,
-        "rotations": r.rotations,
-        "bits": r.account.bits,
-        "ops_per_round": r.account.ops_per_round(),
-        "goodput_per_bit": r.account.goodput_per_bit(),
-        "latency_rounds": lat_json,
-        "trace_digest": format!("{:#018x}", r.trace_digest),
-    })
+    let digest = format!("{:#018x}", r.trace_digest);
+    Row::new()
+        .cell("arm", "arm", arm)
+        .key("campaign", r.attacker.clone())
+        .key("kind", r.kind.clone())
+        .cell("ops", "ops", r.account.attempted)
+        .key("completed", r.account.completed)
+        .key("suppressed", r.account.suppressed)
+        .float("done", "completion_rate", r.account.completion_rate())
+        .cell("rounds", "rounds", r.rounds)
+        .float("ops/rnd", "ops_per_round", r.account.ops_per_round())
+        .key("latency_rounds", latency)
+        .show("p50", lat.p50.to_string())
+        .show("p99", lat.p99.to_string())
+        .show("p999", lat.p999.to_string())
+        .show("max", lat.max.to_string())
+        .cell_as(
+            "goodput/bit",
+            "goodput_per_bit",
+            r.account.goodput_per_bit(),
+            format!("{:.3e}", r.account.goodput_per_bit()),
+        )
+        .cell("epochs", "epochs", r.epochs)
+        .key("failed_epochs", r.failed_epochs)
+        .key("rotations", r.rotations)
+        .key("bits", r.account.bits)
+        .cell("digest", "trace_digest", digest)
 }
 
 /// Pull `arm=<v>` out of a canonical label suffix like

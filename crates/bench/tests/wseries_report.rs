@@ -1,7 +1,7 @@
 //! Regression test pinning the W-series trace-report table to a
 //! committed telemetry fixture.
 //!
-//! The fixture is a real capture from `exp_w1_dht_load --smoke` (n=256,
+//! The fixture is a real capture of W1 at reduced size (n=256,
 //! 6 batches x 64 ops, seed 0x5731). If the workload engine's telemetry
 //! contract changes — key names, label layout, histogram shape — or the
 //! table math drifts, this test names the exact cell that moved.

@@ -500,7 +500,10 @@ fn golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte() {
     assert!(restamped("failed_epochs", ov.epochs() + 1));
 }
 
-/// The W-series at the `--smoke` sizes of `exp_w{1,2,3}`, both arms each.
+/// The W-series at reduced sizes (n = 256, a few short batches), both arms
+/// each: W1-W3's workload kinds and seeds, at the sizes their former
+/// `--smoke` runs used. These specs are the golden's own; the header line
+/// below still names those runs because it is part of the golden bytes.
 ///
 /// `workload_determinism.rs` compares shard counts with each other, so a
 /// change to the DHT's routing kernel that shifts them *together* is
