@@ -26,7 +26,17 @@ determinism:
     cargo test -q -p integration-tests --test determinism
     cargo test -q -p integration-tests --test telemetry_determinism
 
-# Render the telemetry captured by experiment binaries (results/*_telemetry.json).
+# Run one experiment of the registry (EXPERIMENTS.md lists the ids), e.g.
+# `just exp E11` or `just exp S1 --smoke --cores 4`.
+exp id *flags="":
+    cargo run --release -p reconfig-bench --bin exp -- {{id}} {{flags}}
+
+# Every E and A experiment at full size, each record compared byte for byte
+# with the committed results/<id>.json (the CI step; ~45 s after the build).
+experiments:
+    bash scripts/experiments.sh
+
+# Render the telemetry captured by experiments (results/*_telemetry.json).
 trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
@@ -50,22 +60,22 @@ fuzz cases="100":
 checkpoint:
     cargo test -q -p integration-tests --test checkpoint_resume
 
-# A6 adaptive-vs-oblivious survival boundary; `just a6 --smoke` for the PR gate.
-a6 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_a6_adaptive_adversary -- {{flags}}
+# A6 adaptive-vs-oblivious survival boundary (rewrites results/a6.json).
+a6:
+    cargo run --release -p reconfig-bench --bin exp -- A6
 
-# A7 Byzantine survival x defense matrix; `just a7 --smoke` for the PR gate.
-a7 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_a7_byzantine -- {{flags}}
+# A7 Byzantine survival x defense matrix (rewrites results/a7.json).
+a7:
+    cargo run --release -p reconfig-bench --bin exp -- A7
 
 # Byzantine-campaign fuzzing against the full defense stack;
 # `just byzfuzz 200` for the nightly depth.
 byzfuzz cases="40":
     BYZ_CASES={{cases}} cargo test -q -p integration-tests --test byz_fuzz
 
-# A8 catastrophic-failure time-to-recover; `just a8 --smoke` for the PR gate.
-a8 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_a8_recovery -- {{flags}}
+# A8 catastrophic-failure time-to-recover (rewrites results/a8.json).
+a8:
+    cargo run --release -p reconfig-bench --bin exp -- A8
 
 # Recovery-layer determinism + catastrophe fuzzing;
 # `just recoveryfuzz 50` for the nightly depth.
@@ -78,7 +88,7 @@ recoveryfuzz cases="6":
 # the full backend x cores sweep to n=1e6 (rewrites results/s1.json and
 # BENCH_S1.json).
 s1 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_s1_scale -- {{flags}}
+    cargo run --release -p reconfig-bench --bin exp -- S1 {{flags}}
 
 # Statistical equivalence of xl:fast vs the parity oracle (TV + chi-square
 # over all golden families); EQUIV_SAMPLES scales the replicate count.
@@ -95,27 +105,27 @@ node-demo:
 node-smoke:
     cargo run --release -p reconfig-node --bin cluster -- --nodes 8 --rounds 16 --campaign smoke --mode process --run-id ci-smoke
 
-# N1 live-cluster-vs-oracle experiment; `just n1 --smoke` for the PR gate.
-n1 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_n1_cluster -- {{flags}}
+# N1 live-cluster-vs-oracle experiment (rewrites results/n1.json).
+n1:
+    cargo run --release -p reconfig-bench --bin exp -- N1
 
 # Checkpointed adversarial soak; pass soak flags through, e.g.
 # `just soak --family dos --epochs 200 --dir soak-out [--resume]`.
 soak *flags="":
     cargo run --release -p reconfig-bench --bin soak -- {{flags}}
 
-# W1 DHT Zipf-load workload; `just w1 --smoke` for the PR gate, bare for
-# the full arm sweep (WORKLOAD_BATCHES / WORKLOAD_BATCH_SIZE scale it).
-w1 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_w1_dht_load -- {{flags}}
+# W1 DHT Zipf-load workload, both arms (WORKLOAD_BATCHES /
+# WORKLOAD_BATCH_SIZE scale it).
+w1:
+    cargo run --release -p reconfig-bench --bin exp -- W1
 
-# W2 hot-key storm workload; `just w2 --smoke` for the PR gate.
-w2 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_w2_hotkey -- {{flags}}
+# W2 hot-key storm workload.
+w2:
+    cargo run --release -p reconfig-bench --bin exp -- W2
 
-# W3 chat fan-out workload under subscriber churn; `just w3 --smoke`.
-w3 *flags="":
-    cargo run --release -p reconfig-bench --bin exp_w3_chat -- {{flags}}
+# W3 chat fan-out workload under subscriber churn.
+w3:
+    cargo run --release -p reconfig-bench --bin exp -- W3
 
 # Workload bit-identity across backends (xl vs xl:fast:1).
 workload-determinism:
@@ -143,7 +153,7 @@ sampler-diff:
 # per-phase split of one `run_alg1_direct` call. Bare = full sizes, rewrites
 # BENCH_ALG1.json; `just perf-alg1 --smoke` = CI sizes, writes nothing.
 perf-alg1 *flags="":
-    cargo run --release -p reconfig-bench --bin perf_alg1 -- {{flags}}
+    cargo run --release -p reconfig-bench --bin exp -- P1 {{flags}}
 
 # The epoch clock (`core::dos::EpochClock`): the DoS and churn+DoS overlay
 # digest streams, the workload golden, and both overlay checkpoints the
@@ -179,14 +189,14 @@ blockset-diff:
 # Bare = full size, rewrites BENCH_DOS_ROUND.json; `just perf-dos-round
 # --smoke` = CI size, writes nothing.
 perf-dos-round *flags="":
-    cargo run --release -p reconfig-bench --bin perf_dos_round -- {{flags}}
+    cargo run --release -p reconfig-bench --bin exp -- P2 {{flags}}
 
 # Live-cluster perf: rounds/s, p50/p99/max round latency (coordinator side),
 # threads per daemon and replay time at n0 = 4 and 8, thread mode, no
 # pacing floor. Bare = 1 200 rounds, rewrites BENCH_CLUSTER.json;
 # `just perf-cluster --smoke` = 60 rounds, writes nothing.
 perf-cluster *flags="":
-    cargo run --release -p reconfig-bench --bin perf_cluster -- {{flags}}
+    cargo run --release -p reconfig-bench --bin exp -- P3 {{flags}}
 
 # The live cluster's failure paths (a real daemon against raw-socket fakes)
 # and the trace golden the parent commit of the one-thread daemon wrote.

@@ -46,23 +46,17 @@ FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test fault_
 echo "==> shrinker fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
 FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test shrink_fuzz
 
-echo "==> adaptive-adversary boundary (A6 smoke sweep)"
-cargo run -q --release -p reconfig-bench --bin exp_a6_adaptive_adversary -- --smoke
-
-echo "==> Byzantine survival x defense matrix (A7 smoke sweep)"
-cargo run -q --release -p reconfig-bench --bin exp_a7_byzantine -- --smoke
+echo "==> experiments match results/ (E1-E16 and A1-A8 at full size, every record byte for byte)"
+bash scripts/experiments.sh
 
 echo "==> Byzantine-campaign fuzzing (BYZ_CASES=${BYZ_CASES:-40})"
 BYZ_CASES="${BYZ_CASES:-40}" cargo test -q -p integration-tests --test byz_fuzz
-
-echo "==> catastrophic-failure recovery (A8 smoke sweep)"
-cargo run -q --release -p reconfig-bench --bin exp_a8_recovery -- --smoke
 
 echo "==> recovery determinism + catastrophe fuzzing (RECOVERY_CASES=${RECOVERY_CASES:-6})"
 RECOVERY_CASES="${RECOVERY_CASES:-6}" cargo test -q -p integration-tests --test recovery_determinism
 
 echo "==> s1-smoke at n=5e4 (xl:fast:1 byte-identical to parity, xl:fast:4 reproducible)"
-cargo run -q --release -p reconfig-bench --bin exp_s1_scale -- --smoke --cores 4
+cargo run -q --release -p reconfig-bench --bin exp -- S1 --smoke --cores 4
 
 echo "==> fast-mode statistical equivalence (EQUIV_SAMPLES=${EQUIV_SAMPLES:-3})"
 EQUIV_SAMPLES="${EQUIV_SAMPLES:-3}" cargo test -q -p integration-tests --test fast_mode_equivalence
@@ -78,11 +72,12 @@ if pgrep -x reconfig-node >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "==> N1 smoke: live cluster vs simulator oracle"
-cargo run -q --release -p reconfig-bench --bin exp_n1_cluster -- --smoke
-
-echo "==> W1 smoke: DHT under Zipf load, control + churn+dos arms"
-cargo run -q --release -p reconfig-bench --bin exp_w1_dht_load -- --smoke
+echo "==> N1 (live cluster vs simulator oracle) and W1-W3 (Zipf load, hot keys, chat fan-out) at full size"
+scratch="$(mktemp -d)"
+for id in N1 W1 W2 W3; do
+    OUT_DIR_RESULTS="$scratch" cargo run -q --release -p reconfig-bench --bin exp -- "$id"
+done
+rm -rf "$scratch"
 
 echo "==> workload bit-identity across backends (xl vs xl:fast:1)"
 cargo test -q -p integration-tests --test workload_determinism
@@ -99,7 +94,7 @@ cargo test -q -p rand_chacha -p simnet --lib
 cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
 
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
-cargo run --release -q -p reconfig-bench --bin perf_alg1 -- --smoke
+cargo run --release -q -p reconfig-bench --bin exp -- P1 --smoke
 
 echo "==> sorted id runs vs BTreeMap (480 seeded cases), per-group counts vs per-member probes, picker and healing state vs their HashSet / BTreeMap references (480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens"
 cargo test -q -p simnet --lib idrun::props
@@ -120,12 +115,12 @@ cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_chec
 cargo test -q -p integration-tests --test determinism golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte
 
 echo "==> healed DoS round perf smoke (timed and untimed rounds agree; section split prints)"
-cargo run --release -q -p reconfig-bench --bin perf_dos_round -- --smoke
+cargo run --release -q -p reconfig-bench --bin exp -- P2 --smoke
 
 echo "==> live cluster: parent-written trace golden, peer-plane failures as typed errors, perf smoke (n0 = 4 and 8)"
 cargo test -q -p integration-tests --test determinism golden_cluster_trace_digests
 cargo test -q -p reconfig-node --test peer_faults
-cargo run --release -q -p reconfig-bench --bin perf_cluster -- --smoke
+cargo run --release -q -p reconfig-bench --bin exp -- P3 --smoke
 
 echo "==> repo benchmark still builds and passes its smoke check (own workspace)"
 bash benchmark/run.sh --check
