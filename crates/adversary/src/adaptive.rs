@@ -16,10 +16,12 @@
 //! [`OscillatingPartition`], [`FollowTheHealer`] — is closed under
 //! [`AdaptiveStrategy`], which names each one for tables and repro files.
 //!
-//! [`Attacker`] abstracts "observe a snapshot, emit a block set" so
-//! runners drive harnessed strategies, composite campaigns and recorded
-//! [`crate::shrink::ReplayAdversary`] traces interchangeably.
+//! [`Attacker`] abstracts "observe a snapshot, emit a move" so runners
+//! drive harnessed strategies, composite campaigns, Byzantine harnesses
+//! and recorded [`crate::shrink::ReplayAdversary`] traces
+//! interchangeably.
 
+use crate::byzantine::ByzActions;
 use crate::lateness::{LateView, SharedSnapshot, TopologyHistory, TopologySnapshot};
 use overlay_graphs::sparsest_vertex_cut;
 use simnet::{BlockSet, NodeId};
@@ -29,7 +31,8 @@ use telemetry::{EventKind, Telemetry};
 
 /// Round-stepped adversary interface: the runner shows the adversary the
 /// current topology every round (lateness is the adversary's own
-/// responsibility) and asks for the round's block set.
+/// responsibility) and asks for the round's move — a block set, plus the
+/// joins, corruptions and forgeries of a Byzantine adversary.
 pub trait Attacker {
     /// Record the current topology; called every round before [`block`].
     ///
@@ -37,6 +40,12 @@ pub trait Attacker {
     fn observe(&mut self, snap: SharedSnapshot);
     /// The nodes to block this round; `n_current` defines the budget.
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet;
+    /// The round's whole move; `n_current` defines the budgets. A
+    /// blocking-only attacker's move is its block set, with no joins,
+    /// corruptions or forgeries; a Byzantine one overrides this.
+    fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
+        ByzActions { blocked: self.block(round, n_current), ..ByzActions::default() }
+    }
     /// Human-readable label for experiment tables and repro files.
     fn label(&self) -> String;
 }
@@ -47,6 +56,9 @@ impl<A: Attacker + ?Sized> Attacker for Box<A> {
     }
     fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
         (**self).block(round, n_current)
+    }
+    fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
+        (**self).act(round, n_current)
     }
     fn label(&self) -> String {
         (**self).label()

@@ -149,34 +149,6 @@ pub trait ByzCampaign {
     ) -> ByzActions;
 }
 
-/// Round-stepped Byzantine adversary interface, the analogue of
-/// [`Attacker`] for runners that accept joins and forgeries as well as
-/// block sets.
-pub trait ByzAttacker {
-    /// Record the current topology; called every round before [`act`].
-    ///
-    /// [`act`]: ByzAttacker::act
-    fn observe(&mut self, snap: SharedSnapshot);
-    /// The round's actions; `n_current` defines the budgets.
-    fn act(&mut self, round: u64, n_current: usize) -> ByzActions;
-    /// Human-readable label for experiment tables.
-    fn label(&self) -> String;
-}
-
-impl<A: ByzAttacker + ?Sized> ByzAttacker for Box<A> {
-    fn observe(&mut self, snap: SharedSnapshot) {
-        (**self).observe(snap)
-    }
-
-    fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
-        (**self).act(round, n_current)
-    }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
-}
-
 /// The weakest (smallest) non-empty group of a view — the cheapest
 /// majority to capture. Falls back to group 0.
 fn weakest_group(view: &TopologySnapshot) -> u64 {
@@ -518,9 +490,14 @@ impl<C: ByzCampaign> ByzHarness<C> {
     }
 }
 
-impl<C: ByzCampaign> ByzAttacker for ByzHarness<C> {
+impl<C: ByzCampaign> Attacker for ByzHarness<C> {
     fn observe(&mut self, snap: SharedSnapshot) {
         self.history.push(snap);
+    }
+
+    /// The blocking part of the round's move; the rest is dropped.
+    fn block(&mut self, round: u64, n_current: usize) -> BlockSet {
+        self.act(round, n_current).blocked
     }
 
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions {

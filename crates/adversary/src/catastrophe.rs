@@ -4,21 +4,22 @@
 //! A catastrophe scenario has two independent axes: an *ambient* blocking
 //! adversary (any [`Attacker`]) that keeps paper-model DoS pressure on,
 //! and a [`CatastropheSpec`] of correlated bursts / timed partitions that
-//! the recovery runner injects out of band. [`CatastropheCampaign`]
-//! bundles the two into one object so an experiment cell or a fuzz case is
-//! a single value; the blocking side delegates verbatim to the inner
-//! attacker (the campaign never spends blocking budget itself — bursts are
-//! crashes, not blocks, and are judged by the recovery invariants
-//! instead).
+//! the fault runner's catastrophe layer injects out of band.
+//! [`CatastropheCampaign`] bundles the two into one object so an
+//! experiment cell or a fuzz case is a single value; the blocking side
+//! delegates verbatim to the inner attacker (the campaign never spends
+//! blocking budget itself — bursts are crashes, not blocks, and are judged
+//! by the recovery invariants instead).
 //!
 //! For minimal violation repros, [`CatastropheTrace`] records both axes —
 //! per-round block sets and per-round injected crash sets — and
 //! [`shrink_catastrophe`] reduces them with the existing delta-debugging
 //! shrinker ([`shrink_trace`]), one axis at a time: first the crash trace
 //! (holding blocks fixed), then the block trace (holding the shrunk
-//! crashes fixed). The result replays through
-//! [`simnet::BurstSchedule`]-free plumbing: crash round `i`'s set via
-//! `FaultyRunner::force_crash`, block round `i`'s set via the ordinary
+//! crashes fixed). The crash axis is what the catastrophe layer captures
+//! (`reconfig_core::recovery::Catastrophes::crash_trace`): round `i`'s
+//! crash set is the set of burst victims that layer crash-stopped in round
+//! `i`; the block axis replays as round `i`'s set through the ordinary
 //! step path.
 
 use crate::adaptive::Attacker;
@@ -26,8 +27,8 @@ use crate::lateness::SharedSnapshot;
 use crate::shrink::{shrink_trace, AdversaryTrace, ShrinkReport};
 use serde_json::Value;
 use simnet::checkpoint::{
-    field, get_str, get_u64, get_usize, get_vec, missing, read_value, save_slice,
-    write_value_atomic, Checkpoint, CkptError, CkptResult,
+    check_format, field, get_str, get_u64, get_usize, get_vec, read_value, save_slice,
+    write_value_atomic, Checkpoint, CkptResult,
 };
 use simnet::{BlockSet, Burst, BurstSchedule, TimedPartition};
 use std::path::Path;
@@ -141,7 +142,7 @@ pub struct CatastropheTrace {
     /// Ambient blocking per round.
     pub blocks: AdversaryTrace,
     /// Crash injections per round (from
-    /// `RecoveryRunner::crash_trace`-style captures).
+    /// `Catastrophes::crash_trace`-style captures).
     pub crashes: AdversaryTrace,
 }
 
@@ -231,15 +232,7 @@ impl Checkpoint for CatastropheRepro {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        match get_str(v, "format") {
-            Ok("catastrophe-repro") => {}
-            Ok(other) => {
-                return Err(CkptError::Corrupt(format!(
-                    "not a catastrophe repro (format `{other}`)"
-                )))
-            }
-            Err(_) => return Err(missing("format")),
-        }
+        check_format(v, "catastrophe-repro")?;
         Ok(Self {
             family: get_str(v, "family")?.to_string(),
             seed: get_u64(v, "seed")?,

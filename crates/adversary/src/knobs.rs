@@ -9,6 +9,7 @@
 //! different workload than the one asked for.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Why an environment knob could not be used.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,78 +55,42 @@ impl fmt::Display for KnobError {
 
 impl std::error::Error for KnobError {}
 
-/// Parse an already-fetched knob value: `None` (unset) yields `default`,
-/// an integer inside `[lo, hi]` passes through, and anything else — empty,
-/// non-numeric, or out of range — is a [`KnobError`] naming the variable,
-/// the value, and the permitted band.
-pub fn parse_usize_knob(
+/// Parse an already-fetched knob value of an unsigned integer type: `None`
+/// (unset) yields `default`, an integer inside `[lo, hi]` passes through,
+/// and anything else — empty, non-numeric, or out of range — is a
+/// [`KnobError`] naming the variable, the value, and the permitted band.
+pub fn parse_knob<T>(
     name: &str,
     raw: Option<&str>,
-    default: usize,
-    lo: usize,
-    hi: usize,
-) -> Result<usize, KnobError> {
-    match raw {
-        None => Ok(default),
-        Some(text) => match text.trim().parse::<usize>() {
-            Ok(v) if (lo..=hi).contains(&v) => Ok(v),
-            Ok(_) => Err(KnobError {
-                name: name.to_string(),
-                value: text.to_string(),
-                reason: KnobReason::OutOfRange { lo, hi },
-            }),
-            Err(_) => Err(KnobError {
-                name: name.to_string(),
-                value: text.to_string(),
-                reason: KnobReason::NotAnInteger,
-            }),
-        },
-    }
+    default: T,
+    lo: T,
+    hi: T,
+) -> Result<T, KnobError>
+where
+    T: FromStr + PartialOrd + Copy,
+    usize: TryFrom<T>,
+{
+    let Some(text) = raw else { return Ok(default) };
+    let reason = match text.trim().parse::<T>() {
+        Ok(v) if lo <= v && v <= hi => return Ok(v),
+        // Bands are reported as `usize`; every documented band fits.
+        Ok(_) => {
+            let band = |x: T| usize::try_from(x).unwrap_or(usize::MAX);
+            KnobReason::OutOfRange { lo: band(lo), hi: band(hi) }
+        }
+        Err(_) => KnobReason::NotAnInteger,
+    };
+    Err(KnobError { name: name.to_string(), value: text.to_string(), reason })
 }
 
-/// Read `name` from the environment via [`parse_usize_knob`].
-pub fn env_usize_knob(
-    name: &str,
-    default: usize,
-    lo: usize,
-    hi: usize,
-) -> Result<usize, KnobError> {
+/// Read `name` from the environment via [`parse_knob`].
+pub fn env_knob<T>(name: &str, default: T, lo: T, hi: T) -> Result<T, KnobError>
+where
+    T: FromStr + PartialOrd + Copy,
+    usize: TryFrom<T>,
+{
     let raw = std::env::var(name).ok();
-    parse_usize_knob(name, raw.as_deref(), default, lo, hi)
-}
-
-/// [`parse_usize_knob`] for `u64`-typed knobs (round counts, hysteresis
-/// windows). Bands are expressed in `usize` — every documented band fits
-/// comfortably — so the error type stays uniform.
-pub fn parse_u64_knob(
-    name: &str,
-    raw: Option<&str>,
-    default: u64,
-    lo: u64,
-    hi: u64,
-) -> Result<u64, KnobError> {
-    match raw {
-        None => Ok(default),
-        Some(text) => match text.trim().parse::<u64>() {
-            Ok(v) if (lo..=hi).contains(&v) => Ok(v),
-            Ok(_) => Err(KnobError {
-                name: name.to_string(),
-                value: text.to_string(),
-                reason: KnobReason::OutOfRange { lo: lo as usize, hi: hi as usize },
-            }),
-            Err(_) => Err(KnobError {
-                name: name.to_string(),
-                value: text.to_string(),
-                reason: KnobReason::NotAnInteger,
-            }),
-        },
-    }
-}
-
-/// Read `name` from the environment via [`parse_u64_knob`].
-pub fn env_u64_knob(name: &str, default: u64, lo: u64, hi: u64) -> Result<u64, KnobError> {
-    let raw = std::env::var(name).ok();
-    parse_u64_knob(name, raw.as_deref(), default, lo, hi)
+    parse_knob(name, raw.as_deref(), default, lo, hi)
 }
 
 #[cfg(test)]
@@ -134,59 +99,59 @@ mod tests {
 
     #[test]
     fn unset_uses_the_default() {
-        assert_eq!(parse_usize_knob("X", None, 100, 1, 1000), Ok(100));
+        assert_eq!(parse_knob::<usize>("X", None, 100, 1, 1000), Ok(100));
     }
 
     #[test]
     fn in_range_values_pass_through() {
-        assert_eq!(parse_usize_knob("X", Some("250"), 100, 1, 1000), Ok(250));
-        assert_eq!(parse_usize_knob("X", Some(" 7 "), 100, 1, 1000), Ok(7));
+        assert_eq!(parse_knob::<usize>("X", Some("250"), 100, 1, 1000), Ok(250));
+        assert_eq!(parse_knob::<usize>("X", Some(" 7 "), 100, 1, 1000), Ok(7));
         // Boundary values are in range, not rejected.
-        assert_eq!(parse_usize_knob("X", Some("1"), 100, 1, 1000), Ok(1));
-        assert_eq!(parse_usize_knob("X", Some("1000"), 100, 1, 1000), Ok(1000));
+        assert_eq!(parse_knob::<usize>("X", Some("1"), 100, 1, 1000), Ok(1));
+        assert_eq!(parse_knob::<usize>("X", Some("1000"), 100, 1, 1000), Ok(1000));
     }
 
     #[test]
     fn out_of_range_values_are_rejected_not_clamped() {
-        let err = parse_usize_knob("X", Some("999999999"), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("X", Some("999999999"), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::OutOfRange { lo: 1, hi: 1000 });
         let msg = err.to_string();
         assert!(msg.contains("[1, 1000]") && msg.contains("`999999999`"), "got: {msg}");
-        let err = parse_usize_knob("X", Some("0"), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("X", Some("0"), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::OutOfRange { lo: 1, hi: 1000 });
     }
 
     #[test]
     fn empty_values_are_rejected_not_defaulted() {
         // An empty string is a set-but-broken variable, not an unset one.
-        let err = parse_usize_knob("X", Some(""), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("X", Some(""), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::NotAnInteger);
-        let err = parse_usize_knob("X", Some("   "), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("X", Some("   "), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::NotAnInteger);
     }
 
     #[test]
     fn garbage_names_the_variable_and_value() {
-        let err = parse_usize_knob("FUZZ_CASES", Some("lots"), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("FUZZ_CASES", Some("lots"), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::NotAnInteger);
         let msg = err.to_string();
         assert!(msg.contains("FUZZ_CASES") && msg.contains("`lots`"), "got: {msg}");
-        let err = parse_usize_knob("FUZZ_CASES", Some("-3"), 100, 1, 1000).unwrap_err();
+        let err = parse_knob::<usize>("FUZZ_CASES", Some("-3"), 100, 1, 1000).unwrap_err();
         assert_eq!(err.reason, KnobReason::NotAnInteger);
     }
 
     #[test]
     fn u64_knob_mirrors_usize_semantics() {
-        assert_eq!(parse_u64_knob("R", None, 8, 1, 100_000), Ok(8));
-        assert_eq!(parse_u64_knob("R", Some("42"), 8, 1, 100_000), Ok(42));
+        assert_eq!(parse_knob::<u64>("R", None, 8, 1, 100_000), Ok(8));
+        assert_eq!(parse_knob::<u64>("R", Some("42"), 8, 1, 100_000), Ok(42));
         // Boundaries included, rejections named.
-        assert_eq!(parse_u64_knob("R", Some("1"), 8, 1, 100_000), Ok(1));
-        assert_eq!(parse_u64_knob("R", Some("100000"), 8, 1, 100_000), Ok(100_000));
-        let err = parse_u64_knob("R", Some("0"), 8, 1, 100_000).unwrap_err();
+        assert_eq!(parse_knob::<u64>("R", Some("1"), 8, 1, 100_000), Ok(1));
+        assert_eq!(parse_knob::<u64>("R", Some("100000"), 8, 1, 100_000), Ok(100_000));
+        let err = parse_knob::<u64>("R", Some("0"), 8, 1, 100_000).unwrap_err();
         assert_eq!(err.reason, KnobReason::OutOfRange { lo: 1, hi: 100_000 });
-        let err = parse_u64_knob("R", Some(""), 8, 1, 100_000).unwrap_err();
+        let err = parse_knob::<u64>("R", Some(""), 8, 1, 100_000).unwrap_err();
         assert_eq!(err.reason, KnobReason::NotAnInteger);
-        let err = parse_u64_knob("RECOVERY_HYSTERESIS", Some("ten"), 8, 1, 100_000).unwrap_err();
+        let err = parse_knob::<u64>("RECOVERY_HYSTERESIS", Some("ten"), 8, 1, 100_000).unwrap_err();
         assert!(err.to_string().contains("RECOVERY_HYSTERESIS"));
     }
 }

@@ -55,8 +55,8 @@ pub use adaptive::{
     HighDegreeAttack, MinCutAttack, OscillatingPartition,
 };
 pub use byzantine::{
-    ByzActions, ByzAttacker, ByzBudget, ByzCampaign, ByzFamily, ByzHarness, ChaosCampaign,
-    EclipseCampaign, ForgeCampaign, Forgery, JoinRequest, SybilCampaign,
+    ByzActions, ByzBudget, ByzCampaign, ByzFamily, ByzHarness, ChaosCampaign, EclipseCampaign,
+    ForgeCampaign, Forgery, JoinRequest, SybilCampaign,
 };
 pub use catastrophe::{
     shrink_catastrophe, CatastropheCampaign, CatastropheRepro, CatastropheSpec, CatastropheTrace,
@@ -65,7 +65,7 @@ pub use churn::{ChurnEvent, ChurnSchedule, ChurnStrategy};
 pub use dos::{DosAdversary, DosStrategy};
 pub use faults::{FaultConfigError, FaultSchedule};
 pub use fuzz::{FaultPlan, FuzzLimits};
-pub use knobs::{env_u64_knob, env_usize_knob, KnobError, KnobReason};
+pub use knobs::{env_knob, parse_knob, KnobError, KnobReason};
 pub use lateness::{LateView, TopologyHistory, TopologySnapshot};
 pub use remote::{CampaignError, CampaignSpec, CampaignStep, DosSpec};
 pub use shrink::{shrink_trace, AdversaryTrace, ReplayAdversary, Repro, ShrinkReport};

@@ -24,8 +24,8 @@ use crate::adaptive::Attacker;
 use crate::lateness::SharedSnapshot;
 use serde_json::Value;
 use simnet::checkpoint::{
-    f64_bits, get_f64_bits, get_str, get_u64, get_usize, missing, read_value, write_value_atomic,
-    Checkpoint, CkptError, CkptResult,
+    check_format, f64_bits, get_f64_bits, get_str, get_u64, get_usize, missing, read_value,
+    write_value_atomic, Checkpoint, CkptResult,
 };
 use simnet::BlockSet;
 use std::path::Path;
@@ -281,9 +281,7 @@ impl Checkpoint for Repro {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        if get_str(v, "format")? != "adversary-repro" {
-            return Err(CkptError::Corrupt("not an adversary repro file".into()));
-        }
+        check_format(v, "adversary-repro")?;
         Ok(Self {
             family: get_str(v, "family")?.to_string(),
             strategy: get_str(v, "strategy")?.to_string(),

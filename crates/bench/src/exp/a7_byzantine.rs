@@ -21,15 +21,15 @@
 //! blocking component — reconfiguration remains the backbone defense.
 
 use crate::driver::{or_null, Experiment, Row, Run, RunError};
-use overlay_adversary::adaptive::AdaptiveHarness;
+use overlay_adversary::adaptive::{AdaptiveHarness, Attacker};
 use overlay_adversary::byzantine::{
-    ByzAttacker, ByzBudget, ByzHarness, ChaosCampaign, EclipseCampaign, ForgeCampaign,
-    SybilCampaign,
+    ByzBudget, ByzHarness, ChaosCampaign, EclipseCampaign, ForgeCampaign, SybilCampaign,
 };
+use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::{AdaptiveStrategy, MinCutAttack};
-use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
-use reconfig_core::dos::DosParams;
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::byzantine::DefenseConfig;
+use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 
 pub const EXP: Experiment = Experiment::new(
@@ -58,7 +58,7 @@ const SECURITY: [Invariant; 5] = [
 struct Spec {
     label: &'static str,
     /// `(byz_budget, lateness_rounds, seed) -> adversary`.
-    mk: fn(f64, u64, u64) -> Box<dyn ByzAttacker>,
+    mk: fn(f64, u64, u64) -> Box<dyn Attacker>,
     /// Fraction of the Byzantine budget spent on DoS blocking (chaos
     /// composes blocking with Byzantine participation; pure families 0).
     block_share: f64,
@@ -110,10 +110,14 @@ fn violations(
     late_rounds: u64,
     seed: u64,
 ) -> u64 {
-    let mut r = ByzantineRunner::new(n, params(), seed, defense);
-    let rounds = epochs * r.overlay().epoch_len();
+    let overlay = DosOverlay::new(n, params(), seed);
+    let rounds = epochs * overlay.epoch_len();
+    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
+    let mut r = FaultyRunner::new(overlay, faults, HealingParams::default(), false)
+        .with_dos_bound(bound * spec.block_share)
+        .with_defenses(defense);
     let mut adv = (spec.mk)(bound, late_rounds, seed ^ 0xA7);
-    r.run(&mut adv, rounds, bound * spec.block_share);
+    r.run(&mut adv, rounds);
     SECURITY.iter().map(|&inv| r.monitor.count(inv)).sum()
 }
 

@@ -23,14 +23,13 @@
 //! monitor is green for `G` straight rounds.
 
 use crate::driver::{or_null, Experiment, Row, Run, RunError};
-use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
 use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
-use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
+use reconfig_core::recovery::RecoveryParams;
 use simnet::{Burst, BurstTarget, TimedPartition};
 
 pub const EXP: Experiment = Experiment::new(
@@ -78,14 +77,14 @@ fn run_cell(
 ) -> (Row, bool, Option<u64>) {
     let ov = DosOverlay::new(N, params(), SEED);
     let epoch_len = ov.epoch_len();
-    let runner = FaultyRunner::new(
-        ov,
-        FaultSchedule::new(SEED, 0.0, 0.0, None, AMBIENT_BOUND),
-        HealingParams::default(),
-        true,
+    let faults = FaultSchedule::new(SEED, 0.0, 0.0, None, AMBIENT_BOUND);
+    let mut r = FaultyRunner::new(ov, faults, HealingParams::default(), true).with_catastrophes(
+        spec.schedule(),
+        rp,
+        enabled,
+        spec.seed,
     );
-    let mut r = RecoveryRunner::new(runner, spec.schedule(), rp, enabled, spec.seed);
-    let initial = r.runner.overlay.len();
+    let initial = r.overlay.len();
     let mut adv = CatastropheCampaign::new(
         DosAdversary::new(DosStrategy::Random, AMBIENT_BOUND, 2 * epoch_len, SEED ^ 0xA8),
         spec.clone(),
@@ -93,22 +92,16 @@ fn run_cell(
     let g = rp.exit_hysteresis;
     let mut ttr = None;
     for _ in 0..total_epochs * epoch_len {
-        let round = r.runner.overlay.round();
-        adv.observe(r.runner.overlay.snapshot(round));
-        let blocked = adv.block(round, r.runner.overlay.len());
-        r.step(&blocked);
-        let now = r.runner.overlay.round();
-        if ttr.is_none()
-            && now > event_round
-            && r.healthy_streak() >= g
-            && r.pending_arrivals() == 0
+        r.run(&mut adv, 1);
+        let (now, c) = (r.overlay.round(), r.layer());
+        if ttr.is_none() && now > event_round && c.healthy_streak() >= g && c.pending_arrivals() == 0
         {
             ttr = Some(now - event_round);
         }
     }
-    let s = r.stats();
-    let monitor = &r.runner.monitor;
-    let members = r.runner.overlay.len();
+    let s = r.layer().stats();
+    let monitor = &r.monitor;
+    let members = r.overlay.len();
     // Survival = green for G straight rounds after the event with no node
     // permanently lost *to the catastrophe*: the TTR clock only starts
     // once the storm queue is drained, so zero orphans means every victim
@@ -137,7 +130,7 @@ fn run_cell(
         .key("rejected", s.rejected)
         .key("reconciled", s.reconciled)
         .key("shed_rounds", s.shed_rounds)
-        .key("mode_transitions", r.transitions().len());
+        .key("mode_transitions", r.layer().transitions().len());
     (row, survived, ttr)
 }
 

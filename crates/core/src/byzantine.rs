@@ -23,28 +23,30 @@
 //!    member whose suspicion reaches [`QUARANTINE_THRESHOLD`] is evicted
 //!    and permanently quarantined (its identity may never rejoin).
 //!
-//! A [`ByzantineRunner`] drives a [`DosOverlay`] under a
-//! [`ByzAttacker`] (see `overlay_adversary::byzantine`), applies whichever
-//! defenses are enabled, and feeds an [`InvariantMonitor`] the Byzantine
-//! invariants — [`Invariant::HonestMajority`],
-//! [`Invariant::SybilConcentration`], [`Invariant::EclipseExposure`] — on
-//! top of the classic connectivity/availability checks. Byzantine members
-//! still *occupy* membership slots but never help the protocol: they are
-//! folded into the effective block set every round.
+//! The [`Defenses`] layer of a [`FaultyRunner`] round
+//! ([`FaultyRunner::with_defenses`]) takes the joins, corruptions and
+//! forgeries of a Byzantine [`Attacker`](overlay_adversary::adaptive::Attacker)
+//! (see `overlay_adversary::byzantine`), applies whichever defenses are
+//! enabled, and feeds the runner's monitor the Byzantine invariants —
+//! [`Invariant::HonestMajority`], [`Invariant::SybilConcentration`],
+//! [`Invariant::EclipseExposure`] — on top of the round's connectivity and
+//! availability checks. Byzantine members still *occupy* membership slots
+//! but never help the protocol: they are folded into the effective block
+//! set every round.
 //!
 //! Everything here is deterministic in `(seed, campaign, defense)`;
 //! telemetry is pure observability and never perturbs the overlay's RNG
 //! or digest stream.
 
-use crate::dos::{DosOverlay, DosParams};
-use crate::healing::{smallest_live_introducer, HealableOverlay};
-use crate::metrics::{DosRoundMetrics, DosRunMetrics};
-use crate::monitor::{Invariant, InvariantMonitor};
-use overlay_adversary::byzantine::{ByzActions, ByzAttacker, Forgery};
+use crate::dos::DosOverlay;
+use crate::healing::{smallest_live_introducer, FaultyRunner, HealableOverlay, Layer};
+use crate::metrics::DosRoundMetrics;
+use crate::monitor::Invariant;
+use overlay_adversary::byzantine::{ByzActions, Forgery};
 use simnet::idrun::union;
 use simnet::{BlockSet, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
-use telemetry::{EventKind, Telemetry};
+use telemetry::EventKind;
 
 /// Suspicion level at which the audit defense quarantines a member: two
 /// independently observed contradictions. One contradiction can be an
@@ -71,7 +73,7 @@ pub const ECLIPSE_PROBE_GRACE: u64 = 1;
 
 /// Which in-protocol defenses are active. Each is independently
 /// toggleable so experiments can ablate them one at a time.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DefenseConfig {
     /// Max joiners a single group accepts per epoch (`None` = unlimited).
     pub join_rate_limit: Option<u32>,
@@ -87,7 +89,7 @@ pub struct DefenseConfig {
 impl DefenseConfig {
     /// Every defense off — the undefended baseline.
     pub fn none() -> Self {
-        Self { join_rate_limit: None, membership_quorum: false, audit_quarantine: false }
+        Self::default()
     }
 
     /// Every defense on, with the default per-group join rate.
@@ -153,14 +155,13 @@ pub struct ByzStats {
     pub eclipsed_probes: u64,
 }
 
-/// Drives a [`DosOverlay`] under a Byzantine adversary with the
-/// configured [`DefenseConfig`], checking the Byzantine invariants every
-/// round. See the module docs for the defense semantics.
-pub struct ByzantineRunner {
-    overlay: DosOverlay,
+/// The Byzantine layer of a [`FaultyRunner`] round over a [`DosOverlay`]:
+/// Byzantine participation and the configured [`DefenseConfig`].
+/// [`FaultyRunner::with_defenses`] adds it; see the module docs for the
+/// defense semantics.
+#[derive(Default)]
+pub struct Defenses {
     defense: DefenseConfig,
-    /// Invariant verdicts; configure grace via [`Self::monitor_mut`].
-    pub monitor: InvariantMonitor,
     /// Action/defense counters for experiment tables.
     pub stats: ByzStats,
     /// All identities that ever acted Byzantine (admitted Sybils and
@@ -176,54 +177,9 @@ pub struct ByzantineRunner {
     pending_evictions: Vec<(NodeId, NodeId)>,
     /// Desynchronized victims: `victim -> (silent_until_round, forger)`.
     desynced: BTreeMap<NodeId, (u64, NodeId)>,
-    tel: Telemetry,
 }
 
-impl ByzantineRunner {
-    /// Overlay over nodes `0..n` (all initially honest) with the given
-    /// defenses. Availability gets one epoch of monitor grace, exactly
-    /// like the self-healing runner: transient mid-epoch starvation is
-    /// the overlay's own failed-epoch signal, not a verdict.
-    pub fn new(n: usize, params: DosParams, seed: u64, defense: DefenseConfig) -> Self {
-        let overlay = DosOverlay::new(n, params, seed);
-        let monitor = InvariantMonitor::new()
-            .with_grace(Invariant::Availability, overlay.epoch_len())
-            .with_grace(Invariant::HonestMajority, CAPTURE_GRACE)
-            .with_grace(Invariant::SybilConcentration, CAPTURE_GRACE)
-            .with_grace(Invariant::EclipseExposure, ECLIPSE_PROBE_GRACE);
-        Self {
-            overlay,
-            defense,
-            monitor,
-            stats: ByzStats::default(),
-            byz: BTreeSet::new(),
-            quarantined: BTreeSet::new(),
-            suspicion: BTreeMap::new(),
-            joins_this_epoch: BTreeMap::new(),
-            pending_evictions: Vec::new(),
-            desynced: BTreeMap::new(),
-            tel: Telemetry::disabled(),
-        }
-    }
-
-    /// Attach a telemetry recorder: overlay events, monitor violations and
-    /// `defense.*` counters record into it. Pure observability.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        self.overlay.set_telemetry(tel.clone());
-        self.monitor.set_telemetry(tel.clone());
-        self.tel = tel;
-    }
-
-    /// The driven overlay (read-only).
-    pub fn overlay(&self) -> &DosOverlay {
-        &self.overlay
-    }
-
-    /// The active defense configuration.
-    pub fn defense(&self) -> DefenseConfig {
-        self.defense
-    }
-
+impl Defenses {
     /// Identities that ever acted Byzantine.
     pub fn byzantine(&self) -> &BTreeSet<NodeId> {
         &self.byz
@@ -233,72 +189,79 @@ impl ByzantineRunner {
     pub fn quarantined(&self) -> &BTreeSet<NodeId> {
         &self.quarantined
     }
+}
 
+impl FaultyRunner<DosOverlay> {
+    /// Add the Byzantine layer with `defense`. Only [`DosOverlay`] has it:
+    /// no other family has a join path that takes a claimed placement.
+    /// The monitor gains grace for the capture and eclipse invariants.
+    /// Byzantine members never cooperate, so they are silent to the
+    /// healing layer too: the Byzantine arms run with healing off and a
+    /// fault-free schedule.
+    pub fn with_defenses(self, defense: DefenseConfig) -> FaultyRunner<DosOverlay, Defenses> {
+        let mut r = self.with_layer(Defenses { defense, ..Defenses::default() });
+        r.monitor = std::mem::take(&mut r.monitor)
+            .with_grace(Invariant::HonestMajority, CAPTURE_GRACE)
+            .with_grace(Invariant::SybilConcentration, CAPTURE_GRACE)
+            .with_grace(Invariant::EclipseExposure, ECLIPSE_PROBE_GRACE);
+        r
+    }
+}
+
+/// A runner with the Byzantine layer.
+type Defended = FaultyRunner<DosOverlay, Defenses>;
+
+impl Layer<DosOverlay> for Defenses {
+    fn participate(r: &mut Defended, acts: &ByzActions) {
+        let round = r.overlay.round();
+        r.apply_joins(&acts.joins, round);
+        r.apply_corruptions(&acts.corrupt);
+        r.apply_forgeries(&acts.forges, round);
+    }
+
+    /// Byzantine members occupy slots but never cooperate: they join the
+    /// block set, as do members silenced by a forged desync.
+    fn open(r: &mut Defended, round: u64, blocked: &BlockSet) -> Option<BlockSet> {
+        let (d, grouped) = (&r.layer, r.overlay.grouped());
+        let member = |v: &NodeId| grouped.supernode_of(*v).is_some();
+        let byz = d.byz.iter().copied().filter(member);
+        let forged = d.desynced.iter().filter(|(_, &(until, _))| round < until);
+        let forged = forged.map(|(&v, _)| v).filter(member);
+        Some(BlockSet::from_iter(union(union(blocked.iter(), byz), forged)))
+    }
+
+    fn check(r: &mut Defended, m: &DosRoundMetrics) {
+        r.check_capture(m.round - 1);
+    }
+
+    fn close(r: &mut Defended, m: &DosRoundMetrics) {
+        if r.overlay.clock().closed_epoch().is_some() {
+            r.end_of_epoch_audit(m.round - 1);
+            r.probe_eclipse(m.round - 1);
+        }
+    }
+}
+
+// The layer's steps. `round` is the round being executed, the one before
+// `DosRoundMetrics::round`.
+impl Defended {
     fn is_member(&self, v: NodeId) -> bool {
         self.overlay.grouped().supernode_of(v).is_some()
-    }
-
-    /// Process one round of adversarial actions, step the overlay, and
-    /// check the invariants.
-    pub fn step(&mut self, acts: &ByzActions) -> DosRoundMetrics {
-        let round = self.overlay.round();
-        self.monitor.begin_round();
-        self.apply_joins(&acts.joins, round);
-        self.apply_corruptions(&acts.corrupt);
-        self.apply_forgeries(&acts.forges, round);
-
-        // Byzantine members occupy slots but never cooperate: they join
-        // the block set, as do members silenced by a forged desync.
-        let byz = self.byz.iter().copied().filter(|&b| self.is_member(b));
-        let forged = self.desynced.iter().filter(|(_, &(until, _))| round < until);
-        let forged = forged.map(|(&v, _)| v).filter(|&v| self.is_member(v));
-        let eff = BlockSet::from_iter(union(union(acts.blocked.iter(), byz), forged));
-
-        let m = self.overlay.step(&eff);
-        self.check_round_invariants(&m, round);
-        if self.overlay.clock().closed_epoch().is_some() {
-            self.end_of_epoch_audit(round);
-            self.probe_eclipse(round);
-        }
-        m
-    }
-
-    /// Drive a full run: the adversary observes, acts (through its own
-    /// lateness/budget harness), and the runner applies defenses. The
-    /// blocking component is additionally checked against `dos_bound`.
-    pub fn run<A: ByzAttacker>(
-        &mut self,
-        adversary: &mut A,
-        rounds: u64,
-        dos_bound: f64,
-    ) -> DosRunMetrics {
-        let mut out = DosRunMetrics { n: self.overlay.grouped().len(), ..Default::default() };
-        for _ in 0..rounds {
-            // `healing::attack_round`, spelled for a `ByzAttacker`: the
-            // move is a `ByzActions`, its blocking part judged the same way.
-            let (round, n) = (self.overlay.round(), self.overlay.grouped().len());
-            adversary.observe(self.overlay.grouped().snapshot(round));
-            let acts = adversary.act(round, n);
-            self.monitor.check_budget(round, &acts.blocked, dos_bound, n);
-            out.absorb(self.step(&acts));
-        }
-        out.epochs = self.overlay.epochs();
-        out
     }
 
     fn apply_joins(&mut self, joins: &[overlay_adversary::byzantine::JoinRequest], round: u64) {
         let n_groups = self.overlay.grouped().cube().len();
         for j in joins {
-            if self.quarantined.contains(&j.id) {
+            if self.layer.quarantined.contains(&j.id) {
                 self.reject_join(round, j.id, "quarantined");
                 continue;
             }
             // The quorum defense ignores the joiner's placement claim and
             // places uniformly, like the per-epoch resampling would.
-            let claimed = if self.defense.membership_quorum { None } else { j.claimed_group };
-            if let (Some(limit), Some(x)) = (self.defense.join_rate_limit, claimed) {
+            let claimed = if self.layer.defense.membership_quorum { None } else { j.claimed_group };
+            if let (Some(limit), Some(x)) = (self.layer.defense.join_rate_limit, claimed) {
                 // Claimed destination known up front: reject before insert.
-                if self.joins_this_epoch.get(&(x % n_groups)).copied().unwrap_or(0) >= limit {
+                if self.layer.joins_this_epoch.get(&(x % n_groups)).copied().unwrap_or(0) >= limit {
                     self.reject_join(round, j.id, "rate-limited");
                     continue;
                 }
@@ -306,8 +269,8 @@ impl ByzantineRunner {
             let Some(x) = self.overlay.admit(j.id, claimed) else {
                 continue; // already a member
             };
-            let count = self.joins_this_epoch.entry(x).or_insert(0);
-            if self.defense.join_rate_limit.is_some_and(|limit| *count >= limit) {
+            let count = self.layer.joins_this_epoch.entry(x).or_insert(0);
+            if self.layer.defense.join_rate_limit.is_some_and(|limit| *count >= limit) {
                 // Uniform placement landed in a group that already used
                 // its quota: the group bounces the joiner.
                 self.overlay.evict(j.id);
@@ -315,21 +278,21 @@ impl ByzantineRunner {
                 continue;
             }
             *count += 1;
-            self.byz.insert(j.id);
-            self.stats.joins_accepted += 1;
+            self.layer.byz.insert(j.id);
+            self.layer.stats.joins_accepted += 1;
         }
     }
 
     fn reject_join(&mut self, round: u64, id: NodeId, why: &'static str) {
-        self.stats.joins_rejected += 1;
+        self.layer.stats.joins_rejected += 1;
         self.tel.counter("defense.joins_rejected", &[("why", why)]).inc();
         self.tel.emit(round, EventKind::Custom, Some(id.raw()), 0, || format!("join {why}"));
     }
 
     fn apply_corruptions(&mut self, corrupt: &[NodeId]) {
         for &v in corrupt {
-            if self.is_member(v) && self.byz.insert(v) {
-                self.stats.corruptions += 1;
+            if self.is_member(v) && self.layer.byz.insert(v) {
+                self.layer.stats.corruptions += 1;
             }
         }
     }
@@ -340,25 +303,25 @@ impl ByzantineRunner {
             let (by, victim) = (f.by(), f.victim());
             // Only live, unquarantined Byzantine members can forge, and
             // only honest members are worth forging against.
-            if !self.byz.contains(&by)
-                || self.quarantined.contains(&by)
+            if !self.layer.byz.contains(&by)
+                || self.layer.quarantined.contains(&by)
                 || !self.is_member(by)
                 || !self.is_member(victim)
-                || self.byz.contains(&victim)
+                || self.layer.byz.contains(&victim)
             {
                 continue;
             }
-            if self.defense.membership_quorum {
+            if self.layer.defense.membership_quorum {
                 // The victim's group never confirms the update; the forged
                 // message itself is the observed contradiction, so repeat
                 // offenders are ejected on the spot (audit on), without
                 // waiting for the epoch-boundary review.
-                self.stats.forgeries_blocked += 1;
-                let s = self.suspicion.entry(by).or_insert(0);
+                self.layer.stats.forgeries_blocked += 1;
+                let s = self.layer.suspicion.entry(by).or_insert(0);
                 *s += 1;
                 let suspicion = *s;
                 self.tel.counter("defense.forgeries_blocked", &[]).inc();
-                if self.defense.audit_quarantine && suspicion >= QUARANTINE_THRESHOLD {
+                if self.layer.defense.audit_quarantine && suspicion >= QUARANTINE_THRESHOLD {
                     self.quarantine(by, round);
                 }
                 continue;
@@ -366,25 +329,19 @@ impl ByzantineRunner {
             match f {
                 Forgery::Evict { .. } => {
                     self.overlay.evict(victim);
-                    self.stats.forged_evictions += 1;
-                    self.pending_evictions.push((by, victim));
+                    self.layer.stats.forged_evictions += 1;
+                    self.layer.pending_evictions.push((by, victim));
                 }
                 Forgery::Desync { .. } => {
-                    self.desynced.insert(victim, (round + epoch_len, by));
-                    self.stats.forged_desyncs += 1;
+                    self.layer.desynced.insert(victim, (round + epoch_len, by));
+                    self.layer.stats.forged_desyncs += 1;
                 }
             }
         }
     }
 
-    fn check_round_invariants(&mut self, m: &DosRoundMetrics, round: u64) {
-        self.monitor.check(Invariant::Connectivity, round, m.connected, || {
-            format!("{} blocked, occupied-supernode graph split", m.blocked)
-        });
-        self.monitor.check(Invariant::Availability, round, m.min_group_available >= 1, || {
-            "some group has no available member".to_string()
-        });
-
+    /// Group-capture invariants: honest majority and Sybil concentration.
+    fn check_capture(&mut self, round: u64) {
         // Honest majority: every non-empty group must keep a strict
         // honest majority, or quorum confirmation is forgeable.
         let groups = self.overlay.grouped().groups();
@@ -396,7 +353,7 @@ impl ByzantineRunner {
             if g.is_empty() {
                 continue;
             }
-            let bad = g.iter().filter(|v| self.byz.contains(v)).count();
+            let bad = g.iter().filter(|v| self.layer.byz.contains(v)).count();
             live_byz += bad;
             if bad > max_byz.0 {
                 max_byz = (bad, x as u64);
@@ -420,7 +377,7 @@ impl ByzantineRunner {
         // and a denominator that shrank with it would *tighten* the cap
         // exactly when the defense is working.
         let n_groups = groups.iter().filter(|g| !g.is_empty()).count().max(1);
-        let fair = self.byz.len().div_ceil(n_groups);
+        let fair = self.layer.byz.len().div_ceil(n_groups);
         let cap = (3 * fair).max(6);
         self.monitor.check(Invariant::SybilConcentration, round, max_byz.0 <= cap, || {
             format!(
@@ -434,31 +391,32 @@ impl ByzantineRunner {
     /// audit defense, reinstate wrongful evictions, suspect forgers and
     /// quarantine repeat offenders.
     fn end_of_epoch_audit(&mut self, round: u64) {
-        self.joins_this_epoch.clear();
-        if !self.defense.audit_quarantine {
+        self.layer.joins_this_epoch.clear();
+        if !self.layer.defense.audit_quarantine {
             // No audit: desyncs expire on their own, evictions stand.
-            self.desynced.retain(|_, (until, _)| round < *until);
-            self.pending_evictions.clear();
+            self.layer.desynced.retain(|_, (until, _)| round < *until);
+            self.layer.pending_evictions.clear();
             return;
         }
-        for (by, victim) in std::mem::take(&mut self.pending_evictions) {
+        for (by, victim) in std::mem::take(&mut self.layer.pending_evictions) {
             if !self.is_member(victim) {
                 self.overlay.rejoin(victim);
-                self.stats.reinstated += 1;
+                self.layer.stats.reinstated += 1;
                 self.tel.counter("defense.reinstated", &[]).inc();
             }
-            *self.suspicion.entry(by).or_insert(0) += 1;
+            *self.layer.suspicion.entry(by).or_insert(0) += 1;
         }
-        for (_, (until, by)) in std::mem::take(&mut self.desynced) {
+        for (_, (until, by)) in std::mem::take(&mut self.layer.desynced) {
             if round < until {
                 // Caught desynchronizing a live member mid-flight.
-                *self.suspicion.entry(by).or_insert(0) += 1;
+                *self.layer.suspicion.entry(by).or_insert(0) += 1;
             }
         }
         let offenders: Vec<NodeId> = self
+            .layer
             .suspicion
             .iter()
-            .filter(|&(v, &s)| s >= QUARANTINE_THRESHOLD && !self.quarantined.contains(v))
+            .filter(|&(v, &s)| s >= QUARANTINE_THRESHOLD && !self.layer.quarantined.contains(v))
             .map(|(&v, _)| v)
             .collect();
         for v in offenders {
@@ -468,13 +426,13 @@ impl ByzantineRunner {
 
     /// Evict and permanently ban a repeat offender (idempotent).
     fn quarantine(&mut self, v: NodeId, round: u64) {
-        if !self.quarantined.insert(v) {
+        if !self.layer.quarantined.insert(v) {
             return;
         }
         if self.is_member(v) {
             self.overlay.evict(v);
         }
-        self.stats.quarantined += 1;
+        self.layer.stats.quarantined += 1;
         self.tel.counter("defense.quarantined", &[]).inc();
         self.tel.emit(round, EventKind::Custom, Some(v.raw()), 0, || "quarantined".to_string());
     }
@@ -487,21 +445,21 @@ impl ByzantineRunner {
     fn probe_eclipse(&mut self, round: u64) {
         let grouped = self.overlay.grouped();
         let probe = NodeId(u64::MAX); // fresh identity, never inserted
-        let eclipsed = if self.defense.membership_quorum {
+        let eclipsed = if self.layer.defense.membership_quorum {
             let q = grouped.cube().dim() as usize + 1;
             let introducers: Vec<NodeId> =
                 grouped.groups().iter().filter_map(|g| g.iter().copied().min()).take(q).collect();
-            introducers.is_empty() || introducers.iter().all(|v| self.byz.contains(v))
+            introducers.is_empty() || introducers.iter().all(|v| self.layer.byz.contains(v))
         } else {
             let members = grouped.nodes();
             match smallest_live_introducer(&members, &[], probe) {
-                Some(intro) => self.byz.contains(&intro),
+                Some(intro) => self.layer.byz.contains(&intro),
                 None => true,
             }
         };
-        self.stats.eclipse_probes += 1;
+        self.layer.stats.eclipse_probes += 1;
         if eclipsed {
-            self.stats.eclipsed_probes += 1;
+            self.layer.stats.eclipsed_probes += 1;
         }
         self.tel.counter("defense.eclipse_probes", &[]).inc();
         self.monitor.check(Invariant::EclipseExposure, round, !eclipsed, || {
@@ -513,9 +471,13 @@ impl ByzantineRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dos::DosParams;
+    use crate::healing::HealingParams;
     use overlay_adversary::byzantine::{
         ByzBudget, ByzHarness, EclipseCampaign, ForgeCampaign, JoinRequest, SybilCampaign,
     };
+    use overlay_adversary::faults::FaultSchedule;
+    use telemetry::Telemetry;
 
     const N: usize = 128;
     const SEED: u64 = 0xB12A;
@@ -528,6 +490,22 @@ mod tests {
 
     fn join(id: u64, group: Option<u64>) -> JoinRequest {
         JoinRequest { id: NodeId(id), claimed_group: group }
+    }
+
+    /// Nodes `0..N`, all honest, no faults, no healing, budget judged at 0.
+    fn runner(defense: DefenseConfig) -> Defended {
+        let overlay = DosOverlay::new(N, params(), SEED);
+        let faults = FaultSchedule::new(SEED, 0.0, 0.0, None, 0.0);
+        FaultyRunner::new(overlay, faults, HealingParams::default(), false)
+            .with_dos_bound(0.0)
+            .with_defenses(defense)
+    }
+
+    /// One round under `acts`, played the way `FaultyRunner::run` plays a
+    /// move.
+    fn play(r: &mut Defended, acts: &ByzActions) {
+        Defenses::participate(r, acts);
+        r.step(&acts.blocked);
     }
 
     #[test]
@@ -543,134 +521,118 @@ mod tests {
 
     #[test]
     fn undefended_overlay_honors_placement_claims() {
-        let mut r = ByzantineRunner::new(N, params(), SEED, DefenseConfig::none());
+        let mut r = runner(DefenseConfig::none());
         let acts = ByzActions {
             joins: (0..6).map(|i| join(1 << 41 | i, Some(3))).collect(),
             ..ByzActions::default()
         };
-        r.step(&acts);
-        assert_eq!(r.stats.joins_accepted, 6);
+        play(&mut r, &acts);
+        assert_eq!(r.layer().stats.joins_accepted, 6);
         for i in 0..6 {
-            assert_eq!(r.overlay().grouped().supernode_of(NodeId(1 << 41 | i)), Some(3));
+            assert_eq!(r.overlay.grouped().supernode_of(NodeId(1 << 41 | i)), Some(3));
         }
     }
 
     #[test]
     fn quorum_ignores_placement_claims() {
-        let mut r = ByzantineRunner::new(
-            N,
-            params(),
-            SEED,
-            DefenseConfig { membership_quorum: true, ..DefenseConfig::none() },
-        );
+        let mut r = runner(DefenseConfig { membership_quorum: true, ..DefenseConfig::none() });
         let ids: Vec<u64> = (0..32).map(|i| 1 << 41 | i).collect();
         let acts = ByzActions {
             joins: ids.iter().map(|&id| join(id, Some(3))).collect(),
             ..ByzActions::default()
         };
-        r.step(&acts);
+        play(&mut r, &acts);
         let landed: BTreeSet<u64> =
-            ids.iter().filter_map(|&id| r.overlay().grouped().supernode_of(NodeId(id))).collect();
+            ids.iter().filter_map(|&id| r.overlay.grouped().supernode_of(NodeId(id))).collect();
         assert!(landed.len() > 1, "32 uniform joins cannot all land in one group: {landed:?}");
     }
 
     #[test]
     fn rate_limit_caps_joins_per_group_per_epoch() {
-        let mut r = ByzantineRunner::new(
-            N,
-            params(),
-            SEED,
-            DefenseConfig { join_rate_limit: Some(2), ..DefenseConfig::none() },
-        );
+        let mut r = runner(DefenseConfig { join_rate_limit: Some(2), ..DefenseConfig::none() });
         let acts = ByzActions {
             joins: (0..6).map(|i| join(1 << 41 | i, Some(3))).collect(),
             ..ByzActions::default()
         };
-        r.step(&acts);
-        assert_eq!(r.stats.joins_accepted, 2);
-        assert_eq!(r.stats.joins_rejected, 4);
+        play(&mut r, &acts);
+        assert_eq!(r.layer().stats.joins_accepted, 2);
+        assert_eq!(r.layer().stats.joins_rejected, 4);
         // The quota resets at the epoch boundary.
-        for _ in 0..r.overlay().epoch_len() {
-            r.step(&ByzActions::default());
+        for _ in 0..r.overlay.epoch_len() {
+            play(&mut r, &ByzActions::default());
         }
         let acts = ByzActions {
             joins: (6..8).map(|i| join(1 << 41 | i, Some(3))).collect(),
             ..ByzActions::default()
         };
-        r.step(&acts);
-        assert_eq!(r.stats.joins_accepted, 4, "fresh epoch, fresh quota");
+        play(&mut r, &acts);
+        assert_eq!(r.layer().stats.joins_accepted, 4, "fresh epoch, fresh quota");
     }
 
     #[test]
     fn forged_evictions_land_without_quorum_and_bounce_with_it() {
         let victim = NodeId(5);
         for (quorum, expect_member) in [(false, false), (true, true)] {
-            let mut r = ByzantineRunner::new(
-                N,
-                params(),
-                SEED,
-                DefenseConfig { membership_quorum: quorum, ..DefenseConfig::none() },
-            );
+            let mut r =
+                runner(DefenseConfig { membership_quorum: quorum, ..DefenseConfig::none() });
             let corrupt = ByzActions { corrupt: vec![NodeId(100)], ..ByzActions::default() };
-            r.step(&corrupt);
+            play(&mut r, &corrupt);
             let forge = ByzActions {
                 forges: vec![Forgery::Evict { by: NodeId(100), victim }],
                 ..ByzActions::default()
             };
-            r.step(&forge);
+            play(&mut r, &forge);
             assert_eq!(
-                r.overlay().grouped().supernode_of(victim).is_some(),
+                r.overlay.grouped().supernode_of(victim).is_some(),
                 expect_member,
                 "quorum={quorum}"
             );
             if quorum {
-                assert_eq!(r.stats.forgeries_blocked, 1);
+                assert_eq!(r.layer().stats.forgeries_blocked, 1);
             } else {
-                assert_eq!(r.stats.forged_evictions, 1);
+                assert_eq!(r.layer().stats.forged_evictions, 1);
             }
         }
     }
 
     #[test]
     fn audit_reinstates_victims_and_quarantines_repeat_forgers() {
-        let mut r = ByzantineRunner::new(
-            N,
-            params(),
-            SEED,
-            DefenseConfig { audit_quarantine: true, ..DefenseConfig::none() },
-        );
+        let mut r = runner(DefenseConfig { audit_quarantine: true, ..DefenseConfig::none() });
         let forger = NodeId(100);
-        r.step(&ByzActions { corrupt: vec![forger], ..ByzActions::default() });
+        play(&mut r, &ByzActions { corrupt: vec![forger], ..ByzActions::default() });
         // Two forged evictions across two epochs: the first audit
         // reinstates and suspects, the second quarantines.
         for victim in [NodeId(5), NodeId(6)] {
-            r.step(&ByzActions {
-                forges: vec![Forgery::Evict { by: forger, victim }],
-                ..ByzActions::default()
-            });
-            for _ in 0..r.overlay().epoch_len() + 1 {
-                r.step(&ByzActions::default());
+            play(
+                &mut r,
+                &ByzActions {
+                    forges: vec![Forgery::Evict { by: forger, victim }],
+                    ..ByzActions::default()
+                },
+            );
+            for _ in 0..r.overlay.epoch_len() + 1 {
+                play(&mut r, &ByzActions::default());
             }
         }
-        assert_eq!(r.stats.reinstated, 2, "both victims rejoin: {:?}", r.stats);
-        assert!(r.quarantined().contains(&forger), "repeat forger is quarantined");
-        assert!(r.overlay().grouped().supernode_of(forger).is_none(), "and evicted");
+        assert_eq!(r.layer().stats.reinstated, 2, "both victims rejoin: {:?}", r.layer().stats);
+        assert!(r.layer().quarantined().contains(&forger), "repeat forger is quarantined");
+        assert!(r.overlay.grouped().supernode_of(forger).is_none(), "and evicted");
         // A quarantined identity can never rejoin.
-        r.step(&ByzActions { joins: vec![join(100, None)], ..ByzActions::default() });
-        assert!(r.overlay().grouped().supernode_of(forger).is_none());
+        play(&mut r, &ByzActions { joins: vec![join(100, None)], ..ByzActions::default() });
+        assert!(r.overlay.grouped().supernode_of(forger).is_none());
     }
 
     #[test]
     fn sybil_flood_violates_honest_majority_only_when_undefended() {
         let run = |defense: DefenseConfig| {
-            let mut r = ByzantineRunner::new(N, params(), SEED, defense);
+            let mut r = runner(defense);
             let budget = ByzBudget { byz_fraction: 0.3, joins_per_round: 4, block_bound: 0.0 };
             let mut adv = ByzHarness::new(SybilCampaign::default(), budget, 0);
-            r.run(&mut adv, 3 * r.overlay().epoch_len(), 0.0);
+            r.run(&mut adv, 3 * r.overlay.epoch_len());
             (
                 r.monitor.count(Invariant::HonestMajority),
                 r.monitor.count(Invariant::SybilConcentration),
-                r.stats,
+                r.layer().stats,
             )
         };
         let (und_maj, und_conc, und) = run(DefenseConfig::none());
@@ -690,11 +652,11 @@ mod tests {
     #[test]
     fn eclipse_defense_requires_corrupting_many_introducers() {
         let run = |defense: DefenseConfig| {
-            let mut r = ByzantineRunner::new(N, params(), SEED, defense);
+            let mut r = runner(defense);
             let budget = ByzBudget { byz_fraction: 0.05, joins_per_round: 0, block_bound: 0.0 };
             let mut adv = ByzHarness::new(EclipseCampaign::default(), budget, 0);
-            r.run(&mut adv, 3 * r.overlay().epoch_len(), 0.0);
-            (r.monitor.count(Invariant::EclipseExposure), r.stats.eclipse_probes)
+            r.run(&mut adv, 3 * r.overlay.epoch_len());
+            (r.monitor.count(Invariant::EclipseExposure), r.layer().stats.eclipse_probes)
         };
         let (undefended, probes) = run(DefenseConfig::none());
         assert!(probes > 0, "epochs must finish for probes to run");
@@ -706,11 +668,11 @@ mod tests {
     #[test]
     fn forge_campaign_is_contained_by_full_defenses() {
         let run = |defense: DefenseConfig| {
-            let mut r = ByzantineRunner::new(N, params(), SEED, defense);
+            let mut r = runner(defense);
             let budget = ByzBudget { byz_fraction: 0.1, joins_per_round: 0, block_bound: 0.0 };
             let mut adv = ByzHarness::new(ForgeCampaign::default(), budget, 0);
-            r.run(&mut adv, 4 * r.overlay().epoch_len(), 0.0);
-            (r.overlay().grouped().len(), r.stats)
+            r.run(&mut adv, 4 * r.overlay.epoch_len());
+            (r.overlay.grouped().len(), r.layer().stats)
         };
         let (undefended_n, u) = run(DefenseConfig::none());
         assert!(u.forged_evictions > 0);
@@ -724,11 +686,11 @@ mod tests {
     #[test]
     fn byzantine_runs_replay_digest_identically() {
         let digest = |_| {
-            let mut r = ByzantineRunner::new(N, params(), SEED, DefenseConfig::all());
+            let mut r = runner(DefenseConfig::all());
             let budget = ByzBudget { byz_fraction: 0.2, joins_per_round: 4, block_bound: 0.0 };
             let mut adv = ByzHarness::new(SybilCampaign::default(), budget, 2);
-            r.run(&mut adv, 2 * r.overlay().epoch_len() + 3, 0.0);
-            r.overlay().state_digest()
+            r.run(&mut adv, 2 * r.overlay.epoch_len() + 3);
+            r.overlay.state_digest()
         };
         assert_eq!(digest(0), digest(1), "same (seed, campaign, defense) must replay");
     }
@@ -736,14 +698,16 @@ mod tests {
     #[test]
     fn telemetry_never_perturbs_the_overlay_digest() {
         let digest = |with_tel: bool| {
-            let mut r = ByzantineRunner::new(N, params(), SEED, DefenseConfig::all());
+            let mut r = runner(DefenseConfig::all());
             if with_tel {
-                r.set_telemetry(Telemetry::new(telemetry::Config::default()));
+                let tel = Telemetry::new(telemetry::Config::default());
+                r.overlay.set_telemetry(tel.clone());
+                r = r.with_telemetry(tel);
             }
             let budget = ByzBudget { byz_fraction: 0.2, joins_per_round: 4, block_bound: 0.0 };
             let mut adv = ByzHarness::new(ForgeCampaign::default(), budget, 0);
-            r.run(&mut adv, 2 * r.overlay().epoch_len() + 3, 0.0);
-            r.overlay().state_digest()
+            r.run(&mut adv, 2 * r.overlay.epoch_len() + 3);
+            r.overlay.state_digest()
         };
         assert_eq!(digest(false), digest(true));
     }

@@ -3,8 +3,9 @@
 use crate::churndos::splitmerge::{target_dim, LabeledGroups, SizeBand};
 use crate::config::SamplingParams;
 use crate::dos::epoch::EpochClock;
-use crate::healing::HealableOverlay;
+use crate::healing::{smallest_live_introducer, HealableOverlay};
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
+use crate::reconfig::overlay::{load_pending_joins, save_pending_joins};
 use overlay_adversary::churn::ChurnEvent;
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::prefix::Label;
@@ -114,42 +115,6 @@ impl ChurnDosOverlay {
             assert!(members.contains(&l), "leaver {l} is not a member");
             self.pending_leaves.push(l);
         }
-    }
-
-    /// Evict a member immediately (self-healing graceful degradation).
-    /// Unlike a churn leave — which waits for the epoch boundary — an
-    /// eviction removes the node from its group mid-epoch: the remaining
-    /// members simply stop treating it as one of them. Any pending leave
-    /// for the node becomes a no-op at the boundary.
-    pub fn evict(&mut self, v: NodeId) {
-        if self.groups.remove(v) {
-            self.shared.take();
-        }
-        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
-    }
-
-    /// Re-admit a node after crash-recovery via the ordinary join path:
-    /// the smallest-id live member acts as introducer, and the join
-    /// materializes at the next successful reconfiguration like any other.
-    /// A no-op for current members and for nodes already waiting to join
-    /// (a rejoin racing a fresh crash in the same epoch must not enqueue
-    /// the node twice).
-    pub fn rejoin(&mut self, v: NodeId) {
-        let members = self.groups.nodes();
-        if members.contains(&v) || self.pending_joins.iter().any(|&(j, _)| j == v) {
-            return;
-        }
-        let introducer =
-            crate::healing::smallest_live_introducer(&members, &self.pending_leaves, v)
-                .expect("overlay has members");
-        self.tel.emit(
-            self.round(),
-            EventKind::Rejoin,
-            Some(v.raw()),
-            introducer.raw(),
-            String::new,
-        );
-        self.pending_joins.push((v, introducer));
     }
 
     /// Is the non-blocked subgraph connected? Reduces to connectivity of
@@ -313,7 +278,7 @@ impl ChurnDosOverlay {
             let ev = churn.next(&self.members(), churn_rng);
             self.apply_churn(&ev);
             for _ in 0..self.epoch_len() {
-                let blocked = crate::healing::attack_round(&*self, adversary, None);
+                let blocked = crate::healing::attack_round(&*self, adversary, None).blocked;
                 out.absorb(self.step(&blocked));
             }
         }
@@ -324,17 +289,12 @@ impl ChurnDosOverlay {
 
 impl simnet::Checkpoint for ChurnDosOverlay {
     fn save(&self) -> serde_json::Value {
-        let joins: Vec<serde_json::Value> = self
-            .pending_joins
-            .iter()
-            .map(|&(new, delegate)| serde_json::json!({ "new": new.raw(), "via": delegate.raw() }))
-            .collect();
         self.clock.save(
             serde_json::json!({
                 "format": "churndos-overlay-checkpoint",
                 "groups": self.groups.save(),
                 "band": self.band.save(),
-                "pending_joins": joins,
+                "pending_joins": save_pending_joins(&self.pending_joins),
                 "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
                 "rng": self.rng.save(),
             }),
@@ -342,24 +302,13 @@ impl simnet::Checkpoint for ChurnDosOverlay {
         )
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_array, get_str, get_u64, get_vec};
-        match get_str(v, "format")? {
-            "churndos-overlay-checkpoint" => {}
-            other => {
-                return Err(simnet::CkptError::Corrupt(format!(
-                    "not a churndos overlay checkpoint: `{other}`"
-                )))
-            }
-        }
-        let mut pending_joins = Vec::new();
-        for j in get_array(v, "pending_joins")? {
-            pending_joins.push((NodeId(get_u64(j, "new")?), NodeId(get_u64(j, "via")?)));
-        }
+        use simnet::checkpoint::{check_format, field, get_vec};
+        check_format(v, "churndos-overlay-checkpoint")?;
         let ov = Self {
             groups: LabeledGroups::load(field(v, "groups")?)?,
             band: SizeBand::load(field(v, "band")?)?,
             clock: EpochClock::load(v)?,
-            pending_joins,
+            pending_joins: load_pending_joins(v)?,
             pending_leaves: get_vec(v, "pending_leaves")?,
             rng: NodeRng::load(field(v, "rng")?)?,
             shared: OnceLock::new(),
@@ -388,11 +337,31 @@ impl HealableOverlay for ChurnDosOverlay {
     fn step_overlay(&mut self, blocked: &BlockSet) -> DosRoundMetrics {
         self.step(blocked)
     }
+    /// Unlike a churn leave — which waits for the epoch boundary — an
+    /// eviction removes the node from its group mid-epoch: the remaining
+    /// members simply stop treating it as one of them. Any pending leave
+    /// for the node becomes a no-op at the boundary.
     fn evict(&mut self, v: NodeId) {
-        self.evict(v);
+        if self.groups.remove(v) {
+            self.shared.take();
+        }
+        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
     }
+    /// The smallest-id live member acts as introducer, and the join
+    /// materializes at the next successful reconfiguration like any other.
+    /// A no-op for current members and for nodes already waiting to join
+    /// (a rejoin racing a fresh crash in the same epoch must not enqueue
+    /// the node twice).
     fn rejoin(&mut self, v: NodeId) {
-        self.rejoin(v);
+        let members = self.groups.nodes();
+        if members.contains(&v) || self.pending_joins.iter().any(|&(j, _)| j == v) {
+            return;
+        }
+        let introducer = smallest_live_introducer(&members, &self.pending_leaves, v)
+            .expect("overlay has members");
+        let round = self.round();
+        self.tel.emit(round, EventKind::Rejoin, Some(v.raw()), introducer.raw(), String::new);
+        self.pending_joins.push((v, introducer));
     }
     fn structure_violation(&self) -> Option<String> {
         // The label cover itself must stay a prefix cover (Lemma 18's

@@ -103,42 +103,20 @@ impl DosOverlay {
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) -> DosRunMetrics {
         let mut out = DosRunMetrics { n: self.grouped.len(), ..Default::default() };
         for _ in 0..rounds {
-            let blocked = crate::healing::attack_round(&*self, adversary, None);
+            let blocked = crate::healing::attack_round(&*self, adversary, None).blocked;
             out.absorb(self.step(&blocked));
         }
         out.epochs = self.clock.epochs();
         out
     }
 
-    /// Evict a member (self-healing graceful degradation: a node whose
-    /// heartbeats stopped or whose re-requests exhausted their retries).
-    /// Unknown nodes are ignored.
-    pub fn evict(&mut self, v: NodeId) {
-        self.grouped.remove(v);
-        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
-    }
-
-    /// Re-admit a node after crash-recovery via the join path: it is
-    /// placed in a uniformly random group, exactly as the per-epoch
-    /// resampling would place it. A no-op for current members (a rejoin
-    /// racing a fresh crash in the same epoch must not double-insert), and
-    /// the RNG is only drawn when the insert actually happens.
-    pub fn rejoin(&mut self, v: NodeId) {
-        use rand::RngExt;
-        if self.grouped.supernode_of(v).is_some() {
-            return;
-        }
-        let x = self.rng.random_range(0..self.grouped.cube().len());
-        self.grouped.insert(v, x);
-        self.tel.emit(self.round(), EventKind::Rejoin, Some(v.raw()), x, String::new);
-    }
-
     /// Admit a joiner through the join path. With `claimed` set the claim
     /// is **honored** (the unvalidated join path: the joiner lands in the
     /// group it asked for, modulo wrap-around); with `None` the joiner is
-    /// placed uniformly at random, exactly like [`Self::rejoin`]. Returns
-    /// the group the joiner landed in, or `None` for a current member
-    /// (no-op; the RNG is only drawn when an unclaimed insert happens).
+    /// placed uniformly at random, exactly as the per-epoch resampling
+    /// would place it — the crash-recovery rejoin. Returns the group the
+    /// joiner landed in, or `None` for a current member (no-op; the RNG is
+    /// only drawn when an unclaimed insert happens).
     pub fn admit(&mut self, v: NodeId, claimed: Option<u64>) -> Option<u64> {
         use rand::RngExt;
         if self.grouped.supernode_of(v).is_some() {
@@ -201,15 +179,8 @@ impl simnet::Checkpoint for DosOverlay {
         )
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_str};
-        match get_str(v, "format")? {
-            "dos-overlay-checkpoint" => {}
-            other => {
-                return Err(simnet::CkptError::Corrupt(format!(
-                    "not a dos overlay checkpoint: `{other}`"
-                )))
-            }
-        }
+        use simnet::checkpoint::{check_format, field};
+        check_format(v, "dos-overlay-checkpoint")?;
         let ov = Self {
             grouped: GroupedNetwork::load(field(v, "grouped")?)?,
             clock: EpochClock::load(v)?,
@@ -237,11 +208,16 @@ impl HealableOverlay for DosOverlay {
     fn step_overlay(&mut self, blocked: &BlockSet) -> DosRoundMetrics {
         self.step(blocked)
     }
+    /// Unknown nodes are ignored.
     fn evict(&mut self, v: NodeId) {
-        self.evict(v);
+        self.grouped.remove(v);
+        self.tel.emit(self.round(), EventKind::Eviction, Some(v.raw()), 0, String::new);
     }
+    /// An unclaimed [`DosOverlay::admit`]: a no-op for current members (a
+    /// rejoin racing a fresh crash in the same epoch must not
+    /// double-insert), and the RNG is only drawn when the insert happens.
     fn rejoin(&mut self, v: NodeId) {
-        self.rejoin(v);
+        self.admit(v, None);
     }
     fn structure_violation(&self) -> Option<String> {
         // Lemma 16 upper band with generous slack: evictions shrink groups

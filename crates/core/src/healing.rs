@@ -43,6 +43,7 @@ use crate::metrics::DosRoundMetrics;
 use crate::monitor::{Invariant, InvariantMonitor};
 use crate::reconfig::overlay::ExpanderOverlay;
 use overlay_adversary::adaptive::Attacker;
+use overlay_adversary::byzantine::ByzActions;
 use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::lateness::SharedSnapshot;
 use overlay_graphs::connectivity::is_connected_restricted;
@@ -105,9 +106,13 @@ impl Backoff {
         Self { base, cap }
     }
 
-    /// Rounds to wait after attempt number `attempt` (0-based).
+    /// Rounds to wait after attempt number `attempt` (0-based). The shift
+    /// saturates: once `base << attempt` would drop its high bits the delay
+    /// is `u64::MAX` (before the cap), so it never falls as attempts grow.
     pub fn delay(&self, attempt: u32) -> u64 {
-        self.base.max(1).checked_shl(attempt).unwrap_or(u64::MAX).min(self.cap)
+        let base = self.base.max(1);
+        let delay = if attempt <= base.leading_zeros() { base << attempt } else { u64::MAX };
+        delay.min(self.cap)
     }
 }
 
@@ -128,20 +133,6 @@ pub struct HealingStats {
     pub rejoins: u64,
     /// Crash events injected by the schedule.
     pub crashes: u64,
-}
-
-/// What happened when a crashed node was returned to the overlay via
-/// [`FaultyRunner::return_node`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReturnOutcome {
-    /// Its membership had been evicted while it was down; it re-entered
-    /// through the join path.
-    Rejoined,
-    /// Still a member, but its state is lost: it came back
-    /// desynchronized.
-    Desynced,
-    /// It was not down — nothing to do.
-    Ignored,
 }
 
 /// Outcome of one re-request attempt.
@@ -352,23 +343,65 @@ pub trait HealableOverlay {
 }
 
 /// The prologue of every attacked round: show the adversary the current
-/// topology, take its block set, and — when a monitor and a declared bound
-/// are given — judge the blocking budget against the population the
+/// topology, take its move, and — when a monitor and a declared bound are
+/// given — judge the move's blocking budget against the population the
 /// adversary was shown (healing may shrink the membership inside the
 /// subsequent step without retroactively delegitimizing the block set).
 pub fn attack_round<O: HealableOverlay, A: Attacker>(
     overlay: &O,
     adversary: &mut A,
     judge: Option<(&mut InvariantMonitor, f64)>,
-) -> BlockSet {
+) -> ByzActions {
     let (round, n) = (overlay.round(), overlay.len());
     adversary.observe(overlay.snapshot(round));
-    let blocked = adversary.block(round, n);
+    let acts = adversary.act(round, n);
     if let Some((monitor, bound)) = judge {
-        monitor.check_budget(round, &blocked, bound, n);
+        monitor.check_budget(round, &acts.blocked, bound, n);
     }
-    blocked
+    acts
 }
+
+/// A layer of [`FaultyRunner`]'s round. [`FaultyRunner::step_timed`]
+/// calls these in a fixed order — `open` before the healing work, `check`
+/// inside the monitor section, `close` after it — and
+/// [`FaultyRunner::run`] calls `participate` between the attack prologue
+/// and the step. `()` is the inert layer: every method is a no-op except
+/// `check`, which runs the healing invariants. The two real layers are
+/// catastrophe recovery ([`crate::recovery::Catastrophes`]) and the
+/// Byzantine defenses ([`crate::byzantine::Defenses`]).
+pub trait Layer<O: HealableOverlay>: Sized {
+    /// Apply the parts of the adversary's move beyond blocking: joins,
+    /// corruptions, forgeries. Only the defense layer has a join path that
+    /// takes them; the others ignore them.
+    fn participate(_r: &mut FaultyRunner<O, Self>, _acts: &ByzActions) {}
+    /// Open `round`: act on the overlay before the healing work and return
+    /// the block set the round runs under when the layer widens the
+    /// adversary's (`None` keeps it).
+    fn open(_r: &mut FaultyRunner<O, Self>, _round: u64, _blocked: &BlockSet) -> Option<BlockSet> {
+        None
+    }
+    /// The layer's invariants, judged after connectivity and
+    /// availability; the default is the healing layer's: the family's
+    /// structural band, and crashed or desynchronized members under half
+    /// the membership.
+    fn check(r: &mut FaultyRunner<O, Self>, m: &DosRoundMetrics) {
+        let structure = r.overlay.structure_violation();
+        r.monitor.check(Invariant::GroupSizeBand, m.round, structure.is_none(), || {
+            structure.clone().unwrap_or_default()
+        });
+        // Crashed nodes that are still members.
+        let evicted = r.down.values().iter().filter(|d| d.evicted).count();
+        let stale = r.tracker.desynced_len() + r.down.len() - evicted;
+        let n_now = r.overlay.len().max(1);
+        r.monitor.check(Invariant::StaleBound, m.round, stale * 2 <= n_now, || {
+            format!("{stale} of {n_now} members crashed or desynchronized")
+        });
+    }
+    /// Close the round once the monitor has judged it.
+    fn close(_r: &mut FaultyRunner<O, Self>, _m: &DosRoundMetrics) {}
+}
+
+impl<O: HealableOverlay> Layer<O> for () {}
 
 /// What a runner knows of a crashed node.
 #[derive(Clone, Copy, Debug)]
@@ -383,8 +416,10 @@ struct Down {
 
 /// Drives a round-stepped overlay through a composite fault schedule with
 /// (or, as a control, without) self-healing, checking the invariants every
-/// round.
-pub struct FaultyRunner<O: HealableOverlay> {
+/// round. `L` is the round's extra [`Layer`], added by
+/// [`with_catastrophes`](Self::with_catastrophes) or
+/// [`with_defenses`](Self::with_defenses); the default `()` adds nothing.
+pub struct FaultyRunner<O: HealableOverlay, L = ()> {
     /// The overlay under test.
     pub overlay: O,
     schedule: FaultSchedule,
@@ -400,7 +435,9 @@ pub struct FaultyRunner<O: HealableOverlay> {
     eff: BlockSet,
     /// Pure observability: mirrors the healing protocol's decisions as
     /// events and `heal.*` counters; never consulted by the protocol.
-    tel: Telemetry,
+    pub(crate) tel: Telemetry,
+    /// The round's extra layer.
+    pub(crate) layer: L,
 }
 
 impl<O: HealableOverlay> FaultyRunner<O> {
@@ -424,9 +461,31 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             down: IdRun::default(),
             eff: BlockSet::none(),
             tel: Telemetry::disabled(),
+            layer: (),
         }
     }
 
+    /// The same runner with `layer` added to its round.
+    pub(crate) fn with_layer<L: Layer<O>>(self, layer: L) -> FaultyRunner<O, L> {
+        let Self {
+            overlay, schedule, tracker, monitor, healing, dos_bound, down, eff, tel, ..
+        } = self;
+        FaultyRunner {
+            overlay,
+            schedule,
+            tracker,
+            monitor,
+            healing,
+            dos_bound,
+            down,
+            eff,
+            tel,
+            layer,
+        }
+    }
+}
+
+impl<O: HealableOverlay, L: Layer<O>> FaultyRunner<O, L> {
     /// Declare the adversary's blocking budget so the monitor can check it.
     pub fn with_dos_bound(mut self, bound: f64) -> Self {
         self.dos_bound = Some(bound);
@@ -465,19 +524,23 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         self.tracker.desynced_len()
     }
 
-    // -- recovery-layer hooks ------------------------------------------------
+    /// The round's extra layer (its counters and state).
+    pub fn layer(&self) -> &L {
+        &self.layer
+    }
+
+    // -- catastrophe-layer hooks ---------------------------------------------
     //
-    // The catastrophic-recovery layer (`crate::recovery`) owns *when* burst
-    // victims crash and return; these hooks let it act through the same
-    // bookkeeping the schedule-driven path uses, so stats, telemetry and
-    // digests stay coherent. None of them is called on the ordinary path —
-    // a runner that never sees them behaves bit-identically to before.
+    // The catastrophe layer (`crate::recovery`) owns *when* burst victims
+    // crash and return; these hooks let it act through the same bookkeeping
+    // the schedule-driven path uses, so stats, telemetry and digests stay
+    // coherent. None of them is called on the ordinary path.
 
     /// Crash-stop `v` right now (burst injection). The node stays down
     /// until [`Self::return_node`] or [`Self::abandon`]; the internal
     /// schedule-driven recovery never fires for it. No-op when `v` is
     /// already down.
-    pub fn force_crash(&mut self, v: NodeId) {
+    pub(crate) fn force_crash(&mut self, v: NodeId) {
         if self.down.contains(v) {
             return;
         }
@@ -490,34 +553,34 @@ impl<O: HealableOverlay> FaultyRunner<O> {
 
     /// Return a crashed node to the overlay: a rejoin if its membership
     /// was evicted while it was down, otherwise a desynchronized comeback
-    /// (its state is lost either way). The caller — not the healing
-    /// flag — decides that the join happens; use [`Self::abandon`] for the
-    /// no-recovery arm's rejected joiners.
-    pub fn return_node(&mut self, v: NodeId) -> ReturnOutcome {
-        let Some(down) = self.down.remove(v) else { return ReturnOutcome::Ignored };
+    /// (its state is lost either way). `None` when `v` was not down, else
+    /// whether it went through the join path. The caller — not the
+    /// healing flag — decides that the join happens; use [`Self::abandon`]
+    /// for the no-recovery arm's rejected joiners.
+    pub(crate) fn return_node(&mut self, v: NodeId) -> Option<bool> {
+        let down = self.down.remove(v)?;
         let round = self.overlay.round();
         if down.evicted {
             self.overlay.rejoin(v);
             self.tracker.stats.rejoins += 1;
             self.heal_event(round, EventKind::Rejoin, "rejoin", v, 0);
-            ReturnOutcome::Rejoined
         } else {
             self.tracker.mark_desynced(&[v], round);
             self.heal_event(round, EventKind::Desync, "desync", v, 0);
-            ReturnOutcome::Desynced
         }
+        Some(down.evicted)
     }
 
     /// Forget a crashed node entirely: it neither returns nor rejoins
     /// (a permanently orphaned storm victim in the no-recovery control).
-    pub fn abandon(&mut self, v: NodeId) {
+    pub(crate) fn abandon(&mut self, v: NodeId) {
         self.down.remove(v);
         self.tracker.forget(&[v]);
     }
 
     /// Mark a live member desynchronized right now (partition-heal: the
     /// minority side missed reconfigurations during the window).
-    pub fn mark_desynced_now(&mut self, v: NodeId) {
+    pub(crate) fn mark_desynced_now(&mut self, v: NodeId) {
         let round = self.overlay.round();
         self.tracker.mark_desynced(&[v], round);
         self.heal_event(round, EventKind::Desync, "desync", v, 2);
@@ -525,7 +588,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
 
     /// Resynchronize a member out of band (reconciliation delivered the
     /// assignment reliably). Returns whether it was desynchronized.
-    pub fn force_resync(&mut self, v: NodeId) -> bool {
+    pub(crate) fn force_resync(&mut self, v: NodeId) -> bool {
         let was = self.tracker.resync(v);
         if was {
             self.heal_event(self.overlay.round(), EventKind::Resync, "resync", v, 1);
@@ -536,37 +599,23 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// Widen (or restore) the heartbeat timeout: silence is tolerated for
     /// `factor * heartbeat_epochs` epochs. SafeMode sets this above 1 so
     /// storm victims due back shortly are not evicted mid-storm.
-    pub fn set_heartbeat_factor(&mut self, factor: u64) {
+    pub(crate) fn set_heartbeat_factor(&mut self, factor: u64) {
         self.tracker.timeout_factor = factor.max(1);
-    }
-
-    /// Is `v` currently crashed?
-    pub fn is_down(&self, v: NodeId) -> bool {
-        self.down.contains(v)
     }
 
     /// Was the crashed `v`'s membership evicted while it was down (so a
     /// return needs the join path)?
-    pub fn was_evicted_while_down(&self, v: NodeId) -> bool {
+    pub(crate) fn was_evicted_while_down(&self, v: NodeId) -> bool {
         self.down.get(v).is_some_and(|d| d.evicted)
     }
 
-    /// The declared adversary blocking budget, if any.
-    pub fn dos_bound(&self) -> Option<f64> {
-        self.dos_bound
-    }
-
-    /// Is the self-healing layer active (vs the degradation control)?
-    pub fn healing_enabled(&self) -> bool {
-        self.healing
-    }
-
-    /// Execute one round: inject recoveries and fresh crashes, run the
-    /// healing protocol, step the overlay under the *effective* block set
-    /// (adversary ∪ crashed ∪ desynced — a desynchronized node cannot
-    /// participate: it does not know the current structure), then draw
-    /// reconfiguration-broadcast losses if an epoch boundary resampled,
-    /// and feed the invariant monitor.
+    /// Execute one round: open the layer, inject recoveries and fresh
+    /// crashes, run the healing protocol, step the overlay under the
+    /// *effective* block set (adversary and layer ∪ crashed ∪ desynced — a
+    /// desynchronized node cannot participate: it does not know the
+    /// current structure), then draw reconfiguration-broadcast losses if an
+    /// epoch boundary resampled, feed the invariant monitor and close the
+    /// layer.
     pub fn step(&mut self, dos_blocked: &BlockSet) -> DosRoundMetrics {
         self.step_timed(dos_blocked, |_| {})
     }
@@ -582,6 +631,8 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         mut lap: impl FnMut(&'static str),
     ) -> DosRoundMetrics {
         let round = self.overlay.round(); // round about to execute
+        let widened = L::open(self, round, dos_blocked);
+        let dos_blocked = widened.as_ref().unwrap_or(dos_blocked);
         let healing_phase = self.tel.phase(Phase::Healing);
 
         // Crash-recoveries due this round.
@@ -698,20 +749,11 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         self.monitor.check(Invariant::Availability, m.round, m.min_group_available > 0, || {
             "a group has no available member".to_string()
         });
-        let structure = self.overlay.structure_violation();
-        self.monitor.check(Invariant::GroupSizeBand, m.round, structure.is_none(), || {
-            structure.clone().unwrap_or_default()
-        });
-        // Crashed nodes that are still members.
-        let evicted = self.down.values().iter().filter(|d| d.evicted).count();
-        let stale = self.tracker.desynced_len() + self.down.len() - evicted;
-        let n_now = self.overlay.len().max(1);
-        self.monitor.check(Invariant::StaleBound, m.round, stale * 2 <= n_now, || {
-            format!("{stale} of {n_now} members crashed or desynchronized")
-        });
+        L::check(self, &m);
         self.eff = eff;
         drop(monitor_phase);
         lap("monitor");
+        L::close(self, &m);
         m
     }
 
@@ -722,13 +764,15 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         union(union(dos_blocked.iter(), self.down.iter()), self.tracker.desynced())
     }
 
-    /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
-    /// for `rounds` rounds, judging the blocking budget per [`attack_round`].
+    /// Drive the overlay against any [`Attacker`] — oblivious, adaptive or
+    /// Byzantine — for `rounds` rounds, judging the blocking budget per
+    /// [`attack_round`] and handing the rest of each move to the layer.
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
         for _ in 0..rounds {
             let judge = self.dos_bound.map(|bound| (&mut self.monitor, bound));
-            let blocked = attack_round(&self.overlay, adversary, judge);
-            self.step(&blocked);
+            let acts = attack_round(&self.overlay, adversary, judge);
+            L::participate(self, &acts);
+            self.step(&acts.blocked);
         }
     }
 }
@@ -1150,6 +1194,21 @@ mod tests {
         assert_eq!(Backoff::uncapped(1).delay(3), 8);
         assert_eq!(Backoff::uncapped(1).delay(200), u64::MAX, "overflow saturates");
         assert_eq!(Backoff::uncapped(0).delay(0), 1, "base floored to 1");
+        // Shifting past the top bit saturates instead of wrapping to zero.
+        assert_eq!(Backoff::capped(2, 64).delay(63), 64);
+        assert_eq!(Backoff::uncapped(1).delay(63), 1 << 63);
+        assert_eq!(Backoff::uncapped(3).delay(63), u64::MAX);
+    }
+
+    #[test]
+    fn backoff_never_falls_as_attempts_grow() {
+        for base in 1..=5 {
+            for b in [Backoff::uncapped(base), Backoff::capped(base, 64)] {
+                for attempt in 0..70 {
+                    assert!(b.delay(attempt + 1) >= b.delay(attempt), "{b:?} at {attempt}");
+                }
+            }
+        }
     }
 
     /// Asks `ov` for its snapshot and checks it against `last`: a new `Arc`
@@ -1244,21 +1303,21 @@ mod tests {
         let mut runner =
             FaultyRunner::new(ov, sched(1, 0.0, 0.0, None), HealingParams::default(), true);
         let v = runner.overlay.members_sorted()[0];
-        assert!(!runner.is_down(v));
+        assert!(!runner.down.contains(v));
         runner.force_crash(v);
-        assert!(runner.is_down(v));
+        assert!(runner.down.contains(v));
         let crashes = runner.stats().crashes;
         runner.force_crash(v); // idempotent
         assert_eq!(runner.stats().crashes, crashes);
         // Still a member (nothing evicted it): it returns desynchronized.
-        assert_eq!(runner.return_node(v), ReturnOutcome::Desynced);
-        assert!(!runner.is_down(v));
+        assert_eq!(runner.return_node(v), Some(false));
+        assert!(!runner.down.contains(v));
         assert_eq!(runner.desynced_len(), 1);
         assert!(runner.force_resync(v));
         assert_eq!(runner.desynced_len(), 0);
         assert!(!runner.force_resync(v), "second resync is a no-op");
         // Returning a node that is not down is ignored.
-        assert_eq!(runner.return_node(v), ReturnOutcome::Ignored);
+        assert_eq!(runner.return_node(v), None);
     }
 
     #[test]
@@ -1277,14 +1336,14 @@ mod tests {
         }
         assert!(runner.was_evicted_while_down(a), "3-epoch heartbeat must evict");
         let n = runner.overlay.len();
-        assert_eq!(runner.return_node(a), ReturnOutcome::Rejoined);
+        assert_eq!(runner.return_node(a), Some(true));
         assert_eq!(runner.overlay.len(), n + 1);
         assert!(runner.stats().rejoins >= 1);
         // Abandoning the other leaves it gone for good.
         runner.abandon(b);
-        assert!(!runner.is_down(b));
+        assert!(!runner.down.contains(b));
         assert_eq!(runner.overlay.len(), n + 1);
-        assert_eq!(runner.return_node(b), ReturnOutcome::Ignored);
+        assert_eq!(runner.return_node(b), None);
     }
 
     #[test]

@@ -267,23 +267,22 @@ impl<O: HealableOverlay> FaultyRunner<O> {
 
     /// Return a crashed node to the overlay: a rejoin if its membership
     /// was evicted while it was down, otherwise a desynchronized comeback
-    /// (its state is lost either way). The caller — not the healing
-    /// flag — decides that the join happens; use [`Self::abandon`] for the
-    /// no-recovery arm's rejected joiners.
-    pub fn return_node(&mut self, v: NodeId) -> ReturnOutcome {
-        if self.down.remove(&v).is_none() {
-            return ReturnOutcome::Ignored;
-        }
+    /// (its state is lost either way). `None` when `v` was not down, else
+    /// whether it went through the join path. The caller — not the
+    /// healing flag — decides that the join happens; use
+    /// [`Self::abandon`] for the no-recovery arm's rejected joiners.
+    pub fn return_node(&mut self, v: NodeId) -> Option<bool> {
+        self.down.remove(&v)?;
         let round = self.overlay.round();
         if self.evicted_while_down.remove(&v) {
             self.overlay.rejoin(v);
             self.tracker.stats.rejoins += 1;
             self.heal_event(round, EventKind::Rejoin, "rejoin", v, 0);
-            ReturnOutcome::Rejoined
+            Some(true)
         } else {
             self.tracker.mark_desynced(v, round, self.healing);
             self.heal_event(round, EventKind::Desync, "desync", v, 0);
-            ReturnOutcome::Desynced
+            Some(false)
         }
     }
 
@@ -505,7 +504,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
         for _ in 0..rounds {
             let judge = self.dos_bound.map(|bound| (&mut self.monitor, bound));
-            let blocked = attack_round(&self.overlay, adversary, judge);
+            let blocked = attack_round(&self.overlay, adversary, judge).blocked;
             self.step(&blocked);
         }
     }
@@ -524,10 +523,10 @@ fn assert_same<O: HealableOverlay>(
     assert_eq!(format!("{:?}", new.stats()), format!("{:?}", old.stats()), "{ctx}: stats");
     assert_eq!(new.down_len(), old.down_len(), "{ctx}: down_len");
     assert_eq!(new.desynced_len(), old.desynced_len(), "{ctx}: desynced_len");
-    assert_eq!(new.dos_bound(), old.dos_bound(), "{ctx}: dos_bound");
-    assert_eq!(new.healing_enabled(), old.healing_enabled(), "{ctx}: healing_enabled");
+    assert_eq!(new.dos_bound, old.dos_bound(), "{ctx}: dos_bound");
+    assert_eq!(new.healing, old.healing_enabled(), "{ctx}: healing_enabled");
     for &v in probes {
-        assert_eq!(new.is_down(v), old.is_down(v), "{ctx}: is_down({v:?})");
+        assert_eq!(new.down.contains(v), old.is_down(v), "{ctx}: is_down({v:?})");
         let (n, o) = (new.was_evicted_while_down(v), old.was_evicted_while_down(v));
         assert_eq!(n, o, "{ctx}: was_evicted_while_down({v:?})");
     }
@@ -543,7 +542,7 @@ fn assert_same<O: HealableOverlay>(
     // With healing on every desynced member re-requests; with it off the
     // schedules the runs carry are never read, and the reference has none.
     let retries: Vec<_> = r.retries.iter().map(|(v, s)| (*v, s.attempts, s.next_due)).collect();
-    if new.healing_enabled() {
+    if new.healing {
         let runs: Vec<_> = t.desynced.entries().map(|(v, s)| (v, s.attempts, s.next_due)).collect();
         assert_eq!(runs, retries, "{ctx}: retries");
     } else {
@@ -655,7 +654,7 @@ fn history<O: HealableOverlay>(
                     let v = pick(&down, &mut rng);
                     let outcome = old.return_node(v);
                     assert_eq!(new.return_node(v), outcome, "{ctx}: return_node({v:?})");
-                    seen.returned[outcome as usize] += 1;
+                    seen.returned[outcome.map_or(2, usize::from)] += 1;
                 }
                 2 => {
                     let v = pick(&down, &mut rng);

@@ -196,13 +196,25 @@ impl ExpanderOverlay {
     }
 }
 
+/// The checkpoint form of a join queue of `(joiner, introducer)` pairs,
+/// shared with the churn-DoS overlay: `[{"new": id, "via": id}, ...]`.
+pub(crate) fn save_pending_joins(joins: &[(NodeId, NodeId)]) -> serde_json::Value {
+    let pair =
+        |&(new, via): &(NodeId, NodeId)| serde_json::json!({ "new": new.raw(), "via": via.raw() });
+    serde_json::Value::Array(joins.iter().map(pair).collect())
+}
+
+/// Read back the `"pending_joins"` member [`save_pending_joins`] wrote.
+pub(crate) fn load_pending_joins(
+    v: &serde_json::Value,
+) -> simnet::CkptResult<Vec<(NodeId, NodeId)>> {
+    use simnet::checkpoint::{get_array, get_u64};
+    let pair = |j: &serde_json::Value| Ok((NodeId(get_u64(j, "new")?), NodeId(get_u64(j, "via")?)));
+    get_array(v, "pending_joins")?.iter().map(pair).collect()
+}
+
 impl simnet::Checkpoint for ExpanderOverlay {
     fn save(&self) -> serde_json::Value {
-        let joins: Vec<serde_json::Value> = self
-            .pending_joins
-            .iter()
-            .map(|&(new, delegate)| serde_json::json!({ "new": new.raw(), "via": delegate.raw() }))
-            .collect();
         serde_json::json!({
             "format": "expander-overlay-checkpoint",
             "graph": self.graph.save(),
@@ -210,33 +222,22 @@ impl simnet::Checkpoint for ExpanderOverlay {
             "bridge": self.bridge.save(),
             "seed": self.seed,
             "epoch": self.epoch,
-            "pending_joins": joins,
+            "pending_joins": save_pending_joins(&self.pending_joins),
             "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
             "total_rounds": self.total_rounds,
             "digest_stamp": self.state_digest(),
         })
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_array, get_str, get_u64, get_vec};
-        match get_str(v, "format")? {
-            "expander-overlay-checkpoint" => {}
-            other => {
-                return Err(simnet::CkptError::Corrupt(format!(
-                    "not an expander overlay checkpoint: `{other}`"
-                )))
-            }
-        }
-        let mut pending_joins = Vec::new();
-        for j in get_array(v, "pending_joins")? {
-            pending_joins.push((NodeId(get_u64(j, "new")?), NodeId(get_u64(j, "via")?)));
-        }
+        use simnet::checkpoint::{check_format, field, get_u64, get_vec};
+        check_format(v, "expander-overlay-checkpoint")?;
         let ov = Self {
             graph: HGraph::load(field(v, "graph")?)?,
             params: SamplingParams::load(field(v, "params")?)?,
             bridge: BridgeMode::load(field(v, "bridge")?)?,
             seed: get_u64(v, "seed")?,
             epoch: get_u64(v, "epoch")?,
-            pending_joins,
+            pending_joins: load_pending_joins(v)?,
             pending_leaves: get_vec(v, "pending_leaves")?,
             total_rounds: get_u64(v, "total_rounds")?,
             tel: Telemetry::disabled(),

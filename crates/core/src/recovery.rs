@@ -16,7 +16,7 @@
 //! * **the mode machine** — `Normal → Degraded → SafeMode → Recovering →
 //!   Normal`, driven purely by the invariant monitor's per-round health
 //!   with enter/exit hysteresis. SafeMode sheds non-essential work (the
-//!   caller suspends sampling/app probes via [`RecoveryRunner::shedding`])
+//!   caller suspends sampling/app probes via [`Catastrophes::shedding`])
 //!   and widens heartbeat timeouts so storm victims due back shortly are
 //!   not evicted mid-storm; Recovering drains the storm through
 //!   token-bucket admission with capped exponential backoff and jittered
@@ -36,19 +36,21 @@
 //! so their returns need no join at all — is why the recovery arm survives
 //! bursts that disconnect the control.
 //!
-//! Everything is digest-neutral when inactive: a [`RecoveryRunner`] with a
-//! null schedule draws nothing, transitions nowhere (streaks are tracked,
-//! modes only move when `enabled`), and steps the wrapped runner with the
-//! adversary's block set untouched.
+//! The three pieces are one [`Layer`] of [`FaultyRunner`]'s round,
+//! [`Catastrophes`], added with [`FaultyRunner::with_catastrophes`]: it
+//! opens the round (events, admission, partition sides) and closes it
+//! (missed resamples, the mode machine). Everything is digest-neutral when
+//! inactive: with a null schedule the layer draws nothing, transitions
+//! nowhere (streaks are tracked, modes only move when `enabled`), and the
+//! round runs under the adversary's block set untouched.
 
-use crate::healing::{attack_round, Backoff, FaultyRunner, HealableOverlay, ReturnOutcome};
+use crate::healing::{Backoff, FaultyRunner, HealableOverlay, Layer};
 use crate::metrics::DosRoundMetrics;
-use overlay_adversary::adaptive::Attacker;
-use overlay_adversary::knobs::{env_u64_knob, KnobError, KnobReason};
+use overlay_adversary::knobs::{parse_knob, KnobError, KnobReason};
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, BurstSchedule, IdSet, NodeId};
 use std::collections::{BTreeMap, VecDeque};
-use telemetry::{EventKind, Telemetry};
+use telemetry::EventKind;
 
 /// Pseudo-node id keying the recovery layer's jitter stream (distinct
 /// from every other reserved stream).
@@ -127,20 +129,28 @@ impl Default for RecoveryParams {
 }
 
 impl RecoveryParams {
-    /// Defaults overridden by validated environment knobs:
+    /// Defaults overridden by validated environment knobs; see
+    /// [`Self::parse_knobs`].
+    pub fn from_env() -> Result<Self, KnobError> {
+        Self::parse_knobs(|name| std::env::var(name).ok())
+    }
+
+    /// Defaults overridden by the knobs `raw` returns a value for:
     /// `RECOVERY_HYSTERESIS` (exit hysteresis, `[1, 100000]`),
     /// `SAFEMODE_AFTER` (`[1, 10000]`), `SAFEMODE_HEARTBEAT_FACTOR`
     /// (`[1, 64]`), `STORM_ADMIT_RATE` and `STORM_ADMIT_BURST`
     /// (`[1, 1000000]`, burst >= rate). Invalid or out-of-range values
     /// are rejected with a named error, never clamped.
-    pub fn from_env() -> Result<Self, KnobError> {
+    pub fn parse_knobs(raw: impl Fn(&str) -> Option<String>) -> Result<Self, KnobError> {
+        let knob = |name: &str, default: u64, hi: u64| {
+            parse_knob(name, raw(name).as_deref(), default, 1, hi)
+        };
         let mut p = Self::default();
-        p.exit_hysteresis = env_u64_knob("RECOVERY_HYSTERESIS", p.exit_hysteresis, 1, 100_000)?;
-        p.safe_after = env_u64_knob("SAFEMODE_AFTER", p.safe_after, 1, 10_000)?;
-        p.safe_heartbeat_factor =
-            env_u64_knob("SAFEMODE_HEARTBEAT_FACTOR", p.safe_heartbeat_factor, 1, 64)?;
-        p.admit_rate = env_u64_knob("STORM_ADMIT_RATE", p.admit_rate, 1, 1_000_000)?;
-        p.admit_burst = env_u64_knob("STORM_ADMIT_BURST", p.admit_burst, 1, 1_000_000)?;
+        p.exit_hysteresis = knob("RECOVERY_HYSTERESIS", p.exit_hysteresis, 100_000)?;
+        p.safe_after = knob("SAFEMODE_AFTER", p.safe_after, 10_000)?;
+        p.safe_heartbeat_factor = knob("SAFEMODE_HEARTBEAT_FACTOR", p.safe_heartbeat_factor, 64)?;
+        p.admit_rate = knob("STORM_ADMIT_RATE", p.admit_rate, 1_000_000)?;
+        p.admit_burst = knob("STORM_ADMIT_BURST", p.admit_burst, 1_000_000)?;
         if p.admit_burst < p.admit_rate {
             // A bucket smaller than its refill silently discards tokens —
             // reject it as out of band rather than quietly throttling.
@@ -201,18 +211,16 @@ struct ActivePartition {
     resamples: u64,
 }
 
-/// Wraps a [`FaultyRunner`] with burst injection, the recovery mode
-/// machine, storm admission and partition-heal reconciliation.
+/// The catastrophe layer of a [`FaultyRunner`] round: burst injection, the
+/// recovery mode machine, storm admission and partition-heal
+/// reconciliation. [`FaultyRunner::with_catastrophes`] adds it.
 ///
 /// `enabled = false` is the control arm: the same bursts and partitions
 /// are injected (streaks are even tracked, so time-to-recover is
 /// measurable), but the mode machine never leaves Normal, no work is
 /// shed, heartbeats stay narrow, and a rejoiner rejected at the join
 /// capacity is permanently orphaned instead of retrying.
-pub struct RecoveryRunner<O: HealableOverlay> {
-    /// The wrapped healing runner (overlay and monitor are reachable
-    /// through it).
-    pub runner: FaultyRunner<O>,
+pub struct Catastrophes {
     schedule: BurstSchedule,
     params: RecoveryParams,
     enabled: bool,
@@ -229,48 +237,9 @@ pub struct RecoveryRunner<O: HealableOverlay> {
     /// Burst crashes actually injected, per round — the raw material of a
     /// catastrophe repro trace.
     crash_log: Vec<(u64, Vec<NodeId>)>,
-    tel: Telemetry,
 }
 
-impl<O: HealableOverlay> RecoveryRunner<O> {
-    /// Wrap `runner` under `schedule`. `seed` keys the retry-jitter
-    /// stream (conventionally the same seed that keyed the schedule).
-    pub fn new(
-        runner: FaultyRunner<O>,
-        schedule: BurstSchedule,
-        params: RecoveryParams,
-        enabled: bool,
-        seed: u64,
-    ) -> Self {
-        let tokens = params.admit_burst;
-        Self {
-            runner,
-            schedule,
-            params,
-            enabled,
-            mode: RecoveryMode::Normal,
-            unhealthy_streak: 0,
-            healthy_streak: 0,
-            transitions: Vec::new(),
-            arrivals: BTreeMap::new(),
-            tokens,
-            resync_queue: VecDeque::new(),
-            partitions: Vec::new(),
-            jitter: simnet::rng::stream(seed, JITTER_STREAM, JITTER_PURPOSE),
-            stats: RecoveryStats::default(),
-            crash_log: Vec::new(),
-            tel: Telemetry::disabled(),
-        }
-    }
-
-    /// Attach a telemetry recorder (builder-style); propagates to the
-    /// wrapped runner and monitor. Pure observability.
-    pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
-        self.runner = self.runner.with_telemetry(tel.clone());
-        self.tel = tel;
-        self
-    }
-
+impl Catastrophes {
     /// Current mode.
     pub fn mode(&self) -> RecoveryMode {
         self.mode
@@ -306,24 +275,98 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
     pub fn crash_trace(&self) -> &[(u64, Vec<NodeId>)] {
         &self.crash_log
     }
+}
 
+impl<O: HealableOverlay> FaultyRunner<O> {
+    /// Add the catastrophe layer: `schedule`'s bursts and partitions, with
+    /// the recovery protocol on (`enabled`) or as the control arm. `seed`
+    /// keys the retry-jitter stream (conventionally the same seed that
+    /// keyed the schedule).
+    pub fn with_catastrophes(
+        self,
+        schedule: BurstSchedule,
+        params: RecoveryParams,
+        enabled: bool,
+        seed: u64,
+    ) -> FaultyRunner<O, Catastrophes> {
+        self.with_layer(Catastrophes {
+            schedule,
+            params,
+            enabled,
+            mode: RecoveryMode::Normal,
+            unhealthy_streak: 0,
+            healthy_streak: 0,
+            transitions: Vec::new(),
+            arrivals: BTreeMap::new(),
+            tokens: params.admit_burst,
+            resync_queue: VecDeque::new(),
+            partitions: Vec::new(),
+            jitter: simnet::rng::stream(seed, JITTER_STREAM, JITTER_PURPOSE),
+            stats: RecoveryStats::default(),
+            crash_log: Vec::new(),
+        })
+    }
+}
+
+impl<O: HealableOverlay> Layer<O> for Catastrophes {
+    /// Fire due catastrophe events, admit arrivals, and compose active
+    /// partition sides into the block set.
+    fn open(r: &mut FaultyRunner<O, Self>, round: u64, blocked: &BlockSet) -> Option<BlockSet> {
+        r.apply_due_events(round);
+
+        // SafeMode flips to Recovering the moment drain work is due — the
+        // admission gate below runs in the same round.
+        let c = &r.layer;
+        if c.enabled && c.mode == RecoveryMode::SafeMode {
+            let work_due =
+                !c.resync_queue.is_empty() || c.arrivals.values().any(|a| a.due <= round);
+            if work_due {
+                r.goto(round, RecoveryMode::Recovering);
+            }
+        }
+
+        r.process_arrivals(round);
+
+        let partitions = &r.layer.partitions;
+        (!partitions.is_empty()).then(|| {
+            let mut eff = blocked.clone();
+            for p in partitions {
+                eff.union_with(&p.side);
+            }
+            eff
+        })
+    }
+
+    /// Count resamples the partitioned sides missed, and advance the mode
+    /// machine.
+    fn close(r: &mut FaultyRunner<O, Self>, m: &DosRoundMetrics) {
+        if r.overlay.clock().closed_epoch() == Some(true) {
+            for p in &mut r.layer.partitions {
+                p.resamples += 1;
+            }
+        }
+        if r.layer.shedding() {
+            r.layer.stats.shed_rounds += 1;
+        }
+        r.update_mode(m.round);
+    }
+}
+
+impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
     fn goto(&mut self, round: u64, mode: RecoveryMode) {
-        if mode == self.mode {
+        if mode == self.layer.mode {
             return;
         }
-        self.mode = mode;
-        self.transitions.push((round, mode));
+        self.layer.mode = mode;
+        self.layer.transitions.push((round, mode));
         if self.tel.enabled() {
             self.tel.counter("recovery.mode_transitions", &[("to", mode.name())]).inc();
             self.tel.emit(round, EventKind::ModeTransition, None, 0, || mode.name().to_string());
         }
+        let safe = self.layer.params.safe_heartbeat_factor;
         match mode {
-            RecoveryMode::SafeMode => {
-                self.runner.set_heartbeat_factor(self.params.safe_heartbeat_factor);
-            }
-            RecoveryMode::Normal => {
-                self.runner.set_heartbeat_factor(1);
-            }
+            RecoveryMode::SafeMode => self.set_heartbeat_factor(safe),
+            RecoveryMode::Normal => self.set_heartbeat_factor(1),
             _ => {}
         }
     }
@@ -331,45 +374,48 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
     /// Fire due schedule events: bursts crash their victims and queue the
     /// storm arrivals; partitions draw their side; heals reconcile.
     fn apply_due_events(&mut self, round: u64) {
-        for idx in self.schedule.bursts_due(round) {
-            let members = self.runner.overlay.members_sorted();
-            let snap = self.runner.overlay.snapshot(round);
-            let victims = self.schedule.draw_burst(idx, &members, &snap.groups, &snap.group_edges);
+        for idx in self.layer.schedule.bursts_due(round) {
+            let members = self.overlay.members_sorted();
+            let snap = self.overlay.snapshot(round);
+            let victims =
+                self.layer.schedule.draw_burst(idx, &members, &snap.groups, &snap.group_edges);
             let mut crashed = Vec::with_capacity(victims.len());
             for (v, back) in victims {
-                self.runner.force_crash(v);
-                self.arrivals
+                self.force_crash(v);
+                self.layer
+                    .arrivals
                     .insert(v, Arrival { due: back, attempts: 0, kind: ArrivalKind::CrashReturn });
                 crashed.push(v);
             }
-            self.stats.bursts_fired += 1;
+            self.layer.stats.bursts_fired += 1;
             if self.tel.enabled() {
                 self.tel.counter("recovery.bursts", &[]).add(crashed.len() as u64);
             }
-            self.crash_log.push((round, crashed));
+            self.layer.crash_log.push((round, crashed));
         }
-        for idx in self.schedule.partitions_due(round) {
-            let members = self.runner.overlay.members_sorted();
-            let side = self.schedule.draw_partition_side(idx, &members);
-            let heal_at = self.schedule.partitions()[idx].heal_at;
-            self.partitions.push(ActivePartition { side, heal_at, resamples: 0 });
+        for idx in self.layer.schedule.partitions_due(round) {
+            let members = self.overlay.members_sorted();
+            let side = self.layer.schedule.draw_partition_side(idx, &members);
+            let heal_at = self.layer.schedule.partitions()[idx].heal_at;
+            self.layer.partitions.push(ActivePartition { side, heal_at, resamples: 0 });
         }
 
-        let (healing_now, keep): (Vec<_>, _) =
-            std::mem::take(&mut self.partitions).into_iter().partition(|p| p.heal_at <= round);
-        self.partitions = keep;
+        let (healing_now, keep): (Vec<_>, _) = std::mem::take(&mut self.layer.partitions)
+            .into_iter()
+            .partition(|p| p.heal_at <= round);
+        self.layer.partitions = keep;
         for p in healing_now {
-            self.stats.partitions_healed += 1;
-            let members = IdSet::from(self.runner.overlay.members_sorted());
+            self.layer.stats.partitions_healed += 1;
+            let members = IdSet::from(self.overlay.members_sorted());
             for v in p.side.iter() {
                 if members.contains(v) {
                     // Still a member. If reconfiguration resampled while it
                     // was cut off, its view of the structure is stale:
                     // reconcile instead of letting staleness fester.
                     if p.resamples > 0 {
-                        self.runner.mark_desynced_now(v);
-                        if self.enabled {
-                            self.resync_queue.push_back(v);
+                        self.mark_desynced_now(v);
+                        if self.layer.enabled {
+                            self.layer.resync_queue.push_back(v);
                         }
                     }
                 } else {
@@ -377,7 +423,7 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
                     // side. Reconciliation re-runs the join path for it,
                     // queued for this round's capacity gate (where the
                     // control's losers are orphaned for good).
-                    self.arrivals.insert(
+                    self.layer.arrivals.insert(
                         v,
                         Arrival { due: round, attempts: 0, kind: ArrivalKind::OrphanJoin },
                     );
@@ -389,44 +435,45 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
     /// Process due arrivals through the admission gate and drain the
     /// reconciliation queue.
     fn process_arrivals(&mut self, round: u64) {
-        self.tokens = (self.tokens + self.params.admit_rate).min(self.params.admit_burst);
-        let mut join_budget = self.params.join_capacity;
+        let c = &mut self.layer;
+        let (params, enabled) = (c.params, c.enabled);
+        c.tokens = (c.tokens + params.admit_rate).min(params.admit_burst);
+        let mut join_budget = params.join_capacity;
 
         let due: Vec<(NodeId, Arrival)> =
-            self.arrivals.iter().filter(|(_, a)| a.due <= round).map(|(&v, &a)| (v, a)).collect();
+            c.arrivals.iter().filter(|(_, a)| a.due <= round).map(|(&v, &a)| (v, a)).collect();
         for (v, a) in due {
-            let needs_join =
-                a.kind == ArrivalKind::OrphanJoin || self.runner.was_evicted_while_down(v);
+            let needs_join = a.kind == ArrivalKind::OrphanJoin || self.was_evicted_while_down(v);
             if !needs_join {
                 // Crash victim still on the membership: its return is a
                 // free desynchronized comeback — healing resyncs it.
-                let out = self.runner.return_node(v);
-                debug_assert_ne!(out, ReturnOutcome::Rejoined);
-                self.arrivals.remove(&v);
-                self.stats.admitted += 1;
+                let out = self.return_node(v);
+                debug_assert_ne!(out, Some(true));
+                self.layer.arrivals.remove(&v);
+                self.layer.stats.admitted += 1;
                 continue;
             }
             // The control arm has no admission protocol: first-come joins
             // up to the capacity, and everyone else holds a stale
             // introducer pointer and is permanently orphaned.
-            if join_budget > 0 && (self.tokens > 0 || !self.enabled) {
-                if self.enabled {
-                    self.tokens -= 1;
+            if join_budget > 0 && (self.layer.tokens > 0 || !enabled) {
+                if enabled {
+                    self.layer.tokens -= 1;
                 }
                 join_budget -= 1;
                 match a.kind {
                     ArrivalKind::CrashReturn => {
-                        let out = self.runner.return_node(v);
-                        debug_assert_eq!(out, ReturnOutcome::Rejoined);
+                        let out = self.return_node(v);
+                        debug_assert_eq!(out, Some(true));
                     }
-                    ArrivalKind::OrphanJoin => self.runner.overlay.rejoin(v),
+                    ArrivalKind::OrphanJoin => self.overlay.rejoin(v),
                 }
-                self.arrivals.remove(&v);
-                self.stats.admitted += 1;
-                if self.enabled && self.tel.enabled() {
+                self.layer.arrivals.remove(&v);
+                self.layer.stats.admitted += 1;
+                if enabled && self.tel.enabled() {
                     self.tel.counter("recovery.admitted", &[]).inc();
                 }
-            } else if self.enabled {
+            } else if enabled {
                 // Rejected: capped exponential backoff plus seeded
                 // jitter *proportional to the delay* (each retry is
                 // spread over a window as wide as its own backoff).
@@ -434,34 +481,35 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
                 // in lockstep — everyone sleeps the capped delay,
                 // wakes in the same round, loses again, and the
                 // admission slot idles between herd arrivals.
-                let backoff = Backoff::capped(self.params.retry_base, self.params.retry_cap);
-                let entry = self.arrivals.get_mut(&v).expect("arrival exists");
+                let backoff = Backoff::capped(params.retry_base, params.retry_cap);
+                let c = &mut self.layer;
+                let entry = c.arrivals.get_mut(&v).expect("arrival exists");
                 let delay = backoff.delay(entry.attempts);
                 let jit = {
                     use rand::RngExt;
-                    self.jitter.random_range(0..=delay)
+                    c.jitter.random_range(0..=delay)
                 };
                 entry.due = round + 1 + delay + jit;
                 entry.attempts += 1;
-                self.stats.rejected += 1;
+                c.stats.rejected += 1;
                 if self.tel.enabled() {
                     self.tel.counter("recovery.rejected", &[]).inc();
                 }
             } else {
-                self.runner.abandon(v);
-                self.arrivals.remove(&v);
-                self.stats.orphaned += 1;
+                self.abandon(v);
+                self.layer.arrivals.remove(&v);
+                self.layer.stats.orphaned += 1;
             }
         }
 
         // Reconciliation resyncs are a reliable exchange, rate-limited by
         // the same refill rate (they spend no join capacity — the member
         // never left).
-        let drain = (self.params.admit_rate as usize).min(self.resync_queue.len());
+        let drain = (params.admit_rate as usize).min(self.layer.resync_queue.len());
         for _ in 0..drain {
-            if let Some(v) = self.resync_queue.pop_front() {
-                if self.runner.force_resync(v) {
-                    self.stats.reconciled += 1;
+            if let Some(v) = self.layer.resync_queue.pop_front() {
+                if self.force_resync(v) {
+                    self.layer.stats.reconciled += 1;
                     if self.tel.enabled() {
                         self.tel.counter("recovery.reconciled", &[]).inc();
                     }
@@ -472,85 +520,29 @@ impl<O: HealableOverlay> RecoveryRunner<O> {
 
     /// Post-step health bookkeeping and mode transitions.
     fn update_mode(&mut self, round: u64) {
-        if self.runner.monitor.healthy_round() {
-            self.healthy_streak += 1;
-            self.unhealthy_streak = 0;
+        let healthy = self.monitor.healthy_round();
+        let c = &mut self.layer;
+        if healthy {
+            c.healthy_streak += 1;
+            c.unhealthy_streak = 0;
         } else {
-            self.unhealthy_streak += 1;
-            self.healthy_streak = 0;
+            c.unhealthy_streak += 1;
+            c.healthy_streak = 0;
         }
-        if !self.enabled {
+        if !c.enabled {
             return;
         }
-        let p = self.params;
-        let drained = self.arrivals.is_empty() && self.resync_queue.is_empty();
-        match self.mode {
-            RecoveryMode::Normal => {
-                if self.unhealthy_streak >= p.degraded_after {
-                    self.goto(round, RecoveryMode::Degraded);
-                }
-            }
-            RecoveryMode::Degraded => {
-                if self.unhealthy_streak >= p.degraded_after + p.safe_after {
-                    self.goto(round, RecoveryMode::SafeMode);
-                } else if self.healthy_streak >= p.exit_hysteresis {
-                    self.goto(round, RecoveryMode::Normal);
-                }
-            }
-            RecoveryMode::SafeMode | RecoveryMode::Recovering => {
-                if drained && self.healthy_streak >= p.exit_hysteresis {
-                    self.goto(round, RecoveryMode::Normal);
-                }
-            }
-        }
-    }
-
-    /// Execute one round: fire due catastrophe events, admit arrivals,
-    /// compose active partition sides into the effective block set, step
-    /// the wrapped runner, and advance the mode machine.
-    pub fn step(&mut self, dos_blocked: &BlockSet) -> DosRoundMetrics {
-        let round = self.runner.overlay.round();
-        self.apply_due_events(round);
-
-        // SafeMode flips to Recovering the moment drain work is due — the
-        // admission gate below runs in the same round.
-        if self.enabled && self.mode == RecoveryMode::SafeMode {
-            let work_due =
-                !self.resync_queue.is_empty() || self.arrivals.values().any(|a| a.due <= round);
-            if work_due {
-                self.goto(round, RecoveryMode::Recovering);
-            }
-        }
-
-        self.process_arrivals(round);
-
-        let mut eff = dos_blocked.clone();
-        for p in &self.partitions {
-            eff.union_with(&p.side);
-        }
-
-        let m = self.runner.step(&eff);
-        if self.runner.overlay.clock().closed_epoch() == Some(true) {
-            for p in &mut self.partitions {
-                p.resamples += 1;
-            }
-        }
-
-        if self.shedding() {
-            self.stats.shed_rounds += 1;
-        }
-        self.update_mode(m.round);
-        m
-    }
-
-    /// Drive the overlay against any [`Attacker`] for `rounds` rounds,
-    /// judging the blocking budget exactly as [`FaultyRunner::run`] does.
-    pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
-        for _ in 0..rounds {
-            let judge = self.runner.dos_bound().map(|bound| (&mut self.runner.monitor, bound));
-            let blocked = attack_round(&self.runner.overlay, adversary, judge);
-            self.step(&blocked);
-        }
+        use RecoveryMode::{Degraded, Normal, Recovering, SafeMode};
+        let (p, bad, good) = (c.params, c.unhealthy_streak, c.healthy_streak);
+        let drained = c.arrivals.is_empty() && c.resync_queue.is_empty();
+        let next = match c.mode {
+            Normal if bad >= p.degraded_after => Degraded,
+            Degraded if bad >= p.degraded_after + p.safe_after => SafeMode,
+            Degraded if good >= p.exit_hysteresis => Normal,
+            SafeMode | Recovering if drained && good >= p.exit_hysteresis => Normal,
+            mode => mode,
+        };
+        self.goto(round, next);
     }
 }
 
@@ -580,8 +572,7 @@ mod tests {
         // Recovery plumbing compiled in but inactive == bare runner,
         // digest for digest, with zero transitions.
         let mut bare = mk_runner(5);
-        let mut wrapped = RecoveryRunner::new(
-            mk_runner(5),
+        let mut wrapped = mk_runner(5).with_catastrophes(
             BurstSchedule::null(),
             RecoveryParams::default(),
             true,
@@ -592,10 +583,10 @@ mod tests {
             bare.step(&BlockSet::none());
             wrapped.step(&BlockSet::none());
         }
-        assert_eq!(bare.overlay.state_digest(), wrapped.runner.overlay.state_digest());
-        assert!(wrapped.transitions().is_empty());
-        assert_eq!(wrapped.mode(), RecoveryMode::Normal);
-        let s = wrapped.stats();
+        assert_eq!(bare.overlay.state_digest(), wrapped.overlay.state_digest());
+        assert!(wrapped.layer().transitions().is_empty());
+        assert_eq!(wrapped.layer().mode(), RecoveryMode::Normal);
+        let s = wrapped.layer().stats();
         assert_eq!((s.admitted, s.rejected, s.orphaned, s.bursts_fired), (0, 0, 0, 0));
     }
 
@@ -609,19 +600,19 @@ mod tests {
             target: BurstTarget::Groups,
             storm_window: 3,
         });
-        let mut r = RecoveryRunner::new(mk_runner(9), schedule, RecoveryParams::default(), true, 9);
-        let n0 = r.runner.overlay.len();
+        let mut r = mk_runner(9).with_catastrophes(schedule, RecoveryParams::default(), true, 9);
+        let n0 = r.overlay.len();
         for _ in 0..6 * epoch_len {
             r.step(&BlockSet::none());
         }
-        let s = r.stats();
+        let s = r.layer().stats();
         assert_eq!(s.bursts_fired, 1);
         assert!(s.admitted > 0, "storm victims must come back");
-        assert_eq!(r.pending_arrivals(), 0, "storm fully drained");
+        assert_eq!(r.layer().pending_arrivals(), 0, "storm fully drained");
         assert_eq!(s.orphaned, 0, "recovery arm never orphans");
-        assert_eq!(r.runner.overlay.len(), n0, "membership restored");
-        assert_eq!(r.crash_trace().len(), 1);
-        assert!(!r.crash_trace()[0].1.is_empty());
+        assert_eq!(r.overlay.len(), n0, "membership restored");
+        assert_eq!(r.layer().crash_trace().len(), 1);
+        assert!(!r.layer().crash_trace()[0].1.is_empty());
     }
 
     #[test]
@@ -636,16 +627,15 @@ mod tests {
             target: BurstTarget::Groups,
             storm_window: 4 * epoch_len,
         });
-        let mut r =
-            RecoveryRunner::new(mk_runner(11), schedule, RecoveryParams::default(), true, 11);
+        let mut r = mk_runner(11).with_catastrophes(schedule, RecoveryParams::default(), true, 11);
         for _ in 0..16 * epoch_len {
             r.step(&BlockSet::none());
         }
-        let modes: Vec<RecoveryMode> = r.transitions().iter().map(|&(_, m)| m).collect();
+        let modes: Vec<RecoveryMode> = r.layer().transitions().iter().map(|&(_, m)| m).collect();
         assert!(modes.contains(&RecoveryMode::Degraded), "transitions: {modes:?}");
-        assert_eq!(r.mode(), RecoveryMode::Normal, "must settle back: {modes:?}");
-        assert!(r.healthy_streak() >= RecoveryParams::default().exit_hysteresis);
-        assert!(r.stats().shed_rounds > 0 || !modes.contains(&RecoveryMode::SafeMode));
+        assert_eq!(r.layer().mode(), RecoveryMode::Normal, "must settle back: {modes:?}");
+        assert!(r.layer().healthy_streak() >= RecoveryParams::default().exit_hysteresis);
+        assert!(r.layer().stats().shed_rounds > 0 || !modes.contains(&RecoveryMode::SafeMode));
     }
 
     #[test]
@@ -666,15 +656,15 @@ mod tests {
         // One join slot per round: the post-eviction tail of the storm
         // (about two victims a round) overflows it.
         let tight = RecoveryParams { join_capacity: 1, ..RecoveryParams::default() };
-        let mut control = RecoveryRunner::new(mk_runner(13), schedule, tight, false, 13);
-        let n0 = control.runner.overlay.len();
+        let mut control = mk_runner(13).with_catastrophes(schedule, tight, false, 13);
+        let n0 = control.overlay.len();
         for _ in 0..12 * epoch_len {
             control.step(&BlockSet::none());
         }
-        let s = control.stats();
-        assert_eq!(control.transitions().len(), 0, "control never changes mode");
+        let s = control.layer().stats();
+        assert_eq!(control.layer().transitions().len(), 0, "control never changes mode");
         assert!(s.orphaned > 0, "overflow beyond join capacity must orphan");
-        assert!(control.runner.overlay.len() < n0, "membership stays short");
+        assert!(control.overlay.len() < n0, "membership stays short");
     }
 
     #[test]
@@ -688,27 +678,43 @@ mod tests {
             heal_at: 3 * epoch_len + 1,
             side_frac: 0.2,
         });
-        let mut r =
-            RecoveryRunner::new(mk_runner(17), schedule, RecoveryParams::default(), true, 17);
+        let mut r = mk_runner(17).with_catastrophes(schedule, RecoveryParams::default(), true, 17);
         for _ in 0..8 * epoch_len {
             r.step(&BlockSet::none());
         }
-        let s = r.stats();
+        let s = r.layer().stats();
         assert_eq!(s.partitions_healed, 1);
         assert!(s.reconciled > 0, "minority side missed resamples and must reconcile");
         assert_eq!(s.orphaned, 0);
-        assert_eq!(r.runner.desynced_len(), 0, "reconciliation drains");
+        assert_eq!(r.desynced_len(), 0, "reconciliation drains");
     }
 
     #[test]
     fn from_env_rejects_bad_knobs() {
-        // Pure parse-path checks (raw values, no env mutation).
-        use overlay_adversary::knobs::parse_u64_knob;
-        assert!(parse_u64_knob("RECOVERY_HYSTERESIS", Some("0"), 8, 1, 100_000).is_err());
-        assert!(parse_u64_knob("SAFEMODE_HEARTBEAT_FACTOR", Some("65"), 4, 1, 64).is_err());
-        assert_eq!(parse_u64_knob("STORM_ADMIT_RATE", Some("3"), 2, 1, 1_000_000), Ok(3));
-        // The cross-field burst >= rate constraint.
-        let p = RecoveryParams { admit_rate: 8, admit_burst: 2, ..RecoveryParams::default() };
-        assert!(p.admit_burst < p.admit_rate, "fixture sanity");
+        // Raw values through the same parse path `from_env` takes; no env
+        // mutation.
+        let parse = |knobs: &[(&str, &str)]| {
+            let knobs: Vec<(String, String)> =
+                knobs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+            RecoveryParams::parse_knobs(|name| {
+                knobs.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
+            })
+        };
+        let d = RecoveryParams::default();
+        let p = parse(&[]).unwrap();
+        assert_eq!((p.exit_hysteresis, p.admit_rate, p.admit_burst), (d.exit_hysteresis, 2, 4));
+        let p = parse(&[("STORM_ADMIT_RATE", "3"), ("SAFEMODE_AFTER", "7")]).unwrap();
+        assert_eq!((p.admit_rate, p.safe_after), (3, 7));
+        let err = parse(&[("RECOVERY_HYSTERESIS", "0")]).unwrap_err();
+        assert_eq!(err.reason, KnobReason::OutOfRange { lo: 1, hi: 100_000 });
+        let err = parse(&[("SAFEMODE_HEARTBEAT_FACTOR", "65")]).unwrap_err();
+        assert_eq!(err.name, "SAFEMODE_HEARTBEAT_FACTOR");
+        let err = parse(&[("STORM_ADMIT_BURST", "lots")]).unwrap_err();
+        assert_eq!(err.reason, KnobReason::NotAnInteger);
+        // The cross-field burst >= rate constraint, named on the burst.
+        let err = parse(&[("STORM_ADMIT_RATE", "8"), ("STORM_ADMIT_BURST", "2")]).unwrap_err();
+        assert_eq!((err.name.as_str(), err.value.as_str()), ("STORM_ADMIT_BURST", "2"));
+        assert_eq!(err.reason, KnobReason::OutOfRange { lo: 8, hi: 1_000_000 });
+        assert!(parse(&[("STORM_ADMIT_RATE", "8"), ("STORM_ADMIT_BURST", "8")]).is_ok());
     }
 }

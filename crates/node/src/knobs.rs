@@ -13,7 +13,7 @@
 
 use std::net::SocketAddr;
 
-use overlay_adversary::knobs::{parse_u64_knob, parse_usize_knob, KnobError};
+use overlay_adversary::knobs::{parse_knob, KnobError};
 
 use crate::wire::DEFAULT_MAX_FRAME;
 
@@ -96,14 +96,9 @@ pub fn parse_knobs(
             .parse::<SocketAddr>()
             .map_err(|_| NodeKnobError::BadAddr { value: text.to_string() })?,
     };
-    let epoch_ms = parse_u64_knob(
-        NODE_EPOCH_MS,
-        epoch_ms,
-        DEFAULT_EPOCH_MS,
-        EPOCH_MS_BAND.0,
-        EPOCH_MS_BAND.1,
-    )?;
-    let max_frame = parse_usize_knob(
+    let epoch_ms =
+        parse_knob(NODE_EPOCH_MS, epoch_ms, DEFAULT_EPOCH_MS, EPOCH_MS_BAND.0, EPOCH_MS_BAND.1)?;
+    let max_frame = parse_knob(
         NODE_MAX_FRAME,
         max_frame,
         DEFAULT_MAX_FRAME,

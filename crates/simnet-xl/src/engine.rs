@@ -1332,8 +1332,8 @@ impl<P: Protocol> SimEngine<P> for XlNetwork<P> {
 
 use serde_json::Value;
 use simnet::checkpoint::{
-    field, get_array, get_bool, get_str, get_u64, missing, write_value_atomic, Checkpoint,
-    CkptError, CkptResult,
+    check_format, field, get_array, get_bool, get_str, get_u64, missing, write_value_atomic,
+    Checkpoint, CkptError, CkptResult,
 };
 
 /// The execution-mode stamp of a checkpoint. Checkpoints written before
@@ -1472,13 +1472,7 @@ where
     }
 
     fn restore(v: &Value, backend: Backend) -> CkptResult<Self> {
-        match get_str(v, "format") {
-            Ok("simnet-network-checkpoint") => {}
-            Ok(other) => {
-                return Err(CkptError::Corrupt(format!("not a network checkpoint: `{other}`")))
-            }
-            Err(e) => return Err(e),
-        }
+        check_format(v, "simnet-network-checkpoint")?;
         // Files written up to 867e6f0 carry the stepping knob of the engine
         // that wrote them; it never affected state, so it is only validated.
         if let Some(m) = v.get("par_mode") {

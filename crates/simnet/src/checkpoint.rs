@@ -141,6 +141,16 @@ pub fn get_str<'v>(v: &'v Value, name: &str) -> CkptResult<&'v str> {
     field(v, name)?.as_str().ok_or_else(|| missing(name))
 }
 
+/// Check the `"format"` tag every checkpoint and repro file opens with: a
+/// missing or non-string tag is a missing field, a tag other than
+/// `expected` a corrupt file naming both.
+pub fn check_format(v: &Value, expected: &str) -> CkptResult<()> {
+    match get_str(v, "format")? {
+        found if found == expected => Ok(()),
+        found => Err(CkptError::Corrupt(format!("format `{found}`, expected `{expected}`"))),
+    }
+}
+
 /// Fetch an array member.
 pub fn get_array<'v>(v: &'v Value, name: &str) -> CkptResult<&'v Vec<Value>> {
     field(v, name)?.as_array().ok_or_else(|| missing(name))

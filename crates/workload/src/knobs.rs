@@ -11,7 +11,7 @@
 //! | `WORKLOAD_BATCHES` | `32` | `[1, 100000]` | op batches per experiment arm |
 //! | `WORKLOAD_BATCH_SIZE` | `256` | `[1, 1048576]` | ops per batch |
 
-use overlay_adversary::knobs::{parse_u64_knob, parse_usize_knob, KnobError};
+use overlay_adversary::knobs::{parse_knob, KnobError};
 
 /// Fuzz cases for the workload property tests.
 pub const WORKLOAD_CASES: &str = "WORKLOAD_CASES";
@@ -50,10 +50,10 @@ pub fn parse_knobs(
     batches: Option<&str>,
     batch_size: Option<&str>,
 ) -> Result<WorkloadKnobs, KnobError> {
-    let cases = parse_usize_knob(WORKLOAD_CASES, cases, DEFAULT_CASES, CASES_BAND.0, CASES_BAND.1)?;
+    let cases = parse_knob(WORKLOAD_CASES, cases, DEFAULT_CASES, CASES_BAND.0, CASES_BAND.1)?;
     let batches =
-        parse_u64_knob(WORKLOAD_BATCHES, batches, DEFAULT_BATCHES, BATCHES_BAND.0, BATCHES_BAND.1)?;
-    let batch_size = parse_usize_knob(
+        parse_knob(WORKLOAD_BATCHES, batches, DEFAULT_BATCHES, BATCHES_BAND.0, BATCHES_BAND.1)?;
+    let batch_size = parse_knob(
         WORKLOAD_BATCH_SIZE,
         batch_size,
         DEFAULT_BATCH_SIZE,

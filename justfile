@@ -220,3 +220,8 @@ bench-pair parent workload *args="":
 # `just workloadfuzz 200` for the nightly depth.
 workloadfuzz cases="20":
     WORKLOAD_CASES={{cases}} cargo test -q -p integration-tests --test workload_fuzz
+
+# Non-test code lines per crate and in total (what the simplicity needle
+# counts; printed by CI, never a gate).
+loc:
+    bash scripts/loc.sh

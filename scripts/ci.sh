@@ -128,4 +128,7 @@ bash benchmark/run.sh --check
 echo "==> workload routing fuzz (WORKLOAD_CASES=${WORKLOAD_CASES:-20})"
 WORKLOAD_CASES="${WORKLOAD_CASES:-20}" cargo test -q -p integration-tests --test workload_fuzz
 
+echo "==> non-test code lines per crate (information, not a gate)"
+bash scripts/loc.sh
+
 echo "CI gate passed."

@@ -21,17 +21,18 @@
 //! nightly job runs 200).
 
 use overlay_adversary::byzantine::{ByzBudget, ByzCampaign, ByzFamily, ByzHarness};
+use overlay_adversary::faults::FaultSchedule;
 use rand::RngExt;
-use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
-use reconfig_core::dos::DosParams;
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::byzantine::DefenseConfig;
+use reconfig_core::dos::{DosOverlay, DosParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 
 /// Fuzzed campaigns per run; `BYZ_CASES` overrides the default 40
 /// (validated against [1, 100_000] — garbage or out-of-range values abort
 /// with a message naming the variable instead of silently falling back).
 fn byz_cases() -> u64 {
-    overlay_adversary::knobs::env_usize_knob("BYZ_CASES", 40, 1, 100_000)
+    overlay_adversary::knobs::env_knob::<usize>("BYZ_CASES", 40, 1, 100_000)
         .unwrap_or_else(|e| panic!("{e}")) as u64
 }
 
@@ -104,9 +105,13 @@ fn run_case(case: &ByzCase, full: bool) -> (Vec<(Invariant, u64)>, u64) {
     // the paper's w.h.p. properties assume Θ(log n)-sized groups. With
     // them, the 2-joins-per-group-per-epoch rate limit structurally
     // rules out majority capture at the fuzzed fractions.
-    let mut r =
-        ByzantineRunner::new(N, DosParams::default(), case.seed ^ 0x0D5, DefenseConfig::all());
-    let epoch = r.overlay().epoch_len();
+    let seed = case.seed ^ 0x0D5;
+    let overlay = DosOverlay::new(N, DosParams::default(), seed);
+    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
+    let mut r = FaultyRunner::new(overlay, faults, HealingParams::default(), false)
+        .with_dos_bound(0.0)
+        .with_defenses(DefenseConfig::all());
+    let epoch = r.overlay.epoch_len();
     let lateness = [0, epoch / 2, epoch, 2 * epoch][case.late_sel];
     let budget = ByzBudget {
         byz_fraction: case.fraction,
@@ -117,13 +122,13 @@ fn run_case(case: &ByzCase, full: bool) -> (Vec<(Invariant, u64)>, u64) {
         .unwrap_or_else(|| panic!("unknown family [{}]", case.describe()));
     if full {
         let mut adv = ByzHarness::new(campaign, budget, lateness);
-        r.run(&mut adv, 2 * epoch, 0.0);
+        r.run(&mut adv, 2 * epoch);
     } else {
         let mut adv = ByzHarness::new(CorruptOnly(campaign), budget, lateness);
-        r.run(&mut adv, 2 * epoch, 0.0);
+        r.run(&mut adv, 2 * epoch);
     }
     let counts = Invariant::ALL.iter().map(|&inv| (inv, r.monitor.count(inv))).collect();
-    (counts, r.overlay().state_digest())
+    (counts, r.overlay.state_digest())
 }
 
 #[test]

@@ -202,3 +202,34 @@ fn tampered_checkpoint_is_rejected() {
         Ok(_) => panic!("tampered checkpoint must fail the digest check, got Ok"),
     }
 }
+
+#[test]
+fn every_loader_names_a_wrong_or_missing_format_tag() {
+    use overlay_adversary::catastrophe::CatastropheRepro;
+    use overlay_adversary::shrink::Repro;
+    use serde_json::json;
+    type Load = fn(&serde_json::Value) -> Result<(), CkptError>;
+    let loaders: [(&str, Load); 6] = [
+        ("dos-overlay-checkpoint", |v| DosOverlay::load(v).map(drop)),
+        ("churndos-overlay-checkpoint", |v| ChurnDosOverlay::load(v).map(drop)),
+        ("expander-overlay-checkpoint", |v| ExpanderOverlay::load(v).map(drop)),
+        ("simnet-network-checkpoint", |v| XlNetwork::<Alg1Node>::from_state(v).map(drop)),
+        ("adversary-repro", |v| Repro::load(v).map(drop)),
+        ("catastrophe-repro", |v| CatastropheRepro::load(v).map(drop)),
+    ];
+    for (tag, load) in loaders {
+        let cases = [
+            (json!({ "format": "bogus" }), format!("format `bogus`, expected `{tag}`")),
+            (json!({}), "field `format`".to_string()),
+            (json!({ "format": 7 }), "field `format`".to_string()),
+        ];
+        for (v, want) in cases {
+            match load(&v) {
+                Err(CkptError::Corrupt(msg)) => {
+                    assert!(msg.contains(&want), "{tag} on {v:?}: {msg}")
+                }
+                other => panic!("{tag} on {v:?}: expected a corrupt-format error, got {other:?}"),
+            }
+        }
+    }
+}

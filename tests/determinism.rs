@@ -18,7 +18,7 @@
 //! digest streams, for a population above [`simnet_xl::PAR_THRESHOLD`].
 
 use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
-use overlay_adversary::byzantine::{ByzActions, ByzAttacker, ByzBudget, ByzFamily, ByzHarness};
+use overlay_adversary::byzantine::{ByzActions, ByzBudget, ByzFamily, ByzHarness};
 use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
@@ -32,7 +32,7 @@ use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reconfig_core::backend::{with_backend, Backend};
-use reconfig_core::byzantine::{ByzantineRunner, DefenseConfig};
+use reconfig_core::byzantine::{DefenseConfig, Defenses};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::{DosOverlay, DosParams};
@@ -41,7 +41,7 @@ use reconfig_core::healing::{
 };
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
-use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
+use reconfig_core::recovery::RecoveryParams;
 use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
@@ -275,8 +275,8 @@ fn healed_round<O: HealableOverlay>(
     runner: &mut FaultyRunner<O>,
     adv: &mut DosAdversary,
 ) -> reconfig_core::metrics::DosRoundMetrics {
-    let blocked = attack_round(&runner.overlay, adv, Some((&mut runner.monitor, 0.3)));
-    runner.step(&blocked)
+    let acts = attack_round(&runner.overlay, adv, Some((&mut runner.monitor, 0.3)));
+    runner.step(&acts.blocked)
 }
 
 /// Every observable of `HEALED_EPOCHS` epochs of one arm: per round the
@@ -581,11 +581,17 @@ struct Tap<A> {
     inner: A,
     digest: Digest,
     blocked: usize,
+    /// Digest whole Byzantine moves, not just their block sets.
+    byz: bool,
 }
 
 impl<A> Tap<A> {
     fn new(inner: A) -> Self {
-        Self { inner, digest: Digest::new(), blocked: 0 }
+        Self { inner, digest: Digest::new(), blocked: 0, byz: false }
+    }
+
+    fn byz(inner: A) -> Self {
+        Self { byz: true, ..Self::new(inner) }
     }
 
     /// One emission: the round, the block set, and (for Byzantine moves)
@@ -616,16 +622,10 @@ impl<A: Attacker> Attacker for Tap<A> {
         self.eat(round, &blocked, "");
         blocked
     }
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-}
-
-impl<A: ByzAttacker> ByzAttacker for Tap<A> {
-    fn observe(&mut self, snap: SharedSnapshot) {
-        self.inner.observe(snap);
-    }
     fn act(&mut self, round: u64, n_current: usize) -> ByzActions {
+        if !self.byz {
+            return ByzActions { blocked: self.block(round, n_current), ..ByzActions::default() };
+        }
         let acts = self.inner.act(round, n_current);
         let rest = format!("{:?} {:?} {:?}", acts.joins, acts.corrupt, acts.forges);
         self.eat(round, &acts.blocked, &rest);
@@ -638,6 +638,16 @@ impl<A: ByzAttacker> ByzAttacker for Tap<A> {
 
 const ATTACKER_N: usize = 512;
 const ATTACKER_BOUND: f64 = 0.3;
+
+/// The Byzantine arms' runner: `DosOverlay` n=512 `group_c = 1` with no
+/// faults and no healing, blocks judged against 0.1, under `defense`.
+fn defended(seed: u64, defense: DefenseConfig) -> FaultyRunner<DosOverlay, Defenses> {
+    let overlay = DosOverlay::new(ATTACKER_N, attacker_params(), seed);
+    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
+    FaultyRunner::new(overlay, faults, HealingParams::default(), false)
+        .with_dos_bound(0.1)
+        .with_defenses(defense)
+}
 
 /// `group_c = 1` (32 groups of ~16, as in `adaptive_adversary.rs`): a whole
 /// group neighbourhood fits the 0.3 budget, so the structural branches of
@@ -725,12 +735,8 @@ fn golden_attacker_digests() {
             other => other,
         };
         let budget = ByzBudget { byz_fraction: 0.1, joins_per_round: 3, block_bound: 0.1 };
-        let mut tap = Tap::new(ByzHarness::new(family, budget, epoch));
-        ByzantineRunner::new(ATTACKER_N, attacker_params(), 34, DefenseConfig::all()).run(
-            &mut tap,
-            4 * epoch,
-            0.1,
-        );
+        let mut tap = Tap::byz(ByzHarness::new(family, budget, epoch));
+        defended(34, DefenseConfig::all()).run(&mut tap, 4 * epoch);
         lines.push(tap.line("byz", &tap.label(), epoch));
     }
     check_golden(
@@ -794,7 +800,7 @@ fn expander_runner_lines() -> Vec<String> {
     lines
 }
 
-/// `RecoveryRunner` under a live catastrophe (one burst, one partition),
+/// The catastrophe layer under a live catastrophe (one burst, one partition),
 /// recovery enabled and control: per round the overlay's `state_digest`,
 /// the mode and the pending arrivals; then the recovery counters.
 fn recovery_runner_lines() -> Vec<String> {
@@ -815,28 +821,25 @@ fn recovery_runner_lines() -> Vec<String> {
             })
             .with_partition(TimedPartition { at: 4 * t, heal_at: 6 * t, side_frac: 0.1 });
         let mut r =
-            RecoveryRunner::new(runner, spec.schedule(), RecoveryParams::default(), enabled, seed);
+            runner.with_catastrophes(spec.schedule(), RecoveryParams::default(), enabled, seed);
         let mut adv = CatastropheCampaign::new(
             DosAdversary::new(DosStrategy::Random, 0.1, 2 * t, seed ^ 1),
             spec,
         );
         for _ in 0..9 * t {
-            let round = r.runner.overlay.round();
-            adv.observe(r.runner.overlay.snapshot(round));
-            let blocked = adv.block(round, r.runner.overlay.len());
-            let m = r.step(&blocked);
+            r.run(&mut adv, 1);
             lines.push(format!(
                 "recovery/{arm} {} {:016x} mode={} pending={} members={} down={} desynced={}",
-                m.round,
-                r.runner.overlay.state_digest(),
-                r.mode().name(),
-                r.pending_arrivals(),
-                r.runner.overlay.len(),
-                r.runner.down_len(),
-                r.runner.desynced_len(),
+                r.overlay.round(),
+                r.overlay.state_digest(),
+                r.layer().mode().name(),
+                r.layer().pending_arrivals(),
+                r.overlay.len(),
+                r.down_len(),
+                r.desynced_len(),
             ));
         }
-        let s = r.stats();
+        let s = r.layer().stats();
         assert!(s.bursts_fired == 1 && s.partitions_healed == 1, "{arm}: both events fire");
         assert_eq!(s.reconciled > 0, enabled, "{arm}: the minority side missed a resample");
         lines.push(format!(
@@ -846,16 +849,16 @@ fn recovery_runner_lines() -> Vec<String> {
             s.orphaned,
             s.reconciled,
             s.shed_rounds,
-            healing_stats_line(&r.runner.stats()),
+            healing_stats_line(&r.stats()),
         ));
     }
     lines
 }
 
-/// `ByzantineRunner` with every defense, one run per Byzantine family (and
-/// forgeries against no defense, so that forged desyncs land), the
-/// loop of `ByzantineRunner::run` spelled out: per round the overlay's
-/// `state_digest`, the `ByzStats` and the Byzantine and quarantined counts.
+/// The Byzantine layer with every defense, one run per Byzantine family
+/// (and forgeries against no defense, so that forged desyncs land): per
+/// round the overlay's `state_digest`, the `ByzStats` and the Byzantine and
+/// quarantined counts.
 fn byzantine_runner_lines() -> Vec<String> {
     let mut lines = Vec::new();
     let epoch = DosOverlay::new(ATTACKER_N, attacker_params(), 35).epoch_len();
@@ -866,20 +869,18 @@ fn byzantine_runner_lines() -> Vec<String> {
         let budget = ByzBudget { byz_fraction: 0.1, joins_per_round: 3, block_bound: 0.1 };
         let mut adv = ByzHarness::new(family, budget, epoch);
         let label = format!("{}/{}", adv.label(), defense.label());
-        let mut runner = ByzantineRunner::new(ATTACKER_N, attacker_params(), 35, defense);
+        let mut runner = defended(35, defense);
         for _ in 0..4 * epoch {
-            let (round, n) = (runner.overlay().round(), runner.overlay().grouped().len());
-            adv.observe(runner.overlay().grouped().snapshot(round));
-            let acts = adv.act(round, n);
-            runner.monitor.check_budget(round, &acts.blocked, 0.1, n);
-            runner.step(&acts);
-            let s = runner.stats;
+            let round = runner.overlay.round();
+            runner.run(&mut adv, 1);
+            let d = runner.layer();
+            let s = d.stats;
             lines.push(format!(
                 "byz/{label} {round} {:016x} byz={} quarantined={} joins={}/{} corrupt={} \
                  evict={} desync={} blocked={} quarantines={} reinstated={} probes={}/{}",
-                runner.overlay().state_digest(),
-                runner.byzantine().len(),
-                runner.quarantined().len(),
+                runner.overlay.state_digest(),
+                d.byzantine().len(),
+                d.quarantined().len(),
                 s.joins_accepted,
                 s.joins_rejected,
                 s.corruptions,
@@ -897,10 +898,10 @@ fn byzantine_runner_lines() -> Vec<String> {
 }
 
 /// The node-id state of the three runners no other golden reaches:
-/// `healing_round.digests` covers `FaultyRunner` alone,
+/// `healing_round.digests` covers `FaultyRunner` without a layer,
 /// `recovery_determinism.rs` checks only a null catastrophe against
 /// `dos_overlay.digests`, and `attacker.digests` pins what the Byzantine
-/// harness emits, not what `ByzantineRunner` makes of it.
+/// harness emits, not what the defense layer makes of it.
 #[test]
 fn golden_runner_digests() {
     let mut lines = expander_runner_lines();

@@ -517,12 +517,12 @@ proptest! {
 // Recovery family: mode-transition streams across exec modes
 // ---------------------------------------------------------------------------
 
-/// Drive a catastrophe (group burst + storm) through a `RecoveryRunner`
-/// and capture the digest stream plus the mode-transition stream.
+/// Drive a catastrophe (group burst + storm) through a `FaultyRunner`'s
+/// catastrophe layer and capture the digest stream plus the mode-transition stream.
 fn recovery_trace(backend: Backend) -> (Vec<u64>, Vec<(u64, &'static str)>) {
     use overlay_adversary::faults::FaultSchedule;
     use reconfig_core::healing::FaultyRunner;
-    use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
+    use reconfig_core::recovery::RecoveryParams;
     with_backend(backend, || {
         let seed = 0x4EC_FA57;
         let ov = DosOverlay::new(128, DosParams { group_c: 1.0, ..DosParams::default() }, seed);
@@ -539,13 +539,13 @@ fn recovery_trace(backend: Backend) -> (Vec<u64>, Vec<(u64, &'static str)>) {
             target: simnet::BurstTarget::Groups,
             storm_window: 4 * epoch_len,
         });
-        let mut r = RecoveryRunner::new(runner, schedule, RecoveryParams::default(), true, seed);
+        let mut r = runner.with_catastrophes(schedule, RecoveryParams::default(), true, seed);
         let mut digests = Vec::new();
         for _ in 0..12 * epoch_len {
             r.step(&BlockSet::none());
-            digests.push(r.runner.overlay.state_digest());
+            digests.push(r.overlay.state_digest());
         }
-        (digests, r.transitions().iter().map(|&(at, m)| (at, m.name())).collect())
+        (digests, r.layer().transitions().iter().map(|&(at, m)| (at, m.name())).collect())
     })
 }
 

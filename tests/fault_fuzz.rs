@@ -33,7 +33,7 @@ use std::collections::HashMap;
 /// (validated against [1, 100_000] — garbage or out-of-range values abort with a
 /// message naming the variable instead of silently falling back).
 fn fuzz_cases() -> u64 {
-    overlay_adversary::knobs::env_usize_knob("FUZZ_CASES", 100, 1, 100_000)
+    overlay_adversary::knobs::env_knob::<usize>("FUZZ_CASES", 100, 1, 100_000)
         .unwrap_or_else(|e| panic!("{e}")) as u64
 }
 

@@ -10,7 +10,8 @@
 //!   digest stream, mode-transition stream, and counters, and equal to the
 //!   trace recorded before the boxed-slot engine was deleted;
 //! * **digest neutrality** — the committed `dos_overlay` golden family,
-//!   re-driven through a `RecoveryRunner` with a null schedule, must
+//!   re-driven through a `FaultyRunner` whose catastrophe layer has a
+//!   null schedule, must
 //!   reproduce the golden digest stream byte-for-byte: recovery plumbing
 //!   compiled in but inactive changes nothing;
 //! * **fuzz** — `RECOVERY_CASES` (env knob, default 6) random
@@ -19,10 +20,9 @@
 //!   engine, so the backend knob must be invisible to the recovery layer),
 //!   and the no-orphans guarantee of the enabled arm.
 
-use overlay_adversary::adaptive::Attacker;
 use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
-use overlay_adversary::env_usize_knob;
+use overlay_adversary::env_knob;
 use overlay_adversary::faults::FaultSchedule;
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
@@ -30,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use reconfig_core::backend::{with_backend, Backend};
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
-use reconfig_core::recovery::{RecoveryParams, RecoveryRunner};
+use reconfig_core::recovery::RecoveryParams;
 use simnet::{Burst, BurstSchedule, BurstTarget, TimedPartition};
 use std::path::PathBuf;
 
@@ -85,23 +85,20 @@ fn run_trace(backend: Backend, n: usize, seed: u64, enabled: bool, epochs: u64) 
         let epoch_len = runner.overlay.epoch_len();
         let sp = spec(seed, epoch_len);
         let mut r =
-            RecoveryRunner::new(runner, sp.schedule(), RecoveryParams::default(), enabled, seed);
+            runner.with_catastrophes(sp.schedule(), RecoveryParams::default(), enabled, seed);
         let mut adv = CatastropheCampaign::new(
             DosAdversary::new(DosStrategy::Random, 0.1, 2 * epoch_len, seed ^ 1),
             sp,
         );
         let mut digests = Vec::new();
         for _ in 0..epochs * epoch_len {
-            let round = r.runner.overlay.round();
-            adv.observe(r.runner.overlay.snapshot(round));
-            let blocked = adv.block(round, r.runner.overlay.len());
-            r.step(&blocked);
-            digests.push(r.runner.overlay.state_digest());
+            r.run(&mut adv, 1);
+            digests.push(r.overlay.state_digest());
         }
-        let s = r.stats();
+        let s = r.layer().stats();
         RunTrace {
             digests,
-            transitions: r.transitions().iter().map(|&(at, m)| (at, m.name())).collect(),
+            transitions: r.layer().transitions().iter().map(|&(at, m)| (at, m.name())).collect(),
             admitted: s.admitted,
             rejected: s.rejected,
             orphaned: s.orphaned,
@@ -160,7 +157,7 @@ fn golden_lines(name: &str) -> Vec<String> {
 #[test]
 fn recovery_plumbing_is_digest_neutral_on_the_golden_family() {
     // The committed dos_overlay golden family, re-driven through a
-    // RecoveryRunner with a null schedule: identical digest stream, no
+    // catastrophe layer with a null schedule: identical digest stream, no
     // transitions, no counters. Recovery compiled in but inactive is
     // provably invisible.
     let runner = FaultyRunner::new(
@@ -170,24 +167,16 @@ fn recovery_plumbing_is_digest_neutral_on_the_golden_family() {
         true,
     );
     let epoch_len = runner.overlay.epoch_len();
-    let mut r =
-        RecoveryRunner::new(runner, BurstSchedule::null(), RecoveryParams::default(), true, 9);
+    let mut r = runner.with_catastrophes(BurstSchedule::null(), RecoveryParams::default(), true, 9);
     let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, 2 * epoch_len, 11);
     let mut lines = Vec::new();
     for _ in 0..2 * epoch_len {
-        let round = r.runner.overlay.round();
-        adv.observe(r.runner.overlay.snapshot(round));
-        let blocked = adv.block(round, r.runner.overlay.len());
-        r.step(&blocked);
-        lines.push(format!(
-            "{} {:016x}",
-            r.runner.overlay.round(),
-            r.runner.overlay.state_digest()
-        ));
+        r.run(&mut adv, 1);
+        lines.push(format!("{} {:016x}", r.overlay.round(), r.overlay.state_digest()));
     }
     assert_eq!(lines, golden_lines("dos_overlay.digests"));
-    assert!(r.transitions().is_empty());
-    let s = r.stats();
+    assert!(r.layer().transitions().is_empty());
+    let s = r.layer().stats();
     assert_eq!((s.admitted, s.orphaned, s.bursts_fired, s.partitions_healed), (0, 0, 0, 0));
 }
 
@@ -210,12 +199,12 @@ fn arms_share_the_catastrophe_but_only_the_control_orphans() {
     let tight = RecoveryParams { join_capacity: 1, ..RecoveryParams::default() };
     let mut outcomes = Vec::new();
     for enabled in [true, false] {
-        let runner = mk_runner(n, seed);
-        let mut r = RecoveryRunner::new(runner, sp.schedule(), tight, enabled, seed);
+        let mut r = mk_runner(n, seed).with_catastrophes(sp.schedule(), tight, enabled, seed);
         for _ in 0..14 * epoch_len {
             r.step(&simnet::BlockSet::none());
         }
-        outcomes.push((enabled, r.stats(), r.transitions().len(), r.pending_arrivals()));
+        let c = r.layer();
+        outcomes.push((enabled, c.stats(), c.transitions().len(), c.pending_arrivals()));
     }
     let (_, rec, rec_tr, rec_pending) = outcomes[0];
     let (_, ctl, ctl_tr, _) = outcomes[1];
@@ -233,7 +222,7 @@ fn fuzzed_catastrophes_replay_and_agree_across_backends() {
     // target, storm window, optional partition), each run under xl
     // twice and xl:fast:2 once: all three traces identical, and the
     // enabled arm never orphans. Nightly CI turns the count up.
-    let cases = env_usize_knob("RECOVERY_CASES", 6, 1, 10_000)
+    let cases = env_knob::<usize>("RECOVERY_CASES", 6, 1, 10_000)
         .unwrap_or_else(|e| panic!("RECOVERY_CASES: {e}"));
     let mut plan_rng = ChaCha8Rng::seed_from_u64(0x4EC_FA55);
     for case in 0..cases {
@@ -264,9 +253,7 @@ fn fuzzed_catastrophes_replay_and_agree_across_backends() {
         }
         let run = |backend| {
             with_backend(backend, || {
-                let runner = mk_runner(n, seed);
-                let mut r = RecoveryRunner::new(
-                    runner,
+                let mut r = mk_runner(n, seed).with_catastrophes(
                     sp.schedule(),
                     RecoveryParams::default(),
                     true,
@@ -275,10 +262,14 @@ fn fuzzed_catastrophes_replay_and_agree_across_backends() {
                 for _ in 0..8 * epoch_len {
                     r.step(&simnet::BlockSet::none());
                 }
-                let s = r.stats();
+                let s = r.layer().stats();
                 (
-                    r.runner.overlay.state_digest(),
-                    r.transitions().iter().map(|&(at, m)| (at, m.name())).collect::<Vec<_>>(),
+                    r.overlay.state_digest(),
+                    r.layer()
+                        .transitions()
+                        .iter()
+                        .map(|&(at, m)| (at, m.name()))
+                        .collect::<Vec<_>>(),
                     (s.admitted, s.rejected, s.orphaned, s.reconciled),
                 )
             })

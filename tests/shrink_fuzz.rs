@@ -31,7 +31,7 @@ use simnet::{BlockSet, NodeId};
 /// Cases per regime; `FUZZ_CASES` overrides the default 100 (validated
 /// against [1, 100_000] as everywhere else; out-of-range values abort).
 fn fuzz_cases() -> u64 {
-    overlay_adversary::knobs::env_usize_knob("FUZZ_CASES", 100, 1, 100_000)
+    overlay_adversary::knobs::env_knob::<usize>("FUZZ_CASES", 100, 1, 100_000)
         .unwrap_or_else(|e| panic!("{e}")) as u64
 }
 
