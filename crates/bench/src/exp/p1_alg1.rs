@@ -12,7 +12,9 @@
 //! default schedule) from the sampler's own spans. The full run rewrites
 //! `BENCH_ALG1.json` at the workspace root (the driver adds the host
 //! facts); `--smoke` runs small sizes, checks the two readers agree on
-//! every timed draw and writes nothing. The wide reader's gain exists only while rustc
+//! every timed draw and writes nothing. The record names the wide refill
+//! that ran (`"refill_isa"`: `"avx2"` where the CPU has it, else
+//! `"portable"`). The wide reader's gain exists only while rustc
 //! vectorises its refill (DESIGN.md, "Hermetic dependency shims"): a
 //! toolchain bump that stops doing so shows here as `wide` no longer
 //! beating `narrow`, and `--smoke` says so on stderr.
@@ -80,7 +82,10 @@ fn run(run: &mut Run) -> Result<(), RunError> {
         if run.smoke { (200_000, 3, 128u64, 2) } else { (20_000_000, 5, 1024, 7) };
 
     // ---- Keystream readers. ----
-    run.table("P1: keystream readers (best of repeats)");
+    run.table(format!(
+        "P1: keystream readers (best of repeats; wide refill: {})",
+        ChaCha8Wide::refill_isa()
+    ));
     // Each draw kind is timed through its own monomorphised closure; a
     // `fn` pointer would put an indirect call into a 4 ns loop body.
     let narrow = || ChaCha8Rng::seed_from_u64(11);
@@ -172,7 +177,7 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     }
     let body = serde_json::json!({
         "cores": rayon::current_num_threads(),
-        "compiled_with_avx2": cfg!(target_feature = "avx2"),
+        "refill_isa": ChaCha8Wide::refill_isa(),
         "readers": readers,
         "sampler": serde_json::json!({
             "n": n, "d": 8, "seed": 11, "calls": calls, "failures": failures,

@@ -143,10 +143,13 @@ delivery-diff:
 
 # The flat direct sampler against its nested-`Vec` `#[cfg(test)]` reference
 # (240 seeded cases, the benchmark shape, pools of 1/2/3 workers), the two
-# keystream readers word for word, and the golden the parent commit wrote.
+# keystream readers word for word (again in release, where the wide refill
+# is vectorised and both of its code generations are held equal), and the
+# golden the parent commit wrote.
 sampler-diff:
     cargo test -q -p reconfig-core --lib sampling::direct
     cargo test -q -p rand_chacha -p simnet --lib
+    cargo test --release -q -p rand_chacha -p simnet --lib
     cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
 
 # Algorithm 1 layer perf: ns per draw of both keystream readers and the

@@ -91,6 +91,8 @@ cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
 echo "==> direct sampler: flat arenas vs the nested-Vec reference (240 seeded cases, pools of 1/2/3), keystream readers, parent-written golden"
 cargo test -q -p reconfig-core --lib sampling::direct
 cargo test -q -p rand_chacha -p simnet --lib
+echo "==> keystream readers again in release, where the wide refill is vectorised (both refill bodies held equal)"
+cargo test --release -q -p rand_chacha -p simnet --lib
 cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
 
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"

@@ -101,9 +101,18 @@ macro_rules! impl_random_int {
     )*};
 }
 impl_random_int!(u8 => next_u32, u16 => next_u32, u32 => next_u32,
-                 u64 => next_u64, usize => next_u64, u128 => next_u64,
+                 u64 => next_u64, usize => next_u64,
                  i8 => next_u32, i16 => next_u32, i32 => next_u32,
                  i64 => next_u64, isize => next_u64);
+
+impl Random for u128 {
+    /// Two 64-bit draws, the low half first.
+    #[inline]
+    fn random_from<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        let lo = rng.next_u64() as u128;
+        lo | (rng.next_u64() as u128) << 64
+    }
+}
 
 impl Random for bool {
     #[inline]
@@ -204,7 +213,17 @@ impl SampleUniform for f64 {
     #[inline]
     fn sample_range<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
         assert!(low < high, "cannot sample from empty range");
-        low + f64::random_from(rng) * (high - low)
+        let scale = high - low;
+        assert!(scale.is_finite(), "range {low}..{high} is wider than f64::MAX");
+        // The largest unit draw can round up to exactly `high` (for
+        // 1.0..2.0, say); redraw then, which happens with probability
+        // 2^-53 per draw.
+        loop {
+            let x = low + f64::random_from(rng) * scale;
+            if x < high {
+                return x;
+            }
+        }
     }
     #[inline]
     fn sample_range_inclusive<R: RngCore + ?Sized>(rng: &mut R, low: Self, high: Self) -> Self {
@@ -333,6 +352,41 @@ mod tests {
         let mut rng = Counter(5);
         assert!(!(0..100).any(|_| rng.random_bool(0.0)));
         assert!((0..100).all(|_| rng.random_bool(1.0)));
+    }
+
+    #[test]
+    fn u128_draws_fill_the_high_half() {
+        let mut rng = Counter(13);
+        assert!((0..64).any(|_| rng.random::<u128>() > u64::MAX as u128));
+    }
+
+    /// Returns `u64::MAX` (the largest unit float, 1 - 2^-53) once, then
+    /// defers to a `Counter`.
+    struct MaxFirst(Option<Counter>);
+    impl RngCore for MaxFirst {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            match &mut self.0 {
+                None => {
+                    self.0 = Some(Counter(17));
+                    u64::MAX
+                }
+                Some(rng) => rng.next_u64(),
+            }
+        }
+    }
+
+    #[test]
+    fn float_ranges_never_return_their_upper_bound() {
+        let largest = f64::random_from(&mut MaxFirst(None));
+        for (low, high) in [(1.0, 2.0), (0.5, 0.75), (10.0, 11.0), (3.0, 7.0)] {
+            // The unguarded formula rounds the largest draw up to `high`.
+            assert_eq!(low + largest * (high - low), high, "{low}..{high}");
+            let x: f64 = MaxFirst(None).random_range(low..high);
+            assert!((low..high).contains(&x), "{low}..{high} gave {x}");
+        }
     }
 
     #[test]

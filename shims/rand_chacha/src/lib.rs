@@ -410,4 +410,51 @@ mod tests {
             assert_eq!(narrow.next_u64(), wide.next_u64(), "draw {i}");
         }
     }
+
+    /// The 64 draws of the next refill of `wide` (which must be exhausted),
+    /// once through the dispatched refill and once through the portable body.
+    fn dispatched_and_portable(wide: &ChaCha8Wide) -> ([u64; 64], [u64; 64]) {
+        let mut dispatched = wide.clone();
+        let mut portable = wide.clone();
+        portable.refill_portable();
+        (
+            std::array::from_fn(|_| dispatched.next_u64()),
+            std::array::from_fn(|_| portable.next_u64()),
+        )
+    }
+
+    #[test]
+    fn dispatched_refill_matches_the_portable_body() {
+        // On an AVX2 host `refill` runs the AVX2 code generation, so this
+        // holds the two against each other; elsewhere dispatch must have
+        // picked the portable body.
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(ChaCha8Wide::refill_isa(), if avx2 { "avx2" } else { "portable" });
+
+        let mut cases: Vec<(String, ChaCha8Wide)> = Vec::new();
+        for seed in 0..64u64 {
+            // The first refill, and one at a later counter.
+            let mut later = ChaCha8Wide::seed_from_u64(seed);
+            later.skip_to_block(8 * (seed + 1));
+            cases.push((format!("seed {seed}"), ChaCha8Wide::seed_from_u64(seed)));
+            cases.push((format!("seed {seed} block {}", 8 * (seed + 1)), later));
+        }
+        let mut carry = ChaCha8Wide::from_seed([7u8; 32]);
+        carry.skip_to_block((1u64 << 32) - 3);
+        cases.push(("counter carry".into(), carry));
+        for (name, wide) in &cases {
+            let (dispatched, portable) = dispatched_and_portable(wide);
+            assert_eq!(dispatched, portable, "{name}");
+        }
+
+        let (dispatched, portable) = dispatched_and_portable(&ChaCha8Wide::seed_from_u64(0));
+        for (i, &w) in KAT_SEED0.iter().enumerate() {
+            let shift = 32 * (i % 2);
+            assert_eq!((dispatched[i / 2] >> shift) as u32, w, "dispatched word {i}");
+            assert_eq!((portable[i / 2] >> shift) as u32, w, "portable word {i}");
+        }
+    }
 }

@@ -13,11 +13,13 @@
 //! quarter-round is one plain loop over those 32 positions with all eight
 //! steps in its body, and the diagonal round is the column round between
 //! whole-row rotations. That is
-//! the form rustc turns into SSE2 vector code at the default x86-64 target;
-//! see DESIGN.md, "Hermetic dependency shims", for what was measured and
-//! for the shapes that do *not* vectorise. `perf_alg1` prints ns per `u64`
-//! for both readers, so a toolchain that stops vectorising this shows up
-//! in `BENCH_ALG1.json`.
+//! the form rustc turns into SSE2 vector code at the default x86-64 target,
+//! and into AVX2 code when the same body is compiled inside the
+//! `#[target_feature(enable = "avx2")]` wrapper that `refill` dispatches to
+//! on a CPU that has it; see DESIGN.md, "Hermetic dependency shims", for
+//! what was measured and for the shapes that do *not* vectorise. `exp P1`
+//! prints ns per `u64` for both readers and which refill ran, so a
+//! toolchain that stops vectorising this shows up in `BENCH_ALG1.json`.
 
 use crate::{BLOCK_WORDS, ROUNDS, SIGMA};
 use rand::{RngCore, SeedableRng};
@@ -65,7 +67,42 @@ fn quarter_rows(a: &mut Row, b: &mut Row, c: &mut Row, d: &mut Row) {
 }
 
 impl ChaCha8Wide {
+    /// The next eight blocks into `buf`. One body, two code generations:
+    /// where the CPU has AVX2 the body runs inside a wrapper compiled for
+    /// it (rows in `ymm` registers, the 16- and 8-bit rotates one
+    /// `vpshufb` each), everywhere else at the build's baseline. The CPU
+    /// is asked at run time, so the build has no flag, and every machine
+    /// gets the same words.
     fn refill(&mut self) {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `refill_avx2` only enables AVX2, and
+            // `is_x86_feature_detected!("avx2")` just found it on this CPU.
+            return unsafe { self.refill_avx2() };
+        }
+        self.refill_body();
+    }
+
+    /// Which code generation [`Self::refill`] runs on this CPU: `"avx2"`
+    /// or `"portable"`.
+    pub fn refill_isa() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+        "portable"
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn refill_avx2(&mut self) {
+        self.refill_body();
+    }
+
+    /// The refill itself. It is inlined into `refill` and `refill_avx2`,
+    /// so each compiles it for its own instruction set.
+    #[inline(always)]
+    fn refill_body(&mut self) {
         let mut a: Row = [0; ROW];
         let mut b: Row = [0; ROW];
         let mut c: Row = [0; ROW];
@@ -124,6 +161,13 @@ impl ChaCha8Wide {
     pub(crate) fn skip_to_block(&mut self, block: u64) {
         self.counter = block;
         self.pos = DRAWS;
+    }
+
+    /// Refill through the portable body whatever the CPU has, so tests can
+    /// hold the dispatched body against it.
+    #[cfg(test)]
+    pub(crate) fn refill_portable(&mut self) {
+        self.refill_body();
     }
 }
 
