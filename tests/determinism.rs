@@ -19,36 +19,43 @@
 
 use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
 use overlay_adversary::byzantine::{ByzActions, ByzBudget, ByzFamily, ByzHarness};
-use overlay_adversary::catastrophe::{CatastropheCampaign, CatastropheSpec};
-use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
+use overlay_adversary::catastrophe::{
+    CatastropheCampaign, CatastropheRepro, CatastropheSpec, CatastropheTrace,
+};
+use overlay_adversary::churn::{ChurnEvent, ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_adversary::remote::CampaignSpec;
+use overlay_adversary::shrink::{AdversaryTrace, Repro};
 use overlay_adversary::Campaign;
 use overlay_graphs::HGraph;
 use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
 use rand::RngExt;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use reconfig_bench::runner::ExperimentResult;
 use reconfig_core::backend::{with_backend, Backend};
 use reconfig_core::byzantine::{DefenseConfig, Defenses};
-use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
-use reconfig_core::config::SamplingParams;
+use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams, SizeBand};
+use reconfig_core::config::{SamplingParams, Schedule};
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{
     attack_round, ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
 };
+use reconfig_core::metrics::SamplingMetrics;
 use reconfig_core::monitor::Invariant;
+use reconfig_core::nodert::{ClusterTrace, DelayObs, RoundRecord};
 use reconfig_core::reconfig::ExpanderOverlay;
 use reconfig_core::recovery::RecoveryParams;
-use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct};
+use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct, Alg1Node, SampleMsg};
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
 use simnet::conduct::PPM;
 use simnet::{
-    BlockSet, Burst, BurstTarget, ByzantineConduct, Checkpoint, CkptError, CkptResult, Ctx, Digest,
-    FaultModel, LinkFaults, NodeFault, NodeId, Partition, Protocol, TimedPartition,
+    BlockSet, Burst, BurstSchedule, BurstTarget, ByzantineConduct, Checkpoint, CkptError,
+    CkptResult, Ctx, Digest, Envelope, FaultModel, LinkFaults, NodeFault, NodeId, Partition,
+    Protocol, RoundDigest, RunManifest, TimedPartition, Trace, TraceEvent,
 };
 use simnet_xl::{XlNetwork, PAR_THRESHOLD};
 use std::path::PathBuf;
@@ -498,6 +505,235 @@ fn golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte() {
     assert!(restamped("round", 99));
     assert!(restamped("epochs_done", ov.epochs() + 1));
     assert!(restamped("failed_epochs", ov.epochs() + 1));
+}
+
+// ---------------------------------------------------------------------------
+// Persisted formats, fenced by their bytes
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// `name byte_len fnv64` of `saved` pretty-printed, after checking that
+/// `resave` (load, then save) reproduces the same bytes.
+fn format_line(
+    name: &str,
+    saved: serde_json::Value,
+    resave: impl Fn(&serde_json::Value) -> serde_json::Value,
+) -> String {
+    let text = serde_json::to_string_pretty(&saved).unwrap();
+    let again = serde_json::to_string_pretty(&resave(&saved)).unwrap();
+    assert_eq!(again, text, "{name} does not re-save to the bytes it loaded");
+    format!("{name} {} {:016x}", text.len(), fnv64(text.as_bytes()))
+}
+
+/// [`format_line`] of a [`Checkpoint`] type.
+fn ckpt_line<T: Checkpoint>(name: &str, x: &T) -> String {
+    format_line(name, x.save(), |v| T::load(v).unwrap_or_else(|e| panic!("{name}: {e}")).save())
+}
+
+/// The fault model of the format fence: link faults, both node-fault
+/// kinds, a partition and scheduled delays (two under one key).
+fn fenced_faults() -> FaultModel {
+    FaultModel::new(0xFE)
+        .with_link(LinkFaults { drop_prob: 0.12, dup_prob: 0.07, delay_prob: 0.15, max_delay: 3 })
+        .with_node_fault(NodeId(4), NodeFault::CrashRecover { at: 5, down_for: 4 })
+        .with_node_fault(NodeId(9), NodeFault::CrashStop { at: 12 })
+        .with_partition(Partition { side: (0..4).map(NodeId).collect(), from: 10, until: 14 })
+        .with_scheduled_delay(NodeId(1), NodeId(2), 0, 2)
+        .with_scheduled_delay(NodeId(1), NodeId(2), 0, 1)
+        .with_scheduled_delay(NodeId(3), NodeId(0), 1, 1)
+}
+
+/// An Algorithm 1 network of 16 nodes under [`fenced_faults`], two rounds
+/// in: multisets filled, requests in flight.
+fn fenced_alg1_network() -> XlNetwork<Alg1Node> {
+    let nodes: Vec<NodeId> = (0..16).map(NodeId).collect();
+    let graph = HGraph::random(&nodes, 8, &mut ChaCha8Rng::seed_from_u64(31));
+    let schedule = Arc::new(Schedule::algorithm1(16, 8, &SamplingParams::default()));
+    let mut net = XlNetwork::<Alg1Node>::new(0xA1);
+    net.set_fault_model(fenced_faults());
+    for &v in &nodes {
+        net.add_node(v, Alg1Node::new(Arc::clone(&schedule), graph.neighbors(v)));
+    }
+    net.step();
+    net.step();
+    net
+}
+
+fn fenced_catastrophe_trace() -> CatastropheTrace {
+    let set = |ids: &[u64]| ids.iter().map(|&i| NodeId(i)).collect::<BlockSet>();
+    CatastropheTrace::new(
+        AdversaryTrace::new(vec![set(&[1, 2]), BlockSet::none(), set(&[7])]),
+        AdversaryTrace::new(vec![BlockSet::none(), set(&[3, 4, 5])]),
+    )
+}
+
+fn fenced_cluster_trace() -> ClusterTrace {
+    let delay = DelayObs { from: NodeId(0), to: NodeId(2), sent_round: 0, extra: 2 };
+    ClusterTrace {
+        seed: 42,
+        n0: 3,
+        rounds: vec![
+            RoundRecord {
+                round: 0,
+                digests: vec![(0, 10), (1, 11), (2, 12)],
+                ..Default::default()
+            },
+            RoundRecord {
+                round: 1,
+                blocked: vec![2],
+                kills: vec![1],
+                joins: vec![3],
+                delays: vec![delay],
+                digests: vec![(0, 20), (2, 22), (3, 23)],
+            },
+        ],
+    }
+}
+
+/// One `name byte_len fnv64` line per persisted format, each a seeded
+/// instance with every `Option` set and non-empty vectors.
+fn state_format_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    let faults = fenced_faults();
+    lines.push(ckpt_line("LinkFaults", faults.link()));
+    lines.push(ckpt_line(
+        "Partition",
+        &Partition { side: (0..4).map(NodeId).collect(), from: 10, until: 14 },
+    ));
+    lines.push(ckpt_line("FaultModel", &faults));
+    let burst = Burst { at: 5, frac: 0.2, target: BurstTarget::Groups, storm_window: 8 };
+    let timed = TimedPartition { at: 20, heal_at: 30, side_frac: 0.25 };
+    lines.push(ckpt_line("Burst", &burst));
+    lines.push(ckpt_line("TimedPartition", &timed));
+    lines.push(ckpt_line(
+        "BurstSchedule",
+        &BurstSchedule::new(77).with_burst(burst).with_partition(timed),
+    ));
+    let env = Envelope {
+        from: NodeId(3),
+        to: NodeId(5),
+        sent_round: 9,
+        msg: SampleMsg::Response(NodeId(8)),
+    };
+    lines.push(ckpt_line("Envelope<SampleMsg>", &env));
+
+    let mut trace = Trace::with_capacity(3);
+    trace.record(TraceEvent::Delivered { round: 0, from: NodeId(1), to: NodeId(2) });
+    trace.record(TraceEvent::Delayed { round: 1, from: NodeId(2), to: NodeId(3), until: 4 });
+    trace.record(TraceEvent::NodeRemoved { round: 2, node: NodeId(3) });
+    trace.record(TraceEvent::DroppedLink { round: 3, from: NodeId(0), to: NodeId(1) });
+    trace.record_digest(RoundDigest { round: 0, value: 0xDEAD_BEEF });
+    trace.set_manifest(RunManifest::new(7, "ring n=4"));
+    lines.push(ckpt_line("Trace", &trace));
+
+    let spec = CatastropheSpec::new(77).with_burst(burst).with_partition(timed);
+    lines.push(ckpt_line("CatastropheSpec", &spec));
+    lines.push(ckpt_line("CatastropheTrace", &fenced_catastrophe_trace()));
+    let repro = CatastropheRepro {
+        family: "dos".into(),
+        seed: 5,
+        n: 64,
+        spec,
+        trace: fenced_catastrophe_trace(),
+    };
+    lines.push(ckpt_line("CatastropheRepro", &repro));
+    let repro = Repro {
+        family: "churndos".into(),
+        strategy: "late-random".into(),
+        seed: 6,
+        n: 128,
+        bound: 0.3,
+        lateness: 24,
+        trace: fenced_catastrophe_trace().blocks,
+    };
+    lines.push(ckpt_line("Repro", &repro));
+
+    let params = SamplingParams::paper_whp(2.0);
+    lines.push(ckpt_line("SamplingParams", &params));
+    lines.push(ckpt_line("Schedule", &Schedule::algorithm1(4096, 8, &params)));
+    lines.push(ckpt_line("SizeBand", &SizeBand { c: 8 }));
+    let net = fenced_alg1_network();
+    let saved = net.save_state();
+    let slot = &get_array(&saved, "slots").expect("slots")[3];
+    let mut node = Alg1Node::load(slot.get("proto").expect("proto")).expect("alg1 node");
+    node.samples = Some((0..5).map(NodeId).collect());
+    lines.push(ckpt_line("Alg1Node", &node));
+    lines.push(format_line("XlNetwork<Alg1Node>", saved, |v| {
+        XlNetwork::<Alg1Node>::from_state(v).expect("alg1 network").save_state()
+    }));
+
+    let mut ov = ExpanderOverlay::new(24, 8, SamplingParams::default(), 5);
+    ov.reconfigure();
+    let join = overlay_adversary::churn::Join { new_node: NodeId(500), introduced_to: NodeId(3) };
+    ov.apply_churn(&ChurnEvent { joins: vec![join], leaves: vec![NodeId(7), NodeId(11)] });
+    lines.push(ckpt_line("ExpanderOverlay", &ov));
+    let mut ov = DosOverlay::new(256, DosParams::default(), 3);
+    let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
+    ov.run(&mut adv, ov.epoch_len() + 3);
+    lines.push(ckpt_line("DosOverlay", &ov));
+    let mut ov = ChurnDosOverlay::new(400, ChurnDosParams::default(), 3);
+    let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
+    for _ in 0..ov.epoch_len() + 3 {
+        adv.observe(ov.snapshot(ov.round()));
+        let blocked = adv.block(ov.round(), ov.len());
+        ov.step(&blocked);
+    }
+    let join = overlay_adversary::churn::Join { new_node: NodeId(900), introduced_to: NodeId(3) };
+    ov.apply_churn(&ChurnEvent { joins: vec![join], leaves: vec![NodeId(8)] });
+    lines.push(ckpt_line("ChurnDosOverlay", &ov));
+
+    let cluster = fenced_cluster_trace();
+    lines.push(format_line("DelayObs", cluster.rounds[1].delays[0].to_value(), |v| {
+        DelayObs::from_value(v).expect("delay").to_value()
+    }));
+    lines.push(format_line("RoundRecord", cluster.rounds[1].to_value(), |v| {
+        RoundRecord::from_value(v).expect("record").to_value()
+    }));
+    lines.push(format_line("ClusterTrace", cluster.to_value(), |v| {
+        ClusterTrace::from_value(v).expect("trace").to_value()
+    }));
+    let metrics = SamplingMetrics {
+        n: 4096,
+        rounds: 9,
+        iterations: 4,
+        samples_per_node: 24,
+        failures: 1,
+        max_node_bits: 7000,
+        max_node_msgs: 90,
+        total_msgs: 123_456,
+    };
+    lines.push(format_line("SamplingMetrics", metrics.to_value(), |v| {
+        SamplingMetrics::from_value(v).expect("metrics").to_value()
+    }));
+    let result = ExperimentResult {
+        id: "E0".into(),
+        title: "format fence".into(),
+        claim: "bytes do not move".into(),
+        rows: vec![serde_json::json!({ "n": 8, "ok": true }), serde_json::json!({ "n": 16 })],
+    };
+    lines.push(format_line("ExperimentResult", result.to_value(), |v| {
+        ExperimentResult::from_value(v).expect("result").to_value()
+    }));
+    lines
+}
+
+/// Every persisted format's bytes, before and after any change to how
+/// they are written: a renamed key, a dropped field or a changed encoding
+/// moves a line of `state_formats.digests`.
+#[test]
+fn golden_state_formats() {
+    check_golden(
+        "state_formats.digests",
+        "persisted formats: type, byte length and FNV-1a 64 of one seeded instance's \
+         pretty-printed save(); each loads and re-saves to the same bytes",
+        &state_format_lines(),
+    );
 }
 
 /// The W-series at reduced sizes (n = 256, a few short batches), both arms
