@@ -25,11 +25,7 @@
 use crate::adaptive::Attacker;
 use crate::lateness::SharedSnapshot;
 use crate::shrink::{shrink_trace, AdversaryTrace, ShrinkReport};
-use serde_json::Value;
-use simnet::checkpoint::{
-    check_format, field, get_str, get_u64, get_usize, get_vec, read_value, save_slice,
-    write_value_atomic, Checkpoint, CkptResult,
-};
+use simnet::checkpoint::{read_value, write_value_atomic, Checkpoint, CkptResult};
 use simnet::{BlockSet, Burst, BurstSchedule, TimedPartition};
 use std::path::Path;
 
@@ -79,21 +75,9 @@ impl CatastropheSpec {
     }
 }
 
-impl Checkpoint for CatastropheSpec {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "seed": self.seed,
-            "bursts": save_slice(&self.bursts),
-            "partitions": save_slice(&self.partitions),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            seed: get_u64(v, "seed")?,
-            bursts: get_vec(v, "bursts")?,
-            partitions: get_vec(v, "partitions")?,
-        })
+simnet::checkpoint_schema! {
+    CatastropheSpec {
+        fields { seed, bursts, partitions }
     }
 }
 
@@ -160,19 +144,9 @@ impl CatastropheTrace {
     }
 }
 
-impl Checkpoint for CatastropheTrace {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "blocks": self.blocks.save(),
-            "crashes": self.crashes.save(),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            blocks: AdversaryTrace::load(field(v, "blocks")?)?,
-            crashes: AdversaryTrace::load(field(v, "crashes")?)?,
-        })
+simnet::checkpoint_schema! {
+    CatastropheTrace {
+        fields { blocks, crashes }
     }
 }
 
@@ -219,27 +193,10 @@ pub struct CatastropheRepro {
     pub trace: CatastropheTrace,
 }
 
-impl Checkpoint for CatastropheRepro {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "format": "catastrophe-repro",
-            "family": self.family.clone(),
-            "seed": self.seed,
-            "n": self.n,
-            "spec": self.spec.save(),
-            "trace": self.trace.save(),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        check_format(v, "catastrophe-repro")?;
-        Ok(Self {
-            family: get_str(v, "family")?.to_string(),
-            seed: get_u64(v, "seed")?,
-            n: get_usize(v, "n")?,
-            spec: CatastropheSpec::load(field(v, "spec")?)?,
-            trace: CatastropheTrace::load(field(v, "trace")?)?,
-        })
+simnet::checkpoint_schema! {
+    CatastropheRepro {
+        format: "catastrophe-repro",
+        fields { family, seed, n, spec, trace }
     }
 }
 

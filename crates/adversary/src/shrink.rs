@@ -23,10 +23,7 @@
 use crate::adaptive::Attacker;
 use crate::lateness::SharedSnapshot;
 use serde_json::Value;
-use simnet::checkpoint::{
-    check_format, f64_bits, get_f64_bits, get_str, get_u64, get_usize, missing, read_value,
-    write_value_atomic, Checkpoint, CkptResult,
-};
+use simnet::checkpoint::{load_vec, read_value, write_value_atomic, Checkpoint, CkptResult};
 use simnet::BlockSet;
 use std::path::Path;
 
@@ -93,13 +90,7 @@ impl Checkpoint for AdversaryTrace {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        let rounds = v
-            .as_array()
-            .ok_or_else(|| missing("trace rounds"))?
-            .iter()
-            .map(BlockSet::load)
-            .collect::<CkptResult<Vec<BlockSet>>>()?;
-        Ok(Self { rounds })
+        load_vec(v).map(Self::new)
     }
 }
 
@@ -266,31 +257,10 @@ pub struct Repro {
     pub trace: AdversaryTrace,
 }
 
-impl Checkpoint for Repro {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "format": "adversary-repro",
-            "family": self.family.clone(),
-            "strategy": self.strategy.clone(),
-            "seed": self.seed,
-            "n": self.n as u64,
-            "bound": f64_bits(self.bound),
-            "lateness": self.lateness,
-            "trace": self.trace.save(),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        check_format(v, "adversary-repro")?;
-        Ok(Self {
-            family: get_str(v, "family")?.to_string(),
-            strategy: get_str(v, "strategy")?.to_string(),
-            seed: get_u64(v, "seed")?,
-            n: get_usize(v, "n")?,
-            bound: get_f64_bits(v, "bound")?,
-            lateness: get_u64(v, "lateness")?,
-            trace: AdversaryTrace::load(v.get("trace").ok_or_else(|| missing("trace"))?)?,
-        })
+simnet::checkpoint_schema! {
+    Repro {
+        format: "adversary-repro",
+        fields { family, strategy, seed, n, bound, lateness, trace }
     }
 }
 

@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use telemetry::RunTelemetry;
 
 use crate::ExperimentResult;
+use simnet::Checkpoint;
 
 /// Why `trace-report` could not produce a report.
 #[derive(Debug)]
@@ -145,7 +146,7 @@ pub fn load_run(path: &Path) -> Result<LoadedRun, ReportError> {
         let sibling = path.with_file_name(format!("{}.json", id.to_lowercase()));
         let text = std::fs::read_to_string(sibling).ok()?;
         let v = serde_json::from_str(&text).ok()?;
-        ExperimentResult::from_value(&v)
+        ExperimentResult::load(&v).ok()
     });
     Ok(LoadedRun { path: path.to_path_buf(), run, result })
 }

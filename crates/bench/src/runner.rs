@@ -1,6 +1,6 @@
 //! Machine-readable experiment output.
 
-use serde_json::{json, Value};
+use simnet::Checkpoint;
 use std::path::Path;
 
 /// The JSON record an experiment writes next to its printed table.
@@ -16,25 +16,9 @@ pub struct ExperimentResult {
     pub rows: Vec<serde_json::Value>,
 }
 
-impl ExperimentResult {
-    /// The JSON tree this record serializes to.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "id": &self.id,
-            "title": &self.title,
-            "claim": &self.claim,
-            "rows": self.rows.clone(),
-        })
-    }
-
-    /// Rebuild a record from its JSON tree (`None` on shape mismatch).
-    pub fn from_value(v: &Value) -> Option<Self> {
-        Some(Self {
-            id: v.get("id")?.as_str()?.to_string(),
-            title: v.get("title")?.as_str()?.to_string(),
-            claim: v.get("claim")?.as_str()?.to_string(),
-            rows: v.get("rows")?.as_array()?.clone(),
-        })
+simnet::checkpoint_schema! {
+    ExperimentResult {
+        fields { id, title, claim, rows }
     }
 }
 
@@ -46,7 +30,7 @@ pub fn write_json(result: &ExperimentResult) -> std::io::Result<std::path::PathB
     let dir = Path::new(&dir);
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.json", result.id.to_lowercase()));
-    std::fs::write(&path, serde_json::to_string_pretty(&result.to_value())?)?;
+    std::fs::write(&path, serde_json::to_string_pretty(&result.save())?)?;
     Ok(path)
 }
 
@@ -91,7 +75,7 @@ mod tests {
         std::env::set_var("OUT_DIR_RESULTS", &dir);
         let path = write_json(&r).unwrap();
         let parsed = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let back = ExperimentResult::from_value(&parsed).unwrap();
+        let back = ExperimentResult::load(&parsed).unwrap();
         assert_eq!(back.id, "E0");
         assert_eq!(back.rows.len(), 1);
         assert_eq!(back.rows[0].get("n").unwrap().as_u64(), Some(4));

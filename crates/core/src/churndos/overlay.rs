@@ -5,7 +5,7 @@ use crate::config::SamplingParams;
 use crate::dos::epoch::EpochClock;
 use crate::healing::{smallest_live_introducer, HealableOverlay};
 use crate::metrics::{DosRoundMetrics, DosRunMetrics};
-use crate::reconfig::overlay::{load_pending_joins, save_pending_joins};
+use crate::reconfig::JoinPair;
 use overlay_adversary::churn::ChurnEvent;
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::prefix::Label;
@@ -38,7 +38,7 @@ pub struct ChurnDosOverlay {
     groups: LabeledGroups,
     band: SizeBand,
     clock: EpochClock,
-    pending_joins: Vec<(NodeId, NodeId)>,
+    pending_joins: Vec<JoinPair>,
     pending_leaves: Vec<NodeId>,
     rng: NodeRng,
     /// The adversary's snapshot of `groups`, built on the first
@@ -109,7 +109,7 @@ impl ChurnDosOverlay {
         let members: HashSet<NodeId> = self.groups.nodes().into_iter().collect();
         for j in &event.joins {
             assert!(members.contains(&j.introduced_to), "introducer not a member");
-            self.pending_joins.push((j.new_node, j.introduced_to));
+            self.pending_joins.push(JoinPair { new: j.new_node, via: j.introduced_to });
         }
         for &l in &event.leaves {
             assert!(members.contains(&l), "leaver {l} is not a member");
@@ -188,7 +188,7 @@ impl ChurnDosOverlay {
         let leaves: HashSet<NodeId> = self.pending_leaves.drain(..).collect();
         let mut population: Vec<NodeId> =
             self.groups.nodes().into_iter().filter(|v| !leaves.contains(v)).collect();
-        population.extend(self.pending_joins.drain(..).map(|(new, _)| new));
+        population.extend(self.pending_joins.drain(..).map(|j| j.new));
 
         let cover = self.groups.cover().clone();
         let assign: Vec<(NodeId, Label)> =
@@ -224,8 +224,8 @@ impl ChurnDosOverlay {
                 }
             }
             d.write_usize(self.pending_joins.len());
-            for &(new, delegate) in &self.pending_joins {
-                d.write_u64(new.raw()).write_u64(delegate.raw());
+            for j in &self.pending_joins {
+                d.write_u64(j.new.raw()).write_u64(j.via.raw());
             }
             d.write_usize(self.pending_leaves.len());
             for &l in &self.pending_leaves {
@@ -287,35 +287,19 @@ impl ChurnDosOverlay {
     }
 }
 
-impl simnet::Checkpoint for ChurnDosOverlay {
-    fn save(&self) -> serde_json::Value {
-        self.clock.save(
-            serde_json::json!({
-                "format": "churndos-overlay-checkpoint",
-                "groups": self.groups.save(),
-                "band": self.band.save(),
-                "pending_joins": save_pending_joins(&self.pending_joins),
-                "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
-                "rng": self.rng.save(),
-            }),
-            self.state_digest(),
-        )
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{check_format, field, get_vec};
-        check_format(v, "churndos-overlay-checkpoint")?;
-        let ov = Self {
-            groups: LabeledGroups::load(field(v, "groups")?)?,
-            band: SizeBand::load(field(v, "band")?)?,
-            clock: EpochClock::load(v)?,
-            pending_joins: load_pending_joins(v)?,
-            pending_leaves: get_vec(v, "pending_leaves")?,
-            rng: NodeRng::load(field(v, "rng")?)?,
-            shared: OnceLock::new(),
-            tel: Telemetry::disabled(),
-        };
-        ov.clock.verify(v, ov.state_digest())?;
-        Ok(ov)
+simnet::checkpoint_schema! {
+    ChurnDosOverlay {
+        format: "churndos-overlay-checkpoint",
+        stamp: state_digest,
+        fields {
+            groups,
+            band: undigested "the Equation 1 constant: it shapes the next split or merge only",
+            pending_joins,
+            pending_leaves,
+            rng: undigested "the resampling stream: `NodeRng::load` checks its shape",
+        }
+        flat { clock: EpochClock }
+        skip { shared: OnceLock::new(), tel: Telemetry::disabled() }
     }
 }
 
@@ -354,14 +338,14 @@ impl HealableOverlay for ChurnDosOverlay {
     /// the node twice).
     fn rejoin(&mut self, v: NodeId) {
         let members = self.groups.nodes();
-        if members.contains(&v) || self.pending_joins.iter().any(|&(j, _)| j == v) {
+        if members.contains(&v) || self.pending_joins.iter().any(|j| j.new == v) {
             return;
         }
         let introducer = smallest_live_introducer(&members, &self.pending_leaves, v)
             .expect("overlay has members");
         let round = self.round();
         self.tel.emit(round, EventKind::Rejoin, Some(v.raw()), introducer.raw(), String::new);
-        self.pending_joins.push((v, introducer));
+        self.pending_joins.push(JoinPair { new: v, via: introducer });
     }
     fn structure_violation(&self) -> Option<String> {
         // The label cover itself must stay a prefix cover (Lemma 18's

@@ -226,12 +226,9 @@ impl LabeledGroups {
     }
 }
 
-impl simnet::Checkpoint for SizeBand {
-    fn save(&self) -> serde_json::Value {
-        serde_json::json!({ "c": self.c as u64 })
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        Ok(Self { c: simnet::checkpoint::get_usize(v, "c")? })
+simnet::checkpoint_schema! {
+    SizeBand {
+        fields { c }
     }
 }
 
@@ -249,12 +246,12 @@ impl simnet::Checkpoint for LabeledGroups {
         serde_json::Value::Array(entries)
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_vec, missing};
+        use simnet::checkpoint::{get, missing};
         let entries = v.as_array().ok_or_else(|| missing("labeled groups"))?;
         let mut groups: BTreeMap<Label, Vec<NodeId>> = BTreeMap::new();
         for e in entries {
-            let l = Label::load(field(e, "label")?)?;
-            let members: Vec<NodeId> = get_vec(e, "members")?;
+            let l: Label = get(e, "label")?;
+            let members: Vec<NodeId> = get(e, "members")?;
             if groups.insert(l, members).is_some() {
                 return Err(simnet::CkptError::Corrupt(format!("duplicate label {l:?}")));
             }

@@ -129,45 +129,37 @@ impl Schedule {
     }
 }
 
-impl simnet::Checkpoint for SamplingParams {
-    fn save(&self) -> serde_json::Value {
-        use simnet::checkpoint::f64_bits;
-        serde_json::json!({
-            "alpha": f64_bits(self.alpha),
-            "beta": f64_bits(self.beta),
-            "epsilon": f64_bits(self.epsilon),
-            "c": f64_bits(self.c),
-        })
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::get_f64_bits;
-        Ok(Self {
-            alpha: get_f64_bits(v, "alpha")?,
-            beta: get_f64_bits(v, "beta")?,
-            epsilon: get_f64_bits(v, "epsilon")?,
-            c: get_f64_bits(v, "c")?,
-        })
+simnet::checkpoint_schema! {
+    SamplingParams {
+        fields { alpha, beta, epsilon, c }
     }
 }
 
-impl simnet::Checkpoint for Schedule {
-    fn save(&self) -> serde_json::Value {
-        let m: Vec<u64> = self.m.iter().map(|&x| x as u64).collect();
-        serde_json::json!({ "iterations": self.iterations as u64, "m": m })
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{get_usize, get_vec};
-        let m: Vec<u64> = get_vec(v, "m")?;
-        Ok(Self {
-            iterations: get_usize(v, "iterations")?,
-            m: m.into_iter().map(|x| x as usize).collect(),
-        })
+simnet::checkpoint_schema! {
+    Schedule {
+        fields {
+            iterations,
+            m where |s| s.m.len().checked_sub(1) == Some(s.iterations)
+                => format!("{} sizes for {} iterations", s.m.len(), s.iterations),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{Checkpoint, CkptError};
+
+    #[test]
+    fn schedule_without_a_size_per_iteration_is_corrupt() {
+        let good = Schedule::algorithm1(4096, 8, &SamplingParams::default());
+        assert_eq!(Schedule::load(&good.save()).unwrap(), good);
+        for m in [&good.m[1..], &[][..]] {
+            let short = Schedule { iterations: good.iterations, m: m.to_vec() };
+            let err = Schedule::load(&short.save()).unwrap_err();
+            assert!(matches!(err, CkptError::Corrupt(ref msg) if msg.contains("`m`")), "{err}");
+        }
+    }
 
     #[test]
     fn log_helpers() {

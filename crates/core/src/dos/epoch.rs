@@ -3,9 +3,7 @@
 
 use crate::config::{SamplingParams, Schedule};
 use crate::metrics::DosRoundMetrics;
-use serde_json::Value;
-use simnet::checkpoint::{field, get_bool, get_u64};
-use simnet::{BlockSet, Checkpoint, CkptError, CkptResult, Digest};
+use simnet::{BlockSet, Digest};
 use telemetry::{EventKind, Telemetry};
 
 /// The epoch every group family runs: every `epoch_len` rounds the groups
@@ -148,56 +146,21 @@ impl EpochClock {
             format!("epoch {epoch} {}", if ok { "reconfigured" } else { "failed" })
         });
     }
+}
 
-    /// The family's checkpoint object `family` with the clock's keys and
-    /// the family's `digest_stamp` added at its top level.
-    pub(crate) fn save(&self, family: Value, stamp: u64) -> Value {
-        let Value::Object(mut top) = family else { panic!("a checkpoint is a JSON object") };
-        top.insert("epoch_len".into(), self.epoch_len.into());
-        top.insert("round".into(), self.round.into());
-        top.insert("epochs_done".into(), self.epochs_done.into());
-        top.insert("failed_epochs".into(), self.failed_epochs.into());
-        top.insert("epoch_ok".into(), self.epoch_ok.into());
-        top.insert("prev_blocked".into(), self.prev_blocked.save());
-        top.insert("digest_stamp".into(), stamp.into());
-        Value::Object(top)
-    }
-
-    /// Read the clock's keys from the top level of a family's checkpoint;
-    /// the family then [`verify`](Self::verify)s what it restored.
-    pub(crate) fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            epoch_len: get_u64(v, "epoch_len")?,
-            round: get_u64(v, "round")?,
-            epochs_done: get_u64(v, "epochs_done")?,
-            failed_epochs: get_u64(v, "failed_epochs")?,
-            epoch_ok: get_bool(v, "epoch_ok")?,
-            prev_blocked: BlockSet::load(field(v, "prev_blocked")?)?,
-            closed: None,
-        })
-    }
-
-    /// Check a restored family against checkpoint `v`: its state digest
-    /// `restored` must equal the stamp, and since the stamp does not cover
-    /// `epoch_len` (and a stamp is no proof), the clock must then hold what
-    /// every genuine checkpoint does — `epoch_len > 0`,
-    /// `epochs_done == round / epoch_len` and `failed_epochs <= epochs_done`.
-    /// A breach of those is [`CkptError::Corrupt`], naming the field.
-    pub(crate) fn verify(&self, v: &Value, restored: u64) -> CkptResult<()> {
-        let stamped = get_u64(v, "digest_stamp")?;
-        if restored != stamped {
-            return Err(CkptError::DigestMismatch { stamped, restored });
+simnet::checkpoint_schema! {
+    EpochClock {
+        fields {
+            epoch_len: undigested "bound to the stamped counters by the `epochs_done` invariant"
+                where |s| s.epoch_len > 0 => "is 0",
+            round,
+            epochs_done where |s| s.epochs_done == s.round / s.epoch_len
+                => format!("{} is not round {} / epoch_len {}", s.epochs_done, s.round, s.epoch_len),
+            failed_epochs where |s| s.failed_epochs <= s.epochs_done
+                => format!("{} exceeds epochs_done {}", s.failed_epochs, s.epochs_done),
+            epoch_ok,
+            prev_blocked,
         }
-        let (t, r, e, f) = (self.epoch_len, self.round, self.epochs_done, self.failed_epochs);
-        let why = if t == 0 {
-            "epoch_len is 0".to_string()
-        } else if e != r / t {
-            format!("epochs_done {e} is not round {r} / epoch_len {t}")
-        } else if f > e {
-            format!("failed_epochs {f} exceeds epochs_done {e}")
-        } else {
-            return Ok(());
-        };
-        Err(CkptError::Corrupt(why))
+        skip { closed: None }
     }
 }

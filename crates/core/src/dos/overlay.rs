@@ -167,28 +167,16 @@ pub fn blocking_budget(n: usize, epsilon: f64) -> usize {
     ((0.5 - epsilon) * n as f64).floor() as usize
 }
 
-impl simnet::Checkpoint for DosOverlay {
-    fn save(&self) -> serde_json::Value {
-        self.clock.save(
-            serde_json::json!({
-                "format": "dos-overlay-checkpoint",
-                "grouped": self.grouped.save(),
-                "rng": self.rng.save(),
-            }),
-            self.state_digest(),
-        )
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{check_format, field};
-        check_format(v, "dos-overlay-checkpoint")?;
-        let ov = Self {
-            grouped: GroupedNetwork::load(field(v, "grouped")?)?,
-            clock: EpochClock::load(v)?,
-            rng: NodeRng::load(field(v, "rng")?)?,
-            tel: Telemetry::disabled(),
-        };
-        ov.clock.verify(v, ov.state_digest())?;
-        Ok(ov)
+simnet::checkpoint_schema! {
+    DosOverlay {
+        format: "dos-overlay-checkpoint",
+        stamp: state_digest,
+        fields {
+            grouped,
+            rng: undigested "the resampling stream: `NodeRng::load` checks its shape",
+        }
+        flat { clock: EpochClock }
+        skip { tel: Telemetry::disabled() }
     }
 }
 

@@ -242,8 +242,9 @@ impl simnet::Checkpoint for GroupedNetwork {
         serde_json::json!({ "dim": u64::from(self.cube.dim()), "groups": groups })
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{get_array, get_u64, load_vec};
-        let cube = Hypercube::new(get_u64(v, "dim")? as u32);
+        use simnet::checkpoint::{get_array, load_vec};
+        // The cube's own loader reads `dim` and refuses one no cube has.
+        let cube = Hypercube::load(v)?;
         let raw = get_array(v, "groups")?;
         if raw.len() != cube.len() as usize {
             return Err(simnet::CkptError::Corrupt(format!(
@@ -455,5 +456,16 @@ mod tests {
         assert_eq!(message("[[7, 2, 7], []]"), "n7 twice in group 0");
         assert!(message(r#"[[1, "two"], []]"#).contains("mistyped"));
         assert!(message("[[1]]").contains("1 groups for a dimension-1 cube"));
+    }
+
+    #[test]
+    fn load_refuses_a_dimension_no_cube_has() {
+        for dim in [0, 64, (1u64 << 32) + 1] {
+            let v = serde_json::json!({ "dim": dim, "groups": serde_json::json!([]) });
+            match GroupedNetwork::load(&v) {
+                Err(simnet::CkptError::Corrupt(m)) => assert!(m.contains("`dim`"), "{dim}: {m}"),
+                other => panic!("dim {dim}: expected Corrupt, got {:?}", other.map(|g| g.groups)),
+            }
+        }
     }
 }

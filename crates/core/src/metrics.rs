@@ -106,33 +106,20 @@ impl SamplingMetrics {
             total_msgs: snap.counter("net.total_msgs"),
         }
     }
+}
 
-    /// The JSON tree the experiment harness records for this run.
-    pub fn to_value(&self) -> serde_json::Value {
-        serde_json::json!({
-            "n": self.n,
-            "rounds": self.rounds,
-            "iterations": self.iterations,
-            "samples_per_node": self.samples_per_node,
-            "failures": self.failures,
-            "max_node_bits": self.max_node_bits,
-            "max_node_msgs": self.max_node_msgs,
-            "total_msgs": self.total_msgs,
-        })
-    }
-
-    /// Rebuild metrics from their JSON tree (`None` on shape mismatch).
-    pub fn from_value(v: &serde_json::Value) -> Option<Self> {
-        Some(Self {
-            n: v.get("n")?.as_u64()? as usize,
-            rounds: v.get("rounds")?.as_u64()?,
-            iterations: v.get("iterations")?.as_u64()? as usize,
-            samples_per_node: v.get("samples_per_node")?.as_u64()? as usize,
-            failures: v.get("failures")?.as_u64()?,
-            max_node_bits: v.get("max_node_bits")?.as_u64()?,
-            max_node_msgs: v.get("max_node_msgs")?.as_u64()?,
-            total_msgs: v.get("total_msgs")?.as_u64()?,
-        })
+simnet::checkpoint_schema! {
+    SamplingMetrics {
+        fields {
+            n,
+            rounds,
+            iterations,
+            samples_per_node,
+            failures,
+            max_node_bits,
+            max_node_msgs,
+            total_msgs,
+        }
     }
 }
 
@@ -164,6 +151,7 @@ impl DosRunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::Checkpoint;
 
     #[test]
     fn connectivity_rate_handles_zero_rounds() {
@@ -180,8 +168,8 @@ mod tests {
     #[test]
     fn metrics_serialize_roundtrip() {
         let m = SamplingMetrics { n: 128, rounds: 9, ..Default::default() };
-        let s = serde_json::to_string(&m.to_value()).unwrap();
-        let back = SamplingMetrics::from_value(&serde_json::from_str(&s).unwrap()).unwrap();
+        let s = serde_json::to_string(&m.save()).unwrap();
+        let back = SamplingMetrics::load(&serde_json::from_str(&s).unwrap()).unwrap();
         assert_eq!(back.n, 128);
         assert_eq!(back.rounds, 9);
     }

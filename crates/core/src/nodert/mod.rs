@@ -32,4 +32,4 @@ pub mod trace;
 pub use driver::{RoundDriver, TickDirective, TickOutcome};
 pub use proto::{WireProto, FANOUT};
 pub use replay::{replay, ReplayError, ReplaySummary};
-pub use trace::{ClusterTrace, DelayObs, RoundRecord, TraceError};
+pub use trace::{ClusterTrace, DelayObs, RoundRecord};

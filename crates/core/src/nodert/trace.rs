@@ -1,16 +1,14 @@
 //! The recorded event trace of a cluster run.
 //!
 //! The coordinator writes one [`RoundRecord`] per executed round; the
-//! whole run is a [`ClusterTrace`]. The encoding is hand-rolled
-//! `serde_json::Value` (like the bench runner's result files) so the
-//! format is stable, inspectable, and independent of derive details:
-//! traces are artifacts that outlive the process that wrote them — the
-//! cluster harness persists them under `results/cluster/<run-id>/` and the
-//! replay oracle (and CI) reads them back.
+//! whole run is a [`ClusterTrace`]. Each is declared with
+//! [`simnet::checkpoint_schema!`], like every persisted struct, so the
+//! format is stable and inspectable: traces are artifacts that outlive the
+//! process that wrote them — the cluster harness persists them under
+//! `results/cluster/<run-id>/` and the replay oracle (and CI) reads them
+//! back.
 
-use serde_json::{json, Value};
-
-use simnet::NodeId;
+use simnet::{Checkpoint, CkptError, CkptResult, NodeId};
 
 /// A frame observed to be delivered late on a live node.
 ///
@@ -60,125 +58,50 @@ pub struct ClusterTrace {
     pub rounds: Vec<RoundRecord>,
 }
 
-/// Why a persisted trace failed to parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceError {
-    /// A required field is absent.
-    Missing(&'static str),
-    /// A field is present but has the wrong JSON type.
-    BadType(&'static str),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Missing(field) => write!(f, "trace field missing: {field}"),
-            TraceError::BadType(field) => write!(f, "trace field has wrong type: {field}"),
-        }
+simnet::checkpoint_schema! {
+    DelayObs {
+        fields { from, to, sent_round, extra }
     }
 }
 
-impl std::error::Error for TraceError {}
-
-fn get_u64(v: &Value, field: &'static str) -> Result<u64, TraceError> {
-    v.get(field).ok_or(TraceError::Missing(field))?.as_u64().ok_or(TraceError::BadType(field))
-}
-
-fn get_array<'a>(v: &'a Value, field: &'static str) -> Result<&'a Vec<Value>, TraceError> {
-    v.get(field).ok_or(TraceError::Missing(field))?.as_array().ok_or(TraceError::BadType(field))
-}
-
-fn u64_list(v: &Value, field: &'static str) -> Result<Vec<u64>, TraceError> {
-    get_array(v, field)?
-        .iter()
-        .map(|item| item.as_u64().ok_or(TraceError::BadType(field)))
-        .collect()
-}
-
-impl DelayObs {
-    /// Encode as a JSON object.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "from": self.from.raw(),
-            "to": self.to.raw(),
-            "sent_round": self.sent_round,
-            "extra": self.extra,
-        })
-    }
-
-    /// Decode from [`DelayObs::to_value`] output.
-    pub fn from_value(v: &Value) -> Result<Self, TraceError> {
-        Ok(Self {
-            from: NodeId(get_u64(v, "from")?),
-            to: NodeId(get_u64(v, "to")?),
-            sent_round: get_u64(v, "sent_round")?,
-            extra: get_u64(v, "extra")?,
-        })
+simnet::checkpoint_schema! {
+    RoundRecord {
+        fields { round, blocked, kills, joins, delays, digests with node_digests }
     }
 }
 
-impl RoundRecord {
-    /// Encode as a JSON object (one JSONL line in the persisted trace).
-    pub fn to_value(&self) -> Value {
-        json!({
-            "round": self.round,
-            "blocked": self.blocked.clone(),
-            "kills": self.kills.clone(),
-            "joins": self.joins.clone(),
-            "delays": self.delays.iter().map(DelayObs::to_value).collect::<Vec<_>>(),
-            "digests": self.digests.iter()
-                .map(|&(node, digest)| json!({ "node": node, "digest": digest }))
-                .collect::<Vec<_>>(),
-        })
+/// The codec of [`RoundRecord::digests`]: `{"node": .., "digest": ..}`
+/// objects.
+mod node_digests {
+    use simnet::checkpoint::{get, load_vec, CkptResult, Value};
+
+    pub fn save(pairs: &[(u64, u64)]) -> Value {
+        let pair =
+            |&(node, digest): &(u64, u64)| serde_json::json!({ "node": node, "digest": digest });
+        Value::Array(pairs.iter().map(pair).collect())
     }
 
-    /// Decode from [`RoundRecord::to_value`] output.
-    pub fn from_value(v: &Value) -> Result<Self, TraceError> {
-        let delays =
-            get_array(v, "delays")?.iter().map(DelayObs::from_value).collect::<Result<_, _>>()?;
-        let digests = get_array(v, "digests")?
-            .iter()
-            .map(|d| Ok((get_u64(d, "node")?, get_u64(d, "digest")?)))
-            .collect::<Result<_, _>>()?;
-        Ok(Self {
-            round: get_u64(v, "round")?,
-            blocked: u64_list(v, "blocked")?,
-            kills: u64_list(v, "kills")?,
-            joins: u64_list(v, "joins")?,
-            delays,
-            digests,
-        })
+    pub fn load(v: &Value) -> CkptResult<Vec<(u64, u64)>> {
+        let pairs: Vec<Value> = load_vec(v)?;
+        pairs.iter().map(|p| Ok((get(p, "node")?, get(p, "digest")?))).collect()
+    }
+}
+
+simnet::checkpoint_schema! {
+    ClusterTrace {
+        fields { seed, n0, rounds }
     }
 }
 
 impl ClusterTrace {
-    /// Encode the whole trace as one JSON object.
-    pub fn to_value(&self) -> Value {
-        json!({
-            "seed": self.seed,
-            "n0": self.n0,
-            "rounds": self.rounds.iter().map(RoundRecord::to_value).collect::<Vec<_>>(),
-        })
-    }
-
-    /// Decode from [`ClusterTrace::to_value`] output.
-    pub fn from_value(v: &Value) -> Result<Self, TraceError> {
-        let rounds = get_array(v, "rounds")?
-            .iter()
-            .map(RoundRecord::from_value)
-            .collect::<Result<_, _>>()?;
-        Ok(Self { seed: get_u64(v, "seed")?, n0: get_u64(v, "n0")?, rounds })
-    }
-
     /// Parse a trace from its JSON text.
-    pub fn from_json(text: &str) -> Result<Self, TraceError> {
-        let v: Value = serde_json::from_str(text).map_err(|_| TraceError::BadType("json"))?;
-        Self::from_value(&v)
+    pub fn from_json(text: &str) -> CkptResult<Self> {
+        Self::load(&serde_json::from_str(text).map_err(|e| CkptError::Parse(e.to_string()))?)
     }
 
     /// Pretty JSON text of the whole trace.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.to_value()).expect("trace is valid json")
+        serde_json::to_string_pretty(&self.save()).expect("trace is valid json")
     }
 
     /// Total number of delay observations across all rounds.
@@ -195,6 +118,7 @@ impl ClusterTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn sample() -> ClusterTrace {
         ClusterTrace {
@@ -238,25 +162,21 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_fields_are_typed_errors() {
-        assert_eq!(
-            ClusterTrace::from_value(&json!({ "seed": 1, "rounds": json!([]) })),
-            Err(TraceError::Missing("n0"))
-        );
-        assert_eq!(
-            ClusterTrace::from_value(&json!({ "seed": 1, "n0": "three", "rounds": json!([]) })),
-            Err(TraceError::BadType("n0"))
-        );
-        assert_eq!(ClusterTrace::from_json("not json"), Err(TraceError::BadType("json")));
-        assert_eq!(
-            RoundRecord::from_value(&json!({
-                "round": 0,
-                "blocked": json!([]),
-                "kills": json!([]),
-                "joins": json!([]),
-                "delays": json!([json!({ "from": 1, "to": 2, "sent_round": 0 })]),
-                "digests": json!([]),
-            })),
-            Err(TraceError::Missing("extra"))
-        );
+        let corrupt_naming = |r: CkptResult<ClusterTrace>, key: &str| matches!(r, Err(CkptError::Corrupt(m)) if m.contains(&format!("`{key}`")));
+        let missing = json!({ "seed": 1, "rounds": json!([]) });
+        assert!(corrupt_naming(ClusterTrace::load(&missing), "n0"));
+        let mistyped = json!({ "seed": 1, "n0": "three", "rounds": json!([]) });
+        assert!(corrupt_naming(ClusterTrace::load(&mistyped), "n0"));
+        assert!(matches!(ClusterTrace::from_json("not json"), Err(CkptError::Parse(_))));
+        let record = json!({
+            "round": 0,
+            "blocked": json!([]),
+            "kills": json!([]),
+            "joins": json!([]),
+            "delays": json!([json!({ "from": 1, "to": 2, "sent_round": 0 })]),
+            "digests": json!([]),
+        });
+        let err = RoundRecord::load(&record).unwrap_err().to_string();
+        assert!(err.contains("`delays`") && err.contains("`extra`"), "{err}");
     }
 }

@@ -30,4 +30,4 @@ pub mod epoch;
 pub mod overlay;
 
 pub use epoch::{run_epoch, BridgeMode, EpochInput, EpochOutput};
-pub use overlay::ExpanderOverlay;
+pub use overlay::{ExpanderOverlay, JoinPair};

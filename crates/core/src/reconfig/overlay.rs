@@ -23,8 +23,8 @@ pub struct ExpanderOverlay {
     bridge: BridgeMode,
     seed: u64,
     epoch: u64,
-    /// Joins received since the last reconfiguration: `(new, delegate)`.
-    pending_joins: Vec<(NodeId, NodeId)>,
+    /// Joins received since the last reconfiguration.
+    pending_joins: Vec<JoinPair>,
     /// Leave notices received since the last reconfiguration.
     pending_leaves: Vec<NodeId>,
     /// Total rounds consumed by completed epochs.
@@ -90,7 +90,7 @@ impl ExpanderOverlay {
                 "introduction target {} is not a member",
                 j.introduced_to
             );
-            self.pending_joins.push((j.new_node, j.introduced_to));
+            self.pending_joins.push(JoinPair { new: j.new_node, via: j.introduced_to });
         }
         for &l in &event.leaves {
             assert!(self.graph.contains(l), "leaver {l} is not a member");
@@ -115,13 +115,13 @@ impl ExpanderOverlay {
     /// racing a fresh crash in the same epoch must not enqueue twice).
     pub fn rejoin(&mut self, v: NodeId) {
         let staying = self.graph.contains(v) && !self.pending_leaves.contains(&v);
-        if staying || self.pending_joins.iter().any(|&(j, _)| j == v) {
+        if staying || self.pending_joins.iter().any(|j| j.new == v) {
             return;
         }
         let delegate =
             crate::healing::smallest_live_introducer(self.graph.nodes(), &self.pending_leaves, v)
                 .expect("overlay has staying members");
-        self.pending_joins.push((v, delegate));
+        self.pending_joins.push(JoinPair { new: v, via: delegate });
     }
 
     /// Run one reconfiguration epoch: the pending joins are integrated,
@@ -133,7 +133,7 @@ impl ExpanderOverlay {
         let out = run_epoch(EpochInput {
             graph: &self.graph,
             leaving: std::mem::take(&mut self.pending_leaves),
-            joins: std::mem::take(&mut self.pending_joins),
+            joins: self.pending_joins.drain(..).map(|j| (j.new, j.via)).collect(),
             bridge: self.bridge,
             params: self.params,
             seed: self.seed.wrapping_add(self.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -185,8 +185,8 @@ impl ExpanderOverlay {
             }
         }
         d.write_usize(self.pending_joins.len());
-        for &(new, delegate) in &self.pending_joins {
-            d.write_u64(new.raw()).write_u64(delegate.raw());
+        for j in &self.pending_joins {
+            d.write_u64(j.new.raw()).write_u64(j.via.raw());
         }
         d.write_usize(self.pending_leaves.len());
         for &l in &self.pending_leaves {
@@ -196,58 +196,37 @@ impl ExpanderOverlay {
     }
 }
 
-/// The checkpoint form of a join queue of `(joiner, introducer)` pairs,
-/// shared with the churn-DoS overlay: `[{"new": id, "via": id}, ...]`.
-pub(crate) fn save_pending_joins(joins: &[(NodeId, NodeId)]) -> serde_json::Value {
-    let pair =
-        |&(new, via): &(NodeId, NodeId)| serde_json::json!({ "new": new.raw(), "via": via.raw() });
-    serde_json::Value::Array(joins.iter().map(pair).collect())
+/// A join waiting for the next reconfiguration: the joiner and the
+/// member it was introduced to, which delegates it into the new topology.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JoinPair {
+    /// The joining node.
+    pub new: NodeId,
+    /// The member that introduced it.
+    pub via: NodeId,
 }
 
-/// Read back the `"pending_joins"` member [`save_pending_joins`] wrote.
-pub(crate) fn load_pending_joins(
-    v: &serde_json::Value,
-) -> simnet::CkptResult<Vec<(NodeId, NodeId)>> {
-    use simnet::checkpoint::{get_array, get_u64};
-    let pair = |j: &serde_json::Value| Ok((NodeId(get_u64(j, "new")?), NodeId(get_u64(j, "via")?)));
-    get_array(v, "pending_joins")?.iter().map(pair).collect()
-}
-
-impl simnet::Checkpoint for ExpanderOverlay {
-    fn save(&self) -> serde_json::Value {
-        serde_json::json!({
-            "format": "expander-overlay-checkpoint",
-            "graph": self.graph.save(),
-            "params": self.params.save(),
-            "bridge": self.bridge.save(),
-            "seed": self.seed,
-            "epoch": self.epoch,
-            "pending_joins": save_pending_joins(&self.pending_joins),
-            "pending_leaves": simnet::checkpoint::save_slice(&self.pending_leaves),
-            "total_rounds": self.total_rounds,
-            "digest_stamp": self.state_digest(),
-        })
+simnet::checkpoint_schema! {
+    JoinPair {
+        fields { new, via }
     }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{check_format, field, get_u64, get_vec};
-        check_format(v, "expander-overlay-checkpoint")?;
-        let ov = Self {
-            graph: HGraph::load(field(v, "graph")?)?,
-            params: SamplingParams::load(field(v, "params")?)?,
-            bridge: BridgeMode::load(field(v, "bridge")?)?,
-            seed: get_u64(v, "seed")?,
-            epoch: get_u64(v, "epoch")?,
-            pending_joins: load_pending_joins(v)?,
-            pending_leaves: get_vec(v, "pending_leaves")?,
-            total_rounds: get_u64(v, "total_rounds")?,
-            tel: Telemetry::disabled(),
-        };
-        let stamped = get_u64(v, "digest_stamp")?;
-        let restored = ov.state_digest();
-        if restored != stamped {
-            return Err(simnet::CkptError::DigestMismatch { stamped, restored });
+}
+
+simnet::checkpoint_schema! {
+    ExpanderOverlay {
+        format: "expander-overlay-checkpoint",
+        stamp: state_digest,
+        fields {
+            graph,
+            params: undigested "parameters: they shape the next epoch, not the topology",
+            bridge: undigested "Phase 3 mode: it shapes the next epoch, not the topology",
+            seed: undigested "seed of the epoch draws: it shapes the next epoch only",
+            epoch,
+            pending_joins,
+            pending_leaves,
+            total_rounds,
         }
-        Ok(ov)
+        skip { tel: Telemetry::disabled() }
     }
 }
 

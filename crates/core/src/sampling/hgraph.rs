@@ -188,44 +188,27 @@ impl simnet::Checkpoint for SampleMsg {
         }
     }
     fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{get_str, get_u64};
+        use simnet::checkpoint::{get, get_str};
         match get_str(v, "kind")? {
             "request" => Ok(SampleMsg::Request),
-            "response" => Ok(SampleMsg::Response(NodeId(get_u64(v, "v")?))),
+            "response" => Ok(SampleMsg::Response(get(v, "v")?)),
             other => Err(simnet::CkptError::Corrupt(format!("unknown SampleMsg `{other}`"))),
         }
     }
 }
 
-impl simnet::Checkpoint for Alg1Node {
-    fn save(&self) -> serde_json::Value {
-        use simnet::checkpoint::save_slice;
-        serde_json::json!({
-            "schedule": self.schedule.save(),
-            "neighbors": save_slice(&self.neighbors),
-            "m": save_slice(&self.m),
-            "iter": self.iter as u64,
-            "failures": self.failures,
-            "samples": match &self.samples {
-                None => serde_json::Value::Null,
-                Some(s) => save_slice(s),
-            },
-        })
-    }
-    fn load(v: &serde_json::Value) -> simnet::CkptResult<Self> {
-        use simnet::checkpoint::{field, get_u64, get_usize, get_vec, load_vec};
-        let samples = match field(v, "samples")? {
-            serde_json::Value::Null => None,
-            s => Some(load_vec(s)?),
-        };
-        Ok(Self {
-            schedule: Arc::new(Schedule::load(field(v, "schedule")?)?),
-            neighbors: get_vec(v, "neighbors")?,
-            m: get_vec(v, "m")?,
-            iter: get_usize(v, "iter")?,
-            failures: get_u64(v, "failures")?,
+simnet::checkpoint_schema! {
+    Alg1Node {
+        fields {
+            schedule: undigested "the round digest does not cover it; the invariants below do",
+            neighbors: undigested "the round digest does not cover it; it must not be empty"
+                where |s| !s.neighbors.is_empty() => "a sampler node needs neighbors",
+            m,
+            iter where |s| s.iter <= s.schedule.iterations
+                => format!("{} past the schedule's {} iterations", s.iter, s.schedule.iterations),
+            failures,
             samples,
-        })
+        }
     }
 }
 
@@ -350,6 +333,34 @@ mod tests {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         HGraph::random(&nodes, 8, &mut rng)
+    }
+
+    /// A saved sampler node with member `key` replaced by `value`.
+    fn node_with(key: &str, value: serde_json::Value) -> serde_json::Value {
+        let schedule = Arc::new(Schedule::algorithm1(64, 8, &SamplingParams::default()));
+        let node = Alg1Node::new(schedule, graph(64, 1).neighbors(NodeId(0)));
+        let serde_json::Value::Object(mut saved) = simnet::Checkpoint::save(&node) else {
+            unreachable!("a node saves as an object")
+        };
+        saved.insert(key.into(), value);
+        serde_json::Value::Object(saved)
+    }
+
+    /// Neither `schedule` nor `neighbors` is in the node's digest, so a
+    /// short schedule or an empty neighbor list would pass an engine's
+    /// stamp and then index past the end mid-run.
+    #[test]
+    fn load_refuses_what_the_digest_does_not_cover() {
+        use simnet::{Checkpoint, CkptError};
+        let short = serde_json::json!({ "iterations": 3u64, "m": vec![9u64, 3] });
+        let empty = serde_json::Value::Array(Vec::new());
+        for (key, value) in [("schedule", short), ("neighbors", empty), ("iter", 99u64.into())] {
+            match Alg1Node::load(&node_with(key, value)) {
+                Err(CkptError::Corrupt(m)) => assert!(m.contains(&format!("`{key}`")), "{m}"),
+                Err(e) => panic!("{key}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{key}: loaded"),
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::{HGraph, HamiltonCycle, Hypercube, Label, PrefixCover};
 use serde_json::Value;
-use simnet::checkpoint::{get_u64, get_vec, missing, Checkpoint, CkptError, CkptResult};
+use simnet::checkpoint::{get, missing, Checkpoint, CkptError, CkptResult};
 use simnet::NodeId;
 
 impl Checkpoint for HamiltonCycle {
@@ -18,6 +18,11 @@ impl Checkpoint for HamiltonCycle {
         let order: Vec<NodeId> = simnet::checkpoint::load_vec(v)?;
         if order.len() < 3 {
             return Err(CkptError::Corrupt("hamilton cycle shorter than 3".into()));
+        }
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            return Err(CkptError::Corrupt(format!("hamilton cycle visits {} twice", w[0])));
         }
         Ok(HamiltonCycle::from_order(order))
     }
@@ -31,10 +36,14 @@ impl Checkpoint for HGraph {
         })
     }
 
+    /// Each cycle visits its nodes once, so one of `nodes.len()` nodes
+    /// that holds every member of `nodes` covers exactly that set.
     fn load(v: &Value) -> CkptResult<Self> {
-        let nodes: Vec<NodeId> = get_vec(v, "nodes")?;
-        let cycles: Vec<HamiltonCycle> = get_vec(v, "cycles")?;
-        if cycles.is_empty() || cycles.iter().any(|c| c.len() != nodes.len()) {
+        let nodes: Vec<NodeId> = get(v, "nodes")?;
+        let cycles: Vec<HamiltonCycle> = get(v, "cycles")?;
+        let covers =
+            |c: &HamiltonCycle| c.len() == nodes.len() && nodes.iter().all(|&u| c.contains(u));
+        if cycles.is_empty() || !cycles.iter().all(covers) {
             return Err(CkptError::Corrupt("h-graph cycles do not cover the node set".into()));
         }
         Ok(HGraph::from_cycles(nodes, cycles))
@@ -47,11 +56,11 @@ impl Checkpoint for Hypercube {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        let dim = get_u64(v, "dim")? as u32;
+        let dim: u64 = get(v, "dim")?;
         if !(1..=63).contains(&dim) {
-            return Err(CkptError::Corrupt(format!("hypercube dimension {dim}")));
+            return Err(CkptError::Corrupt(format!("`dim`: hypercube dimension {dim}")));
         }
-        Ok(Hypercube::new(dim))
+        Ok(Hypercube::new(dim as u32))
     }
 }
 
@@ -61,11 +70,11 @@ impl Checkpoint for Label {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        let len = get_u64(v, "len")?;
+        let len: u64 = get(v, "len")?;
         if len > Label::MAX_LEN as u64 {
             return Err(CkptError::Corrupt(format!("label length {len}")));
         }
-        Ok(Label::new(get_u64(v, "bits")?, len as u8))
+        Ok(Label::new(get(v, "bits")?, len as u8))
     }
 }
 
@@ -114,6 +123,24 @@ mod tests {
         // A non-cover must be rejected.
         let broken = Value::Array(vec![Label::new(0, 2).save()]);
         assert!(PrefixCover::load(&broken).is_err());
+    }
+
+    #[test]
+    fn hamilton_cycle_visiting_a_node_twice_is_corrupt() {
+        let order = Value::Array([1u64, 2, 3, 2].map(Value::from).to_vec());
+        let err = HamiltonCycle::load(&order).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt(ref m) if m.contains("n2 twice")), "{err}");
+    }
+
+    #[test]
+    fn hgraph_cycle_missing_a_node_is_corrupt() {
+        let ids = |ids: &[u64]| Value::Array(ids.iter().map(|&i| Value::from(i)).collect());
+        let v = serde_json::json!({
+            "nodes": ids(&[0, 1, 2, 3]),
+            "cycles": Value::Array(vec![ids(&[0, 1, 2, 3]), ids(&[0, 1, 2, 9])]),
+        });
+        let err = HGraph::load(&v).unwrap_err();
+        assert!(matches!(err, CkptError::Corrupt(ref m) if m.contains("cover")), "{err}");
     }
 
     #[test]

@@ -1332,20 +1332,20 @@ impl<P: Protocol> SimEngine<P> for XlNetwork<P> {
 
 use serde_json::Value;
 use simnet::checkpoint::{
-    check_format, field, get_array, get_bool, get_str, get_u64, missing, write_value_atomic,
-    Checkpoint, CkptError, CkptResult,
+    check_format, check_stamp, get, get_array, get_str, missing, write_value_atomic, Checkpoint,
+    CkptError, CkptResult,
 };
 
 /// The execution-mode stamp of a checkpoint. Checkpoints written before
 /// the stamp existed carry no field and are parity by definition (no
-/// relaxed-order writer existed then).
+/// relaxed-order writer existed then); a stamp that is present must be a
+/// known mode's name.
 fn exec_mode_of(v: &Value) -> CkptResult<ExecMode> {
-    match get_str(v, "exec_mode") {
-        Err(_) => Ok(ExecMode::Parity),
-        Ok(s) => {
-            ExecMode::parse(s).ok_or_else(|| CkptError::Corrupt(format!("unknown exec mode `{s}`")))
-        }
+    if v.get("exec_mode").is_none() {
+        return Ok(ExecMode::Parity);
     }
+    let s = get_str(v, "exec_mode")?;
+    ExecMode::parse(s).ok_or_else(|| CkptError::Corrupt(format!("unknown exec mode `{s}`")))
 }
 
 /// The strict loaders' check: the checkpoint was written in `mode`.
@@ -1481,22 +1481,22 @@ where
                 return Err(CkptError::Corrupt(format!("unknown par mode `{name}`")));
             }
         }
-        let mut net = backend.build(get_u64(v, "master_seed")?);
-        net.round = get_u64(v, "round")?;
-        net.digests_enabled = get_bool(v, "digests_enabled")?;
-        net.prev_blocked = BlockSet::load(field(v, "prev_blocked")?)?;
-        net.faults = FaultModel::load(field(v, "faults")?)?;
+        let mut net = backend.build(get(v, "master_seed")?);
+        net.round = get(v, "round")?;
+        net.digests_enabled = get(v, "digests_enabled")?;
+        net.prev_blocked = get(v, "prev_blocked")?;
+        net.faults = get(v, "faults")?;
 
         for (seq, slot) in get_array(v, "slots")?.iter().enumerate() {
             net.seq_local.push(VACANT);
             match slot {
                 Value::Null => {}
                 s => {
-                    let id = NodeId(get_u64(s, "id")?);
+                    let id: NodeId = get(s, "id")?;
                     if net.idmap.contains_key(&id) {
                         return Err(CkptError::Corrupt(format!("duplicate node id {id}")));
                     }
-                    let outbox: Vec<Envelope<P::Msg>> = simnet::checkpoint::get_vec(s, "outbox")?;
+                    let outbox: Vec<Envelope<P::Msg>> = get(s, "outbox")?;
                     if !outbox.is_empty() {
                         return Err(CkptError::Corrupt(format!(
                             "node {id} has a non-empty outbox: mid-round checkpoints are not \
@@ -1509,9 +1509,9 @@ where
                     let local = shard.ids.len();
                     shard.ids.push(id);
                     shard.seqs.push(seq);
-                    shard.protos.push(P::load(field(s, "proto")?)?);
-                    shard.rngs.push(NodeRng::load(field(s, "rng")?)?);
-                    shard.inboxes.push(simnet::checkpoint::get_vec(s, "inbox")?);
+                    shard.protos.push(get(s, "proto")?);
+                    shard.rngs.push(get(s, "rng")?);
+                    shard.inboxes.push(get(s, "inbox")?);
                     shard.flags.push(false);
                     shard.work_bits.push(0);
                     shard.work_msgs.push(0);
@@ -1528,7 +1528,7 @@ where
             })
             .collect::<CkptResult<Vec<u32>>>()?;
 
-        let in_flight: Vec<Envelope<P::Msg>> = simnet::checkpoint::get_vec(v, "in_flight")?;
+        let in_flight: Vec<Envelope<P::Msg>> = get(v, "in_flight")?;
         match v.get("in_flight_keys") {
             Some(keys) if net.mode == ExecMode::Fast => {
                 // Fast resume: scatter pending messages back into the
@@ -1567,14 +1567,9 @@ where
             }
         }
         for entry in get_array(v, "delayed")? {
-            net.delayed.push((get_u64(entry, "due")?, Envelope::load(field(entry, "env")?)?));
+            net.delayed.push((get(entry, "due")?, get(entry, "env")?));
         }
-
-        let stamped = get_u64(v, "digest_stamp")?;
-        let restored = net.round_digest();
-        if restored != stamped {
-            return Err(CkptError::DigestMismatch { stamped, restored });
-        }
+        check_stamp(v, net.round_digest())?;
         Ok(net)
     }
 

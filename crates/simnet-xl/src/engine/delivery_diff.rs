@@ -158,25 +158,9 @@ impl Protocol for Probe {
     }
 }
 
-impl Checkpoint for Probe {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "next": self.next.raw(),
-            "universe": self.universe,
-            "heat": self.heat,
-            "rounds_left": self.rounds_left,
-            "last_ran": self.last_ran,
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            next: NodeId(get_u64(v, "next")?),
-            universe: get_u64(v, "universe")?,
-            heat: get_u64(v, "heat")?,
-            rounds_left: get_u64(v, "rounds_left")?,
-            last_ran: get_u64(v, "last_ran")?,
-        })
+simnet::checkpoint_schema! {
+    Probe {
+        fields { next, universe, heat, rounds_left, last_ran }
     }
 }
 

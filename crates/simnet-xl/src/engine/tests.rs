@@ -1,7 +1,6 @@
 use super::delivery_diff::counters;
 use super::*;
 use rand::RngCore;
-use simnet::checkpoint::save_slice;
 use simnet::conduct::{ByzantineConduct, PPM};
 use simnet::fault::{LinkFaults, NodeFault, Partition};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,21 +61,9 @@ impl Protocol for Gossip {
     }
 }
 
-impl Checkpoint for Gossip {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "peers": save_slice(&self.peers),
-            "heat": self.heat,
-            "rounds_left": self.rounds_left,
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            peers: simnet::checkpoint::get_vec(v, "peers")?,
-            heat: get_u64(v, "heat")?,
-            rounds_left: get_u64(v, "rounds_left")?,
-        })
+simnet::checkpoint_schema! {
+    Gossip {
+        fields { peers, heat, rounds_left }
     }
 }
 
@@ -736,21 +723,9 @@ impl Protocol for Relay {
     }
 }
 
-impl Checkpoint for Relay {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "next": self.next.raw(),
-            "received": self.received,
-            "fire": self.fire,
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            next: NodeId(get_u64(v, "next")?),
-            received: get_u64(v, "received")?,
-            fire: get_bool(v, "fire")?,
-        })
+simnet::checkpoint_schema! {
+    Relay {
+        fields { next, received, fire }
     }
 }
 

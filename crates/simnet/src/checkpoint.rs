@@ -14,10 +14,11 @@
 use crate::rng::NodeRng;
 use crate::NodeId;
 use rand_chacha::ChaChaState;
-use serde_json::Value;
+pub use serde_json::{Map, Value};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Why a checkpoint could not be loaded.
 #[derive(Debug)]
@@ -116,24 +117,33 @@ pub fn missing(what: &str) -> CkptError {
     CkptError::Corrupt(format!("missing or mistyped field `{what}`"))
 }
 
+/// A value of the wrong JSON kind for its codec.
+fn expected(what: &str) -> CkptError {
+    CkptError::Corrupt(format!("mistyped value, expected {what}"))
+}
+
 /// Fetch an object member or fail with a named error.
-pub fn field<'v>(v: &'v Value, name: &str) -> CkptResult<&'v Value> {
+fn field<'v>(v: &'v Value, name: &str) -> CkptResult<&'v Value> {
     v.get(name).ok_or_else(|| missing(name))
 }
 
-/// Fetch a `u64` member.
-pub fn get_u64(v: &Value, name: &str) -> CkptResult<u64> {
-    field(v, name)?.as_u64().ok_or_else(|| missing(name))
+/// Fetch member `key` of `v` through its type's [`Checkpoint`] codec. A
+/// missing member, or one its codec refuses, is [`CkptError::Corrupt`]
+/// naming `key` (nested members name their whole path).
+pub fn get<T: Checkpoint>(v: &Value, key: &str) -> CkptResult<T> {
+    get_with(v, key, T::load)
 }
 
-/// Fetch a `usize` member.
-pub fn get_usize(v: &Value, name: &str) -> CkptResult<usize> {
-    Ok(get_u64(v, name)? as usize)
-}
-
-/// Fetch a `bool` member.
-pub fn get_bool(v: &Value, name: &str) -> CkptResult<bool> {
-    field(v, name)?.as_bool().ok_or_else(|| missing(name))
+/// [`get`] through the codec `load` instead of the member type's own.
+pub fn get_with<T>(
+    v: &Value,
+    key: &str,
+    load: impl FnOnce(&Value) -> CkptResult<T>,
+) -> CkptResult<T> {
+    load(field(v, key)?).map_err(|e| match e {
+        CkptError::Corrupt(m) => CkptError::Corrupt(format!("`{key}`: {m}")),
+        e => e,
+    })
 }
 
 /// Fetch a string member.
@@ -151,19 +161,20 @@ pub fn check_format(v: &Value, expected: &str) -> CkptResult<()> {
     }
 }
 
+/// Check the `"digest_stamp"` a checkpoint was written with against the
+/// digest of the state `restored` from it: a corrupt or hand-edited file
+/// is refused instead of silently diverging.
+pub fn check_stamp(v: &Value, restored: u64) -> CkptResult<()> {
+    let stamped = get(v, "digest_stamp")?;
+    if restored != stamped {
+        return Err(CkptError::DigestMismatch { stamped, restored });
+    }
+    Ok(())
+}
+
 /// Fetch an array member.
 pub fn get_array<'v>(v: &'v Value, name: &str) -> CkptResult<&'v Vec<Value>> {
     field(v, name)?.as_array().ok_or_else(|| missing(name))
-}
-
-/// Encode an `f64` exactly, as its IEEE-754 bit pattern.
-pub fn f64_bits(x: f64) -> Value {
-    Value::from(x.to_bits())
-}
-
-/// Decode an `f64` stored via [`f64_bits`].
-pub fn get_f64_bits(v: &Value, name: &str) -> CkptResult<f64> {
-    Ok(f64::from_bits(get_u64(v, name)?))
 }
 
 /// Serialize a slice of checkpointable items.
@@ -173,13 +184,168 @@ pub fn save_slice<T: Checkpoint>(items: &[T]) -> Value {
 
 /// Deserialize a vector of checkpointable items.
 pub fn load_vec<T: Checkpoint>(v: &Value) -> CkptResult<Vec<T>> {
-    v.as_array().ok_or_else(|| missing("array"))?.iter().map(T::load).collect()
+    v.as_array().ok_or_else(|| expected("array"))?.iter().map(T::load).collect()
 }
 
-/// Fetch and deserialize a vector member.
-pub fn get_vec<T: Checkpoint>(v: &Value, name: &str) -> CkptResult<Vec<T>> {
-    load_vec(field(v, name)?)
+// ---------------------------------------------------------------------------
+// Schemas: a type's persisted members, declared once
+// ---------------------------------------------------------------------------
+
+/// One persisted member of a [`Schema`] type.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FieldKey {
+    /// The JSON key.
+    pub key: &'static str,
+    /// For a member of a stamped type that the digest stamp does not
+    /// cover: why not, and what checks it instead.
+    pub undigested: Option<&'static str>,
 }
+
+/// A type whose persisted members are declared once, by
+/// [`checkpoint_schema!`](crate::checkpoint_schema), which generates this
+/// impl and the type's [`Checkpoint`] impl from the declaration.
+pub trait Schema: Checkpoint {
+    /// Every key `save` writes, in declaration order: `"format"` and
+    /// `"digest_stamp"` when declared, then the members, then the keys of
+    /// each flattened member.
+    fn keys() -> Vec<FieldKey>;
+    /// Write the members into `out` (no format tag, no stamp).
+    fn save_into(&self, out: &mut Map);
+    /// Decode the members of `v`, checking neither stamp nor invariants.
+    fn load_fields(v: &Value) -> CkptResult<Self>;
+    /// The declared invariants, a flattened member's included.
+    fn check(&self) -> CkptResult<()>;
+}
+
+/// Declare the persisted members of a struct once and generate its
+/// [`Checkpoint`] and [`Schema`] impls from the list.
+///
+/// ```ignore
+/// checkpoint_schema! {
+///     LinkFaults {
+///         fields { drop_prob => "drop_bits", max_delay }
+///     }
+/// }
+/// ```
+///
+/// Each member is saved under its name, or under the key after `=>`,
+/// through its type's [`Checkpoint`] impl, or through the `save` and
+/// `load` functions of module `<codec>` after `with <codec>` (for a type
+/// whose own impl writes another shape). After the member may come
+/// `: undigested "<why>"` (the stamp does not cover it) and an invariant
+/// `where |s| <holds> => <message>`, checked on the restored value; a
+/// breach is [`CkptError::Corrupt`] naming the key. Optional sections, in
+/// this order:
+///
+/// - `format: "<tag>",` — written first, checked by [`check_format`];
+/// - `stamp: <method>,` — `self.<method>()` is saved as `"digest_stamp"`
+///   and [`check_stamp`] verifies it after decoding, before the
+///   invariants;
+/// - `flat { <member>: <Type> }` — a [`Schema`] member whose keys sit in
+///   this object; its invariants are checked after this type's stamp;
+/// - `skip { <member>: <init> }` — state that is not persisted, rebuilt
+///   by `<init>` on load.
+///
+/// `load` builds `Self { .. }` from every section, so a struct member
+/// that is not declared does not compile.
+#[macro_export]
+macro_rules! checkpoint_schema {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident => $key:literal) => { $key };
+    (@save $value:expr) => { $crate::checkpoint::Checkpoint::save($value) };
+    (@save $value:expr, $codec:ident) => { $codec::save($value) };
+    (@load $v:ident $key:expr) => { $crate::checkpoint::get($v, $key) };
+    (@load $v:ident $key:expr, $codec:ident) => {
+        $crate::checkpoint::get_with($v, $key, $codec::load)
+    };
+    (@opt) => { None };
+    (@opt $why:literal) => { Some($why) };
+    (@first $key:literal $($driver:tt)*) => { $key };
+    (@check $this:ident $key:expr) => {};
+    (@check $this:ident $key:expr, |$s:ident| $holds:expr => $why:expr) => {{
+        let $s = $this;
+        if !$holds {
+            return Err($crate::CkptError::Corrupt(format!("`{}`: {}", $key, $why)));
+        }
+    }};
+    (
+        $name:ident $(<$($param:ident: $bound:path),+>)? {
+            $(format: $format:literal,)?
+            $(stamp: $stamp:ident,)?
+            fields {
+                $($field:ident $(=> $key:literal)? $(with $codec:ident)?
+                    $(: undigested $undigested:literal)?
+                    $(where |$s:ident| $holds:expr => $why:expr)?),+ $(,)?
+            }
+            $(flat { $($flat:ident: $flat_ty:ty),+ $(,)? })?
+            $(skip { $($skip:ident: $skip_init:expr),+ $(,)? })?
+        }
+    ) => {
+        impl$(<$($param: $bound),+>)? $crate::checkpoint::Schema for $name$(<$($param),+>)? {
+            fn keys() -> Vec<$crate::checkpoint::FieldKey> {
+                let key = |key, undigested| $crate::checkpoint::FieldKey { key, undigested };
+                let own = vec![
+                    $(key($crate::checkpoint_schema!(@first "format" $format), None),)?
+                    $(key($crate::checkpoint_schema!(@first "digest_stamp" $stamp), None),)?
+                    $(key(
+                        $crate::checkpoint_schema!(@key $field $(=> $key)?),
+                        $crate::checkpoint_schema!(@opt $($undigested)?),
+                    ),)+
+                ];
+                [own, $($(<$flat_ty as $crate::checkpoint::Schema>::keys()),+)?].concat()
+            }
+
+            fn save_into(&self, out: &mut $crate::checkpoint::Map) {
+                $(out.insert(
+                    $crate::checkpoint_schema!(@key $field $(=> $key)?).into(),
+                    $crate::checkpoint_schema!(@save &self.$field $(, $codec)?),
+                );)+
+                $($($crate::checkpoint::Schema::save_into(&self.$flat, out);)+)?
+            }
+
+            fn load_fields(v: &$crate::checkpoint::Value) -> $crate::CkptResult<Self> {
+                Ok(Self {
+                    $($field: $crate::checkpoint_schema!(
+                        @load v $crate::checkpoint_schema!(@key $field $(=> $key)?) $(, $codec)?
+                    )?,)+
+                    $($($flat: <$flat_ty as $crate::checkpoint::Schema>::load_fields(v)?,)+)?
+                    $($($skip: $skip_init,)+)?
+                })
+            }
+
+            fn check(&self) -> $crate::CkptResult<()> {
+                $($crate::checkpoint_schema!(
+                    @check self $crate::checkpoint_schema!(@key $field $(=> $key)?)
+                    $(, |$s| $holds => $why)?
+                );)+
+                $($($crate::checkpoint::Schema::check(&self.$flat)?;)+)?
+                Ok(())
+            }
+        }
+
+        impl$(<$($param: $bound),+>)? $crate::checkpoint::Checkpoint for $name$(<$($param),+>)? {
+            fn save(&self) -> $crate::checkpoint::Value {
+                let mut out = $crate::checkpoint::Map::new();
+                $(out.insert("format".into(), $crate::checkpoint::Value::from($format));)?
+                $crate::checkpoint::Schema::save_into(self, &mut out);
+                $(out.insert("digest_stamp".into(), $crate::checkpoint::Value::from(self.$stamp()));)?
+                $crate::checkpoint::Value::Object(out)
+            }
+
+            fn load(v: &$crate::checkpoint::Value) -> $crate::CkptResult<Self> {
+                $($crate::checkpoint::check_format(v, $format)?;)?
+                let restored = <Self as $crate::checkpoint::Schema>::load_fields(v)?;
+                $($crate::checkpoint::check_stamp(v, restored.$stamp())?;)?
+                $crate::checkpoint::Schema::check(&restored)?;
+                Ok(restored)
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------------
+// Codecs
+// ---------------------------------------------------------------------------
 
 impl Checkpoint for NodeId {
     fn save(&self) -> Value {
@@ -187,7 +353,7 @@ impl Checkpoint for NodeId {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        Ok(NodeId(v.as_u64().ok_or_else(|| missing("node id"))?))
+        u64::load(v).map(NodeId)
     }
 }
 
@@ -197,7 +363,7 @@ impl Checkpoint for u64 {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        v.as_u64().ok_or_else(|| missing("u64"))
+        v.as_u64().ok_or_else(|| expected("an unsigned integer"))
     }
 }
 
@@ -207,7 +373,51 @@ impl Checkpoint for usize {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        Ok(v.as_u64().ok_or_else(|| missing("usize"))? as usize)
+        let x = u64::load(v)?;
+        usize::try_from(x).map_err(|_| CkptError::Corrupt(format!("{x} exceeds usize")))
+    }
+}
+
+/// Exact, as the IEEE-754 bit pattern: a decimal would not restore the
+/// same value, and replay digests would diverge.
+impl Checkpoint for f64 {
+    fn save(&self) -> Value {
+        Value::from(self.to_bits())
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        u64::load(v).map(f64::from_bits)
+    }
+}
+
+impl Checkpoint for bool {
+    fn save(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        v.as_bool().ok_or_else(|| expected("a boolean"))
+    }
+}
+
+impl Checkpoint for String {
+    fn save(&self) -> Value {
+        Value::from(self.as_str())
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        v.as_str().map(str::to_string).ok_or_else(|| expected("a string"))
+    }
+}
+
+/// Any JSON, verbatim.
+impl Checkpoint for Value {
+    fn save(&self) -> Value {
+        self.clone()
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        Ok(v.clone())
     }
 }
 
@@ -218,6 +428,30 @@ impl Checkpoint for () {
 
     fn load(_v: &Value) -> CkptResult<Self> {
         Ok(())
+    }
+}
+
+/// `None` as `null`.
+impl<T: Checkpoint> Checkpoint for Option<T> {
+    fn save(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::save)
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::load(v).map(Some),
+        }
+    }
+}
+
+impl<T: Checkpoint> Checkpoint for Arc<T> {
+    fn save(&self) -> Value {
+        T::save(self)
+    }
+
+    fn load(v: &Value) -> CkptResult<Self> {
+        T::load(v).map(Arc::new)
     }
 }
 
@@ -274,11 +508,11 @@ impl Checkpoint for NodeRng {
         // its first on construction, so a saved counter is at least 1
         // (`from_state` would wrap 0 to block 2^64 - 1); `pos` indexes the
         // 16-word block, 16 meaning exhausted.
-        let counter = get_u64(v, "counter")?;
+        let counter: u64 = get(v, "counter")?;
         if counter == 0 {
             return Err(CkptError::Corrupt("rng `counter` is 0, below the first block".into()));
         }
-        let pos = get_usize(v, "pos")?;
+        let pos: usize = get(v, "pos")?;
         if pos > 16 {
             return Err(CkptError::Corrupt(format!("rng `pos` {pos} is past the 16-word block")));
         }
@@ -427,10 +661,10 @@ mod tests {
     #[test]
     fn f64_bits_are_exact() {
         for x in [0.1, 0.30000000000000004, f64::MIN_POSITIVE, 1.0 / 3.0] {
-            let v = serde_json::json!({ "x": f64_bits(x) });
+            let v = serde_json::json!({ "x": x.save() });
             let text = serde_json::to_string(&v).unwrap();
             let back = serde_json::from_str(&text).unwrap();
-            assert_eq!(get_f64_bits(&back, "x").unwrap(), x);
+            assert_eq!(get::<f64>(&back, "x").unwrap(), x);
         }
     }
 

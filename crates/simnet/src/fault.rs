@@ -612,9 +612,7 @@ impl BurstSchedule {
 // Checkpointing
 // ---------------------------------------------------------------------------
 
-use crate::checkpoint::{
-    f64_bits, field, get_f64_bits, get_str, get_u64, missing, Checkpoint, CkptResult,
-};
+use crate::checkpoint::{get, get_array, get_str, missing, Checkpoint, CkptError, CkptResult};
 use serde_json::Value;
 
 impl Checkpoint for BlockSet {
@@ -633,23 +631,14 @@ impl Checkpoint for BlockSet {
     }
 }
 
-impl Checkpoint for LinkFaults {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "drop_bits": f64_bits(self.drop_prob),
-            "dup_bits": f64_bits(self.dup_prob),
-            "delay_bits": f64_bits(self.delay_prob),
-            "max_delay": self.max_delay,
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            drop_prob: get_f64_bits(v, "drop_bits")?,
-            dup_prob: get_f64_bits(v, "dup_bits")?,
-            delay_prob: get_f64_bits(v, "delay_bits")?,
-            max_delay: get_u64(v, "max_delay")?,
-        })
+crate::checkpoint_schema! {
+    LinkFaults {
+        fields {
+            drop_prob => "drop_bits",
+            dup_prob => "dup_bits",
+            delay_prob => "delay_bits",
+            max_delay,
+        }
     }
 }
 
@@ -665,30 +654,18 @@ impl Checkpoint for NodeFault {
 
     fn load(v: &Value) -> CkptResult<Self> {
         match get_str(v, "kind")? {
-            "stop" => Ok(NodeFault::CrashStop { at: get_u64(v, "at")? }),
-            "recover" => Ok(NodeFault::CrashRecover {
-                at: get_u64(v, "at")?,
-                down_for: get_u64(v, "down_for")?,
-            }),
-            other => Err(crate::checkpoint::CkptError::Corrupt(format!(
-                "unknown node-fault kind `{other}`"
-            ))),
+            "stop" => Ok(NodeFault::CrashStop { at: get(v, "at")? }),
+            "recover" => {
+                Ok(NodeFault::CrashRecover { at: get(v, "at")?, down_for: get(v, "down_for")? })
+            }
+            other => Err(CkptError::Corrupt(format!("unknown node-fault kind `{other}`"))),
         }
     }
 }
 
-impl Checkpoint for Partition {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "side": self.side.save(),
-            "from": self.from,
-            "until": self.until,
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        let side = IdSet::load(field(v, "side")?)?;
-        Ok(Self { side, from: get_u64(v, "from")?, until: get_u64(v, "until")? })
+crate::checkpoint_schema! {
+    Partition {
+        fields { side, from, until }
     }
 }
 
@@ -702,10 +679,7 @@ impl Checkpoint for FaultModel {
                     .map(|(v, f)| serde_json::json!({ "node": v.raw(), "fault": f.save() }))
                     .collect(),
             ),
-            "partition": match &self.partition {
-                Some(p) => p.save(),
-                None => Value::Null,
-            },
+            "partition": self.partition.save(),
             "rng": self.rng.save(),
         });
         // Written only when present: checkpoints of schedule-free models
@@ -734,30 +708,21 @@ impl Checkpoint for FaultModel {
 
     fn load(v: &Value) -> CkptResult<Self> {
         let mut listed = Vec::new();
-        for entry in crate::checkpoint::get_array(v, "node_faults")? {
-            listed
-                .push((NodeId(get_u64(entry, "node")?), NodeFault::load(field(entry, "fault")?)?));
+        for entry in get_array(v, "node_faults")? {
+            listed.push((get(entry, "node")?, get(entry, "fault")?));
         }
         let node_faults = IdRun::from_unsorted(listed).map_err(|(node, _, _)| {
-            crate::checkpoint::CkptError::Corrupt(format!("node_faults lists {node} twice"))
+            CkptError::Corrupt(format!("node_faults lists {node} twice"))
         })?;
-        let partition = match field(v, "partition")? {
-            Value::Null => None,
-            p => Some(Partition::load(p)?),
-        };
         // Absent in pre-schedule checkpoints: treat as empty.
         let mut scheduled = BTreeMap::new();
         if v.get("scheduled").is_some() {
-            for entry in crate::checkpoint::get_array(v, "scheduled")? {
-                let key =
-                    (get_u64(entry, "from")?, get_u64(entry, "to")?, get_u64(entry, "sent_round")?);
-                let extras = crate::checkpoint::get_array(entry, "extras")?
-                    .iter()
-                    .map(|x| x.as_u64().ok_or_else(|| missing("scheduled extra")))
-                    .collect::<CkptResult<Vec<u64>>>()?;
-                let next = get_u64(entry, "next")? as usize;
+            for entry in get_array(v, "scheduled")? {
+                let key = (get(entry, "from")?, get(entry, "to")?, get(entry, "sent_round")?);
+                let extras: Vec<u64> = get(entry, "extras")?;
+                let next: usize = get(entry, "next")?;
                 if next > extras.len() {
-                    return Err(crate::checkpoint::CkptError::Corrupt(format!(
+                    return Err(CkptError::Corrupt(format!(
                         "scheduled-delay cursor {next} beyond {} extras",
                         extras.len()
                     )));
@@ -766,106 +731,47 @@ impl Checkpoint for FaultModel {
             }
         }
         Ok(Self {
-            link: LinkFaults::load(field(v, "link")?)?,
+            link: get(v, "link")?,
             node_faults,
-            partition,
+            partition: get(v, "partition")?,
             scheduled,
-            rng: NodeRng::load(field(v, "rng")?)?,
+            rng: get(v, "rng")?,
         })
     }
 }
 
-impl Checkpoint for Burst {
+impl Checkpoint for BurstTarget {
     fn save(&self) -> Value {
-        serde_json::json!({
-            "at": self.at,
-            "frac_bits": f64_bits(self.frac),
-            "target": match self.target {
-                BurstTarget::Contiguous => "contiguous",
-                BurstTarget::Groups => "groups",
-            },
-            "storm_window": self.storm_window,
+        Value::from(match self {
+            BurstTarget::Contiguous => "contiguous",
+            BurstTarget::Groups => "groups",
         })
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        let target = match get_str(v, "target")? {
-            "contiguous" => BurstTarget::Contiguous,
-            "groups" => BurstTarget::Groups,
-            other => {
-                return Err(crate::checkpoint::CkptError::Corrupt(format!(
-                    "unknown burst target `{other}`"
-                )))
-            }
-        };
-        Ok(Self {
-            at: get_u64(v, "at")?,
-            frac: get_f64_bits(v, "frac_bits")?,
-            target,
-            storm_window: get_u64(v, "storm_window")?,
-        })
+        match v.as_str() {
+            Some("contiguous") => Ok(BurstTarget::Contiguous),
+            Some("groups") => Ok(BurstTarget::Groups),
+            other => Err(CkptError::Corrupt(format!("unknown burst target {other:?}"))),
+        }
     }
 }
 
-impl Checkpoint for TimedPartition {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "at": self.at,
-            "heal_at": self.heal_at,
-            "side_frac_bits": f64_bits(self.side_frac),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            at: get_u64(v, "at")?,
-            heal_at: get_u64(v, "heal_at")?,
-            side_frac: get_f64_bits(v, "side_frac_bits")?,
-        })
+crate::checkpoint_schema! {
+    Burst {
+        fields { at, frac => "frac_bits", target, storm_window }
     }
 }
 
-impl Checkpoint for BurstSchedule {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "bursts": Value::Array(self.bursts.iter().map(|b| b.save()).collect()),
-            "partitions": Value::Array(self.partitions.iter().map(|p| p.save()).collect()),
-            "rng": self.rng.save(),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            bursts: crate::checkpoint::get_array(v, "bursts")?
-                .iter()
-                .map(Burst::load)
-                .collect::<CkptResult<Vec<_>>>()?,
-            partitions: crate::checkpoint::get_array(v, "partitions")?
-                .iter()
-                .map(TimedPartition::load)
-                .collect::<CkptResult<Vec<_>>>()?,
-            rng: NodeRng::load(field(v, "rng")?)?,
-        })
+crate::checkpoint_schema! {
+    TimedPartition {
+        fields { at, heal_at, side_frac => "side_frac_bits" }
     }
 }
 
-impl<M: Checkpoint> Checkpoint for crate::message::Envelope<M> {
-    fn save(&self) -> Value {
-        serde_json::json!({
-            "from": self.from.raw(),
-            "to": self.to.raw(),
-            "sent_round": self.sent_round,
-            "msg": self.msg.save(),
-        })
-    }
-
-    fn load(v: &Value) -> CkptResult<Self> {
-        Ok(Self {
-            from: NodeId(get_u64(v, "from")?),
-            to: NodeId(get_u64(v, "to")?),
-            sent_round: get_u64(v, "sent_round")?,
-            msg: M::load(field(v, "msg")?)?,
-        })
+crate::checkpoint_schema! {
+    BurstSchedule {
+        fields { bursts, partitions, rng }
     }
 }
 
@@ -1166,7 +1072,7 @@ mod tests {
             v
         };
         let listed = crate::checkpoint::get_array(&saved, "node_faults").unwrap().clone();
-        assert_eq!(get_u64(&listed[0], "node").unwrap(), 3, "saved ascending");
+        assert_eq!(get::<u64>(&listed[0], "node").unwrap(), 3, "saved ascending");
         let reversed = FaultModel::load(&with_faults(listed.iter().rev().cloned().collect()));
         assert_eq!(reversed.expect("any order loads").save(), saved);
         let mut twice = listed.clone();

@@ -94,6 +94,12 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
+crate::checkpoint_schema! {
+    Envelope<M: crate::Checkpoint> {
+        fields { from, to, sent_round, msg }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -155,9 +155,7 @@ impl Trace {
 // *offline analysis* (dumping a trace next to experiment results); the
 // engine itself never checkpoints observability state.
 
-use crate::checkpoint::{
-    field, get_array, get_bool, get_str, get_u64, Checkpoint, CkptError, CkptResult,
-};
+use crate::checkpoint::{get, get_str, Checkpoint, CkptError, CkptResult};
 use serde_json::{json, Value};
 
 impl Checkpoint for TraceEvent {
@@ -198,9 +196,9 @@ impl Checkpoint for TraceEvent {
     }
 
     fn load(v: &Value) -> CkptResult<Self> {
-        let round = get_u64(v, "round")?;
-        let a = NodeId(get_u64(v, "a")?);
-        let b = NodeId(get_u64(v, "b")?);
+        let round = get(v, "round")?;
+        let a = get(v, "a")?;
+        let b = get(v, "b")?;
         Ok(match get_str(v, "t")? {
             "delivered" => TraceEvent::Delivered { round, from: a, to: b },
             "dropped-blocked" => TraceEvent::DroppedBlocked { round, from: a, to: b },
@@ -208,7 +206,7 @@ impl Checkpoint for TraceEvent {
             "dropped-fault" => TraceEvent::DroppedFault { round, from: a, to: b },
             "dropped-link" => TraceEvent::DroppedLink { round, from: a, to: b },
             "duplicated" => TraceEvent::Duplicated { round, from: a, to: b },
-            "delayed" => TraceEvent::Delayed { round, from: a, to: b, until: get_u64(v, "until")? },
+            "delayed" => TraceEvent::Delayed { round, from: a, to: b, until: get(v, "until")? },
             "node-added" => TraceEvent::NodeAdded { round, node: a },
             "node-removed" => TraceEvent::NodeRemoved { round, node: a },
             "node-recovered" => TraceEvent::NodeRecovered { round, node: a },
@@ -217,63 +215,35 @@ impl Checkpoint for TraceEvent {
     }
 }
 
-impl Checkpoint for Trace {
-    fn save(&self) -> Value {
-        let digests: Vec<Value> =
-            self.digests.iter().map(|d| json!({ "round": d.round, "value": d.value })).collect();
-        let manifest = match &self.manifest {
-            None => Value::Null,
-            Some(m) => json!({
-                "master_seed": m.master_seed,
-                "config": m.config.as_str(),
-                "crate_version": m.crate_version.as_str(),
-            }),
-        };
-        json!({
-            "enabled": self.enabled,
-            "cap": self.cap as u64,
-            "events": crate::checkpoint::save_slice(&self.events),
-            "digests": Value::Array(digests),
-            "manifest": manifest,
-            "overflow": self.overflow,
-            "dropped_blocked": self.dropped_blocked,
-            "dropped_missing": self.dropped_missing,
-            "delivered": self.delivered,
-            "dropped_fault": self.dropped_fault,
-            "dropped_link": self.dropped_link,
-            "duplicated": self.duplicated,
-            "delayed": self.delayed,
-        })
+crate::checkpoint_schema! {
+    RoundDigest {
+        fields { round, value }
     }
+}
 
-    fn load(v: &Value) -> CkptResult<Self> {
-        let mut digests = Vec::new();
-        for d in get_array(v, "digests")? {
-            digests.push(RoundDigest { round: get_u64(d, "round")?, value: get_u64(d, "value")? });
-        }
-        let manifest = match field(v, "manifest")? {
-            Value::Null => None,
-            m => Some(RunManifest {
-                master_seed: get_u64(m, "master_seed")?,
-                config: get_str(m, "config")?.to_string(),
-                crate_version: get_str(m, "crate_version")?.to_string(),
-            }),
-        };
-        Ok(Self {
-            enabled: get_bool(v, "enabled")?,
-            cap: get_u64(v, "cap")? as usize,
-            events: crate::checkpoint::get_vec(v, "events")?,
+crate::checkpoint_schema! {
+    RunManifest {
+        fields { master_seed, config, crate_version }
+    }
+}
+
+crate::checkpoint_schema! {
+    Trace {
+        fields {
+            enabled,
+            cap,
+            events,
             digests,
             manifest,
-            overflow: get_u64(v, "overflow")?,
-            dropped_blocked: get_u64(v, "dropped_blocked")?,
-            dropped_missing: get_u64(v, "dropped_missing")?,
-            delivered: get_u64(v, "delivered")?,
-            dropped_fault: get_u64(v, "dropped_fault")?,
-            dropped_link: get_u64(v, "dropped_link")?,
-            duplicated: get_u64(v, "duplicated")?,
-            delayed: get_u64(v, "delayed")?,
-        })
+            overflow,
+            dropped_blocked,
+            dropped_missing,
+            delivered,
+            dropped_fault,
+            dropped_link,
+            duplicated,
+            delayed,
+        }
     }
 }
 

@@ -41,10 +41,11 @@ trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
 # Refresh golden digest files after an intentional behavior change: all
-# eleven, engine, sampling_direct, healing_round, runners and cluster_trace
-# included. The three checkpoints, network_v1.ckpt.json,
-# dos_overlay_v1.ckpt.json and churndos_overlay_v1.ckpt.json, are inputs
-# this never rewrites.
+# of them, engine, sampling_direct, healing_round, runners, cluster_trace
+# and state_formats included (a moved state_formats line is a changed
+# persisted format: a renamed key or a new encoding). The three
+# checkpoints, network_v1.ckpt.json, dos_overlay_v1.ckpt.json and
+# churndos_overlay_v1.ckpt.json, are inputs this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
     git diff --stat tests/golden/

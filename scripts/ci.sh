@@ -34,7 +34,11 @@ cargo test -q -p integration-tests --test telemetry_determinism
 echo "==> checkpoint/resume digest identity"
 cargo test -q -p integration-tests --test checkpoint_resume
 
-echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round, runners and cluster_trace digests, three checkpoint inputs)"
+echo "==> persisted formats: state_formats golden (bytes of every persisted type), every schema key dropped, retyped and bumped"
+cargo test -q -p integration-tests --test determinism golden_state_formats
+cargo test -q -p integration-tests --test determinism schema_keys_corrupted_one_at_a_time_are_typed_errors
+
+echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round, runners, cluster_trace and state_formats digests, three checkpoint inputs)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -98,7 +102,7 @@ cargo test -q -p integration-tests --test determinism golden_sampling_direct_dig
 echo "==> Algorithm 1 layer perf smoke (keystream readers agree; phase split prints)"
 cargo run --release -q -p reconfig-bench --bin exp -- P1 --smoke
 
-echo "==> sorted id runs vs BTreeMap (480 seeded cases), per-group counts vs per-member probes, picker and healing state vs their HashSet / BTreeMap references (480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens"
+echo "==> sorted id runs vs BTreeMap (480 seeded cases), per-group counts vs per-member probes, picker and healing state vs their HashSet / BTreeMap references (480 + 72 seeded cases), shared-snapshot invalidation, parent-written goldens (the DosOverlay checkpoint runs under the epoch clock below)"
 cargo test -q -p simnet --lib idrun::props
 cargo test -q -p reconfig-core --lib dos::supernode::tests
 cargo test -q -p overlay-adversary --lib dos::picker_diff
@@ -106,7 +110,6 @@ cargo test -q -p reconfig-core --lib healing::tracker_diff
 cargo test -q -p reconfig-core --lib snapshot_is_rebuilt_after_each_structural_change
 cargo test -q -p overlay-adversary --lib lateness::tests::one_arc_pushed_every_round
 cargo test -q -p integration-tests --test determinism golden_healing_round_digests
-cargo test -q -p integration-tests --test determinism golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte
 cargo test -q -p integration-tests --test determinism golden_runner_digests
 
 echo "==> epoch clock: the DoS, churn+DoS and workload digest streams, both parent-written overlay checkpoints"

@@ -46,11 +46,11 @@ use reconfig_core::healing::{
 use reconfig_core::metrics::SamplingMetrics;
 use reconfig_core::monitor::Invariant;
 use reconfig_core::nodert::{ClusterTrace, DelayObs, RoundRecord};
-use reconfig_core::reconfig::ExpanderOverlay;
+use reconfig_core::reconfig::{ExpanderOverlay, JoinPair};
 use reconfig_core::recovery::RecoveryParams;
 use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct, Alg1Node, SampleMsg};
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
-use simnet::checkpoint::{get_array, get_str, get_u64, read_value};
+use simnet::checkpoint::{get_array, get_str, read_value, FieldKey, Schema};
 use simnet::conduct::PPM;
 use simnet::{
     BlockSet, Burst, BurstSchedule, BurstTarget, ByzantineConduct, Checkpoint, CkptError,
@@ -518,22 +518,46 @@ fn fnv64(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// `name byte_len fnv64` of `saved` pretty-printed, after checking that
-/// `resave` (load, then save) reproduces the same bytes.
-fn format_line(
-    name: &str,
+/// One persisted format of the fence: a saved instance, how to load and
+/// re-save it, and — for a type declared with `checkpoint_schema!` — its
+/// declared keys.
+struct Format {
+    name: &'static str,
     saved: serde_json::Value,
-    resave: impl Fn(&serde_json::Value) -> serde_json::Value,
-) -> String {
-    let text = serde_json::to_string_pretty(&saved).unwrap();
-    let again = serde_json::to_string_pretty(&resave(&saved)).unwrap();
-    assert_eq!(again, text, "{name} does not re-save to the bytes it loaded");
-    format!("{name} {} {:016x}", text.len(), fnv64(text.as_bytes()))
+    resave: Resave,
+    keys: Option<Vec<FieldKey>>,
 }
 
-/// [`format_line`] of a [`Checkpoint`] type.
-fn ckpt_line<T: Checkpoint>(name: &str, x: &T) -> String {
-    format_line(name, x.save(), |v| T::load(v).unwrap_or_else(|e| panic!("{name}: {e}")).save())
+/// Load a saved value and save the result again.
+type Resave = Box<dyn Fn(&serde_json::Value) -> CkptResult<serde_json::Value>>;
+
+/// The format of a schema type, from a saved value of it.
+fn schema_value<T: Schema + 'static>(name: &'static str, saved: serde_json::Value) -> Format {
+    let resave = Box::new(|v: &serde_json::Value| T::load(v).map(|x| x.save()));
+    Format { name, saved, resave, keys: Some(T::keys()) }
+}
+
+fn schema<T: Schema + 'static>(name: &'static str, x: &T) -> Format {
+    schema_value::<T>(name, x.save())
+}
+
+/// The format of a hand-written codec.
+fn hand_written(
+    name: &'static str,
+    saved: serde_json::Value,
+    resave: impl Fn(&serde_json::Value) -> CkptResult<serde_json::Value> + 'static,
+) -> Format {
+    Format { name, saved, resave: Box::new(resave), keys: None }
+}
+
+/// `name byte_len fnv64` of the format's instance pretty-printed, after
+/// checking that loading and re-saving it reproduces the same bytes.
+fn format_line(f: &Format) -> String {
+    let text = serde_json::to_string_pretty(&f.saved).unwrap();
+    let again = (f.resave)(&f.saved).unwrap_or_else(|e| panic!("{}: {e}", f.name));
+    let again = serde_json::to_string_pretty(&again).unwrap();
+    assert_eq!(again, text, "{} does not re-save to the bytes it loaded", f.name);
+    format!("{} {} {:016x}", f.name, text.len(), fnv64(text.as_bytes()))
 }
 
 /// The fault model of the format fence: link faults, both node-fault
@@ -596,22 +620,23 @@ fn fenced_cluster_trace() -> ClusterTrace {
     }
 }
 
-/// One `name byte_len fnv64` line per persisted format, each a seeded
-/// instance with every `Option` set and non-empty vectors.
-fn state_format_lines() -> Vec<String> {
-    let mut lines = Vec::new();
+/// Every persisted format, each a seeded instance with every `Option` set
+/// and non-empty vectors.
+fn state_formats() -> Vec<Format> {
+    let mut formats = Vec::new();
     let faults = fenced_faults();
-    lines.push(ckpt_line("LinkFaults", faults.link()));
-    lines.push(ckpt_line(
+    formats.push(schema("LinkFaults", faults.link()));
+    formats.push(schema(
         "Partition",
         &Partition { side: (0..4).map(NodeId).collect(), from: 10, until: 14 },
     ));
-    lines.push(ckpt_line("FaultModel", &faults));
+    formats
+        .push(hand_written("FaultModel", faults.save(), |v| FaultModel::load(v).map(|f| f.save())));
     let burst = Burst { at: 5, frac: 0.2, target: BurstTarget::Groups, storm_window: 8 };
     let timed = TimedPartition { at: 20, heal_at: 30, side_frac: 0.25 };
-    lines.push(ckpt_line("Burst", &burst));
-    lines.push(ckpt_line("TimedPartition", &timed));
-    lines.push(ckpt_line(
+    formats.push(schema("Burst", &burst));
+    formats.push(schema("TimedPartition", &timed));
+    formats.push(schema(
         "BurstSchedule",
         &BurstSchedule::new(77).with_burst(burst).with_partition(timed),
     ));
@@ -621,7 +646,7 @@ fn state_format_lines() -> Vec<String> {
         sent_round: 9,
         msg: SampleMsg::Response(NodeId(8)),
     };
-    lines.push(ckpt_line("Envelope<SampleMsg>", &env));
+    formats.push(schema("Envelope<SampleMsg>", &env));
 
     let mut trace = Trace::with_capacity(3);
     trace.record(TraceEvent::Delivered { round: 0, from: NodeId(1), to: NodeId(2) });
@@ -630,11 +655,11 @@ fn state_format_lines() -> Vec<String> {
     trace.record(TraceEvent::DroppedLink { round: 3, from: NodeId(0), to: NodeId(1) });
     trace.record_digest(RoundDigest { round: 0, value: 0xDEAD_BEEF });
     trace.set_manifest(RunManifest::new(7, "ring n=4"));
-    lines.push(ckpt_line("Trace", &trace));
+    formats.push(schema("Trace", &trace));
 
     let spec = CatastropheSpec::new(77).with_burst(burst).with_partition(timed);
-    lines.push(ckpt_line("CatastropheSpec", &spec));
-    lines.push(ckpt_line("CatastropheTrace", &fenced_catastrophe_trace()));
+    formats.push(schema("CatastropheSpec", &spec));
+    formats.push(schema("CatastropheTrace", &fenced_catastrophe_trace()));
     let repro = CatastropheRepro {
         family: "dos".into(),
         seed: 5,
@@ -642,7 +667,7 @@ fn state_format_lines() -> Vec<String> {
         spec,
         trace: fenced_catastrophe_trace(),
     };
-    lines.push(ckpt_line("CatastropheRepro", &repro));
+    formats.push(schema("CatastropheRepro", &repro));
     let repro = Repro {
         family: "churndos".into(),
         strategy: "late-random".into(),
@@ -652,31 +677,31 @@ fn state_format_lines() -> Vec<String> {
         lateness: 24,
         trace: fenced_catastrophe_trace().blocks,
     };
-    lines.push(ckpt_line("Repro", &repro));
+    formats.push(schema("Repro", &repro));
 
     let params = SamplingParams::paper_whp(2.0);
-    lines.push(ckpt_line("SamplingParams", &params));
-    lines.push(ckpt_line("Schedule", &Schedule::algorithm1(4096, 8, &params)));
-    lines.push(ckpt_line("SizeBand", &SizeBand { c: 8 }));
+    formats.push(schema("SamplingParams", &params));
+    formats.push(schema("Schedule", &Schedule::algorithm1(4096, 8, &params)));
+    formats.push(schema("SizeBand", &SizeBand { c: 8 }));
     let net = fenced_alg1_network();
     let saved = net.save_state();
     let slot = &get_array(&saved, "slots").expect("slots")[3];
     let mut node = Alg1Node::load(slot.get("proto").expect("proto")).expect("alg1 node");
     node.samples = Some((0..5).map(NodeId).collect());
-    lines.push(ckpt_line("Alg1Node", &node));
-    lines.push(format_line("XlNetwork<Alg1Node>", saved, |v| {
-        XlNetwork::<Alg1Node>::from_state(v).expect("alg1 network").save_state()
+    formats.push(schema("Alg1Node", &node));
+    formats.push(hand_written("XlNetwork<Alg1Node>", saved, |v| {
+        XlNetwork::<Alg1Node>::from_state(v).map(|net| net.save_state())
     }));
 
     let mut ov = ExpanderOverlay::new(24, 8, SamplingParams::default(), 5);
     ov.reconfigure();
     let join = overlay_adversary::churn::Join { new_node: NodeId(500), introduced_to: NodeId(3) };
     ov.apply_churn(&ChurnEvent { joins: vec![join], leaves: vec![NodeId(7), NodeId(11)] });
-    lines.push(ckpt_line("ExpanderOverlay", &ov));
+    formats.push(schema("ExpanderOverlay", &ov));
     let mut ov = DosOverlay::new(256, DosParams::default(), 3);
     let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
     ov.run(&mut adv, ov.epoch_len() + 3);
-    lines.push(ckpt_line("DosOverlay", &ov));
+    formats.push(schema("DosOverlay", &ov));
     let mut ov = ChurnDosOverlay::new(400, ChurnDosParams::default(), 3);
     let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
     for _ in 0..ov.epoch_len() + 3 {
@@ -686,18 +711,12 @@ fn state_format_lines() -> Vec<String> {
     }
     let join = overlay_adversary::churn::Join { new_node: NodeId(900), introduced_to: NodeId(3) };
     ov.apply_churn(&ChurnEvent { joins: vec![join], leaves: vec![NodeId(8)] });
-    lines.push(ckpt_line("ChurnDosOverlay", &ov));
+    formats.push(schema("ChurnDosOverlay", &ov));
 
     let cluster = fenced_cluster_trace();
-    lines.push(format_line("DelayObs", cluster.rounds[1].delays[0].to_value(), |v| {
-        DelayObs::from_value(v).expect("delay").to_value()
-    }));
-    lines.push(format_line("RoundRecord", cluster.rounds[1].to_value(), |v| {
-        RoundRecord::from_value(v).expect("record").to_value()
-    }));
-    lines.push(format_line("ClusterTrace", cluster.to_value(), |v| {
-        ClusterTrace::from_value(v).expect("trace").to_value()
-    }));
+    formats.push(schema("DelayObs", &cluster.rounds[1].delays[0]));
+    formats.push(schema("RoundRecord", &cluster.rounds[1]));
+    formats.push(schema("ClusterTrace", &cluster));
     let metrics = SamplingMetrics {
         n: 4096,
         rounds: 9,
@@ -708,19 +727,15 @@ fn state_format_lines() -> Vec<String> {
         max_node_msgs: 90,
         total_msgs: 123_456,
     };
-    lines.push(format_line("SamplingMetrics", metrics.to_value(), |v| {
-        SamplingMetrics::from_value(v).expect("metrics").to_value()
-    }));
+    formats.push(schema("SamplingMetrics", &metrics));
     let result = ExperimentResult {
         id: "E0".into(),
         title: "format fence".into(),
         claim: "bytes do not move".into(),
         rows: vec![serde_json::json!({ "n": 8, "ok": true }), serde_json::json!({ "n": 16 })],
     };
-    lines.push(format_line("ExperimentResult", result.to_value(), |v| {
-        ExperimentResult::from_value(v).expect("result").to_value()
-    }));
-    lines
+    formats.push(schema("ExperimentResult", &result));
+    formats
 }
 
 /// Every persisted format's bytes, before and after any change to how
@@ -732,8 +747,109 @@ fn golden_state_formats() {
         "state_formats.digests",
         "persisted formats: type, byte length and FNV-1a 64 of one seeded instance's \
          pretty-printed save(); each loads and re-saves to the same bytes",
-        &state_format_lines(),
+        &state_formats().iter().map(format_line).collect::<Vec<_>>(),
     );
+}
+
+/// The first number in `v`, depth first in key order.
+fn first_number(v: &mut serde_json::Value) -> Option<&mut serde_json::Value> {
+    match v {
+        serde_json::Value::Number(_) => Some(v),
+        serde_json::Value::Array(items) => items.iter_mut().find_map(first_number),
+        serde_json::Value::Object(members) => members.values_mut().find_map(first_number),
+        _ => None,
+    }
+}
+
+/// Every format of the fence, the schema types only nested there and the
+/// three committed checkpoints, corrupted one top-level key at a time:
+/// the key dropped, its value replaced by one of another JSON kind, and
+/// its first number bumped by one. No load may panic. For a schema type,
+/// whose declared keys must be exactly the saved ones, a dropped or
+/// retyped key is `Corrupt` naming the key, and a bumped key of a stamped
+/// type loads only if it is declared undigested.
+#[test]
+fn schema_keys_corrupted_one_at_a_time_are_typed_errors() {
+    let mut formats = state_formats();
+    formats.push(schema("RoundDigest", &RoundDigest { round: 3, value: 9 }));
+    formats.push(schema("RunManifest", &RunManifest::new(7, "ring n=4")));
+    formats.push(schema("JoinPair", &JoinPair { new: NodeId(9), via: NodeId(2) }));
+    let file = |name| read_value(&golden_path(name)).expect("committed fixture");
+    let name = "dos_overlay_v1.ckpt.json";
+    formats.push(schema_value::<DosOverlay>(name, file(name)));
+    let name = "churndos_overlay_v1.ckpt.json";
+    formats.push(schema_value::<ChurnDosOverlay>(name, file(name)));
+    let name = "network_v1.ckpt.json";
+    formats.push(hand_written(name, file(name), |v| {
+        XlNetwork::<Chatter>::from_state(v).map(|net| net.save_state())
+    }));
+
+    let mut failures = Vec::new();
+    for f in &formats {
+        let serde_json::Value::Object(top) = &f.saved else { panic!("{} is an object", f.name) };
+        let saved_keys: Vec<&str> = top.keys().map(String::as_str).collect();
+        let keys = match &f.keys {
+            Some(keys) => {
+                let mut declared: Vec<&str> = keys.iter().map(|k| k.key).collect();
+                declared.sort_unstable();
+                assert_eq!(declared, saved_keys, "{}: declared keys are the saved keys", f.name);
+                keys.iter().map(|k| (k.key, k.undigested)).collect()
+            }
+            None => saved_keys.iter().map(|&k| (k, None)).collect::<Vec<_>>(),
+        };
+        let stamped = f.keys.is_some() && top.contains_key("digest_stamp");
+        for (key, undigested) in keys {
+            let mut load = |case: &str, edit: &dyn Fn(&mut serde_json::Value)| {
+                let mut bad = f.saved.clone();
+                edit(&mut bad);
+                let run = std::panic::AssertUnwindSafe(|| (f.resave)(&bad));
+                let out = std::panic::catch_unwind(run).ok();
+                if out.is_none() {
+                    failures.push(format!("{}: {case} `{key}` panicked", f.name));
+                }
+                out
+            };
+            let names_key = |r: &CkptResult<serde_json::Value>| matches!(r, Err(CkptError::Corrupt(m)) if m.contains(&format!("`{key}`")));
+            let dropped = load("dropping", &|v| {
+                let serde_json::Value::Object(m) = v else { unreachable!() };
+                m.remove(key);
+            });
+            let retyped = load("retyping", &|v| {
+                let value = v.get(key).and_then(serde_json::Value::as_str).map_or_else(
+                    || serde_json::Value::from("x"),
+                    |_| serde_json::Value::from(7u64),
+                );
+                let serde_json::Value::Object(m) = v else { unreachable!() };
+                m.insert(key.to_string(), value);
+            });
+            let mut bumped_value = f.saved.get(key).cloned().expect("saved key");
+            let bumped = match first_number(&mut bumped_value) {
+                None => None,
+                Some(x) => {
+                    *x = match x.as_u64() {
+                        Some(n) => serde_json::Value::from(n.wrapping_add(1)),
+                        None => serde_json::Value::from(x.as_f64().unwrap_or(0.0) + 1.0),
+                    };
+                    load("bumping", &|v| {
+                        let serde_json::Value::Object(m) = v else { unreachable!() };
+                        m.insert(key.to_string(), bumped_value.clone());
+                    })
+                }
+            };
+            if f.keys.is_none() {
+                continue;
+            }
+            for (case, out) in [("dropped", &dropped), ("retyped", &retyped)] {
+                if let Some(r) = out.as_ref().filter(|r| !names_key(r)) {
+                    failures.push(format!("{}: {case} `{key}` gave {r:?}", f.name));
+                }
+            }
+            if let Some(Ok(_)) = bumped.filter(|_| stamped && undigested.is_none()) {
+                failures.push(format!("{}: bumped `{key}` loaded past the stamp", f.name));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{} failures:\n{}", failures.len(), failures.join("\n"));
 }
 
 /// The W-series at reduced sizes (n = 256, a few short batches), both arms
@@ -1256,13 +1372,9 @@ impl Protocol for Chatter {
     }
 }
 
-impl Checkpoint for Chatter {
-    fn save(&self) -> serde_json::Value {
-        serde_json::json!({ "n": self.n, "acc": self.acc, "budget": self.budget })
-    }
-
-    fn load(v: &serde_json::Value) -> CkptResult<Self> {
-        Ok(Self { n: get_u64(v, "n")?, acc: get_u64(v, "acc")?, budget: get_u64(v, "budget")? })
+simnet::checkpoint_schema! {
+    Chatter {
+        fields { n, acc, budget }
     }
 }
 
@@ -1458,6 +1570,7 @@ fn golden_network_v1_checkpoint_is_hard_state_and_tamper_evident() {
     assert!(matches!(tamper("round", 99u64.into()), Some(CkptError::DigestMismatch { .. })));
     assert!(matches!(tamper("par_mode", "turbo".into()), Some(CkptError::Corrupt(_))));
     assert!(matches!(tamper("exec_mode", "fast".into()), Some(CkptError::ModeMismatch { .. })));
+    assert!(matches!(tamper("exec_mode", 7u64.into()), Some(CkptError::Corrupt(_))));
     assert!(matches!(tamper("slots", 7u64.into()), Some(CkptError::Corrupt(_))));
 }
 
