@@ -11,7 +11,9 @@ use telemetry::{EventKind, Telemetry};
 /// unblocked in two consecutive rounds — for the whole epoch. The family
 /// keeps its own availability test (against [`Self::prev_blocked`]) and
 /// its own resample; the clock counts rounds and epochs, keeps the
-/// previous round's block set and judges each boundary.
+/// previous round's block set and judges each boundary. A family's
+/// checkpoint holds the clock's keys at its own top level (`flat` in its
+/// schema), and the clock's invariants run after the family's stamp.
 #[derive(Clone, Debug)]
 pub struct EpochClock {
     epoch_len: u64,

@@ -237,7 +237,8 @@ pub trait Schema: Checkpoint {
 /// breach is [`CkptError::Corrupt`] naming the key. Optional sections, in
 /// this order:
 ///
-/// - `format: "<tag>",` — written first, checked by [`check_format`];
+/// - `format: "<tag>",` — saved as `"format"`, checked by
+///   [`check_format`] before anything else;
 /// - `stamp: <method>,` — `self.<method>()` is saved as `"digest_stamp"`
 ///   and [`check_stamp`] verifies it after decoding, before the
 ///   invariants;
