@@ -156,8 +156,10 @@ simnet::checkpoint_schema! {
             epoch_len: undigested "bound to the stamped counters by the `epochs_done` invariant"
                 where |s| s.epoch_len > 0 => "is 0",
             round,
-            epochs_done where |s| s.epochs_done == s.round / s.epoch_len
-                => format!("{} is not round {} / epoch_len {}", s.epochs_done, s.round, s.epoch_len),
+            epochs_done where |s| s.epochs_done == s.round / s.epoch_len => format!(
+                "{} is not round {} / epoch_len {}",
+                s.epochs_done, s.round, s.epoch_len
+            ),
             failed_epochs where |s| s.failed_epochs <= s.epochs_done
                 => format!("{} exceeds epochs_done {}", s.failed_epochs, s.epochs_done),
             epoch_ok,

@@ -162,7 +162,10 @@ mod tests {
 
     #[test]
     fn missing_and_mistyped_fields_are_typed_errors() {
-        let corrupt_naming = |r: CkptResult<ClusterTrace>, key: &str| matches!(r, Err(CkptError::Corrupt(m)) if m.contains(&format!("`{key}`")));
+        let corrupt_naming = |r: CkptResult<ClusterTrace>, key: &str| match r {
+            Err(CkptError::Corrupt(m)) => m.contains(&format!("`{key}`")),
+            _ => false,
+        };
         let missing = json!({ "seed": 1, "rounds": json!([]) });
         assert!(corrupt_naming(ClusterTrace::load(&missing), "n0"));
         let mistyped = json!({ "seed": 1, "n0": "three", "rounds": json!([]) });

@@ -36,8 +36,6 @@ impl Checkpoint for HGraph {
         })
     }
 
-    /// Each cycle visits its nodes once, so one of `nodes.len()` nodes
-    /// that holds every member of `nodes` covers exactly that set.
     fn load(v: &Value) -> CkptResult<Self> {
         let nodes: Vec<NodeId> = get(v, "nodes")?;
         let cycles: Vec<HamiltonCycle> = get(v, "cycles")?;

@@ -329,7 +329,10 @@ macro_rules! checkpoint_schema {
                 let mut out = $crate::checkpoint::Map::new();
                 $(out.insert("format".into(), $crate::checkpoint::Value::from($format));)?
                 $crate::checkpoint::Schema::save_into(self, &mut out);
-                $(out.insert("digest_stamp".into(), $crate::checkpoint::Value::from(self.$stamp()));)?
+                $(out.insert(
+                    "digest_stamp".into(),
+                    $crate::checkpoint::Value::from(self.$stamp()),
+                );)?
                 $crate::checkpoint::Value::Object(out)
             }
 

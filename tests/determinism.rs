@@ -809,7 +809,10 @@ fn schema_keys_corrupted_one_at_a_time_are_typed_errors() {
                 }
                 out
             };
-            let names_key = |r: &CkptResult<serde_json::Value>| matches!(r, Err(CkptError::Corrupt(m)) if m.contains(&format!("`{key}`")));
+            let names_key = |r: &CkptResult<serde_json::Value>| match r {
+                Err(CkptError::Corrupt(m)) => m.contains(&format!("`{key}`")),
+                _ => false,
+            };
             let dropped = load("dropping", &|v| {
                 let serde_json::Value::Object(m) = v else { unreachable!() };
                 m.remove(key);
