@@ -24,7 +24,7 @@
 use crate::byzantine::ByzActions;
 use crate::lateness::{LateView, SharedSnapshot, TopologyHistory, TopologySnapshot};
 use overlay_graphs::sparsest_vertex_cut;
-use simnet::{BlockSet, NodeId};
+use simnet::{BlockSet, IdSet, NodeId};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use telemetry::{EventKind, Telemetry};
@@ -96,14 +96,14 @@ pub(crate) fn clamp(mut picks: BlockSet, budget: usize) -> BlockSet {
 
 /// Fill `out` up to `budget` with the lowest-degree members not yet
 /// picked (cheap victims make the leftover budget count).
-fn fill_low_degree(out: &mut BTreeSet<NodeId>, view: &TopologySnapshot, budget: usize) {
+fn fill_low_degree(out: &mut BlockSet, view: &TopologySnapshot, budget: usize) {
     if out.len() >= budget {
         return;
     }
     let adj = view.adjacency();
-    let mut rest: Vec<usize> = (0..adj.len()).filter(|&i| !out.contains(&adj.node(i))).collect();
+    let mut rest: Vec<usize> = (0..adj.len()).filter(|&i| !out.contains(adj.node(i))).collect();
     rest.sort_by_key(|&i| (adj.degree(i), adj.node(i).raw()));
-    out.extend(rest.into_iter().take(budget - out.len()).map(|i| adj.node(i)));
+    out.union_with(&rest.into_iter().take(budget - out.len()).map(|i| adj.node(i)).collect());
 }
 
 /// FNV-1a over everything the min-cut answer depends on. The topology
@@ -228,9 +228,9 @@ impl AdaptiveAdversary for MinCutAttack {
                 } else {
                     sparsest_vertex_cut(&view.adjacency(), budget).map(|cut| cut.separator)
                 };
-                let mut out: BTreeSet<NodeId> = separator.into_iter().flatten().collect();
+                let mut out = BlockSet::from_iter(separator.into_iter().flatten());
                 fill_low_degree(&mut out, view, budget);
-                BlockSet::from_iter(out)
+                out
             }
         };
         let topo = Arc::clone(&view.topo);
@@ -252,12 +252,11 @@ impl AdaptiveAdversary for HighDegreeAttack {
         let adj = view.adjacency();
         // A group's smallest id acts as its introducer/leader in the join
         // construction; silencing leaders hits the most join paths.
-        let leaders: BTreeSet<NodeId> =
-            view.groups.iter().filter_map(|g| g.iter().min().copied()).collect();
+        let leaders = IdSet::from_iter(view.groups.iter().filter_map(|g| g.iter().min().copied()));
         let n = adj.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| {
-            let score = adj.degree(i) + if leaders.contains(&adj.node(i)) { n } else { 0 };
+            let score = adj.degree(i) + if leaders.contains(adj.node(i)) { n } else { 0 };
             (std::cmp::Reverse(score), adj.node(i).raw())
         });
         order.into_iter().take(budget).map(|i| adj.node(i)).collect()
@@ -322,17 +321,10 @@ impl AdaptiveAdversary for FollowTheHealer {
         }
         self.recent.truncate(self.cap);
         let members = view.members();
-        let mut out = BTreeSet::new();
-        for &v in &self.recent {
-            if out.len() >= budget {
-                break;
-            }
-            if members.binary_search(&v).is_ok() {
-                out.insert(v);
-            }
-        }
+        let live = self.recent.iter().copied().filter(|v| members.binary_search(v).is_ok());
+        let mut out = BlockSet::from_iter(live.take(budget));
         fill_low_degree(&mut out, view, budget);
-        BlockSet::from_iter(out)
+        out
     }
 }
 

@@ -35,8 +35,7 @@
 
 use crate::adaptive::{clamp, node_budget, Attacker};
 use crate::lateness::{SharedSnapshot, TopologyHistory, TopologySnapshot};
-use simnet::{BlockSet, NodeId};
-use std::collections::BTreeSet;
+use simnet::{BlockSet, IdSet, NodeId};
 use telemetry::{EventKind, Telemetry};
 
 /// Fresh Sybil identities start here — far above any honest id, so a
@@ -145,7 +144,7 @@ pub trait ByzCampaign {
         view: &SharedSnapshot,
         round: u64,
         n_current: usize,
-        byz: &BTreeSet<NodeId>,
+        byz: &IdSet,
     ) -> ByzActions;
 }
 
@@ -189,7 +188,7 @@ impl ByzCampaign for SybilCampaign {
         view: &SharedSnapshot,
         _round: u64,
         _n_current: usize,
-        _byz: &BTreeSet<NodeId>,
+        _byz: &IdSet,
     ) -> ByzActions {
         let target = *self.target.get_or_insert_with(|| weakest_group(view));
         let joins = (0..self.rate)
@@ -229,7 +228,7 @@ impl ByzCampaign for ForgeCampaign {
         view: &SharedSnapshot,
         round: u64,
         _n_current: usize,
-        byz: &BTreeSet<NodeId>,
+        byz: &IdSet,
     ) -> ByzActions {
         // Corrupt one member per group, preferring groups that have no
         // Byzantine presence yet: a spread of single insiders forges
@@ -242,9 +241,9 @@ impl ByzCampaign for ForgeCampaign {
             .groups
             .iter()
             .filter_map(|grp| {
-                let byz_here = grp.iter().filter(|v| byz.contains(v)).count();
+                let byz_here = grp.iter().filter(|&&v| byz.contains(v)).count();
                 grp.iter()
-                    .filter(|v| !byz.contains(v))
+                    .filter(|&&v| !byz.contains(v))
                     .max()
                     .map(|&m| (byz_here, std::cmp::Reverse(m)))
             })
@@ -257,7 +256,8 @@ impl ByzCampaign for ForgeCampaign {
         // is entitled to emit, which is what makes the forgery plausible.
         let mut forges = Vec::new();
         for grp in &view.groups {
-            let (bad, good): (Vec<NodeId>, Vec<NodeId>) = grp.iter().partition(|v| byz.contains(v));
+            let (bad, good): (Vec<NodeId>, Vec<NodeId>) =
+                grp.iter().partition(|&&v| byz.contains(v));
             for (k, &by) in bad.iter().enumerate() {
                 for j in 0..self.forges_per_member {
                     if good.is_empty() {
@@ -301,12 +301,12 @@ impl ByzCampaign for EclipseCampaign {
         view: &SharedSnapshot,
         _round: u64,
         _n_current: usize,
-        byz: &BTreeSet<NodeId>,
+        byz: &IdSet,
     ) -> ByzActions {
         let mut ids: Vec<NodeId> = view.nodes.clone();
         ids.sort_unstable();
         let corrupt: Vec<NodeId> =
-            ids.into_iter().filter(|v| !byz.contains(v)).take(self.corrupt_rate).collect();
+            ids.into_iter().filter(|&v| !byz.contains(v)).take(self.corrupt_rate).collect();
         ByzActions { corrupt, ..ByzActions::default() }
     }
 }
@@ -354,7 +354,7 @@ impl ByzCampaign for ChaosCampaign {
         view: &SharedSnapshot,
         round: u64,
         n_current: usize,
-        byz: &BTreeSet<NodeId>,
+        byz: &IdSet,
     ) -> ByzActions {
         let period = self.period.max(1);
         let mut acts = match (round / period) % 3 {
@@ -417,7 +417,7 @@ impl ByzCampaign for ByzFamily {
         view: &SharedSnapshot,
         round: u64,
         n_current: usize,
-        byz: &BTreeSet<NodeId>,
+        byz: &IdSet,
     ) -> ByzActions {
         match self {
             Self::Sybil(c) => c.plan(view, round, n_current, byz),
@@ -439,7 +439,7 @@ pub struct ByzHarness<C> {
     budget: ByzBudget,
     history: TopologyHistory,
     /// Identities charged against the `byz_fraction` budget so far.
-    spent: BTreeSet<NodeId>,
+    spent: IdSet,
     /// Pure observability; never consulted when planning.
     tel: Telemetry,
 }
@@ -461,7 +461,7 @@ impl<C: ByzCampaign> ByzHarness<C> {
             campaign,
             budget,
             history: TopologyHistory::new(lateness),
-            spent: BTreeSet::new(),
+            spent: IdSet::none(),
             tel: Telemetry::disabled(),
         }
     }
@@ -510,14 +510,14 @@ impl<C: ByzCampaign> Attacker for ByzHarness<C> {
         // join or corruption charges one identity; repeats are free.
         acts.joins.truncate(self.budget.joins_per_round);
         acts.joins.retain(|j| {
-            self.spent.contains(&j.id)
+            self.spent.contains(j.id)
                 || (self.spent.len() < identity_cap && self.spent.insert(j.id))
         });
         acts.corrupt.retain(|v| {
-            self.spent.contains(v) || (self.spent.len() < identity_cap && self.spent.insert(*v))
+            self.spent.contains(*v) || (self.spent.len() < identity_cap && self.spent.insert(*v))
         });
         // Forgeries may only be emitted by identities inside the budget.
-        acts.forges.retain(|f| self.spent.contains(&f.by()));
+        acts.forges.retain(|f| self.spent.contains(f.by()));
         // Blocking is clamped by the helper AdaptiveHarness clamps with.
         let block_cap = node_budget(self.budget.block_bound, n_current);
         acts.blocked = clamp(std::mem::take(&mut acts.blocked), block_cap);
@@ -625,7 +625,7 @@ mod tests {
                 _view: &SharedSnapshot,
                 _round: u64,
                 _n: usize,
-                _byz: &BTreeSet<NodeId>,
+                _byz: &IdSet,
             ) -> ByzActions {
                 ByzActions {
                     forges: vec![Forgery::Evict { by: NodeId(0), victim: NodeId(1) }],

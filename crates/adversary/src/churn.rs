@@ -12,8 +12,8 @@
 
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use simnet::NodeId;
-use std::collections::HashMap;
+use simnet::idrun::{ascending, difference};
+use simnet::{IdRun, IdSet, NodeId};
 
 /// A node joining, and the existing member it is introduced to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,6 +37,14 @@ impl ChurnEvent {
     /// True if nothing happens this epoch.
     pub fn is_empty(&self) -> bool {
         self.joins.is_empty() && self.leaves.is_empty()
+    }
+
+    /// Apply the event to a membership list: the leavers go, the stayers
+    /// keep their places, and the joiners are appended in event order.
+    pub fn apply(&self, members: &mut Vec<NodeId>) {
+        let leaving = IdSet::from_iter(self.leaves.iter().copied());
+        members.retain(|&m| !leaving.contains(m));
+        members.extend(self.joins.iter().map(|j| j.new_node));
     }
 }
 
@@ -66,7 +74,7 @@ pub struct ChurnSchedule {
     intensity: f64,
     next_id: u64,
     /// Epoch in which each current member joined.
-    ages: HashMap<NodeId, u64>,
+    ages: IdRun<u64>,
     epoch: u64,
 }
 
@@ -77,7 +85,7 @@ impl ChurnSchedule {
     pub fn new(strategy: ChurnStrategy, rate: f64, intensity: f64, first_free_id: u64) -> Self {
         assert!(rate >= 1.0, "churn rate must be >= 1, got {rate}");
         assert!(intensity > 0.0 && intensity <= 1.0, "intensity must be in (0, 1]");
-        Self { strategy, rate, intensity, next_id: first_free_id, ages: HashMap::new(), epoch: 0 }
+        Self { strategy, rate, intensity, next_id: first_free_id, ages: IdRun::default(), epoch: 0 }
     }
 
     /// The churn rate `r`.
@@ -97,9 +105,13 @@ impl ChurnSchedule {
     /// `ceil(r)` per member, and fresh never-reused ids.
     pub fn next<R: rand::Rng + ?Sized>(&mut self, members: &[NodeId], rng: &mut R) -> ChurnEvent {
         self.epoch += 1;
-        for &m in members {
-            self.ages.entry(m).or_insert(self.epoch - 1);
-        }
+        // Members the schedule has not aged yet (all of them on the first
+        // call, none once it prescribes every change): one walk, and no
+        // rebuild of the run when there are none.
+        let seen = self.epoch - 1;
+        let unaged: Vec<NodeId> =
+            difference(ascending(members).iter().copied(), self.ages.iter()).collect();
+        self.ages.insert_all(&unaged, |_| seen);
         let n = members.len();
         assert!(n >= 4, "membership too small for churn");
 
@@ -114,17 +126,15 @@ impl ChurnSchedule {
         match self.strategy {
             ChurnStrategy::Random | ChurnStrategy::Concentrated => pool.shuffle(rng),
             ChurnStrategy::OldestFirst => {
-                pool.sort_by_key(|m| (self.ages[m], m.raw()));
+                pool.sort_by_cached_key(|&m| (self.age(m), m.raw()));
             }
             ChurnStrategy::YoungestFirst => {
-                pool.sort_by_key(|m| (std::cmp::Reverse(self.ages[m]), m.raw()));
+                pool.sort_by_cached_key(|&m| (std::cmp::Reverse(self.age(m)), m.raw()));
             }
         }
         let leaves: Vec<NodeId> = pool[..leaves_n].to_vec();
         let stayers: Vec<NodeId> = pool[leaves_n..].to_vec();
-        for l in &leaves {
-            self.ages.remove(l);
-        }
+        self.ages.remove_all(ascending(&leaves).iter().copied());
 
         // The paper's cap of ceil(r) introductions is per *round*; an epoch
         // spans several rounds, but we conservatively apply the per-round
@@ -148,10 +158,16 @@ impl ChurnSchedule {
             let target = intro_order[j / cap];
             let id = NodeId(self.next_id);
             self.next_id += 1;
-            self.ages.insert(id, self.epoch);
+            // Fresh ids exceed every tracked one: each put is an append.
+            self.ages.put(id, self.epoch);
             joins.push(Join { new_node: id, introduced_to: target });
         }
         ChurnEvent { joins, leaves }
+    }
+
+    /// The epoch in which member `m` joined.
+    fn age(&self, m: NodeId) -> u64 {
+        *self.ages.get(m).expect("every member is aged on entry")
     }
 }
 
@@ -160,16 +176,26 @@ mod tests {
     use super::*;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
 
     fn members(n: u64) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()
     }
 
     fn apply(members: &[NodeId], ev: &ChurnEvent) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> =
-            members.iter().filter(|m| !ev.leaves.contains(m)).copied().collect();
-        out.extend(ev.joins.iter().map(|j| j.new_node));
+        let mut out = members.to_vec();
+        ev.apply(&mut out);
         out
+    }
+
+    #[test]
+    fn apply_keeps_stayer_order_and_appends_joiners_in_event_order() {
+        let join = |id: u64| Join { new_node: NodeId(id), introduced_to: NodeId(7) };
+        let ev = ChurnEvent { joins: vec![join(50), join(40)], leaves: vec![NodeId(9), NodeId(2)] };
+        let mut members: Vec<NodeId> = [9, 7, 2, 5, 1].into_iter().map(NodeId).collect();
+        ev.apply(&mut members);
+        let want: Vec<NodeId> = [7, 5, 1, 50, 40].into_iter().map(NodeId).collect();
+        assert_eq!(members, want);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::dos::{DosAdversary, DosStrategy};
 use crate::lateness::SharedSnapshot;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
-use std::collections::BTreeSet;
 
 /// Churn expressed as blocking pressure on a fixed server set.
 ///
@@ -66,11 +65,7 @@ impl Attacker for ChurnBlocker {
             return BlockSet::none();
         }
         let ev = self.schedule.next(&self.members, &mut self.rng);
-        let leaving: BTreeSet<NodeId> = ev.leaves.iter().copied().collect();
-        self.members.retain(|m| !leaving.contains(m));
-        for j in &ev.joins {
-            self.members.push(j.new_node);
-        }
+        ev.apply(&mut self.members);
         ev.leaves.iter().map(|v| NodeId(v.raw() % n_current as u64)).collect()
     }
 

@@ -14,8 +14,7 @@
 
 use crate::driver::{Experiment, Row, Run, RunError};
 use reconfig_core::churndos::{CrashScenario, CrashVisibility};
-use simnet::NodeId;
-use std::collections::HashSet;
+use simnet::{BlockSet, NodeId};
 
 pub const EXP: Experiment =
     Experiment::new("A4", "Crash-failure ambiguity", "Section 6 closing discussion", run);
@@ -35,20 +34,20 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     ];
     for (idx, (name, vis)) in configs.into_iter().enumerate() {
         let mut sc = CrashScenario::new(n, vis, 42 + idx as u64);
-        let victims: HashSet<NodeId> = sc.crash_random(crashes).into_iter().collect();
+        let victims = BlockSet::from(sc.crash_random(crashes));
         // The DoS adversary keeps 30 *live* nodes silent for the first 4
         // epochs (well within its (1/2 - eps) budget), disjoint from the
         // crashed set so the bookkeeping below is unambiguous.
         let blocked_ids: Vec<NodeId> =
-            (0..n as u64).map(NodeId).filter(|v| !victims.contains(v)).take(blocked_live).collect();
-        let blocked: HashSet<NodeId> = blocked_ids.iter().copied().collect();
+            (0..n as u64).map(NodeId).filter(|&v| !victims.contains(v)).take(blocked_live).collect();
+        let blocked = BlockSet::from(blocked_ids.clone());
         let group_of = |v: NodeId| -> Vec<NodeId> {
             (1..=contact_set as u64).map(|i| NodeId((v.raw() + i) % n as u64)).collect()
         };
         let mut handled = 0;
         let mut wrong = 0;
         let mut wrongly_evicted: Vec<NodeId> = Vec::new();
-        let none = HashSet::new();
+        let none = BlockSet::none();
         for ep in 0..8 {
             // Blocking lasts 4 epochs, between the low and high patience
             // settings — that is where the trade-off lives.
@@ -56,8 +55,7 @@ fn run(run: &mut Run) -> Result<(), RunError> {
             let out = sc.epoch(this_round, group_of);
             handled += out.crashes_handled;
             wrong += out.wrong_evictions;
-            // In id order: the rejoin budgets below alternate by position,
-            // so a `HashSet`'s per-process order would change the counts.
+            // In id order: the rejoin budgets below alternate by position.
             for &b in &blocked_ids {
                 if !sc.members().contains(&b) && !wrongly_evicted.contains(&b) {
                     wrongly_evicted.push(b);

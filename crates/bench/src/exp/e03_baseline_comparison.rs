@@ -11,7 +11,8 @@ use crate::driver::{Experiment, Row, Run, RunError};
 use crate::table::f;
 use overlay_stats::{fit_log, fit_loglog};
 use reconfig_core::config::SamplingParams;
-use reconfig_core::sampling::{run_alg1, run_baseline};
+use reconfig_core::sampling::{run_alg1_observed, run_baseline_observed};
+use telemetry::Telemetry;
 
 pub const EXP: Experiment = Experiment::new(
     "E3",
@@ -29,8 +30,8 @@ fn run(run: &mut Run) -> Result<(), RunError> {
         let n = 1usize << exp;
         let graph = hgraph(n as u64, exp as u64 + 100);
 
-        let (_, rapid) = run_alg1(&graph, &params, 3);
-        let (_, walk) = run_baseline(&graph, &params, 3);
+        let (_, rapid) = run_alg1_observed(&graph, &params, 3, &Telemetry::disabled());
+        let (_, walk) = run_baseline_observed(&graph, &params, 3, &Telemetry::disabled());
         run.row(
             Row::new()
                 .cell("n", "n", n)

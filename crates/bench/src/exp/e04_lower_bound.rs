@@ -9,7 +9,8 @@
 use crate::driver::{Experiment, Row, Run, RunError};
 use overlay_graphs::{Adjacency, Hypercube};
 use reconfig_core::config::SamplingParams;
-use reconfig_core::sampling::{knowledge_spread_rounds, run_alg2};
+use reconfig_core::sampling::{knowledge_spread_rounds, run_alg2_observed};
+use telemetry::Telemetry;
 use simnet::NodeId;
 
 pub const EXP: Experiment = Experiment::new("E4", "Sampling lower bound", "Lemma 4", run);
@@ -49,7 +50,7 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     let params = SamplingParams { c: 3.0, ..SamplingParams::default() };
     for dim in [2u32, 4, 8] {
         let spread = *knowledge_spread_rounds(&cube_adj(dim)).iter().max().unwrap();
-        let (_, m) = run_alg2(dim, &params, 4);
+        let (_, m) = run_alg2_observed(dim, &params, 4, &Telemetry::disabled());
         run.row(
             Row::new()
                 .cell_as("graph", "graph", "hypercube", format!("hypercube d={dim}"))

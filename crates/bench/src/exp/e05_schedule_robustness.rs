@@ -9,7 +9,8 @@ use super::hgraph;
 use crate::driver::{Experiment, Row, Run, RunError};
 use crate::table::f;
 use reconfig_core::config::SamplingParams;
-use reconfig_core::sampling::run_alg1_direct;
+use reconfig_core::sampling::run_alg1_direct_observed;
+use telemetry::Telemetry;
 
 pub const EXP: Experiment =
     Experiment::new("E5", "Multiset schedule robustness", "Lemmas 5 and 7 (and 9)", run);
@@ -24,7 +25,7 @@ fn run(run: &mut Run) -> Result<(), RunError> {
         for &c in &[0.25f64, 0.5, 1.0, 2.0, 4.0] {
             let params = SamplingParams { epsilon: eps, c, ..SamplingParams::default() };
             let failures: Vec<u64> = (0..seeds)
-                .map(|s| run_alg1_direct(&graph, &params, 1000 + s).metrics.failures)
+                .map(|s| run_alg1_direct_observed(&graph, &params, 1000 + s, &Telemetry::disabled()).metrics.failures)
                 .collect();
             let failed_runs = failures.iter().filter(|&&x| x > 0).count() as u64;
             let total: u64 = failures.iter().sum();

@@ -1,5 +1,5 @@
 //! Perf trajectory of the Algorithm 1 layer: the two keystream readers and
-//! the phases of one `run_alg1_direct` call.
+//! the phases of one `run_alg1_direct_observed` call.
 //!
 //! ```text
 //! cargo run --release -p reconfig-bench --bin exp -- P1 [--smoke] [--cores N]
@@ -8,7 +8,7 @@
 //! Prints nanoseconds per `next_u64` and per `random_range(0..4860)` (the
 //! mask-and-reject draw the sampler's first pops make) for the one-block
 //! `ChaCha8Rng` and the eight-block `ChaCha8Wide`, then the per-phase split
-//! of `run_alg1_direct` at the `expander_churn` shape (n = 1 024, d = 8,
+//! of `run_alg1_direct_observed` at the `expander_churn` shape (n = 1 024, d = 8,
 //! default schedule) from the sampler's own spans. The full run rewrites
 //! `BENCH_ALG1.json` at the workspace root (the driver adds the host
 //! facts); `--smoke` runs small sizes, checks the two readers agree on

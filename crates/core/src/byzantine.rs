@@ -44,8 +44,7 @@ use crate::metrics::DosRoundMetrics;
 use crate::monitor::Invariant;
 use overlay_adversary::byzantine::{ByzActions, Forgery};
 use simnet::idrun::union;
-use simnet::{BlockSet, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use simnet::{BlockSet, IdRun, IdSet, NodeId};
 use telemetry::EventKind;
 
 /// Suspicion level at which the audit defense quarantines a member: two
@@ -166,28 +165,36 @@ pub struct Defenses {
     pub stats: ByzStats,
     /// All identities that ever acted Byzantine (admitted Sybils and
     /// corrupted members), including since-evicted ones.
-    byz: BTreeSet<NodeId>,
+    byz: IdSet,
     /// Identities banned by the audit defense; they may never rejoin.
-    quarantined: BTreeSet<NodeId>,
+    quarantined: IdSet,
     /// Contradictions observed per identity (quorum rejections, audits).
-    suspicion: BTreeMap<NodeId, u32>,
-    /// Joins accepted per group in the current epoch (rate-limit state).
-    joins_this_epoch: BTreeMap<u64, u32>,
+    suspicion: IdRun<u32>,
+    /// Joins accepted per group in the current epoch (rate-limit state),
+    /// indexed by group.
+    joins_this_epoch: Vec<u32>,
     /// Evictions that took effect this epoch: `(forger, victim)`.
     pending_evictions: Vec<(NodeId, NodeId)>,
     /// Desynchronized victims: `victim -> (silent_until_round, forger)`.
-    desynced: BTreeMap<NodeId, (u64, NodeId)>,
+    desynced: IdRun<(u64, NodeId)>,
 }
 
 impl Defenses {
     /// Identities that ever acted Byzantine.
-    pub fn byzantine(&self) -> &BTreeSet<NodeId> {
+    pub fn byzantine(&self) -> &IdSet {
         &self.byz
     }
 
     /// Identities banned by the audit defense.
-    pub fn quarantined(&self) -> &BTreeSet<NodeId> {
+    pub fn quarantined(&self) -> &IdSet {
         &self.quarantined
+    }
+
+    /// Count one more contradiction against `v`; returns its new total.
+    fn suspect(&mut self, v: NodeId) -> u32 {
+        let s = self.suspicion.get(v).map_or(1, |s| s + 1);
+        self.suspicion.put(v, s);
+        s
     }
 }
 
@@ -224,9 +231,9 @@ impl Layer<DosOverlay> for Defenses {
     fn open(r: &mut Defended, round: u64, blocked: &BlockSet) -> Option<BlockSet> {
         let (d, grouped) = (&r.layer, r.overlay.grouped());
         let member = |v: &NodeId| grouped.supernode_of(*v).is_some();
-        let byz = d.byz.iter().copied().filter(member);
-        let forged = d.desynced.iter().filter(|(_, &(until, _))| round < until);
-        let forged = forged.map(|(&v, _)| v).filter(member);
+        let byz = d.byz.iter().filter(member);
+        let forged = d.desynced.entries().filter(|(_, &(until, _))| round < until);
+        let forged = forged.map(|(v, _)| v).filter(member);
         Some(BlockSet::from_iter(union(union(blocked.iter(), byz), forged)))
     }
 
@@ -251,8 +258,9 @@ impl Defended {
 
     fn apply_joins(&mut self, joins: &[overlay_adversary::byzantine::JoinRequest], round: u64) {
         let n_groups = self.overlay.grouped().cube().len();
+        self.layer.joins_this_epoch.resize(n_groups as usize, 0);
         for j in joins {
-            if self.layer.quarantined.contains(&j.id) {
+            if self.layer.quarantined.contains(j.id) {
                 self.reject_join(round, j.id, "quarantined");
                 continue;
             }
@@ -261,7 +269,7 @@ impl Defended {
             let claimed = if self.layer.defense.membership_quorum { None } else { j.claimed_group };
             if let (Some(limit), Some(x)) = (self.layer.defense.join_rate_limit, claimed) {
                 // Claimed destination known up front: reject before insert.
-                if self.layer.joins_this_epoch.get(&(x % n_groups)).copied().unwrap_or(0) >= limit {
+                if self.layer.joins_this_epoch[(x % n_groups) as usize] >= limit {
                     self.reject_join(round, j.id, "rate-limited");
                     continue;
                 }
@@ -269,7 +277,7 @@ impl Defended {
             let Some(x) = self.overlay.admit(j.id, claimed) else {
                 continue; // already a member
             };
-            let count = self.layer.joins_this_epoch.entry(x).or_insert(0);
+            let count = &mut self.layer.joins_this_epoch[x as usize];
             if self.layer.defense.join_rate_limit.is_some_and(|limit| *count >= limit) {
                 // Uniform placement landed in a group that already used
                 // its quota: the group bounces the joiner.
@@ -303,11 +311,11 @@ impl Defended {
             let (by, victim) = (f.by(), f.victim());
             // Only live, unquarantined Byzantine members can forge, and
             // only honest members are worth forging against.
-            if !self.layer.byz.contains(&by)
-                || self.layer.quarantined.contains(&by)
+            if !self.layer.byz.contains(by)
+                || self.layer.quarantined.contains(by)
                 || !self.is_member(by)
                 || !self.is_member(victim)
-                || self.layer.byz.contains(&victim)
+                || self.layer.byz.contains(victim)
             {
                 continue;
             }
@@ -317,9 +325,7 @@ impl Defended {
                 // offenders are ejected on the spot (audit on), without
                 // waiting for the epoch-boundary review.
                 self.layer.stats.forgeries_blocked += 1;
-                let s = self.layer.suspicion.entry(by).or_insert(0);
-                *s += 1;
-                let suspicion = *s;
+                let suspicion = self.layer.suspect(by);
                 self.tel.counter("defense.forgeries_blocked", &[]).inc();
                 if self.layer.defense.audit_quarantine && suspicion >= QUARANTINE_THRESHOLD {
                     self.quarantine(by, round);
@@ -333,7 +339,7 @@ impl Defended {
                     self.layer.pending_evictions.push((by, victim));
                 }
                 Forgery::Desync { .. } => {
-                    self.layer.desynced.insert(victim, (round + epoch_len, by));
+                    self.layer.desynced.put(victim, (round + epoch_len, by));
                     self.layer.stats.forged_desyncs += 1;
                 }
             }
@@ -353,7 +359,7 @@ impl Defended {
             if g.is_empty() {
                 continue;
             }
-            let bad = g.iter().filter(|v| self.layer.byz.contains(v)).count();
+            let bad = g.iter().filter(|&&v| self.layer.byz.contains(v)).count();
             live_byz += bad;
             if bad > max_byz.0 {
                 max_byz = (bad, x as u64);
@@ -394,7 +400,7 @@ impl Defended {
         self.layer.joins_this_epoch.clear();
         if !self.layer.defense.audit_quarantine {
             // No audit: desyncs expire on their own, evictions stand.
-            self.layer.desynced.retain(|_, (until, _)| round < *until);
+            self.layer.desynced.retain(|_, &mut (until, _)| round < until);
             self.layer.pending_evictions.clear();
             return;
         }
@@ -404,20 +410,20 @@ impl Defended {
                 self.layer.stats.reinstated += 1;
                 self.tel.counter("defense.reinstated", &[]).inc();
             }
-            *self.layer.suspicion.entry(by).or_insert(0) += 1;
+            self.layer.suspect(by);
         }
-        for (_, (until, by)) in std::mem::take(&mut self.layer.desynced) {
+        for &(until, by) in std::mem::take(&mut self.layer.desynced).values() {
             if round < until {
                 // Caught desynchronizing a live member mid-flight.
-                *self.layer.suspicion.entry(by).or_insert(0) += 1;
+                self.layer.suspect(by);
             }
         }
         let offenders: Vec<NodeId> = self
             .layer
             .suspicion
-            .iter()
+            .entries()
             .filter(|&(v, &s)| s >= QUARANTINE_THRESHOLD && !self.layer.quarantined.contains(v))
-            .map(|(&v, _)| v)
+            .map(|(v, _)| v)
             .collect();
         for v in offenders {
             self.quarantine(v, round);
@@ -449,11 +455,11 @@ impl Defended {
             let q = grouped.cube().dim() as usize + 1;
             let introducers: Vec<NodeId> =
                 grouped.groups().iter().filter_map(|g| g.iter().copied().min()).take(q).collect();
-            introducers.is_empty() || introducers.iter().all(|v| self.layer.byz.contains(v))
+            introducers.is_empty() || introducers.iter().all(|&v| self.layer.byz.contains(v))
         } else {
             let members = grouped.nodes();
             match smallest_live_introducer(&members, &[], probe) {
-                Some(intro) => self.layer.byz.contains(&intro),
+                Some(intro) => self.layer.byz.contains(intro),
                 None => true,
             }
         };
@@ -477,6 +483,7 @@ mod tests {
         ByzBudget, ByzHarness, EclipseCampaign, ForgeCampaign, JoinRequest, SybilCampaign,
     };
     use overlay_adversary::faults::FaultSchedule;
+    use std::collections::BTreeSet;
     use telemetry::Telemetry;
 
     const N: usize = 128;
@@ -615,7 +622,7 @@ mod tests {
             }
         }
         assert_eq!(r.layer().stats.reinstated, 2, "both victims rejoin: {:?}", r.layer().stats);
-        assert!(r.layer().quarantined().contains(&forger), "repeat forger is quarantined");
+        assert!(r.layer().quarantined().contains(forger), "repeat forger is quarantined");
         assert!(r.overlay.grouped().supernode_of(forger).is_none(), "and evicted");
         // A quarantined identity can never rejoin.
         play(&mut r, &ByzActions { joins: vec![join(100, None)], ..ByzActions::default() });

@@ -21,9 +21,9 @@
 
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
+use simnet::idrun::ascending;
 use simnet::rng::NodeRng;
-use simnet::NodeId;
-use std::collections::{HashMap, HashSet};
+use simnet::{BlockSet, IdRun, IdSet, NodeId};
 
 /// Whether the system can tell a crash from a DoS-blocked node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -57,11 +57,11 @@ pub struct CrashOutcome {
 #[derive(Clone, Debug)]
 pub struct CrashScenario {
     members: Vec<NodeId>,
-    crashed: HashSet<NodeId>,
+    crashed: IdSet,
     /// Silent-epochs counter per member.
-    silent_for: HashMap<NodeId, u32>,
+    silent_for: IdRun<u32>,
     /// Contacts each evicted node still knows (its last group).
-    contacts_of_evicted: HashMap<NodeId, Vec<NodeId>>,
+    contacts_of_evicted: IdRun<Vec<NodeId>>,
     visibility: CrashVisibility,
     rng: NodeRng,
 }
@@ -71,9 +71,9 @@ impl CrashScenario {
     pub fn new(n: usize, visibility: CrashVisibility, seed: u64) -> Self {
         Self {
             members: (0..n as u64).map(NodeId).collect(),
-            crashed: HashSet::new(),
-            silent_for: HashMap::new(),
-            contacts_of_evicted: HashMap::new(),
+            crashed: IdSet::none(),
+            silent_for: IdRun::default(),
+            contacts_of_evicted: IdRun::default(),
             visibility,
             rng: simnet::rng::stream(seed, 6, 0xC2A5),
         }
@@ -87,11 +87,11 @@ impl CrashScenario {
     /// Crash `count` random members (they go permanently silent).
     pub fn crash_random(&mut self, count: usize) -> Vec<NodeId> {
         let mut pool: Vec<NodeId> =
-            self.members.iter().copied().filter(|m| !self.crashed.contains(m)).collect();
+            self.members.iter().copied().filter(|&m| !self.crashed.contains(m)).collect();
         pool.shuffle(&mut self.rng);
-        let victims: Vec<NodeId> = pool.into_iter().take(count).collect();
-        self.crashed.extend(victims.iter().copied());
-        victims
+        pool.truncate(count);
+        self.crashed.union_with(&IdSet::from_iter(pool.iter().copied()));
+        pool
     }
 
     /// Run one reconfiguration epoch. `blocked` are live members the DoS
@@ -100,45 +100,50 @@ impl CrashScenario {
     /// through). Returns what the epoch did.
     pub fn epoch<FG: Fn(NodeId) -> Vec<NodeId>>(
         &mut self,
-        blocked: &HashSet<NodeId>,
+        blocked: &BlockSet,
         group_of: FG,
     ) -> CrashOutcome {
         let mut out = CrashOutcome::default();
         let mut evict: Vec<NodeId> = Vec::new();
+        let mut wronged: Vec<NodeId> = Vec::new();
+        // Members silent for fewer epochs than the patience, with their
+        // new count; everyone else's counter ends this epoch.
+        let mut tolerated: Vec<(NodeId, u32)> = Vec::new();
         for &m in &self.members {
-            let silent = self.crashed.contains(&m) || blocked.contains(&m);
+            let crashed = self.crashed.contains(m);
             match self.visibility {
                 CrashVisibility::Distinguishable => {
                     // Only true crashes are announced; blocked nodes are
                     // left alone.
-                    if self.crashed.contains(&m) {
+                    if crashed {
                         evict.push(m);
                         out.crashes_handled += 1;
                     }
                 }
                 CrashVisibility::Indistinguishable { patience } => {
-                    if silent {
-                        let c = self.silent_for.entry(m).or_insert(0);
-                        *c += 1;
-                        if *c > patience {
-                            if self.crashed.contains(&m) {
-                                out.crashes_handled += 1;
-                            } else {
-                                out.wrong_evictions += 1;
-                                self.contacts_of_evicted.insert(m, group_of(m));
-                            }
-                            evict.push(m);
-                        }
-                    } else {
-                        self.silent_for.remove(&m);
+                    if !crashed && !blocked.contains(m) {
+                        continue;
                     }
+                    let c = self.silent_for.get(m).map_or(1, |c| c + 1);
+                    if c <= patience {
+                        tolerated.push((m, c));
+                        continue;
+                    }
+                    if crashed {
+                        out.crashes_handled += 1;
+                    } else {
+                        out.wrong_evictions += 1;
+                        wronged.push(m);
+                    }
+                    evict.push(m);
                 }
             }
         }
-        for m in &evict {
-            self.members.retain(|x| x != m);
-            self.silent_for.remove(m);
-        }
+        let evicted = IdSet::from(evict);
+        self.members.retain(|&m| !evicted.contains(m));
+        self.silent_for = IdRun::from_unsorted(tolerated).expect("members are distinct");
+        // An evicted node is no member, so it has no contacts entry yet.
+        self.contacts_of_evicted.insert_all(&ascending(&wronged), group_of);
         out
     }
 
@@ -149,12 +154,12 @@ impl CrashScenario {
     /// size, it blocks exactly those, isolating the victim (the paper's
     /// "dedicated DoS-attack can easily isolate v").
     pub fn attempt_rejoin(&mut self, v: NodeId, adversary_budget: usize) -> bool {
-        let Some(contacts) = self.contacts_of_evicted.remove(&v) else {
+        let Some(contacts) = self.contacts_of_evicted.remove(v) else {
             return false; // nothing known about the network anymore
         };
         let live_contacts: Vec<NodeId> = contacts
             .into_iter()
-            .filter(|c| self.members.contains(c) && !self.crashed.contains(c))
+            .filter(|&c| self.members.contains(&c) && !self.crashed.contains(c))
             .collect();
         // The adversary blocks the victim's known contacts first.
         let reachable = live_contacts.len().saturating_sub(adversary_budget);
@@ -181,7 +186,7 @@ mod tests {
         let victims = sc.crash_random(10);
         assert_eq!(victims.len(), 10);
         // Heavy blocking alongside: must NOT cause evictions.
-        let blocked: HashSet<NodeId> = (50..90).map(NodeId).collect();
+        let blocked: BlockSet = (50..90).map(NodeId).collect();
         let out = sc.epoch(&blocked, group_of_stub(8));
         assert_eq!(out.crashes_handled, 10);
         assert_eq!(out.wrong_evictions, 0);
@@ -192,7 +197,7 @@ mod tests {
     fn indistinguishable_blocking_beyond_patience_evicts_live_nodes() {
         let mut sc = CrashScenario::new(100, CrashVisibility::Indistinguishable { patience: 2 }, 2);
         // Block the same 20 live nodes for 3 epochs: patience exceeded.
-        let blocked: HashSet<NodeId> = (0..20).map(NodeId).collect();
+        let blocked: BlockSet = (0..20).map(NodeId).collect();
         let mut wrong = 0;
         for _ in 0..3 {
             wrong += sc.epoch(&blocked, group_of_stub(8)).wrong_evictions;
@@ -204,13 +209,13 @@ mod tests {
     #[test]
     fn short_blocking_within_patience_is_tolerated() {
         let mut sc = CrashScenario::new(100, CrashVisibility::Indistinguishable { patience: 3 }, 3);
-        let blocked: HashSet<NodeId> = (0..20).map(NodeId).collect();
+        let blocked: BlockSet = (0..20).map(NodeId).collect();
         for _ in 0..2 {
             let out = sc.epoch(&blocked, group_of_stub(8));
             assert_eq!(out.wrong_evictions, 0);
         }
         // Silence ends: counters reset.
-        let out = sc.epoch(&HashSet::new(), group_of_stub(8));
+        let out = sc.epoch(&BlockSet::none(), group_of_stub(8));
         assert_eq!(out.wrong_evictions, 0);
         assert_eq!(sc.members().len(), 100);
     }
@@ -218,7 +223,7 @@ mod tests {
     #[test]
     fn adversary_with_contact_budget_isolates_returning_nodes() {
         let mut sc = CrashScenario::new(100, CrashVisibility::Indistinguishable { patience: 1 }, 4);
-        let blocked: HashSet<NodeId> = (0..5).map(NodeId).collect();
+        let blocked: BlockSet = (0..5).map(NodeId).collect();
         for _ in 0..2 {
             sc.epoch(&blocked, group_of_stub(8));
         }
@@ -236,7 +241,7 @@ mod tests {
         sc.crash_random(7);
         let mut handled = 0;
         for _ in 0..4 {
-            handled += sc.epoch(&HashSet::new(), group_of_stub(8)).crashes_handled;
+            handled += sc.epoch(&BlockSet::none(), group_of_stub(8)).crashes_handled;
         }
         assert_eq!(handled, 7);
         assert_eq!(sc.members().len(), 43);

@@ -10,8 +10,7 @@ use overlay_adversary::churn::ChurnEvent;
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::prefix::Label;
 use simnet::rng::NodeRng;
-use simnet::{BlockSet, NodeId};
-use std::collections::HashSet;
+use simnet::{BlockSet, IdSet, NodeId};
 use std::sync::{Arc, OnceLock};
 use telemetry::{EventKind, Telemetry};
 
@@ -106,13 +105,13 @@ impl ChurnDosOverlay {
     /// broadcast into the introducer's group (the paper's join operation),
     /// a leaver informs its group.
     pub fn apply_churn(&mut self, event: &ChurnEvent) {
-        let members: HashSet<NodeId> = self.groups.nodes().into_iter().collect();
+        let members = IdSet::from(self.groups.nodes());
         for j in &event.joins {
-            assert!(members.contains(&j.introduced_to), "introducer not a member");
+            assert!(members.contains(j.introduced_to), "introducer not a member");
             self.pending_joins.push(JoinPair { new: j.new_node, via: j.introduced_to });
         }
         for &l in &event.leaves {
-            assert!(members.contains(&l), "leaver {l} is not a member");
+            assert!(members.contains(l), "leaver {l} is not a member");
             self.pending_leaves.push(l);
         }
     }
@@ -130,16 +129,14 @@ impl ChurnDosOverlay {
         if alive.len() <= 1 {
             return true;
         }
-        let index: std::collections::HashMap<Label, usize> =
-            alive.iter().enumerate().map(|(i, &l)| (l, i)).collect();
         let mut seen = vec![false; alive.len()];
         seen[0] = true;
         let mut queue = vec![alive[0]];
         let mut reached = 1;
         while let Some(x) = queue.pop() {
-            for y in &alive {
-                if !seen[index[y]] && x.connected(y) {
-                    seen[index[y]] = true;
+            for (i, y) in alive.iter().enumerate() {
+                if !seen[i] && x.connected(y) {
+                    seen[i] = true;
                     reached += 1;
                     queue.push(*y);
                 }
@@ -185,9 +182,9 @@ impl ChurnDosOverlay {
     /// node's supernode with probability `2^-d(x)`, then split/merge back
     /// into the Equation 1 band.
     fn reconfigure(&mut self) {
-        let leaves: HashSet<NodeId> = self.pending_leaves.drain(..).collect();
+        let leaves = IdSet::from_iter(self.pending_leaves.drain(..));
         let mut population: Vec<NodeId> =
-            self.groups.nodes().into_iter().filter(|v| !leaves.contains(v)).collect();
+            self.groups.nodes().into_iter().filter(|&v| !leaves.contains(v)).collect();
         population.extend(self.pending_joins.drain(..).map(|j| j.new));
 
         let cover = self.groups.cover().clone();

@@ -25,7 +25,8 @@ use rand::RngExt;
 use simnet::rng::NodeRng;
 use simnet::{Ctx, NodeId, Payload, Protocol};
 use simnet_xl::XlNetwork;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A protocol executed by *supernodes* (to be simulated by their groups).
 ///
@@ -94,15 +95,14 @@ type Vote<P> = (u32, NodeId, P, Vec<(u64, <P as SuperProtocol>::SMsg)>);
 pub struct GroupSimNode<P: SuperProtocol> {
     /// The supernode this node represents.
     supernode: u64,
-    /// All members of the own group (broadcast targets).
-    own_group: Vec<NodeId>,
-    /// Members of every group, keyed by supernode label. In the paper
-    /// these references travel inside the supernode state (`S(x)` holds
-    /// references to `R(y)` for every supernode `y` stored in `x`); since
-    /// the group composition is fixed for the duration of one simulated
-    /// run, a shared directory is behaviorally equivalent and avoids
-    /// threading reference lists through every message type.
-    directory: std::sync::Arc<HashMap<u64, Vec<NodeId>>>,
+    /// Members of every group, indexed by supernode label; the own group's
+    /// members are the broadcast targets. In the paper these references
+    /// travel inside the supernode state (`S(x)` holds references to
+    /// `R(y)` for every supernode `y` stored in `x`); since the group
+    /// composition is fixed for the duration of one simulated run, a
+    /// shared directory is behaviorally equivalent and avoids threading
+    /// reference lists through every message type.
+    directory: Arc<[Vec<NodeId>]>,
     /// The adopted supernode state.
     pub state: P,
     /// Next supernode step to execute.
@@ -118,15 +118,9 @@ pub struct GroupSimNode<P: SuperProtocol> {
 
 impl<P: SuperProtocol> GroupSimNode<P> {
     /// Create a member of `supernode`'s group.
-    pub fn new(
-        supernode: u64,
-        own_group: Vec<NodeId>,
-        directory: std::sync::Arc<HashMap<u64, Vec<NodeId>>>,
-        initial: P,
-    ) -> Self {
+    pub fn new(supernode: u64, directory: Arc<[Vec<NodeId>]>, initial: P) -> Self {
         Self {
             supernode,
-            own_group,
             directory,
             state: initial,
             step: 0,
@@ -167,7 +161,7 @@ impl<P: SuperProtocol> Protocol for GroupSimNode<P> {
             // lowest-id available voter's view wins at synchronization, so
             // divergent inboxes resolve exactly as in the paper.
             let msg = GroupMsg::Candidate { step: self.step, state: candidate, out };
-            for &w in &self.own_group.clone() {
+            for &w in &self.directory[me_super as usize] {
                 ctx.send(w, msg.clone());
             }
         } else {
@@ -185,8 +179,8 @@ impl<P: SuperProtocol> Protocol for GroupSimNode<P> {
                     self.state = state;
                     let from_super = self.supernode;
                     for (idx, (dest_super, m)) in out.into_iter().enumerate() {
-                        if let Some(group) = self.directory.get(&dest_super).cloned() {
-                            for w in group {
+                        if let Some(group) = self.directory.get(dest_super as usize) {
+                            for &w in group {
                                 ctx.send(
                                     w,
                                     GroupMsg::Super {
@@ -231,23 +225,13 @@ where
                 .collect()
         })
         .collect();
-    let directory: std::sync::Arc<HashMap<u64, Vec<NodeId>>> = std::sync::Arc::new(
-        groups.iter().enumerate().map(|(x, g)| (x as u64, g.clone())).collect(),
-    );
+    let directory: Arc<[Vec<NodeId>]> = groups.clone().into();
     // Parity explicitly, not `backend::select()`: `SIMNET_BACKEND=xl:fast`
     // must not change what E16 and the Lemma 14 tests run.
     let mut net = XlNetwork::new(seed);
     for x in 0..n_super {
         for &v in &groups[x as usize] {
-            net.add_node(
-                v,
-                GroupSimNode::new(
-                    x,
-                    groups[x as usize].clone(),
-                    std::sync::Arc::clone(&directory),
-                    initial(x),
-                ),
-            );
+            net.add_node(v, GroupSimNode::new(x, Arc::clone(&directory), initial(x)));
         }
     }
     (net, groups)

@@ -11,11 +11,11 @@
 use crate::backend::AnyNet;
 use crate::config::{SamplingParams, Schedule};
 use crate::metrics::ReconfigMetrics;
-use crate::sampling::run_alg1_direct;
+use crate::sampling::run_alg1_direct_observed;
 use overlay_graphs::{HGraph, HamiltonCycle};
 use rand::seq::SliceRandom;
-use simnet::{Ctx, NodeId, Payload, Protocol};
-use std::collections::{HashMap, HashSet};
+use simnet::{Ctx, IdRun, IdSet, NodeId, Payload, Protocol};
+use telemetry::Telemetry;
 
 /// How Phase 3 bridges empty segments (A1 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -269,43 +269,46 @@ impl Protocol for ReconfigNode {
 pub fn run_epoch(input: EpochInput<'_>) -> EpochOutput {
     let graph = input.graph;
     let old_members: Vec<NodeId> = graph.nodes().to_vec();
-    let leaving: HashSet<NodeId> = input.leaving.iter().copied().collect();
-    for (new, delegate) in &input.joins {
-        assert!(!graph.contains(*new), "joining id {new} already present");
-        assert!(graph.contains(*delegate), "delegate {delegate} not a member");
+    let leaving = IdSet::from_iter(input.leaving.iter().copied());
+    for &(new, delegate) in &input.joins {
+        assert!(!graph.contains(new), "joining id {new} already present");
+        assert!(graph.contains(delegate), "delegate {delegate} not a member");
         assert!(!leaving.contains(new), "id {new} cannot join and leave at once");
     }
     let n_cycles = graph.degree() / 2;
 
     // ---- Phase 1 sampling: uniform targets from the rapid sampler. ----
-    let dense: HashMap<NodeId, usize> =
-        old_members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    // Candidates each member must place, per cycle (same across cycles).
-    let mut to_place: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    for &v in &old_members {
-        if !leaving.contains(&v) {
-            to_place.entry(v).or_default().push(v);
+    // Candidates each member must place, per cycle (same across cycles),
+    // indexed by the member's position in `old_members`.
+    let mut to_place: Vec<Vec<NodeId>> =
+        old_members.iter().map(|&v| if leaving.contains(v) { vec![] } else { vec![v] }).collect();
+    if !input.joins.is_empty() {
+        let at = old_members.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let at = IdRun::from_unsorted(at).expect("graph nodes are distinct");
+        for &(new, delegate) in &input.joins {
+            to_place[at.get(delegate).copied().expect("delegate is a member")].push(new);
         }
     }
-    for &(new, delegate) in &input.joins {
-        to_place.entry(delegate).or_default().push(new);
-    }
-    let total_candidates: usize = to_place.values().map(Vec::len).sum();
+    let total_candidates: usize = to_place.iter().map(Vec::len).sum();
     assert!(total_candidates >= 3, "surviving membership too small for a Hamilton cycle");
 
     // Draw targets from real sampler runs; start more parallel instances
     // if one run's beta*log(n) samples per node do not suffice.
     let mut sample_pool: Vec<Vec<NodeId>> = vec![Vec::new(); old_members.len()];
-    let needed: HashMap<NodeId, usize> =
-        to_place.iter().map(|(&v, c)| (v, c.len() * n_cycles)).collect();
     let mut salt = 0u64;
     let schedule = Schedule::algorithm1(old_members.len(), graph.degree(), &input.params);
     loop {
-        let enough = needed.iter().all(|(v, &need)| sample_pool[dense[v]].len() >= need);
+        let enough =
+            sample_pool.iter().zip(&to_place).all(|(pool, c)| pool.len() >= c.len() * n_cycles);
         if enough {
             break;
         }
-        let run = run_alg1_direct(graph, &input.params, input.seed.wrapping_add(salt));
+        let run = run_alg1_direct_observed(
+            graph,
+            &input.params,
+            input.seed.wrapping_add(salt),
+            &Telemetry::disabled(),
+        );
         for (pool, row) in sample_pool.iter_mut().zip(&run.samples) {
             pool.extend(row.iter().map(|&j| old_members[j as usize]));
         }
@@ -316,19 +319,10 @@ pub fn run_epoch(input: EpochInput<'_>) -> EpochOutput {
 
     // ---- Build the epoch network. ----
     let mut net: AnyNet<ReconfigNode> = crate::backend::select().build(input.seed ^ 0xEC0C);
-    for &v in &old_members {
-        let pool = &mut sample_pool[dense[&v]];
+    for ((&v, pool), cands) in old_members.iter().zip(&mut sample_pool).zip(&to_place) {
         let placements: Vec<Vec<(NodeId, NodeId)>> = (0..n_cycles)
             .map(|_| {
-                to_place
-                    .get(&v)
-                    .map(|cands| {
-                        cands
-                            .iter()
-                            .map(|&cand| (cand, pool.pop().expect("pool sized above")))
-                            .collect()
-                    })
-                    .unwrap_or_default()
+                cands.iter().map(|&cand| (cand, pool.pop().expect("pool sized above"))).collect()
             })
             .collect();
         let cycles: Vec<PerCycle> = graph
@@ -361,7 +355,7 @@ pub fn run_epoch(input: EpochInput<'_>) -> EpochOutput {
     let survivors: Vec<NodeId> = old_members
         .iter()
         .copied()
-        .filter(|v| !leaving.contains(v))
+        .filter(|&v| !leaving.contains(v))
         .chain(input.joins.iter().map(|&(new, _)| new))
         .collect();
     let max_rounds = 6 * (usize::BITS - old_members.len().leading_zeros()) as u64 + 24;
@@ -399,17 +393,15 @@ pub fn run_epoch(input: EpochInput<'_>) -> EpochOutput {
     let mut new_cycles = Vec::with_capacity(n_cycles);
     let mut max_congestion = 0usize;
     for c in 0..n_cycles {
-        let mut succ_of: HashMap<NodeId, NodeId> = HashMap::with_capacity(survivors.len());
-        for &v in &survivors {
-            let pc = &net.node(v).expect("survivor present").cycles[c];
-            succ_of.insert(v, pc.new_succ.expect("wired"));
-        }
-        let start = *survivors.iter().min().expect("non-empty");
+        let succ = |v: NodeId| net.node(v).expect("survivor present").cycles[c].new_succ;
+        let succ_of = survivors.iter().map(|&v| (v, succ(v).expect("wired"))).collect();
+        let succ_of = IdRun::from_unsorted(succ_of).expect("survivors are distinct");
+        let start = succ_of.ids()[0];
         let mut order = Vec::with_capacity(survivors.len());
         let mut cur = start;
         loop {
             order.push(cur);
-            cur = succ_of[&cur];
+            cur = *succ_of.get(cur).expect("successor is a survivor");
             if cur == start {
                 break;
             }

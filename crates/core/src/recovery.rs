@@ -48,8 +48,8 @@ use crate::healing::{Backoff, FaultyRunner, HealableOverlay, Layer};
 use crate::metrics::DosRoundMetrics;
 use overlay_adversary::knobs::{parse_knob, KnobError, KnobReason};
 use simnet::rng::NodeRng;
-use simnet::{BlockSet, BurstSchedule, IdSet, NodeId};
-use std::collections::{BTreeMap, VecDeque};
+use simnet::{BlockSet, BurstSchedule, IdRun, IdSet, NodeId};
+use std::collections::VecDeque;
 use telemetry::EventKind;
 
 /// Pseudo-node id keying the recovery layer's jitter stream (distinct
@@ -228,7 +228,7 @@ pub struct Catastrophes {
     unhealthy_streak: u64,
     healthy_streak: u64,
     transitions: Vec<(u64, RecoveryMode)>,
-    arrivals: BTreeMap<NodeId, Arrival>,
+    arrivals: IdRun<Arrival>,
     tokens: u64,
     resync_queue: VecDeque<NodeId>,
     partitions: Vec<ActivePartition>,
@@ -297,7 +297,7 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             unhealthy_streak: 0,
             healthy_streak: 0,
             transitions: Vec::new(),
-            arrivals: BTreeMap::new(),
+            arrivals: IdRun::default(),
             tokens: params.admit_burst,
             resync_queue: VecDeque::new(),
             partitions: Vec::new(),
@@ -319,7 +319,7 @@ impl<O: HealableOverlay> Layer<O> for Catastrophes {
         let c = &r.layer;
         if c.enabled && c.mode == RecoveryMode::SafeMode {
             let work_due =
-                !c.resync_queue.is_empty() || c.arrivals.values().any(|a| a.due <= round);
+                !c.resync_queue.is_empty() || c.arrivals.values().iter().any(|a| a.due <= round);
             if work_due {
                 r.goto(round, RecoveryMode::Recovering);
             }
@@ -380,13 +380,14 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
             let victims =
                 self.layer.schedule.draw_burst(idx, &members, &snap.groups, &snap.group_edges);
             let mut crashed = Vec::with_capacity(victims.len());
+            let mut arrivals = Vec::with_capacity(victims.len());
             for (v, back) in victims {
                 self.force_crash(v);
-                self.layer
-                    .arrivals
-                    .insert(v, Arrival { due: back, attempts: 0, kind: ArrivalKind::CrashReturn });
+                arrivals
+                    .push((v, Arrival { due: back, attempts: 0, kind: ArrivalKind::CrashReturn }));
                 crashed.push(v);
             }
+            self.layer.arrivals.put_all(IdRun::from_unsorted(arrivals).expect("distinct victims"));
             self.layer.stats.bursts_fired += 1;
             if self.tel.enabled() {
                 self.tel.counter("recovery.bursts", &[]).add(crashed.len() as u64);
@@ -407,6 +408,7 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
         for p in healing_now {
             self.layer.stats.partitions_healed += 1;
             let members = IdSet::from(self.overlay.members_sorted());
+            let mut orphans = Vec::new();
             for v in p.side.iter() {
                 if members.contains(v) {
                     // Still a member. If reconfiguration resampled while it
@@ -423,12 +425,13 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
                     // side. Reconciliation re-runs the join path for it,
                     // queued for this round's capacity gate (where the
                     // control's losers are orphaned for good).
-                    self.layer.arrivals.insert(
+                    orphans.push((
                         v,
                         Arrival { due: round, attempts: 0, kind: ArrivalKind::OrphanJoin },
-                    );
+                    ));
                 }
             }
+            self.layer.arrivals.put_all(IdRun::from_unsorted(orphans).expect("a side is a set"));
         }
     }
 
@@ -441,7 +444,9 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
         let mut join_budget = params.join_capacity;
 
         let due: Vec<(NodeId, Arrival)> =
-            c.arrivals.iter().filter(|(_, a)| a.due <= round).map(|(&v, &a)| (v, a)).collect();
+            c.arrivals.entries().filter(|(_, a)| a.due <= round).map(|(v, &a)| (v, a)).collect();
+        // Admitted and abandoned arrivals, ascending; dropped in one walk.
+        let mut settled = Vec::new();
         for (v, a) in due {
             let needs_join = a.kind == ArrivalKind::OrphanJoin || self.was_evicted_while_down(v);
             if !needs_join {
@@ -449,7 +454,7 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
                 // free desynchronized comeback — healing resyncs it.
                 let out = self.return_node(v);
                 debug_assert_ne!(out, Some(true));
-                self.layer.arrivals.remove(&v);
+                settled.push(v);
                 self.layer.stats.admitted += 1;
                 continue;
             }
@@ -468,7 +473,7 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
                     }
                     ArrivalKind::OrphanJoin => self.overlay.rejoin(v),
                 }
-                self.layer.arrivals.remove(&v);
+                settled.push(v);
                 self.layer.stats.admitted += 1;
                 if enabled && self.tel.enabled() {
                     self.tel.counter("recovery.admitted", &[]).inc();
@@ -483,7 +488,7 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
                 // admission slot idles between herd arrivals.
                 let backoff = Backoff::capped(params.retry_base, params.retry_cap);
                 let c = &mut self.layer;
-                let entry = c.arrivals.get_mut(&v).expect("arrival exists");
+                let entry = c.arrivals.get_mut(v).expect("arrival exists");
                 let delay = backoff.delay(entry.attempts);
                 let jit = {
                     use rand::RngExt;
@@ -497,10 +502,11 @@ impl<O: HealableOverlay> FaultyRunner<O, Catastrophes> {
                 }
             } else {
                 self.abandon(v);
-                self.layer.arrivals.remove(&v);
+                settled.push(v);
                 self.layer.stats.orphaned += 1;
             }
         }
+        self.layer.arrivals.remove_all(settled);
 
         // Reconciliation resyncs are a reliable exchange, rate-limited by
         // the same refill rate (they spend no join capacity — the member

@@ -89,16 +89,8 @@ impl Protocol for BaselineNode {
 
 /// Run the baseline sampler: every node of `graph` launches
 /// `beta log n` tokens walking for the Lemma 2 mixing length. Returns the
-/// per-node samples and metrics (note `rounds = Theta(log n)`).
-pub fn run_baseline(
-    graph: &HGraph,
-    params: &SamplingParams,
-    seed: u64,
-) -> (Vec<(NodeId, Vec<NodeId>)>, SamplingMetrics) {
-    run_baseline_observed(graph, params, seed, &Telemetry::disabled())
-}
-
-/// [`run_baseline`] that folds the run's telemetry into `tel`.
+/// per-node samples and metrics (note `rounds = Theta(log n)`), and folds
+/// the run's telemetry into `tel`.
 pub fn run_baseline_observed(
     graph: &HGraph,
     params: &SamplingParams,
@@ -159,7 +151,7 @@ mod tests {
     fn every_token_comes_home() {
         let g = graph(64, 1);
         let p = SamplingParams::default();
-        let (samples, metrics) = run_baseline(&g, &p, 2);
+        let (samples, metrics) = run_baseline_observed(&g, &p, 2, &Telemetry::disabled());
         let k = p.samples_needed(64);
         for (_, s) in &samples {
             assert_eq!(s.len(), k, "all launched tokens must return");
@@ -170,8 +162,8 @@ mod tests {
     #[test]
     fn baseline_needs_logarithmically_many_rounds() {
         let p = SamplingParams::default();
-        let (_, m1) = run_baseline(&graph(32, 3), &p, 1);
-        let (_, m2) = run_baseline(&graph(256, 4), &p, 1);
+        let (_, m1) = run_baseline_observed(&graph(32, 3), &p, 1, &Telemetry::disabled());
+        let (_, m2) = run_baseline_observed(&graph(256, 4), &p, 1, &Telemetry::disabled());
         // 8x nodes: walk length grows by a constant factor (log n), much
         // more than the <= 2 extra rounds of Algorithm 1.
         assert!(m2.rounds >= m1.rounds + 4, "{} vs {}", m2.rounds, m1.rounds);
@@ -181,7 +173,7 @@ mod tests {
     fn endpoints_spread_over_the_graph() {
         let g = graph(32, 5);
         let p = SamplingParams::default();
-        let (samples, _) = run_baseline(&g, &p, 7);
+        let (samples, _) = run_baseline_observed(&g, &p, 7, &Telemetry::disabled());
         let mut seen = std::collections::HashSet::new();
         for (_, s) in &samples {
             seen.extend(s.iter().copied());

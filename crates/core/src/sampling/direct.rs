@@ -111,11 +111,6 @@ pub struct DirectRun {
     pub metrics: SamplingMetrics,
 }
 
-/// Run Algorithm 1 in direct mode on `graph` with dense node indices.
-pub fn run_alg1_direct(graph: &HGraph, params: &SamplingParams, seed: u64) -> DirectRun {
-    run_alg1_direct_observed(graph, params, seed, &Telemetry::disabled())
-}
-
 /// Fill `out` by popping uniformly at random from the multiset
 /// `row[..*live]`. Popping from an empty multiset yields `fallback` — the
 /// popping node itself, like the envelope version — without a draw; the
@@ -190,7 +185,8 @@ fn shards<'a>(
     out
 }
 
-/// [`run_alg1_direct`] that folds the run's telemetry into `tel`. There is
+/// Run Algorithm 1 in direct mode on `graph` with dense node indices,
+/// folding the run's telemetry into `tel`. There is
 /// no simulated network here, so the analytic work accounting is recorded
 /// under the same `net.*` metric names the envelope runners use, keeping
 /// [`SamplingMetrics::from_snapshot`] the single derivation path. Each
@@ -575,7 +571,7 @@ mod tests {
         for k in 0..240 {
             let (g, params, seed) = differential_case(k);
             let what = format!("case {k}: n={} d={} {params:?} seed={seed}", g.len(), g.degree());
-            let flat = run_alg1_direct(&g, &params, seed);
+            let flat = run_alg1_direct_observed(&g, &params, seed, &Telemetry::disabled());
             let oracle = reference::run(&g, &params, seed);
             assert_eq!(flat.samples.len(), oracle.samples.len(), "{what}");
             for (u, (got, want)) in flat.samples.iter().zip(&oracle.samples).enumerate() {
@@ -604,7 +600,7 @@ mod tests {
         // across many nodes and every arena is exercised at full stride).
         let g = graph(300, 21);
         let params = SamplingParams::default();
-        let flat = run_alg1_direct(&g, &params, 11);
+        let flat = run_alg1_direct_observed(&g, &params, 11, &Telemetry::disabled());
         let oracle = reference::run(&g, &params, 11);
         let rows: Vec<Vec<u32>> = flat.samples.iter().map(<[u32]>::to_vec).collect();
         assert_eq!(rows, oracle.samples);
@@ -626,7 +622,7 @@ mod tests {
         for (g, params, seed) in &cases {
             let run = |threads: usize| {
                 let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-                pool.install(|| run_alg1_direct(g, params, *seed))
+                pool.install(|| run_alg1_direct_observed(g, params, *seed, &Telemetry::disabled()))
             };
             let serial = run(1);
             assert_eq!(run(2), serial, "n={} two workers", g.len());
@@ -638,7 +634,7 @@ mod tests {
     fn direct_mode_delivers_full_sample_sets() {
         let g = graph(256, 1);
         let p = SamplingParams::default();
-        let run = run_alg1_direct(&g, &p, 3);
+        let run = run_alg1_direct_observed(&g, &p, 3, &Telemetry::disabled());
         assert_eq!(run.samples.len(), 256);
         assert_eq!(run.metrics.failures, 0);
         let need = p.samples_needed(256);
@@ -650,7 +646,8 @@ mod tests {
     #[test]
     fn direct_mode_scales_to_larger_n() {
         let g = graph(4096, 2);
-        let run = run_alg1_direct(&g, &SamplingParams::default(), 5);
+        let run =
+            run_alg1_direct_observed(&g, &SamplingParams::default(), 5, &Telemetry::disabled());
         assert_eq!(run.metrics.failures, 0);
         assert!(run.metrics.rounds <= 13, "rounds {}", run.metrics.rounds);
     }
@@ -661,7 +658,7 @@ mod tests {
         // uniform distribution — both must pass at the same confidence.
         let g = graph(64, 3);
         let p = SamplingParams { c: 4.0, ..SamplingParams::default() };
-        let direct = run_alg1_direct(&g, &p, 7);
+        let direct = run_alg1_direct_observed(&g, &p, 7, &Telemetry::disabled());
         let mut counts = vec![0u64; 64];
         for s in &direct.samples {
             for &id in s {
@@ -671,7 +668,8 @@ mod tests {
         let (_, p_direct) = overlay_stats::uniform_fit(&counts);
         assert!(p_direct > 1e-4, "direct-mode uniformity rejected: {p_direct}");
 
-        let (env_samples, _) = crate::sampling::run_alg1(&g, &p, 7);
+        let (env_samples, _) =
+            crate::sampling::run_alg1_observed(&g, &p, 7, &Telemetry::disabled());
         let mut counts2 = vec![0u64; 64];
         for (_, s) in &env_samples {
             for id in s {
@@ -686,8 +684,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = graph(128, 4);
         let p = SamplingParams::default();
-        let a = run_alg1_direct(&g, &p, 11);
-        let b = run_alg1_direct(&g, &p, 11);
+        let a = run_alg1_direct_observed(&g, &p, 11, &Telemetry::disabled());
+        let b = run_alg1_direct_observed(&g, &p, 11, &Telemetry::disabled());
         assert_eq!(a.samples, b.samples);
     }
 
@@ -695,7 +693,7 @@ mod tests {
     fn undersized_schedule_reports_failures() {
         let g = graph(128, 5);
         let p = SamplingParams { epsilon: 0.01, c: 0.15, ..SamplingParams::default() };
-        let run = run_alg1_direct(&g, &p, 13);
+        let run = run_alg1_direct_observed(&g, &p, 13, &Telemetry::disabled());
         assert!(run.metrics.failures > 0);
     }
 }

@@ -213,18 +213,10 @@ simnet::checkpoint_schema! {
 }
 
 /// Run Algorithm 1 on the given H-graph: every node samples
-/// `m_T >= beta log n` nodes. Returns per-node samples and run metrics.
-pub fn run_alg1(
-    graph: &HGraph,
-    params: &SamplingParams,
-    seed: u64,
-) -> (Vec<(NodeId, Vec<NodeId>)>, SamplingMetrics) {
-    let (out, metrics, _) = run_alg1_inner(graph, params, seed, false, &Telemetry::disabled());
-    (out, metrics)
-}
-
-/// [`run_alg1`] that folds the run's telemetry (engine work metrics,
-/// sampling events, phase profile) into `tel`.
+/// `m_T >= beta log n` nodes. Returns per-node samples and run metrics,
+/// and folds the run's telemetry (engine work metrics, sampling events,
+/// phase profile) into `tel` (pass [`Telemetry::disabled`] to observe
+/// nothing).
 pub fn run_alg1_observed(
     graph: &HGraph,
     params: &SamplingParams,
@@ -238,17 +230,12 @@ pub fn run_alg1_observed(
 /// Per-node samples, run metrics, and the engine's per-round digest stream.
 pub type DigestedRun = (Vec<(NodeId, Vec<NodeId>)>, SamplingMetrics, Vec<simnet::RoundDigest>);
 
-/// [`run_alg1`] with per-round state digests: returns the digest stream
-/// recorded by the simnet engine (one [`simnet::RoundDigest`] per round)
-/// alongside the usual outputs. Replaying with identical graph, params and
-/// seed yields an identical stream; golden tests pin it.
-pub fn run_alg1_digested(graph: &HGraph, params: &SamplingParams, seed: u64) -> DigestedRun {
-    run_alg1_inner(graph, params, seed, true, &Telemetry::disabled())
-}
-
-/// [`run_alg1_digested`] that also folds the run's telemetry into `tel`.
-/// The determinism guard uses this combination to prove that observing a
-/// run leaves its digest stream byte-identical.
+/// [`run_alg1_observed`] with per-round state digests: returns the digest
+/// stream recorded by the simnet engine (one [`simnet::RoundDigest`] per
+/// round) alongside the usual outputs. Replaying with identical graph,
+/// params and seed yields an identical stream; golden tests pin it, and
+/// the determinism guard proves that observing a run into `tel` leaves
+/// the stream byte-identical.
 pub fn run_alg1_digested_observed(
     graph: &HGraph,
     params: &SamplingParams,
@@ -367,7 +354,7 @@ mod tests {
     fn all_nodes_get_enough_samples() {
         let g = graph(64, 1);
         let p = SamplingParams::default();
-        let (samples, metrics) = run_alg1(&g, &p, 42);
+        let (samples, metrics) = run_alg1_observed(&g, &p, 42, &Telemetry::disabled());
         assert_eq!(samples.len(), 64);
         let need = p.samples_needed(64);
         for (_, s) in &samples {
@@ -379,7 +366,8 @@ mod tests {
     #[test]
     fn no_failures_with_default_parameters() {
         let g = graph(128, 2);
-        let (_, metrics) = run_alg1(&g, &SamplingParams::default(), 7);
+        let (_, metrics) =
+            run_alg1_observed(&g, &SamplingParams::default(), 7, &Telemetry::disabled());
         assert_eq!(metrics.failures, 0, "Lemma 7 regime must not underflow");
     }
 
@@ -388,7 +376,7 @@ mod tests {
         // c far below the Chernoff sizing and epsilon tiny: pops collide.
         let g = graph(128, 3);
         let p = SamplingParams { epsilon: 0.01, c: 0.2, ..SamplingParams::default() };
-        let (_, metrics) = run_alg1(&g, &p, 7);
+        let (_, metrics) = run_alg1_observed(&g, &p, 7, &Telemetry::disabled());
         assert!(metrics.failures > 0, "deliberately broken schedule should underflow");
     }
 
@@ -397,7 +385,8 @@ mod tests {
         // Aggregate samples from all nodes should hit most of the graph.
         let n = 64;
         let g = graph(n, 4);
-        let (samples, _) = run_alg1(&g, &SamplingParams::default(), 9);
+        let (samples, _) =
+            run_alg1_observed(&g, &SamplingParams::default(), 9, &Telemetry::disabled());
         let mut seen = std::collections::HashSet::new();
         for (_, s) in &samples {
             seen.extend(s.iter().copied());
@@ -409,8 +398,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = graph(32, 5);
         let p = SamplingParams::default();
-        let (a, ma) = run_alg1(&g, &p, 123);
-        let (b, mb) = run_alg1(&g, &p, 123);
+        let (a, ma) = run_alg1_observed(&g, &p, 123, &Telemetry::disabled());
+        let (b, mb) = run_alg1_observed(&g, &p, 123, &Telemetry::disabled());
         assert_eq!(ma.total_msgs, mb.total_msgs);
         for ((va, sa), (vb, sb)) in a.iter().zip(&b) {
             assert_eq!(va, vb);
@@ -421,8 +410,8 @@ mod tests {
     #[test]
     fn rounds_are_loglog_scale() {
         let p = SamplingParams::default();
-        let (_, m_small) = run_alg1(&graph(32, 6), &p, 1);
-        let (_, m_big) = run_alg1(&graph(256, 7), &p, 1);
+        let (_, m_small) = run_alg1_observed(&graph(32, 6), &p, 1, &Telemetry::disabled());
+        let (_, m_big) = run_alg1_observed(&graph(256, 7), &p, 1, &Telemetry::disabled());
         // 8x the nodes adds at most 2 rounds (one doubling iteration).
         assert!(m_big.rounds <= m_small.rounds + 2);
     }

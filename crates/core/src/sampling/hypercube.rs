@@ -165,16 +165,8 @@ impl Protocol for Alg2Node {
 }
 
 /// Run Algorithm 2 on a hypercube of dimension `dim` (a power of two):
-/// every node samples `m_T` exactly-uniform node ids.
-pub fn run_alg2(
-    dim: u32,
-    params: &SamplingParams,
-    seed: u64,
-) -> (Vec<(NodeId, Vec<NodeId>)>, SamplingMetrics) {
-    run_alg2_observed(dim, params, seed, &Telemetry::disabled())
-}
-
-/// [`run_alg2`] that folds the run's telemetry into `tel`.
+/// every node samples `m_T` exactly-uniform node ids. Folds the run's
+/// telemetry into `tel`.
 pub fn run_alg2_observed(
     dim: u32,
     params: &SamplingParams,
@@ -233,7 +225,7 @@ mod tests {
     fn all_nodes_sample_and_finish() {
         // dim 8 (power of two), n = 256.
         let p = SamplingParams::default();
-        let (samples, metrics) = run_alg2(8, &p, 3);
+        let (samples, metrics) = run_alg2_observed(8, &p, 3, &Telemetry::disabled());
         assert_eq!(samples.len(), 256);
         assert_eq!(metrics.iterations, 3); // log2(8)
         assert_eq!(metrics.rounds, 7);
@@ -245,7 +237,7 @@ mod tests {
     #[test]
     fn no_failures_in_the_lemma9_regime() {
         let p = SamplingParams { c: 3.0, ..SamplingParams::default() };
-        let (_, metrics) = run_alg2(8, &p, 5);
+        let (_, metrics) = run_alg2_observed(8, &p, 5, &Telemetry::disabled());
         assert_eq!(metrics.failures, 0);
     }
 
@@ -254,7 +246,7 @@ mod tests {
         // Pool all samples of all nodes; chi-square against uniform over
         // the 2^4 = 16 vertices.
         let p = SamplingParams { c: 4.0, ..SamplingParams::default() };
-        let (samples, _) = run_alg2(4, &p, 11);
+        let (samples, _) = run_alg2_observed(4, &p, 11, &Telemetry::disabled());
         let mut counts = vec![0u64; 16];
         for (_, s) in &samples {
             for id in s {
@@ -270,7 +262,7 @@ mod tests {
         // A single node's samples should cover far vertices, not just its
         // neighborhood — the signature of full-coordinate randomization.
         let p = SamplingParams { c: 4.0, ..SamplingParams::default() };
-        let (samples, _) = run_alg2(4, &p, 13);
+        let (samples, _) = run_alg2_observed(4, &p, 13, &Telemetry::disabled());
         let cube = Hypercube::new(4);
         let (src, s) = &samples[0];
         let far = s.iter().filter(|v| cube.distance(src.raw(), v.raw()) >= 2).count();
@@ -280,8 +272,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let p = SamplingParams::default();
-        let (a, _) = run_alg2(4, &p, 99);
-        let (b, _) = run_alg2(4, &p, 99);
+        let (a, _) = run_alg2_observed(4, &p, 99, &Telemetry::disabled());
+        let (b, _) = run_alg2_observed(4, &p, 99, &Telemetry::disabled());
         assert_eq!(a.len(), b.len());
         for ((va, sa), (vb, sb)) in a.iter().zip(&b) {
             assert_eq!(va, vb);

@@ -22,10 +22,8 @@ pub mod hgraph;
 pub mod hypercube;
 pub mod lower_bound;
 
-pub use baseline::{run_baseline, run_baseline_observed, BaselineNode, WalkMsg};
-pub use direct::{run_alg1_direct, run_alg1_direct_observed, DirectRun, SampleTable};
-pub use hgraph::{
-    run_alg1, run_alg1_digested, run_alg1_digested_observed, run_alg1_observed, Alg1Node, SampleMsg,
-};
-pub use hypercube::{run_alg2, run_alg2_observed, Alg2Node, CubeMsg};
+pub use baseline::{run_baseline_observed, BaselineNode, WalkMsg};
+pub use direct::{run_alg1_direct_observed, DirectRun, SampleTable};
+pub use hgraph::{run_alg1_digested_observed, run_alg1_observed, Alg1Node, SampleMsg};
+pub use hypercube::{run_alg2_observed, Alg2Node, CubeMsg};
 pub use lower_bound::knowledge_spread_rounds;

@@ -16,19 +16,22 @@
 
 use crate::connectivity::Adjacency;
 use rand::{Rng, RngExt};
-use simnet::NodeId;
+use simnet::{IdRun, NodeId};
 use std::collections::HashMap;
 
-/// One node's links: `(predecessor, successor)` per level.
-type Links = Vec<(Option<NodeId>, Option<NodeId>)>;
-
-/// A static skip graph over a labeled node set.
+/// A static skip graph over a labeled node set. Nodes are held by their
+/// position in label order; links name positions.
 #[derive(Clone, Debug)]
 pub struct SkipGraph {
     /// Nodes in ascending label order.
     order: Vec<NodeId>,
-    label: HashMap<NodeId, u64>,
-    links: HashMap<NodeId, Links>,
+    /// The label of each position, ascending.
+    label: Vec<u64>,
+    /// Each node's position in `order`.
+    at: IdRun<usize>,
+    /// `(predecessor, successor)` per position and level, `levels` per
+    /// position.
+    links: Vec<(Option<usize>, Option<usize>)>,
     levels: usize,
 }
 
@@ -39,34 +42,31 @@ impl SkipGraph {
         assert!(nodes.len() >= 2, "a skip graph needs at least 2 nodes");
         let n = nodes.len();
         let levels = (usize::BITS - (n - 1).leading_zeros()) as usize + 1;
-        let mut label: HashMap<NodeId, u64> = HashMap::with_capacity(n);
-        let mut mvec: HashMap<NodeId, u64> = HashMap::with_capacity(n);
-        for &v in nodes {
-            // Distinct labels w.h.p.; collisions are broken by node id in
-            // the sort below, which is equivalent to label perturbation.
-            label.insert(v, rng.random::<u64>());
-            mvec.insert(v, rng.random::<u64>());
-        }
-        let mut order = nodes.to_vec();
-        order.sort_by_key(|v| (label[v], v.raw()));
+        // `(label, id, membership vector)`, drawn label first, in `nodes`
+        // order. Distinct labels w.h.p.; collisions are broken by node id
+        // in the sort below, which is equivalent to label perturbation.
+        let mut drawn: Vec<(u64, NodeId, u64)> =
+            nodes.iter().map(|&v| (rng.random::<u64>(), v, rng.random::<u64>())).collect();
+        drawn.sort_by_key(|&(label, v, _)| (label, v));
+        let order: Vec<NodeId> = drawn.iter().map(|d| d.1).collect();
+        let at = order.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let at = IdRun::from_unsorted(at).expect("skip graph nodes are distinct");
 
-        let mut links: HashMap<NodeId, Links> =
-            nodes.iter().map(|&v| (v, vec![(None, None); levels])).collect();
+        let mut links = vec![(None, None); n * levels];
         for lvl in 0..levels {
-            // Nodes sharing their first `lvl` membership bits form a list.
+            // Nodes sharing their first `lvl` membership bits form a list;
+            // `tail` holds each list's last position so far.
             let mask = if lvl == 0 { 0 } else { (1u64 << lvl) - 1 };
-            let mut lists: HashMap<u64, Vec<NodeId>> = HashMap::new();
-            for &v in &order {
-                lists.entry(mvec[&v] & mask).or_default().push(v);
-            }
-            for list in lists.values() {
-                for w in list.windows(2) {
-                    links.get_mut(&w[0]).expect("known node")[lvl].1 = Some(w[1]);
-                    links.get_mut(&w[1]).expect("known node")[lvl].0 = Some(w[0]);
+            let mut tail: HashMap<u64, usize> = HashMap::new();
+            for (i, d) in drawn.iter().enumerate() {
+                if let Some(p) = tail.insert(d.2 & mask, i) {
+                    links[p * levels + lvl].1 = Some(i);
+                    links[i * levels + lvl].0 = Some(p);
                 }
             }
         }
-        Self { order, label, links, levels }
+        let label = drawn.iter().map(|d| d.0).collect();
+        Self { order, label, at, links, levels }
     }
 
     /// Number of nodes.
@@ -84,15 +84,25 @@ impl SkipGraph {
         self.levels
     }
 
+    /// The position of `v` in label order.
+    fn position(&self, v: NodeId) -> usize {
+        *self.at.get(v).expect("node of the skip graph")
+    }
+
+    /// The links of the node at position `i`, one per level.
+    fn links(&self, i: usize) -> &[(Option<usize>, Option<usize>)] {
+        &self.links[i * self.levels..(i + 1) * self.levels]
+    }
+
     /// The position label of `v`.
     pub fn label_of(&self, v: NodeId) -> u64 {
-        self.label[&v]
+        self.label[self.position(v)]
     }
 
     /// All distinct neighbors of `v` across levels.
     pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> =
-            self.links[&v].iter().flat_map(|&(p, s)| [p, s]).flatten().collect();
+        let links = self.links(self.position(v)).iter().flat_map(|&(p, s)| [p, s]);
+        let mut out: Vec<NodeId> = links.flatten().map(|i| self.order[i]).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -103,17 +113,22 @@ impl SkipGraph {
         self.order.iter().map(|&v| self.neighbors(v).len()).max().unwrap_or(0)
     }
 
-    /// The node whose label is closest to `target` (ties toward the
+    /// The position whose label is closest to `target` (ties toward the
     /// smaller label).
-    pub fn closest(&self, target: u64) -> NodeId {
-        let idx = self.order.partition_point(|v| self.label[v] < target);
+    fn closest_position(&self, target: u64) -> usize {
+        let idx = self.label.partition_point(|&l| l < target);
         let candidates = [idx.checked_sub(1), Some(idx.min(self.order.len() - 1))];
         candidates
             .into_iter()
             .flatten()
-            .map(|i| self.order[i])
-            .min_by_key(|v| self.label[v].abs_diff(target))
+            .min_by_key(|&i| self.label[i].abs_diff(target))
             .expect("non-empty")
+    }
+
+    /// The node whose label is closest to `target` (ties toward the
+    /// smaller label).
+    pub fn closest(&self, target: u64) -> NodeId {
+        self.order[self.closest_position(target)]
     }
 
     /// Greedy route from `from` toward the node closest to `target`:
@@ -121,39 +136,34 @@ impl SkipGraph {
     /// target without overshooting past it (classic skip-graph search).
     /// Returns the hop sequence including the start node.
     pub fn route(&self, from: NodeId, target: u64) -> Vec<NodeId> {
-        let goal = self.closest(target);
+        let goal = self.closest_position(target);
+        let goal_label = self.label[goal];
         let mut path = vec![from];
-        let mut cur = from;
+        let mut cur = self.position(from);
         while cur != goal {
-            let cur_label = self.label[&cur];
-            let going_right = cur_label < self.label[&goal];
+            let going_right = self.label[cur] < goal_label;
+            let links = self.links(cur);
             // Highest-level neighbor in the right direction that does not
             // overshoot the goal.
-            let mut next = None;
-            for lvl in (0..self.levels).rev() {
-                let cand =
-                    if going_right { self.links[&cur][lvl].1 } else { self.links[&cur][lvl].0 };
-                if let Some(w) = cand {
-                    let wl = self.label[&w];
-                    let ok =
-                        if going_right { wl <= self.label[&goal] } else { wl >= self.label[&goal] };
-                    if ok {
-                        next = Some(w);
-                        break;
-                    }
-                }
-            }
-            let next = next.unwrap_or_else(|| {
+            let next = links.iter().rev().find_map(|&(p, s)| {
+                let w = if going_right { s } else { p }?;
+                let ok = if going_right {
+                    self.label[w] <= goal_label
+                } else {
+                    self.label[w] >= goal_label
+                };
+                ok.then_some(w)
+            });
+            cur = next.unwrap_or_else(|| {
                 // Fall back to the level-0 list (always makes progress).
-                let (p, s) = self.links[&cur][0];
+                let (p, s) = links[0];
                 if going_right {
                     s.expect("goal is to the right")
                 } else {
                     p.expect("goal is to the left")
                 }
             });
-            cur = next;
-            path.push(cur);
+            path.push(self.order[cur]);
             assert!(path.len() <= self.len(), "routing did not converge");
         }
         path

@@ -159,6 +159,14 @@ impl<V> IdRun<V> {
         self.len() - before
     }
 
+    /// Set the value of every entry of `run`, replacing the value of each
+    /// id this run already holds: two merge walks however they overlap.
+    pub fn put_all(&mut self, run: IdRun<V>) {
+        self.remove_all(run.iter());
+        let mut vals = run.vals.into_iter();
+        self.insert_all(&run.ids, |_| vals.next().expect("one value per id"));
+    }
+
     /// Drop every id the ascending `ids` list, in one walk.
     pub fn remove_all(&mut self, ids: impl IntoIterator<Item = NodeId>) {
         let mut listed = ids.into_iter().peekable();
@@ -216,9 +224,9 @@ impl IdSet {
     }
 
     /// Add an id: an append when it is the new maximum, a shifting insert
-    /// otherwise.
-    pub fn insert(&mut self, id: NodeId) {
-        self.put(id, ());
+    /// otherwise. Returns whether the id was new.
+    pub fn insert(&mut self, id: NodeId) -> bool {
+        self.put(id, ()).is_none()
     }
 
     /// Add every id of `other`, by one merge of the two ascending runs.

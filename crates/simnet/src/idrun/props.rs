@@ -164,6 +164,15 @@ fn id_runs_match_the_btreemap_reference() {
         assert_eq!(run.insert_all(&batch, make), fresh, "case {case}: insert_all");
         assert_same(case, "insert_all", &run, &map);
 
+        // `put_all`: a run of entries, part replacing, part new.
+        let batch = IdSet::from(draw_ids(&mut rng, wide, 60));
+        let fresh: Vec<(NodeId, u64)> = batch.iter().map(|v| (v, rng.random())).collect();
+        for &(v, x) in &fresh {
+            seen("put_all: replace", map.insert(v, x).is_some());
+        }
+        run.put_all(IdRun::from_unsorted(fresh).expect("distinct ids"));
+        assert_same(case, "put_all", &run, &map);
+
         // `remove_all`, fed a filtered walk over members and strangers, and
         // `retain`.
         let mut listed = draw_ids(&mut rng, wide, 60);
@@ -211,8 +220,12 @@ fn id_runs_match_the_btreemap_reference() {
         seen("proper difference", !kept.is_empty() && kept.len() < tree.len());
         let back = difference(other_set.iter(), set.iter());
         assert!(back.eq(other_tree.difference(&tree).copied()), "case {case}: difference back");
+        let mut tree_plus = tree.clone();
+        for v in other.iter().take(4).copied() {
+            assert_eq!(set.insert(v), tree_plus.insert(v), "case {case}: insert({v:?})");
+        }
         set.union_with(&other_set);
-        let both: BTreeSet<NodeId> = tree.union(&other_tree).copied().collect();
+        let both: BTreeSet<NodeId> = tree_plus.union(&other_tree).copied().collect();
         assert_same(case, "union_with", &set, &as_map(&both));
 
         // `==` and `assign` between sets built in different orders, from
@@ -269,6 +282,7 @@ fn id_runs_match_the_btreemap_reference() {
         ("removed", 2_000),
         ("insert_all: new", 2_000),
         ("insert_all: present", 1_000),
+        ("put_all: replace", 1_000),
         ("remove_all: hit", 1_000),
         ("remove_all: absent", 1_000),
         ("overlapping union", CASES / 4),

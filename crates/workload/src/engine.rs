@@ -379,11 +379,7 @@ fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -
         // prescribes the joins/leaves of the subscriber population.
         if members.len() >= 4 {
             let ev = churn.next(&members, &mut churn_rng);
-            let leaving: BTreeSet<NodeId> = ev.leaves.iter().copied().collect();
-            members.retain(|m| !leaving.contains(m));
-            for j in &ev.joins {
-                members.push(j.new_node);
-            }
+            ev.apply(&mut members);
             for l in &ev.leaves {
                 trace.value(l.raw());
             }

@@ -12,8 +12,9 @@ use overlay_graphs::HGraph;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reconfig_core::config::SamplingParams;
-use reconfig_core::sampling::{run_alg1, run_baseline};
+use reconfig_core::sampling::{run_alg1_observed, run_baseline_observed};
 use simnet::NodeId;
+use telemetry::Telemetry;
 
 fn main() {
     let params = SamplingParams::default();
@@ -29,8 +30,8 @@ fn main() {
         let mut rng = ChaCha8Rng::seed_from_u64(42 + exp as u64);
         let graph = HGraph::random(&nodes, 8, &mut rng);
 
-        let (_, rapid) = run_alg1(&graph, &params, 7);
-        let (_, walk) = run_baseline(&graph, &params, 7);
+        let (_, rapid) = run_alg1_observed(&graph, &params, 7, &Telemetry::disabled());
+        let (_, walk) = run_baseline_observed(&graph, &params, 7, &Telemetry::disabled());
         println!(
             "{:>6} {:>14} {:>14} {:>12} {:>12} {:>9}",
             n,

@@ -154,7 +154,7 @@ sampler-diff:
     cargo test -q -p integration-tests --test determinism golden_sampling_direct_digests
 
 # Algorithm 1 layer perf: ns per draw of both keystream readers and the
-# per-phase split of one `run_alg1_direct` call. Bare = full sizes, rewrites
+# per-phase split of one `run_alg1_direct_observed` call. Bare = full sizes, rewrites
 # BENCH_ALG1.json; `just perf-alg1 --smoke` = CI sizes, writes nothing.
 perf-alg1 *flags="":
     cargo run --release -p reconfig-bench --bin exp -- P1 {{flags}}

@@ -38,6 +38,9 @@ echo "==> persisted formats: state_formats golden (bytes of every persisted type
 cargo test -q -p integration-tests --test determinism golden_state_formats
 cargo test -q -p integration-tests --test determinism schema_keys_corrupted_one_at_a_time_are_typed_errors
 
+echo "==> node-id state: NodeId-keyed std maps and sets in non-test code equal DESIGN.md's survivors table"
+cargo test -q -p integration-tests --test determinism node_id_std_collections_are_the_listed_survivors
+
 echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round, runners, cluster_trace and state_formats digests, three checkpoint inputs)"
 git diff --exit-code -- tests/golden/
 

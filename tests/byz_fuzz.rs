@@ -87,7 +87,7 @@ impl<C: ByzCampaign> ByzCampaign for CorruptOnly<C> {
         view: &overlay_adversary::lateness::SharedSnapshot,
         round: u64,
         n_current: usize,
-        byz: &std::collections::BTreeSet<simnet::NodeId>,
+        byz: &simnet::IdSet,
     ) -> overlay_adversary::byzantine::ByzActions {
         let mut acts = self.0.plan(view, round, n_current, byz);
         acts.joins.clear();

@@ -97,8 +97,7 @@ fn static_topology_baseline_collapses_under_the_same_churn() {
     let mut rng2 = simnet::rng::stream(5, 2, 2);
     for _ in 0..4 {
         let ev = sched.next(&members, &mut rng2);
-        members.retain(|m| !ev.leaves.contains(m));
-        members.extend(ev.joins.iter().map(|j| j.new_node));
+        ev.apply(&mut members);
     }
     // Original survivors shrink drastically; the static H-graph over the
     // original node set retains no adjacency for the joiners at all.

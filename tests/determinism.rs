@@ -48,7 +48,9 @@ use reconfig_core::monitor::Invariant;
 use reconfig_core::nodert::{ClusterTrace, DelayObs, RoundRecord};
 use reconfig_core::reconfig::{ExpanderOverlay, JoinPair};
 use reconfig_core::recovery::RecoveryParams;
-use reconfig_core::sampling::{run_alg1_digested, run_alg1_direct, Alg1Node, SampleMsg};
+use reconfig_core::sampling::{
+    run_alg1_digested_observed, run_alg1_direct_observed, Alg1Node, SampleMsg,
+};
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, read_value, FieldKey, Schema};
 use simnet::conduct::PPM;
@@ -112,7 +114,7 @@ fn golden_sampling_alg1_digest_stream() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA11CE);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    let (_, _, digests) = run_alg1_digested(&graph, &params, 42);
+    let (_, _, digests) = run_alg1_digested_observed(&graph, &params, 42, &Telemetry::disabled());
     assert!(!digests.is_empty());
     let lines: Vec<String> =
         digests.iter().map(|d| format!("{} {:016x}", d.round, d.value)).collect();
@@ -163,7 +165,7 @@ fn golden_sampling_direct_digests() {
         let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(0xD1EC7 + n);
         let graph = HGraph::random(&nodes, d, &mut rng);
-        let run = run_alg1_direct(&graph, &params, seed);
+        let run = run_alg1_direct_observed(&graph, &params, seed, &Telemetry::disabled());
         let mut dg = Digest::new();
         dg.write_usize(run.samples.len());
         for row in &run.samples {
@@ -1647,11 +1649,130 @@ fn sampling_digest_stream_is_replay_identical_and_mode_independent() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    let (_, _, a) = run_alg1_digested(&graph, &params, 9);
-    let (_, _, b) = run_alg1_digested(&graph, &params, 9);
+    let (_, _, a) = run_alg1_digested_observed(&graph, &params, 9, &Telemetry::disabled());
+    let (_, _, b) = run_alg1_digested_observed(&graph, &params, 9, &Telemetry::disabled());
     assert_eq!(a, b);
     assert!(!a.is_empty());
     // No fault model: fast mode at one shard delivers in parity's order.
-    let (_, _, fast) = with_backend(Backend::fast(1), || run_alg1_digested(&graph, &params, 9));
+    let (_, _, fast) = with_backend(Backend::fast(1), || {
+        run_alg1_digested_observed(&graph, &params, 9, &Telemetry::disabled())
+    });
     assert_eq!(fast, a);
+}
+
+// ---------------------------------------------------------------------------
+// Node-id state: the std maps and sets that remain (DESIGN.md §6)
+// ---------------------------------------------------------------------------
+
+/// Does `line` open a module (`mod`, `pub mod`, `pub(crate) mod`)?
+fn opens_mod(line: &str) -> bool {
+    let rest = match line.strip_prefix("pub") {
+        None => line,
+        Some(vis) => {
+            let vis = match vis.strip_prefix('(') {
+                None => vis,
+                Some(inner) => match inner.split_once(')') {
+                    Some((scope, after))
+                        if !scope.is_empty() && scope.bytes().all(|b| b.is_ascii_lowercase()) =>
+                    {
+                        after
+                    }
+                    _ => return false,
+                },
+            };
+            match vis.strip_prefix(' ') {
+                Some(rest) => rest,
+                None => return false,
+            }
+        }
+    };
+    rest.starts_with("mod ")
+}
+
+/// The lines of non-test code under `crates/*/src` that key a std map or
+/// set by node id (`HashMap|BTreeMap|HashSet|BTreeSet` then
+/// `<NodeId` or `<simnet::NodeId`), counted per file. Non-test code is
+/// what `scripts/loc.sh` counts: every `*.rs` file except `*_diff.rs`,
+/// `props.rs` and `tests.rs`, up to the first column-0 `#[cfg(test)]`
+/// whose next line opens a `mod`, without blank and `//` lines.
+fn node_id_std_collections(root: &std::path::Path) -> std::collections::BTreeMap<String, usize> {
+    fn walk(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    let mut counts = std::collections::BTreeMap::new();
+    for path in files {
+        let name = path.file_name().and_then(|n| n.to_str()).expect("utf-8 file name");
+        if name.ends_with("_diff.rs") || name == "props.rs" || name == "tests.rs" {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let mut prev = "";
+        let mut hits = 0;
+        for line in text.lines() {
+            if prev == "#[cfg(test)]" && opens_mod(line) {
+                break;
+            }
+            prev = line;
+            let code = line.trim_start();
+            if code.is_empty() || code.starts_with("//") {
+                continue;
+            }
+            let keyed = ["HashMap<", "BTreeMap<", "HashSet<", "BTreeSet<"].iter().any(|ty| {
+                code.match_indices(ty).any(|(at, _)| {
+                    let key = &code[at + ty.len()..];
+                    key.starts_with("NodeId") || key.starts_with("simnet::NodeId")
+                })
+            });
+            hits += usize::from(keyed);
+        }
+        if hits > 0 {
+            let rel = path.strip_prefix(root).expect("under the root");
+            counts.insert(rel.to_string_lossy().replace('\\', "/"), hits);
+        }
+    }
+    counts
+}
+
+/// Node-id state has one representation (sorted runs or dense vectors);
+/// a std map or set keyed by node id stays only where DESIGN.md's
+/// survivors table lists it with its reason. A new one fails here until
+/// it is listed there.
+#[test]
+fn node_id_std_collections_are_the_listed_survivors() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = root.canonicalize().expect("repository root");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let section = design
+        .split_once("### Node-id state")
+        .map(|(_, rest)| rest.split("\n#").next().unwrap_or(rest))
+        .expect("DESIGN.md has the node-id state section");
+    let listed: std::collections::BTreeMap<String, usize> = section
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `crates/"))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let file = format!("crates/{}", cells[0].trim_end_matches('`'));
+            (file, cells[1].parse().expect("a line count in the second column"))
+        })
+        .collect();
+    assert!(!listed.is_empty(), "the survivors table lists no file");
+    assert_eq!(
+        node_id_std_collections(&root),
+        listed,
+        "NodeId-keyed std collections in non-test code (left) vs DESIGN.md's survivors (right)"
+    );
 }

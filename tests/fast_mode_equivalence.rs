@@ -45,10 +45,11 @@ use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{ExpanderFaultRun, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
-use reconfig_core::sampling::run_alg1_digested;
+use reconfig_core::sampling::run_alg1_digested_observed;
 use simnet::{BlockSet, Ctx, FaultModel, LinkFaults, NodeId, Protocol, RoundDigest};
 use simnet_xl::XlNetwork;
 use std::path::PathBuf;
+use telemetry::Telemetry;
 
 /// Fast-mode shard counts the fault-plan property sweeps: the serial edge
 /// case, the smallest parallel split, a prime that misaligns with
@@ -88,7 +89,9 @@ fn golden_lines(name: &str) -> Vec<String> {
 /// Histogram of sampled node ids over the fixed 32-node support.
 fn alg1_outcome_hist(backend: Backend, graph: &HGraph, seed: u64) -> Vec<u64> {
     let params = SamplingParams::default();
-    let (samples, _, _) = with_backend(backend, || run_alg1_digested(graph, &params, seed));
+    let (samples, _, _) = with_backend(backend, || {
+        run_alg1_digested_observed(graph, &params, seed, &Telemetry::disabled())
+    });
     let mut hist = vec![0u64; 32];
     for (_, picks) in &samples {
         for p in picks {
@@ -579,8 +582,11 @@ fn fast_runs_are_reproducible_per_seed_and_shards() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA11CE);
     let graph = HGraph::random(&nodes, 8, &mut rng);
     let params = SamplingParams::default();
-    let run =
-        |shards| with_backend(Backend::fast(shards), || run_alg1_digested(&graph, &params, 42));
+    let run = |shards| {
+        with_backend(Backend::fast(shards), || {
+            run_alg1_digested_observed(&graph, &params, 42, &Telemetry::disabled())
+        })
+    };
     let (s1, _, d1): (_, _, Vec<RoundDigest>) = run(4);
     let (s2, _, d2) = run(4);
     assert_eq!(s1, s2);

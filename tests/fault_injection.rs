@@ -26,9 +26,10 @@ use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams};
 use reconfig_core::monitor::Invariant;
 use reconfig_core::reconfig::ExpanderOverlay;
-use reconfig_core::sampling::run_alg1_digested;
+use reconfig_core::sampling::run_alg1_digested_observed;
 use simnet::{BlockSet, Ctx, FaultModel, LinkFaults, NodeFault, NodeId, Protocol};
 use simnet_xl::XlNetwork;
+use telemetry::Telemetry;
 
 /// Schedules per overlay family; `FUZZ_CASES` overrides the default 100
 /// (validated against [1, 100_000] — garbage or out-of-range values abort with a
@@ -168,7 +169,8 @@ fn null_model_reproduces_pre_fault_golden_stream_byte_for_byte() {
     use rand_chacha::rand_core::SeedableRng;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xA11CE);
     let graph = overlay_graphs::HGraph::random(&nodes, 8, &mut rng);
-    let (_, _, digests) = run_alg1_digested(&graph, &SamplingParams::default(), 42);
+    let (_, _, digests) =
+        run_alg1_digested_observed(&graph, &SamplingParams::default(), 42, &Telemetry::disabled());
     let mut actual = String::from(
         "# core/sampling: run_alg1_digested, n=32 d=8 graph_seed=0xA11CE run_seed=42\n",
     );

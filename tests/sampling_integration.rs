@@ -6,8 +6,11 @@ use overlay_stats::{tv_distance_uniform, uniform_fit};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reconfig_core::config::{SamplingParams, Schedule};
-use reconfig_core::sampling::{knowledge_spread_rounds, run_alg1, run_alg2, run_baseline};
+use reconfig_core::sampling::{
+    knowledge_spread_rounds, run_alg1_observed, run_alg2_observed, run_baseline_observed,
+};
 use simnet::NodeId;
+use telemetry::Telemetry;
 
 fn hgraph(n: u64, seed: u64) -> HGraph {
     let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
@@ -22,7 +25,7 @@ fn theorem2_end_to_end_uniformity_rounds_and_work() {
     let n = 128u64;
     let g = hgraph(n, 1);
     let p = SamplingParams { c: 3.0, ..SamplingParams::default() };
-    let (samples, metrics) = run_alg1(&g, &p, 11);
+    let (samples, metrics) = run_alg1_observed(&g, &p, 11, &Telemetry::disabled());
 
     assert_eq!(metrics.rounds as usize, 2 * metrics.iterations + 1);
     assert!(metrics.samples_per_node >= p.samples_needed(n as usize));
@@ -47,7 +50,7 @@ fn theorem3_hypercube_samples_are_exactly_uniform_per_origin() {
     let p = SamplingParams { c: 6.0, ..SamplingParams::default() };
     let mut counts = vec![0u64; 16];
     for seed in 0..60 {
-        let (samples, m) = run_alg2(4, &p, seed);
+        let (samples, m) = run_alg2_observed(4, &p, seed, &Telemetry::disabled());
         assert_eq!(m.failures, 0, "seed {seed}");
         let (_, s) = &samples[0];
         for id in s {
@@ -67,8 +70,8 @@ fn exponential_separation_between_rapid_and_baseline() {
     let mut walk_rounds = Vec::new();
     for (i, exp) in [6u32, 8, 10].into_iter().enumerate() {
         let g = hgraph(1 << exp, 100 + i as u64);
-        let (_, r) = run_alg1(&g, &p, 5);
-        let (_, w) = run_baseline(&g, &p, 5);
+        let (_, r) = run_alg1_observed(&g, &p, 5, &Telemetry::disabled());
+        let (_, w) = run_baseline_observed(&g, &p, 5, &Telemetry::disabled());
         rapid_rounds.push(r.rounds);
         walk_rounds.push(w.rounds);
     }
@@ -99,7 +102,7 @@ fn lemma4_lower_bound_is_respected_by_the_samplers() {
     let optimum = *spread.iter().max().unwrap() as u64;
 
     let p = SamplingParams { c: 3.0, ..SamplingParams::default() };
-    let (_, m) = run_alg2(dim, &p, 3);
+    let (_, m) = run_alg2_observed(dim, &p, 3, &Telemetry::disabled());
     assert!(m.rounds >= optimum, "no sampler can beat the spread bound");
     assert!(m.rounds <= 6 * optimum.max(1), "Algorithm 2 is within a constant factor");
 }
