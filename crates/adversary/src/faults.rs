@@ -56,7 +56,6 @@ impl std::error::Error for FaultConfigError {}
 /// A seed-derived composite fault schedule (message loss + crashes).
 #[derive(Clone, Debug)]
 pub struct FaultSchedule {
-    seed: u64,
     link_loss: f64,
     crash_hazard: f64,
     recover_after: Option<u64>,
@@ -87,7 +86,6 @@ impl FaultSchedule {
             return Err(FaultConfigError::MaxCrashFrac(max_crash_frac));
         }
         Ok(Self {
-            seed,
             link_loss,
             crash_hazard,
             recover_after,
@@ -112,9 +110,10 @@ impl FaultSchedule {
         }
     }
 
-    /// The seed (reproduction handle).
-    pub fn seed(&self) -> u64 {
-        self.seed
+    /// The paper's model: no loss and no crashes. Zero rates draw nothing,
+    /// so neither the stream nor the crash cap is ever read.
+    pub fn none() -> Self {
+        Self::new(0, 0.0, 0.0, None, 0.0)
     }
 
     /// The per-message loss probability.

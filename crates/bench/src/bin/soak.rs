@@ -22,11 +22,12 @@
 //! soak --family dos --epochs 200 --every 64 --dir soak-out --resume
 //! ```
 
-use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, Attacker};
+use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy};
 use overlay_adversary::shrink::{shrink_trace, AdversaryTrace, ReplayAdversary, Repro};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
+use reconfig_core::monitor::{Invariant, InvariantMonitor};
 use simnet::checkpoint::Checkpointer;
 use simnet::Checkpoint;
 use std::path::Path;
@@ -92,6 +93,19 @@ impl Opts {
         if !(0.0..1.0).contains(&o.bound) {
             return Err(format!("--bound must be in [0, 1), got {}", o.bound));
         }
+        // The smallest population each family can group: four nodes for
+        // the hypercube of groups, one supernode's band for churndos.
+        let min_n =
+            if o.family == "churndos" { 4 * ChurnDosParams::default().band_c + 1 } else { 4 };
+        if o.n < min_n {
+            return Err(format!(
+                "--n must be at least {min_n} for --family {}, got {}",
+                o.family, o.n
+            ));
+        }
+        if !(o.group_c.is_finite() && o.group_c > 0.0) {
+            return Err(format!("--group-c must be finite and positive, got {}", o.group_c));
+        }
         Ok(o)
     }
 }
@@ -106,8 +120,18 @@ fn adversary(o: &Opts, epoch_len: u64) -> Result<AdaptiveHarness<AdaptiveStrateg
     Ok(AdaptiveHarness::new(strategy, o.bound, o.lateness_epochs * epoch_len).recording())
 }
 
-/// The soak loop, generic over the overlay family.
-fn soak<O, F>(mut ov: O, mk_fresh: F, digest: fn(&O) -> u64, o: &Opts) -> Result<ExitCode, String>
+/// The invariants a soak watches: connectivity of the non-blocked
+/// overlay and the family's structural band.
+const WATCHED: [Invariant; 2] = [Invariant::Connectivity, Invariant::GroupSizeBand];
+
+/// Has the monitor recorded a violation of a watched invariant?
+fn violated(monitor: &InvariantMonitor) -> bool {
+    WATCHED.iter().any(|&inv| monitor.count(inv) > 0)
+}
+
+/// The soak loop, generic over the overlay family: a paper-model
+/// [`FaultyRunner`] stepped one attacked round at a time.
+fn soak<O, F>(ov: O, mk_fresh: F, digest: fn(&O) -> u64, o: &Opts) -> Result<ExitCode, String>
 where
     O: HealableOverlay + Checkpoint,
     F: Fn() -> O,
@@ -131,22 +155,16 @@ where
         o.dir,
     );
 
-    let mut disconnected = 0u64;
+    let mut runner = FaultyRunner::paper_model(ov);
     let mut first_violation: Option<(u64, String)> = None;
-    while ov.round() < total_rounds {
-        adv.observe(ov.snapshot(ov.round()));
-        let blocked = adv.block(ov.round(), ov.len());
-        let m = ov.step_overlay(&blocked);
-        if !m.connected {
-            disconnected += 1;
-            if first_violation.is_none() {
-                first_violation = Some((ov.round(), "disconnected".into()));
-            }
-        }
-        if let Some(why) = ov.structure_violation() {
-            if first_violation.is_none() {
-                first_violation = Some((ov.round(), why));
-            }
+    while runner.overlay.round() < total_rounds {
+        runner.run(&mut adv, 1);
+        let (ov, monitor) = (&runner.overlay, &runner.monitor);
+        if first_violation.is_none() && violated(monitor) {
+            let v = monitor.violations().iter().find(|v| WATCHED.contains(&v.invariant));
+            let why =
+                v.map_or_else(String::new, |v| format!("{}: {}", v.invariant.name(), v.detail));
+            first_violation = Some((ov.round(), why));
         }
         if ov.round() % every == 0 {
             ckpt.save(ov.round(), &ov.save()).map_err(|e| format!("{e:?}"))?;
@@ -158,20 +176,21 @@ where
                 ov.round(),
                 ov.epochs(),
                 ov.failed_epochs(),
-                disconnected,
+                monitor.count(Invariant::Connectivity),
                 ckpt.written(),
             );
         }
     }
+    let ov = &runner.overlay;
     println!(
         "done: {} rounds, {} epochs ({} failed), {} disconnected rounds, {} checkpoints, \
          final digest {:#018x}",
         ov.round(),
         ov.epochs(),
         ov.failed_epochs(),
-        disconnected,
+        runner.monitor.count(Invariant::Connectivity),
         ckpt.written(),
-        digest(&ov),
+        digest(ov),
     );
 
     let Some((round, why)) = first_violation else {
@@ -186,17 +205,9 @@ where
     // oracle replays candidate traces against a fresh overlay.
     let original = AdversaryTrace::from_emissions(adv.trace());
     let violates = |t: &AdversaryTrace| {
-        let mut ov = mk_fresh();
-        let mut replay = ReplayAdversary::new(t.clone());
-        for _ in 0..t.len() {
-            replay.observe(ov.snapshot(ov.round()));
-            let blocked = replay.block(ov.round(), ov.len());
-            let m = ov.step_overlay(&blocked);
-            if !m.connected || ov.structure_violation().is_some() {
-                return true;
-            }
-        }
-        false
+        let mut runner = FaultyRunner::paper_model(mk_fresh());
+        runner.run(&mut ReplayAdversary::new(t.clone()), t.len() as u64);
+        violated(&runner.monitor)
     };
     let (shrunk, report) = shrink_trace(&original, violates, 500);
     let repro = Repro {

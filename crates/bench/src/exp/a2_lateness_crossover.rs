@@ -10,7 +10,7 @@ use crate::driver::{Experiment, Row, Run, RunError};
 use crate::table::f;
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 pub const EXP: Experiment = Experiment::new(
     "A2",
@@ -24,9 +24,9 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     let t = DosOverlay::new(n, DosParams::default(), 0).epoch_len();
     run.table(format!("A2: lateness crossover at n = 4096 (epoch t = {t} rounds)"));
     for &lateness in &[0u64, t / 4, t / 2, t, 2 * t, 4 * t] {
-        let mut ov = DosOverlay::new(n, DosParams::default(), 1200);
+        let ov = DosOverlay::new(n, DosParams::default(), 1200);
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, 1300 + lateness);
-        let out = ov.run(&mut adv, 4 * t);
+        let out = FaultyRunner::paper_model(ov).run(&mut adv, 4 * t);
         run.row(
             Row::new()
                 .cell_as(

@@ -25,7 +25,7 @@ use overlay_adversary::adaptive::{
 };
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 pub const EXP: Experiment = Experiment::new(
     "A6",
@@ -106,11 +106,11 @@ fn specs() -> Vec<Spec> {
 /// Fraction of rounds the schedule keeps the overlay *disconnected* at
 /// blocking fraction `bound` over `epochs` epochs (0.0 = never hurt it).
 fn damage(spec: &Spec, n: usize, bound: f64, epochs: u64, seed: u64) -> f64 {
-    let mut ov = DosOverlay::new(n, params(), seed);
+    let ov = DosOverlay::new(n, params(), seed);
     let lateness = spec.late_epochs() * ov.epoch_len();
     let rounds = epochs * ov.epoch_len();
     let mut adv = spec.attacker(bound, lateness, seed ^ 0xA6);
-    let out = ov.run(&mut adv, rounds);
+    let out = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
     (out.rounds - out.connected_rounds) as f64 / out.rounds as f64
 }
 

@@ -25,11 +25,10 @@ use overlay_adversary::adaptive::{AdaptiveHarness, Attacker};
 use overlay_adversary::byzantine::{
     ByzBudget, ByzHarness, ChaosCampaign, EclipseCampaign, ForgeCampaign, SybilCampaign,
 };
-use overlay_adversary::faults::FaultSchedule;
 use overlay_adversary::{AdaptiveStrategy, MinCutAttack};
 use reconfig_core::byzantine::DefenseConfig;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 use reconfig_core::monitor::Invariant;
 
 pub const EXP: Experiment = Experiment::new(
@@ -112,8 +111,7 @@ fn violations(
 ) -> u64 {
     let overlay = DosOverlay::new(n, params(), seed);
     let rounds = epochs * overlay.epoch_len();
-    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
-    let mut r = FaultyRunner::new(overlay, faults, HealingParams::default(), false)
+    let mut r = FaultyRunner::paper_model(overlay)
         .with_dos_bound(bound * spec.block_share)
         .with_defenses(defense);
     let mut adv = (spec.mk)(bound, late_rounds, seed ^ 0xA7);

@@ -77,7 +77,7 @@ fn run_cell(
 ) -> (Row, bool, Option<u64>) {
     let ov = DosOverlay::new(N, params(), SEED);
     let epoch_len = ov.epoch_len();
-    let faults = FaultSchedule::new(SEED, 0.0, 0.0, None, AMBIENT_BOUND);
+    let faults = FaultSchedule::none();
     let mut r = FaultyRunner::new(ov, faults, HealingParams::default(), true).with_catastrophes(
         spec.schedule(),
         rp,

@@ -10,7 +10,7 @@
 use crate::driver::{Experiment, Row, Run, RunError};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 pub const EXP: Experiment = Experiment::new("E11", "DoS survival", "Theorem 6", run);
 
@@ -26,11 +26,11 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     ];
     for (si, strategy) in strategies.into_iter().enumerate() {
         for (li, lateness_epochs) in [2u64, 1, 0].into_iter().enumerate() {
-            let mut ov = DosOverlay::new(n, DosParams::default(), 600 + si as u64);
-            let lateness = lateness_epochs * ov.epoch_len();
+            let ov = DosOverlay::new(n, DosParams::default(), 600 + si as u64);
+            let (lateness, rounds) = (lateness_epochs * ov.epoch_len(), 4 * ov.epoch_len());
             let mut adv =
                 DosAdversary::new(strategy, block_frac, lateness, 700 + (si * 3 + li) as u64);
-            let out = ov.run(&mut adv, 4 * ov.epoch_len());
+            let out = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
             let rate = out.connectivity_rate();
             run.row(
                 Row::new()

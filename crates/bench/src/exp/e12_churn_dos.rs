@@ -9,7 +9,7 @@ use crate::driver::{Experiment, Row, Run, RunError};
 use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 pub const EXP: Experiment =
     Experiment::new("E12", "Combined churn and DoS", "Lemma 18 / Theorem 7", run);
@@ -20,17 +20,19 @@ fn run(run: &mut Run) -> Result<(), RunError> {
     run.table("E12: combined churn + DoS (Lemma 18 / Theorem 7)");
     for &gamma in &[1.1f64, 1.3, 1.6] {
         for &frac in &[0.1f64, 0.25] {
-            let mut ov = ChurnDosOverlay::new(n, ChurnDosParams::default(), 800);
-            let lateness = 2 * ov.epoch_len();
+            let ov = ChurnDosOverlay::new(n, ChurnDosParams::default(), 800);
+            let (lateness, rounds) = (2 * ov.epoch_len(), epochs * ov.epoch_len());
             let mut adv = DosAdversary::new(
                 DosStrategy::GroupTargeted,
                 frac,
                 lateness,
                 801 + (gamma * 100.0) as u64,
             );
-            let mut churn = ChurnSchedule::new(ChurnStrategy::Random, gamma, 0.8, 10_000_000);
-            let mut rng = simnet::rng::stream(802, gamma.to_bits(), frac.to_bits());
-            let out = ov.run_under_attack(&mut adv, &mut churn, epochs, &mut rng);
+            let churn = ChurnSchedule::new(ChurnStrategy::Random, gamma, 0.8, 10_000_000);
+            let rng = simnet::rng::stream(802, gamma.to_bits(), frac.to_bits());
+            let mut runner = FaultyRunner::paper_model(ov).with_churn(churn, rng);
+            let out = runner.run(&mut adv, rounds);
+            let ov = &runner.overlay;
             let (d_lo, d_hi) = ov.groups().cover().dim_range().unwrap();
             run.row(
                 Row::new()

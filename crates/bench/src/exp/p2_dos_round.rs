@@ -9,13 +9,14 @@
 //! epochs, loss 0.2, crash hazard 0.002 per round, recovery after two
 //! epochs, at most 10 % down, healing on, a 2t-late `GroupTargeted`
 //! attacker at r = 0.3 with its budget judged) and reads a clock at every
-//! section boundary of every round: the three steps of the attack prologue
-//! that [`attack_round`](reconfig_core::healing::attack_round) runs (the overlay's snapshot, the attacker's
-//! observe and pick, the budget judge), then the seven sections of
-//! [`FaultyRunner::step_timed`] from its `lap` callback. Prints microseconds
-//! per round (a repetition's total over its rounds, so the per-epoch work —
-//! staleness, the reconfiguration and its broadcast draws — is spread over
-//! the rounds that pay for it) as the median over repetitions. The full run
+//! section boundary of every round, all ten reported by
+//! [`FaultyRunner::round_timed`]'s `lap` callback: the three steps of the
+//! attack prologue (the overlay's snapshot, the attacker's observe and
+//! pick, the budget judge), then the seven sections of the step. Prints
+//! microseconds per round (a repetition's total over its rounds, so the
+//! per-epoch work — staleness, the reconfiguration and its broadcast
+//! draws — is spread over the rounds that pay for it) as the median over
+//! repetitions. The full run
 //! rewrites `BENCH_DOS_ROUND.json` at the workspace root (the driver adds
 //! the host facts);
 //! `--smoke` runs a small population, checks that the timed round computes
@@ -47,8 +48,8 @@ pub const EXP: Experiment = Experiment {
 /// The attacker's budget, declared to the monitor as well.
 const DOS_BOUND: f64 = 0.3;
 
-/// Sections of one round in execution order: the prologue this binary
-/// times itself, then the names `step_timed` reports.
+/// Sections of one round in execution order, as `round_timed` reports
+/// them: the attack prologue, then the step.
 const SECTIONS: [&str; 10] = [
     "snapshot",
     "observe + pick",
@@ -103,16 +104,7 @@ fn timed_rep(n: usize, epochs: u64, seed: u64) -> ([f64; 10], [u64; 7], u64) {
             assert_eq!(SECTIONS[slot], name, "sections are reported in order");
             slot += 1;
         };
-        // `attack_round`, one lap per step.
-        let (round, n) = (runner.overlay.round(), runner.overlay.len());
-        let snap = runner.overlay.snapshot(round);
-        lap("snapshot");
-        adversary.observe(snap);
-        let blocked = adversary.block(round, n);
-        lap("observe + pick");
-        runner.monitor.check_budget(round, &blocked, DOS_BOUND, n);
-        lap("budget judge");
-        runner.step_timed(&blocked, &mut lap);
+        runner.round_timed(&mut adversary, &mut lap);
         assert_eq!(slot, SECTIONS.len(), "every section of the round was reported");
     }
     (spent, fingerprint(&runner), rounds)

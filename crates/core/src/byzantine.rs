@@ -478,11 +478,9 @@ impl Defended {
 mod tests {
     use super::*;
     use crate::dos::DosParams;
-    use crate::healing::HealingParams;
     use overlay_adversary::byzantine::{
         ByzBudget, ByzHarness, EclipseCampaign, ForgeCampaign, JoinRequest, SybilCampaign,
     };
-    use overlay_adversary::faults::FaultSchedule;
     use std::collections::BTreeSet;
     use telemetry::Telemetry;
 
@@ -502,10 +500,7 @@ mod tests {
     /// Nodes `0..N`, all honest, no faults, no healing, budget judged at 0.
     fn runner(defense: DefenseConfig) -> Defended {
         let overlay = DosOverlay::new(N, params(), SEED);
-        let faults = FaultSchedule::new(SEED, 0.0, 0.0, None, 0.0);
-        FaultyRunner::new(overlay, faults, HealingParams::default(), false)
-            .with_dos_bound(0.0)
-            .with_defenses(defense)
+        FaultyRunner::paper_model(overlay).with_dos_bound(0.0).with_defenses(defense)
     }
 
     /// One round under `acts`, played the way `FaultyRunner::run` plays a

@@ -19,5 +19,5 @@ pub mod overlay;
 pub mod splitmerge;
 
 pub use crash::{CrashOutcome, CrashScenario, CrashVisibility};
-pub use overlay::{ChurnDosOverlay, ChurnDosParams};
+pub use overlay::{ChurnDosOverlay, ChurnDosParams, EpochChurn};
 pub use splitmerge::{target_dim, LabeledGroups, SizeBand};

@@ -3,10 +3,11 @@
 use crate::churndos::splitmerge::{target_dim, LabeledGroups, SizeBand};
 use crate::config::SamplingParams;
 use crate::dos::epoch::EpochClock;
-use crate::healing::{smallest_live_introducer, HealableOverlay};
-use crate::metrics::{DosRoundMetrics, DosRunMetrics};
+use crate::healing::{smallest_live_introducer, FaultyRunner, HealableOverlay, Layer};
+use crate::metrics::DosRoundMetrics;
 use crate::reconfig::JoinPair;
-use overlay_adversary::churn::ChurnEvent;
+use overlay_adversary::byzantine::ByzActions;
+use overlay_adversary::churn::{ChurnEvent, ChurnSchedule};
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
 use overlay_graphs::prefix::Label;
 use simnet::rng::NodeRng;
@@ -259,29 +260,6 @@ impl ChurnDosOverlay {
             group_edges,
         }
     }
-
-    /// Drive the overlay against a DoS adversary and a churn schedule.
-    /// Churn is injected once per epoch (rate `gamma` per epoch =
-    /// `gamma^(1/epoch_len)` per round, the paper's formulation).
-    pub fn run_under_attack(
-        &mut self,
-        adversary: &mut overlay_adversary::dos::DosAdversary,
-        churn: &mut overlay_adversary::churn::ChurnSchedule,
-        epochs: u64,
-        churn_rng: &mut NodeRng,
-    ) -> DosRunMetrics {
-        let mut out = DosRunMetrics { n: self.len(), ..Default::default() };
-        for _ in 0..epochs {
-            let ev = churn.next(&self.members(), churn_rng);
-            self.apply_churn(&ev);
-            for _ in 0..self.epoch_len() {
-                let blocked = crate::healing::attack_round(&*self, adversary, None).blocked;
-                out.absorb(self.step(&blocked));
-            }
-        }
-        out.epochs = self.clock.epochs();
-        out
-    }
 }
 
 simnet::checkpoint_schema! {
@@ -352,10 +330,42 @@ impl HealableOverlay for ChurnDosOverlay {
     }
 }
 
+/// The churn layer of a [`FaultyRunner`] round: in the first round of
+/// every epoch it draws the epoch's joins and leaves from its schedule and
+/// queues them with [`ChurnDosOverlay::apply_churn`], so they take effect
+/// at that epoch's boundary — a constant factor `gamma` per epoch, the
+/// paper's formulation. [`FaultyRunner::with_churn`] adds it.
+pub struct EpochChurn {
+    schedule: ChurnSchedule,
+    rng: NodeRng,
+}
+
+impl FaultyRunner<ChurnDosOverlay> {
+    /// The same runner with per-epoch churn drawn from `schedule` by `rng`.
+    pub fn with_churn(
+        self,
+        schedule: ChurnSchedule,
+        rng: NodeRng,
+    ) -> FaultyRunner<ChurnDosOverlay, EpochChurn> {
+        self.with_layer(EpochChurn { schedule, rng })
+    }
+}
+
+impl Layer<ChurnDosOverlay> for EpochChurn {
+    /// The churn is queued after the adversary has observed the round:
+    /// pending joins and leaves are not part of the snapshot.
+    fn participate(r: &mut FaultyRunner<ChurnDosOverlay, Self>, _acts: &ByzActions) {
+        if r.overlay.round() % r.overlay.epoch_len() == 0 {
+            let event = r.layer.schedule.next(&r.overlay.members(), &mut r.layer.rng);
+            r.overlay.apply_churn(&event);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
+    use overlay_adversary::churn::ChurnStrategy;
     use overlay_adversary::dos::{DosAdversary, DosStrategy};
 
     #[test]
@@ -390,16 +400,16 @@ mod tests {
 
     #[test]
     fn survives_simultaneous_churn_and_late_dos() {
-        let mut ov = ChurnDosOverlay::new(2000, ChurnDosParams::default(), 3);
+        let ov = ChurnDosOverlay::new(2000, ChurnDosParams::default(), 3);
         let lateness = 2 * ov.epoch_len();
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, 5);
-        let mut churn = ChurnSchedule::new(ChurnStrategy::Random, 1.3, 0.5, 100_000);
-        let mut rng = simnet::rng::stream(3, 1, 1);
-        let run = ov.run_under_attack(&mut adv, &mut churn, 4, &mut rng);
+        let churn = ChurnSchedule::new(ChurnStrategy::Random, 1.3, 0.5, 100_000);
+        let mut r = FaultyRunner::paper_model(ov).with_churn(churn, simnet::rng::stream(3, 1, 1));
+        let run = r.run(&mut adv, 4 * r.overlay.epoch_len());
         assert_eq!(run.connected_rounds, run.rounds, "Theorem 7 regime must stay connected");
         assert_eq!(run.starved_rounds, 0);
-        assert_eq!(ov.failed_epochs(), 0);
-        assert!(ov.groups().lemma18_holds());
+        assert_eq!(r.overlay.failed_epochs(), 0);
+        assert!(r.overlay.groups().lemma18_holds());
     }
 
     #[test]
@@ -433,11 +443,11 @@ mod tests {
 
     #[test]
     fn zero_late_adversary_breaks_the_combined_network_too() {
-        let mut ov = ChurnDosOverlay::new(2000, ChurnDosParams::default(), 5);
+        let ov = ChurnDosOverlay::new(2000, ChurnDosParams::default(), 5);
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, 0, 6);
-        let mut churn = ChurnSchedule::new(ChurnStrategy::Random, 1.1, 0.2, 200_000);
-        let mut rng = simnet::rng::stream(5, 1, 1);
-        let run = ov.run_under_attack(&mut adv, &mut churn, 2, &mut rng);
+        let churn = ChurnSchedule::new(ChurnStrategy::Random, 1.1, 0.2, 200_000);
+        let mut r = FaultyRunner::paper_model(ov).with_churn(churn, simnet::rng::stream(5, 1, 1));
+        let run = r.run(&mut adv, 2 * r.overlay.epoch_len());
         assert!(run.connected_rounds < run.rounds);
     }
 }

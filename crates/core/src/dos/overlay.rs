@@ -4,8 +4,7 @@ use crate::config::SamplingParams;
 use crate::dos::epoch::EpochClock;
 use crate::dos::supernode::GroupedNetwork;
 use crate::healing::HealableOverlay;
-use crate::metrics::{DosRoundMetrics, DosRunMetrics};
-use overlay_adversary::adaptive::Attacker;
+use crate::metrics::DosRoundMetrics;
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, NodeId};
 use telemetry::{EventKind, Telemetry};
@@ -94,20 +93,6 @@ impl DosOverlay {
         }
         self.clock.record(&self.tel, &metrics);
         metrics
-    }
-
-    /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
-    /// for `rounds` rounds, recording per-round metrics. The adversary
-    /// observes the topology every round (its lateness gate decides what
-    /// it may act on).
-    pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) -> DosRunMetrics {
-        let mut out = DosRunMetrics { n: self.grouped.len(), ..Default::default() };
-        for _ in 0..rounds {
-            let blocked = crate::healing::attack_round(&*self, adversary, None).blocked;
-            out.absorb(self.step(&blocked));
-        }
-        out.epochs = self.clock.epochs();
-        out
     }
 
     /// Admit a joiner through the join path. With `claimed` set the claim
@@ -220,6 +205,7 @@ impl HealableOverlay for DosOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::healing::FaultyRunner;
     use overlay_adversary::dos::{DosAdversary, DosStrategy};
 
     #[test]
@@ -237,14 +223,14 @@ mod tests {
     #[test]
     fn late_random_adversary_cannot_disconnect() {
         let p = DosParams::default();
-        let mut ov = DosOverlay::new(2048, p, 1);
-        let lateness = 2 * ov.epoch_len();
+        let mut r = FaultyRunner::paper_model(DosOverlay::new(2048, p, 1));
+        let lateness = 2 * r.overlay.epoch_len();
         let mut adv = DosAdversary::new(DosStrategy::Random, 0.3, lateness, 7);
-        let run = ov.run(&mut adv, 4 * ov.epoch_len());
+        let run = r.run(&mut adv, 4 * r.overlay.epoch_len());
         assert_eq!(run.connected_rounds, run.rounds, "connectivity must hold every round");
         assert_eq!(run.starved_rounds, 0, "every group must keep an available member");
         assert!(run.epochs >= 3);
-        assert_eq!(ov.failed_epochs(), 0);
+        assert_eq!(r.overlay.failed_epochs(), 0);
     }
 
     #[test]
@@ -253,10 +239,10 @@ mod tests {
         // by the time it blocks "all neighbors of group x", membership has
         // been resampled.
         let p = DosParams::default();
-        let mut ov = DosOverlay::new(2048, p, 2);
-        let lateness = 2 * ov.epoch_len();
+        let mut r = FaultyRunner::paper_model(DosOverlay::new(2048, p, 2));
+        let lateness = 2 * r.overlay.epoch_len();
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, 9);
-        let run = ov.run(&mut adv, 4 * ov.epoch_len());
+        let run = r.run(&mut adv, 4 * r.overlay.epoch_len());
         assert_eq!(run.connected_rounds, run.rounds);
         assert_eq!(run.starved_rounds, 0);
     }
@@ -266,9 +252,9 @@ mod tests {
         // Impossibility control: with current topology the adversary
         // surgically isolates a group.
         let p = DosParams::default();
-        let mut ov = DosOverlay::new(2048, p, 3);
+        let mut r = FaultyRunner::paper_model(DosOverlay::new(2048, p, 3));
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, 0, 11);
-        let run = ov.run(&mut adv, 2 * ov.epoch_len());
+        let run = r.run(&mut adv, 2 * r.overlay.epoch_len());
         assert!(
             run.connected_rounds < run.rounds,
             "0-late adversary should disconnect at least once"
@@ -349,7 +335,9 @@ mod tests {
         let tel = Telemetry::new(telemetry::Config::default());
         ov.set_telemetry(tel.clone());
         let mut adv = DosAdversary::new(DosStrategy::Random, 0.3, 2 * ov.epoch_len(), 3);
-        let run = ov.run(&mut adv, 2 * ov.epoch_len());
+        let mut r = FaultyRunner::paper_model(ov);
+        let run = r.run(&mut adv, 2 * r.overlay.epoch_len());
+        let ov = r.overlay;
         let snap = tel.snapshot();
         assert_eq!(snap.counter("overlay.rounds"), run.rounds);
         assert_eq!(snap.counter("overlay.starved_rounds"), run.starved_rounds);

@@ -36,12 +36,14 @@ pub struct GroupedNetwork {
 
 impl GroupedNetwork {
     /// Dimension choice of Section 5: the largest `d` with
-    /// `2^d <= n / (c log2 n)`, at least 1.
+    /// `2^d <= n / (c log2 n)`, at least 1 and never more supernodes than
+    /// nodes (`2^d <= n`, which binds only for `c < 1 / log2 n`).
     pub fn dimension_for(n: usize, c: f64) -> u32 {
-        assert!(n >= 4);
+        assert!(n >= 4, "the grouped network needs at least 4 nodes, got {n}");
+        assert!(c.is_finite() && c > 0.0, "group constant c must be finite and positive, got {c}");
         let target = n as f64 / (c * (n as f64).log2());
         let mut d = 1;
-        while (1u64 << (d + 1)) as f64 <= target {
+        while (1u64 << (d + 1)) as f64 <= target && 1u64 << (d + 1) <= n as u64 {
             d += 1;
         }
         d
@@ -290,6 +292,24 @@ mod tests {
         assert_eq!(GroupedNetwork::dimension_for(4096, 2.0), 7);
         // Tiny n never yields d < 1.
         assert!(GroupedNetwork::dimension_for(8, 4.0) >= 1);
+        // A tiny c sends n / (c log n) to +inf or far over n: the cube
+        // stops at its largest size with no more supernodes than nodes.
+        for n in [4, 5, 512, 4096] {
+            for c in [f64::MIN_POSITIVE, 1e-300] {
+                let d = GroupedNetwork::dimension_for(n, c);
+                assert!(1u64 << d <= n as u64 && 2u64 << d > n as u64, "n {n}, c {c}: d {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_constant_must_be_finite_and_positive() {
+        for c in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let caught = std::panic::catch_unwind(|| GroupedNetwork::dimension_for(512, c));
+            let msg = caught.expect_err("must panic");
+            let msg = msg.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("group constant c must be finite and positive"), "{c}: {msg}");
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! wrongly.
 
 use crate::dos::epoch::EpochClock;
-use crate::metrics::DosRoundMetrics;
+use crate::metrics::{DosRoundMetrics, DosRunMetrics};
 use crate::monitor::{Invariant, InvariantMonitor};
 use crate::reconfig::overlay::ExpanderOverlay;
 use overlay_adversary::adaptive::Attacker;
@@ -342,33 +342,15 @@ pub trait HealableOverlay {
     fn structure_violation(&self) -> Option<String>;
 }
 
-/// The prologue of every attacked round: show the adversary the current
-/// topology, take its move, and — when a monitor and a declared bound are
-/// given — judge the move's blocking budget against the population the
-/// adversary was shown (healing may shrink the membership inside the
-/// subsequent step without retroactively delegitimizing the block set).
-pub fn attack_round<O: HealableOverlay, A: Attacker>(
-    overlay: &O,
-    adversary: &mut A,
-    judge: Option<(&mut InvariantMonitor, f64)>,
-) -> ByzActions {
-    let (round, n) = (overlay.round(), overlay.len());
-    adversary.observe(overlay.snapshot(round));
-    let acts = adversary.act(round, n);
-    if let Some((monitor, bound)) = judge {
-        monitor.check_budget(round, &acts.blocked, bound, n);
-    }
-    acts
-}
-
-/// A layer of [`FaultyRunner`]'s round. [`FaultyRunner::step_timed`]
-/// calls these in a fixed order — `open` before the healing work, `check`
-/// inside the monitor section, `close` after it — and
-/// [`FaultyRunner::run`] calls `participate` between the attack prologue
-/// and the step. `()` is the inert layer: every method is a no-op except
-/// `check`, which runs the healing invariants. The two real layers are
-/// catastrophe recovery ([`crate::recovery::Catastrophes`]) and the
-/// Byzantine defenses ([`crate::byzantine::Defenses`]).
+/// A layer of [`FaultyRunner`]'s round. [`FaultyRunner::step`] calls
+/// these in a fixed order — `open` before the healing work, `check` inside
+/// the monitor section, `close` after it — and an attacked round
+/// ([`FaultyRunner::round_timed`]) calls `participate` between the attack
+/// prologue and the step. `()` is the inert layer: every method is a no-op
+/// except `check`, which runs the healing invariants. The real layers are
+/// catastrophe recovery ([`crate::recovery::Catastrophes`]), the Byzantine
+/// defenses ([`crate::byzantine::Defenses`]) and per-epoch churn
+/// ([`crate::churndos::EpochChurn`]).
 pub trait Layer<O: HealableOverlay>: Sized {
     /// Apply the parts of the adversary's move beyond blocking: joins,
     /// corruptions, forgeries. Only the defense layer has a join path that
@@ -463,6 +445,14 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             tel: Telemetry::disabled(),
             layer: (),
         }
+    }
+
+    /// The paper's model around `overlay`: no beyond-model fault and
+    /// healing off, so every round is the overlay's own step under the
+    /// adversary's block set. (Healing would evict a member blocked across
+    /// `heartbeat_epochs` epoch boundaries, which the paper never does.)
+    pub fn paper_model(overlay: O) -> Self {
+        Self::new(overlay, FaultSchedule::none(), HealingParams::default(), false)
     }
 
     /// The same runner with `layer` added to its round.
@@ -617,15 +607,41 @@ impl<O: HealableOverlay, L: Layer<O>> FaultyRunner<O, L> {
     /// epoch boundary resampled, feed the invariant monitor and close the
     /// layer.
     pub fn step(&mut self, dos_blocked: &BlockSet) -> DosRoundMetrics {
-        self.step_timed(dos_blocked, |_| {})
+        self.step_with(dos_blocked, |_| {})
     }
 
-    /// [`Self::step`], calling `lap` with a section's name as each section
-    /// of the round ends — in order: `membership`, `crash draws`,
-    /// `retries + staleness`, `effective set`, `overlay step`,
-    /// `broadcast draws`, `monitor`. The `perf_dos_round` binary reads a
-    /// clock in `lap`; `step` passes a no-op that compiles away.
-    pub fn step_timed(
+    /// One attacked round: show the adversary the current topology, take
+    /// its move, judge the move's blocking budget against the population
+    /// the adversary was shown (healing may shrink the membership inside
+    /// the step without retroactively delegitimizing the block set) when a
+    /// bound is declared, hand the rest of the move to the layer and
+    /// [`step`](Self::step). `lap` is called with a section's name as each
+    /// section of the round ends — in order: `snapshot`, `observe + pick`,
+    /// `budget judge`, `membership`, `crash draws`, `retries + staleness`,
+    /// `effective set`, `overlay step`, `broadcast draws`, `monitor`.
+    /// `exp P2` reads a clock in `lap`; [`run`](Self::run) passes a no-op
+    /// that compiles away.
+    pub fn round_timed<A: Attacker>(
+        &mut self,
+        adversary: &mut A,
+        mut lap: impl FnMut(&'static str),
+    ) -> DosRoundMetrics {
+        let (round, n) = (self.overlay.round(), self.overlay.len());
+        let snapshot = self.overlay.snapshot(round);
+        lap("snapshot");
+        adversary.observe(snapshot);
+        let acts = adversary.act(round, n);
+        lap("observe + pick");
+        if let Some(bound) = self.dos_bound {
+            self.monitor.check_budget(round, &acts.blocked, bound, n);
+        }
+        lap("budget judge");
+        L::participate(self, &acts);
+        self.step_with(&acts.blocked, lap)
+    }
+
+    /// [`Self::step`], calling `lap` as each of its seven sections ends.
+    fn step_with(
         &mut self,
         dos_blocked: &BlockSet,
         mut lap: impl FnMut(&'static str),
@@ -765,15 +781,16 @@ impl<O: HealableOverlay, L: Layer<O>> FaultyRunner<O, L> {
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious, adaptive or
-    /// Byzantine — for `rounds` rounds, judging the blocking budget per
-    /// [`attack_round`] and handing the rest of each move to the layer.
-    pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
+    /// Byzantine — for `rounds` attacked rounds (see
+    /// [`round_timed`](Self::round_timed)), and fold them into the run's
+    /// totals.
+    pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) -> DosRunMetrics {
+        let mut out = DosRunMetrics { n: self.overlay.len(), ..DosRunMetrics::default() };
         for _ in 0..rounds {
-            let judge = self.dos_bound.map(|bound| (&mut self.monitor, bound));
-            let acts = attack_round(&self.overlay, adversary, judge);
-            L::participate(self, &acts);
-            self.step(&acts.blocked);
+            out.absorb(self.round_timed(adversary, |_| {}));
         }
+        out.epochs = self.overlay.epochs();
+        out
     }
 }
 
@@ -949,6 +966,7 @@ mod tests {
     use crate::churndos::overlay::{ChurnDosOverlay, ChurnDosParams};
     use crate::config::SamplingParams;
     use crate::dos::overlay::{DosOverlay, DosParams};
+    use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
     use overlay_adversary::dos::{DosAdversary, DosStrategy};
     use overlay_adversary::lateness::TopologySnapshot;
     use std::sync::Arc;
@@ -957,28 +975,73 @@ mod tests {
         FaultSchedule::new(seed, loss, hazard, recover, 0.1)
     }
 
-    #[test]
-    fn faultless_schedule_is_the_identity() {
-        // A null schedule with healing on must reproduce the plain run.
-        let mut plain = DosOverlay::new(512, DosParams::default(), 1);
-        let mut runner = FaultyRunner::new(
-            DosOverlay::new(512, DosParams::default(), 1),
-            sched(9, 0.0, 0.0, None),
-            HealingParams::default(),
-            true,
-        );
-        for _ in 0..3 * plain.epoch_len() {
-            let b = BlockSet::none();
-            plain.step(&b);
-            runner.step(&b);
+    /// Three epochs of a runner under a null schedule against the plain
+    /// round loop over `plain`, both attacked by a 2t-late group-targeted
+    /// blocker at `bound`: the overlay's own step under the adversary's
+    /// block set, with `epoch_start` run before the attacker observes each
+    /// epoch's first round. Equal digests every round, equal run totals,
+    /// nothing healed.
+    fn assert_plain_loop<O: HealableOverlay, L: Layer<O>>(
+        runner: impl Fn() -> FaultyRunner<O, L>,
+        mut plain: O,
+        bound: f64,
+        mut epoch_start: impl FnMut(&mut O),
+        digest: fn(&O) -> u64,
+    ) {
+        let t = plain.epoch_len();
+        let attacker = || DosAdversary::new(DosStrategy::GroupTargeted, bound, 2 * t, 5);
+        let mut reference = attacker();
+        let mut want = DosRunMetrics { n: plain.len(), ..DosRunMetrics::default() };
+        let mut digests = Vec::new();
+        for _ in 0..3 * t {
+            if plain.round() % t == 0 {
+                epoch_start(&mut plain);
+            }
+            let (round, n) = (plain.round(), plain.len());
+            reference.observe(plain.snapshot(round));
+            want.absorb(plain.step_overlay(&reference.block(round, n)));
+            digests.push(digest(&plain));
         }
-        assert_eq!(plain.state_digest(), runner.overlay.state_digest());
-        assert!(runner.monitor.ok(), "{}", runner.monitor.report());
-        let s = runner.stats();
+        want.epochs = plain.epochs();
+        let mut whole = runner();
+        assert_eq!(whole.run(&mut attacker(), 3 * t), want);
+        let s = whole.stats();
         assert_eq!(
             (s.crashes, s.desync_events, s.evictions, s.rejoins, s.retries),
             (0, 0, 0, 0, 0)
         );
+        let (mut stepped, mut adv) = (runner(), attacker());
+        for (round, want) in digests.into_iter().enumerate() {
+            stepped.round_timed(&mut adv, |_| {});
+            assert_eq!(digest(&stepped.overlay), want, "round {round}");
+        }
+    }
+
+    #[test]
+    fn faultless_schedule_is_the_identity() {
+        // Healing on reproduces the plain loop while nobody is blocked;
+        // healing off (the paper model) does so under attack too.
+        for (healing, bound) in [(true, 0.0), (false, 0.3)] {
+            let dos = || DosOverlay::new(512, DosParams::default(), 1);
+            let runner =
+                || FaultyRunner::new(dos(), FaultSchedule::none(), Default::default(), healing);
+            assert_plain_loop(runner, dos(), bound, |_| {}, DosOverlay::state_digest);
+            let cd = || ChurnDosOverlay::new(600, ChurnDosParams::default(), 1);
+            let runner =
+                || FaultyRunner::new(cd(), FaultSchedule::none(), Default::default(), healing);
+            assert_plain_loop(runner, cd(), bound, |_| {}, ChurnDosOverlay::state_digest);
+        }
+        // The churn layer against `apply_churn` at each epoch's start.
+        let cd = || ChurnDosOverlay::new(600, ChurnDosParams::default(), 2);
+        let churn = || ChurnSchedule::new(ChurnStrategy::Random, 1.3, 0.5, 100_000);
+        let rng = || simnet::rng::stream(2, 1, 1);
+        let runner = || FaultyRunner::paper_model(cd()).with_churn(churn(), rng());
+        let (mut schedule, mut rng) = (churn(), rng());
+        let epoch_start = |ov: &mut ChurnDosOverlay| {
+            let event = schedule.next(&ov.members(), &mut rng);
+            ov.apply_churn(&event);
+        };
+        assert_plain_loop(runner, cd(), 0.3, epoch_start, ChurnDosOverlay::state_digest);
     }
 
     #[test]

@@ -347,19 +347,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     /// reconfiguration-broadcast losses if an epoch boundary resampled,
     /// and feed the invariant monitor.
     pub fn step(&mut self, dos_blocked: &BlockSet) -> DosRoundMetrics {
-        self.step_timed(dos_blocked, |_| {})
-    }
-
-    /// [`Self::step`], calling `lap` with a section's name as each section
-    /// of the round ends — in order: `membership`, `crash draws`,
-    /// `retries + staleness`, `effective set`, `overlay step`,
-    /// `broadcast draws`, `monitor`. The `perf_dos_round` binary reads a
-    /// clock in `lap`; `step` passes a no-op that compiles away.
-    pub fn step_timed(
-        &mut self,
-        dos_blocked: &BlockSet,
-        mut lap: impl FnMut(&'static str),
-    ) -> DosRoundMetrics {
         let round = self.overlay.round(); // round about to execute
         let epochs_before = self.overlay.epochs();
         let failed_before = self.overlay.failed_epochs();
@@ -389,7 +376,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         let members = self.overlay.members_sorted();
         let up: Vec<NodeId> =
             difference(members.iter().copied(), self.down.keys().copied()).collect();
-        lap("membership");
         for v in self.schedule.draw_crashes(&up, members.len()) {
             let back = self.schedule.recover_after().map_or(u64::MAX, |k| round + k);
             self.down.insert(v, back);
@@ -398,7 +384,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             self.tracker.forget(v);
             self.heal_event(round, EventKind::Crash, "crash", v, back);
         }
-        lap("crash draws");
 
         if self.healing {
             // Due re-requests: each attempt is one message exchange,
@@ -438,15 +423,12 @@ impl<O: HealableOverlay> FaultyRunner<O> {
             }
         }
         drop(healing_phase);
-        lap("retries + staleness");
 
         // Effective silence: adversary blocking plus crashed plus
         // desynchronized members.
         let mut eff = std::mem::take(&mut self.eff);
         eff.assign(self.silenced(dos_blocked));
-        lap("effective set");
         let m = self.overlay.step_overlay(&eff);
-        lap("overlay step");
 
         // If the boundary just resampled (epochs advanced, no new failed
         // epoch), every live member must learn its fresh assignment; each
@@ -463,8 +445,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
                 }
             }
         }
-
-        lap("broadcast draws");
 
         let monitor_phase = self.tel.phase(Phase::Monitor);
         self.monitor.begin_round();
@@ -488,7 +468,6 @@ impl<O: HealableOverlay> FaultyRunner<O> {
         });
         self.eff = eff;
         drop(monitor_phase);
-        lap("monitor");
         m
     }
 
@@ -500,11 +479,16 @@ impl<O: HealableOverlay> FaultyRunner<O> {
     }
 
     /// Drive the overlay against any [`Attacker`] — oblivious or adaptive —
-    /// for `rounds` rounds, judging the blocking budget per [`attack_round`].
+    /// for `rounds` rounds, judging the blocking budget against the
+    /// population the adversary was shown.
     pub fn run<A: Attacker>(&mut self, adversary: &mut A, rounds: u64) {
         for _ in 0..rounds {
-            let judge = self.dos_bound.map(|bound| (&mut self.monitor, bound));
-            let blocked = attack_round(&self.overlay, adversary, judge).blocked;
+            let (round, n) = (self.overlay.round(), self.overlay.len());
+            adversary.observe(self.overlay.snapshot(round));
+            let blocked = adversary.act(round, n).blocked;
+            if let Some(bound) = self.dos_bound {
+                self.monitor.check_budget(round, &blocked, bound, n);
+            }
             self.step(&blocked);
         }
     }

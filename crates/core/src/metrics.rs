@@ -63,7 +63,7 @@ pub struct DosRoundMetrics {
 }
 
 /// Outcome of a whole DoS-overlay run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DosRunMetrics {
     /// Network size.
     pub n: usize,
@@ -76,8 +76,6 @@ pub struct DosRunMetrics {
     pub starved_rounds: u64,
     /// Reconfiguration epochs completed.
     pub epochs: u64,
-    /// Per-round details (may be sampled rather than exhaustive).
-    pub per_round: Vec<DosRoundMetrics>,
 }
 
 impl SamplingMetrics {
@@ -124,9 +122,8 @@ simnet::checkpoint_schema! {
 }
 
 impl DosRunMetrics {
-    /// Fold one observed round into the run totals and the per-round log.
-    /// This is the single accumulation path shared by the DoS and
-    /// churn-DoS overlay run loops.
+    /// Fold one observed round into the run totals: the accumulation path
+    /// of [`crate::healing::FaultyRunner::run`].
     pub fn absorb(&mut self, round: DosRoundMetrics) {
         self.rounds += 1;
         if round.connected {
@@ -135,7 +132,6 @@ impl DosRunMetrics {
         if round.min_group_available == 0 {
             self.starved_rounds += 1;
         }
-        self.per_round.push(round);
     }
 
     /// Fraction of simulated rounds that stayed connected.

@@ -567,7 +567,7 @@ mod tests {
     fn mk_runner(seed: u64) -> FaultyRunner<DosOverlay> {
         FaultyRunner::new(
             DosOverlay::new(256, small_params(), seed),
-            FaultSchedule::new(seed, 0.0, 0.0, None, 0.1),
+            FaultSchedule::none(),
             HealingParams::default(),
             true,
         )

@@ -10,14 +10,14 @@
 
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 fn run(n: usize, lateness_factor: u64, seed: u64) -> (u64, u64, u64) {
-    let mut overlay = DosOverlay::new(n, DosParams::default(), seed);
+    let overlay = DosOverlay::new(n, DosParams::default(), seed);
     let lateness = lateness_factor * overlay.epoch_len();
     let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, seed + 1);
     let rounds = 6 * overlay.epoch_len();
-    let run = overlay.run(&mut adv, rounds);
+    let run = FaultyRunner::paper_model(overlay).run(&mut adv, rounds);
     (run.rounds, run.connected_rounds, run.starved_rounds)
 }
 

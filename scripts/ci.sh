@@ -53,6 +53,22 @@ FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test fault_
 echo "==> shrinker fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
 FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test shrink_fuzz
 
+echo "==> checkpointed soak: dos 4 epochs then resumed to 8, churndos 2 epochs, a bad flag is a usage error"
+soak_dir="$(mktemp -d)"
+soak() { cargo run -q --release -p reconfig-bench --bin soak -- "$@"; }
+soak --family dos --epochs 4 --dir "$soak_dir/dos"
+soak --family dos --epochs 8 --dir "$soak_dir/dos" --resume
+soak --family churndos --epochs 2 --dir "$soak_dir/churndos"
+if soak --n 2 --dir "$soak_dir/bad" 2>"$soak_dir/bad.err"; then
+    echo "soak accepted --n 2" >&2
+    exit 1
+fi
+if grep -q panicked "$soak_dir/bad.err"; then
+    cat "$soak_dir/bad.err" >&2
+    exit 1
+fi
+rm -rf "$soak_dir"
+
 echo "==> experiments match results/ (E1-E16 and A1-A8 at full size, every record byte for byte)"
 bash scripts/experiments.sh
 

@@ -13,7 +13,7 @@ use overlay_adversary::adaptive::{AdaptiveHarness, AdaptiveStrategy, MinCutAttac
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use overlay_adversary::shrink::{shrink_trace, AdversaryTrace, ReplayAdversary, Repro};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -39,18 +39,17 @@ fn params() -> DosParams {
 fn adaptive_min_cut_beats_oblivious_random_at_equal_budget() {
     // Same budget, same (zero) lateness, same overlay seed. The oblivious
     // random blocker never disconnects; the adaptive min-cut attacker does.
-    let mut ov = DosOverlay::new(N, params(), 21);
-    let rounds = 2 * ov.epoch_len();
+    let ov = || FaultyRunner::paper_model(DosOverlay::new(N, params(), 21));
+    let rounds = 2 * ov().overlay.epoch_len();
     let mut random = DosAdversary::new(DosStrategy::Random, BOUND, 0, 3);
-    let run = ov.run(&mut random, rounds);
+    let run = ov().run(&mut random, rounds);
     assert_eq!(
         run.connected_rounds, run.rounds,
         "random blocking at bound {BOUND} should not disconnect"
     );
 
-    let mut ov = DosOverlay::new(N, params(), 21);
     let mut mincut = AdaptiveHarness::new(MinCutAttack::default(), BOUND, 0);
-    let run = ov.run(&mut mincut, rounds);
+    let run = ov().run(&mut mincut, rounds);
     assert!(
         run.connected_rounds < run.rounds,
         "adaptive min-cut at the same budget must find a disconnecting cut"
@@ -62,11 +61,11 @@ fn paper_lateness_defeats_every_adaptive_strategy() {
     // Theorem 6's regime: at 2t lateness even the adaptive strategies are
     // working from pre-reconfiguration information and must fail.
     for strategy in AdaptiveStrategy::all() {
-        let mut ov = DosOverlay::new(N, params(), 22);
+        let ov = DosOverlay::new(N, params(), 22);
         let lateness = 2 * ov.epoch_len();
         let rounds = 4 * ov.epoch_len();
         let mut adv = AdaptiveHarness::new(strategy, BOUND, lateness);
-        let run = ov.run(&mut adv, rounds);
+        let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
         assert_eq!(
             run.connected_rounds,
             run.rounds,
@@ -78,9 +77,9 @@ fn paper_lateness_defeats_every_adaptive_strategy() {
 
 /// Replay `trace` against a fresh overlay; true if any round disconnects.
 fn trace_disconnects(trace: &AdversaryTrace, seed: u64) -> bool {
-    let mut ov = DosOverlay::new(N, params(), seed);
     let mut replay = ReplayAdversary::new(trace.clone());
-    let run = ov.run(&mut replay, trace.len() as u64);
+    let run = FaultyRunner::paper_model(DosOverlay::new(N, params(), seed))
+        .run(&mut replay, trace.len() as u64);
     run.connected_rounds < run.rounds
 }
 
@@ -88,10 +87,10 @@ fn trace_disconnects(trace: &AdversaryTrace, seed: u64) -> bool {
 fn shrinker_reduces_a_live_violation_to_a_smaller_replayable_repro() {
     // Record a violating trace from the adaptive min-cut attacker.
     let seed = 23;
-    let mut ov = DosOverlay::new(N, params(), seed);
+    let ov = DosOverlay::new(N, params(), seed);
     let rounds = 2 * ov.epoch_len();
     let mut adv = AdaptiveHarness::new(MinCutAttack::default(), BOUND, 0).recording();
-    let run = ov.run(&mut adv, rounds);
+    let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
     assert!(run.connected_rounds < run.rounds, "seeding the violation failed");
     let original = AdversaryTrace::from_emissions(adv.trace());
     assert!(trace_disconnects(&original, seed), "recorded trace must replay the violation");

@@ -21,11 +21,10 @@
 //! nightly job runs 200).
 
 use overlay_adversary::byzantine::{ByzBudget, ByzCampaign, ByzFamily, ByzHarness};
-use overlay_adversary::faults::FaultSchedule;
 use rand::RngExt;
 use reconfig_core::byzantine::DefenseConfig;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::{FaultyRunner, HealableOverlay, HealingParams};
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 use reconfig_core::monitor::Invariant;
 
 /// Fuzzed campaigns per run; `BYZ_CASES` overrides the default 40
@@ -107,10 +106,8 @@ fn run_case(case: &ByzCase, full: bool) -> (Vec<(Invariant, u64)>, u64) {
     // rules out majority capture at the fuzzed fractions.
     let seed = case.seed ^ 0x0D5;
     let overlay = DosOverlay::new(N, DosParams::default(), seed);
-    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
-    let mut r = FaultyRunner::new(overlay, faults, HealingParams::default(), false)
-        .with_dos_bound(0.0)
-        .with_defenses(DefenseConfig::all());
+    let mut r =
+        FaultyRunner::paper_model(overlay).with_dos_bound(0.0).with_defenses(DefenseConfig::all());
     let epoch = r.overlay.epoch_len();
     let lateness = [0, epoch / 2, epoch, 2 * epoch][case.late_sel];
     let budget = ByzBudget {

@@ -41,7 +41,7 @@ use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams, SizeBand};
 use reconfig_core::config::{SamplingParams, Schedule};
 use reconfig_core::dos::{DosOverlay, DosParams};
 use reconfig_core::healing::{
-    attack_round, ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
+    ExpanderFaultRun, FaultyRunner, HealableOverlay, HealingParams, HealingStats,
 };
 use reconfig_core::metrics::SamplingMetrics;
 use reconfig_core::monitor::Invariant;
@@ -279,15 +279,6 @@ fn healed_runner<O: HealableOverlay>(
     (runner, DosAdversary::new(DosStrategy::GroupTargeted, 0.3, 2 * t, seed + 1))
 }
 
-/// One attacked, healed round, exactly as `FaultyRunner::run` does it.
-fn healed_round<O: HealableOverlay>(
-    runner: &mut FaultyRunner<O>,
-    adv: &mut DosAdversary,
-) -> reconfig_core::metrics::DosRoundMetrics {
-    let acts = attack_round(&runner.overlay, adv, Some((&mut runner.monitor, 0.3)));
-    runner.step(&acts.blocked)
-}
-
 /// Every observable of `HEALED_EPOCHS` epochs of one arm: per round the
 /// overlay's `state_digest`, each `DosRoundMetrics` field and the runner's
 /// membership / down / desynced counts; then the `HealingStats` and the
@@ -302,7 +293,7 @@ fn healed_lines<O: HealableOverlay>(
     let (mut runner, mut adv) = healed_runner(overlay, seed, healing);
     let mut lines = Vec::new();
     for _ in 0..HEALED_EPOCHS * runner.overlay.epoch_len() {
-        let m = healed_round(&mut runner, &mut adv);
+        let m = runner.round_timed(&mut adv, |_| {});
         lines.push(format!(
             "{tag} {} {:016x} blocked={} connected={} min_avail={} sizes={}..{} members={} \
              down={} desynced={}",
@@ -422,7 +413,7 @@ fn golden_dos_overlay_v1_checkpoint_round_trips_byte_for_byte() {
     let (mut runner, mut adv) =
         healed_runner(DosOverlay::new(HEALED_N, DosParams::default(), 21), 21, true);
     for _ in 0..HEALED_CKPT_ROUND {
-        healed_round(&mut runner, &mut adv);
+        runner.round_timed(&mut adv, |_| {});
     }
     assert_eq!(serde_json::to_string_pretty(&runner.overlay.save()).unwrap() + "\n", text);
 
@@ -480,7 +471,7 @@ fn golden_churndos_overlay_v1_checkpoint_round_trips_byte_for_byte() {
     let (mut runner, mut adv) =
         healed_runner(ChurnDosOverlay::new(HEALED_N, ChurnDosParams::default(), 22), 22, true);
     for _ in 0..HEALED_CKPT_ROUND {
-        healed_round(&mut runner, &mut adv);
+        runner.round_timed(&mut adv, |_| {});
     }
     assert_eq!(serde_json::to_string_pretty(&runner.overlay.save()).unwrap() + "\n", text);
 
@@ -700,10 +691,10 @@ fn state_formats() -> Vec<Format> {
     let join = overlay_adversary::churn::Join { new_node: NodeId(500), introduced_to: NodeId(3) };
     ov.apply_churn(&ChurnEvent { joins: vec![join], leaves: vec![NodeId(7), NodeId(11)] });
     formats.push(schema("ExpanderOverlay", &ov));
-    let mut ov = DosOverlay::new(256, DosParams::default(), 3);
+    let mut r = FaultyRunner::paper_model(DosOverlay::new(256, DosParams::default(), 3));
     let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
-    ov.run(&mut adv, ov.epoch_len() + 3);
-    formats.push(schema("DosOverlay", &ov));
+    r.run(&mut adv, r.overlay.epoch_len() + 3);
+    formats.push(schema("DosOverlay", &r.overlay));
     let mut ov = ChurnDosOverlay::new(400, ChurnDosParams::default(), 3);
     let mut adv = DosAdversary::new(DosStrategy::Random, 0.2, 0, 5);
     for _ in 0..ov.epoch_len() + 3 {
@@ -1000,10 +991,7 @@ const ATTACKER_BOUND: f64 = 0.3;
 /// faults and no healing, blocks judged against 0.1, under `defense`.
 fn defended(seed: u64, defense: DefenseConfig) -> FaultyRunner<DosOverlay, Defenses> {
     let overlay = DosOverlay::new(ATTACKER_N, attacker_params(), seed);
-    let faults = FaultSchedule::new(seed, 0.0, 0.0, None, 0.0);
-    FaultyRunner::new(overlay, faults, HealingParams::default(), false)
-        .with_dos_bound(0.1)
-        .with_defenses(defense)
+    FaultyRunner::paper_model(overlay).with_dos_bound(0.1).with_defenses(defense)
 }
 
 /// `group_c = 1` (32 groups of ~16, as in `adaptive_adversary.rs`): a whole
@@ -1055,7 +1043,8 @@ fn golden_attacker_digests() {
     for t in [0, epoch, 2 * epoch] {
         for adv in blockers(t) {
             let mut tap = Tap::new(adv);
-            DosOverlay::new(ATTACKER_N, attacker_params(), 31).run(&mut tap, 4 * epoch);
+            let ov = DosOverlay::new(ATTACKER_N, attacker_params(), 31);
+            FaultyRunner::paper_model(ov).run(&mut tap, 4 * epoch);
             lines.push(tap.line("overlay", &tap.label(), t));
         }
     }

@@ -5,7 +5,7 @@ use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
 use overlay_adversary::dos::{DosAdversary, DosStrategy};
 use reconfig_core::churndos::{ChurnDosOverlay, ChurnDosParams};
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 
 #[test]
 fn theorem6_all_strategies_fail_when_sufficiently_late() {
@@ -18,10 +18,10 @@ fn theorem6_all_strategies_fail_when_sufficiently_late() {
     .into_iter()
     .enumerate()
     {
-        let mut ov = DosOverlay::new(2048, DosParams::default(), 100 + i as u64);
-        let lateness = 2 * ov.epoch_len();
+        let ov = DosOverlay::new(2048, DosParams::default(), 100 + i as u64);
+        let (lateness, rounds) = (2 * ov.epoch_len(), 3 * ov.epoch_len());
         let mut adv = DosAdversary::new(strategy, 0.3, lateness, 200 + i as u64);
-        let run = ov.run(&mut adv, 3 * ov.epoch_len());
+        let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
         assert_eq!(
             run.connected_rounds, run.rounds,
             "{strategy:?} should not disconnect a 2t-late defense"
@@ -35,10 +35,10 @@ fn lateness_crossover_exists() {
     // A2's shape: 0-late wins, 2t-late loses. Drive both from identical
     // overlays and compare connectivity rates.
     let rate = |lateness_epochs: u64, seed: u64| {
-        let mut ov = DosOverlay::new(2048, DosParams::default(), seed);
-        let lateness = lateness_epochs * ov.epoch_len();
+        let ov = DosOverlay::new(2048, DosParams::default(), seed);
+        let (lateness, rounds) = (lateness_epochs * ov.epoch_len(), 3 * ov.epoch_len());
         let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.3, lateness, seed + 1);
-        let run = ov.run(&mut adv, 3 * ov.epoch_len());
+        let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
         run.connectivity_rate()
     };
     let current = rate(0, 11);
@@ -64,15 +64,16 @@ fn lemma17_blocking_shares_stay_below_half_per_group() {
 
 #[test]
 fn theorem7_combined_attack_is_survived() {
-    let mut ov = ChurnDosOverlay::new(2048, ChurnDosParams::default(), 14);
-    let lateness = 2 * ov.epoch_len();
+    let ov = ChurnDosOverlay::new(2048, ChurnDosParams::default(), 14);
+    let (lateness, rounds) = (2 * ov.epoch_len(), 3 * ov.epoch_len());
     let mut adv = DosAdversary::new(DosStrategy::GroupTargeted, 0.25, lateness, 15);
-    let mut churn = ChurnSchedule::new(ChurnStrategy::YoungestFirst, 1.3, 0.5, 1_000_000);
-    let mut rng = simnet::rng::stream(14, 5, 5);
-    let run = ov.run_under_attack(&mut adv, &mut churn, 3, &mut rng);
+    let churn = ChurnSchedule::new(ChurnStrategy::YoungestFirst, 1.3, 0.5, 1_000_000);
+    let rng = simnet::rng::stream(14, 5, 5);
+    let mut runner = FaultyRunner::paper_model(ov).with_churn(churn, rng);
+    let run = runner.run(&mut adv, rounds);
     assert_eq!(run.connected_rounds, run.rounds);
     assert_eq!(run.starved_rounds, 0);
-    assert!(ov.groups().lemma18_holds());
+    assert!(runner.overlay.groups().lemma18_holds());
 }
 
 #[test]
@@ -80,10 +81,10 @@ fn epsilon_sweep_defense_weakens_gracefully() {
     // Larger blocked fraction (smaller eps) keeps the Theorem 6 guarantee
     // as long as the fraction stays below 1/2.
     for eps_block in [0.1f64, 0.25, 0.4] {
-        let mut ov = DosOverlay::new(2048, DosParams::default(), 16);
-        let lateness = 2 * ov.epoch_len();
+        let ov = DosOverlay::new(2048, DosParams::default(), 16);
+        let (lateness, rounds) = (2 * ov.epoch_len(), 2 * ov.epoch_len());
         let mut adv = DosAdversary::new(DosStrategy::Random, eps_block, lateness, 17);
-        let run = ov.run(&mut adv, 2 * ov.epoch_len());
+        let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
         assert_eq!(
             run.connected_rounds, run.rounds,
             "blocking fraction {eps_block} should be survivable"

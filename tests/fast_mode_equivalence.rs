@@ -530,12 +530,7 @@ fn recovery_trace(backend: Backend) -> (Vec<u64>, Vec<(u64, &'static str)>) {
         let seed = 0x4EC_FA57;
         let ov = DosOverlay::new(128, DosParams { group_c: 1.0, ..DosParams::default() }, seed);
         let epoch_len = ov.epoch_len();
-        let runner = FaultyRunner::new(
-            ov,
-            FaultSchedule::new(seed, 0.0, 0.0, None, 0.1),
-            HealingParams::default(),
-            true,
-        );
+        let runner = FaultyRunner::new(ov, FaultSchedule::none(), HealingParams::default(), true);
         let schedule = simnet::BurstSchedule::new(seed).with_burst(simnet::Burst {
             at: 2 * epoch_len,
             frac: 0.3,

@@ -41,7 +41,7 @@ fn small_params() -> DosParams {
 fn mk_runner(n: usize, seed: u64) -> FaultyRunner<DosOverlay> {
     FaultyRunner::new(
         DosOverlay::new(n, small_params(), seed),
-        FaultSchedule::new(seed, 0.0, 0.0, None, 0.1),
+        FaultSchedule::none(),
         HealingParams::default(),
         true,
     )
@@ -162,7 +162,7 @@ fn recovery_plumbing_is_digest_neutral_on_the_golden_family() {
     // provably invisible.
     let runner = FaultyRunner::new(
         DosOverlay::new(256, DosParams::default(), 9),
-        FaultSchedule::new(9, 0.0, 0.0, None, 0.3),
+        FaultSchedule::none(),
         HealingParams::default(),
         true,
     );

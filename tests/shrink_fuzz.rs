@@ -25,7 +25,7 @@ use overlay_adversary::adaptive::{AdaptiveHarness, MinCutAttack};
 use overlay_adversary::shrink::{shrink_trace, AdversaryTrace, ReplayAdversary};
 use rand::RngExt;
 use reconfig_core::dos::{DosOverlay, DosParams};
-use reconfig_core::healing::HealableOverlay;
+use reconfig_core::healing::{FaultyRunner, HealableOverlay};
 use simnet::{BlockSet, NodeId};
 
 /// Cases per regime; `FUZZ_CASES` overrides the default 100 (validated
@@ -120,9 +120,9 @@ fn fuzzed_starved_budgets_still_return_sound_results() {
 /// the cheapest group separator inside the 0.3 budget.
 fn trace_disconnects(trace: &AdversaryTrace, seed: u64) -> bool {
     let params = DosParams { group_c: 1.0, ..DosParams::default() };
-    let mut ov = DosOverlay::new(512, params, seed);
     let mut replay = ReplayAdversary::new(trace.clone());
-    let run = ov.run(&mut replay, trace.len() as u64);
+    let run = FaultyRunner::paper_model(DosOverlay::new(512, params, seed))
+        .run(&mut replay, trace.len() as u64);
     run.connected_rounds < run.rounds
 }
 
@@ -135,10 +135,10 @@ fn fuzzed_live_min_cut_violations_shrink_and_replay() {
     let params = DosParams { group_c: 1.0, ..DosParams::default() };
     let mut violations = 0u32;
     for seed in 100..100 + cases {
-        let mut ov = DosOverlay::new(512, params, seed);
+        let ov = DosOverlay::new(512, params, seed);
         let rounds = 2 * ov.epoch_len();
         let mut adv = AdaptiveHarness::new(MinCutAttack::default(), 0.3, 0).recording();
-        let run = ov.run(&mut adv, rounds);
+        let run = FaultyRunner::paper_model(ov).run(&mut adv, rounds);
         if run.connected_rounds == run.rounds {
             continue; // this topology resisted; the next seed won't
         }
