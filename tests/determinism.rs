@@ -49,7 +49,8 @@ use reconfig_core::nodert::{ClusterTrace, DelayObs, RoundRecord};
 use reconfig_core::reconfig::{ExpanderOverlay, JoinPair};
 use reconfig_core::recovery::RecoveryParams;
 use reconfig_core::sampling::{
-    run_alg1_digested_observed, run_alg1_direct_observed, Alg1Node, SampleMsg,
+    run_alg1_digested_observed, run_alg1_direct_observed, run_alg1_observed, run_alg2_observed,
+    run_baseline_observed, Alg1Node, SampleMsg,
 };
 use reconfig_node::cluster::{run_cluster, ClusterConfig};
 use simnet::checkpoint::{get_array, get_str, read_value, FieldKey, Schema};
@@ -195,6 +196,107 @@ fn golden_sampling_direct_digests() {
         "sampling_direct.digests",
         "core/sampling: run_alg1_direct, graph_seed=0xD1EC7+n, digest of the full sample table \
          (row count, then each row's length and ids) plus SamplingMetrics",
+        &lines,
+    );
+}
+
+/// One line of `sampling_runs.digests`: the per-node samples, all eight
+/// `SamplingMetrics` fields and the JSONL capture of the recorder the run
+/// was observed into (its events with their details, the metrics and the
+/// phase enters).
+fn sampling_run_line(
+    label: &str,
+    rows: impl IntoIterator<Item = (u64, Vec<u64>)>,
+    m: &SamplingMetrics,
+    tel: &Telemetry,
+    extra: &str,
+) -> String {
+    let mut dg = Digest::new();
+    for (node, row) in rows {
+        dg.write_u64(node).write_usize(row.len());
+        for id in row {
+            dg.write_u64(id);
+        }
+    }
+    let jsonl = tel.capture(&[("run", label)]).to_jsonl();
+    format!(
+        "{label} samples={:016x} n={} rounds={} iterations={} per_node={} failures={} \
+         max_node_bits={} max_node_msgs={} total_msgs={} telemetry={}:{:016x}{extra}",
+        dg.finish(),
+        m.n,
+        m.rounds,
+        m.iterations,
+        m.samples_per_node,
+        m.failures,
+        m.max_node_bits,
+        m.max_node_msgs,
+        m.total_msgs,
+        jsonl.len(),
+        fnv64(jsonl.as_bytes()),
+    )
+}
+
+/// The five sampling entry points share one envelope: a private collector,
+/// the `Sampling` phase, the start and finish events, the metrics derived
+/// from the collector's snapshot, and the absorb into the caller's
+/// recorder. This pins what each of them records, at two sizes each, on
+/// the parity engine with a timing-off recorder. The larger size runs an
+/// undersized schedule, so its finish events carry a nonzero failure
+/// count.
+#[test]
+fn golden_sampling_run_digests() {
+    let undersized = SamplingParams { epsilon: 0.01, c: 0.2, ..SamplingParams::default() };
+    let seed = 0x5A3F;
+    let ids = |samples: &[(NodeId, Vec<NodeId>)]| -> Vec<(u64, Vec<u64>)> {
+        samples.iter().map(|(v, s)| (v.raw(), s.iter().map(|x| x.raw()).collect())).collect()
+    };
+    let mut lines = Vec::new();
+    with_backend(Backend::Parity, || {
+        for (n, params) in [(32u64, SamplingParams::default()), (200, undersized)] {
+            let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5A3F + n);
+            let graph = HGraph::random(&nodes, 8, &mut rng);
+
+            let tel = Telemetry::collector();
+            let (samples, m) = run_alg1_observed(&graph, &params, seed, &tel);
+            lines.push(sampling_run_line(&format!("alg1 n={n}"), ids(&samples), &m, &tel, ""));
+
+            let tel = Telemetry::collector();
+            let (samples, m, digests) = run_alg1_digested_observed(&graph, &params, seed, &tel);
+            let mut dg = Digest::new();
+            for d in &digests {
+                dg.write_u64(d.round).write_u64(d.value);
+            }
+            let extra = format!(" digests={}:{:016x}", digests.len(), dg.finish());
+            let label = format!("alg1-digested n={n}");
+            lines.push(sampling_run_line(&label, ids(&samples), &m, &tel, &extra));
+
+            let tel = Telemetry::collector();
+            let (samples, m) = run_baseline_observed(&graph, &params, seed, &tel);
+            lines.push(sampling_run_line(&format!("baseline n={n}"), ids(&samples), &m, &tel, ""));
+
+            let tel = Telemetry::collector();
+            let run = run_alg1_direct_observed(&graph, &params, seed, &tel);
+            let rows = run
+                .samples
+                .iter()
+                .enumerate()
+                .map(|(u, row)| (u as u64, row.iter().map(|&x| u64::from(x)).collect()));
+            let label = format!("alg1-direct n={n}");
+            lines.push(sampling_run_line(&label, rows, &run.metrics, &tel, ""));
+        }
+        for (dim, params) in [(4u32, SamplingParams::default()), (8, undersized)] {
+            let tel = Telemetry::collector();
+            let (samples, m) = run_alg2_observed(dim, &params, seed, &tel);
+            lines.push(sampling_run_line(&format!("alg2 dim={dim}"), ids(&samples), &m, &tel, ""));
+        }
+    });
+    check_golden(
+        "sampling_runs.digests",
+        "core/sampling: the five entry points on the parity engine, d=8 graph_seed=0x5A3F+n \
+         run_seed=0x5A3F, default params at n=32 and dim=4, eps=0.01 c=0.2 at n=200 and dim=8; \
+         samples digest, SamplingMetrics, byte length and FNV-1a of the timing-off recorder's \
+         JSONL capture",
         &lines,
     );
 }
