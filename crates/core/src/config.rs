@@ -84,13 +84,7 @@ impl Schedule {
     /// `t`, and `m_i = ceil((2+eps)^(T-i) c log2 n)`.
     pub fn algorithm1(n: usize, d: usize, p: &SamplingParams) -> Self {
         let t = p.walk_length(n, d).max(2);
-        let iterations = log2_ceil(t) as usize;
-        let base = 2.0 + p.epsilon;
-        let logn = (n.max(2) as f64).log2();
-        let m = (0..=iterations)
-            .map(|i| (base.powi((iterations - i) as i32) * p.c * logn).ceil() as usize)
-            .collect();
-        Self { iterations, m }
+        Self::geometric(log2_ceil(t) as usize, 2.0 + p.epsilon, p.c, (n.max(2) as f64).log2())
     }
 
     /// Algorithm 2 schedule: `T = log2(dim)` iterations over a hypercube of
@@ -98,11 +92,15 @@ impl Schedule {
     /// where `n = 2^dim`.
     pub fn algorithm2(dim: u32, p: &SamplingParams) -> Self {
         assert!(dim.is_power_of_two(), "Algorithm 2 assumes d = 2^k, got {dim}");
-        let iterations = log2_floor(dim as usize) as usize;
-        let base = 1.0 + p.epsilon;
-        let logn = dim as f64; // log2 of n = 2^dim
+        // log2 of n = 2^dim is dim.
+        Self::geometric(log2_floor(dim as usize) as usize, 1.0 + p.epsilon, p.c, dim as f64)
+    }
+
+    /// `T = iterations` and `m_i = ceil(base^(T-i) c logn)`, the sizing
+    /// both algorithms share (Lemmas 7 and 9 differ only in `base`).
+    fn geometric(iterations: usize, base: f64, c: f64, logn: f64) -> Self {
         let m = (0..=iterations)
-            .map(|i| (base.powi((iterations - i) as i32) * p.c * logn).ceil() as usize)
+            .map(|i| (base.powi((iterations - i) as i32) * c * logn).ceil() as usize)
             .collect();
         Self { iterations, m }
     }

@@ -8,13 +8,13 @@
 //! id back to the origin in one extra round. Total: `t + 1 = Theta(log n)`
 //! rounds, versus Algorithm 1's `2 log2(t) + 1 = Theta(log log n)`.
 
-use crate::backend::AnyNet;
+use super::envelope::Envelope;
 use crate::config::SamplingParams;
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::HGraph;
 use rand::RngExt;
 use simnet::{Ctx, NodeId, Payload, Protocol};
-use telemetry::{EventKind, Phase, Telemetry};
+use telemetry::Telemetry;
 
 /// Messages of the baseline sampler.
 #[derive(Clone, Debug)]
@@ -100,38 +100,16 @@ pub fn run_baseline_observed(
     let n = graph.len();
     let k = params.samples_needed(n);
     let t = params.walk_length(n, graph.degree()).max(1) as u32;
-    let collector =
-        Telemetry::new(telemetry::Config { timing: tel.timing(), ..Default::default() });
-    let sampling = collector.phase(Phase::Sampling);
-    collector
-        .emit(0, EventKind::SamplingStarted, None, n as u64, || format!("baseline n={n} walk={t}"));
-    let mut net: AnyNet<BaselineNode> = crate::backend::select().build(seed);
-    net.set_telemetry(collector.clone());
-    for &v in graph.nodes() {
-        net.add_node(v, BaselineNode::new(graph.neighbors(v), k, t));
-    }
     // t hop-rounds + 1 result round + 1 to process the final delivery.
-    let rounds = t as u64 + 2;
-    net.run(rounds);
-
-    let mut out = Vec::with_capacity(n);
-    let mut min_samples = usize::MAX;
-    for &v in graph.nodes() {
-        let node = net.node(v).expect("present");
-        min_samples = min_samples.min(node.results.len());
-        out.push((v, node.results.clone()));
-    }
-    collector.emit(rounds, EventKind::SamplingFinished, None, 0, || format!("baseline n={n}"));
-    let metrics = SamplingMetrics::from_snapshot(
-        &collector.snapshot(),
-        n,
-        rounds,
-        t as usize,
-        min_samples,
-        0,
-    );
-    drop(sampling);
-    tel.absorb(&collector);
+    let (out, metrics, _) = Envelope { tel, n, rounds: t as u64 + 2, iterations: t as usize }
+        .simulate(
+            seed,
+            None,
+            graph.nodes().iter().map(|&v| (v, BaselineNode::new(graph.neighbors(v), k, t))),
+            |node: &BaselineNode| (node.results.clone(), 0),
+            format!("baseline n={n} walk={t}"),
+            |_| format!("baseline n={n}"),
+        );
     (out, metrics)
 }
 

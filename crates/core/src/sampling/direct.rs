@@ -28,6 +28,7 @@
 //! contiguous node ranges run on separate workers with identical results
 //! at any pool size.
 
+use super::envelope::Envelope;
 use crate::config::{SamplingParams, Schedule};
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::HGraph;
@@ -35,7 +36,7 @@ use rand::RngExt;
 use rand_chacha::ChaCha8Wide;
 use rayon::prelude::*;
 use simnet::rng::stream_wide;
-use telemetry::{EventKind, Phase, Telemetry};
+use telemetry::{Phase, Telemetry};
 
 /// Bit sizes matching [`crate::sampling::hgraph::SampleMsg`].
 const REQUEST_BITS: u64 = 8;
@@ -202,14 +203,12 @@ pub fn run_alg1_direct_observed(
     let n = graph.len();
     let d = graph.degree();
     let schedule = Schedule::algorithm1(n, d, params);
-    let collector =
-        Telemetry::new(telemetry::Config { timing: tel.timing(), ..Default::default() });
-    let sampling = collector.phase(Phase::Sampling);
     let iterations = schedule.iterations;
     assert!(iterations >= 1, "Schedule::algorithm1 walks at least two steps");
-    collector.emit(0, EventKind::SamplingStarted, None, n as u64, || {
-        format!("alg1-direct n={n} T={iterations}")
-    });
+    let rounds = schedule.rounds() as u64;
+    let run =
+        Envelope { tel, n, rounds, iterations }.open(format!("alg1-direct n={n} T={iterations}"));
+    let collector = &run.collector;
 
     // Dense neighbor table: neighbors of node u at [u*d .. (u+1)*d].
     let mut dense: std::collections::HashMap<simnet::NodeId, u32> =
@@ -366,20 +365,7 @@ pub fn run_alg1_direct_observed(
     collector.gauge("net.max_node_msgs", &[]).record_max(max_node_msgs);
     collector.counter("net.total_msgs", &[]).add(total_msgs);
     collector.add_work(Phase::Sampling, 0, total_msgs);
-    let rounds = schedule.rounds() as u64;
-    collector.emit(rounds, EventKind::SamplingFinished, None, failures, || {
-        format!("alg1-direct n={n} failures={failures}")
-    });
-    let metrics = SamplingMetrics::from_snapshot(
-        &collector.snapshot(),
-        n,
-        rounds,
-        schedule.iterations,
-        stride,
-        failures,
-    );
-    drop(sampling);
-    tel.absorb(&collector);
+    let metrics = run.close(stride, failures, format!("alg1-direct n={n} failures={failures}"));
     DirectRun { samples, metrics }
 }
 
