@@ -44,11 +44,12 @@ struct Opts {
     strategy: String,
     lateness_epochs: u64,
     n: usize,
-    group_c: f64,
+    /// The DoS overlay's group constant; `None` keeps its default.
+    group_c: Option<f64>,
 }
 
 impl Opts {
-    fn parse() -> Result<Self, String> {
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut o = Self {
             family: "dos".into(),
             epochs: 50,
@@ -60,9 +61,9 @@ impl Opts {
             strategy: "adaptive:min-cut".into(),
             lateness_epochs: 0,
             n: 512,
-            group_c: 4.0,
+            group_c: None,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(flag) = args.next() {
             let mut val = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
             match flag.as_str() {
@@ -78,12 +79,12 @@ impl Opts {
                     o.lateness_epochs = parse(&val("--lateness-epochs")?, "--lateness-epochs")?
                 }
                 "--n" => o.n = parse(&val("--n")?, "--n")?,
-                "--group-c" => o.group_c = parse(&val("--group-c")?, "--group-c")?,
+                "--group-c" => o.group_c = Some(parse(&val("--group-c")?, "--group-c")?),
                 "--help" | "-h" => {
                     println!(
                         "usage: soak [--family dos|churndos] [--epochs E] [--every ROUNDS] \
                          [--dir PATH] [--resume] [--seed S] [--bound R] [--strategy NAME] \
-                         [--lateness-epochs L] [--n N] [--group-c C]"
+                         [--lateness-epochs L] [--n N] [--group-c C (dos only, C >= 1)]"
                     );
                     std::process::exit(0);
                 }
@@ -103,8 +104,21 @@ impl Opts {
                 o.family, o.n
             ));
         }
-        if !(o.group_c.is_finite() && o.group_c > 0.0) {
-            return Err(format!("--group-c must be finite and positive, got {}", o.group_c));
+        if let Some(c) = o.group_c {
+            if o.family != "dos" {
+                return Err(format!(
+                    "--group-c sets the DoS overlay's group constant; --family {} does not read it",
+                    o.family
+                ));
+            }
+            // Below 1 the hypercube gets so many supernodes that some stay
+            // empty, which the connectivity check reports as a violation.
+            if !(c.is_finite() && c >= 1.0) {
+                return Err(format!(
+                    "--group-c must be finite and at least 1 (Lemma 16: groups of at least \
+                     log2 n expected members), got {c:?}"
+                ));
+            }
         }
         Ok(o)
     }
@@ -114,10 +128,18 @@ fn parse<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("{name}: cannot parse {s:?}"))
 }
 
-fn adversary(o: &Opts, epoch_len: u64) -> Result<AdaptiveHarness<AdaptiveStrategy>, String> {
+/// `epochs` epochs of `epoch_len` rounds, or a usage error naming `flag`
+/// when the product does not fit the round counter.
+fn epochs_to_rounds(flag: &str, epochs: u64, epoch_len: u64) -> Result<u64, String> {
+    epochs.checked_mul(epoch_len).ok_or_else(|| {
+        format!("{flag} {epochs} is too large: {epochs} epochs of {epoch_len} rounds overflow u64")
+    })
+}
+
+fn adversary(o: &Opts, lateness: u64) -> Result<AdaptiveHarness<AdaptiveStrategy>, String> {
     let strategy = AdaptiveStrategy::by_name(&o.strategy)
         .ok_or_else(|| format!("unknown strategy {:?} (see AdaptiveStrategy::all)", o.strategy))?;
-    Ok(AdaptiveHarness::new(strategy, o.bound, o.lateness_epochs * epoch_len).recording())
+    Ok(AdaptiveHarness::new(strategy, o.bound, lateness).recording())
 }
 
 /// The invariants a soak watches: connectivity of the non-blocked
@@ -137,11 +159,12 @@ where
     F: Fn() -> O,
 {
     let epoch_len = ov.epoch_len();
+    let total_rounds = epochs_to_rounds("--epochs", o.epochs, epoch_len)?;
+    let lateness = epochs_to_rounds("--lateness-epochs", o.lateness_epochs, epoch_len)?;
     let every = o.every.unwrap_or(epoch_len).max(1);
-    let total_rounds = o.epochs * epoch_len;
     let resumed_at = ov.round();
     let mut ckpt = Checkpointer::checkpoint_every(every, &o.dir).map_err(|e| format!("{e:?}"))?;
-    let mut adv = adversary(o, epoch_len)?;
+    let mut adv = adversary(o, lateness)?;
     println!(
         "soak: family={} n={} strategy={} bound={} lateness={}t rounds {}..{} \
          checkpoint every {every} rounds into {}",
@@ -216,7 +239,7 @@ where
         seed: o.seed,
         n: o.n,
         bound: o.bound,
-        lateness: o.lateness_epochs * epoch_len,
+        lateness,
         trace: shrunk,
     };
     let path = Path::new(&o.dir).join("violation.repro.json");
@@ -232,11 +255,12 @@ where
 }
 
 fn run() -> Result<ExitCode, String> {
-    let o = Opts::parse()?;
+    let o = Opts::parse(std::env::args().skip(1))?;
     let dir = Path::new(&o.dir);
     match o.family.as_str() {
         "dos" => {
-            let params = DosParams { group_c: o.group_c, ..DosParams::default() };
+            let defaults = DosParams::default();
+            let params = DosParams { group_c: o.group_c.unwrap_or(defaults.group_c), ..defaults };
             let ov = if o.resume {
                 let (path, ov) =
                     Checkpointer::latest::<DosOverlay>(dir).map_err(|e| format!("resume: {e}"))?;
@@ -275,5 +299,41 @@ fn main() -> ExitCode {
             eprintln!("soak: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn opts(args: &[&str]) -> Result<Opts, String> {
+        Opts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn a_group_constant_below_one_is_a_usage_error() {
+        for c in ["4.9e-324", "0.5", "0.999", "NaN", "inf"] {
+            let err = opts(&["--group-c", c]).err().unwrap_or_else(|| panic!("accepted {c}"));
+            assert!(err.contains("--group-c") && err.contains("Lemma 16"), "{err}");
+        }
+        assert_eq!(opts(&["--group-c", "1"]).unwrap().group_c, Some(1.0));
+        assert_eq!(opts(&[]).unwrap().group_c, None);
+    }
+
+    #[test]
+    fn a_group_constant_for_churndos_is_a_usage_error() {
+        let err = opts(&["--family", "churndos", "--group-c", "4"]).err().expect("accepted");
+        assert!(err.contains("--group-c") && err.contains("churndos"), "{err}");
+        assert!(opts(&["--family", "churndos"]).is_ok());
+    }
+
+    #[test]
+    fn round_counts_that_overflow_name_their_flag() {
+        assert_eq!(epochs_to_rounds("--epochs", 3, 48), Ok(144));
+        let err = epochs_to_rounds("--lateness-epochs", u64::MAX / 2, 3).unwrap_err();
+        assert!(err.starts_with("--lateness-epochs "), "{err}");
+        let huge = u64::MAX.to_string();
+        let o = opts(&["--epochs", &huge]).expect("the product is checked once the epoch is known");
+        assert!(epochs_to_rounds("--epochs", o.epochs, 2).unwrap_err().contains("--epochs"));
     }
 }

@@ -317,7 +317,8 @@ pub fn main() {
 
 fn drive(exp: &Experiment, args: Args) -> Result<(), RunError> {
     Backend::from_env().map_err(|e| RunError::new("read the engine knob", e))?;
-    let mut run = Run::new(args, Telemetry::from_env());
+    let tel = Telemetry::from_env().map_err(|e| RunError::new("read the telemetry knobs", e))?;
+    let mut run = Run::new(args, tel);
     if run.cores.is_empty() {
         (exp.run)(&mut run)?;
     }

@@ -21,6 +21,7 @@
 use crate::driver::{or_null, Experiment, Row, Run, RunError};
 use crate::median;
 use overlay_adversary::remote::CampaignSpec;
+use overlay_stats::percentile;
 use reconfig_core::nodert::{replay, ClusterTrace};
 use reconfig_node::cluster::{run_cluster, ClusterConfig, ClusterReport};
 use simnet::Digest;
@@ -82,12 +83,6 @@ fn threads_per_daemon(config: &ClusterConfig) -> Result<Option<f64>, RunError> {
         report.map(|_| sampler.join().expect("sampler thread"))
     })?;
     Ok(Some(peak.saturating_sub(before + 1) as f64 / config.n0 as f64))
-}
-
-/// Nearest-rank percentile of sorted `xs`.
-fn percentile(xs: &[f64], q: f64) -> f64 {
-    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
-    xs[rank - 1]
 }
 
 fn run(run: &mut Run) -> Result<(), RunError> {

@@ -4,9 +4,11 @@
 //! `TELEMETRY*` env knobs (see the `telemetry` crate docs):
 //! `TELEMETRY=off` disables it (every recording call is a no-op and no
 //! file is written), `TELEMETRY_TIMING=1` adds wall-clock span/phase
-//! timings, which are machine-dependent. A telemetry-wired experiment
-//! threads it through its instrumented runners, and the driver finishes
-//! with [`write_telemetry`], which captures the recorder into
+//! timings, which are machine-dependent; a misspelt value is a
+//! [`crate::driver::RunError`] before the experiment starts. A
+//! telemetry-wired experiment threads it through its instrumented
+//! runners, and the driver finishes with [`write_telemetry`], which
+//! captures the recorder into
 //! `results/<id>_telemetry.json` (JSONL, one record per line) next to the
 //! experiment's `results/<id>.json`. The `trace-report` binary renders
 //! these files back into tables.

@@ -17,7 +17,7 @@ use simnet::conduct::{Conduct, SendFate};
 use simnet::fault::{BlockSet, FaultModel, LinkFate};
 use simnet::instrument::NetObserver;
 use simnet::protocol::{node_state_digest, Ctx, Protocol};
-use simnet::rng::{stream, NodeRng};
+use simnet::rng::{splitmix64, stream, NodeRng};
 use simnet::trace::{Trace, TraceEvent};
 use simnet::{Digest, Envelope, NodeId, Payload, RoundDigest, RunManifest};
 use std::collections::HashMap;
@@ -53,15 +53,6 @@ const FAST_FATE_SALT: u64 = 0xFA57_FA7E;
 // the per-message delivery path; SipHash is measurable overhead there and
 // ids are already high-entropy enough after one splitmix round.
 // --------------------------------------------------------------------------
-
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One-shot hasher for 8-byte keys (NodeId hashes as a single `u64`).
 #[derive(Clone, Default)]

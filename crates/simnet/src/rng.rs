@@ -11,9 +11,11 @@ use rand_chacha::{ChaCha8Rng, ChaCha8Wide};
 /// The per-node RNG type used throughout the workspace.
 pub type NodeRng = ChaCha8Rng;
 
-/// SplitMix64 finalizer; decorrelates nearby seeds.
+/// SplitMix64 finalizer; decorrelates nearby seeds. Also the engine's
+/// node-id hash, so it stays `#[inline]` across crates: it sits on the
+/// per-message lookup path.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -38,5 +38,5 @@ pub use equivalence::{
 pub use goodput::{summary_from_buckets, GoodputAccount, LatencySummary};
 pub use histogram::{BucketHistogram, Histogram};
 pub use shape::{fit_log, fit_loglog, GrowthFit};
-pub use summary::Summary;
+pub use summary::{percentile, Summary};
 pub use tv::{tv_distance, tv_distance_uniform};

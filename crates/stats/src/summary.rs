@@ -58,8 +58,9 @@ impl Summary {
     }
 }
 
-/// Percentile by the nearest-rank method on a pre-sorted sample.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
+/// Percentile by the nearest-rank method on a pre-sorted, non-empty
+/// sample; `q` is in `[0, 1]`.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&q));
     let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[idx - 1]
