@@ -91,6 +91,9 @@ impl Opts {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        if o.every == Some(0) {
+            return Err("--every must be at least 1 round, got 0".into());
+        }
         if !(0.0..1.0).contains(&o.bound) {
             return Err(format!("--bound must be in [0, 1), got {}", o.bound));
         }
@@ -161,7 +164,7 @@ where
     let epoch_len = ov.epoch_len();
     let total_rounds = epochs_to_rounds("--epochs", o.epochs, epoch_len)?;
     let lateness = epochs_to_rounds("--lateness-epochs", o.lateness_epochs, epoch_len)?;
-    let every = o.every.unwrap_or(epoch_len).max(1);
+    let every = o.every.unwrap_or(epoch_len);
     let resumed_at = ov.round();
     let mut ckpt = Checkpointer::checkpoint_every(every, &o.dir).map_err(|e| format!("{e:?}"))?;
     let mut adv = adversary(o, lateness)?;
@@ -325,6 +328,14 @@ mod tests {
         let err = opts(&["--family", "churndos", "--group-c", "4"]).err().expect("accepted");
         assert!(err.contains("--group-c") && err.contains("churndos"), "{err}");
         assert!(opts(&["--family", "churndos"]).is_ok());
+    }
+
+    #[test]
+    fn a_checkpoint_interval_of_zero_is_a_usage_error() {
+        let err = opts(&["--every", "0"]).err().expect("accepted --every 0");
+        assert!(err.contains("--every") && err.contains("at least 1"), "{err}");
+        assert_eq!(opts(&["--every", "1"]).unwrap().every, Some(1));
+        assert_eq!(opts(&[]).unwrap().every, None);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! Parity runs produce the golden digest streams (see the `simnet-xl`
 //! crate docs). `xl:fast:<k>` splits the engine over `k` shards and relaxes
 //! delivery order: runs stay deterministic per `(seed, shards)` but are
-//! only statistically equivalent to the parity stream (bit-equal at one
-//! shard with no fault model) — see [`ExecMode`] and DESIGN.md §10. The
+//! only statistically equivalent to the parity stream (at one shard fast
+//! mode is parity, fault model included) — see [`ExecMode`] and DESIGN.md
+//! §10. The
 //! oracles (`nodert::replay`, `dos::group_sim`) never consult the knob:
 //! they build a parity engine explicitly.
 

@@ -8,7 +8,7 @@
 //! only then reaches the protocol. The driver mirrors
 //! `simnet_xl::XlNetwork::step_blocked` for a single node; every rule
 //! here has a counterpart there, and the pair is what makes live digests
-//! replayable (see [`crate::nodert::replay`]).
+//! replayable (see [`crate::nodert::replay()`]).
 
 use std::collections::BTreeMap;
 

@@ -19,7 +19,7 @@
 //! * [`trace`] — [`trace::ClusterTrace`], the recorded event trace of a
 //!   cluster run (block sets, kills, joins, observed delays, digests) with
 //!   a stable JSON encoding.
-//! * [`replay`] — [`replay::replay`], the oracle: rebuild the run inside
+//! * [`replay`](mod@replay) — [`replay()`], the oracle: rebuild the run inside
 //!   a parity-mode engine (observed delays become scheduled per-message
 //!   delay faults, kills become crash-stop faults) and check every
 //!   recorded node digest against the simulator's.

@@ -5,9 +5,10 @@
 //! the lowest-level name the engine has for it (the most recently freed
 //! one is reused first, else the next fresh one), every sent message
 //! carries the key `(seq << 32) | outbox_position` (injections sort after
-//! all sends), and parity runs on one shard, whose send arena is already
-//! in key order — so delivery walks it, then the injection lane, serially,
-//! and inbox order and fault-RNG draw order follow the key.
+//! all sends), and one rule, [`Rule::judge`], decides every message's
+//! fate. On one shard the send arena is already in key order, so delivery
+//! walks it serially and inbox order and fault-RNG draw order follow the
+//! key; on more, shards route their arenas in parallel.
 
 use crate::{Backend, ExecMode};
 use rayon::prelude::*;
@@ -44,8 +45,9 @@ const INJECT_BIT: Key = 1 << 63;
 /// Marker for a vacant sequence number in the seq → local table.
 const VACANT: u32 = u32::MAX;
 
-/// Stream salt of the per-shard per-round fault-fate RNG in fast mode,
-/// chosen disjoint from every parity stream purpose.
+/// Stream salt of the per-shard per-round fault-fate RNG of a round routed
+/// over more than one shard, chosen disjoint from every other stream
+/// purpose.
 const FAST_FATE_SALT: u64 = 0xFA57_FA7E;
 
 // --------------------------------------------------------------------------
@@ -82,22 +84,20 @@ impl Hasher for SplitMixHasher {
 type IdMap = HashMap<NodeId, u32, BuildHasherDefault<SplitMixHasher>>;
 
 // --------------------------------------------------------------------------
-// Delivery helpers: dense bitsets over sequence numbers (what both modes
-// probe per message and per stepped node instead of the id-keyed BTreeSet)
-// and, for fast mode, per-shard trace-counter deltas that fold into the
-// shared `Trace` serially.
+// The delivery rule: dense bitsets over sequence numbers (what every
+// message and every stepped node probes instead of the id-keyed set), the
+// one judging function, and the counters its verdicts fold into.
 // --------------------------------------------------------------------------
 
 /// Dense bit set over sequence numbers, rebuilt once per round from an
 /// id-keyed [`BlockSet`] so membership tests are one shift and mask instead
-/// of a BTreeSet probe.
+/// of a search of the set.
 ///
 /// The rebuild goes through the *current* id → seq table, so a bit is set
 /// exactly for the blocked ids that are members now: a departed id sets
 /// none, and a joiner that took a departed node's seq does not inherit its
 /// block. For a present id the bit therefore equals `set.contains(id)`;
-/// only an id with no seq needs the set itself (see
-/// [`XlNetwork::deliver_one`]).
+/// only an id with no seq needs the set itself (see [`Rule::judge`]).
 #[derive(Default)]
 struct SeqBits {
     words: Vec<u64>,
@@ -120,54 +120,27 @@ impl SeqBits {
     }
 }
 
-/// Per-shard delivery counters accumulated during the parallel route pass
-/// of a fast round, folded into the shared [`Trace`] afterwards so the
-/// aggregate counters stay exact (fast mode buffers no per-delivery trace
-/// events, only these totals).
-#[derive(Default)]
-struct TraceDelta {
-    delivered: u64,
-    dropped_blocked: u64,
-    dropped_missing: u64,
-    dropped_fault: u64,
-    dropped_link: u64,
-    duplicated: u64,
-    delayed: u64,
+/// Add the counters of `counts`, a counters-only [`Trace`] a shard's
+/// route passes keep, to `trace`, and zero them.
+fn fold_counts(counts: &mut Trace, trace: &mut Trace) {
+    let c = std::mem::take(counts);
+    trace.delivered += c.delivered;
+    trace.dropped_blocked += c.dropped_blocked;
+    trace.dropped_missing += c.dropped_missing;
+    trace.dropped_fault += c.dropped_fault;
+    trace.dropped_link += c.dropped_link;
+    trace.duplicated += c.duplicated;
+    trace.delayed += c.delayed;
 }
 
-impl TraceDelta {
-    fn fold_into(&mut self, trace: &mut Trace) {
-        trace.delivered += self.delivered;
-        trace.dropped_blocked += self.dropped_blocked;
-        trace.dropped_missing += self.dropped_missing;
-        trace.dropped_fault += self.dropped_fault;
-        trace.dropped_link += self.dropped_link;
-        trace.duplicated += self.duplicated;
-        trace.delayed += self.delayed;
-        *self = Self::default();
-    }
-}
-
-/// One cell of the fast-mode routing matrix: messages bound for one
-/// destination shard, resolved to the receiver's sequence number.
-type Bucket<M> = Vec<(u32, Envelope<M>)>;
-
-/// One source shard's fast-mode route job: its index, the shard, and its
-/// row of destination buckets.
-type RouteJob<'a, P> = (usize, &'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>::Msg>]);
-
-/// One destination shard's fast-mode absorb job: the shard and its row of
-/// (post-transpose) inbound buckets.
-type AbsorbJob<'a, P> = (&'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>::Msg>]);
-
-/// Where a message reaching [`XlNetwork::deliver_one`] was queued, which
-/// decides the probes the Section 1.1 rule needs for it.
+/// Where a message reaching [`Rule::judge`] was queued, which decides the
+/// probes the Section 1.1 rule needs for it.
 ///
 /// The rule drops a message whose *sender* was blocked in the send round.
-/// For [`Lane::Arena`] that probe is skipped in both modes: an arena holds
-/// what the compute walk of round `r − 1` collected, the walk runs no node
-/// whose bit is set in that round's block view, so a node that sent in
-/// `r − 1` is not in `prev_blocked`. Nothing of the kind holds for
+/// For [`Lane::Arena`] that probe is skipped: an arena holds what the
+/// compute walk of round `r − 1` collected, the walk runs no node whose bit
+/// is set in that round's block view, so a node that sent in `r − 1` is
+/// not in `prev_blocked`. Nothing of the kind holds for
 /// [`Lane::Injected`], whose nominal sender never ran.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Lane {
@@ -181,6 +154,171 @@ enum Lane {
     Matured,
 }
 
+/// Where a judged message's link fate comes from.
+enum Fates<'a> {
+    /// The fault model itself: its shared stream and its scheduled-delay
+    /// cursors, consumed in the order messages are judged. Every lane of a
+    /// one-shard round, and the serial lanes (matured, injected) of any
+    /// round.
+    Model(&'a mut FaultModel),
+    /// The arena of one shard of several, judged concurrently with the
+    /// others: a private stream per (shard, round), created only when a
+    /// fault model is installed. Scheduled delays never reach here (the
+    /// engine refuses them above one shard).
+    Shard { faults: &'a FaultModel, rng: Option<NodeRng> },
+}
+
+/// What [`Rule::judge`] decides for one message.
+enum Verdict {
+    /// Into the inbox of the receiver with this seq, with an extra copy if
+    /// a link fault duplicated it.
+    Deliver { seq: u32, duplicate: bool },
+    /// Not delivered this round: the trace event that says why — a drop,
+    /// or a delay (whose `until` is the round it matures in).
+    Not(TraceEvent),
+}
+
+/// The read-only inputs of one round's delivery: membership, the block
+/// views and sets, and the nodes the fault model has down.
+struct Rule<'a> {
+    round: u64,
+    idmap: &'a IdMap,
+    prev_bits: &'a SeqBits,
+    cur_bits: &'a SeqBits,
+    prev_blocked: &'a BlockSet,
+    blocked: &'a BlockSet,
+    downs: &'a BlockSet,
+    /// A non-null fault model is installed.
+    faulty: bool,
+}
+
+impl Rule<'_> {
+    /// The delivery rule, for every lane and shard count: the Section 1.1
+    /// blocking check, then node-fault and partition checks, then (for
+    /// fresh messages only) a scheduled delay and a link-fate draw, then a
+    /// missing receiver. [`Lane::Matured`] messages are not fresh: they
+    /// re-check just the receiver-side conditions and are never delayed
+    /// twice.
+    ///
+    /// The blocking check probes [`SeqBits`], so the receiver's seq is
+    /// looked up *first* — but under [`Fates::Model`] a receiver without
+    /// one is still classified *last*, after every check above has had its
+    /// say and the fault RNG has been drawn from exactly as if the receiver
+    /// were there. For such a receiver (departed, or never a member) the
+    /// blocking check falls back to the id-keyed sets, so a message to a
+    /// departed *and* blocked node counts as `dropped_blocked`.
+    ///
+    /// Under [`Fates::Shard`] — an arena of a round routed over several
+    /// shards — two checks are relaxed (DESIGN.md §10): a receiver with no
+    /// seq is classified first, as `dropped_missing`, and the sender's
+    /// `down(from, sent_round)` test is skipped, which only a fault model
+    /// installed between send and delivery could tell apart.
+    #[inline(always)]
+    fn judge<M>(&self, fates: &mut Fates<'_>, env: &Envelope<M>, lane: Lane) -> Verdict {
+        let (round, from, to) = (self.round, env.from, env.to);
+        let exact = matches!(fates, Fates::Model(_));
+        let fresh = lane != Lane::Matured;
+        let to_seq = self.idmap.get(&to).copied();
+        let receiver_blocked = match to_seq {
+            Some(seq) => (fresh && self.prev_bits.get(seq)) || self.cur_bits.get(seq),
+            None if !exact => return Verdict::Not(TraceEvent::DroppedMissing { round, from, to }),
+            None => (fresh && self.prev_blocked.contains(to)) || self.blocked.contains(to),
+        };
+        if receiver_blocked || (lane == Lane::Injected && self.prev_blocked.contains(from)) {
+            return Verdict::Not(TraceEvent::DroppedBlocked { round, from, to });
+        }
+        let mut duplicate = false;
+        if self.faulty {
+            let faults: &FaultModel = match fates {
+                Fates::Model(faults) => faults,
+                Fates::Shard { faults, .. } => faults,
+            };
+            if self.downs.contains(to)
+                || (exact && faults.down(from, env.sent_round))
+                || faults.cut(from, to, round)
+            {
+                return Verdict::Not(TraceEvent::DroppedFault { round, from, to });
+            }
+            if fresh {
+                let fate = match fates {
+                    Fates::Model(faults) => {
+                        // Scheduled per-message delays are judged before
+                        // the probabilistic link fate and consume no
+                        // randomness, so a schedule-only model (live-cluster
+                        // replay) leaves every RNG stream untouched.
+                        if let Some(extra) = faults.scheduled_extra(from, to, env.sent_round) {
+                            let until = round + extra;
+                            return Verdict::Not(TraceEvent::Delayed { round, from, to, until });
+                        }
+                        faults.link_fate()
+                    }
+                    Fates::Shard { faults, rng } => {
+                        faults.link_fate_with(rng.as_mut().expect("a stream per faulty round"))
+                    }
+                };
+                match fate {
+                    LinkFate::Deliver => {}
+                    LinkFate::Drop => {
+                        return Verdict::Not(TraceEvent::DroppedLink { round, from, to });
+                    }
+                    LinkFate::Duplicate => duplicate = true,
+                    LinkFate::Delay(extra) => {
+                        let until = round + extra;
+                        return Verdict::Not(TraceEvent::Delayed { round, from, to, until });
+                    }
+                }
+            }
+        }
+        match to_seq {
+            Some(seq) => Verdict::Deliver { seq, duplicate },
+            None => Verdict::Not(TraceEvent::DroppedMissing { round, from, to }),
+        }
+    }
+}
+
+/// Messages a serial lane routes before it absorbs them: the bucket of a
+/// serial lane never holds more than this.
+const CHUNK: usize = 1024;
+
+/// Deliver one serial lane: judged in order with the fault model's own
+/// fates, routed by shard 0 [`CHUNK`] messages at a time through the first
+/// row of `buckets`, each chunk absorbed into every destination shard
+/// before the next is routed. What a delay holds waits in shard 0's `held`.
+#[allow(clippy::too_many_arguments)]
+fn serial_lane<P: Protocol>(
+    mut mail: impl Iterator<Item = Envelope<P::Msg>>,
+    lane: Lane,
+    shards: &mut [Shard<P>],
+    buckets: &mut [Bucket<P::Msg>],
+    seq_local: &[u32],
+    rule: &Rule<'_>,
+    faults: &mut FaultModel,
+    mut log: Option<&mut Trace>,
+) {
+    let row = &mut buckets[..shards.len()];
+    while let Some(first) = mail.next() {
+        let chunk = std::iter::once(first).chain(mail.by_ref().take(CHUNK - 1));
+        let fates = &mut Fates::Model(faults);
+        shards[0].route(chunk, lane, row, fates, rule, log.as_deref_mut());
+        for (shard, bucket) in shards.iter_mut().zip(row.iter_mut()) {
+            shard.absorb(std::slice::from_mut(bucket), seq_local);
+        }
+    }
+}
+
+/// Routed messages bound for one destination shard, resolved to the
+/// receiver's sequence number: a cell of the k × k routing matrix, or of
+/// the row a serial lane routes through.
+type Bucket<M> = Vec<(u32, Envelope<M>)>;
+
+/// One source shard's route job: its index, the shard, and its row of
+/// destination buckets.
+type RouteJob<'a, P> = (usize, &'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>::Msg>]);
+
+/// One destination shard's absorb job: the shard and its row of
+/// (post-transpose) inbound buckets.
+type AbsorbJob<'a, P> = (&'a mut Shard<P>, &'a mut [Bucket<<P as Protocol>::Msg>]);
+
 // --------------------------------------------------------------------------
 // Shard: structure-of-arrays node state plus the shard's send arena.
 // --------------------------------------------------------------------------
@@ -192,23 +330,26 @@ struct Shard<P: Protocol> {
     protos: Vec<P>,
     rngs: Vec<NodeRng>,
     inboxes: Vec<Vec<Envelope<P::Msg>>>,
-    /// Membership of the active set, per local index (guards duplicate
-    /// worklist entries).
+    /// Membership of the active set, per local index: what the walk
+    /// checks, since a seq's bit can outlive the node that set it.
     flags: Vec<bool>,
-    /// The active-set worklist for the next round, as sequence numbers
-    /// (stable across `swap_remove`, unlike local indices).
-    dirty: Vec<u32>,
-    dirty_scratch: Vec<u32>,
+    /// The active-set worklist for the next round: a bit per sequence
+    /// number (stable across `swap_remove`, unlike local indices), so the
+    /// walk visits it in seq order without a sort. The scratch is the
+    /// previous round's, all zero once walked.
+    dirty: Vec<u64>,
+    dirty_scratch: Vec<u64>,
     /// Per-node outbox buffer lent to `Ctx`, reused across nodes.
     scratch: Vec<Envelope<P::Msg>>,
     /// Send arena: this shard's outgoing messages of the current round,
     /// key-sorted by construction (nodes step in seq order).
     sent: Run<P::Msg>,
-    /// Fast mode: messages this shard's route pass held back on a
-    /// link-delay fault, drained into the engine's delay queue serially.
-    fast_delayed: Vec<(u64, Envelope<P::Msg>)>,
-    /// Fast mode: this shard's delivery counters of the current round.
-    fast_counts: TraceDelta,
+    /// Messages this shard's route pass held back on a link-delay fault,
+    /// drained into the engine's delay queue serially.
+    held: Vec<(u64, Envelope<P::Msg>)>,
+    /// This shard's route-pass delivery counters of the current round: a
+    /// counters-only trace, folded into the engine's serially.
+    counts: Trace,
     /// Send-side totals of the last `run_round`.
     sent_bits: u64,
     sent_msgs: u64,
@@ -235,8 +376,8 @@ impl<P: Protocol> Shard<P> {
             dirty_scratch: Vec::new(),
             scratch: Vec::new(),
             sent: Vec::new(),
-            fast_delayed: Vec::new(),
-            fast_counts: TraceDelta::default(),
+            held: Vec::new(),
+            counts: Trace::counters_only(),
             sent_bits: 0,
             sent_msgs: 0,
             conduct_dropped: 0,
@@ -251,7 +392,11 @@ impl<P: Protocol> Shard<P> {
     fn mark_dirty(&mut self, seq: u32, local: usize) {
         if !self.flags[local] {
             self.flags[local] = true;
-            self.dirty.push(seq);
+            let word = seq as usize / 64;
+            if word >= self.dirty.len() {
+                self.dirty.resize(word + 1, 0);
+            }
+            self.dirty[word] |= 1 << (seq % 64);
         }
     }
 
@@ -270,8 +415,8 @@ impl<P: Protocol> Shard<P> {
     ///
     /// `cur_bits` is the seq-indexed view of this round's block set.
     ///
-    /// `conduct` judges every send before it enters the arena (parity and
-    /// fast alike). Safe under shard parallelism: the hook's contract
+    /// `conduct` judges every send before it enters the arena (at every
+    /// shard count). Safe under shard parallelism: the hook's contract
     /// (`Send + Sync`, order-independent decisions) is documented in
     /// [`simnet::conduct`].
     fn run_round(
@@ -287,10 +432,16 @@ impl<P: Protocol> Shard<P> {
         self.conduct_dropped = 0;
         self.conduct_forged = 0;
         let mut work = std::mem::replace(&mut self.dirty, std::mem::take(&mut self.dirty_scratch));
-        work.sort_unstable();
-        work.dedup();
         let mut outbox = std::mem::take(&mut self.scratch);
-        for &seq in &work {
+        let marked = work.iter_mut().enumerate().flat_map(|(word, bits)| {
+            let mut bits = std::mem::take(bits);
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros())?;
+                bits &= bits - 1;
+                Some(word as u32 * 64 + bit)
+            })
+        });
+        for seq in marked {
             let local = seq_local[seq as usize];
             if local == VACANT {
                 continue; // marked, then removed before this round
@@ -353,89 +504,63 @@ impl<P: Protocol> Shard<P> {
                 self.mark_dirty(seq, local);
             }
         }
-        work.clear();
         self.dirty_scratch = work;
         self.scratch = outbox;
     }
 
-    /// Fast-mode route pass: judge this shard's send arena and scatter the
-    /// survivors into `row` — one bucket per destination shard, receiver
-    /// already resolved to its sequence number. Runs concurrently across
-    /// shards: all shared inputs are read-only and fate randomness comes
-    /// from a private per-shard per-round stream.
+    /// Judge every message of `mail` — one lane, in order — and scatter
+    /// the survivors into `row`, one bucket per destination shard, the
+    /// receiver already resolved to its sequence number. Verdicts are
+    /// counted in this shard's `counts`, or with `log` recorded as trace
+    /// events in judge order; delayed messages wait in `held`.
     ///
-    /// The judging sequence is the [`XlNetwork::deliver_one`] rules for
-    /// [`Lane::Arena`] (which is where the argument for skipping the sender
-    /// probe lives), with two differences. The sender's `down(from,
-    /// sent_round)` test goes too (parity keeps it: a fault model installed
-    /// between send and delivery may say the sender was down). And a
-    /// receiver with no seq is classified *first*, not last, so a message
-    /// to a departed *and* blocked receiver counts as `dropped_missing`
-    /// here and `dropped_blocked` in parity (see DESIGN.md §10).
-    #[allow(clippy::too_many_arguments)]
-    fn route_fast(
+    /// The arenas of a round over several shards are routed concurrently,
+    /// each with its own [`Fates::Shard`]: every shared input is read-only.
+    fn route(
         &mut self,
+        mail: impl Iterator<Item = Envelope<P::Msg>>,
+        lane: Lane,
         row: &mut [Bucket<P::Msg>],
-        shard_idx: usize,
-        n_shards: usize,
-        round: u64,
-        master_seed: u64,
-        idmap: &IdMap,
-        prev_bits: &SeqBits,
-        cur_bits: &SeqBits,
-        downs: &BlockSet,
-        faults: &FaultModel,
+        fates: &mut Fates<'_>,
+        rule: &Rule<'_>,
+        log: Option<&mut Trace>,
     ) {
-        let have_faults = !faults.is_null();
-        let mut fate_rng =
-            have_faults.then(|| stream(master_seed ^ FAST_FATE_SALT, shard_idx as u64, round));
-        let mut sent = std::mem::take(&mut self.sent);
-        let c = &mut self.fast_counts;
-        for (_, env) in sent.drain(..) {
-            let Some(&to_seq) = idmap.get(&env.to) else {
-                c.dropped_missing += 1;
-                continue;
-            };
-            if prev_bits.get(to_seq) || cur_bits.get(to_seq) {
-                c.dropped_blocked += 1;
-                continue;
-            }
-            let mut duplicate = false;
-            if have_faults {
-                if downs.contains(env.to) || faults.cut(env.from, env.to, round) {
-                    c.dropped_fault += 1;
-                    continue;
-                }
-                match faults.link_fate_with(fate_rng.as_mut().expect("faults installed")) {
-                    LinkFate::Deliver => {}
-                    LinkFate::Drop => {
-                        c.dropped_link += 1;
-                        continue;
+        let k = row.len();
+        let sink = log.unwrap_or(&mut self.counts);
+        let events = sink.is_enabled();
+        for env in mail {
+            match rule.judge(fates, &env, lane) {
+                Verdict::Deliver { seq, duplicate } => {
+                    let (round, from, to) = (rule.round, env.from, env.to);
+                    // A delivery only bumps a counter unless events are on.
+                    if events {
+                        sink.record(TraceEvent::Delivered { round, from, to });
+                    } else {
+                        sink.delivered += 1;
                     }
-                    LinkFate::Duplicate => duplicate = true,
-                    LinkFate::Delay(extra) => {
-                        c.delayed += 1;
-                        self.fast_delayed.push((round + extra, env));
-                        continue;
+                    let bucket = &mut row[if k == 1 { 0 } else { seq as usize % k }];
+                    let copy = duplicate.then(|| env.clone());
+                    bucket.push((seq, env));
+                    if let Some(copy) = copy {
+                        bucket.push((seq, copy));
+                        sink.record(TraceEvent::Duplicated { round, from, to });
                     }
                 }
-            }
-            c.delivered += 1;
-            let bucket = &mut row[to_seq as usize % n_shards];
-            let extra_copy = duplicate.then(|| env.clone());
-            bucket.push((to_seq, env));
-            if let Some(copy) = extra_copy {
-                c.duplicated += 1;
-                bucket.push((to_seq, copy));
+                Verdict::Not(event) => {
+                    if let TraceEvent::Delayed { until, .. } = event {
+                        self.held.push((until, env));
+                    }
+                    sink.record(event);
+                }
             }
         }
-        self.sent = sent;
     }
 
-    /// Fast-mode delivery pass: push every routed message bound for this
-    /// shard into its receiver's inbox, in (source shard, send order).
-    /// Runs concurrently across shards: touches only this shard's state.
-    fn absorb_fast(&mut self, row: &mut [Bucket<P::Msg>], seq_local: &[u32]) {
+    /// Push every routed message bound for this shard into its receiver's
+    /// inbox, bucket by bucket, in push order. Above one shard the absorb
+    /// pass runs concurrently across shards: it touches only this shard's
+    /// state.
+    fn absorb(&mut self, row: &mut [Bucket<P::Msg>], seq_local: &[u32]) {
         for bucket in row {
             for (seq, env) in bucket.drain(..) {
                 let local = seq_local[seq as usize] as usize;
@@ -466,12 +591,12 @@ pub struct XlNetwork<P: Protocol> {
     n_shards: usize,
     mode: ExecMode,
     shards: Vec<Shard<P>>,
-    /// Fast mode: the k × k routing matrix, row-major by source shard;
-    /// cell `(src, dst)` holds messages from `src` bound for `dst`. The
-    /// bucket vectors (and their capacity) persist across rounds.
-    fast_buckets: Vec<Bucket<P::Msg>>,
+    /// Above one shard: the k × k routing matrix, row-major by source
+    /// shard; cell `(src, dst)` holds messages from `src` bound for `dst`.
+    /// The bucket vectors (and their capacity) persist across rounds.
+    buckets: Vec<Bucket<P::Msg>>,
     /// Seq-indexed views of last round's and this round's block sets,
-    /// rebuilt at the top of every round's delivery (both modes).
+    /// rebuilt at the top of every round's delivery.
     prev_bits: SeqBits,
     cur_bits: SeqBits,
     /// id → sequence number.
@@ -499,10 +624,6 @@ pub struct XlNetwork<P: Protocol> {
     trace: Trace,
     obs: NetObserver,
     digests_enabled: bool,
-    /// Judge deliveries by the id-keyed reference rule instead of the
-    /// bitset one: the oracle side of the delivery-rule differential.
-    #[cfg(test)]
-    id_keyed_reference: bool,
 }
 
 impl<P: Protocol> XlNetwork<P> {
@@ -516,8 +637,8 @@ impl<P: Protocol> XlNetwork<P> {
     /// Create an empty [`ExecMode::Fast`] network over `shards` shards (`0`
     /// means automatic, see [`crate::default_shards`]). The run is
     /// deterministic for a fixed `(master_seed, shards)` pair; at one shard
-    /// with no fault model it reproduces the parity digest stream, at more
-    /// it differs — see the [`ExecMode`] docs.
+    /// it runs exactly as parity does, at more it differs — see the
+    /// [`ExecMode`] docs.
     pub fn fast(master_seed: u64, shards: usize) -> Self {
         let shards = if shards == 0 { crate::default_shards() } else { shards };
         Self::with_layout(master_seed, ExecMode::Fast, shards)
@@ -530,7 +651,7 @@ impl<P: Protocol> XlNetwork<P> {
             n_shards,
             mode,
             shards: (0..n_shards).map(|_| Shard::new()).collect(),
-            fast_buckets: Vec::new(),
+            buckets: Vec::new(),
             prev_bits: SeqBits::default(),
             cur_bits: SeqBits::default(),
             idmap: IdMap::default(),
@@ -549,8 +670,6 @@ impl<P: Protocol> XlNetwork<P> {
             trace: Trace::counters_only(),
             obs: NetObserver::disabled(),
             digests_enabled: false,
-            #[cfg(test)]
-            id_keyed_reference: false,
         }
     }
 
@@ -605,14 +724,15 @@ impl<P: Protocol> XlNetwork<P> {
     /// Section 1.1 semantics). Installing mid-run is allowed; scheduled
     /// node faults are interpreted against the absolute round counter.
     ///
-    /// Scheduled per-message delays are parity-only: occurrences under one
-    /// key are consumed in global delivery order, and fast mode judges
-    /// link fates concurrently per shard, where that order does not exist.
+    /// Scheduled per-message delays need one shard: occurrences under one
+    /// key are consumed in global delivery order, and a round over several
+    /// shards judges link fates concurrently per shard, where that order
+    /// does not exist.
     pub fn set_fault_model(&mut self, faults: FaultModel) {
         assert!(
-            self.mode == ExecMode::Parity || !faults.has_scheduled(),
-            "scheduled per-message delays require the global delivery order of \
-             ExecMode::Parity; ExecMode::Fast does not support them"
+            self.n_shards == 1 || !faults.has_scheduled(),
+            "scheduled per-message delays require the global delivery order of one \
+             shard; ExecMode::Fast does not support them at more than one shard"
         );
         self.faults = faults;
     }
@@ -828,18 +948,15 @@ impl<P: Protocol> XlNetwork<P> {
             if self.faults.is_null() { BlockSet::none() } else { self.faults.down_set(round) };
 
         // Step 1: deliver — matured delays first, then last round's sends:
-        // walked serially in key order (parity) or routed in parallel per
-        // shard (fast). Membership is fixed until the round ends, so the
+        // walked serially in key order on one shard, routed in parallel per
+        // shard on more. Membership is fixed until the round ends, so the
         // seq-indexed block views built here serve delivery and the
         // compute walk alike.
         {
             let _deliver = self.obs.telemetry().phase(Phase::Deliver);
             self.prev_bits.rebuild(&self.prev_blocked, &self.idmap, self.seq_local.len());
             self.cur_bits.rebuild(blocked, &self.idmap, self.seq_local.len());
-            match self.mode {
-                ExecMode::Parity => self.deliver_all(round, blocked, &downs),
-                ExecMode::Fast => self.deliver_all_fast(round, blocked, &downs),
-            }
+            self.deliver(round, blocked, &downs);
         }
 
         // Steps 2+3: compute and send, parallel over fast mode's shards.
@@ -886,237 +1003,139 @@ impl<P: Protocol> XlNetwork<P> {
         }
     }
 
-    /// Deliver the held-back messages that are due, in the order they were
-    /// held; the rest go back on the queue. First step of delivery in both
-    /// modes.
-    fn deliver_matured(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        if self.delayed.is_empty() {
-            return;
-        }
-        let mut held =
-            std::mem::replace(&mut self.delayed, std::mem::take(&mut self.scratch_delayed));
-        for (due, env) in held.drain(..) {
-            if due <= round {
-                self.deliver_one(env, round, Lane::Matured, blocked, downs);
-            } else {
-                self.delayed.push((due, env));
-            }
-        }
-        self.scratch_delayed = held;
-    }
-
-    /// Deliver everything pending for this round in parity order: matured
-    /// delayed messages (push order), then the one shard's send arena,
-    /// then the injection lane. Each is key-sorted by construction and
-    /// every arena key sorts below every injection key (a restored
-    /// checkpoint's mail leads the injection lane while the arena is
-    /// empty), so this is global key order.
-    fn deliver_all(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        self.deliver_matured(round, blocked, downs);
-        // Taken out of `self` so delivery can borrow the engine mutably,
-        // and handed back drained so its capacity is reused.
-        let mut sent = std::mem::take(&mut self.shards[0].sent);
-        for (_, env) in sent.drain(..) {
-            self.deliver_one(env, round, Lane::Arena, blocked, downs);
-        }
-        self.shards[0].sent = sent;
-        self.deliver_injected(round, blocked, downs);
-    }
-
-    /// Deliver the injection lane in key order; last step of delivery in
-    /// both modes.
-    fn deliver_injected(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        let mut injected = std::mem::take(&mut self.injected);
-        for (_, env) in injected.drain(..) {
-            self.deliver_one(env, round, Lane::Injected, blocked, downs);
-        }
-        self.injected = injected;
-        self.inject_seq = 0;
-    }
-
-    /// Fast-mode delivery: relaxed global order, parallel per shard.
+    /// Deliver everything pending for this round, every message judged by
+    /// [`Rule::judge`] and settled by a route pass into buckets and an
+    /// absorb pass into inboxes: first the held-back messages that are due
+    /// (in the order they were held; the rest go back on the queue), then
+    /// last round's sends, then the injection lane.
     ///
-    /// Matured delays and external injections keep the exact serial
-    /// rules (they are rare and judged by id); the bulk protocol sends take
-    /// a two-pass route: (1) parallel over *source* shards, judge each
-    /// arena message and scatter survivors into the k × k bucket matrix,
-    /// (2) transpose the matrix in place, (3) parallel over *destination*
-    /// shards, drain each shard's buckets into inboxes in (source shard,
-    /// send order). Everything is deterministic for a fixed
+    /// The matured and injection lanes are *serial*: judged in order with
+    /// the fault model's own fates, routed [`CHUNK`] messages at a time
+    /// through one row of buckets and absorbed before the next chunk. On
+    /// one shard the arena is a serial lane too, and since the arena and
+    /// the injection lane are key-sorted by construction and every arena
+    /// key sorts below every injection key (a restored checkpoint's mail
+    /// leads the injection lane while the arena is empty), the round is
+    /// delivered in global key order. Two passes over a chunk beat one
+    /// pass that settles each message as it is judged: the id lookups of a
+    /// chunk, and then its inbox writes, do not wait on each other.
+    ///
+    /// Above one shard the arenas take the parallel route instead: (1)
+    /// parallel over *source* shards, judge each arena message with the
+    /// shard's private fate stream and scatter survivors into the k × k
+    /// bucket matrix, (2) transpose the matrix in place, (3) parallel over
+    /// *destination* shards, drain each shard's buckets into inboxes in
+    /// (source shard, send order). Everything is deterministic for a fixed
     /// `(master_seed, n_shards)`.
-    fn deliver_all_fast(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
-        self.deliver_matured(round, blocked, downs);
-
-        let k = self.n_shards;
-        if self.fast_buckets.len() != k * k {
-            self.fast_buckets = (0..k * k).map(|_| Vec::new()).collect();
+    fn deliver(&mut self, round: u64, blocked: &BlockSet, downs: &BlockSet) {
+        let Self {
+            master_seed,
+            n_shards: k,
+            shards,
+            buckets,
+            prev_bits,
+            cur_bits,
+            idmap,
+            seq_local,
+            injected,
+            inject_seq,
+            delayed,
+            scratch_delayed,
+            prev_blocked,
+            faults,
+            trace,
+            ..
+        } = self;
+        let (k, master_seed, seq_local) = (*k, *master_seed, &seq_local[..]);
+        let rule = Rule {
+            round,
+            idmap,
+            prev_bits,
+            cur_bits,
+            prev_blocked,
+            blocked,
+            downs,
+            faulty: !faults.is_null(),
+        };
+        if buckets.len() != k * k {
+            *buckets = (0..k * k).map(|_| Vec::new()).collect();
         }
-        let parallel = k > 1 && self.idmap.len() >= PAR_THRESHOLD;
+        let tracing = trace.is_enabled();
 
-        // Route pass, parallel over source shards.
-        {
-            let master_seed = self.master_seed;
-            let idmap = &self.idmap;
-            let (prev_bits, cur_bits) = (&self.prev_bits, &self.cur_bits);
-            let faults = &self.faults;
-            let mut jobs: Vec<RouteJob<'_, P>> = self
-                .shards
+        let mut held = std::mem::replace(delayed, std::mem::take(scratch_delayed));
+        let due = held.drain(..).filter_map(|(due, env)| {
+            if due <= round {
+                return Some(env);
+            }
+            delayed.push((due, env));
+            None
+        });
+        let log = tracing.then_some(&mut *trace);
+        serial_lane(due, Lane::Matured, shards, &mut buckets[..], seq_local, &rule, faults, log);
+        *scratch_delayed = held;
+
+        if k == 1 {
+            // Taken out of the shard so delivery can borrow it mutably, and
+            // handed back drained so its capacity is reused.
+            let mut sent = std::mem::take(&mut shards[0].sent);
+            let mail = sent.drain(..).map(|(_, env)| env);
+            let log = tracing.then_some(&mut *trace);
+            serial_lane(mail, Lane::Arena, shards, &mut buckets[..], seq_local, &rule, faults, log);
+            shards[0].sent = sent;
+            delayed.append(&mut shards[0].held);
+        } else {
+            let parallel = idmap.len() >= PAR_THRESHOLD;
+            let faults = &*faults;
+            let mut jobs: Vec<RouteJob<'_, P>> = shards
                 .iter_mut()
-                .zip(self.fast_buckets.chunks_mut(k))
+                .zip(buckets.chunks_mut(k))
                 .enumerate()
                 .map(|(i, (sh, row))| (i, sh, row))
                 .collect();
             let route = |(i, sh, row): &mut RouteJob<'_, P>| {
-                sh.route_fast(
-                    row,
-                    *i,
-                    k,
-                    round,
-                    master_seed,
-                    idmap,
-                    prev_bits,
-                    cur_bits,
-                    downs,
-                    faults,
-                );
+                let rng =
+                    rule.faulty.then(|| stream(master_seed ^ FAST_FATE_SALT, *i as u64, round));
+                let mut sent = std::mem::take(&mut sh.sent);
+                let mail = sent.drain(..).map(|(_, env)| env);
+                sh.route(mail, Lane::Arena, row, &mut Fates::Shard { faults, rng }, &rule, None);
+                sh.sent = sent;
             };
             if parallel {
                 jobs.par_iter_mut().for_each(route);
             } else {
                 jobs.iter_mut().for_each(route);
             }
-        }
 
-        // Serial glue, in shard order so totals and the delay queue stay
-        // deterministic; then transpose so each destination owns a row.
-        for sh in &mut self.shards {
-            sh.fast_counts.fold_into(&mut self.trace);
-            self.delayed.append(&mut sh.fast_delayed);
-        }
-        for src in 0..k {
-            for dst in src + 1..k {
-                self.fast_buckets.swap(src * k + dst, dst * k + src);
+            // Serial glue, in shard order so totals and the delay queue
+            // stay deterministic; then transpose so each destination owns
+            // a row.
+            for sh in shards.iter_mut() {
+                fold_counts(&mut sh.counts, trace);
+                delayed.append(&mut sh.held);
             }
-        }
-
-        // Delivery pass, parallel over destination shards.
-        {
-            let seq_local = &self.seq_local;
+            for src in 0..k {
+                for dst in src + 1..k {
+                    buckets.swap(src * k + dst, dst * k + src);
+                }
+            }
             let mut jobs: Vec<AbsorbJob<'_, P>> =
-                self.shards.iter_mut().zip(self.fast_buckets.chunks_mut(k)).collect();
+                shards.iter_mut().zip(buckets.chunks_mut(k)).collect();
             if parallel {
-                jobs.par_iter_mut().for_each(|(sh, row)| sh.absorb_fast(row, seq_local));
+                jobs.par_iter_mut().for_each(|(sh, row)| sh.absorb(row, seq_local));
             } else {
                 for (sh, row) in &mut jobs {
-                    sh.absorb_fast(row, seq_local);
+                    sh.absorb(row, seq_local);
                 }
             }
         }
 
         // Injections last — their keys sort after all sends.
-        self.deliver_injected(round, blocked, downs);
-    }
-
-    /// Route one message through the delivery rules: the Section 1.1
-    /// blocking check, then node-fault and partition checks, then (for
-    /// fresh messages only) a scheduled delay and a link-fate draw, then a
-    /// missing receiver. [`Lane::Matured`] messages are not fresh: they
-    /// re-check just the receiver-side conditions and are never delayed
-    /// twice.
-    ///
-    /// The blocking check probes [`SeqBits`], so the receiver's seq is
-    /// looked up *first* — but a receiver without one is still classified
-    /// *last*, after every check above has had its say and the fault RNG
-    /// has been drawn from exactly as if the receiver were there. For such
-    /// a receiver (departed, or never a member) the blocking check falls
-    /// back to the id-keyed sets, so a message to a departed *and* blocked
-    /// node counts as `dropped_blocked`, not `dropped_missing`.
-    fn deliver_one(
-        &mut self,
-        env: Envelope<P::Msg>,
-        round: u64,
-        lane: Lane,
-        blocked: &BlockSet,
-        downs: &BlockSet,
-    ) {
-        #[cfg(test)]
-        if self.id_keyed_reference {
-            return self.deliver_one_id_keyed(env, round, blocked, downs, lane != Lane::Matured);
-        }
-        let fresh = lane != Lane::Matured;
-        let to_seq = self.idmap.get(&env.to).copied();
-        let receiver_blocked = match to_seq {
-            Some(seq) => (fresh && self.prev_bits.get(seq)) || self.cur_bits.get(seq),
-            None => (fresh && self.prev_blocked.contains(env.to)) || blocked.contains(env.to),
-        };
-        if receiver_blocked || (lane == Lane::Injected && self.prev_blocked.contains(env.from)) {
-            self.trace.record(TraceEvent::DroppedBlocked { round, from: env.from, to: env.to });
-            return;
-        }
-        let mut duplicate = false;
-        if !self.faults.is_null() {
-            if downs.contains(env.to)
-                || self.faults.down(env.from, env.sent_round)
-                || self.faults.cut(env.from, env.to, round)
-            {
-                self.trace.record(TraceEvent::DroppedFault { round, from: env.from, to: env.to });
-                return;
-            }
-            if fresh {
-                // Scheduled per-message delays are judged before the
-                // probabilistic link fate and consume no randomness, so a
-                // schedule-only model (live-cluster replay) leaves every
-                // RNG stream untouched.
-                if let Some(extra) = self.faults.scheduled_extra(env.from, env.to, env.sent_round) {
-                    self.trace.record(TraceEvent::Delayed {
-                        round,
-                        from: env.from,
-                        to: env.to,
-                        until: round + extra,
-                    });
-                    self.delayed.push((round + extra, env));
-                    return;
-                }
-                match self.faults.link_fate() {
-                    LinkFate::Deliver => {}
-                    LinkFate::Drop => {
-                        self.trace.record(TraceEvent::DroppedLink {
-                            round,
-                            from: env.from,
-                            to: env.to,
-                        });
-                        return;
-                    }
-                    LinkFate::Duplicate => duplicate = true,
-                    LinkFate::Delay(extra) => {
-                        self.trace.record(TraceEvent::Delayed {
-                            round,
-                            from: env.from,
-                            to: env.to,
-                            until: round + extra,
-                        });
-                        self.delayed.push((round + extra, env));
-                        return;
-                    }
-                }
-            }
-        }
-        let Some(seq) = to_seq else {
-            self.trace.record(TraceEvent::DroppedMissing { round, from: env.from, to: env.to });
-            return;
-        };
-        let (sh, local) = self.locate(seq);
-        let shard = &mut self.shards[sh];
-        shard.charge(local, env.msg.size_bits());
-        self.trace.record(TraceEvent::Delivered { round, from: env.from, to: env.to });
-        let extra_copy = duplicate.then(|| env.clone());
-        shard.inboxes[local].push(env);
-        shard.mark_dirty(seq, local);
-        if let Some(copy) = extra_copy {
-            shard.charge(local, copy.msg.size_bits());
-            self.trace.record(TraceEvent::Duplicated { round, from: copy.from, to: copy.to });
-            shard.inboxes[local].push(copy);
-        }
+        let mail = injected.drain(..).map(|(_, env)| env);
+        let log = tracing.then_some(&mut *trace);
+        serial_lane(mail, Lane::Injected, shards, &mut buckets[..], seq_local, &rule, faults, log);
+        delayed.append(&mut shards[0].held);
+        *inject_seq = 0;
+        fold_counts(&mut shards[0].counts, trace);
     }
 
     /// Fold the shards' sparse work cells into one [`RoundWork`] and reset
@@ -1578,6 +1597,3 @@ where
 
 #[cfg(test)]
 mod tests;
-
-#[cfg(test)]
-mod delivery_diff;

@@ -1,4 +1,3 @@
-use super::delivery_diff::counters;
 use super::*;
 use rand::RngCore;
 use simnet::conduct::{ByzantineConduct, PPM};
@@ -65,6 +64,20 @@ simnet::checkpoint_schema! {
     Gossip {
         fields { peers, heat, rounds_left }
     }
+}
+
+/// delivered, dropped_blocked, dropped_missing, dropped_fault,
+/// dropped_link, duplicated, delayed.
+fn counters(t: &Trace) -> [u64; 7] {
+    [
+        t.delivered,
+        t.dropped_blocked,
+        t.dropped_missing,
+        t.dropped_fault,
+        t.dropped_link,
+        t.duplicated,
+        t.delayed,
+    ]
 }
 
 fn node(i: u64, n: u64, budget: u64) -> Gossip {
@@ -221,8 +234,9 @@ fn quiescent_nodes_leave_the_worklist() {
 #[test]
 fn checkpoint_round_trips_in_both_directions() {
     // Run half the scenario under parity, checkpoint, convert to fast mode
-    // at one shard, run on, convert back: with no fault model fast mode at
-    // one shard is parity, so the stream is the uninterrupted one.
+    // at one shard, run on, convert back: the stream is the uninterrupted
+    // one, whose fingerprint was recorded when parity and fast mode still
+    // delivered through two separate paths.
     let mut parity = XlNetwork::<Gossip>::new(0xC0DE);
     let n = 16u64;
     for i in 0..n {
@@ -235,6 +249,7 @@ fn checkpoint_round_trips_in_both_directions() {
     parity.run(8);
     let tail: Vec<RoundDigest> = parity.trace().digests()[9..].to_vec();
     assert_eq!(tail.len(), 8);
+    assert_eq!(stream_fingerprint(&tail), 0xe226d184258c580d, "the uninterrupted tail moved");
 
     let mut fast = XlNetwork::<Gossip>::from_state_as(&snap, Backend::fast(1)).unwrap();
     fast.run(4);
@@ -242,6 +257,15 @@ fn checkpoint_round_trips_in_both_directions() {
     let mut back = XlNetwork::<Gossip>::from_state_as(&fast.save_state(), Backend::Parity).unwrap();
     back.run(4);
     assert_eq!(back.trace().digests(), &tail[4..], "fast:1 -> parity");
+}
+
+/// One number for a digest stream.
+fn stream_fingerprint(stream: &[RoundDigest]) -> u64 {
+    let mut d = Digest::new();
+    for r in stream {
+        d.write_u64(r.round).write_u64(r.value);
+    }
+    d.finish()
 }
 
 #[test]
@@ -434,19 +458,22 @@ fn mixer_run(mut net: XlNetwork<Mixer>, n: u64, seed: u64) -> (Vec<RoundDigest>,
 
 #[test]
 fn fast_mode_at_one_shard_reproduces_parity() {
-    // The exact oracle of fast mode: at one shard with no fault model it
-    // delivers in parity's key order, so the digest stream, the delivered
-    // count and the drop total are parity's. Only a message to a receiver
-    // that is both departed and blocked is classified differently
-    // (`dropped_missing` here, `dropped_blocked` in parity; DESIGN.md §10).
-    for n in [64, 700, 5_000] {
-        for seed in 0..5 {
-            let (want, want_counts) = mixer_run(XlNetwork::new(seed), n, seed);
-            let (got, got_counts) = mixer_run(XlNetwork::fast(seed, 1), n, seed);
-            assert_eq!(got, want, "n={n} seed={seed}");
-            assert_eq!(got_counts, want_counts, "n={n} seed={seed}: (delivered, dropped)");
-            assert!(want_counts.0 > 0 && want_counts.1 > 0, "n={n} seed={seed}: {want_counts:?}");
+    // Fast mode at one shard is parity: the same engine, the same digest
+    // stream and the same counters. Both are held against a fingerprint
+    // recorded when the two still delivered through separate paths (with
+    // no fault model they agreed then too, up to the class of a message to
+    // a departed and blocked receiver, which only the per-class counts
+    // would see; the total is what was recorded).
+    for backend in [Backend::Parity, Backend::fast(1)] {
+        let mut runs = Digest::new();
+        for n in [64, 700, 5_000] {
+            for seed in 0..5 {
+                let (stream, counts) = mixer_run(backend.build(seed), n, seed);
+                assert!(counts.0 > 0 && counts.1 > 0, "n={n} seed={seed}: {counts:?}");
+                runs.write_u64(stream_fingerprint(&stream)).write_u64(counts.0).write_u64(counts.1);
+            }
         }
+        assert_eq!(runs.finish(), 0xce027d2a649674f0, "{backend}");
     }
 }
 
@@ -952,6 +979,56 @@ fn injection_from_a_blocked_nominal_sender_is_dropped() {
         assert_eq!(received(&net, 1), 0, "sender {sender}");
         assert_eq!(net.trace().dropped_blocked, 1, "sender {sender}");
     }
+}
+
+/// Every per-delivery trace event, in order, of one run that reaches each
+/// path of the delivery rule — the stress schedule (churn onto freed seqs,
+/// injections, moving block sets) under the stress fault mix, then rounds
+/// that inject from blocked and unblocked nominal senders, members and
+/// not, some of it held by scheduled delays, with a checkpoint and restore
+/// while mail is in flight and held — fingerprinted with the closing
+/// counters when one shard and several still had separate data planes.
+#[test]
+fn trace_events_match_the_recorded_stream() {
+    let mut faults = stress_faults();
+    for r in 30..36 {
+        faults = faults.with_scheduled_delay(NodeId(999), NodeId(12 + r % 3), r, 3);
+    }
+    let mut net = XlNetwork::<Gossip>::new(0xE7E7);
+    net.set_fault_model(faults);
+    net.enable_trace(usize::MAX);
+    scenario(&mut net);
+    let mut events = net.trace().events().to_vec();
+    let mut prev = BlockSet::none();
+    for r in 30..38u64 {
+        for from in prev.iter().take(2).chain([NodeId(999), NodeId(r % 24)]) {
+            net.inject(from, NodeId(12 + r % 3), r);
+        }
+        if r == 34 {
+            let snap = net.save_state();
+            let (pending, held) = (net.pending().count(), net.delayed.len());
+            assert!(
+                pending > 0 && held > 0,
+                "round {}: {pending} in flight, {held} held",
+                net.round()
+            );
+            net = XlNetwork::from_state(&snap).unwrap();
+            net.enable_trace(usize::MAX);
+        }
+        let before = net.trace().events().len();
+        prev = BlockSet::from_iter((0..24).filter(|i| (i + 2 * r) % 5 == 0).map(NodeId));
+        net.step_blocked(&prev);
+        events.extend_from_slice(&net.trace().events()[before..]);
+    }
+    let mut d = Digest::new();
+    for ev in &events {
+        d.write_bytes(format!("{ev:?}").as_bytes());
+    }
+    for c in counters(net.trace()) {
+        d.write_u64(c);
+    }
+    assert!(events.len() > 1_000, "{}", events.len());
+    assert_eq!(d.finish(), 0xc9a8f2f54baf3c9f, "the event stream moved");
 }
 
 #[test]

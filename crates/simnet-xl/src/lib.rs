@@ -11,7 +11,8 @@
 //! * routes messages through **send arenas**: one flat `Vec`, tagged with
 //!   a delivery sort key and filled in key order, that the next round's
 //!   delivery walks once (in fast mode, one per shard, filled in
-//!   parallel);
+//!   parallel), judging every message by one rule and routing the
+//!   survivors through per-destination buckets into inboxes;
 //! * keeps the round path **flat**: each node's inbox is a buffer the
 //!   engine owns for the node's whole life and [`simnet::Ctx::take_inbox`]
 //!   drains where it lies, so a warm round allocates nothing for mail; and
@@ -21,7 +22,8 @@
 //! * skips idle nodes via an **active-set worklist**: a node that reports
 //!   [`simnet::Protocol::quiescent`] drops out of the per-round loop until
 //!   mail, a crash-recovery or external mutation re-activates it, so
-//!   quiescent rounds cost O(active) instead of O(n).
+//!   quiescent rounds step O(active) nodes instead of O(n) (the worklist
+//!   is a bit per sequence number, scanned a word at a time).
 //!
 //! ## Quick example
 //!
@@ -61,22 +63,24 @@
 //!
 //! ## Parity mode: one shard, one digest stream
 //!
-//! [`XlNetwork::new`] builds the parity engine. Driven identically (same
-//! seed, same churn, same block sets, same fault model), it produces the
-//! same [`simnet::RoundDigest`] stream in every process, so the
-//! repository's golden digest files — `tests/golden/engine.digests` pins
-//! the raw round model — are its oracle. That rests on three ordering
-//! guarantees, spelled out in DESIGN.md §10:
+//! [`XlNetwork::new`] builds the parity engine: the data plane at one
+//! shard. Driven identically (same seed, same churn, same block sets, same
+//! fault model), it produces the same [`simnet::RoundDigest`] stream in
+//! every process, so the repository's golden digest files —
+//! `tests/golden/engine.digests` pins the raw round model — are its
+//! oracle. That rests on three ordering guarantees, spelled out in
+//! DESIGN.md §10:
 //!
 //! 1. a joining node takes the most recently freed sequence number, else
 //!    the next fresh one, and messages carry the sort key
 //!    `(seq << 32) | outbox_position`, so the send arena defines one
 //!    delivery order — which per-receiver inbox order, and therefore
 //!    protocol RNG consumption, depends on;
-//! 2. delivery runs serially in key order, so the shared link-fault RNG
-//!    draws in that order — and a receiver that has left is looked up
-//!    early (the bitsets are indexed by its seq) but classified last, so
-//!    the draws are the ones an id-keyed engine would make;
+//! 2. on one shard every message is judged in key order, so the shared
+//!    link-fault RNG and the scheduled-delay cursors are consumed in that
+//!    order — and a receiver that has left is looked up early (the
+//!    bitsets are indexed by its seq) but classified last, so the draws
+//!    are the ones an id-keyed engine would make;
 //! 3. per-node RNG streams are keyed `stream(master_seed, id, purpose)`, so
 //!    node randomness never depends on layout.
 //!
@@ -89,11 +93,13 @@
 //! [`XlNetwork::fast`] (`SIMNET_BACKEND=xl:fast:<shards>`) splits node
 //! state round-robin over shards, steps them in parallel, and routes
 //! messages in parallel per shard with per-shard fault-RNG streams. Runs
-//! are deterministic for a fixed `(seed, shard count)`. At one shard with
-//! no fault model they reproduce the parity stream exactly; at more shards
-//! they are *statistically* equivalent to parity runs, which the
+//! are deterministic for a fixed `(seed, shard count)`. At one shard fast
+//! mode *is* parity — the same code path, fault model and trace events
+//! included; only its checkpoints' `exec_mode` stamp differs. At more
+//! shards runs are *statistically* equivalent to parity runs, which the
 //! `overlay-stats` equivalence harness and `tests/fast_mode_equivalence.rs`
-//! check. See the [`ExecMode`] docs and DESIGN.md §10.
+//! check, and `tests/golden/engine_fast.digests` pins in absolute values.
+//! See the [`ExecMode`] docs and DESIGN.md §10.
 //!
 //! [`Backend`] names the choice (parity, or fast with a shard count) and
 //! reads it from the `SIMNET_BACKEND` environment knob.

@@ -1,10 +1,10 @@
 //! Execution modes of the engine.
 //!
-//! [`crate::XlNetwork`] can run a round in two ways. Under
-//! [`ExecMode::Parity`] (the default) node state lives in one shard and
-//! delivery walks its send arena serially in key order, so inbox order and
-//! fault-RNG draw order follow one global order — the property the
-//! repository's golden files pin.
+//! [`crate::XlNetwork`] has one data plane, and the shard count decides how
+//! it orders delivery. Under [`ExecMode::Parity`] (the default) node state
+//! lives in one shard and delivery judges its send arena serially in key
+//! order, so inbox order and fault-RNG draw order follow one global order —
+//! the property the repository's golden files pin.
 //!
 //! [`ExecMode::Fast`] splits node state over shards, the only setting in
 //! which two cores pay (DESIGN.md §10), and relaxes the *global* delivery
@@ -15,9 +15,9 @@
 //! streams, then delivered in parallel per destination shard in (source
 //! shard, send order) — see DESIGN.md §10 for exactly what is and is not
 //! guaranteed. Fast runs are fully deterministic for a fixed `(seed,
-//! shard count)`. At one shard with no fault model they reproduce the
-//! parity digest stream exactly; at more shards they are validated against
-//! parity by the statistical-equivalence harness in
+//! shard count)`. At one shard fast mode runs exactly as parity does (the
+//! mode is then only the checkpoint stamp); at more shards it is validated
+//! against parity by the statistical-equivalence harness in
 //! `overlay-stats::equivalence`.
 
 use std::fmt;
@@ -31,8 +31,8 @@ pub enum ExecMode {
     Parity,
     /// Sharded, relaxed global order: parallel per-shard routing and
     /// delivery with per-shard fault-RNG streams. Deterministic per
-    /// `(seed, shards)`, statistically equivalent to parity, bit-equal to
-    /// it only at one shard with no fault model.
+    /// `(seed, shards)`, statistically equivalent to parity, and parity
+    /// itself at one shard.
     Fast,
 }
 

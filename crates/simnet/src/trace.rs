@@ -81,6 +81,11 @@ impl Trace {
         self.cap = cap;
     }
 
+    /// Whether events are buffered (counters are kept either way).
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Count (and, when enabled, buffer) one simulator event. The engine
     /// calls this on every delivery outcome, in either execution mode, so
     /// the always-on counters stay comparable.

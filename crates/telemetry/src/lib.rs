@@ -40,6 +40,7 @@
 //! unset or empty variable keeps the default. Any other value is an
 //! [`EnvError`] naming the variable, the value and the accepted spellings.
 
+pub mod alloc;
 pub mod export;
 pub mod profiler;
 pub mod registry;

@@ -41,13 +41,15 @@ trace-report *flags="":
     cargo run --release -p reconfig-bench --bin trace-report -- {{flags}}
 
 # Refresh golden digest files after an intentional behavior change: all
-# of them, engine, sampling_direct, healing_round, runners, cluster_trace
-# and state_formats included (a moved state_formats line is a changed
-# persisted format: a renamed key or a new encoding). The three
-# checkpoints, network_v1.ckpt.json, dos_overlay_v1.ckpt.json and
-# churndos_overlay_v1.ckpt.json, are inputs this never rewrites.
+# of them, engine, engine_fast, sampling_direct, healing_round, runners,
+# cluster_trace and state_formats included (a moved state_formats line is a
+# changed persisted format: a renamed key or a new encoding), and
+# cost.json. The three checkpoints, network_v1.ckpt.json,
+# dos_overlay_v1.ckpt.json and churndos_overlay_v1.ckpt.json, are inputs
+# this never rewrites.
 golden:
     UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test determinism
+    UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test cost
     git diff --stat tests/golden/
     git status --short tests/golden/
 
@@ -84,8 +86,8 @@ recoveryfuzz cases="6":
     RECOVERY_CASES={{cases}} cargo test -q -p integration-tests --test recovery_determinism
 
 # Engine-scaling benchmark (simnet-xl, parity and fast modes);
-# `just s1 --smoke --cores 4` for the CI gate at n=5e4 (xl:fast:1 equals
-# parity byte for byte, xl:fast:4 reproducible), `just s1 --cores 1,2` for
+# `just s1 --smoke --cores 4` for the CI gate at n=5e4 (xl and xl:fast:1
+# equal the recorded streams, xl:fast:4 reproducible), `just s1 --cores 1,2` for
 # the full backend x cores sweep to n=1e6 (rewrites results/s1.json and
 # BENCH_S1.json).
 s1 *flags="":
@@ -128,7 +130,7 @@ w2:
 w3:
     cargo run --release -p reconfig-bench --bin exp -- W3
 
-# Workload bit-identity across backends (xl vs xl:fast:1).
+# Workload bit-identity: xl and xl:fast:1 against the recorded digests.
 workload-determinism:
     cargo test -q -p integration-tests --test workload_determinism
 
@@ -137,10 +139,14 @@ workload-determinism:
 routing-diff:
     cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
-# The engine's delivery rule: the seq-indexed bitset path against the
-# id-keyed `#[cfg(test)]` reference, 400 random schedules.
-delivery-diff:
-    cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+# Exact per-round costs of the engine (allocations, bytes, ChaCha8 blocks,
+# messages, bits) against tests/golden/cost.json, and the engine above one
+# shard against tests/golden/engine_fast.digests; both files were written
+# at the commit before one shard's delivery became the route pass's serial
+# case. The cost test prints its deltas.
+engine-fences:
+    cargo test -q -p integration-tests --test cost -- --nocapture
+    cargo test -q -p integration-tests --test determinism golden_engine_fast_digests
 
 # The flat direct sampler against its nested-`Vec` `#[cfg(test)]` reference
 # (240 seeded cases, the benchmark shape, pools of 1/2/3 workers), the two

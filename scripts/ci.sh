@@ -41,7 +41,7 @@ cargo test -q -p integration-tests --test determinism schema_keys_corrupted_one_
 echo "==> node-id state: NodeId-keyed std maps and sets in non-test code equal DESIGN.md's survivors table"
 cargo test -q -p integration-tests --test determinism node_id_std_collections_are_the_listed_survivors
 
-echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, healing_round, runners, cluster_trace and state_formats digests, three checkpoint inputs)"
+echo "==> golden files unchanged (five overlay/workload families, sampling_direct, attacker, engine, engine_fast, healing_round, runners, cluster_trace and state_formats digests, cost.json, three checkpoint inputs)"
 git diff --exit-code -- tests/golden/
 
 echo "==> fault-schedule fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
@@ -53,13 +53,13 @@ FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test fault_
 echo "==> shrinker fuzzing (FUZZ_CASES=${FUZZ_CASES:-100})"
 FUZZ_CASES="${FUZZ_CASES:-100}" cargo test -q -p integration-tests --test shrink_fuzz
 
-echo "==> checkpointed soak: dos 4 epochs then resumed to 8, churndos 2 epochs; a bad size, an overflowing epoch count and a group constant below 1 or for churndos are usage errors naming their flag"
+echo "==> checkpointed soak: dos 4 epochs then resumed to 8, churndos 2 epochs; a bad size, an overflowing epoch count, a checkpoint interval of 0 and a group constant below 1 or for churndos are usage errors naming their flag"
 soak_dir="$(mktemp -d)"
 soak() { cargo run -q --release -p reconfig-bench --bin soak -- "$@"; }
 soak --family dos --epochs 4 --dir "$soak_dir/dos"
 soak --family dos --epochs 8 --dir "$soak_dir/dos" --resume
 soak --family churndos --epochs 2 --dir "$soak_dir/churndos"
-for bad in "--n 2" "--epochs 18446744073709551615" "--group-c 0.5" "--family churndos --group-c 4"; do
+for bad in "--n 2" "--epochs 18446744073709551615" "--every 0" "--group-c 0.5" "--family churndos --group-c 4"; do
     # shellcheck disable=SC2086
     if soak $bad --dir "$soak_dir/bad" 2>"$soak_dir/bad.err"; then
         echo "soak accepted $bad" >&2
@@ -83,7 +83,7 @@ BYZ_CASES="${BYZ_CASES:-40}" cargo test -q -p integration-tests --test byz_fuzz
 echo "==> recovery determinism + catastrophe fuzzing (RECOVERY_CASES=${RECOVERY_CASES:-6})"
 RECOVERY_CASES="${RECOVERY_CASES:-6}" cargo test -q -p integration-tests --test recovery_determinism
 
-echo "==> s1-smoke at n=5e4 (xl:fast:1 byte-identical to parity, xl:fast:4 reproducible)"
+echo "==> s1-smoke at n=5e4 (xl and xl:fast:1 equal the recorded streams, xl:fast:4 reproducible)"
 cargo run -q --release -p reconfig-bench --bin exp -- S1 --smoke --cores 4
 
 echo "==> fast-mode statistical equivalence (EQUIV_SAMPLES=${EQUIV_SAMPLES:-3})"
@@ -107,14 +107,18 @@ for id in N1 W1 W2 W3; do
 done
 rm -rf "$scratch"
 
-echo "==> workload bit-identity across backends (xl vs xl:fast:1)"
+echo "==> workload bit-identity: xl and xl:fast:1 against the recorded digests"
 cargo test -q -p integration-tests --test workload_determinism
 
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
 cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
-echo "==> engine delivery rule: bitset path vs its id-keyed reference (400 random schedules)"
-cargo test -q -p simnet-xl --lib bitset_delivery_matches_the_id_keyed_reference
+echo "==> engine above one shard (engine_fast.digests) and exact per-round costs (cost.json): both written at the commit before one shard's delivery became the route pass's serial case"
+cargo test -q -p integration-tests --test determinism golden_engine_fast_digests
+cargo test -q -p integration-tests --test cost
+
+echo "==> rustdoc warnings are errors (simnet, simnet-xl, reconfig-core)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p simnet -p simnet-xl -p reconfig-core
 
 echo "==> direct sampler: flat arenas vs the nested-Vec reference (240 seeded cases, pools of 1/2/3), keystream readers, parent-written golden"
 cargo test -q -p reconfig-core --lib sampling::direct

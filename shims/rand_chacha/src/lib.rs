@@ -25,6 +25,7 @@ pub mod rand_core {
 }
 
 use rand::{RngCore, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 mod wide;
 pub use wide::ChaCha8Wide;
@@ -33,6 +34,21 @@ const ROUNDS: usize = 8;
 const BLOCK_WORDS: usize = 16;
 /// "expand 32-byte k" — the standard ChaCha constants.
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+
+static BLOCKS: AtomicU64 = AtomicU64::new(0);
+
+/// ChaCha8 blocks this process has generated so far, by both readers: a
+/// [`ChaCha8Rng`] refill is one block (a restore recomputes one too), a
+/// [`ChaCha8Wide`] refill eight. One relaxed atomic counter, so the total is
+/// exact whatever threads did the drawing: a run that draws the same
+/// streams reads the same count at any pool size.
+pub fn blocks_generated() -> u64 {
+    BLOCKS.load(Relaxed)
+}
+
+fn count_blocks(blocks: u64) {
+    BLOCKS.fetch_add(blocks, Relaxed);
+}
 
 /// The eight little-endian key words of a 32-byte seed.
 fn key_words(seed: &[u8; 32]) -> [u32; 8] {
@@ -74,6 +90,7 @@ fn quarter_round(state: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d
 
 impl ChaCha8Rng {
     fn refill(&mut self) {
+        count_blocks(1);
         let mut state: [u32; BLOCK_WORDS] = [
             SIGMA[0],
             SIGMA[1],

@@ -74,6 +74,7 @@ impl ChaCha8Wide {
     /// is asked at run time, so the build has no flag, and every machine
     /// gets the same words.
     fn refill(&mut self) {
+        crate::count_blocks(LANES as u64);
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
             // SAFETY: `refill_avx2` only enables AVX2, and

@@ -1559,11 +1559,7 @@ fn engine_lines() -> Vec<String> {
     let engine = XlNetwork::<Chatter>::new;
     let mut lines = Vec::new();
 
-    engine_case(engine(0xD1CE), "gossip", 24, 30, churn_script, &mut lines);
-
-    let mut net = engine(0xFADE);
-    net.set_fault_model(stress_faults(0xFA17));
-    engine_case(net, "faults", 24, 30, churn_script, &mut lines);
+    gossip_and_faults(engine, "", &mut lines);
 
     // Scheduled delays. `shift`: of two injections only the named one is
     // held (two rounds), and every protocol send of round 1 is held one
@@ -1597,15 +1593,32 @@ fn engine_lines() -> Vec<String> {
         net.set_fault_model(faults);
         engine_case(net, tag, 4, 6, inject(msgs, block), &mut lines);
     }
+    conduct_case(engine, "", &mut lines);
+    lines
+}
 
+/// The `gossip` and `faults` scenarios, the head of `engine.digests`. Tags
+/// get `prefix` in front.
+fn gossip_and_faults(
+    engine: impl Fn(u64) -> XlNetwork<Chatter>,
+    prefix: &str,
+    lines: &mut Vec<String>,
+) {
+    engine_case(engine(0xD1CE), &format!("{prefix}gossip"), 24, 30, churn_script, lines);
+    let mut net = engine(0xFADE);
+    net.set_fault_model(stress_faults(0xFA17));
+    engine_case(net, &format!("{prefix}faults"), 24, 30, churn_script, lines);
+}
+
+/// The `conduct` scenario, the tail of `engine.digests`.
+fn conduct_case(engine: impl Fn(u64) -> XlNetwork<Chatter>, prefix: &str, lines: &mut Vec<String>) {
     let mut net = engine(0xB12A);
     net.set_conduct(Some(Arc::new(
         ByzantineConduct::new(9, [2, 7, 14].map(NodeId))
             .dropping(PPM / 3)
             .forging(PPM / 4, |m| m ^ 0xDEAD_BEEF),
     )));
-    engine_case(net, "conduct", 24, 30, churn_script, &mut lines);
-    lines
+    engine_case(net, &format!("{prefix}conduct"), 24, 30, churn_script, lines);
 }
 
 /// The eight rounds after `network_v1.ckpt.json`.
@@ -1639,6 +1652,42 @@ fn golden_engine_digests() {
          seed=0x5C4ED; conduct = gossip at seed=0xB12A with ByzantineConduct(9, {2,7,14}) \
          dropping 1/3 forging 1/4; resume = the 8 rounds after network_v1.ckpt.json",
         &reference,
+    );
+}
+
+/// The engine above one shard, where arenas are routed in parallel with a
+/// private fate stream per shard: the unscheduled scenarios of
+/// `engine.digests` at two and seven shards, plus the `gossip` population
+/// at 600 nodes and four shards, past `PAR_THRESHOLD`. Written at the
+/// commit before one shard's delivery became the route pass's serial case,
+/// so it pins that everything above one shard kept its behaviour.
+#[test]
+fn golden_engine_fast_digests() {
+    let mut lines = Vec::new();
+    for shards in [2, 7] {
+        let engine = |seed| XlNetwork::<Chatter>::fast(seed, shards);
+        let prefix = format!("fast:{shards} ");
+        gossip_and_faults(engine, &prefix, &mut lines);
+        conduct_case(engine, &prefix, &mut lines);
+    }
+    let mut net = XlNetwork::<Chatter>::fast(0x600D, 4);
+    net.set_fault_model(stress_faults(0x5EED));
+    engine_case(
+        net,
+        "fast:4 faults-600",
+        600,
+        12,
+        |_, r| (0..600).filter(|i| (i + r) % 29 == 0).map(NodeId).collect(),
+        &mut lines,
+    );
+    check_golden(
+        "engine_fast.digests",
+        "engine above one shard (recorded at the commit before one-shard delivery became the \
+         serial case of the route pass): the gossip, faults and conduct scenarios of \
+         engine.digests on XlNetwork::fast at 2 and 7 shards, then 600 Chatter nodes at 4 \
+         shards (routed in parallel) under stress faults seed 0x5EED with a moving 1/29 block \
+         set, 12 rounds; round_digest per round and each run's closing counters",
+        &lines,
     );
 }
 

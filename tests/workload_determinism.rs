@@ -3,11 +3,12 @@
 //! The W-series claims its replay digest is a *parity* statement: the
 //! same `(spec, campaign)` must produce byte-identical reports on every
 //! backend that delivers in parity's order — parity itself, and fast mode
-//! at one shard, whose engine runs without a fault model here (the
-//! absolute values are pinned by `golden/workload.digests`, recorded when
-//! that engine was still the boxed-slot one). The digest covers inputs and
-//! outcomes — ops, block sets, batch metrics, sampled ids — so any
-//! backend divergence (sampling order, RNG stream use, group state)
+//! at one shard, which is the same engine. Both are held against digests
+//! recorded when the two still delivered through separate paths (the
+//! W-series' absolute values are pinned by `golden/workload.digests`,
+//! recorded when that engine was still the boxed-slot one). The digest
+//! covers inputs and outcomes — ops, block sets, batch metrics, sampled
+//! ids — so any divergence (sampling order, RNG stream use, group state)
 //! surfaces here as a failing equality, not a silent drift.
 
 use overlay_adversary::adaptive::Attacker;
@@ -62,10 +63,15 @@ fn on(be: Backend, spec: &WorkloadSpec) -> WorkloadReport {
 
 #[test]
 fn all_kinds_are_bit_identical_across_backends() {
-    for spec in [kv_spec(21), hot_spec(22), chat_spec(23)] {
+    for (spec, recorded) in [
+        (kv_spec(21), 0xeaa3_6e40_c4a2_5338),
+        (hot_spec(22), 0xc7a3_99d4_ee5c_e09e),
+        (chat_spec(23), 0x6b8b_cccb_7ed2_61ac),
+    ] {
         let parity = on(Backend::Parity, &spec);
         let fast = on(Backend::fast(1), &spec);
         assert_eq!(parity, fast, "kind {} diverged between xl and xl:fast:1", spec.kind.name());
+        assert_eq!(parity.trace_digest, recorded, "kind {} moved", spec.kind.name());
     }
 }
 
