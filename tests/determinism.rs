@@ -1784,7 +1784,7 @@ fn overlay_state_digests_are_replay_identical() {
 }
 
 #[test]
-fn sampling_digest_stream_is_replay_identical_and_mode_independent() {
+fn sampling_digest_stream_is_replay_identical_and_matches_its_fingerprint() {
     let nodes: Vec<NodeId> = (0..600).map(NodeId).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let graph = HGraph::random(&nodes, 8, &mut rng);
@@ -1793,11 +1793,18 @@ fn sampling_digest_stream_is_replay_identical_and_mode_independent() {
     let (_, _, b) = run_alg1_digested_observed(&graph, &params, 9, &Telemetry::disabled());
     assert_eq!(a, b);
     assert!(!a.is_empty());
-    // No fault model: fast mode at one shard delivers in parity's order.
-    let (_, _, fast) = with_backend(Backend::fast(1), || {
-        run_alg1_digested_observed(&graph, &params, 9, &Telemetry::disabled())
-    });
-    assert_eq!(fast, a);
+    // Fast mode at one shard is parity's code path, so running it beside
+    // parity would compare the engine with itself. The stream is held
+    // against the fingerprint parity produced instead.
+    let mut d = Digest::new();
+    for r in &a {
+        d.write_u64(r.round).write_u64(r.value);
+    }
+    assert_eq!(
+        (a.len(), d.finish()),
+        (11, 0xaecb_0b27_5b31_cb84),
+        "the Algorithm 1 digest stream moved"
+    );
 }
 
 // ---------------------------------------------------------------------------

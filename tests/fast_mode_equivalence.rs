@@ -553,14 +553,13 @@ fn recovery_transitions_are_identical_across_exec_modes() {
     // and the supernode overlay never instantiates a simnet engine, so
     // even `xl:fast` — which is allowed to reorder engine work — must
     // reproduce the digest stream and the mode-transition stream
-    // byte-identically. The mode knob cannot leak into recovery.
+    // byte-identically. The mode knob cannot leak into recovery. (Fast
+    // mode at one shard is parity's code path, so it is not run here.)
     let (digests, transitions) = recovery_trace(Backend::Parity);
     assert!(!transitions.is_empty(), "fixture must exercise the mode machine");
-    for backend in [Backend::fast(1), Backend::fast(4)] {
-        let (d, t) = recovery_trace(backend);
-        assert_eq!(digests, d, "{backend:?}: digest stream diverged");
-        assert_eq!(transitions, t, "{backend:?}: transition stream diverged");
-    }
+    let (d, t) = recovery_trace(Backend::fast(4));
+    assert_eq!(digests, d, "digest stream diverged on four shards");
+    assert_eq!(transitions, t, "transition stream diverged on four shards");
 }
 
 // ---------------------------------------------------------------------------
