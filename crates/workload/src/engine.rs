@@ -165,13 +165,26 @@ impl WorkloadEngine {
         attacker: &mut dyn Attacker,
         tel: &Telemetry,
     ) -> WorkloadReport {
+        Self::run_stepped(spec, attacker, tel, &mut |_| {})
+    }
+
+    /// [`WorkloadEngine::run`], showing `after_batch` the serving DHT once
+    /// each batch is served and its rounds are stepped: its clock (rounds,
+    /// epochs) and `messages_total` so far. Pure observation, like `tel`;
+    /// `tests/cost.rs` reads its per-batch counters here.
+    pub fn run_stepped(
+        spec: &WorkloadSpec,
+        attacker: &mut dyn Attacker,
+        tel: &Telemetry,
+        after_batch: &mut dyn FnMut(&RobustDht),
+    ) -> WorkloadReport {
         spec.validate().expect("spec validated before running");
         let tel = tel.with_labels(&[("overlay", "workload")]);
         match &spec.kind {
             WorkloadKind::ZipfKv { .. } | WorkloadKind::HotKey { .. } => {
-                run_kv(spec, attacker, &tel)
+                run_kv(spec, attacker, &tel, after_batch)
             }
-            WorkloadKind::Chat { .. } => run_chat(spec, attacker, &tel),
+            WorkloadKind::Chat { .. } => run_chat(spec, attacker, &tel, after_batch),
         }
     }
 }
@@ -215,7 +228,12 @@ fn observe_latency(tel: &Telemetry, buckets: &[u64]) {
 }
 
 /// W1/W2: Zipf-skewed and hot-key get/put mixes over the DHT.
-fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> WorkloadReport {
+fn run_kv(
+    spec: &WorkloadSpec,
+    attacker: &mut dyn Attacker,
+    tel: &Telemetry,
+    after_batch: &mut dyn FnMut(&RobustDht),
+) -> WorkloadReport {
     let mut dht = RobustDht::new(spec.n, 2.0, spec.seed);
     dht.set_telemetry(tel.clone());
     let mut ctl = ControlPlane::new(spec, &dht);
@@ -267,6 +285,7 @@ fn run_kv(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> 
         observe_latency(tel, m.latency.buckets());
 
         ctl.advance(&mut dht, &blocked, m.rounds, &mut trace, tel);
+        after_batch(&dht);
     }
     let clock = dht.clock();
     tel.gauge("workload.rounds", &[]).record_max(clock.round());
@@ -347,7 +366,12 @@ fn generate_kv_ops(
 }
 
 /// W3: fan-out chat feeds with per-topic subscriber churn over pubsub.
-fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -> WorkloadReport {
+fn run_chat(
+    spec: &WorkloadSpec,
+    attacker: &mut dyn Attacker,
+    tel: &Telemetry,
+    after_batch: &mut dyn FnMut(&RobustDht),
+) -> WorkloadReport {
     let WorkloadKind::Chat { topics, skew, subscribers, churn_rate, fanout_cap } = spec.kind else {
         unreachable!("run_chat only handles Chat specs");
     };
@@ -468,6 +492,7 @@ fn run_chat(spec: &WorkloadSpec, attacker: &mut dyn Attacker, tel: &Telemetry) -
         observe_batch(tel, round, "chat", batch_attempted, batch_completed, messages);
 
         ctl.advance(ps.dht_mut(), &blocked, batch_rounds.max(1), &mut trace, tel);
+        after_batch(ps.dht());
     }
     observe_latency(tel, account.latency().buckets());
     let clock = ps.dht().clock();

@@ -21,10 +21,23 @@
 //! ring's fan-in is fixed, so there every round after the first four must
 //! allocate nothing at all.
 //!
+//! The file also holds one workload shape, `chat_fanout`: the benchmark's
+//! W3 spec (n = 512, 24 batches of 64 publishes, 512 churned subscribers,
+//! up to 8 readers per touched topic, seed 11, no attacker) through
+//! `WorkloadEngine::run_stepped`, batch by batch. Per batch: allocations
+//! and bytes (batch 0 includes the run's setup), ChaCha8 blocks, the
+//! DHT's messages, the rounds it stepped and the epochs it closed, and
+//! the publications fetches delivered (`pubsub.fetched`, read from a
+//! second, telemetry-on run of the same spec). Blocks, messages, rounds,
+//! epochs and `fetched` must equal the file batch for batch; allocations
+//! and bytes must not exceed it.
+//!
 //! The counters are process-wide, so this binary holds exactly one test.
 //! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test cost`
 //! rewrites the file; the deltas against it are printed either way.
 
+use overlay_adversary::Campaign;
+use overlay_workload::{WorkloadEngine, WorkloadKind, WorkloadSpec};
 use rand::RngExt;
 use simnet::{BlockSet, Ctx, NodeId, Protocol};
 use simnet_xl::Backend;
@@ -32,6 +45,7 @@ use simnet_xl::XlNetwork;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use telemetry::alloc::{AllocCounts, CountingAlloc};
+use telemetry::Telemetry;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -208,6 +222,93 @@ fn measure(shape: &Shape, backend: Backend) -> Measured {
     Measured { setup, rounds }
 }
 
+/// `benchmark/src/workloads/chat.rs` at full size and `--seed 11`.
+fn chat_fanout_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        n: 512,
+        seed: 11,
+        batches: 24,
+        batch_size: 64,
+        kind: WorkloadKind::Chat {
+            topics: 64,
+            skew: 1.0,
+            subscribers: 512,
+            churn_rate: 1.25,
+            fanout_cap: 8,
+        },
+    }
+}
+
+/// What one chat batch cost and did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct BatchCost {
+    allocs: u64,
+    bytes: u64,
+    rng_blocks: u64,
+    msgs: u64,
+    rounds: u64,
+    epochs: u64,
+    fetched: u64,
+}
+
+impl BatchCost {
+    /// The quantities that say what the run did, which must not move.
+    fn run(&self) -> (u64, u64, u64, u64, u64) {
+        (self.rng_blocks, self.msgs, self.rounds, self.epochs, self.fetched)
+    }
+}
+
+/// Run `chat_fanout` twice: once counting each batch's allocations, bytes,
+/// blocks and DHT deltas, once with a collector attached to read
+/// `pubsub.fetched` (telemetry is pure observation, so the DHT deltas of
+/// the two runs must agree).
+fn measure_chat() -> Vec<BatchCost> {
+    let spec = chat_fanout_spec();
+    let mut costs: Vec<BatchCost> = Vec::with_capacity(spec.batches as usize);
+    let mut before = counters();
+    let mut last = (0, 0, 0);
+    // The observer only reads counters and pushes into reserved space, so
+    // it allocates nothing itself.
+    WorkloadEngine::run_stepped(&spec, &mut Campaign::none(), &Telemetry::disabled(), &mut |dht| {
+        let c = spent(before);
+        let now = (dht.messages_total, dht.clock().round(), dht.clock().epochs());
+        costs.push(BatchCost {
+            allocs: c.allocs,
+            bytes: c.bytes,
+            rng_blocks: c.rng_blocks,
+            msgs: now.0 - last.0,
+            rounds: now.1 - last.1,
+            epochs: now.2 - last.2,
+            fetched: 0,
+        });
+        last = now;
+        before = counters();
+    });
+    assert_eq!(costs.len() as u64, spec.batches, "one observation per batch");
+
+    let tel = Telemetry::collector();
+    let mut seen = Vec::new();
+    let mut fetched_before = 0;
+    WorkloadEngine::run_stepped(&spec, &mut Campaign::none(), &tel, &mut |dht| {
+        let snap = tel.snapshot();
+        let fetched: u64 = snap
+            .counters
+            .iter()
+            .filter(|(k, _)| *k == "pubsub.fetched" || k.starts_with("pubsub.fetched{"))
+            .map(|(_, v)| v)
+            .sum();
+        seen.push((dht.messages_total, dht.clock().round(), fetched - fetched_before));
+        fetched_before = fetched;
+    });
+    let mut totals = (0, 0);
+    for (c, (msgs, round, fetched)) in costs.iter_mut().zip(seen) {
+        totals = (totals.0 + c.msgs, totals.1 + c.rounds);
+        assert_eq!(totals, (msgs, round), "telemetry moved the chat run");
+        c.fetched = fetched;
+    }
+    costs
+}
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cost.json")
 }
@@ -219,9 +320,17 @@ fn cost_json(c: &Cost) -> String {
     )
 }
 
-fn render(shapes: &[(&Shape, &Measured)]) -> String {
+fn batch_json(c: &BatchCost) -> String {
+    format!(
+        "{{\"allocs\": {}, \"bytes\": {}, \"rng_blocks\": {}, \"msgs\": {}, \"rounds\": {}, \
+         \"epochs\": {}, \"fetched\": {}}}",
+        c.allocs, c.bytes, c.rng_blocks, c.msgs, c.rounds, c.epochs, c.fetched
+    )
+}
+
+fn render(shapes: &[(&Shape, &Measured)], chat: &[BatchCost]) -> String {
     let mut out = String::from("{\n");
-    for (i, (shape, m)) in shapes.iter().enumerate() {
+    for (shape, m) in shapes {
         let _ = writeln!(out, "  \"{}\": {{", shape.name);
         let _ = writeln!(
             out,
@@ -234,12 +343,28 @@ fn render(shapes: &[(&Shape, &Measured)]) -> String {
             let sep = if r + 1 == m.rounds.len() { "" } else { "," };
             let _ = writeln!(out, "      {}{sep}", cost_json(c));
         }
-        out.push_str("    ]\n");
-        out.push_str(if i + 1 == shapes.len() { "  }\n" } else { "  },\n" });
+        out.push_str("    ]\n  },\n");
     }
-    out.push_str("}\n");
+    let spec = chat_fanout_spec();
+    let WorkloadKind::Chat { subscribers, fanout_cap, .. } = spec.kind else { unreachable!() };
+    let _ = writeln!(out, "  \"{CHAT_FANOUT}\": {{");
+    let _ = writeln!(
+        out,
+        "    \"n\": {}, \"batches\": {}, \"batch_size\": {}, \"subscribers\": {subscribers}, \
+         \"fanout_cap\": {fanout_cap}, \"seed\": {},",
+        spec.n, spec.batches, spec.batch_size, spec.seed
+    );
+    out.push_str("    \"per_batch\": [\n");
+    for (b, c) in chat.iter().enumerate() {
+        let sep = if b + 1 == chat.len() { "" } else { "," };
+        let _ = writeln!(out, "      {}{sep}", batch_json(c));
+    }
+    out.push_str("    ]\n  }\n}\n");
     out
 }
+
+/// The workload shape's name in `cost.json`.
+const CHAT_FANOUT: &str = "chat_fanout";
 
 fn cost_of(v: &serde_json::Value) -> Cost {
     let get = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or_else(|| panic!("{k} in {v:?}"));
@@ -318,6 +443,73 @@ fn compare(shape: &Shape, got: &Measured, want: &serde_json::Value) {
     }
 }
 
+fn batch_cost_of(v: &serde_json::Value) -> BatchCost {
+    let get = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or_else(|| panic!("{k} in {v:?}"));
+    BatchCost {
+        allocs: get("allocs"),
+        bytes: get("bytes"),
+        rng_blocks: get("rng_blocks"),
+        msgs: get("msgs"),
+        rounds: get("rounds"),
+        epochs: get("epochs"),
+        fetched: get("fetched"),
+    }
+}
+
+/// Hold the chat batches against the golden and print the deltas.
+fn compare_chat(got: &[BatchCost], want: &serde_json::Value) {
+    let want: Vec<BatchCost> = want
+        .get("per_batch")
+        .and_then(|v| v.as_array())
+        .expect("per_batch")
+        .iter()
+        .map(batch_cost_of)
+        .collect();
+    assert_eq!(want.len(), got.len(), "{CHAT_FANOUT}: batch count");
+    let sum = |cs: &[BatchCost]| {
+        cs.iter().fold(BatchCost::default(), |a, c| BatchCost {
+            allocs: a.allocs + c.allocs,
+            bytes: a.bytes + c.bytes,
+            rng_blocks: a.rng_blocks + c.rng_blocks,
+            msgs: a.msgs + c.msgs,
+            rounds: a.rounds + c.rounds,
+            epochs: a.epochs + c.epochs,
+            fetched: a.fetched + c.fetched,
+        })
+    };
+    let (g, w) = (sum(got), sum(&want));
+    eprintln!(
+        "{CHAT_FANOUT}: allocs {} -> {} bytes {} -> {} rng_blocks {} -> {} msgs {} -> {} \
+         rounds {} -> {} epochs {} -> {} fetched {} -> {}",
+        w.allocs,
+        g.allocs,
+        w.bytes,
+        g.bytes,
+        w.rng_blocks,
+        g.rng_blocks,
+        w.msgs,
+        g.msgs,
+        w.rounds,
+        g.rounds,
+        w.epochs,
+        g.epochs,
+        w.fetched,
+        g.fetched,
+    );
+    for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(
+            g.run(),
+            w.run(),
+            "{CHAT_FANOUT} batch {b}: (rng_blocks, msgs, rounds, epochs, fetched) moved — the run \
+             itself changed"
+        );
+        assert!(
+            g.allocs <= w.allocs && g.bytes <= w.bytes,
+            "{CHAT_FANOUT} batch {b} allocates more than the golden: {g:?} vs {w:?}"
+        );
+    }
+}
+
 #[test]
 fn engine_costs_match_the_golden_and_warm_rounds_allocate_nothing() {
     let gossip = measure(&ENGINE_GOSSIP, Backend::Parity);
@@ -341,9 +533,11 @@ fn engine_costs_match_the_golden_and_warm_rounds_allocate_nothing() {
     };
     assert_eq!(on_pool(1), on_pool(2), "RNG blocks differ between pools of 1 and 2 threads");
 
+    let chat = measure_chat();
+
     let shapes = [(&ENGINE_GOSSIP, &gossip), (&S1_CHURNDOS, &churndos), (&RING, &ring)];
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path(), render(&shapes)).unwrap();
+        std::fs::write(golden_path(), render(&shapes, &chat)).unwrap();
         return;
     }
     let text = std::fs::read_to_string(golden_path()).expect("tests/golden/cost.json");
@@ -351,4 +545,5 @@ fn engine_costs_match_the_golden_and_warm_rounds_allocate_nothing() {
     for (shape, got) in shapes {
         compare(shape, got, golden.get(shape.name).expect("shape in cost.json"));
     }
+    compare_chat(&chat, golden.get(CHAT_FANOUT).expect("chat_fanout in cost.json"));
 }
