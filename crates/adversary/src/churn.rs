@@ -42,9 +42,33 @@ impl ChurnEvent {
     /// Apply the event to a membership list: the leavers go, the stayers
     /// keep their places, and the joiners are appended in event order.
     pub fn apply(&self, members: &mut Vec<NodeId>) {
+        self.apply_aligned(members, &mut vec![(); members.len()], ());
+    }
+
+    /// [`ChurnEvent::apply`], keeping `aligned` (one entry per member, at
+    /// the member's position) in step: a leaver's entry goes with it, the
+    /// stayers' entries keep their places, and each joiner's entry starts
+    /// as `fresh`.
+    pub fn apply_aligned<T: Clone>(
+        &self,
+        members: &mut Vec<NodeId>,
+        aligned: &mut Vec<T>,
+        fresh: T,
+    ) {
+        assert_eq!(members.len(), aligned.len(), "one aligned entry per member");
         let leaving = IdSet::from_iter(self.leaves.iter().copied());
-        members.retain(|&m| !leaving.contains(m));
+        let mut kept = 0;
+        for i in 0..members.len() {
+            if !leaving.contains(members[i]) {
+                members.swap(kept, i);
+                aligned.swap(kept, i);
+                kept += 1;
+            }
+        }
+        members.truncate(kept);
+        aligned.truncate(kept);
         members.extend(self.joins.iter().map(|j| j.new_node));
+        aligned.resize(members.len(), fresh);
     }
 }
 
@@ -196,6 +220,12 @@ mod tests {
         ev.apply(&mut members);
         let want: Vec<NodeId> = [7, 5, 1, 50, 40].into_iter().map(NodeId).collect();
         assert_eq!(members, want);
+        // An aligned list moves with its members; joiners get the fresh value.
+        let mut members: Vec<NodeId> = [9, 7, 2, 5, 1].into_iter().map(NodeId).collect();
+        let mut aligned = vec!['a', 'b', 'c', 'd', 'e'];
+        ev.apply_aligned(&mut members, &mut aligned, 'z');
+        assert_eq!(members, want);
+        assert_eq!(aligned, ['b', 'd', 'e', 'z', 'z']);
     }
 
     #[test]

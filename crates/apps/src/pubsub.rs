@@ -7,7 +7,11 @@
 //! the butterfly in `O(log n / log log n)` rounds; we aggregate at the
 //! batch interface and charge the butterfly depth), then `m(k)` is bumped
 //! once per key and the publications are stored under consecutive indices.
-//! A subscriber fetches `m(k)` and then all publications up to it.
+//!
+//! A subscriber keeps a cursor: the last index of the topic it has read.
+//! A fetch reads `m(k)` and then only the publications `(cursor, m(k)]`,
+//! and reports the head `m(k)` it read, which becomes the new cursor
+//! once nothing was suppressed. A fetch from cursor 0 is the whole feed.
 
 use crate::dht::{DhtError, RobustDht};
 use serde::{Deserialize, Serialize};
@@ -43,14 +47,19 @@ pub struct PublishMetrics {
     pub rounds: u64,
 }
 
-/// Result of a [`PubSub::fetch_detailed`] call: what got through and what
-/// the blocking suppressed.
+/// Result of a [`PubSub::fetch_after`] call: what got through, what the
+/// blocking suppressed, and the head the fetch read.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct FetchOutcome {
     /// Publications delivered, oldest first (suppressed ones skipped).
     pub delivered: Vec<u64>,
     /// Publications whose read lost its quorum under the `BlockSet`.
     pub suppressed: usize,
+    /// The topic counter `m(k)` the fetch read: the cursor to fetch after
+    /// next time if `suppressed == 0`. When the counter's own read lost
+    /// its quorum nothing past the cursor was read, and this is the
+    /// cursor the fetch started from.
+    pub head: u64,
 }
 
 /// A publish-subscribe system on the robust DHT.
@@ -156,22 +165,36 @@ impl PubSub {
         Ok(out.delivered)
     }
 
-    /// Fetch with honest suppression accounting: delivered publications in
-    /// order plus the count the `BlockSet` suppressed. Only a quorum
-    /// failure on the topic counter itself (or an unroutable butterfly)
-    /// fails the call.
+    /// The whole feed with honest suppression accounting: every
+    /// publication of the topic in order, from a subscriber that has read
+    /// none ([`PubSub::fetch_after`] from cursor 0).
     pub fn fetch_detailed(
         &mut self,
         topic: u64,
         blocked: &BlockSet,
     ) -> Result<FetchOutcome, DhtError> {
-        let m = match self.dht.read(topic, blocked) {
+        self.fetch_after(topic, 0, blocked)
+    }
+
+    /// What is new to a subscriber whose cursor is `after`: one read of the
+    /// topic counter `m(k)`, then one read per publication in
+    /// `(after, m(k)]`, delivered in order plus the count the `BlockSet`
+    /// suppressed. Only a quorum failure on the topic counter itself (which
+    /// delivers nothing and leaves [`FetchOutcome::head`] at `after`) or
+    /// an unroutable butterfly fails the call.
+    pub fn fetch_after(
+        &mut self,
+        topic: u64,
+        after: u64,
+        blocked: &BlockSet,
+    ) -> Result<FetchOutcome, DhtError> {
+        let mut out = FetchOutcome { head: after, ..FetchOutcome::default() };
+        out.head = match self.dht.read(topic, blocked) {
             Ok(v) => v,
-            Err(DhtError::QuorumFailed) => return Ok(FetchOutcome::default()),
+            Err(DhtError::QuorumFailed) => return Ok(out),
             Err(e) => return Err(e),
         };
-        let mut out = FetchOutcome::default();
-        for i in 1..=m {
+        for i in after + 1..=out.head {
             match self.dht.read(pub_key(topic, i), blocked) {
                 Ok(v) => out.delivered.push(v),
                 Err(DhtError::QuorumFailed) => out.suppressed += 1,
@@ -207,6 +230,26 @@ mod tests {
         ps.publish_batch(&[(5, 1)], &none).unwrap();
         ps.publish_batch(&[(5, 2), (5, 3)], &none).unwrap();
         assert_eq!(ps.fetch(5, &none).unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_fetch_after_a_cursor_reads_only_what_is_new() {
+        let mut ps = PubSub::new(512, 7);
+        let none = BlockSet::none();
+        ps.publish_batch(&[(5, 1), (5, 2), (5, 3)], &none).unwrap();
+        let all = ps.fetch_after(5, 0, &none).unwrap();
+        assert_eq!((all.delivered, all.suppressed, all.head), (vec![1, 2, 3], 0, 3));
+        ps.publish_batch(&[(5, 4), (5, 5)], &none).unwrap();
+        let new = ps.fetch_after(5, all.head, &none).unwrap();
+        assert_eq!((new.delivered, new.head), (vec![4, 5], 5));
+        // Caught up: only the topic counter is read.
+        let before = ps.dht().messages_total;
+        let none_new = ps.fetch_after(5, 5, &none).unwrap();
+        let counter_read = ps.dht().messages_total - before;
+        assert_eq!((none_new.delivered.len(), none_new.head), (0, 5));
+        let before = ps.dht().messages_total;
+        ps.fetch_detailed(5, &none).unwrap();
+        assert!(ps.dht().messages_total - before > 5 * counter_read / 2, "a whole feed costs more");
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! Zipf-popular topics receive publish batches while a churned
 //! subscriber population catches up on its feeds (up to `fanout_cap`
-//! readers per touched topic per batch). Subscribers that fall behind
-//! pay one DHT read per backlog entry, which is where the chat tail
-//! comes from. Arms mirror W1/W2: fault-free control vs a capped
-//! churn+DoS campaign on the serving overlay, with subscriber churn
-//! active in both.
+//! readers per touched topic per batch). A fetch reads the topic counter
+//! and then only what was published past the subscriber's cursor, so a
+//! subscriber that fell behind pays one DHT read per backlog entry, which
+//! is where the chat tail comes from. Arms mirror W1/W2: fault-free
+//! control vs a capped churn+DoS campaign on the serving overlay, with
+//! subscriber churn active in both. After the table, each arm's mean
+//! reads per fetch (from the `workload.reads_per_fetch` histogram).
 //!
 //! Batch sizes are capped below the KV workloads because every publish
-//! routes individually and every fetch replays a growing backlog —
-//! op count scales quadratically in batches.
+//! and every read routes individually, and the subscriber list grows
+//! with churn.
 
 use crate::driver::{Experiment, Run, RunError};
-use crate::wseries::run_series;
+use crate::wseries::{arm_of, run_series};
 use overlay_workload::{env_knobs, WorkloadKind, WorkloadSpec};
 
 pub const EXP: Experiment = Experiment::new(
@@ -41,5 +43,21 @@ fn run(run: &mut Run) -> Result<(), RunError> {
             fanout_cap: 4,
         },
     };
-    run_series(run, "W3: chat fan-out under subscriber churn", &spec)
+    run_series(run, "W3: chat fan-out under subscriber churn", &spec)?;
+    // One read for the topic counter plus one per publication past the
+    // subscriber's cursor.
+    let snap = run.tel.snapshot();
+    let means: Vec<String> = snap
+        .histograms
+        .iter()
+        .filter_map(|(key, h)| {
+            let labels = key.strip_prefix("workload.reads_per_fetch")?;
+            let mean = h.mean()?;
+            Some(format!("{}: {mean:.2} reads per fetch (mean of {} fetches)", arm_of(labels), h.count))
+        })
+        .collect();
+    for line in means {
+        run.note(line);
+    }
+    Ok(())
 }

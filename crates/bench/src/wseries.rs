@@ -75,7 +75,7 @@ fn arm_row(arm: &str, r: &WorkloadReport) -> Row {
 
 /// Pull `arm=<v>` out of a canonical label suffix like
 /// `{arm=control,overlay=workload}`.
-fn arm_of(suffix: &str) -> &str {
+pub(crate) fn arm_of(suffix: &str) -> &str {
     suffix
         .trim_start_matches('{')
         .trim_end_matches('}')

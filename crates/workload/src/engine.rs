@@ -27,15 +27,17 @@
 //! (round the quorum-th replica arrived, simulate+synchronize scale).
 //! Chat ops route one at a time, so the engine charges the uncongested
 //! single-op costs: `2*(d+1)+2` rounds per publish (`d` = butterfly
-//! depth) and `(1 + reads) * (2d+2)` per fetch — a subscriber catching up
-//! on a long backlog pays for every read, which is where the chat tail
-//! comes from.
+//! depth) and `(1 + reads) * (2d+2)` per fetch. Each subscriber keeps a
+//! feed cursor, so `reads` is what was published since its last complete
+//! fetch: a subscriber that has not fetched for a while (a joiner, one
+//! past the fan-out cap, one whose fetch was suppressed) pays for the
+//! whole gap, which is where the chat tail comes from.
 
 use overlay_adversary::adaptive::Attacker;
-use overlay_adversary::churn::{ChurnSchedule, ChurnStrategy};
+use overlay_adversary::churn::{ChurnEvent, ChurnSchedule, ChurnStrategy};
 use overlay_adversary::lateness::{SharedSnapshot, TopologySnapshot};
-use overlay_apps::dht::{DhtOp, RobustDht, MESSAGE_BITS};
-use overlay_apps::pubsub::PubSub;
+use overlay_apps::dht::{DhtError, DhtOp, RobustDht, MESSAGE_BITS};
+use overlay_apps::pubsub::{FetchOutcome, PubSub};
 use overlay_stats::{GoodputAccount, LatencySummary};
 use rand::RngExt;
 use reconfig_core::backend;
@@ -386,12 +388,14 @@ fn run_chat(
 
     // Subscriber population: logical clients, ids disjoint from servers.
     let first_sub = 1u64 << 32;
-    let mut members: Vec<NodeId> = (0..subscribers as u64).map(|i| NodeId(first_sub + i)).collect();
+    let mut subs =
+        Subscribers::new((0..subscribers as u64).map(|i| NodeId(first_sub + i)).collect());
     let mut churn =
         ChurnSchedule::new(ChurnStrategy::Random, churn_rate, 0.5, first_sub + subscribers as u64);
     let depth = ps.dht().groups().cube().dim() as u64;
     let publish_latency = 2 * (depth + 1) + 2;
     let read_cost = 2 * depth + 2;
+    let reads_per_fetch = tel.histogram("workload.reads_per_fetch", &[]);
 
     for _ in 0..spec.batches {
         attacker.observe(ctl.snapshot(ps.dht()));
@@ -401,9 +405,9 @@ fn run_chat(
 
         // Per-topic subscriber churn: the existing churn adversary
         // prescribes the joins/leaves of the subscriber population.
-        if members.len() >= 4 {
-            let ev = churn.next(&members, &mut churn_rng);
-            ev.apply(&mut members);
+        if subs.members.len() >= 4 {
+            let ev = churn.next(&subs.members, &mut churn_rng);
+            subs.churn(&ev);
             for l in &ev.leaves {
                 trace.value(l.raw());
             }
@@ -450,20 +454,18 @@ fn run_chat(
         }
 
         // Fan-out delivery: up to `fanout_cap` subscribers of each topic
-        // touched this batch catch up on its feed.
+        // touched this batch read what is new on its feed.
         let touched: BTreeSet<u64> = pubs.iter().map(|&(t, _)| t).collect();
         for &topic in &touched {
-            let readers = members
-                .iter()
-                .filter(|m| topic_of(m.raw(), topics) == topic)
-                .take(fanout_cap)
-                .count();
-            for _ in 0..readers {
-                match ps.fetch_detailed(topic, &blocked) {
+            subs.fan_out(&mut ps, topic, topics, fanout_cap, &blocked, |_, fetched| {
+                batch_attempted += 1;
+                if let Ok(out) = fetched {
+                    reads_per_fetch.record(1 + (out.delivered.len() + out.suppressed) as u64);
+                }
+                match fetched {
                     Ok(out) if out.suppressed == 0 => {
                         let reads = 1 + out.delivered.len() as u64;
                         account.complete(reads * read_cost);
-                        batch_attempted += 1;
                         batch_completed += 1;
                         batch_rounds = batch_rounds.max(reads * read_cost);
                         trace.value(out.delivered.len() as u64);
@@ -473,16 +475,14 @@ fn run_chat(
                     }
                     Ok(out) => {
                         account.suppress();
-                        batch_attempted += 1;
                         trace.value(out.suppressed as u64);
                     }
                     Err(_) => {
                         account.suppress();
-                        batch_attempted += 1;
                         trace.value(u64::MAX);
                     }
                 }
-            }
+            });
         }
         let messages = ps.dht().messages_total - msgs_before;
         account.add_bits(messages * MESSAGE_BITS);
@@ -508,6 +508,57 @@ fn run_chat(
         rotations: 0,
         account,
         trace_digest: trace.finish(),
+    }
+}
+
+/// The chat subscriber population and, at the same positions, each
+/// member's feed cursor: the last index of its home topic it has read
+/// (DESIGN.md §6's position rule; no id-keyed map). Churn keeps the two in
+/// step: a leaver's cursor goes with it and a joiner's starts at 0, so its
+/// first complete fetch catches up on the whole feed.
+struct Subscribers {
+    members: Vec<NodeId>,
+    cursors: Vec<u64>,
+}
+
+impl Subscribers {
+    fn new(members: Vec<NodeId>) -> Self {
+        let cursors = vec![0; members.len()];
+        Self { members, cursors }
+    }
+
+    fn churn(&mut self, ev: &ChurnEvent) {
+        ev.apply_aligned(&mut self.members, &mut self.cursors, 0);
+    }
+
+    /// The first `cap` subscribers of `topic`, in member order, each fetch
+    /// what is new to it, and `seen` gets each one's result. A cursor moves
+    /// to the head its fetch read only if nothing was suppressed; a
+    /// suppressed fetch is read again from the old cursor next time.
+    fn fan_out(
+        &mut self,
+        ps: &mut PubSub,
+        topic: u64,
+        topics: u64,
+        cap: usize,
+        blocked: &BlockSet,
+        mut seen: impl FnMut(NodeId, &Result<FetchOutcome, DhtError>),
+    ) {
+        let readers = self
+            .members
+            .iter()
+            .zip(&mut self.cursors)
+            .filter(|(m, _)| topic_of(m.raw(), topics) == topic)
+            .take(cap);
+        for (&member, cursor) in readers {
+            let fetched = ps.fetch_after(topic, *cursor, blocked);
+            if let Ok(out) = &fetched {
+                if out.suppressed == 0 {
+                    *cursor = out.head;
+                }
+            }
+            seen(member, &fetched);
+        }
     }
 }
 
@@ -615,6 +666,75 @@ mod tests {
         assert!(r.account.attempted > 3 * 16, "fetch fan-out adds ops beyond publishes");
         assert_eq!(r.account.completed, r.account.attempted, "fault-free chat loses nothing");
         assert!(r.account.latency_summary().max >= r.account.latency_summary().p50);
+    }
+
+    /// The whole-feed fetch is the cursors' oracle. Over seeded publish,
+    /// block and churn sequences, the publications each subscriber's
+    /// complete fetches delivered, concatenated, are its topic's whole feed
+    /// read fault-free: nothing skipped, nothing read twice, whether the
+    /// subscriber was there from the start, joined late and caught up, or
+    /// had a fetch suppressed on the way.
+    #[test]
+    fn cursor_deliveries_concatenate_to_the_whole_feed() {
+        let (n, topics, first) = (128usize, 4u64, 1u64 << 32);
+        let none = BlockSet::none();
+        let (mut suppressed, mut catch_ups) = (0, 0);
+        for seed in 0..4u64 {
+            let mut ps = PubSub::new(n, seed);
+            let mut subs = Subscribers::new((0..24).map(|i| NodeId(first + i)).collect());
+            let mut churn = ChurnSchedule::new(ChurnStrategy::Random, 1.3, 0.5, first + 24);
+            let mut rng = simnet::rng::stream(seed, 5, 0xC0);
+            // Deliveries by subscriber, at `id - first` (ids are handed out
+            // in order, joiners after the initial 24).
+            let mut got: Vec<Vec<u64>> = Vec::new();
+            let mut fetch = |ps: &mut PubSub,
+                             subs: &mut Subscribers,
+                             topic,
+                             cap,
+                             blocked: &BlockSet| {
+                subs.fan_out(ps, topic, topics, cap, blocked, |member, fetched| match fetched {
+                    Ok(out) if out.suppressed == 0 => {
+                        let i = (member.raw() - first) as usize;
+                        got.resize_with(got.len().max(i + 1), Vec::new);
+                        if i >= 24 && got[i].is_empty() && out.delivered.len() >= 2 {
+                            catch_ups += 1;
+                        }
+                        got[i].extend(&out.delivered);
+                    }
+                    Ok(_) => suppressed += 1,
+                    Err(_) => {}
+                });
+            };
+            for batch in 0..12 {
+                let ev = churn.next(&subs.members, &mut rng);
+                subs.churn(&ev);
+                let pubs: Vec<(u64, u64)> =
+                    (0..8).map(|_| (rng.random_range(0..topics), rng.random())).collect();
+                ps.publish_batch(&pubs, &none).unwrap();
+                // Every third batch's fetches run with a third of the
+                // servers blocked.
+                let blocked: BlockSet = match batch % 3 {
+                    1 => (0..n as u64).filter(|_| rng.random_bool(0.34)).map(NodeId).collect(),
+                    _ => BlockSet::none(),
+                };
+                let touched: BTreeSet<u64> = pubs.iter().map(|&(t, _)| t).collect();
+                for topic in touched {
+                    fetch(&mut ps, &mut subs, topic, 3, &blocked);
+                }
+                assert_eq!(subs.cursors.len(), subs.members.len(), "seed {seed} batch {batch}");
+            }
+            // Fault-free, every member reads up to the head.
+            for topic in 0..topics {
+                fetch(&mut ps, &mut subs, topic, usize::MAX, &none);
+            }
+            for member in &subs.members {
+                let want = ps.fetch(topic_of(member.raw(), topics), &none).unwrap();
+                let got = got.get((member.raw() - first) as usize).map_or(&[][..], Vec::as_slice);
+                assert_eq!(got, want, "seed {seed}: subscriber {member:?}");
+            }
+        }
+        assert!(suppressed > 0, "no fetch was suppressed on the way");
+        assert!(catch_ups > 0, "no joiner caught up on a backlog");
     }
 
     #[test]

@@ -113,12 +113,12 @@ cargo test -q -p integration-tests --test workload_determinism
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
 cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
-echo "==> engine above one shard (engine_fast.digests) and exact per-round costs (cost.json): both written at the commit before one shard's delivery became the route pass's serial case"
+echo "==> engine above one shard (engine_fast.digests) and exact per-round costs (cost.json's engine rows): both written at the commit before one shard's delivery became the route pass's serial case; cost.json's chat_fanout row holds the W3 workload's per-batch counters"
 cargo test -q -p integration-tests --test determinism golden_engine_fast_digests
 cargo test -q -p integration-tests --test cost
 
-echo "==> rustdoc warnings are errors (simnet, simnet-xl, reconfig-core)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p simnet -p simnet-xl -p reconfig-core
+echo "==> rustdoc warnings are errors (simnet, simnet-xl, reconfig-core, overlay-apps, overlay-workload)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p simnet -p simnet-xl -p reconfig-core -p overlay-apps -p overlay-workload
 
 echo "==> direct sampler: flat arenas vs the nested-Vec reference (240 seeded cases, pools of 1/2/3), keystream readers, parent-written golden"
 cargo test -q -p reconfig-core --lib sampling::direct

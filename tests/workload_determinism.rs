@@ -66,7 +66,7 @@ fn all_kinds_are_bit_identical_across_backends() {
     for (spec, recorded) in [
         (kv_spec(21), 0xeaa3_6e40_c4a2_5338),
         (hot_spec(22), 0xc7a3_99d4_ee5c_e09e),
-        (chat_spec(23), 0x6b8b_cccb_7ed2_61ac),
+        (chat_spec(23), 0x442a_c6b6_3d94_07d7),
     ] {
         let parity = on(Backend::Parity, &spec);
         let fast = on(Backend::fast(1), &spec);
