@@ -188,13 +188,15 @@ impl PubSub {
         after: u64,
         blocked: &BlockSet,
     ) -> Result<FetchOutcome, DhtError> {
-        let mut out = FetchOutcome { head: after, ..FetchOutcome::default() };
-        out.head = match self.dht.read(topic, blocked) {
+        let head = match self.dht.read(topic, blocked) {
             Ok(v) => v,
-            Err(DhtError::QuorumFailed) => return Ok(out),
+            Err(DhtError::QuorumFailed) => {
+                return Ok(FetchOutcome { head: after, ..FetchOutcome::default() })
+            }
             Err(e) => return Err(e),
         };
-        for i in after + 1..=out.head {
+        let mut out = FetchOutcome { head, ..FetchOutcome::default() };
+        for i in after + 1..=head {
             match self.dht.read(pub_key(topic, i), blocked) {
                 Ok(v) => out.delivered.push(v),
                 Err(DhtError::QuorumFailed) => out.suppressed += 1,
