@@ -21,16 +21,23 @@
 //! ring's fan-in is fixed, so there every round after the first four must
 //! allocate nothing at all.
 //!
-//! The file also holds one workload shape, `chat_fanout`: the benchmark's
-//! W3 spec (n = 512, 24 batches of 64 publishes, 512 churned subscribers,
-//! up to 8 readers per touched topic, seed 11, no attacker) through
-//! `WorkloadEngine::run_stepped`, batch by batch. Per batch: allocations
-//! and bytes (batch 0 includes the run's setup), ChaCha8 blocks, the
-//! DHT's messages, the rounds it stepped and the epochs it closed, and
-//! the publications fetches delivered (`pubsub.fetched`, read from a
-//! second, telemetry-on run of the same spec). Blocks, messages, rounds,
-//! epochs and `fetched` must equal the file batch for batch; allocations
-//! and bytes must not exceed it.
+//! The file also holds three workload shapes, each a benchmark workload
+//! at full size and `--seed 11` through `WorkloadEngine::run_stepped`,
+//! batch by batch:
+//! - `kv_read_clean`: W1 reads (n = 4 096, 40 batches of 1 024 ops, Zipf
+//!   skew 1.1, 95 % reads, no attacker);
+//! - `kv_write_faulted`: W1 writes (n = 4 096, 12 batches of 2 048 ops,
+//!   skew 0.2, 5 % reads, the `churn+dos` campaign at bound 0.04 and
+//!   lateness 2);
+//! - `chat_fanout`: the W3 spec (n = 512, 24 batches of 64 publishes, 512
+//!   churned subscribers, up to 8 readers per touched topic, no attacker).
+//!
+//! Per batch: allocations and bytes (batch 0 includes the run's setup),
+//! ChaCha8 blocks, the DHT's messages, the rounds it stepped and the epochs
+//! it closed, and the publications fetches delivered (`pubsub.fetched`,
+//! read from a second, telemetry-on run of the same spec; 0 for the kv
+//! shapes). Blocks, messages, rounds, epochs and `fetched` must equal the
+//! file batch for batch; allocations and bytes must not exceed it.
 //!
 //! The counters are process-wide, so this binary holds exactly one test.
 //! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test cost`
@@ -222,24 +229,75 @@ fn measure(shape: &Shape, backend: Backend) -> Measured {
     Measured { setup, rounds }
 }
 
-/// `benchmark/src/workloads/chat.rs` at full size and `--seed 11`.
-fn chat_fanout_spec() -> WorkloadSpec {
-    WorkloadSpec {
-        n: 512,
-        seed: 11,
-        batches: 24,
-        batch_size: 64,
-        kind: WorkloadKind::Chat {
-            topics: 64,
-            skew: 1.0,
-            subscribers: 512,
-            churn_rate: 1.25,
-            fanout_cap: 8,
-        },
+/// A benchmark workload at full size and `--seed 11`: its spec and the
+/// campaign it runs under.
+struct Workload {
+    name: &'static str,
+    spec: WorkloadSpec,
+    /// `Campaign::preset` name, bound and lateness.
+    campaign: (&'static str, f64, u64),
+}
+
+impl Workload {
+    fn campaign(&self) -> Campaign {
+        let (name, bound, lateness) = self.campaign;
+        Campaign::preset(name, bound, lateness, self.spec.seed).expect("campaign preset exists")
     }
 }
 
-/// What one chat batch cost and did.
+/// `benchmark/src/workloads/kv.rs`: `kv_read_clean`, then `kv_write_faulted`.
+fn kv(
+    name: &'static str,
+    batches: u64,
+    batch_size: usize,
+    skew: f64,
+    read_fraction: f64,
+) -> Workload {
+    let faulted = name == KV_WRITE_FAULTED;
+    Workload {
+        name,
+        spec: WorkloadSpec {
+            n: 4096,
+            seed: 11,
+            batches,
+            batch_size,
+            kind: WorkloadKind::ZipfKv { keyspace: 65_536, skew, read_fraction },
+        },
+        campaign: if faulted { ("churn+dos", 0.04, 2) } else { ("none", 0.0, 0) },
+    }
+}
+
+/// The workload shapes' names in `cost.json`.
+const KV_READ_CLEAN: &str = "kv_read_clean";
+const KV_WRITE_FAULTED: &str = "kv_write_faulted";
+const CHAT_FANOUT: &str = "chat_fanout";
+
+fn workloads() -> [Workload; 3] {
+    [
+        kv(KV_READ_CLEAN, 40, 1024, 1.1, 0.95),
+        kv(KV_WRITE_FAULTED, 12, 2048, 0.2, 0.05),
+        // `benchmark/src/workloads/chat.rs`.
+        Workload {
+            name: CHAT_FANOUT,
+            spec: WorkloadSpec {
+                n: 512,
+                seed: 11,
+                batches: 24,
+                batch_size: 64,
+                kind: WorkloadKind::Chat {
+                    topics: 64,
+                    skew: 1.0,
+                    subscribers: 512,
+                    churn_rate: 1.25,
+                    fanout_cap: 8,
+                },
+            },
+            campaign: ("none", 0.0, 0),
+        },
+    ]
+}
+
+/// What one workload batch cost and did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct BatchCost {
     allocs: u64,
@@ -258,18 +316,19 @@ impl BatchCost {
     }
 }
 
-/// Run `chat_fanout` twice: once counting each batch's allocations, bytes,
-/// blocks and DHT deltas, once with a collector attached to read
-/// `pubsub.fetched` (telemetry is pure observation, so the DHT deltas of
-/// the two runs must agree).
-fn measure_chat() -> Vec<BatchCost> {
-    let spec = chat_fanout_spec();
+/// Run `w` twice: once counting each batch's allocations, bytes, blocks
+/// and DHT deltas, once with a collector attached to read `pubsub.fetched`
+/// (telemetry is pure observation, so the DHT deltas of the two runs must
+/// agree).
+fn measure_workload(w: &Workload) -> Vec<BatchCost> {
+    let spec = &w.spec;
     let mut costs: Vec<BatchCost> = Vec::with_capacity(spec.batches as usize);
     let mut before = counters();
     let mut last = (0, 0, 0);
     // The observer only reads counters and pushes into reserved space, so
     // it allocates nothing itself.
-    WorkloadEngine::run_stepped(&spec, &mut Campaign::none(), &Telemetry::disabled(), &mut |dht| {
+    let mut campaign = w.campaign();
+    WorkloadEngine::run_stepped(spec, &mut campaign, &Telemetry::disabled(), &mut |dht| {
         let c = spent(before);
         let now = (dht.messages_total, dht.clock().round(), dht.clock().epochs());
         costs.push(BatchCost {
@@ -289,7 +348,7 @@ fn measure_chat() -> Vec<BatchCost> {
     let tel = Telemetry::collector();
     let mut seen = Vec::new();
     let mut fetched_before = 0;
-    WorkloadEngine::run_stepped(&spec, &mut Campaign::none(), &tel, &mut |dht| {
+    WorkloadEngine::run_stepped(spec, &mut w.campaign(), &tel, &mut |dht| {
         let snap = tel.snapshot();
         let fetched: u64 = snap
             .counters
@@ -303,7 +362,7 @@ fn measure_chat() -> Vec<BatchCost> {
     let mut totals = (0, 0);
     for (c, (msgs, round, fetched)) in costs.iter_mut().zip(seen) {
         totals = (totals.0 + c.msgs, totals.1 + c.rounds);
-        assert_eq!(totals, (msgs, round), "telemetry moved the chat run");
+        assert_eq!(totals, (msgs, round), "telemetry moved the {} run", w.name);
         c.fetched = fetched;
     }
     costs
@@ -328,7 +387,7 @@ fn batch_json(c: &BatchCost) -> String {
     )
 }
 
-fn render(shapes: &[(&Shape, &Measured)], chat: &[BatchCost]) -> String {
+fn render(shapes: &[(&Shape, &Measured)], workloads: &[(Workload, Vec<BatchCost>)]) -> String {
     let mut out = String::from("{\n");
     for (shape, m) in shapes {
         let _ = writeln!(out, "  \"{}\": {{", shape.name);
@@ -345,26 +404,38 @@ fn render(shapes: &[(&Shape, &Measured)], chat: &[BatchCost]) -> String {
         }
         out.push_str("    ]\n  },\n");
     }
-    let spec = chat_fanout_spec();
-    let WorkloadKind::Chat { subscribers, fanout_cap, .. } = spec.kind else { unreachable!() };
-    let _ = writeln!(out, "  \"{CHAT_FANOUT}\": {{");
-    let _ = writeln!(
-        out,
-        "    \"n\": {}, \"batches\": {}, \"batch_size\": {}, \"subscribers\": {subscribers}, \
-         \"fanout_cap\": {fanout_cap}, \"seed\": {},",
-        spec.n, spec.batches, spec.batch_size, spec.seed
-    );
-    out.push_str("    \"per_batch\": [\n");
-    for (b, c) in chat.iter().enumerate() {
-        let sep = if b + 1 == chat.len() { "" } else { "," };
-        let _ = writeln!(out, "      {}{sep}", batch_json(c));
+    for (i, (w, batches)) in workloads.iter().enumerate() {
+        let spec = &w.spec;
+        let _ = writeln!(out, "  \"{}\": {{", w.name);
+        let shape = match spec.kind {
+            WorkloadKind::Chat { subscribers, fanout_cap, .. } => {
+                format!("\"subscribers\": {subscribers}, \"fanout_cap\": {fanout_cap}")
+            }
+            WorkloadKind::ZipfKv { keyspace, skew, read_fraction } => {
+                let (campaign, bound, lateness) = w.campaign;
+                format!(
+                    "\"keyspace\": {keyspace}, \"skew\": {skew}, \"read_fraction\": \
+                     {read_fraction}, \"campaign\": \"{campaign}\", \"bound\": {bound}, \
+                     \"lateness\": {lateness}"
+                )
+            }
+            WorkloadKind::HotKey { .. } => unreachable!("no hot-key shape"),
+        };
+        let _ = writeln!(
+            out,
+            "    \"n\": {}, \"batches\": {}, \"batch_size\": {}, {shape}, \"seed\": {},",
+            spec.n, spec.batches, spec.batch_size, spec.seed
+        );
+        out.push_str("    \"per_batch\": [\n");
+        for (b, c) in batches.iter().enumerate() {
+            let sep = if b + 1 == batches.len() { "" } else { "," };
+            let _ = writeln!(out, "      {}{sep}", batch_json(c));
+        }
+        out.push_str(if i + 1 == workloads.len() { "    ]\n  }\n" } else { "    ]\n  },\n" });
     }
-    out.push_str("    ]\n  }\n}\n");
+    out.push_str("}\n");
     out
 }
-
-/// The workload shape's name in `cost.json`.
-const CHAT_FANOUT: &str = "chat_fanout";
 
 fn cost_of(v: &serde_json::Value) -> Cost {
     let get = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or_else(|| panic!("{k} in {v:?}"));
@@ -456,8 +527,8 @@ fn batch_cost_of(v: &serde_json::Value) -> BatchCost {
     }
 }
 
-/// Hold the chat batches against the golden and print the deltas.
-fn compare_chat(got: &[BatchCost], want: &serde_json::Value) {
+/// Hold a workload's batches against the golden and print the deltas.
+fn compare_workload(name: &str, got: &[BatchCost], want: &serde_json::Value) {
     let want: Vec<BatchCost> = want
         .get("per_batch")
         .and_then(|v| v.as_array())
@@ -465,7 +536,7 @@ fn compare_chat(got: &[BatchCost], want: &serde_json::Value) {
         .iter()
         .map(batch_cost_of)
         .collect();
-    assert_eq!(want.len(), got.len(), "{CHAT_FANOUT}: batch count");
+    assert_eq!(want.len(), got.len(), "{name}: batch count");
     let sum = |cs: &[BatchCost]| {
         cs.iter().fold(BatchCost::default(), |a, c| BatchCost {
             allocs: a.allocs + c.allocs,
@@ -479,7 +550,7 @@ fn compare_chat(got: &[BatchCost], want: &serde_json::Value) {
     };
     let (g, w) = (sum(got), sum(&want));
     eprintln!(
-        "{CHAT_FANOUT}: allocs {} -> {} bytes {} -> {} rng_blocks {} -> {} msgs {} -> {} \
+        "{name}: allocs {} -> {} bytes {} -> {} rng_blocks {} -> {} msgs {} -> {} \
          rounds {} -> {} epochs {} -> {} fetched {} -> {}",
         w.allocs,
         g.allocs,
@@ -500,12 +571,12 @@ fn compare_chat(got: &[BatchCost], want: &serde_json::Value) {
         assert_eq!(
             g.run(),
             w.run(),
-            "{CHAT_FANOUT} batch {b}: (rng_blocks, msgs, rounds, epochs, fetched) moved — the run \
+            "{name} batch {b}: (rng_blocks, msgs, rounds, epochs, fetched) moved — the run \
              itself changed"
         );
         assert!(
             g.allocs <= w.allocs && g.bytes <= w.bytes,
-            "{CHAT_FANOUT} batch {b} allocates more than the golden: {g:?} vs {w:?}"
+            "{name} batch {b} allocates more than the golden: {g:?} vs {w:?}"
         );
     }
 }
@@ -533,11 +604,14 @@ fn engine_costs_match_the_golden_and_warm_rounds_allocate_nothing() {
     };
     assert_eq!(on_pool(1), on_pool(2), "RNG blocks differ between pools of 1 and 2 threads");
 
-    let chat = measure_chat();
+    let workloads = workloads().map(|w| {
+        let batches = measure_workload(&w);
+        (w, batches)
+    });
 
     let shapes = [(&ENGINE_GOSSIP, &gossip), (&S1_CHURNDOS, &churndos), (&RING, &ring)];
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path(), render(&shapes, &chat)).unwrap();
+        std::fs::write(golden_path(), render(&shapes, &workloads)).unwrap();
         return;
     }
     let text = std::fs::read_to_string(golden_path()).expect("tests/golden/cost.json");
@@ -545,5 +619,7 @@ fn engine_costs_match_the_golden_and_warm_rounds_allocate_nothing() {
     for (shape, got) in shapes {
         compare(shape, got, golden.get(shape.name).expect("shape in cost.json"));
     }
-    compare_chat(&chat, golden.get(CHAT_FANOUT).expect("chat_fanout in cost.json"));
+    for (w, got) in &workloads {
+        compare_workload(w.name, got, golden.get(w.name).expect("workload in cost.json"));
+    }
 }
