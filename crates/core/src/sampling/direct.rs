@@ -33,7 +33,6 @@ use crate::config::{SamplingParams, Schedule};
 use crate::metrics::SamplingMetrics;
 use overlay_graphs::HGraph;
 use rand::RngExt;
-use rand_chacha::ChaCha8Wide;
 use rayon::prelude::*;
 use simnet::rng::stream_wide;
 use telemetry::{Phase, Telemetry};
@@ -117,12 +116,12 @@ pub struct DirectRun {
 /// popping node itself, like the envelope version — without a draw; the
 /// number of such underflows is returned.
 #[inline]
-fn pop_into(
+pub(super) fn pop_into<R: RngExt>(
     out: &mut [u32],
     row: &mut [u32],
     live: &mut usize,
     fallback: u32,
-    rng: &mut ChaCha8Wide,
+    rng: &mut R,
 ) -> u64 {
     let mut underflows = 0;
     for slot in out {

@@ -13,17 +13,22 @@
 //! * [`direct`] — the array execution of Algorithm 1 that every
 //!   reconfiguration epoch and the large-`n` sweeps run (same algorithm,
 //!   same schedule, flat arenas instead of envelopes).
+//!   [`hypercube::run_alg2_direct_observed`] is Algorithm 2's array level,
+//!   which the workload's epoch control plane runs: exactly the samples of
+//!   the message-level run on parity.
 //! * [`lower_bound`] — the knowledge-spread bound of Lemma 4: no sampler
 //!   can beat `Omega(log diameter)` rounds.
 //!
-//! The five entry points (`run_alg1_observed`, `run_alg1_digested_observed`,
-//! `run_alg2_observed`, `run_baseline_observed`, `run_alg1_direct_observed`)
-//! record a run the same way, written once in the private `envelope`
-//! module: a private collector inside the `Sampling` phase, the start and
-//! finish events, [`crate::metrics::SamplingMetrics::from_snapshot`] as the
-//! only derivation of the work columns, and one absorb into the caller's
+//! The six entry points (`run_alg1_observed`, `run_alg1_digested_observed`,
+//! `run_alg2_observed`, `run_baseline_observed`, `run_alg1_direct_observed`,
+//! `run_alg2_direct_observed`) record a run the same way, written once in
+//! the private `envelope` module: a private collector inside the `Sampling`
+//! phase, the start and finish events,
+//! [`crate::metrics::SamplingMetrics::from_snapshot`] as the only
+//! derivation of the work columns, and one absorb into the caller's
 //! recorder. The message-level samplers also share its engine layer; the
-//! direct sampler records its analytic `net.*` accounting itself.
+//! two array-level samplers record their analytic `net.*` accounting
+//! themselves.
 
 pub mod baseline;
 pub mod direct;
@@ -35,7 +40,7 @@ pub mod lower_bound;
 pub use baseline::{run_baseline_observed, BaselineNode, WalkMsg};
 pub use direct::{run_alg1_direct_observed, DirectRun, SampleTable};
 pub use hgraph::{run_alg1_digested_observed, run_alg1_observed, Alg1Node, SampleMsg};
-pub use hypercube::{run_alg2_observed, Alg2Node, CubeMsg};
+pub use hypercube::{run_alg2_direct_observed, run_alg2_observed, Alg2Node, CubeMsg};
 pub use lower_bound::knowledge_spread_rounds;
 
 use rand::RngExt;

@@ -43,7 +43,7 @@ use rand::RngExt;
 use reconfig_core::backend;
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::EpochClock;
-use reconfig_core::sampling::run_alg2_observed;
+use reconfig_core::sampling::run_alg2_direct_observed;
 use serde::{Deserialize, Serialize};
 use simnet::rng::NodeRng;
 use simnet::{BlockSet, Digest, NodeId};
@@ -133,11 +133,14 @@ impl ControlPlane {
             }
             let epoch = dht.clock().epochs();
             let epoch_seed = self.seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            // Dispatched via `backend::select()` inside: every backend that
-            // delivers in parity's order must sample identically here or the
-            // trace digest (and the hot-set rotations downstream) diverge.
-            let (samples, _metrics) =
-                run_alg2_observed(self.sched_dim, &SamplingParams::default(), epoch_seed, tel);
+            // The array level of Algorithm 2: no engine, and exactly the
+            // samples of the message-level run on parity.
+            let (samples, _metrics) = run_alg2_direct_observed(
+                self.sched_dim,
+                &SamplingParams::default(),
+                epoch_seed,
+                tel,
+            );
             let mut d = Digest::new();
             d.write_u64(epoch);
             for (v, s) in &samples {

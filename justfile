@@ -139,6 +139,13 @@ workload-determinism:
 routing-diff:
     cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
+# Algorithm 2's array level (`run_alg2_direct_observed`, what the workload
+# control plane runs) against the message-level run on parity: samples,
+# failures and metrics equal row for row at dims 1/2/4/8, three constants
+# (one that underflows) and five seeds.
+alg2-diff:
+    cargo test -q -p reconfig-core --lib alg2_direct_matches_the_message_level_run
+
 # Exact per-round costs of the engine (allocations, bytes, ChaCha8 blocks,
 # messages, bits) against tests/golden/cost.json, and the engine above one
 # shard against tests/golden/engine_fast.digests; both files were written

@@ -113,6 +113,9 @@ cargo test -q -p integration-tests --test workload_determinism
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
 cargo test -q -p overlay-apps --lib dense_kernel_matches_the_reference
 
+echo "==> Algorithm 2 array level vs the message-level run on parity (dims 1/2/4/8, three constants, five seeds, underflows reached)"
+cargo test -q -p reconfig-core --lib alg2_direct_matches_the_message_level_run
+
 echo "==> engine above one shard (engine_fast.digests) and exact per-round costs (cost.json's engine rows): both written at the commit before one shard's delivery became the route pass's serial case; cost.json's kv_read_clean, kv_write_faulted and chat_fanout rows hold the W1/W3 workloads' per-batch counters"
 cargo test -q -p integration-tests --test determinism golden_engine_fast_digests
 cargo test -q -p integration-tests --test cost

@@ -242,7 +242,8 @@ fn sampling_run_line(
 /// recorder. This pins what each of them records, at two sizes each, on
 /// the parity engine with a timing-off recorder. The larger size runs an
 /// undersized schedule, so its finish events carry a nonzero failure
-/// count.
+/// count. The sixth entry point, `run_alg2_direct_observed`, came later;
+/// `alg2_direct_matches_the_message_level_run` holds it to `run_alg2_observed`.
 #[test]
 fn golden_sampling_run_digests() {
     let undersized = SamplingParams { epsilon: 0.01, c: 0.2, ..SamplingParams::default() };
