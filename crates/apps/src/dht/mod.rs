@@ -311,8 +311,18 @@ impl RobustDht {
         }
     }
 
-    /// Read a single key under `blocked`: majority over replicas.
+    /// Read a single key under `blocked`: majority over replicas. A key no
+    /// reachable replica holds fails like a lost quorum; [`RobustDht::lookup`]
+    /// tells the two apart.
     pub fn read(&mut self, key: u64, blocked: &BlockSet) -> Result<u64, DhtError> {
+        self.lookup(key, blocked)?.ok_or(DhtError::QuorumFailed)
+    }
+
+    /// Read a single key under `blocked`: `Ok(None)` when a majority of
+    /// replicas answered and none holds the key, [`DhtError::QuorumFailed`]
+    /// only when too few were reachable. Every path draws one route entry
+    /// per replica, so the outcome never changes the DHT's draws.
+    pub fn lookup(&mut self, key: u64, blocked: &BlockSet) -> Result<Option<u64>, DhtError> {
         let mut buf = [NodeId(0); MAX_REDUNDANCY];
         let replicas = &mut buf[..self.redundancy];
         fill_replicas(key, self.len() as u64, replicas);
@@ -340,7 +350,7 @@ impl RobustDht {
         if reachable < self.redundancy / 2 + 1 {
             return Err(DhtError::QuorumFailed);
         }
-        newest.map(|(_, val)| val).ok_or(DhtError::QuorumFailed)
+        Ok(newest.map(|(_, val)| val))
     }
 
     /// Number of supernodes on the digit-correcting route from `entry` to
@@ -396,6 +406,21 @@ mod tests {
     fn missing_key_reports_quorum_of_empties() {
         let mut dht = RobustDht::new(256, 2.0, 2);
         assert_eq!(dht.read(7, &BlockSet::none()), Err(DhtError::QuorumFailed));
+    }
+
+    #[test]
+    fn lookup_tells_a_missing_key_from_a_lost_quorum_with_the_same_draws() {
+        let replicas = |dht: &RobustDht| -> BlockSet {
+            store::replica_servers(7, dht.len() as u64, dht.redundancy()).into_iter().collect()
+        };
+        let mut missing = RobustDht::new(256, 2.0, 2);
+        let mut lost = RobustDht::new(256, 2.0, 2);
+        assert_eq!(missing.lookup(7, &BlockSet::none()), Ok(None));
+        let blocked = replicas(&lost);
+        assert_eq!(lost.lookup(7, &blocked), Err(DhtError::QuorumFailed));
+        assert_eq!(missing.rng.random::<u64>(), lost.rng.random::<u64>(), "draws diverged");
+        missing.write(7, 70, &BlockSet::none()).unwrap();
+        assert_eq!(missing.lookup(7, &BlockSet::none()), Ok(Some(70)));
     }
 
     #[test]

@@ -37,8 +37,9 @@ pub struct PublishMetrics {
     /// topic counter reflects them).
     pub stored: usize,
     /// Publications the current `BlockSet` suppressed: the payload write
-    /// lost its quorum, or the topic-counter update did (orphaning the
-    /// batch's stores). `stored + suppressed == submitted`, so goodput
+    /// lost its quorum, the topic-counter read did (nothing of the topic
+    /// is stored), or the counter update did (orphaning the batch's
+    /// stores). `stored + suppressed == submitted`, so goodput
     /// under DoS is honest instead of aborting on the first failure.
     pub suppressed: usize,
     /// Distinct topics touched.
@@ -96,7 +97,9 @@ impl PubSub {
     ///
     /// Per-publication quorum failures no longer abort the batch: each
     /// topic stores what it can under consecutive indices and counts the
-    /// rest in [`PublishMetrics::suppressed`]. Only [`DhtError::Unroutable`]
+    /// rest in [`PublishMetrics::suppressed`]. A topic whose counter read
+    /// loses its quorum stores nothing (its next index is unknown) and
+    /// counts its whole batch suppressed. Only [`DhtError::Unroutable`]
     /// (no butterfly route at all) aborts.
     pub fn publish_batch(
         &mut self,
@@ -115,9 +118,14 @@ impl PubSub {
         // Aggregation sweep cost: one butterfly traversal.
         rounds += 2 * self.dht.groups().cube().dim() as u64;
         for (&topic, payloads) in &by_topic {
-            let m = match self.dht.read(topic, blocked) {
-                Ok(v) => v,
-                Err(DhtError::QuorumFailed) => 0, // topic not yet created
+            let m = match self.dht.lookup(topic, blocked) {
+                Ok(m) => m.unwrap_or(0), // `None`: topic not yet created
+                // The counter is unreadable: storing from index 1 would
+                // overwrite the feed, so the whole topic batch is suppressed.
+                Err(DhtError::QuorumFailed) => {
+                    suppressed += payloads.len();
+                    continue;
+                }
                 Err(e) => return Err(e),
             };
             // Store what the blocking allows under consecutive indices so
@@ -294,6 +302,23 @@ mod tests {
             return;
         }
         panic!("no topic produced the expected one-suppressed split");
+    }
+
+    #[test]
+    fn a_lost_counter_quorum_suppresses_the_topic_instead_of_overwriting_its_feed() {
+        use crate::dht::store::replica_servers;
+
+        let n = 256usize;
+        let none = BlockSet::none();
+        let mut ps = PubSub::new(n, 5);
+        let m = ps.publish_batch(&[(9, 1), (9, 2), (9, 3)], &none).unwrap();
+        assert_eq!((m.stored, m.suppressed), (3, 0));
+        let counter: BlockSet =
+            replica_servers(9, n as u64, ps.dht().redundancy()).into_iter().collect();
+        let m = ps.publish_batch(&[(9, 4), (10, 5)], &counter).unwrap();
+        assert_eq!((m.stored, m.suppressed), (1, 1), "topic 9 suppressed, topic 10 stored");
+        assert_eq!(ps.fetch(9, &none).unwrap(), vec![1, 2, 3]);
+        assert_eq!(ps.fetch(10, &none).unwrap(), vec![5]);
     }
 
     #[test]
