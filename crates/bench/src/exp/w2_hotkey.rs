@@ -1,9 +1,8 @@
 //! W2 — hot-key storms on a rotating top-k set.
 //!
 //! 90% of ops hammer a top-k hot set that rotates every few batches; the
-//! rotation is seeded by the control plane's backend-executed sampling
-//! salt, so the op stream itself depends on what the reconfiguration
-//! sampled. Arms and reporting mirror W1: fault-free control vs a capped
+//! rotation is seeded by the control plane's sampling salt, so the op
+//! stream itself depends on what the reconfiguration sampled. Arms and reporting mirror W1: fault-free control vs a capped
 //! churn+DoS campaign, with p50/p99/p999 latency in rounds and goodput
 //! per communication-work bit. Expected shape: hot-key skew raises
 //! congestion-driven tail latency but completion stays total in the

@@ -15,11 +15,11 @@
 //!    into a [`GoodputAccount`] and the replay [`WorkloadTrace`];
 //! 4. advances the DHT the rounds the batch consumed; at every epoch
 //!    boundary the engine runs the Section 4 sampling control plane
-//!    (`run_alg2`) **through the selected simulation backend** and folds
+//!    (Algorithm 2 at its array level, `run_alg2_direct_observed`, which
+//!    samples exactly what the message-level run does on parity) and folds
 //!    the sampled ids into the trace. The resulting salt seeds hot-set
-//!    rotations, so a backend that sampled differently would visibly
-//!    change the op stream — cross-backend bit-identity of the trace is a
-//!    real parity claim, not a vacuous one.
+//!    rotations, so a sampler that drew differently would visibly change
+//!    the op stream. No part of a run consults the simulation backend.
 //!
 //! ## Latency accounting
 //!
@@ -40,7 +40,6 @@ use overlay_apps::dht::{DhtError, DhtOp, RobustDht, MESSAGE_BITS};
 use overlay_apps::pubsub::{FetchOutcome, PubSub};
 use overlay_stats::{GoodputAccount, LatencySummary};
 use rand::RngExt;
-use reconfig_core::backend;
 use reconfig_core::config::SamplingParams;
 use reconfig_core::dos::EpochClock;
 use reconfig_core::sampling::run_alg2_direct_observed;
@@ -56,7 +55,7 @@ use crate::trace::WorkloadTrace;
 use crate::zipf::Zipf;
 
 /// Outcome of one workload run. Two runs with equal `(spec, campaign)`
-/// produce equal reports on every parity backend.
+/// produce equal reports.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadReport {
     /// Workload kind name (`zipf-kv` / `hot-key` / `chat`).
@@ -87,8 +86,8 @@ impl WorkloadReport {
 }
 
 /// Per-epoch control plane: steps the DHT round by round and, at each
-/// epoch boundary of its clock, executes the sampling algorithm on the
-/// selected backend, distilling the sampled ids into a salt.
+/// epoch boundary of its clock, executes the sampling algorithm,
+/// distilling the sampled ids into a salt.
 struct ControlPlane {
     seed: u64,
     sched_dim: u32,
@@ -116,8 +115,8 @@ impl ControlPlane {
         SharedSnapshot::new(round, Arc::clone(topo))
     }
 
-    /// Step `k` DHT rounds under `blocked`, running the backend-dispatched
-    /// sampling control plane at every epoch boundary crossed.
+    /// Step `k` DHT rounds under `blocked`, running the sampling control
+    /// plane at every epoch boundary crossed.
     fn advance(
         &mut self,
         dht: &mut RobustDht,
@@ -261,7 +260,7 @@ fn run_kv(
         trace.blocked(round, &blocked);
 
         // Hot-set rotation: seeded by the control plane's sampling salt,
-        // so the op stream depends on what the backend sampled.
+        // so the op stream depends on what the control plane sampled.
         if let WorkloadKind::HotKey { keyspace, top_k, rotate_every, .. } = spec.kind {
             if batch % rotate_every == 0 {
                 hot = rotate_hot_set(spec.seed, ctl.salt, rotations, top_k, keyspace);
@@ -571,24 +570,6 @@ fn topic_of(subscriber: u64, topics: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     (x ^ (x >> 31)) % topics
-}
-
-/// Run the same `(spec, campaign-builder)` on a specific backend.
-///
-/// Convenience wrapper for the determinism tests and the bench binaries:
-/// the campaign is rebuilt per run (attackers are stateful), and the
-/// whole run — including the epoch control plane — executes under
-/// [`backend::with_backend`].
-pub fn run_on_backend(
-    be: backend::Backend,
-    spec: &WorkloadSpec,
-    mut make_attacker: impl FnMut() -> Box<dyn Attacker>,
-    tel: &Telemetry,
-) -> WorkloadReport {
-    backend::with_backend(be, || {
-        let mut attacker = make_attacker();
-        WorkloadEngine::run(spec, &mut attacker, tel)
-    })
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@
 //! * [`engine`] — the batch-stepped driver: campaign observe/block,
 //!   op generation, `serve_batch`/pubsub calls, goodput + tail-latency
 //!   accounting, and the epoch control plane that executes the sampling
-//!   algorithm **on the selected simulation backend** (its sampled ids
-//!   salt the hot-set rotations, making cross-backend trace identity a
-//!   real parity claim).
+//!   algorithm at its array level (its sampled ids salt the hot-set
+//!   rotations, so the trace covers what was sampled).
 //! * [`trace`] — the replay digest covering inputs *and* outcomes.
 //! * [`knobs`] — validated `WORKLOAD_*` environment knobs.
 //!
@@ -29,7 +28,7 @@ pub mod spec;
 pub mod trace;
 pub mod zipf;
 
-pub use engine::{run_on_backend, WorkloadEngine, WorkloadReport};
+pub use engine::{WorkloadEngine, WorkloadReport};
 pub use knobs::{env_knobs, parse_knobs, WorkloadKnobs};
 pub use spec::{SpecError, WorkloadKind, WorkloadSpec};
 pub use trace::WorkloadTrace;

@@ -2,7 +2,7 @@
 //!
 //! A [`WorkloadSpec`] is the replay key of a run: together with the fault
 //! campaign it fully determines the op stream, so two runs with equal
-//! `(spec, campaign)` produce bit-identical traces on any parity backend.
+//! `(spec, campaign)` produce bit-identical traces.
 //! Specs are validated up front — out-of-band parameters are rejected
 //! with a typed error naming the field, never clamped.
 

@@ -4,11 +4,9 @@
 //! Every op generated, every block set applied, every batch outcome,
 //! every control-plane epoch sample folds into one [`simnet::Digest`].
 //! Two runs with the same `(spec, campaign)` must produce the same final
-//! digest on every backend that delivers in parity's order (`xl`, and
-//! `xl:fast:1` with no fault model) — the cross-backend determinism test
-//! compares exactly this value, so the
-//! trace deliberately covers *outcomes* (completions, latency buckets,
-//! delivered payloads), not just inputs.
+//! digest — the workload determinism test holds exactly this value against
+//! recorded ones, so the trace deliberately covers *outcomes*
+//! (completions, latency buckets, delivered payloads), not just inputs.
 
 use overlay_apps::dht::BatchMetrics;
 use simnet::{BlockSet, Digest};
@@ -66,8 +64,8 @@ impl WorkloadTrace {
         self.d.write_u64(x);
     }
 
-    /// Fold a control-plane epoch: its index and the digest (salt) of the
-    /// backend-executed sampling run.
+    /// Fold a control-plane epoch: its index and the digest (salt) of its
+    /// sampling run.
     pub fn epoch(&mut self, index: u64, salt: u64) {
         self.epochs += 1;
         self.d.write_u64(index).write_u64(salt);

@@ -130,7 +130,8 @@ w2:
 w3:
     cargo run --release -p reconfig-bench --bin exp -- W3
 
-# Workload bit-identity: xl and xl:fast:1 against the recorded digests.
+# Workload replay determinism: three kinds against their recorded digests,
+# and a run under fast mode at four shards equal to the default run.
 workload-determinism:
     cargo test -q -p integration-tests --test workload_determinism
 

@@ -107,7 +107,7 @@ for id in N1 W1 W2 W3; do
 done
 rm -rf "$scratch"
 
-echo "==> workload bit-identity: xl and xl:fast:1 against the recorded digests"
+echo "==> workload replay determinism: three kinds against their recorded digests; backend-free"
 cargo test -q -p integration-tests --test workload_determinism
 
 echo "==> DHT routing kernel vs its reference oracle (400 random batches)"
