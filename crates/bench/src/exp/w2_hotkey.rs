@@ -2,8 +2,9 @@
 //!
 //! 90% of ops hammer a top-k hot set that rotates every few batches; the
 //! rotation is seeded by the control plane's sampling salt, so the op
-//! stream itself depends on what the reconfiguration sampled. Arms and reporting mirror W1: fault-free control vs a capped
-//! churn+DoS campaign, with p50/p99/p999 latency in rounds and goodput
+//! stream itself depends on what the reconfiguration sampled. Arms and
+//! reporting mirror W1: fault-free control vs a capped churn+DoS
+//! campaign, with p50/p99/p999 latency in rounds and goodput
 //! per communication-work bit. Expected shape: hot-key skew raises
 //! congestion-driven tail latency but completion stays total in the
 //! control arm.

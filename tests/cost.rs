@@ -252,8 +252,8 @@ fn kv(
     batch_size: usize,
     skew: f64,
     read_fraction: f64,
+    campaign: (&'static str, f64, u64),
 ) -> Workload {
-    let faulted = name == KV_WRITE_FAULTED;
     Workload {
         name,
         spec: WorkloadSpec {
@@ -263,22 +263,17 @@ fn kv(
             batch_size,
             kind: WorkloadKind::ZipfKv { keyspace: 65_536, skew, read_fraction },
         },
-        campaign: if faulted { ("churn+dos", 0.04, 2) } else { ("none", 0.0, 0) },
+        campaign,
     }
 }
 
-/// The workload shapes' names in `cost.json`.
-const KV_READ_CLEAN: &str = "kv_read_clean";
-const KV_WRITE_FAULTED: &str = "kv_write_faulted";
-const CHAT_FANOUT: &str = "chat_fanout";
-
 fn workloads() -> [Workload; 3] {
     [
-        kv(KV_READ_CLEAN, 40, 1024, 1.1, 0.95),
-        kv(KV_WRITE_FAULTED, 12, 2048, 0.2, 0.05),
+        kv("kv_read_clean", 40, 1024, 1.1, 0.95, ("none", 0.0, 0)),
+        kv("kv_write_faulted", 12, 2048, 0.2, 0.05, ("churn+dos", 0.04, 2)),
         // `benchmark/src/workloads/chat.rs`.
         Workload {
-            name: CHAT_FANOUT,
+            name: "chat_fanout",
             spec: WorkloadSpec {
                 n: 512,
                 seed: 11,
