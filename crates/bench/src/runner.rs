@@ -14,11 +14,14 @@ pub struct ExperimentResult {
     pub claim: String,
     /// One JSON object per table row.
     pub rows: Vec<serde_json::Value>,
+    /// The experiment's verdict: one `{says, claimed, holds}` object per
+    /// check (empty for the perf and scale entries).
+    pub verdict: Vec<serde_json::Value>,
 }
 
 simnet::checkpoint_schema! {
     ExperimentResult {
-        fields { id, title, claim, rows }
+        fields { id, title, claim, rows, verdict }
     }
 }
 
@@ -70,6 +73,7 @@ mod tests {
             title: "test".into(),
             claim: "none".into(),
             rows: vec![serde_json::json!({"n": 4, "rounds": 9})],
+            verdict: vec![],
         };
         let dir = std::env::temp_dir().join("reconfig-bench-test");
         std::env::set_var("OUT_DIR_RESULTS", &dir);

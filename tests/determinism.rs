@@ -829,6 +829,7 @@ fn state_formats() -> Vec<Format> {
         title: "format fence".into(),
         claim: "bytes do not move".into(),
         rows: vec![serde_json::json!({ "n": 8, "ok": true }), serde_json::json!({ "n": 16 })],
+        verdict: vec![serde_json::json!({ "says": "n doubles", "claimed": true, "holds": true })],
     };
     formats.push(schema("ExperimentResult", &result));
     formats
