@@ -9,6 +9,7 @@ pub mod driver;
 pub mod exp;
 pub mod report;
 pub mod runner;
+pub mod sweep;
 pub mod table;
 pub mod telemetry_out;
 pub mod wseries;

@@ -9,6 +9,9 @@
 //! These are used to size constants: e.g. Lemma 7 chooses `c` so that with
 //! `m_i = (2+eps)^(T-i) c log n` the sampling algorithm succeeds w.h.p.;
 //! [`smallest_c_for_whp`] computes the smallest such `c`.
+//!
+//! [`wilson`] goes the other way: from `k` successes in `n` runs to an
+//! interval on the success rate itself.
 
 /// Upper-tail bound `Pr[X >= (1+delta) mu]`.
 pub fn chernoff_upper(delta: f64, mu: f64) -> f64 {
@@ -31,6 +34,20 @@ pub fn chernoff_lower(delta: f64, mu: f64) -> f64 {
 pub fn smallest_c_for_whp(epsilon: f64, k: f64) -> f64 {
     assert!(epsilon > 0.0 && epsilon <= 1.0 && k > 0.0);
     3.0 * k * std::f64::consts::LN_2 / (epsilon * epsilon)
+}
+
+/// The Wilson score interval `(lo, hi)` for a success rate after
+/// `successes` out of `trials` independent runs, at `z` standard normal
+/// quantiles (1.96 for 95 %). Unlike the normal interval it stays inside
+/// `[0, 1]` and is not degenerate at 0 or `trials` successes.
+pub fn wilson(successes: u64, trials: u64, z: f64) -> (f64, f64) {
+    assert!(successes <= trials && trials > 0);
+    let (n, p) = (trials as f64, successes as f64 / trials as f64);
+    let z2 = z * z;
+    let scale = 1.0 + z2 / n;
+    let centre = (p + z2 / (2.0 * n)) / scale;
+    let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / scale;
+    ((centre - half).max(0.0), (centre + half).min(1.0))
 }
 
 #[cfg(test)]
@@ -70,6 +87,17 @@ mod tests {
             let bound = chernoff_upper(eps, mu);
             let target = (n as f64).powf(-k);
             assert!(bound <= target * 1.0001, "n={n}: {bound} > {target}");
+        }
+    }
+
+    /// Closed forms at z = 1.96 and 16 runs.
+    #[test]
+    fn wilson_matches_its_closed_form() {
+        for (hits, lo, hi) in
+            [(0, 0.0, 0.1936), (16, 0.8064, 1.0), (8, 0.2800, 0.7200), (1, 0.0111, 0.2833)]
+        {
+            let (l, h) = wilson(hits, 16, 1.96);
+            assert!((l - lo).abs() < 1e-4 && (h - hi).abs() < 1e-4, "{hits}/16: ({l}, {h})");
         }
     }
 

@@ -10,7 +10,8 @@
 //! * [`histogram`] / [`summary`] — descriptive statistics for group sizes,
 //!   congestion, segment lengths.
 //! * [`chernoff`] — the paper's Chernoff bounds (Lemma 1) as calculators,
-//!   used to size constants like `c` in Lemma 7 and Lemma 16.
+//!   used to size constants like `c` in Lemma 7 and Lemma 16, and the
+//!   Wilson interval on a success rate measured over seeds.
 //! * [`shape`] — growth-shape fitting to distinguish `Θ(log log n)` from
 //!   `Θ(log n)` round-count series (the exponential-improvement claim).
 //! * [`goodput`] — goodput-per-communication-bit and tail-latency
@@ -29,7 +30,7 @@ pub mod shape;
 pub mod summary;
 pub mod tv;
 
-pub use chernoff::{chernoff_lower, chernoff_upper, smallest_c_for_whp};
+pub use chernoff::{chernoff_lower, chernoff_upper, smallest_c_for_whp, wilson};
 pub use chi_square::{chi_square_pvalue, chi_square_stat, homogeneity, uniform_fit};
 pub use equivalence::{
     merge_low_buckets, pool_counts, tv_threshold, EquivalenceCheck, EquivalenceConfig,
