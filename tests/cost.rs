@@ -219,12 +219,9 @@ fn measure(shape: &Shape, backend: Backend) -> Measured {
         }
         net.step_blocked(blocked);
         let mut cost = spent(before);
-        let work = net.stats().rounds().last().expect("one entry per round");
+        let work = net.stats().last().expect("one entry per round");
         (cost.msgs, cost.bits) = (work.total_msgs, work.total_bits);
         rounds.push(cost);
-        // The per-round work history grows with the run; clearing it (it
-        // keeps its capacity) leaves only the round path in the count.
-        net.reset_stats();
     }
     Measured { setup, rounds }
 }
