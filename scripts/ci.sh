@@ -83,7 +83,7 @@ BYZ_CASES="${BYZ_CASES:-40}" cargo test -q -p integration-tests --test byz_fuzz
 echo "==> recovery determinism + catastrophe fuzzing (RECOVERY_CASES=${RECOVERY_CASES:-6})"
 RECOVERY_CASES="${RECOVERY_CASES:-6}" cargo test -q -p integration-tests --test recovery_determinism
 
-echo "==> s1-smoke at n=5e4 (xl and xl:fast:1 equal the recorded streams, xl:fast:4 reproducible)"
+echo "==> s1-smoke at n=5e4 (xl equals the recorded streams, xl:fast:4 reproducible)"
 cargo run -q --release -p reconfig-bench --bin exp -- S1 --smoke --cores 4
 
 echo "==> fast-mode statistical equivalence (EQUIV_SAMPLES=${EQUIV_SAMPLES:-3})"
